@@ -300,8 +300,14 @@ ThreadedNode::maybeFinalizeRenf(Key key, const Timestamp &ts,
 {
     if (cfg_.model != PersistModel::REnf)
         return;
+    // The tail retires the txn, after which further ACKs count as
+    // stray: it must wait for every ACK_C too, not only the ACK_Ps, or an
+    // ACK_C popped by another rpc thread after the last ACK_P is lost and
+    // write() times out waiting for it.
     std::uint64_t required = followerMask();
-    if ((txn->ackPMask.load(std::memory_order_acquire) & required) !=
+    if ((txn->ackCMask.load(std::memory_order_acquire) & required) !=
+            required ||
+        (txn->ackPMask.load(std::memory_order_acquire) & required) !=
             required ||
         !txn->localPersistDone.load(std::memory_order_acquire))
         return;
@@ -630,6 +636,7 @@ ThreadedNode::onAck(const Message &msg)
       case MsgType::ACK_C:
       case MsgType::ACK_C_SC:
         txn->ackCMask.fetch_or(bit, std::memory_order_acq_rel);
+        maybeFinalizeRenf(msg.key, msg.tsWr, txn);
         break;
       case MsgType::ACK_P:
         txn->ackPMask.fetch_or(bit, std::memory_order_acq_rel);

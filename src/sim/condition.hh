@@ -13,6 +13,7 @@
 #include <coroutine>
 #include <cstddef>
 #include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -21,14 +22,34 @@
 namespace minos::sim {
 
 /**
- * A broadcast condition: processes `co_await cond.wait()` and are all
- * resumed (at the current tick) by notifyAll().
+ * A broadcast condition: processes block on it until notifyAll() or
+ * notifyOne() wakes them at the current tick.
  *
- * Typical use is a predicate loop, mirroring a spin:
+ * The usual form is a predicated wait, mirroring a spin:
+ * @code
+ *   co_await cond.until([&] { return pred(); });
+ * @endcode
+ * which returns at once if the predicate holds and otherwise parks the
+ * waiter with its predicate. It behaves exactly like the loop
  * @code
  *   while (!pred())
  *       co_await cond.wait();
  * @endcode
+ * but a waiter whose predicate is still false when its wakeup is due
+ * goes straight back to the end of the queue without being resumed.
+ *
+ * A notification takes the waiters parked at that moment, in FIFO order,
+ * and schedules ONE ready-ring event for the whole batch. When that event
+ * runs it visits the batch in order: a false-predicate waiter re-parks,
+ * the others are resumed inline. Dispatch order is exactly that of one
+ * ring event per waiter running the loop above: such events hold
+ * consecutive seqs, so nothing else can run between them, and each
+ * predicate is tested at the point where the loop would re-test it.
+ *
+ * Lifetime: the batch event refers back to the Condition, so a Condition
+ * must outlive every notification it has issued until that event has run,
+ * and a waiter it resumes must not destroy it. Long-lived members (the
+ * usual owners) meet this trivially.
  */
 class Condition
 {
@@ -38,6 +59,7 @@ class Condition
     Condition(const Condition &) = delete;
     Condition &operator=(const Condition &) = delete;
 
+    /** Awaiter of wait(): parks unconditionally. */
     struct Awaiter
     {
         Condition &cond;
@@ -49,7 +71,29 @@ class Condition
         await_suspend(std::coroutine_handle<P> h)
         {
             static_assert(std::is_base_of_v<PromiseBase, P>);
-            cond.waiters_.push_back(h);
+            cond.parked_.push_back(Waiter{h, nullptr, nullptr});
+        }
+
+        void await_resume() const noexcept {}
+    };
+
+    /** Awaiter of until(): parks only while @p pred is false. */
+    template <typename Pred>
+    struct UntilAwaiter
+    {
+        Condition &cond;
+        Pred pred;
+
+        bool await_ready() { return static_cast<bool>(pred()); }
+
+        template <typename P>
+        void
+        await_suspend(std::coroutine_handle<P> h)
+        {
+            static_assert(std::is_base_of_v<PromiseBase, P>);
+            // The awaiter lives in the suspended frame, so &pred stays
+            // valid until the waiter is resumed.
+            cond.parked_.push_back(Waiter{h, &test<Pred>, &pred});
         }
 
         void await_resume() const noexcept {}
@@ -59,38 +103,102 @@ class Condition
     Awaiter wait() { return Awaiter{*this}; }
 
     /**
-     * Resume every current waiter at the present tick, in wait (FIFO)
-     * order. Wakeups go through the simulator's ready ring: no closure,
-     * no allocation, no heap traffic.
+     * Suspend until @p pred() holds, re-tested at each notification.
+     * Never suspends if it already holds.
+     */
+    template <typename Pred>
+    UntilAwaiter<Pred>
+    until(Pred pred)
+    {
+        return UntilAwaiter<Pred>{*this, std::move(pred)};
+    }
+
+    /**
+     * Wake every current waiter at the present tick, in wait (FIFO)
+     * order, with one ready-ring event for the whole batch: no closure
+     * allocation, no heap traffic.
      */
     void
     notifyAll()
     {
-        for (auto h : waiters_)
-            sim_.resumeSoon(h);
-        waiters_.clear();
+        if (parked_.empty())
+            return;
+        std::size_t n = parked_.size();
+        notified_.insert(notified_.end(), parked_.begin(), parked_.end());
+        parked_.clear();
+        scheduleBatch(n);
     }
 
     /**
-     * Resume only the oldest waiter (FIFO handoff). Use when one unit
-     * of capacity became available and waking the whole herd would just
-     * make the losers re-queue (e.g. CorePool::release()).
+     * Wake only the oldest waiter (FIFO handoff). Use when one unit of
+     * capacity became available and waking the whole herd would just
+     * make the losers re-queue (e.g. CorePool::release()). A predicated
+     * waiter whose predicate is false by then re-parks at the back.
      */
     void
     notifyOne()
     {
-        if (waiters_.empty())
+        if (parked_.empty())
             return;
-        sim_.resumeSoon(waiters_.front());
-        waiters_.erase(waiters_.begin());
+        notified_.push_back(parked_.front());
+        parked_.erase(parked_.begin());
+        scheduleBatch(1);
     }
 
     /** Number of processes currently blocked on this condition. */
-    std::size_t numWaiters() const { return waiters_.size(); }
+    std::size_t numWaiters() const { return parked_.size(); }
 
   private:
+    struct Waiter
+    {
+        std::coroutine_handle<> handle;
+        /** Predicate test; null for a plain wait(). */
+        bool (*holds)(void *pred);
+        void *pred;
+    };
+
+    template <typename Pred>
+    static bool
+    test(void *pred)
+    {
+        return static_cast<bool>((*static_cast<Pred *>(pred))());
+    }
+
+    void
+    scheduleBatch(std::size_t n)
+    {
+        sim_.after(0, [this, n] { runBatch(n); });
+    }
+
+    /**
+     * Visit the next @p n notified waiters. Batches are consumed in the
+     * order they were scheduled (all are ready-ring events of this
+     * tick), so they always sit at the head of notified_.
+     */
+    void
+    runBatch(std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i) {
+            // Copy out first: a resumed waiter may notify again and grow
+            // notified_.
+            Waiter w = notified_[head_++];
+            if (head_ == notified_.size()) {
+                notified_.clear();
+                head_ = 0;
+            }
+            if (w.holds && !w.holds(w.pred))
+                parked_.push_back(w);
+            else
+                w.handle.resume();
+        }
+    }
+
     Simulator &sim_;
-    std::vector<std::coroutine_handle<>> waiters_;
+    /** Waiting for a notification, FIFO. */
+    std::vector<Waiter> parked_;
+    /** Notified, batch event still pending; consumed from head_. */
+    std::vector<Waiter> notified_;
+    std::size_t head_ = 0;
 };
 
 /**
@@ -175,7 +283,8 @@ class Mailbox
 
 /**
  * Counts outstanding activities; waiters block until the count returns to
- * zero. Used by drivers to join a fleet of worker processes.
+ * zero. Used by drivers to join a fleet of worker processes. Its
+ * Condition's lifetime rule applies: it must outlive its last done().
  */
 class WaitGroup
 {
@@ -196,8 +305,7 @@ class WaitGroup
     Task<void>
     wait()
     {
-        while (count_ > 0)
-            co_await cond_.wait();
+        co_await cond_.until([this] { return count_ == 0; });
     }
 
     std::size_t count() const { return count_; }

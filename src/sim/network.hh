@@ -116,8 +116,7 @@ class CorePool
     Task<void>
     acquire()
     {
-        while (free_ == 0)
-            co_await cond_.wait();
+        co_await cond_.until([this] { return free_ > 0; });
         --free_;
     }
 
@@ -125,8 +124,8 @@ class CorePool
      * Return a core to the pool. One freed core resumes exactly one
      * waiter (the oldest — FIFO handoff); waking the whole herd for a
      * single core would only make the losers re-queue at the same tick.
-     * A waiter that loses the core to a same-tick acquirer re-enters
-     * the wait loop, so the handoff is race-free.
+     * A waiter that loses the core to a same-tick acquirer re-parks
+     * at the back of the queue, so the handoff is race-free.
      */
     void
     release()

@@ -13,7 +13,8 @@
  *
  * Awaitables:
  *  - `co_await delay(ticks)` suspends for a simulated duration.
- *  - `co_await cond.wait()` suspends until Condition::notifyAll().
+ *  - `co_await cond.until(pred)` suspends until a notification finds
+ *    `pred()` true; `co_await cond.wait()` until the next notification.
  */
 
 #ifndef MINOS_SIM_PROCESS_HH

@@ -49,7 +49,7 @@ Simulator::schedule(Tick when, EventFn fn)
         pushReady(std::move(fn));
         return;
     }
-    heap_.push(Event{when, seq_++, std::move(fn)});
+    heap_.push(when, seq_++, std::move(fn));
     ++heapPushes_;
     peakHeap_ = std::max(peakHeap_, heap_.size());
 }
@@ -74,15 +74,15 @@ Simulator::step()
     else if (heap_.empty())
         from_heap = false;
     else {
-        const Event &t = heap_.top();
+        const TimerHeap::Key &t = heap_.top();
         from_heap = t.when == now_ && t.seq < ring_.front().seq;
     }
 
     if (from_heap) {
-        Event ev = heap_.popTop();
-        now_ = ev.when;
+        now_ = heap_.top().when;
+        EventFn fn = heap_.popTop();
         ++executed_;
-        ev.fn();
+        fn();
     } else {
         ReadyEvent ev = ring_.pop();
         ++executed_;

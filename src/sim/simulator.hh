@@ -5,8 +5,8 @@
  * The simulator executes a time-ordered queue of events. Model code is
  * written as C++20 coroutines (see process.hh) so protocol logic reads
  * like the paper's pseudocode: `co_await delay(t)` advances simulated
- * time, `co_await cond.wait()` blocks on a condition, and mailboxes model
- * message queues.
+ * time, `co_await cond.until(pred)` blocks on a condition, and mailboxes
+ * model message queues.
  *
  * This is the SimGrid-equivalent substrate used for all MINOS-B and
  * MINOS-O evaluation experiments (paper §VII).
@@ -17,8 +17,8 @@
  *  - events scheduled for the *current* tick go to a FIFO ready ring
  *    and bypass the heap entirely (the `after(0, ...)` wakeup pattern
  *    used by every condition/mailbox notification);
- *  - future events live in a 4-ary min-heap over a flat vector whose
- *    pop *moves* the top element out (no pop-copy).
+ *  - future events live in a 4-ary min-heap of (when, seq, slot) keys
+ *    over a recycled slab of EventFns, so sifts never move callables.
  * Dispatch order is exactly (when, seq) — FIFO within a tick — which is
  * the documented determinism contract; the ring is an ordering-exact
  * bypass, not a reordering.
@@ -141,13 +141,6 @@ class Simulator
     /** @} */
 
   private:
-    struct Event
-    {
-        Tick when;
-        std::uint64_t seq;
-        EventFn fn;
-    };
-
     /** Ring-ring entry: the tick is implicitly the current one. */
     struct ReadyEvent
     {
@@ -156,41 +149,60 @@ class Simulator
     };
 
     /**
-     * 4-ary min-heap over a flat vector, ordered by (when, seq).
-     * Shallower than a binary heap (fewer cache-missing levels) and
-     * pops by moving the top element out instead of copying it.
+     * 4-ary min-heap of small (when, seq, slot) keys over a slab of
+     * EventFns. Sifts move 24-byte keys, never the callables; a popped
+     * event's slot is recycled for the next push, so the slab and its
+     * free list only grow. Order is exactly (when, seq): the slot index
+     * takes no part in the comparison.
      */
     class TimerHeap
     {
       public:
-        bool empty() const { return v_.empty(); }
-        std::size_t size() const { return v_.size(); }
-        const Event &top() const { return v_.front(); }
+        struct Key
+        {
+            Tick when;
+            std::uint64_t seq;
+            std::uint32_t slot;
+        };
+
+        bool empty() const { return keys_.empty(); }
+        std::size_t size() const { return keys_.size(); }
+        const Key &top() const { return keys_.front(); }
 
         void
-        push(Event &&e)
+        push(Tick when, std::uint64_t seq, EventFn &&fn)
         {
-            v_.push_back(std::move(e));
-            siftUp(v_.size() - 1);
+            std::uint32_t slot;
+            if (free_.empty()) {
+                slot = static_cast<std::uint32_t>(slab_.size());
+                slab_.push_back(std::move(fn));
+            } else {
+                slot = free_.back();
+                free_.pop_back();
+                slab_[slot] = std::move(fn);
+            }
+            keys_.push_back(Key{when, seq, slot});
+            siftUp(keys_.size() - 1);
         }
 
-        /** Remove and return the minimum element (moved out). */
-        Event
+        /** Remove the minimum; return its callable (moved out). */
+        EventFn
         popTop()
         {
-            Event out = std::move(v_.front());
-            Event last = std::move(v_.back());
-            v_.pop_back();
-            if (!v_.empty())
-                siftDownHole(std::move(last));
-            return out;
+            std::uint32_t slot = keys_.front().slot;
+            Key last = keys_.back();
+            keys_.pop_back();
+            if (!keys_.empty())
+                siftDownHole(last);
+            free_.push_back(slot);
+            return std::move(slab_[slot]);
         }
 
       private:
         static constexpr std::size_t arity = 4;
 
         static bool
-        before(const Event &a, const Event &b)
+        before(const Key &a, const Key &b)
         {
             return a.when != b.when ? a.when < b.when : a.seq < b.seq;
         }
@@ -198,23 +210,23 @@ class Simulator
         void
         siftUp(std::size_t i)
         {
-            Event e = std::move(v_[i]);
+            Key k = keys_[i];
             while (i > 0) {
                 std::size_t parent = (i - 1) / arity;
-                if (!before(e, v_[parent]))
+                if (!before(k, keys_[parent]))
                     break;
-                v_[i] = std::move(v_[parent]);
+                keys_[i] = keys_[parent];
                 i = parent;
             }
-            v_[i] = std::move(e);
+            keys_[i] = k;
         }
 
         /** Sift the root hole down, then drop @p last into it. */
         void
-        siftDownHole(Event &&last)
+        siftDownHole(const Key &last)
         {
             std::size_t i = 0;
-            const std::size_t n = v_.size();
+            const std::size_t n = keys_.size();
             for (;;) {
                 std::size_t first = arity * i + 1;
                 if (first >= n)
@@ -222,17 +234,19 @@ class Simulator
                 std::size_t best = first;
                 std::size_t end = std::min(first + arity, n);
                 for (std::size_t c = first + 1; c < end; ++c)
-                    if (before(v_[c], v_[best]))
+                    if (before(keys_[c], keys_[best]))
                         best = c;
-                if (!before(v_[best], last))
+                if (!before(keys_[best], last))
                     break;
-                v_[i] = std::move(v_[best]);
+                keys_[i] = keys_[best];
                 i = best;
             }
-            v_[i] = std::move(last);
+            keys_[i] = last;
         }
 
-        std::vector<Event> v_;
+        std::vector<Key> keys_;
+        std::vector<EventFn> slab_;
+        std::vector<std::uint32_t> free_;
     };
 
     /**

@@ -41,14 +41,13 @@ NodeB::handleObsolete(Key key, Timestamp observed)
     Record &rec = store_.at(key);
     // ConsistencySpin: wait until the newer write that obsoleted us is
     // visible cluster-wide (its glb_volatileTS reflects it).
-    while (rec.glbVolatileTs < observed)
-        co_await progress_.wait();
+    co_await progress_.until(
+        [&] { return rec.glbVolatileTs >= observed; });
     // PersistencySpin: only models that stall accesses on outstanding
     // persists need it (Fig. 3: Event and Scope skip it).
-    if (needsPersistencySpin(model_)) {
-        while (rec.glbDurableTs < observed)
-            co_await progress_.wait();
-    }
+    if (needsPersistencySpin(model_))
+        co_await progress_.until(
+            [&] { return rec.glbDurableTs >= observed; });
 }
 
 void
@@ -86,8 +85,7 @@ NodeB::grabWrLock(Record &rec)
             rec.wrLock = true;
             co_return;
         }
-        while (rec.wrLock)
-            co_await progress_.wait();
+        co_await progress_.until([&] { return !rec.wrLock; });
     }
 }
 
@@ -432,9 +430,10 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
         releaseRdLockIfOwner(rec, key, ts);
         co_await cores_.compute(cfg_.hostSendNs * cfg_.followers());
         sendVals(MsgType::VAL_C, key, ts, scope);
-        while (txn->acksP < persistNeeded(*txn) ||
-               !txn->localPersistDone)
-            co_await progress_.wait();
+        co_await progress_.until([&] {
+            return txn->acksP >= persistNeeded(*txn) &&
+                   txn->localPersistDone;
+        });
         raiseGlbDurable(rec, key, ts);
         co_await cores_.compute(cfg_.hostSendNs * cfg_.followers());
         sendVals(MsgType::VAL_P, key, ts, scope);
@@ -503,20 +502,17 @@ NodeB::waitClientGate(PendingTxn &txn)
 {
     switch (model_) {
       case PersistModel::Synch:
-        while (txn.acks < txn.needed)
-            co_await progress_.wait();
+        co_await progress_.until([&] { return txn.acks >= txn.needed; });
         break;
       case PersistModel::Strict:
-        while (txn.acksC < txn.needed)
-            co_await progress_.wait();
+        co_await progress_.until([&] { return txn.acksC >= txn.needed; });
         // Client return additionally needs all ACK_Ps; but VAL_C goes
         // out first (handled by the caller).
         break;
       case PersistModel::REnf:
       case PersistModel::Event:
       case PersistModel::Scope:
-        while (txn.acksC < txn.needed)
-            co_await progress_.wait();
+        co_await progress_.until([&] { return txn.acksC >= txn.needed; });
         break;
     }
 }
@@ -528,8 +524,9 @@ NodeB::renfTail(Key key, Timestamp ts)
     auto it = pending_.find(txnKey(key, ts));
     MINOS_ASSERT(it != pending_.end(), "REnf tail without pending txn");
     PendingTxn &txn = it->second;
-    while (txn.acksP < persistNeeded(txn) || !txn.localPersistDone)
-        co_await progress_.wait();
+    co_await progress_.until([&] {
+        return txn.acksP >= persistNeeded(txn) && txn.localPersistDone;
+    });
     raiseGlbDurable(rec, key, ts);
     releaseRdLockIfOwner(rec, key, ts);
     co_await cores_.compute(cfg_.hostSendNs * cfg_.followers());
@@ -551,16 +548,18 @@ NodeB::clientRead(Key key)
                obs::opAux(obs::OpType::Read, false));
     co_await cores_.compute(cfg_.clientReqNs);
     Record &rec = store_.at(key);
-    // A read stalls only while the RDLock is taken by a write.
-    while (!rec.rdLockFree())
-        co_await progress_.wait();
-    co_await cores_.compute(cfg_.llcReadNs);
+    // A read stalls only while the RDLock is taken by a write. The value
+    // and its TS are taken the moment the lock is seen free: an INV that
+    // lands during the LLC read latency is not part of this read.
+    co_await progress_.until([&] { return rec.rdLockFree(); });
     st.value = rec.value;
+    Timestamp seen = rec.volatileTs;
+    co_await cores_.compute(cfg_.llcReadNs);
     // The end record carries the observed write's TS so the auditors
     // can tie the read into that write's causal timeline.
     traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpEnd,
                static_cast<std::int64_t>(key),
-               static_cast<std::int64_t>(rec.volatileTs.pack()),
+               static_cast<std::int64_t>(seen.pack()),
                obs::opAux(obs::OpType::Read, false));
     st.latencyNs = sim_.now() - t0;
     st.compNs = static_cast<double>(st.latencyNs);
@@ -599,13 +598,12 @@ NodeB::persistScope(ScopeId scope)
 
     // Complete persisting all local WRs inside the scope, then the
     // [PERSIST]sc marker itself.
-    while (scopeUnpersisted_[scope] > 0)
-        co_await progress_.wait();
+    co_await progress_.until(
+        [&] { return scopeUnpersisted_[scope] == 0; });
     co_await cores_.compute(nvm_.persistLatency(net::controlMsgBytes));
 
     // Spin for all [ACK_P]sc, then send [VAL_P]sc.
-    while (txn.acksP < txn.needed)
-        co_await progress_.wait();
+    co_await progress_.until([&] { return txn.acksP >= txn.needed; });
     co_await cores_.compute(cfg_.hostSendNs * cfg_.followers());
     traceEvent(obs::Category::Protocol, obs::EventKind::ValSent,
                static_cast<std::int64_t>(scope), 0,
@@ -694,13 +692,13 @@ NodeB::onInv(Message msg, Tick t_handle0)
         if (usesSplitAcks(model_)) {
             // Fig. 3(ii)/(iv)/(vi)/(viii): ConsistencySpin, ACK_C, then
             // (Strict/REnf only) PersistencySpin, ACK_P.
-            while (rec.glbVolatileTs < observed)
-                co_await progress_.wait();
+            co_await progress_.until(
+                [&] { return rec.glbVolatileTs >= observed; });
             co_await sendResponse(msg, ackCType(),
                                   sim_.now() - t_handle0);
             if (tracksPersistPerWrite(model_)) {
-                while (rec.glbDurableTs < observed)
-                    co_await progress_.wait();
+                co_await progress_.until(
+                    [&] { return rec.glbDurableTs >= observed; });
                 co_await sendResponse(msg, MsgType::ACK_P,
                                       sim_.now() - t_handle0);
             }
@@ -738,13 +736,13 @@ NodeB::onInv(Message msg, Tick t_handle0)
         Timestamp observed = rec.volatileTs;
         releaseWrLock(rec);
         if (usesSplitAcks(model_)) {
-            while (rec.glbVolatileTs < observed)
-                co_await progress_.wait();
+            co_await progress_.until(
+                [&] { return rec.glbVolatileTs >= observed; });
             co_await sendResponse(msg, ackCType(),
                                   sim_.now() - t_handle0);
             if (tracksPersistPerWrite(model_)) {
-                while (rec.glbDurableTs < observed)
-                    co_await progress_.wait();
+                co_await progress_.until(
+                    [&] { return rec.glbDurableTs >= observed; });
                 co_await sendResponse(msg, MsgType::ACK_P,
                                       sim_.now() - t_handle0);
             }
@@ -907,8 +905,8 @@ NodeB::onPersistSc(Message msg, Tick t_handle0)
     // itself, then acknowledge. The ackBeforePersist mutation skips the
     // scope-flush wait, certifying durability the node does not have.
     if (!cfg_.mutations.ackBeforePersist) {
-        while (scopeUnpersisted_[msg.scope] > 0)
-            co_await progress_.wait();
+        co_await progress_.until(
+            [&] { return scopeUnpersisted_[msg.scope] == 0; });
     }
     co_await cores_.compute(nvm_.persistLatency(net::controlMsgBytes));
     co_await sendResponse(msg, MsgType::ACK_P_SC, sim_.now() - t_handle0);

@@ -51,8 +51,8 @@ VFifo::enqueue(Key key, Value value, Timestamp ts)
         // Claim the slot before the doorbell write suspends: the entry
         // must have a home by the time the write lands, or concurrent
         // enqueuers would push the occupancy past the hardware cap.
-        while (queue_.size() + reserved_ >= cap)
-            co_await slots_.wait();
+        co_await slots_.until(
+            [&] { return queue_.size() + reserved_ < cap; });
         ++reserved_;
     }
     co_await sim::delay(
@@ -73,8 +73,7 @@ VFifo::enqueue(Key key, Value value, Timestamp ts)
 sim::Task<void>
 VFifo::waitDrained(std::uint64_t id)
 {
-    while (!isDrained(id))
-        co_await progress_.wait();
+    co_await progress_.until([&] { return isDrained(id); });
 }
 
 sim::Process
@@ -86,8 +85,7 @@ VFifo::drainLoop()
     // arrival. Arrivals on one link are monotonic, so entries still
     // apply in FIFO order.
     for (;;) {
-        while (queue_.empty())
-            co_await slots_.wait();
+        co_await slots_.until([&] { return !queue_.empty(); });
         Entry e = queue_.front();
         queue_.pop_front();
         slots_.notifyAll(); // the slot frees when the engine claims it
@@ -177,8 +175,7 @@ DFifo::enqueueMarker(std::uint32_t size_bytes)
             : ~std::size_t{0};
     // Slot reservation mirrors the vFIFO: claim before the write
     // latency so concurrent enqueuers cannot overshoot the cap.
-    while (queue_.size() + reserved_ >= cap)
-        co_await slots_.wait();
+    co_await slots_.until([&] { return queue_.size() + reserved_ < cap; });
     ++reserved_;
     co_await sim::delay(
         scaledFifoLatency(cfg_.dfifoWriteNs, size_bytes));
@@ -203,8 +200,7 @@ DFifo::drainLoop()
     // serialization (the host NVM's per-entry persist latency is not an
     // inverse throughput; writes stream into the log).
     for (;;) {
-        while (queue_.empty())
-            co_await slots_.wait();
+        co_await slots_.until([&] { return !queue_.empty(); });
         Entry e = queue_.front();
         queue_.pop_front();
         slots_.notifyAll();

@@ -101,12 +101,11 @@ sim::Task<void>
 NodeO::handleObsolete(Key key, Timestamp observed)
 {
     Record &rec = store_.at(key);
-    while (rec.glbVolatileTs < observed)
-        co_await progress_.wait();
-    if (needsPersistencySpin(model_)) {
-        while (rec.glbDurableTs < observed)
-            co_await progress_.wait();
-    }
+    co_await progress_.until(
+        [&] { return rec.glbVolatileTs >= observed; });
+    if (needsPersistencySpin(model_))
+        co_await progress_.until(
+            [&] { return rec.glbDurableTs >= observed; });
 }
 
 MsgType
@@ -259,8 +258,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
             return txn->hostAcksC >= txn->needed;
         }
     };
-    while (!host_gate())
-        co_await progress_.wait();
+    co_await progress_.until(host_gate);
     txn->tGateAck = sim_.now();
     co_await hostCores_.compute(cfg_.bookkeepNs);
 
@@ -308,15 +306,18 @@ NodeO::clientRead(Key key)
                obs::opAux(obs::OpType::Read, false));
     co_await hostCores_.compute(cfg_.clientReqNs);
     Record &rec = store_.at(key);
-    while (!rec.rdLockFree())
-        co_await progress_.wait();
-    co_await hostCores_.compute(cfg_.llcReadNs);
+    // A read stalls only while the RDLock is taken by a write. The value
+    // and its TS are taken the moment the lock is seen free: an INV that
+    // lands during the LLC read latency is not part of this read.
+    co_await progress_.until([&] { return rec.rdLockFree(); });
     st.value = rec.value;
+    Timestamp seen = rec.volatileTs;
+    co_await hostCores_.compute(cfg_.llcReadNs);
     // The end record carries the observed write's TS so the auditors
     // can tie the read into that write's causal timeline.
     traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpEnd,
                static_cast<std::int64_t>(key),
-               static_cast<std::int64_t>(rec.volatileTs.pack()),
+               static_cast<std::int64_t>(seen.pack()),
                obs::opAux(obs::OpType::Read, false));
     st.latencyNs = sim_.now() - t0;
     st.compNs = static_cast<double>(st.latencyNs);
@@ -349,8 +350,7 @@ NodeO::persistScope(ScopeId scope)
     m.destMask = 1; // marks "from host" for the local SNIC
     cluster_.hostSendControl(id_, m);
 
-    while (!txn.hostDone)
-        co_await progress_.wait();
+    co_await progress_.until([&] { return txn.hostDone; });
     co_await hostCores_.compute(cfg_.bookkeepNs);
     scopePending_.erase(scope);
 
@@ -624,8 +624,7 @@ NodeO::snicCompleteSynchLike(Key key, Timestamp ts, ScopeId scope,
 {
     // Fig. 8 lines 21-24: wait for the vFIFO drain, release the RDLock
     // if still owner, broadcast the VALs, retire the transaction.
-    while (!txn->vfifoAssigned)
-        co_await progress_.wait();
+    co_await progress_.until([&] { return txn->vfifoAssigned; });
     co_await vfifo_.waitDrained(txn->vfifoId);
 
     Record &rec = store_.at(key);
@@ -655,8 +654,7 @@ NodeO::snicStrictTail(Key key, Timestamp ts, TxnPtr txn)
 {
     // Strict: VAL_C after the local drain, VAL_P strictly after VAL_C
     // once the persistency gate is reached (Fig. 3(i) ordering).
-    while (!txn->vfifoAssigned)
-        co_await progress_.wait();
+    co_await progress_.until([&] { return txn->vfifoAssigned; });
     co_await vfifo_.waitDrained(txn->vfifoId);
 
     Record &rec = store_.at(key);
@@ -676,8 +674,9 @@ NodeO::snicStrictTail(Key key, Timestamp ts, TxnPtr txn)
     counters_.valsSent += static_cast<std::uint64_t>(cfg_.followers());
     cluster_.snicMulticast(id_, val, /*from_batched=*/false);
 
-    while (!(txn->acksP >= persistNeeded(*txn) && txn->dfifoEnqueued))
-        co_await progress_.wait();
+    co_await progress_.until([&] {
+        return txn->acksP >= persistNeeded(*txn) && txn->dfifoEnqueued;
+    });
     raiseGlbDurable(rec, key, ts);
     traceEvent(obs::Category::Protocol, obs::EventKind::ValSent,
                static_cast<std::int64_t>(key),
@@ -753,12 +752,12 @@ NodeO::snicOnFollowerInv(Message msg, Tick t_handle0)
 
     auto obsolete_acks = [&](Timestamp observed) -> sim::Task<void> {
         if (usesSplitAcks(model_)) {
-            while (rec.glbVolatileTs < observed)
-                co_await progress_.wait();
+            co_await progress_.until(
+                [&] { return rec.glbVolatileTs >= observed; });
             send_ack(ackCType(), sim_.now() - t_handle0);
             if (tracksPersistPerWrite(model_)) {
-                while (rec.glbDurableTs < observed)
-                    co_await progress_.wait();
+                co_await progress_.until(
+                    [&] { return rec.glbDurableTs >= observed; });
                 send_ack(MsgType::ACK_P, sim_.now() - t_handle0);
             }
         } else {
@@ -881,8 +880,8 @@ NodeO::snicOnVal(Message msg)
         // Wait for the VAL_C side to finish before retiring (VAL_C is
         // sent first but its handler may still be draining).
         if (txn) {
-            while (!txn->releasedByValC)
-                co_await progress_.wait();
+            co_await progress_.until(
+                [&] { return txn->releasedByValC; });
             pending_.erase(txnKey(msg.key, msg.tsWr));
             progress_.notifyAll();
         }
@@ -897,8 +896,7 @@ NodeO::snicOnVal(Message msg)
         co_return; // VAL for an INV we cut short as obsolete: discarded
 
     // Fig. 8 lines 39-42: wait for the drain, then release the RDLock.
-    while (!txn->vfifoAssigned)
-        co_await progress_.wait();
+    co_await progress_.until([&] { return txn->vfifoAssigned; });
     co_await vfifo_.waitDrained(txn->vfifoId);
     co_await snicCores_.compute(cfg_.snicSyncNs + cfg_.coherenceNs);
     releaseRdLockIfOwner(rec, msg.key, msg.tsWr);
@@ -920,8 +918,8 @@ NodeO::snicOnPersistSc(Message msg, Tick t_handle0)
         Message out = msg;
         out.destMask = 0;
         cluster_.snicMulticast(id_, out, /*from_batched=*/false);
-        while (scopeUnpersisted_[msg.scope] > 0)
-            co_await progress_.wait();
+        co_await progress_.until(
+            [&] { return scopeUnpersisted_[msg.scope] == 0; });
         // Persist the [PERSIST]sc marker itself (small dFIFO entry).
         co_await dfifo_.enqueueMarker(net::controlMsgBytes);
         // ACKs collected in snicOnAck; nothing else to do here.
@@ -933,8 +931,8 @@ NodeO::snicOnPersistSc(Message msg, Tick t_handle0)
     // skips the scope-flush wait, certifying durability the node does
     // not have.
     if (!cfg_.mutations.ackBeforePersist) {
-        while (scopeUnpersisted_[msg.scope] > 0)
-            co_await progress_.wait();
+        co_await progress_.until(
+            [&] { return scopeUnpersisted_[msg.scope] == 0; });
     }
     co_await dfifo_.enqueueMarker(net::controlMsgBytes);
     traceEvent(obs::Category::Protocol, obs::EventKind::AckSent,

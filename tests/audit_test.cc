@@ -46,6 +46,10 @@ struct RunOpts
     Tick persistNsPerKb = 0;
     int workersPerNode = 2;
     double writeFraction = 0.8;
+    int numNodes = 3;
+    std::uint64_t numRecords = 16;
+    std::uint64_t requestsPerNode = 80;
+    std::uint64_t seed = 7;
 };
 
 /** Run a small closed-loop workload with the auditors attached. */
@@ -55,8 +59,8 @@ runAudited(bool offload, PersistModel model, const RunOpts &opts = {})
     AuditRun run;
     sim::Simulator sim;
     ClusterConfig cfg;
-    cfg.numNodes = 3;
-    cfg.numRecords = 16;
+    cfg.numNodes = opts.numNodes;
+    cfg.numRecords = opts.numRecords;
     cfg.vfifoEntries = opts.vfifoEntries;
     if (opts.persistNsPerKb > 0) {
         cfg.persistNsPerKb = opts.persistNsPerKb; // MINOS-B NVM
@@ -67,11 +71,11 @@ runAudited(bool offload, PersistModel model, const RunOpts &opts = {})
     cfg.mutations = opts.mutations;
 
     DriverConfig dc;
-    dc.requestsPerNode = 80;
+    dc.requestsPerNode = opts.requestsPerNode;
     dc.workersPerNode = opts.workersPerNode;
     dc.ycsb.numRecords = cfg.numRecords;
     dc.ycsb.writeFraction = opts.writeFraction;
-    dc.ycsb.seed = 7;
+    dc.ycsb.seed = opts.seed;
 
     if (offload) {
         snic::ClusterO cluster(sim, cfg, model);
@@ -160,6 +164,26 @@ INSTANTIATE_TEST_SUITE_P(AllModels, AuditModelTest,
                              }
                              return "Unknown";
                          });
+
+TEST(AuditReads, ReadHeavyBaselineRunAuditsClean)
+{
+    // A read takes the value and its TS the moment it sees the RDLock
+    // free, then pays the LLC latency. Taking the TS after that latency
+    // instead names a newer write whose INV landed meanwhile, before its
+    // consistency ACKs are in (C4). This YCSB-B run hit that window
+    // twice in 20 000 ops when the TS was taken late.
+    RunOpts opts;
+    opts.numNodes = 5;
+    opts.numRecords = 1000;
+    opts.workersPerNode = 5;
+    opts.requestsPerNode = 4000;
+    opts.writeFraction = 0.05;
+    opts.seed = 1;
+    AuditRun run = runAudited(/*offload=*/false, PersistModel::Synch, opts);
+    EXPECT_TRUE(run.audit.clean()) << run.audit.report(4);
+    EXPECT_FALSE(tripped(run.audit, "C4"));
+    EXPECT_GT(run.result.reads, 10 * run.result.writes);
+}
 
 // ---------------------------------------------------------------------
 // 2. Sensitivity: each seeded mutation trips its auditor.

@@ -1,20 +1,27 @@
 /**
  * @file
  * Unit tests for the discrete-event simulator core: event ordering,
- * coroutine processes, tasks, conditions, mailboxes, links, core pools.
+ * coroutine processes, tasks, conditions, mailboxes, links, core pools,
+ * and golden MINOS-B/MINOS-O runs that pin the dispatch order.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/condition.hh"
 #include "sim/network.hh"
 #include "sim/process.hh"
 #include "sim/simulator.hh"
+#include "simproto/cluster_b.hh"
+#include "simproto/driver.hh"
+#include "snic/cluster_o.hh"
 
 using namespace minos;
 using namespace minos::sim;
@@ -142,6 +149,54 @@ TEST(Simulator, PendingEventsAreDestroyedAtTeardown)
         EXPECT_EQ(sim.pendingEvents(), 2u);
     }
     EXPECT_EQ(owner.use_count(), 1);
+}
+
+TEST(Simulator, RecycledHeapSlotsKeepSeqOrderWithinATick)
+{
+    // Popped events free their slab slots for later pushes, so a newer
+    // event can sit in a lower slot than an older one due at the same
+    // tick. Order must still be (when, seq), i.e. scheduling order.
+    Simulator sim;
+    std::vector<int> order;
+    auto log = [&order](int id) {
+        return [&order, id] { order.push_back(id); };
+    };
+    sim.schedule(10, log(0)); // slot 0
+    sim.schedule(20, log(1)); // slot 1
+    sim.schedule(30, log(2)); // slot 2
+    sim.runUntil(15);         // frees slot 0
+    sim.schedule(20, log(3)); // recycles slot 0, after 1 in seq
+    sim.schedule(20, log(4));
+    sim.schedule(30, log(5));
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 2, 5}));
+
+    // Randomised: interleave pushes onto a few shared ticks with pops,
+    // and compare with a stable sort of the schedule by tick.
+    Simulator sim2;
+    std::vector<std::pair<Tick, int>> scheduled;
+    std::vector<int> got;
+    std::uint32_t rng = 7;
+    int next = 0;
+    for (int round = 0; round < 50; ++round) {
+        for (int k = 0; k < 6; ++k) {
+            rng = rng * 1664525u + 1013904223u;
+            Tick when = sim2.now() + 1 + static_cast<Tick>((rng >> 8) % 4);
+            int id = next++;
+            scheduled.emplace_back(when, id);
+            sim2.schedule(when, [&got, id] { got.push_back(id); });
+        }
+        sim2.runUntil(sim2.now() + 2);
+    }
+    sim2.run();
+    std::stable_sort(scheduled.begin(), scheduled.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    std::vector<int> want;
+    for (const auto &s : scheduled)
+        want.push_back(s.second);
+    EXPECT_EQ(got, want);
 }
 
 TEST(Simulator, DeterministicStormIsBitIdentical)
@@ -347,6 +402,140 @@ TEST(Condition, NotifyOneWakesOldestWaiterOnly)
     cond.notifyOne();
     sim.run();
     EXPECT_EQ(woke, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(cond.numWaiters(), 0u);
+}
+
+namespace {
+
+Process
+untilTrueProcess(Condition *cond, Simulator *simp, bool *passed)
+{
+    std::uint64_t before = simp->eventsExecuted();
+    std::size_t pending = simp->pendingEvents();
+    co_await cond->until([] { return true; });
+    // Nothing ran and nothing was queued: the process never suspended.
+    *passed = simp->eventsExecuted() == before &&
+              simp->pendingEvents() == pending && cond->numWaiters() == 0;
+}
+
+Process
+untilGate(Condition *cond, const bool *gate, int *tests, int id,
+          std::vector<int> *woke)
+{
+    co_await cond->until([gate, tests] {
+        ++*tests;
+        return *gate;
+    });
+    woke->push_back(id);
+}
+
+Process
+waitThenOpen(Condition *cond, bool *gate, int id, std::vector<int> *woke)
+{
+    co_await cond->wait();
+    woke->push_back(id);
+    *gate = true;
+    cond->notifyAll(); // from inside the batch that resumed us
+}
+
+} // namespace
+
+TEST(Condition, UntilWithTruePredicateDoesNotSuspend)
+{
+    Simulator sim;
+    Condition cond(sim);
+    bool passed = false;
+    sim.spawn(untilTrueProcess(&cond, &sim, &passed));
+    sim.run();
+    EXPECT_TRUE(passed);
+    EXPECT_EQ(sim.eventsExecuted(), 1u); // the spawn itself
+}
+
+TEST(Condition, FalsePredicateWaiterIsNeverResumed)
+{
+    Simulator sim;
+    Condition cond(sim);
+    bool gate = false;
+    int tests = 0;
+    std::vector<int> woke;
+    sim.spawn(untilGate(&cond, &gate, &tests, 0, &woke));
+    sim.run();
+    ASSERT_EQ(tests, 1); // the initial test, then parked
+    ASSERT_EQ(cond.numWaiters(), 1u);
+
+    for (int i = 0; i < 3; ++i) {
+        std::uint64_t before = sim.eventsExecuted();
+        cond.notifyAll();
+        sim.run();
+        // One batch event, one predicate test, no resume.
+        EXPECT_EQ(sim.eventsExecuted(), before + 1);
+        EXPECT_EQ(tests, 2 + i);
+        EXPECT_TRUE(woke.empty());
+        EXPECT_EQ(cond.numWaiters(), 1u);
+    }
+
+    gate = true;
+    cond.notifyAll();
+    sim.run();
+    EXPECT_EQ(woke, (std::vector<int>{0}));
+    EXPECT_EQ(cond.numWaiters(), 0u);
+    EXPECT_EQ(sim.numLiveProcesses(), 0u);
+}
+
+TEST(Condition, MixedBatchKeepsPerWaiterFifoOrder)
+{
+    // A `while (!p) co_await wait();` loop per waiter, with one ring event
+    // per wakeup, gives: 0 resumes; 1 re-tests false and re-waits; 2 resumes,
+    // opens the gate and notifies; 3 re-tests true and resumes; the event
+    // queued just after the notification (99) runs; then the second
+    // notification resumes 1. The batched wakeup must match exactly.
+    Simulator sim;
+    Condition cond(sim);
+    bool gate = false;
+    int tests = 0;
+    std::vector<int> woke;
+    sim.spawn(orderedWaiter(&cond, 0, &woke));
+    sim.spawn(untilGate(&cond, &gate, &tests, 1, &woke));
+    sim.spawn(waitThenOpen(&cond, &gate, 2, &woke));
+    sim.spawn(untilGate(&cond, &gate, &tests, 3, &woke));
+    sim.schedule(10, [&] {
+        cond.notifyAll();
+        sim.after(0, [&] { woke.push_back(99); });
+    });
+    sim.run();
+    EXPECT_EQ(woke, (std::vector<int>{0, 2, 3, 99, 1}));
+    EXPECT_EQ(cond.numWaiters(), 0u);
+    EXPECT_EQ(sim.numLiveProcesses(), 0u);
+}
+
+TEST(Condition, NotifyOneSkipsFalsePredicateWaiter)
+{
+    // notifyOne() hands the wakeup to the oldest waiter; if its predicate
+    // is false it re-parks at the back (as the wait() loop would) and
+    // nobody else is woken by that notification.
+    Simulator sim;
+    Condition cond(sim);
+    bool gate = false;
+    int tests = 0;
+    std::vector<int> woke;
+    sim.spawn(untilGate(&cond, &gate, &tests, 0, &woke));
+    sim.spawn(orderedWaiter(&cond, 1, &woke));
+    sim.run();
+    ASSERT_EQ(cond.numWaiters(), 2u);
+
+    cond.notifyOne();
+    sim.run();
+    EXPECT_TRUE(woke.empty());
+    EXPECT_EQ(cond.numWaiters(), 2u);
+
+    cond.notifyOne(); // 1 is now the oldest
+    sim.run();
+    EXPECT_EQ(woke, (std::vector<int>{1}));
+
+    gate = true;
+    cond.notifyOne();
+    sim.run();
+    EXPECT_EQ(woke, (std::vector<int>{1, 0}));
     EXPECT_EQ(cond.numWaiters(), 0u);
 }
 
@@ -579,4 +768,86 @@ TEST(WaitGroup, JoinsAllWorkers)
     sim.run();
     EXPECT_EQ(joined, 50);
     EXPECT_EQ(wg.count(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Golden runs: the event core's dispatch order is part of the simulated
+// result. Small seeded MINOS-B and MINOS-O runs must reproduce these
+// hashes of every latency sample, op count and protocol counter; they
+// were taken before the batched predicated wakeups and the key-only
+// timer heap, which both claim to keep (when, seq) order exact.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** FNV-1a over the simulated results of one small seeded run. */
+template <typename ClusterT>
+std::uint64_t
+goldenHash(simproto::PersistModel model)
+{
+    Simulator sim;
+    simproto::ClusterConfig cfg;
+    cfg.numNodes = 3;
+    cfg.numRecords = 64;
+    ClusterT cluster(sim, cfg, model);
+    simproto::DriverConfig dc;
+    dc.requestsPerNode = 300;
+    dc.workersPerNode = 3;
+    dc.ycsb.numRecords = cfg.numRecords;
+    dc.ycsb.seed = 2024;
+    simproto::RunResult res = simproto::runWorkload(sim, cluster, dc);
+
+    std::uint64_t h = 1469598103934665603ull;
+    auto add = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    add(res.writeLat.digest());
+    add(res.readLat.digest());
+    add(res.persistLat.digest());
+    add(res.writes);
+    add(res.reads);
+    add(res.obsoleteWrites);
+    add(static_cast<std::uint64_t>(res.duration));
+    for (int n = 0; n < cfg.numNodes; ++n) {
+        const simproto::NodeCounters &c =
+            cluster.node(static_cast<kv::NodeId>(n)).counters();
+        for (std::uint64_t v :
+             {c.invsSent, c.valsSent, c.acksSent, c.invsReceived,
+              c.acksReceived, c.valsReceived, c.writesCoordinated,
+              c.writesObsoleteCut, c.invsObsolete, c.rdLockSnatches,
+              c.persists})
+            add(v);
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(GoldenRun, BaselineEngineMatchesPinnedResults)
+{
+    const std::uint64_t expected[] = {
+        1006936476625899090ull, 824033308604852261ull,
+        4562153173391705187ull, 14200369335801397714ull,
+        11706187557848868871ull};
+    for (std::size_t i = 0; i < simproto::allModels.size(); ++i) {
+        simproto::PersistModel m = simproto::allModels[i];
+        SCOPED_TRACE(std::string(simproto::modelName(m)));
+        EXPECT_EQ(goldenHash<simproto::ClusterB>(m), expected[i]);
+    }
+}
+
+TEST(GoldenRun, OffloadEngineMatchesPinnedResults)
+{
+    const std::uint64_t expected[] = {
+        5022586049409619800ull, 4214137821239923282ull,
+        4125091398111574274ull, 12320579143327474781ull,
+        6332525067536293842ull};
+    for (std::size_t i = 0; i < simproto::allModels.size(); ++i) {
+        simproto::PersistModel m = simproto::allModels[i];
+        SCOPED_TRACE(std::string(simproto::modelName(m)));
+        EXPECT_EQ(goldenHash<snic::ClusterO>(m), expected[i]);
+    }
 }
