@@ -1,13 +1,11 @@
 #include "checker.hh"
 
 #include <algorithm>
-#include <array>
+#include <bit>
 #include <cstring>
-#include <deque>
-#include <functional>
+#include <limits>
+#include <memory>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/logging.hh"
 
@@ -109,19 +107,182 @@ static_assert(sizeof(State) ==
                       4 * maxWrites * maxNodes + 2 + maxNodes,
               "State must be packed (byte members only)");
 
-struct StateHash
+std::uint64_t
+load64(const unsigned char *p)
 {
-    std::size_t
-    operator()(const State &s) const noexcept
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, sizeof w);
+    return w;
+}
+
+/** Fold a 128-bit product: one multiply that mixes every input bit. */
+std::uint64_t
+mum(std::uint64_t a, std::uint64_t b)
+{
+    const unsigned __int128 m = static_cast<unsigned __int128>(a) * b;
+    return static_cast<std::uint64_t>(m >> 64) ^
+           static_cast<std::uint64_t>(m);
+}
+
+/**
+ * Word-wise 64-bit hash of a State: nine 8-byte words plus one
+ * overlapping word for the 5-byte tail, each folded in with one
+ * multiply.
+ */
+std::uint64_t
+hashState(const State &s)
+{
+    constexpr std::uint64_t k0 = 0xA0761D6478BD642Full;
+    constexpr std::uint64_t k1 = 0xE7037ED1A0B428DBull;
+    const auto *p = reinterpret_cast<const unsigned char *>(&s);
+    std::uint64_t h = k0;
+    std::size_t off = 0;
+    for (; off + 8 <= sizeof(State); off += 8)
+        h = mum(h ^ load64(p + off), k1);
+    if (off < sizeof(State))
+        h = mum(h ^ load64(p + sizeof(State) - 8), k1);
+    return mum(h, k0);
+}
+
+/**
+ * Append-only array whose elements never move: element i lives in a
+ * fixed chunk for the whole run, so a reference taken before a push
+ * stays valid after it. Chunk c holds firstChunk << c elements up to
+ * maxChunk, then maxChunk each: a run that reaches few states
+ * allocates a few KB, and a large one over-allocates at most one
+ * chunk.
+ */
+template <class T>
+class ChunkedArena
+{
+  public:
+    std::uint32_t size() const { return size_; }
+
+    T &
+    operator[](std::uint32_t i)
     {
-        const auto *p = reinterpret_cast<const unsigned char *>(&s);
-        std::size_t h = 0xCBF29CE484222325ull;
-        for (std::size_t i = 0; i < sizeof(State); ++i) {
-            h ^= p[i];
-            h *= 0x100000001B3ull;
+        if (i < geoEnd) {
+            const int c = std::bit_width((i >> firstShift) + 1u) - 1;
+            return chunks_[static_cast<std::size_t>(c)]
+                          [i + firstChunk - (firstChunk << c)];
         }
-        return h;
+        const std::uint32_t j = i - geoEnd;
+        return chunks_[geoChunks + (j >> maxShift)][j & (maxChunk - 1)];
     }
+
+    /** Append @p v; returns its index. */
+    std::uint32_t
+    push(const T &v)
+    {
+        if (size_ == capacity_) {
+            const std::size_t c = chunks_.size();
+            const std::uint32_t n =
+                c < geoChunks ? firstChunk << c : maxChunk;
+            // Default-initialised: pages are touched only when used.
+            chunks_.emplace_back(new T[n]);
+            capacity_ += n;
+        }
+        (*this)[size_] = v;
+        return size_++;
+    }
+
+  private:
+    static constexpr int firstShift = 6;
+    static constexpr int maxShift = 16;
+    static constexpr std::uint32_t firstChunk = 1u << firstShift;
+    static constexpr std::uint32_t maxChunk = 1u << maxShift;
+    /** Chunks 0..geoChunks-1 double in size; the rest are maxChunk. */
+    static constexpr std::size_t geoChunks = maxShift - firstShift + 1;
+    static constexpr std::uint32_t geoEnd = (maxChunk << 1) - firstChunk;
+
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::uint32_t size_ = 0;
+    std::uint32_t capacity_ = 0;
+};
+
+/**
+ * Set of reached states, as indices into the state arena. Open
+ * addressing with linear probing over 8-byte slots; a slot holds
+ * (hash >> 32) << 32 | (index + 1), 0 when empty. The home slot comes
+ * from the low hash bits and the stored tag from the high ones, so a
+ * probe rejects a mismatching slot without reading the arena.
+ */
+class VisitedTable
+{
+  public:
+    VisitedTable() : slots_(initialSlots, 0) {}
+
+    /**
+     * The slot holding @p s if it was reached before, else the empty
+     * slot where it belongs (pass that to claim()).
+     */
+    std::uint64_t *
+    find(const State &s, std::uint64_t h, ChunkedArena<State> &states)
+    {
+        const std::uint64_t tag = h & tagMask;
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+            const std::uint64_t slot = slots_[i];
+            if (slot == 0 ||
+                ((slot & tagMask) == tag &&
+                 states[static_cast<std::uint32_t>(slot) - 1] == s))
+                return &slots_[i];
+        }
+    }
+
+    /**
+     * Record state @p index (hash @p h) in the empty @p slot from
+     * find(). Invalidates slot pointers when the table grows.
+     */
+    void
+    claim(std::uint64_t *slot, std::uint64_t h, std::uint32_t index,
+          ChunkedArena<State> &states)
+    {
+        *slot = entry(h, index);
+        if (++used_ > slots_.size() / 4 * 3)
+            grow(states);
+    }
+
+    /** Start loading the home slot of hash @p h. */
+    void
+    prefetch(std::uint64_t h) const
+    {
+        __builtin_prefetch(&slots_[h & (slots_.size() - 1)]);
+    }
+
+  private:
+    static constexpr std::size_t initialSlots = 512;
+    static constexpr std::uint64_t tagMask = ~std::uint64_t{0} << 32;
+
+    static std::uint64_t
+    entry(std::uint64_t h, std::uint32_t index)
+    {
+        return (h & tagMask) | (std::uint64_t{index} + 1);
+    }
+
+    /**
+     * Double the table. Every reached state is in the arena, so the new
+     * table is rebuilt from it in index order (sequential reads) and the
+     * old one is freed first.
+     */
+    void
+    grow(ChunkedArena<State> &states)
+    {
+        const std::size_t n = slots_.size() * 2;
+        slots_ = {};
+        slots_.assign(n, 0);
+        const std::size_t mask = n - 1;
+        for (std::uint32_t k = 0; k < states.size(); ++k) {
+            const std::uint64_t h = hashState(states[k]);
+            std::size_t i = h & mask;
+            while (slots_[i] != 0)
+                i = (i + 1) & mask;
+            slots_[i] = entry(h, k);
+        }
+    }
+
+    std::vector<std::uint64_t> slots_;
+    std::size_t used_ = 0;
 };
 
 /** Exploration context. */
@@ -197,10 +358,9 @@ frontierReached(const Ctx &ctx, const State &s, int i, int m)
 }
 
 /** Enumerate every successor of @p s; calls @p emit for each. */
+template <class Emit>
 void
-forEachSuccessor(
-    const Ctx &ctx, const State &s,
-    const std::function<void(const State &, const char *)> &emit)
+forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
 {
     const auto &cfg = ctx.cfg;
     const PersistModel model = cfg.model;
@@ -507,8 +667,10 @@ forEachSuccessor(
 
         if (s.ppc == 0 && all_done) {
             State ns = s;
-            for (int n = 0; n < ctx.N; ++n) {
-                if (n != pc)
+            // Bounded by maxNodes so that, inlined into the BFS loop,
+            // no out-of-range path is left for -Wstringop-overflow.
+            for (int n = 0; n < maxNodes; ++n) {
+                if (n != pc && n < ctx.N)
                     ns.pMsgs[n] |= PInFlight;
             }
             ns.ppc = 1;
@@ -564,8 +726,10 @@ forEachSuccessor(
                 local_flushed &= frontierReached(ctx, s, i, pc);
             if ((s.pAckMask & fmask) == fmask && local_flushed) {
                 State ns = s;
-                for (int n = 0; n < ctx.N; ++n) {
-                    if (n != pc)
+                // Bounded by maxNodes so that, inlined into the BFS loop,
+                // no out-of-range path is left for -Wstringop-overflow.
+                for (int n = 0; n < maxNodes; ++n) {
+                    if (n != pc && n < ctx.N)
                         ns.pMsgs[n] |= PValInFlight;
                 }
                 ns.ppc = 2;
@@ -818,6 +982,10 @@ checkModel(const CheckConfig &cfg)
                  "checker supports 1..", maxWrites, " writes");
     for (int w : cfg.writers)
         MINOS_ASSERT(w >= 0 && w < cfg.numNodes, "bad writer ", w);
+    MINOS_ASSERT(cfg.maxStates >= 1 &&
+                     cfg.maxStates <
+                         std::numeric_limits<std::uint32_t>::max(),
+                 "maxStates must be in [1, 2^32 - 1)");
 
     Ctx ctx;
     ctx.cfg = cfg;
@@ -841,69 +1009,89 @@ checkModel(const CheckConfig &cfg)
     }
 
     CheckResult result;
-    std::unordered_set<State, StateHash> seen;
-    /** Predecessor map for counterexample reconstruction (optional). */
-    std::unordered_map<State, std::pair<State, const char *>, StateHash>
-        parent;
-    std::deque<State> frontier;
-    seen.insert(init);
-    frontier.push_back(init);
+    // BFS over the arena: states are appended in discovery order, and
+    // arena[head..size) is the frontier.
+    ChunkedArena<State> states;
+    VisitedTable seen;
+    /** Discovering state and action per state (recordTraces only). */
+    ChunkedArena<std::uint32_t> parents;
+    ChunkedArena<const char *> actions;
+
+    const std::uint64_t initHash = hashState(init);
+    std::uint64_t *initSlot = seen.find(init, initHash, states);
+    seen.claim(initSlot, initHash, states.push(init), states);
+    if (cfg.recordTraces) {
+        parents.push(0);
+        actions.push(nullptr);
+    }
     checkInvariants(ctx, init, result.violations);
 
     constexpr std::size_t violationCap = 16;
 
-    auto traceTo = [&](const State &bad) {
+    auto traceTo = [&](std::uint32_t index) {
         std::vector<std::string> trace;
         if (!cfg.recordTraces)
             return trace;
-        State cur = bad;
-        while (!(cur == init)) {
-            auto it = parent.find(cur);
-            if (it == parent.end())
-                break;
-            trace.push_back(it->second.second);
-            cur = it->second.first;
-        }
+        for (; index != 0; index = parents[index])
+            trace.push_back(actions[index]);
         std::reverse(trace.begin(), trace.end());
         return trace;
     };
 
-    while (!frontier.empty()) {
-        State s = frontier.front();
-        frontier.pop_front();
+    struct Successor
+    {
+        State state;
+        const char *action;
+        std::uint64_t hash;
+    };
+    std::vector<Successor> succ;
+    succ.reserve(32);
+    for (std::uint32_t head = 0;
+         head < states.size() && !result.inconclusive; ++head) {
+        const State &s = states[head]; // chunks never move
         ++result.statesExplored;
 
-        bool any = false;
-        forEachSuccessor(ctx, s, [&](const State &ns,
-                                     const char *action) {
-            any = true;
-            ++result.transitions;
-            if (seen.insert(ns).second) {
-                if (cfg.recordTraces)
-                    parent.emplace(ns, std::make_pair(s, action));
-                if (result.violations.size() < violationCap) {
-                    std::size_t before = result.violations.size();
-                    checkInvariants(ctx, ns, result.violations);
-                    for (std::size_t v = before;
-                         v < result.violations.size(); ++v)
-                        result.violations[v].trace = traceTo(ns);
-                }
-                frontier.push_back(ns);
-            }
+        // Gather the successors and prefetch each one's home slot, then
+        // look them up in emission order: the cache misses overlap, and
+        // discovery order is the same as looking up at emission.
+        succ.clear();
+        forEachSuccessor(ctx, s, [&](const State &ns, const char *action) {
+            succ.push_back({ns, action, hashState(ns)});
+            seen.prefetch(succ.back().hash);
         });
+        result.transitions += succ.size();
+        for (const Successor &x : succ) {
+            std::uint64_t *slot = seen.find(x.state, x.hash, states);
+            if (*slot != 0)
+                continue;
+            if (states.size() == cfg.maxStates) {
+                result.inconclusive = true;
+                break;
+            }
+            const std::uint32_t index = states.push(x.state);
+            seen.claim(slot, x.hash, index, states);
+            if (cfg.recordTraces) {
+                parents.push(head);
+                actions.push(x.action);
+            }
+            if (result.violations.size() < violationCap) {
+                std::size_t before = result.violations.size();
+                checkInvariants(ctx, x.state, result.violations);
+                for (std::size_t v = before; v < result.violations.size();
+                     ++v)
+                    result.violations[v].trace = traceTo(index);
+            }
+        }
 
-        if (!any) {
+        if (succ.empty()) {
             if (isFinal(ctx, s)) {
                 ++result.finalStates;
             } else if (result.violations.size() < violationCap) {
                 Violation v{"1-deadlock", describeState(ctx, s), {}};
-                v.trace = traceTo(s);
+                v.trace = traceTo(head);
                 result.violations.push_back(std::move(v));
             }
         }
-
-        MINOS_ASSERT(seen.size() <= cfg.maxStates,
-                     "state-space cap exceeded: ", seen.size());
     }
 
     return result;
