@@ -29,8 +29,10 @@ import sys
 MATRIX = [
     ("b_synch", ["--engine=b", "--model=synch"]),
     ("b_strict", ["--engine=b", "--model=strict"]),
+    ("b_renf", ["--engine=b", "--model=renf"]),
     ("o_synch", ["--engine=o", "--model=synch"]),
     ("o_strict", ["--engine=o", "--model=strict"]),
+    ("o_strict_nobatch", ["--engine=o", "--model=strict", "--no-batch"]),
     ("o_scope", ["--engine=o", "--model=scope"]),
 ]
 
