@@ -17,48 +17,15 @@ using net::ScopeId;
 using recovery::CtrlMsg;
 using recovery::CtrlType;
 using recovery::nodeBit;
+using simproto::ackCType;
+using simproto::invType;
 using simproto::isScopeModel;
 using simproto::tracksPersistPerWrite;
+using simproto::txnKey;
 using simproto::usesSplitAcks;
+using simproto::valCType;
 
 using Clock = std::chrono::steady_clock;
-
-namespace {
-
-/** Per-model INV flavor. */
-MsgType
-invTypeFor(PersistModel m)
-{
-    return isScopeModel(m) ? MsgType::INV_SC : MsgType::INV;
-}
-
-/** Per-model consistency-ACK flavor. */
-MsgType
-ackCTypeFor(PersistModel m)
-{
-    if (m == PersistModel::Synch)
-        return MsgType::ACK;
-    return isScopeModel(m) ? MsgType::ACK_C_SC : MsgType::ACK_C;
-}
-
-/** Per-model consistency-VAL flavor. */
-MsgType
-valCTypeFor(PersistModel m)
-{
-    switch (m) {
-      case PersistModel::Synch:
-      case PersistModel::REnf:
-        return MsgType::VAL;
-      case PersistModel::Strict:
-      case PersistModel::Event:
-        return MsgType::VAL_C;
-      case PersistModel::Scope:
-        return MsgType::VAL_C_SC;
-    }
-    return MsgType::VAL;
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // ThreadedNode lifecycle
@@ -250,7 +217,7 @@ ThreadedNode::registerTxn(Key key, const Timestamp &ts)
     txn->key = key;
     txn->ts = ts;
     std::lock_guard<std::mutex> guard(txnMutex_);
-    auto [it, inserted] = txns_.emplace(TxnKey{key, ts.pack()}, txn);
+    auto [it, inserted] = txns_.emplace(txnKey(key, ts), txn);
     MINOS_ASSERT(inserted, "duplicate threaded TS_WR");
     return txn;
 }
@@ -259,7 +226,7 @@ ThreadedNode::TxnPtr
 ThreadedNode::findTxn(Key key, const Timestamp &ts)
 {
     std::lock_guard<std::mutex> guard(txnMutex_);
-    auto it = txns_.find(TxnKey{key, ts.pack()});
+    auto it = txns_.find(txnKey(key, ts));
     return it == txns_.end() ? nullptr : it->second;
 }
 
@@ -267,7 +234,7 @@ void
 ThreadedNode::unregisterTxn(Key key, const Timestamp &ts)
 {
     std::lock_guard<std::mutex> guard(txnMutex_);
-    txns_.erase(TxnKey{key, ts.pack()});
+    txns_.erase(txnKey(key, ts));
 }
 
 bool
@@ -353,7 +320,7 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
     if (!obsolete(rec, ts)) {
         txn = registerTxn(key, ts);
         Message m;
-        m.type = invTypeFor(cfg_.model);
+        m.type = invType(cfg_.model);
         m.key = key;
         m.tsWr = ts;
         m.value = value;
@@ -431,7 +398,7 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
         AtomicRecord::raiseTs(rec.glbVolatileTs, ts);
         releaseRdLockIfOwner(rec, ts);
         Message val;
-        val.type = valCTypeFor(cfg_.model);
+        val.type = valCType(cfg_.model);
         val.key = key;
         val.tsWr = ts;
         val.scope = scope;
@@ -610,7 +577,7 @@ ThreadedNode::onInv(const Message &msg)
         break;
       case PersistModel::Event:
       case PersistModel::Scope:
-        respond(msg, ackCTypeFor(cfg_.model));
+        respond(msg, ackCType(cfg_.model));
         enqueuePersist(
             PersistJob{msg.key, msg.value, msg.tsWr, msg.scope, false});
         break;
@@ -725,7 +692,7 @@ ThreadedNode::advanceDeferred(Deferred &d)
             d.observedPack)
             return false;
         if (split) {
-            respond(d.req, ackCTypeFor(cfg_.model));
+            respond(d.req, ackCType(cfg_.model));
             if (!tracks) {
                 // Event/Scope: done after the consistency ACK.
                 releaseRdLockIfOwner(rec, d.req.tsWr);

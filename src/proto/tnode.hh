@@ -200,20 +200,9 @@ class ThreadedNode
     std::vector<std::thread> rpcThreads_;
     std::thread persister_;
 
-    using TxnKey = std::pair<kv::Key, std::uint64_t>;
-
-    struct TxnKeyHash
-    {
-        std::size_t
-        operator()(const TxnKey &k) const noexcept
-        {
-            return std::hash<std::uint64_t>()(k.first * 0x9E3779B9u) ^
-                   std::hash<std::uint64_t>()(k.second);
-        }
-    };
-
     std::mutex txnMutex_;
-    std::unordered_map<TxnKey, TxnPtr, TxnKeyHash> txns_;
+    std::unordered_map<simproto::TxnKey, TxnPtr, simproto::TxnKeyHash>
+        txns_;
 
     std::mutex scopeMutex_;
     std::unordered_map<net::ScopeId, int> scopeUnpersisted_;

@@ -6,14 +6,22 @@
  * The helpers encode the per-model protocol differences of Fig. 3:
  * which ACK/VAL message types are exchanged, whether the NVM persist is
  * on the write critical path, and whether obsolete-write handling
- * requires the PersistencySpin.
+ * requires the PersistencySpin. Every engine (MINOS-B, MINOS-O and the
+ * threaded runtime) takes its message flavors and its write identity
+ * from here.
  */
 
 #ifndef MINOS_SIMPROTO_MODELS_HH
 #define MINOS_SIMPROTO_MODELS_HH
 
 #include <array>
+#include <cstdint>
+#include <functional>
 #include <string_view>
+#include <utility>
+
+#include "kv/record.hh"
+#include "net/message.hh"
 
 namespace minos::simproto {
 
@@ -108,6 +116,61 @@ constexpr bool
 isScopeModel(PersistModel m)
 {
     return m == PersistModel::Scope;
+}
+
+/** Per-model INV flavor. */
+constexpr net::MsgType
+invType(PersistModel m)
+{
+    return isScopeModel(m) ? net::MsgType::INV_SC : net::MsgType::INV;
+}
+
+/** Per-model gating consistency ACK (the combined ACK for Synch). */
+constexpr net::MsgType
+ackCType(PersistModel m)
+{
+    if (m == PersistModel::Synch)
+        return net::MsgType::ACK;
+    return isScopeModel(m) ? net::MsgType::ACK_C_SC : net::MsgType::ACK_C;
+}
+
+/** Per-model consistency VAL (the combined VAL for Synch and REnf). */
+constexpr net::MsgType
+valCType(PersistModel m)
+{
+    switch (m) {
+      case PersistModel::Synch:
+      case PersistModel::REnf:
+        return net::MsgType::VAL;
+      case PersistModel::Strict:
+      case PersistModel::Event:
+        return net::MsgType::VAL_C;
+      case PersistModel::Scope:
+        return net::MsgType::VAL_C_SC;
+    }
+    return net::MsgType::VAL;
+}
+
+/**
+ * Identity of one write: (key, packed TS_WR). TS_WR versions are
+ * per-record, so the key participates in the identity.
+ */
+using TxnKey = std::pair<kv::Key, std::uint64_t>;
+
+struct TxnKeyHash
+{
+    std::size_t
+    operator()(const TxnKey &k) const noexcept
+    {
+        return std::hash<std::uint64_t>()(k.first * 0x9E3779B9u) ^
+               std::hash<std::uint64_t>()(k.second);
+    }
+};
+
+inline TxnKey
+txnKey(kv::Key key, const kv::Timestamp &ts)
+{
+    return {key, ts.pack()};
 }
 
 } // namespace minos::simproto

@@ -4,8 +4,8 @@
  * SmartNIC (paper §V, Figs. 6-8).
  *
  * Division of labor per client-write (Fig. 8, <Lin, Synch>):
- *  - Host: process the request, generate TS_WR, obsoleteness check,
- *    Snatch RDLock, send a (batched) INV to the SNIC, spin for the
+ *  - Host: process the request, generate TS_WR, Snatch RDLock,
+ *    obsoleteness check, send a (batched) INV to the SNIC, spin for the
  *    (batched) ACK -> return to client.
  *  - Coordinator SNIC: broadcast INV to all followers, enqueue the
  *    update to vFIFO and dFIFO, collect ACKs, send the batched ACK to
@@ -18,7 +18,7 @@
  * obsolete ones. RDLock_Owner, volatileTS, glb_volatileTS and
  * glb_durableTS live in the selective-coherence range shared by host and
  * SNIC; accesses pay the coherence-module cost instead of a PCIe round
- * trip.
+ * trip. The replica state and the Table I primitives live in DdpCore.
  */
 
 #ifndef MINOS_SNIC_NODE_O_HH
@@ -26,16 +26,8 @@
 
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
-#include "kv/store.hh"
-#include "net/message.hh"
-#include "nvm/log.hh"
-#include "obs/recorder.hh"
-#include "sim/condition.hh"
-#include "sim/network.hh"
-#include "simproto/cluster.hh"
-#include "simproto/counters.hh"
+#include "simproto/ddp_core.hh"
 #include "snic/fifo.hh"
 
 namespace minos::snic {
@@ -48,23 +40,15 @@ using simproto::OpStats;
 using simproto::PersistModel;
 
 /** One MINOS-O node: host engine + SmartNIC engine. */
-class NodeO
+class NodeO : public simproto::DdpCore
 {
   public:
     NodeO(sim::Simulator &sim, ClusterO &cluster,
           const ClusterConfig &cfg, PersistModel model, kv::NodeId id);
 
-    NodeO(const NodeO &) = delete;
-    NodeO &operator=(const NodeO &) = delete;
-
-    kv::NodeId id() const { return id_; }
-
     /** Host-side client-write (Fig. 8 left, host part). */
     sim::Task<OpStats> clientWrite(kv::Key key, kv::Value value,
                                    net::ScopeId scope);
-
-    /** Host-side local read: stalls only on the (coherent) RDLock. */
-    sim::Task<OpStats> clientRead(kv::Key key);
 
     /** Host side of the [PERSIST]sc transaction (Fig. 7(e)). */
     sim::Task<OpStats> persistScope(net::ScopeId scope);
@@ -73,18 +57,10 @@ class NodeO
     void deliverToSnic(net::Message msg);
 
     /** @{ Introspection for tests. */
-    const kv::Record &record(kv::Key key) const { return store_.at(key); }
-    const nvm::DurableLog &log() const { return log_; }
     std::size_t pendingTxns() const { return pending_.size(); }
-    std::uint64_t obsoleteInvs() const { return obsoleteInvs_; }
     const VFifo &vfifo() const { return vfifo_; }
     const DFifo &dfifo() const { return dfifo_; }
-    /** Protocol activity counters. */
-    const simproto::NodeCounters &counters() const { return counters_; }
     /** @} */
-
-    /** Durable database obtained by replaying this node's NVM log. */
-    nvm::DurableDb durableDb() const;
 
   private:
     /**
@@ -93,17 +69,11 @@ class NodeO
      * completion tails overlap in time and the map entry may be retired
      * while a suspended holder still needs the object.
      */
-    struct PendingTxn
+    struct PendingTxn : simproto::WriteTxn
     {
-        int needed = 0;
-        int acks = 0;
-        int acksC = 0;
-        int acksP = 0;
-        // Host-side mirror counters, bumped when a forwarded ACK
-        // arrives over PCIe (no-batching mode).
-        int hostAcks = 0;
-        int hostAcksC = 0;
-        int hostAcksP = 0;
+        /// Host-side mirror of the ACKs forwarded over PCIe
+        /// (no-batching mode).
+        simproto::AckTally host;
         bool hostDone = false;   ///< client gate reached at the host
         bool invProcessed = false; ///< SNIC already did the enqueues
         std::uint64_t vfifoId = noEntry;
@@ -112,64 +82,9 @@ class NodeO
         bool dfifoEnqueued = false;
         bool releasedByValC = false; ///< follower: VAL_C processed
         bool gateFired = false; ///< client gate already handled
-        Tick tFirstSend = 0;
-        Tick tGateAck = 0;
-        Tick handleNsSum = 0;
-        int handleCnt = 0;
     };
 
     using TxnPtr = std::shared_ptr<PendingTxn>;
-
-    using TxnKey = std::pair<kv::Key, std::uint64_t>;
-
-    struct TxnKeyHash
-    {
-        std::size_t
-        operator()(const TxnKey &k) const noexcept
-        {
-            return std::hash<std::uint64_t>()(k.first * 0x9E3779B9u) ^
-                   std::hash<std::uint64_t>()(k.second);
-        }
-    };
-
-    static TxnKey
-    txnKey(kv::Key key, const kv::Timestamp &ts)
-    {
-        return {key, ts.pack()};
-    }
-
-    // ---- shared protocol primitives ----
-    bool obsolete(const kv::Record &rec, const kv::Timestamp &ts) const;
-    void snatchRdLock(kv::Record &rec, const kv::Timestamp &ts);
-    void releaseRdLockIfOwner(kv::Record &rec, kv::Key key,
-                              const kv::Timestamp &ts);
-    void raiseGlbVolatile(kv::Record &rec, kv::Key key,
-                          const kv::Timestamp &ts);
-    void raiseGlbDurable(kv::Record &rec, kv::Key key,
-                         const kv::Timestamp &ts);
-    kv::Timestamp makeWriteTs(kv::Key key, kv::Record &rec);
-
-    /** Lay one flight-recorder event at the current simulated time. */
-    void
-    traceEvent(obs::Category cat, obs::EventKind kind, std::int64_t a0,
-               std::int64_t a1, std::uint16_t aux = 0) const
-    {
-        if (cfg_.trace)
-            cfg_.trace->record(sim_.now(), cat, kind, id_, a0, a1,
-                               aux);
-    }
-
-    /** The persistency-gate threshold (mutable by the
-     *  dropOnePersistAck test mutation). */
-    int
-    persistNeeded(const PendingTxn &txn) const
-    {
-        return cfg_.mutations.dropOnePersistAck ? txn.needed - 1
-                                                : txn.needed;
-    }
-
-    /** Spin helper: ConsistencySpin (+ PersistencySpin per model). */
-    sim::Task<void> handleObsolete(kv::Key key, kv::Timestamp observed);
 
     // ---- SNIC engine ----
     sim::Process snicDispatcher();
@@ -182,12 +97,13 @@ class NodeO
     sim::Task<void> snicOnPersistSc(net::Message msg,
                                     Tick t_handle0);
 
-    /** Coordinator SNIC: post-gate completion work per model. */
-    sim::Process snicCompleteSynchLike(kv::Key key, kv::Timestamp ts,
-                                       net::ScopeId scope, TxnPtr txn);
-    /** Strict coordinator: VAL_C after drain, then VAL_P after gate. */
-    sim::Process snicStrictTail(kv::Key key, kv::Timestamp ts,
-                                TxnPtr txn);
+    /**
+     * Coordinator SNIC tail: after the vFIFO drain, release the RDLock
+     * and send the consistency VALs; Strict then sends VAL_P once the
+     * persistency gate is reached.
+     */
+    sim::Process snicCompleteWrite(kv::Key key, kv::Timestamp ts,
+                                   net::ScopeId scope, TxnPtr txn);
 
     /** Enqueue update into vFIFO (+ dFIFO per model) for txn. */
     sim::Task<void> snicEnqueueUpdate(net::Message msg, TxnPtr txn);
@@ -207,44 +123,32 @@ class NodeO
     /** Forward one ACK to the host over PCIe (no-batching mode). */
     void forwardAckToHost(const net::Message &msg, TxnPtr txn);
 
+    /** Follower SNIC: acknowledge @p inv with an ACK of @p type. */
+    void sendAck(const net::Message &inv, net::MsgType type,
+                 Tick handle_ns);
+
     /** Background dFIFO enqueue for weak models (Event/Scope). */
     void dfifoInBackground(kv::Key key, kv::Value value,
                            kv::Timestamp ts, net::ScopeId scope,
                            std::uint32_t bytes);
 
-    /** Message-type helpers (scoped variants for <Lin, Scope>). */
-    net::MsgType invType() const;
-    net::MsgType ackCType() const;
-    net::MsgType valCType() const;
+    /**
+     * The client gate over @p acks: every consistency ACK, and for
+     * Strict also every persistency ACK and the local dFIFO enqueue.
+     */
+    bool clientGateReached(const simproto::AckTally &acks,
+                           const PendingTxn &txn) const;
 
-    /** True when this txn's client gate is satisfied SNIC-side. */
-    bool snicGateReached(const PendingTxn &txn) const;
-
-    friend class ClusterO;
-
-    sim::Simulator &sim_;
     ClusterO &cluster_;
-    const ClusterConfig &cfg_;
-    PersistModel model_;
-    kv::NodeId id_;
-
-    kv::SimStore store_;
-    nvm::DurableLog log_;
-
-    sim::CorePool hostCores_;
     sim::CorePool snicCores_;
     sim::Mailbox<net::Message> snicRx_;
-    sim::Condition progress_;
 
     VFifo vfifo_;
     DFifo dfifo_;
 
-    std::unordered_map<TxnKey, TxnPtr, TxnKeyHash> pending_;
+    std::unordered_map<simproto::TxnKey, TxnPtr, simproto::TxnKeyHash>
+        pending_;
     std::unordered_map<net::ScopeId, PendingTxn> scopePending_;
-    std::unordered_map<net::ScopeId, int> scopeUnpersisted_;
-    std::unordered_map<kv::Key, std::int64_t> nextLocalVersion_;
-    std::uint64_t obsoleteInvs_ = 0;
-    simproto::NodeCounters counters_;
 };
 
 } // namespace minos::snic

@@ -243,7 +243,7 @@ TEST_P(ModelTest, HotSingleKeyWorkloadProducesObsoletes)
     // some arrive already stale at followers.
     std::uint64_t follower_obsoletes = 0;
     for (int n = 0; n < 3; ++n)
-        follower_obsoletes += cluster.node(n).obsoleteInvs();
+        follower_obsoletes += cluster.node(n).counters().invsObsolete;
     EXPECT_GT(follower_obsoletes, 0u);
     expectConverged(cluster, 0);
     expectDurable(cluster, 0);

@@ -289,7 +289,7 @@ TEST(Fifo, VFifoSkipsObsoleteEntries)
     std::uint64_t skipped = 0;
     for (int n = 0; n < 3; ++n) {
         skipped += cluster.node(n).vfifo().skippedObsolete();
-        skipped += cluster.node(n).obsoleteInvs();
+        skipped += cluster.node(n).counters().invsObsolete;
     }
     EXPECT_GT(skipped, 0u);
 }
