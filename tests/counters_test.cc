@@ -118,6 +118,58 @@ TEST(Counters, OffloadEngineCountsTheSameProtocolWork)
     }
 }
 
+namespace {
+
+/** Cluster-wide counters of one conflicting seeded run. */
+template <typename ClusterT>
+NodeCounters
+clusterCounters(PersistModel model, OffloadOptions opts)
+{
+    sim::Simulator sim;
+    ClusterConfig cfg;
+    cfg.numNodes = 3;
+    cfg.numRecords = 64;
+    ClusterT cluster(sim, cfg, model, opts);
+    DriverConfig dc;
+    dc.requestsPerNode = 300;
+    dc.workersPerNode = 3;
+    dc.ycsb.numRecords = cfg.numRecords;
+    dc.ycsb.seed = 2024;
+    runWorkload(sim, cluster, dc);
+    NodeCounters sum;
+    for (int n = 0; n < cfg.numNodes; ++n)
+        sum += cluster.node(static_cast<NodeId>(n)).counters();
+    return sum;
+}
+
+void
+expectConserved(const NodeCounters &c)
+{
+    EXPECT_GT(c.invsSent, 0u);
+    EXPECT_EQ(c.invsSent, c.invsReceived);
+    EXPECT_EQ(c.acksSent, c.acksReceived);
+    EXPECT_EQ(c.valsSent, c.valsReceived);
+}
+
+} // namespace
+
+// A fault-free fabric loses and duplicates nothing, so every message a
+// node counts as sent is counted as received somewhere: obsolete INVs,
+// [PERSIST]sc ACKs and [VAL_P]sc fan-outs included.
+TEST(Counters, FaultFreeRunsConserveMessages)
+{
+    for (PersistModel m : allModels) {
+        SCOPED_TRACE(std::string(modelName(m)));
+        expectConserved(
+            clusterCounters<ClusterB>(m, OffloadOptions::minosB()));
+        expectConserved(
+            clusterCounters<snic::ClusterO>(m, OffloadOptions::minosO()));
+        OffloadOptions no_batch = OffloadOptions::minosO();
+        no_batch.batching = false;
+        expectConserved(clusterCounters<snic::ClusterO>(m, no_batch));
+    }
+}
+
 TEST(Counters, AggregationAndRendering)
 {
     NodeCounters a, b;
