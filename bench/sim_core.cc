@@ -9,7 +9,10 @@
  *    condition/mailbox wakeup pattern (stresses the ready ring);
  *  - mixed: a 50/50 blend of the two;
  * plus coro_wakeup, a Condition ping-pong between coroutine processes
- * exercising the dedicated coroutine-resume representation.
+ * exercising the dedicated coroutine-resume representation, and two
+ * short protocol runs on top of the core (MINOS-B <Lin,Synch> and
+ * MINOS-O <Lin,Strict>, YCSB-A) that gate the protocol hot path's
+ * allocations per client op.
  *
  * Each closure carries a 64-byte payload, mirroring the protocol
  * layers' message-delivery closures (node pointer + net::Message).
@@ -22,7 +25,10 @@
  *
  * A global operator new/delete hook counts allocations; the bench
  * FAILS (exit 1) if the event core allocates during steady-state
- * dispatch of the three closure workloads. Output is a single JSON
+ * dispatch of the three closure workloads, or if a protocol run
+ * allocates more than protocolAllocBound times per client op. Under
+ * AddressSanitizer the frame pool is off, so the protocol runs are
+ * reported as skipped. Output is a single JSON
  * object on stdout (see bench/README.md), so future PRs can track the
  * perf trajectory machine-readably. `MINOS_BENCH_EVENTS` scales the
  * per-workload event count (default 1,000,000).
@@ -43,6 +49,9 @@
 #include "sim/condition.hh"
 #include "sim/process.hh"
 #include "sim/simulator.hh"
+#include "simproto/cluster_b.hh"
+#include "simproto/driver.hh"
+#include "snic/cluster_o.hh"
 
 using minos::Tick;
 
@@ -85,6 +94,22 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
+// The nothrow forms must come from the same malloc as the deletes below
+// (std::stable_sort's buffer uses them).
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    ++g_allocs;
+    g_allocBytes += n;
+    return std::malloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return ::operator new(n, std::nothrow);
+}
+
 void
 operator delete(void *p) noexcept
 {
@@ -108,6 +133,18 @@ operator delete[](void *p) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    ::operator delete(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    ::operator delete(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     ::operator delete(p);
 }
@@ -346,6 +383,72 @@ runCoroWorkload(ModernEngine &eng, std::uint64_t events,
 }
 
 // ---------------------------------------------------------------------
+// Protocol runs: allocations per client op of the simulated protocols
+// ---------------------------------------------------------------------
+
+/**
+ * Allowed allocations per client op. Not 0: a node's sparse
+ * nextLocalVersion_ map gains an entry on each key's first write (see
+ * DESIGN.md §5f), and the latency series grow.
+ */
+constexpr double protocolAllocBound = 2.0;
+
+struct ProtocolRun
+{
+    const char *name;
+    std::uint64_t ops = 0;
+    std::uint64_t allocs = 0;
+
+    double
+    allocsPerOp() const
+    {
+        return ops ? static_cast<double>(allocs) / ops : 0.0;
+    }
+};
+
+/** One run of a short YCSB-A workload; counts the allocations made
+ *  while sim.run() dispatches (construction and stream generation are
+ *  outside). */
+template <typename ClusterT>
+void
+runProtocolOnce(minos::simproto::PersistModel model,
+                minos::simproto::OffloadOptions opts, ProtocolRun &out)
+{
+    namespace sp = minos::simproto;
+    minos::sim::Simulator sim;
+    sp::ClusterConfig cfg;
+    cfg.numNodes = 5;
+    cfg.numRecords = 10'000;
+    ClusterT cluster(sim, cfg, model, opts);
+    sp::DriverConfig dc;
+    dc.requestsPerNode = 1000;
+    dc.workersPerNode = 5;
+    dc.ycsb = minos::workload::ycsbPreset('A');
+    dc.ycsb.numRecords = cfg.numRecords;
+    dc.ycsb.requestsPerNode = dc.requestsPerNode;
+    dc.ycsb.seed = 7;
+
+    // Queued ahead of the workers, so it runs first in sim.run().
+    std::uint64_t allocsAtStart = 0;
+    sim.after(0, [&allocsAtStart] { allocsAtStart = g_allocs; });
+    sp::RunResult res = sp::runWorkload(sim, cluster, dc);
+    out.allocs = g_allocs - allocsAtStart;
+    out.ops = res.reads + res.writes + res.persistLat.count();
+}
+
+/** Warm the frame pool with one run, then measure a second. */
+template <typename ClusterT>
+ProtocolRun
+runProtocol(const char *name, minos::simproto::PersistModel model,
+            minos::simproto::OffloadOptions opts)
+{
+    ProtocolRun run{name};
+    runProtocolOnce<ClusterT>(model, opts, run);
+    runProtocolOnce<ClusterT>(model, opts, run);
+    return run;
+}
+
+// ---------------------------------------------------------------------
 // Reporting
 // ---------------------------------------------------------------------
 
@@ -450,6 +553,20 @@ main()
     bool zeroAlloc = modernAllocs[0] == 0 && modernAllocs[1] == 0 &&
                      modernAllocs[2] == 0;
 
+    using minos::simproto::PersistModel;
+    std::vector<ProtocolRun> protocol;
+    if (minos::sim::FramePool::enabled) {
+        protocol.push_back(runProtocol<minos::simproto::ClusterB>(
+            "b_synch_ycsb_a", PersistModel::Synch,
+            minos::simproto::OffloadOptions::minosB()));
+        protocol.push_back(runProtocol<minos::snic::ClusterO>(
+            "o_strict_ycsb_a", PersistModel::Strict,
+            minos::simproto::OffloadOptions::minosO()));
+    }
+    bool protocolOk = true;
+    for (const ProtocolRun &r : protocol)
+        protocolOk = protocolOk && r.allocsPerOp() <= protocolAllocBound;
+
     std::printf("{\n  \"bench\": \"sim_core\",\n");
     std::printf("  \"events_per_workload\": %llu,\n",
                 static_cast<unsigned long long>(events));
@@ -468,6 +585,23 @@ main()
                 counters.json().c_str());
     std::printf("  \"steady_state_zero_alloc\": %s,\n",
                 zeroAlloc ? "true" : "false");
+    std::printf("  \"protocol_allocs_per_op_bound\": %.1f,\n",
+                protocolAllocBound);
+    if (protocol.empty()) {
+        std::printf("  \"protocol\": \"skipped\",\n");
+    } else {
+        std::printf("  \"protocol\": [\n");
+        for (std::size_t i = 0; i < protocol.size(); ++i) {
+            const ProtocolRun &r = protocol[i];
+            std::printf("    {\"run\":\"%s\",\"ops\":%llu,"
+                        "\"allocs\":%llu,\"allocs_per_op\":%.4f}%s\n",
+                        r.name, static_cast<unsigned long long>(r.ops),
+                        static_cast<unsigned long long>(r.allocs),
+                        r.allocsPerOp(),
+                        i + 1 < protocol.size() ? "," : "");
+        }
+        std::printf("  ],\n");
+    }
     std::printf("  \"checksum\": %llu\n}\n",
                 static_cast<unsigned long long>(sink));
 
@@ -475,6 +609,13 @@ main()
         std::fprintf(stderr,
                      "sim_core: FAIL: event core allocated during "
                      "steady-state dispatch\n");
+        return 1;
+    }
+    if (!protocolOk) {
+        std::fprintf(stderr,
+                     "sim_core: FAIL: a protocol run allocated more than "
+                     "%.1f times per client op\n",
+                     protocolAllocBound);
         return 1;
     }
     return 0;

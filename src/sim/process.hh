@@ -15,13 +15,18 @@
  *  - `co_await delay(ticks)` suspends for a simulated duration.
  *  - `co_await cond.until(pred)` suspends until a notification finds
  *    `pred()` true; `co_await cond.wait()` until the next notification.
+ *
+ * Every frame of either type comes from FramePool, so a steady-state
+ * simulation recycles frames instead of calling the allocator.
  */
 
 #ifndef MINOS_SIM_PROCESS_HH
 #define MINOS_SIM_PROCESS_HH
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -30,10 +35,89 @@
 
 namespace minos::sim {
 
-/** Base for all simulation coroutine promises: carries the simulator. */
+/**
+ * Recycled coroutine frames: per-thread LIFO free lists, one per 64-byte
+ * size class up to 2 KiB; larger frames go straight to ::operator new.
+ * Per thread because a promise's operator new cannot see the Simulator;
+ * a frame must be freed on the thread that allocated it. A thread's
+ * lists are freed when it exits. Compiled out under AddressSanitizer so
+ * that every frame keeps its real lifetime there (see DESIGN.md §5b).
+ */
+class FramePool
+{
+  public:
+#if defined(__SANITIZE_ADDRESS__)
+    static constexpr bool enabled = false;
+#else
+    static constexpr bool enabled = true;
+#endif
+    static constexpr std::size_t granule = 64;
+    static constexpr std::size_t numClasses = 32;
+    /** Largest pooled frame. */
+    static constexpr std::size_t maxPooled = granule * numClasses;
+
+    static void *
+    allocate(std::size_t n)
+    {
+        if (!enabled || n > maxPooled)
+            return ::operator new(n);
+        Block *&head = heads_[classOf(n)];
+        if (Block *b = head) {
+            head = b->next;
+            return b;
+        }
+        return allocateFresh(classOf(n));
+    }
+
+    static void
+    deallocate(void *p, std::size_t n) noexcept
+    {
+        if (!enabled || n > maxPooled || closed_) {
+            ::operator delete(p);
+            return;
+        }
+        Block *&head = heads_[classOf(n)];
+        head = ::new (p) Block{head};
+    }
+
+  private:
+    struct Block
+    {
+        Block *next;
+    };
+
+    static std::size_t classOf(std::size_t n) { return (n - 1) / granule; }
+
+    /** Allocate a block of class @p c; on a thread's first call, also
+     *  arrange for its lists to be freed when it exits. */
+    static void *allocateFresh(std::size_t c);
+
+    /** Frees a thread's lists at thread exit. */
+    struct Reaper
+    {
+        ~Reaper();
+    };
+
+    static inline thread_local Block *heads_[numClasses] = {};
+    /** Set once the lists are freed; later frees bypass the pool. */
+    static inline thread_local bool closed_ = false;
+};
+
+/**
+ * Base for all simulation coroutine promises: carries the simulator and
+ * routes the coroutine frame through FramePool.
+ */
 struct PromiseBase
 {
     Simulator *sim = nullptr;
+
+    static void *operator new(std::size_t n) { return FramePool::allocate(n); }
+
+    static void
+    operator delete(void *p, std::size_t n) noexcept
+    {
+        FramePool::deallocate(p, n);
+    }
 };
 
 /**
@@ -43,7 +127,8 @@ struct PromiseBase
 class Process
 {
   public:
-    struct promise_type : PromiseBase
+    /** The link puts a spawned frame on its simulator's live list. */
+    struct promise_type : PromiseBase, LiveLink
     {
         Process
         get_return_object()
@@ -63,7 +148,7 @@ class Process
             {
                 Simulator *sim = h.promise().sim;
                 if (sim)
-                    sim->unregisterFrame(h.address());
+                    sim->unregisterFrame(h.promise());
                 h.destroy();
             }
 

@@ -11,10 +11,31 @@ Simulator::~Simulator()
 {
     // Reclaim frames of processes still suspended (e.g. server loops that
     // wait forever on a mailbox).
-    auto leftover = live_;
-    live_.clear();
-    for (void *frame : leftover)
-        std::coroutine_handle<>::from_address(frame).destroy();
+    while (live_.next != &live_) {
+        auto &promise = static_cast<Process::promise_type &>(*live_.next);
+        unregisterFrame(promise);
+        std::coroutine_handle<Process::promise_type>::from_promise(promise)
+            .destroy();
+    }
+}
+
+void *
+FramePool::allocateFresh(std::size_t c)
+{
+    static thread_local Reaper reaper;
+    (void)reaper;
+    return ::operator new((c + 1) * granule);
+}
+
+FramePool::Reaper::~Reaper()
+{
+    for (Block *&head : heads_) {
+        while (Block *b = head) {
+            head = b->next;
+            ::operator delete(b);
+        }
+    }
+    closed_ = true;
 }
 
 void
@@ -120,7 +141,7 @@ Simulator::spawn(Process proc)
     auto handle = proc.release();
     MINOS_ASSERT(handle, "spawning an empty Process");
     handle.promise().sim = this;
-    registerFrame(handle.address());
+    registerFrame(handle.promise());
     resumeSoon(handle);
 }
 

@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <coroutine>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/units.hh"
@@ -40,6 +39,17 @@
 namespace minos::sim {
 
 class Process;
+
+/**
+ * Intrusive doubly linked list node. A spawned Process's promise is one,
+ * so the simulator tracks live frames with O(1) pointer splices and no
+ * allocation.
+ */
+struct LiveLink
+{
+    LiveLink *prev = nullptr;
+    LiveLink *next = nullptr;
+};
 
 /**
  * The discrete-event simulator: a two-stage event queue (same-tick
@@ -104,7 +114,7 @@ class Simulator
     void spawn(Process proc);
 
     /** Number of processes that have started but not finished. */
-    std::size_t numLiveProcesses() const { return live_.size(); }
+    std::size_t numLiveProcesses() const { return numLive_; }
 
     /** Total events executed so far (for tests and sanity checks). */
     std::uint64_t eventsExecuted() const { return executed_; }
@@ -135,9 +145,24 @@ class Simulator
         return ring_.size() + heap_.size();
     }
 
-    /** @{ Internal: live-process registry used by the coroutine glue. */
-    void registerFrame(void *frame) { live_.insert(frame); }
-    void unregisterFrame(void *frame) { live_.erase(frame); }
+    /** @{ Internal: live-process list used by the coroutine glue. */
+    void
+    registerFrame(LiveLink &l)
+    {
+        l.prev = live_.prev;
+        l.next = &live_;
+        live_.prev->next = &l;
+        live_.prev = &l;
+        ++numLive_;
+    }
+
+    void
+    unregisterFrame(LiveLink &l)
+    {
+        l.prev->next = l.next;
+        l.next->prev = l.prev;
+        --numLive_;
+    }
     /** @} */
 
   private:
@@ -301,7 +326,9 @@ class Simulator
 
     TimerHeap heap_;
     ReadyRing ring_;
-    std::unordered_set<void *> live_;
+    /** Sentinel of the circular list of spawned, unfinished frames. */
+    LiveLink live_{&live_, &live_};
+    std::size_t numLive_ = 0;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;

@@ -84,9 +84,9 @@ NodeB::persistInBackground(Key key, Value value, Timestamp ts,
             self->endScopedPersist(scope);
             // The REnf coordinator's background tail gates on the local
             // persist completing.
-            auto it = self->pending_.find(txnKey(key, ts));
-            if (it != self->pending_.end() && ts.node == self->id_) {
-                it->second.localPersistDone = true;
+            auto txn = self->pending_.find(txnKey(key, ts));
+            if (txn && ts.node == self->id_) {
+                txn->localPersistDone = true;
                 self->progress_.notifyAll();
             }
         }
@@ -171,9 +171,8 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
                            static_cast<std::int64_t>(ts.pack()));
     }
 
-    auto [it, inserted] = pending_.emplace(txnKey(key, ts), PendingTxn{});
-    MINOS_ASSERT(inserted, "duplicate TS_WR ", ts);
-    PendingTxn *txn = &it->second;
+    auto txn = pending_.insert(txnKey(key, ts));
+    MINOS_ASSERT(txn, "duplicate TS_WR ", ts);
 
     // Line 11: send INVs to all Followers.
     co_await hostCores_.compute(
@@ -238,9 +237,8 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
             sendVals(MsgType::VAL_P, key, ts, scope);
         }
     }
-    // Retiring the txn erases its pending_ entry, so snapshot the timing
-    // fields needed for the comm/comp split before the erase.
-    PendingTxn done = *txn;
+    // Retire the txn; our hold keeps its timing fields for the
+    // comm/comp split.
     if (model_ != PersistModel::REnf)
         pending_.erase(txnKey(key, ts));
 
@@ -249,28 +247,27 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
     // never moves simulated time.
     if (cfg_.trace || cfg_.phases) {
         auto token = static_cast<std::int64_t>(ts.pack());
-        if (done.tGateAck >= done.tFirstSend && done.handleCnt > 0)
+        if (txn->tGateAck >= txn->tFirstSend && txn->handleCnt > 0)
             obs::recordSpan(cfg_.trace, cfg_.phases,
-                            obs::Phase::AckGather, done.tFirstSend,
-                            done.tGateAck, id_, token);
+                            obs::Phase::AckGather, txn->tFirstSend,
+                            txn->tGateAck, id_, token);
         obs::recordSpan(cfg_.trace, cfg_.phases, obs::Phase::Val,
                         t_gate, sim_.now(), id_, token);
     }
 
     co_return finishOp(st, t0, obs::OpType::Write,
                        static_cast<std::int64_t>(key),
-                       static_cast<std::int64_t>(ts.pack()), &done);
+                       static_cast<std::int64_t>(ts.pack()), &*txn);
 }
 
 sim::Process
 NodeB::renfTail(Key key, Timestamp ts)
 {
     Record &rec = store_.at(key);
-    auto it = pending_.find(txnKey(key, ts));
-    MINOS_ASSERT(it != pending_.end(), "REnf tail without pending txn");
-    PendingTxn &txn = it->second;
+    auto txn = pending_.find(txnKey(key, ts));
+    MINOS_ASSERT(txn, "REnf tail without pending txn");
     co_await progress_.until(
-        [&] { return persistencyGate(txn) && txn.localPersistDone; });
+        [&] { return persistencyGate(*txn) && txn->localPersistDone; });
     raiseGlbDurable(rec, key, ts);
     releaseRdLockIfOwner(rec, key, ts);
     co_await hostCores_.compute(cfg_.hostSendNs * cfg_.followers());
@@ -452,11 +449,10 @@ NodeB::onAck(Message msg, Tick t_rx)
         co_return;
     }
 
-    auto it = pending_.find(txnKey(msg.key, msg.tsWr));
-    if (it == pending_.end())
+    auto txn = pending_.find(txnKey(msg.key, msg.tsWr));
+    if (!txn)
         co_return; // stray ACK for a completed transaction
-    PendingTxn &txn = it->second;
-    if (!txn.add(msg.type))
+    if (!txn->add(msg.type))
         MINOS_PANIC("unexpected ACK type ", net::msgTypeName(msg.type));
     // The ACK family that gates the client response for this model
     // times the communication window, which ends when the ACK reaches
@@ -464,8 +460,8 @@ NodeB::onAck(Message msg, Tick t_rx)
     MsgType gate = model_ == PersistModel::Strict ? MsgType::ACK_P
                                                   : ackCType(model_);
     if (msg.type == gate) {
-        txn.tGateAck = t_rx;
-        txn.addHandle(msg.handleNs);
+        txn->tGateAck = t_rx;
+        txn->addHandle(msg.handleNs);
     }
     progress_.notifyAll();
 }

@@ -27,6 +27,7 @@
 
 #include "nvm/model.hh"
 #include "simproto/ddp_core.hh"
+#include "simproto/txn_slab.hh"
 
 namespace minos::simproto {
 
@@ -49,8 +50,8 @@ class NodeB : public DdpCore
     /** Deliver a message into this node's host receive queue. */
     void deliver(net::Message msg);
 
-    /** Coordinator transactions in flight (tests). */
-    std::size_t pendingTxns() const { return pending_.size(); }
+    /** Coordinator transactions not yet recycled (tests). */
+    std::size_t pendingTxns() const { return pending_.live(); }
 
   private:
     /** Coordinator-side bookkeeping for one outstanding client-write. */
@@ -97,7 +98,7 @@ class NodeB : public DdpCore
     nvm::NvmModel nvm_;
     sim::Mailbox<net::Message> rx_;
 
-    std::unordered_map<TxnKey, PendingTxn, TxnKeyHash> pending_;
+    TxnSlab<PendingTxn> pending_;
     /** [PERSIST]sc transactions in flight, keyed by scope. */
     std::unordered_map<net::ScopeId, AckTally> scopePending_;
 };

@@ -77,9 +77,8 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
     }
 
     // Register the transaction, then send the (batched) INV.
-    auto txn = std::make_shared<PendingTxn>();
-    auto [it, inserted] = pending_.emplace(txnKey(key, ts), txn);
-    MINOS_ASSERT(inserted, "duplicate TS_WR ", ts, " key ", key);
+    TxnHold txn = pending_.insert(txnKey(key, ts));
+    MINOS_ASSERT(txn, "duplicate TS_WR ", ts, " key ", key);
 
     const bool batching = cluster_.options().batching;
     co_await hostCores_.compute(
@@ -116,7 +115,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
 
     co_return finishOp(st, t0, obs::OpType::Write,
                        static_cast<std::int64_t>(key),
-                       static_cast<std::int64_t>(ts.pack()), txn.get());
+                       static_cast<std::int64_t>(ts.pack()), &*txn);
 }
 
 sim::Task<OpStats>
@@ -214,7 +213,7 @@ NodeO::snicHandle(Message msg)
 // ---------------------------------------------------------------------
 
 sim::Task<void>
-NodeO::snicEnqueueUpdate(Message msg, TxnPtr txn)
+NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
 {
     // Fig. 8 line 17: enqueue to vFIFO and dFIFO. The dFIFO enqueue is
     // in the handler's path when persistency gates the protocol
@@ -243,10 +242,8 @@ NodeO::snicEnqueueUpdate(Message msg, TxnPtr txn)
 sim::Task<void>
 NodeO::snicOnCoordinatorInv(Message msg)
 {
-    auto it = pending_.find(txnKey(msg.key, msg.tsWr));
-    MINOS_ASSERT(it != pending_.end(),
-                 "coordinator INV without a registered transaction");
-    TxnPtr txn = it->second;
+    TxnHold txn = pending_.find(txnKey(msg.key, msg.tsWr));
+    MINOS_ASSERT(txn, "coordinator INV without a registered transaction");
 
     if (cluster_.options().batching) {
         // Fig. 8 lines 15-17: broadcast, then enqueue.
@@ -317,10 +314,9 @@ NodeO::snicOnAck(Message msg)
         co_return;
     }
 
-    auto it = pending_.find(txnKey(msg.key, msg.tsWr));
-    if (it == pending_.end())
+    TxnHold txn = pending_.find(txnKey(msg.key, msg.tsWr));
+    if (!txn)
         co_return; // stray ACK
-    TxnPtr txn = it->second;
     if (!txn->add(msg.type))
         MINOS_PANIC("unexpected ACK type ", net::msgTypeName(msg.type));
     txn->addHandle(msg.handleNs);
@@ -351,7 +347,7 @@ NodeO::snicOnAck(Message msg)
 
 void
 NodeO::maybeFireClientGate(Key key, Timestamp ts, ScopeId scope,
-                           const TxnPtr &txn)
+                           const TxnHold &txn)
 {
     if (txn->gateFired || !clientGateReached(*txn, *txn))
         return;
@@ -385,7 +381,7 @@ NodeO::maybeFireClientGate(Key key, Timestamp ts, ScopeId scope,
 
 sim::Process
 NodeO::snicCompleteWrite(Key key, Timestamp ts, ScopeId scope,
-                         TxnPtr txn)
+                         TxnHold txn)
 {
     // Fig. 8 lines 21-24: wait for the vFIFO drain, release the RDLock
     // if still owner, broadcast the VALs, retire the transaction.
@@ -424,7 +420,7 @@ NodeO::snicCompleteWrite(Key key, Timestamp ts, ScopeId scope,
 }
 
 void
-NodeO::notifyHostGate(TxnPtr txn)
+NodeO::notifyHostGate(TxnHold txn)
 {
     NodeO *self = this;
     cluster_.snicNotifyHost(id_, net::controlMsgBytes,
@@ -435,7 +431,7 @@ NodeO::notifyHostGate(TxnPtr txn)
 }
 
 void
-NodeO::forwardAckToHost(const Message &msg, TxnPtr txn)
+NodeO::forwardAckToHost(const Message &msg, TxnHold txn)
 {
     NodeO *self = this;
     MsgType type = msg.type;
@@ -444,7 +440,7 @@ NodeO::forwardAckToHost(const Message &msg, TxnPtr txn)
             struct HostBookkeep
             {
                 static sim::Process
-                run(NodeO *self, TxnPtr txn, MsgType type)
+                run(NodeO *self, TxnHold txn, MsgType type)
                 {
                     co_await self->hostCores_.compute(
                         self->cfg_.bookkeepNs);
@@ -495,10 +491,8 @@ NodeO::snicOnFollowerInv(Message msg, Tick t_handle0)
 
     // Track the follower-side transaction so the VAL can find the
     // vFIFO entry to wait on.
-    auto txn = std::make_shared<PendingTxn>();
-    auto [it, inserted] = pending_.emplace(txnKey(msg.key, msg.tsWr),
-                                           txn);
-    if (!inserted)
+    TxnHold txn = pending_.insert(txnKey(msg.key, msg.tsWr));
+    if (!txn)
         co_return; // duplicate INV: cannot happen with this fabric
 
     // Fig. 8 lines 34-35 + Fig. 7 per-model ACK points.
@@ -536,8 +530,7 @@ NodeO::snicOnVal(Message msg)
     co_await snicCores_.compute(cfg_.bookkeepNs);
     Record &rec = store_.at(msg.key);
 
-    auto it = pending_.find(txnKey(msg.key, msg.tsWr));
-    TxnPtr txn = (it != pending_.end()) ? it->second : nullptr;
+    TxnHold txn = pending_.find(txnKey(msg.key, msg.tsWr));
 
     raiseGlbForVal(rec, msg);
     // VAL_P_SC terminates the [PERSIST]sc at the follower; a VAL for an

@@ -24,10 +24,10 @@
 #ifndef MINOS_SNIC_NODE_O_HH
 #define MINOS_SNIC_NODE_O_HH
 
-#include <memory>
 #include <unordered_map>
 
 #include "simproto/ddp_core.hh"
+#include "simproto/txn_slab.hh"
 #include "snic/fifo.hh"
 
 namespace minos::snic {
@@ -57,17 +57,18 @@ class NodeO : public simproto::DdpCore
     void deliverToSnic(net::Message msg);
 
     /** @{ Introspection for tests. */
-    std::size_t pendingTxns() const { return pending_.size(); }
+    /** Transactions not yet recycled (in flight or still held). */
+    std::size_t pendingTxns() const { return pending_.live(); }
     const VFifo &vfifo() const { return vfifo_; }
     const DFifo &dfifo() const { return dfifo_; }
     /** @} */
 
   private:
     /**
-     * Per-transaction bookkeeping, shared by host and SNIC engines.
-     * Held via shared_ptr because host worker, SNIC handlers, and
-     * completion tails overlap in time and the map entry may be retired
-     * while a suspended holder still needs the object.
+     * Per-transaction bookkeeping, shared by host and SNIC engines. It
+     * lives in the pending_ slab. The host worker, the SNIC handlers,
+     * the completion tail and in-flight PCIe notifications overlap in
+     * time and may outlive the index entry, so each takes a TxnHold.
      */
     struct PendingTxn : simproto::WriteTxn
     {
@@ -84,7 +85,7 @@ class NodeO : public simproto::DdpCore
         bool gateFired = false; ///< client gate already handled
     };
 
-    using TxnPtr = std::shared_ptr<PendingTxn>;
+    using TxnHold = simproto::TxnSlab<PendingTxn>::Hold;
 
     // ---- SNIC engine ----
     sim::Process snicDispatcher();
@@ -103,10 +104,10 @@ class NodeO : public simproto::DdpCore
      * persistency gate is reached.
      */
     sim::Process snicCompleteWrite(kv::Key key, kv::Timestamp ts,
-                                   net::ScopeId scope, TxnPtr txn);
+                                   net::ScopeId scope, TxnHold txn);
 
     /** Enqueue update into vFIFO (+ dFIFO per model) for txn. */
-    sim::Task<void> snicEnqueueUpdate(net::Message msg, TxnPtr txn);
+    sim::Task<void> snicEnqueueUpdate(net::Message msg, TxnHold txn);
 
     /**
      * Fire the client-gate actions (notify host, raise glb fields,
@@ -115,13 +116,13 @@ class NodeO : public simproto::DdpCore
      * dFIFO enqueue (which participates in the Strict gate).
      */
     void maybeFireClientGate(kv::Key key, kv::Timestamp ts,
-                             net::ScopeId scope, const TxnPtr &txn);
+                             net::ScopeId scope, const TxnHold &txn);
 
     /** Notify the host that the client gate is reached (PCIe). */
-    void notifyHostGate(TxnPtr txn);
+    void notifyHostGate(TxnHold txn);
 
     /** Forward one ACK to the host over PCIe (no-batching mode). */
-    void forwardAckToHost(const net::Message &msg, TxnPtr txn);
+    void forwardAckToHost(const net::Message &msg, TxnHold txn);
 
     /** Follower SNIC: acknowledge @p inv with an ACK of @p type. */
     void sendAck(const net::Message &inv, net::MsgType type,
@@ -146,8 +147,7 @@ class NodeO : public simproto::DdpCore
     VFifo vfifo_;
     DFifo dfifo_;
 
-    std::unordered_map<simproto::TxnKey, TxnPtr, simproto::TxnKeyHash>
-        pending_;
+    simproto::TxnSlab<PendingTxn> pending_;
     std::unordered_map<net::ScopeId, PendingTxn> scopePending_;
 };
 

@@ -629,6 +629,126 @@ TEST(Simulator, TeardownReclaimsBlockedProcesses)
     EXPECT_EQ(woke, -1);
 }
 
+// ---------------------------------------------------------------------
+// Frame pool and live-process list
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Reports the address of a local kept in its frame, then pauses. */
+Process
+frameProbe(void **where, Tick pause)
+{
+    int local = 0;
+    *where = &local;
+    co_await delay(pause);
+    ++local;
+}
+
+/** A frame larger than the largest pooled size class. */
+Process
+bigFrame(std::uint64_t *sum)
+{
+    std::array<std::uint64_t, FramePool::maxPooled / 8 + 64> buf{};
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = i;
+    co_await delay(1);
+    for (std::uint64_t v : buf)
+        *sum += v;
+}
+
+} // namespace
+
+TEST(FramePool, FreedBlockIsReusedLifo)
+{
+    if (!FramePool::enabled)
+        GTEST_SKIP() << "frame pool is off under AddressSanitizer";
+    void *a = FramePool::allocate(200);
+    void *b = FramePool::allocate(200);
+    FramePool::deallocate(a, 200);
+    FramePool::deallocate(b, 200);
+    // Same 64-byte class (193..256 bytes): last freed, first reused.
+    void *c = FramePool::allocate(250);
+    void *d = FramePool::allocate(200);
+    EXPECT_EQ(c, b);
+    EXPECT_EQ(d, a);
+    FramePool::deallocate(c, 250);
+    FramePool::deallocate(d, 200);
+}
+
+TEST(FramePool, FinishedProcessFrameIsReused)
+{
+    if (!FramePool::enabled)
+        GTEST_SKIP() << "frame pool is off under AddressSanitizer";
+    Simulator sim;
+    void *first = nullptr;
+    void *second = nullptr;
+    sim.spawn(frameProbe(&first, 5));
+    sim.run();
+    sim.spawn(frameProbe(&second, 5));
+    sim.run();
+    EXPECT_NE(first, nullptr);
+    EXPECT_EQ(first, second);
+}
+
+TEST(FramePool, UnspawnedProcessReturnsItsFrame)
+{
+    if (!FramePool::enabled)
+        GTEST_SKIP() << "frame pool is off under AddressSanitizer";
+    Simulator sim;
+    void *first = nullptr;
+    void *unused = nullptr;
+    void *third = nullptr;
+    sim.spawn(frameProbe(&first, 1));
+    sim.run();
+    {
+        // Takes the frame just freed; its destructor must return it.
+        Process never = frameProbe(&unused, 1);
+        EXPECT_EQ(sim.numLiveProcesses(), 0u);
+    }
+    EXPECT_EQ(unused, nullptr);
+    sim.spawn(frameProbe(&third, 1));
+    sim.run();
+    EXPECT_EQ(third, first);
+}
+
+TEST(FramePool, OversizedFrameBypassesThePool)
+{
+    void *p = FramePool::allocate(FramePool::maxPooled + 1);
+    std::memset(p, 0xab, FramePool::maxPooled + 1);
+    FramePool::deallocate(p, FramePool::maxPooled + 1);
+
+    Simulator sim;
+    std::uint64_t sum = 0;
+    sim.spawn(bigFrame(&sum));
+    EXPECT_EQ(sim.numLiveProcesses(), 1u);
+    sim.run();
+    const std::uint64_t n = FramePool::maxPooled / 8 + 64;
+    EXPECT_EQ(sum, n * (n - 1) / 2);
+    EXPECT_EQ(sim.numLiveProcesses(), 0u);
+}
+
+TEST(Simulator, LiveProcessCountTracksSpawnFinishAndTeardown)
+{
+    auto sim = std::make_unique<Simulator>();
+    Condition cond(*sim);
+    bool flag = false;
+    Tick woke = -1;
+    void *where = nullptr;
+    EXPECT_EQ(sim->numLiveProcesses(), 0u);
+    sim->spawn(frameProbe(&where, 20));
+    sim->spawn(frameProbe(&where, 10)); // middle of the list, ends first
+    sim->spawn(waiter(&cond, &flag, &woke, sim.get()));
+    sim->spawn(waiter(&cond, &flag, &woke, sim.get()));
+    EXPECT_EQ(sim->numLiveProcesses(), 4u);
+    sim->runUntil(15);
+    EXPECT_EQ(sim->numLiveProcesses(), 3u);
+    sim->run();
+    EXPECT_EQ(sim->numLiveProcesses(), 2u); // both waiters blocked
+    sim.reset(); // reclaims both suspended frames
+    EXPECT_EQ(woke, -1);
+}
+
 TEST(Link, UncontendedTransferIsLatencyPlusSerialization)
 {
     Simulator sim;
@@ -832,6 +952,11 @@ goldenHash(simproto::PersistModel model, simproto::OffloadOptions opts,
     dc.ycsb.numRecords = cfg.numRecords;
     dc.ycsb.seed = 2024;
     simproto::RunResult res = simproto::runWorkload(sim, cluster, dc);
+    // Every transaction retired and no hold leaked.
+    for (int n = 0; n < cfg.numNodes; ++n)
+        EXPECT_EQ(cluster.node(static_cast<kv::NodeId>(n)).pendingTxns(),
+                  0u)
+            << "node " << n;
 
     Fnv results;
     results.add(res.writeLat.digest());
