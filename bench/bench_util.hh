@@ -18,6 +18,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -31,13 +33,25 @@
 
 namespace minos::bench {
 
-/** Requests per node for workload-driven figures (env-overridable). */
+/**
+ * Requests per node for workload-driven figures: MINOS_BENCH_REQS when
+ * set, else @p dflt. A value that is not a positive decimal integer is a
+ * fatal user error rather than a run of nothing.
+ */
 inline std::uint64_t
 benchRequestsPerNode(std::uint64_t dflt = 1000)
 {
-    if (const char *env = std::getenv("MINOS_BENCH_REQS"))
-        return std::strtoull(env, nullptr, 10);
-    return dflt;
+    const char *env = std::getenv("MINOS_BENCH_REQS");
+    if (!env)
+        return dflt;
+    char *end = nullptr;
+    errno = 0;
+    std::uint64_t n = std::strtoull(env, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(env[0])) || *end != '\0' ||
+        errno == ERANGE || n == 0)
+        MINOS_FATAL("MINOS_BENCH_REQS expects a positive integer, got '",
+                    env, "'");
+    return n;
 }
 
 /** Paper-default cluster configuration (Tables II/III). */

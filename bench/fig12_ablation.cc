@@ -49,7 +49,6 @@ runPoint(benchmark::State &state, std::size_t idx)
         ClusterConfig cfg = paperConfig();
         DriverConfig dc = paperDriver(cfg, /*write_fraction=*/1.0);
         OffloadOptions opts;
-        opts.offload = c.offload;
         opts.batching = c.batching;
         opts.broadcast = c.broadcast;
         RunResult res = c.offload

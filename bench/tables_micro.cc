@@ -3,13 +3,13 @@
  * Tables II & III: the simulated-machine parameter set, printed for the
  * record, plus genuine microbenchmarks of the substrate primitives the
  * protocols lean on (timestamp packing/CAS, zipfian generation,
- * hashtable lookup, durable-log append, simulator event throughput).
+ * hashtable lookup). The host cost of the durable log and the event
+ * core is measured by perfbench/ (nvm.append_ns, sim.*).
  */
 
 #include "bench_util.hh"
 
 #include "kv/hashtable.hh"
-#include "nvm/log.hh"
 
 using namespace minos;
 using namespace minos::bench;
@@ -100,33 +100,6 @@ hashtableFind(benchmark::State &state)
     }
 }
 
-void
-logAppend(benchmark::State &state)
-{
-    nvm::DurableLog log;
-    std::int64_t v = 0;
-    for (auto _ : state)
-        log.append({static_cast<kv::Key>(v % 1024), 1,
-                    kv::Timestamp{v++, 0}});
-}
-
-void
-simulatorEvents(benchmark::State &state)
-{
-    for (auto _ : state) {
-        sim::Simulator sim;
-        for (int i = 0; i < 10'000; ++i)
-            sim.after(i, [] {});
-        sim.run();
-        benchmark::DoNotOptimize(sim.eventsExecuted());
-        // The run is deterministic, so the last iteration's counters
-        // stand for all of them in the metrics blob.
-        obs::registerEventCore(metricsRegistry(), "micro.sim.",
-                               sim.counters());
-    }
-    state.SetItemsProcessed(state.iterations() * 10'000);
-}
-
 } // namespace
 
 int
@@ -138,10 +111,6 @@ main(int argc, char **argv)
                                  timestampRaise);
     minosRegisterBench("Micro/zipfian_next", zipfianNext);
     minosRegisterBench("Micro/hashtable_find", hashtableFind);
-    minosRegisterBench("Micro/log_append", logAppend);
-    minosRegisterBench("Micro/sim_10k_events",
-                                 simulatorEvents)
-        ->Unit(benchmark::kMillisecond);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     printParameterTables();

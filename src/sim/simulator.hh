@@ -83,12 +83,6 @@ class Simulator
      * the ready ring.
      */
     void
-    scheduleResume(Tick when, std::coroutine_handle<> h)
-    {
-        schedule(when, EventFn::resume(h));
-    }
-
-    void
     resumeAfter(Tick delay, std::coroutine_handle<> h)
     {
         after(delay, EventFn::resume(h));

@@ -14,9 +14,6 @@ ClusterB::ClusterB(sim::Simulator &sim, const ClusterConfig &cfg,
 {
     MINOS_ASSERT(cfg_.numNodes >= 2, "a cluster needs >= 2 nodes");
     MINOS_ASSERT(cfg_.numNodes <= 64, "destMask limits nodes to 64");
-    MINOS_ASSERT(!opts_.offload,
-                 "ClusterB models the host-side engine; use ClusterO "
-                 "for offloaded configurations");
     if (cfg_.audit) {
         MINOS_ASSERT(cfg_.trace,
                      "auditors ride the flight recorder's sink bus; "

@@ -124,16 +124,16 @@ struct ClusterConfig
     int followers() const { return numNodes - 1; }
 };
 
-/** The three MINOS-O mechanisms toggled in the Fig. 12 ablation. */
+/**
+ * The fabric options toggled in the Fig. 12 ablation. The third
+ * mechanism, "Combined" (offload protocol execution to the SmartNIC +
+ * selective host/SNIC hardware coherence + WRLock elimination via
+ * vFIFO/dFIFO), is the choice of engine: ClusterB runs without it,
+ * ClusterO with it. The paper applies those as one unit because they
+ * are sub-optimal separately (§VIII-D).
+ */
 struct OffloadOptions
 {
-    /**
-     * "Combined": offload protocol execution to the SmartNIC + selective
-     * host/SNIC hardware coherence + WRLock elimination via vFIFO/dFIFO.
-     * The paper applies these as one unit because they are sub-optimal
-     * separately (§VIII-D).
-     */
-    bool offload = false;
     /** Batch INV/ACK messages between host and SmartNIC over PCIe. */
     bool batching = false;
     /** True network broadcast of INV/VAL messages. */
@@ -148,7 +148,7 @@ struct OffloadOptions
     static OffloadOptions
     minosO()
     {
-        return {true, true, true};
+        return {.batching = true, .broadcast = true};
     }
 };
 

@@ -14,9 +14,6 @@ ClusterO::ClusterO(sim::Simulator &sim, const ClusterConfig &cfg,
 {
     MINOS_ASSERT(cfg_.numNodes >= 2, "a cluster needs >= 2 nodes");
     MINOS_ASSERT(cfg_.numNodes <= 64, "destMask limits nodes to 64");
-    MINOS_ASSERT(opts_.offload,
-                 "ClusterO is the offloaded engine; 'Combined' is its "
-                 "minimum configuration (offload=true)");
     if (cfg_.audit) {
         MINOS_ASSERT(cfg_.trace,
                      "auditors ride the flight recorder's sink bus; "

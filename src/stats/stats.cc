@@ -75,97 +75,6 @@ opsPerSec(std::uint64_t ops, Tick duration)
            static_cast<double>(duration);
 }
 
-int
-LogHistogram::bucketOf(Tick sample)
-{
-    if (sample <= 0)
-        return 0;
-    int b = 0;
-    while (sample > 1 && b < numBuckets - 1) {
-        sample >>= 1;
-        ++b;
-    }
-    return b;
-}
-
-Tick
-LogHistogram::bucketLow(int b)
-{
-    MINOS_ASSERT(b >= 0 && b < numBuckets, "bad bucket ", b);
-    return b == 0 ? 0 : (Tick{1} << b);
-}
-
-void
-LogHistogram::add(Tick sample)
-{
-    ++buckets_[static_cast<std::size_t>(bucketOf(sample))];
-    ++count_;
-    sum_ += static_cast<double>(sample);
-}
-
-double
-LogHistogram::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-Tick
-LogHistogram::percentileUpperBound(double p) const
-{
-    if (count_ == 0)
-        return 0;
-    MINOS_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
-    auto rank = static_cast<std::uint64_t>(
-        std::ceil(p / 100.0 * static_cast<double>(count_)));
-    std::uint64_t seen = 0;
-    for (int b = 0; b < numBuckets; ++b) {
-        seen += buckets_[static_cast<std::size_t>(b)];
-        if (seen >= rank) {
-            return b == numBuckets - 1 ? bucketLow(b)
-                                       : bucketLow(b + 1) - 1;
-        }
-    }
-    return bucketLow(numBuckets - 1);
-}
-
-std::uint64_t
-LogHistogram::bucketCount(int b) const
-{
-    MINOS_ASSERT(b >= 0 && b < numBuckets, "bad bucket ", b);
-    return buckets_[static_cast<std::size_t>(b)];
-}
-
-std::string
-LogHistogram::str() const
-{
-    std::ostringstream os;
-    std::uint64_t max_count = 0;
-    for (auto c : buckets_)
-        max_count = std::max(max_count, c);
-    for (int b = 0; b < numBuckets; ++b) {
-        std::uint64_t c = buckets_[static_cast<std::size_t>(b)];
-        if (c == 0)
-            continue;
-        int bar = max_count
-                      ? static_cast<int>(40 * c / max_count)
-                      : 0;
-        os << "[" << bucketLow(b) << "ns..) " << std::string(
-               static_cast<std::size_t>(std::max(bar, 1)), '#')
-           << " " << c << "\n";
-    }
-    return os.str();
-}
-
-void
-LogHistogram::merge(const LogHistogram &other)
-{
-    for (int b = 0; b < numBuckets; ++b)
-        buckets_[static_cast<std::size_t>(b)] +=
-            other.buckets_[static_cast<std::size_t>(b)];
-    count_ += other.count_;
-    sum_ += other.sum_;
-}
-
 double
 Breakdown::commFraction() const
 {
@@ -200,28 +109,6 @@ EventCoreCounters::ringHitRate() const
         return 0.0;
     return static_cast<double>(readyRingHits) /
            static_cast<double>(eventsExecuted);
-}
-
-std::string
-EventCoreCounters::str() const
-{
-    std::ostringstream os;
-    os << "events=" << eventsExecuted << " ringHits=" << readyRingHits
-       << " heapPushes=" << heapPushes << " peakHeap=" << peakHeapSize
-       << " peakRing=" << peakRingSize;
-    return os.str();
-}
-
-std::string
-EventCoreCounters::json() const
-{
-    std::ostringstream os;
-    os << "{\"events_executed\":" << eventsExecuted
-       << ",\"ready_ring_hits\":" << readyRingHits
-       << ",\"heap_pushes\":" << heapPushes
-       << ",\"peak_heap_size\":" << peakHeapSize
-       << ",\"peak_ring_size\":" << peakRingSize << "}";
-    return os.str();
 }
 
 Table::Table(std::vector<std::string> headers)

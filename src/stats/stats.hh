@@ -8,7 +8,6 @@
 #ifndef MINOS_STATS_STATS_HH
 #define MINOS_STATS_STATS_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -61,44 +60,6 @@ class LatencySeries
 double opsPerSec(std::uint64_t ops, Tick duration);
 
 /**
- * Log-scale latency histogram: power-of-two buckets from 1 ns up.
- * O(1) insertion and memory regardless of sample count; used where a
- * full LatencySeries would be too heavy, and for textual distribution
- * dumps.
- */
-class LogHistogram
-{
-  public:
-    static constexpr int numBuckets = 48;
-
-    void add(Tick sample);
-
-    std::uint64_t count() const { return count_; }
-    double mean() const;
-
-    /** Approximate percentile (bucket upper bound), 0 when empty. */
-    Tick percentileUpperBound(double p) const;
-
-    /** Bucket index a sample lands in. */
-    static int bucketOf(Tick sample);
-
-    /** Lower bound of bucket @p b (inclusive). */
-    static Tick bucketLow(int b);
-
-    std::uint64_t bucketCount(int b) const;
-
-    /** Render an ASCII distribution (non-empty buckets only). */
-    std::string str() const;
-
-    void merge(const LogHistogram &other);
-
-  private:
-    std::array<std::uint64_t, numBuckets> buckets_{};
-    std::uint64_t count_ = 0;
-    double sum_ = 0;
-};
-
-/**
  * Communication/computation split of write-transaction latency
  * (paper §IV): communication is the host-send-queue to host-receive-queue
  * time of the protocol's messages along the critical path; the rest of
@@ -130,8 +91,8 @@ struct Breakdown
  * Snapshot of the discrete-event simulator's event-core counters
  * (sim::Simulator::counters()): how much traffic the same-tick ready
  * ring absorbed vs. the timed heap, and the high-water marks of both.
- * Lives here so measurement/reporting code (benches, tools) can render
- * and serialize it uniformly.
+ * Lives here so measurement/reporting code (benches, tools, the metrics
+ * registry) reads it in one shape.
  */
 struct EventCoreCounters
 {
@@ -145,12 +106,6 @@ struct EventCoreCounters
     double ringHitRate() const;
 
     bool operator==(const EventCoreCounters &) const = default;
-
-    /** One-line human-readable rendering. */
-    std::string str() const;
-
-    /** JSON object (machine-readable, for bench output). */
-    std::string json() const;
 };
 
 /** Fixed-width console table writer used by the bench binaries. */

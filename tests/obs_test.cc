@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests of the observability layer itself: flight-recorder ring
- * semantics, the zero-allocation record path (bench/sim_core.cc's
- * alloc-hook pattern), the text and Chrome trace-event exporters, the
+ * semantics, the zero-allocation record path (counted by the shared
+ * alloc_hook.hh), the text and Chrome trace-event exporters, the
  * metrics registry's JSON serialization, and metrics determinism across
  * identically-seeded runs of both protocol engines.
  */
@@ -12,10 +12,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_hook.hh"
 #include "kv/timestamp.hh"
 
 #include "obs/chrome_trace.hh"
@@ -28,84 +28,6 @@
 
 using namespace minos;
 using namespace minos::obs;
-
-// ---------------------------------------------------------------------------
-// Allocation hook (same pattern as bench/sim_core.cc): global operator
-// new/delete that count, so tests can pin "this region allocates zero
-// times". Everything in this binary routes through these.
-
-namespace {
-
-std::uint64_t g_allocs = 0;
-
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    ++g_allocs;
-    if (void *p = std::malloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-// The nothrow forms must come from the same malloc as the deletes below:
-// std::stable_sort's temporary buffer is a nothrow new freed by a plain
-// delete, which a sanitizer runtime's own nothrow new would not match.
-void *
-operator new(std::size_t n, const std::nothrow_t &) noexcept
-{
-    ++g_allocs;
-    return std::malloc(n);
-}
-
-void *
-operator new[](std::size_t n, const std::nothrow_t &) noexcept
-{
-    return ::operator new(n, std::nothrow);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
@@ -362,7 +284,7 @@ TEST(FlightRecorder, RecordPathNeverAllocates)
 {
     FlightRecorder rec(64);
     rec.setEnabled(Category::Message, false);
-    std::uint64_t before = g_allocs;
+    std::uint64_t before = test::allocCount();
     // Enabled category: POD store into the preallocated ring.
     for (int i = 0; i < 1000; ++i)
         rec.record(i, Category::Protocol, EventKind::InvFanout, 0, i,
@@ -371,7 +293,8 @@ TEST(FlightRecorder, RecordPathNeverAllocates)
     for (int i = 0; i < 1000; ++i)
         rec.record(i, Category::Message, EventKind::InvApplied, 0, i,
                    i);
-    EXPECT_EQ(g_allocs, before) << "record() touched the allocator";
+    EXPECT_EQ(test::allocCount(), before)
+        << "record() touched the allocator";
     EXPECT_EQ(rec.recorded(), 1000u);
 }
 

@@ -2,7 +2,9 @@
  * @file
  * Unit tests for the discrete-event simulator core: event ordering,
  * coroutine processes, tasks, conditions, mailboxes, links, core pools,
- * and golden MINOS-B/MINOS-O runs that pin the dispatch order.
+ * the frame pool, the allocation gates (steady-state dispatch allocates
+ * nothing, the protocol hot path at most twice per client op), and
+ * golden MINOS-B/MINOS-O runs that pin the dispatch order.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_hook.hh"
 #include "sim/condition.hh"
 #include "sim/network.hh"
 #include "sim/process.hh"
@@ -747,6 +750,196 @@ TEST(Simulator, LiveProcessCountTracksSpawnFinishAndTeardown)
     EXPECT_EQ(sim->numLiveProcesses(), 2u); // both waiters blocked
     sim.reset(); // reclaims both suspended frames
     EXPECT_EQ(woke, -1);
+}
+
+// ---------------------------------------------------------------------
+// Allocation gates. alloc_hook.cc counts every operator new in this
+// binary; these cases pin the two allocation properties the event core
+// and the frame pool exist for.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** Mirrors the size of a message-delivery capture (ptr + Message). */
+struct Payload
+{
+    std::uint64_t words[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+};
+
+enum class Shape
+{
+    TimerHeavy,  ///< pseudorandom future delays: a deep timed heap
+    WakeupHeavy, ///< `after(0, ...)` chains: the ready ring
+    Mixed,       ///< a 50/50 blend of the two
+};
+
+/**
+ * A self-rescheduling event chain. Each firing consumes its payload
+ * (checksummed into *sink so nothing is optimized away) and, while the
+ * shared budget lasts, schedules its successor per the workload shape.
+ */
+struct Chain
+{
+    Simulator *sim;
+    std::uint64_t *budget;
+    std::uint64_t *sink;
+    std::uint32_t rng;
+    Shape shape;
+    Payload payload;
+
+    std::uint32_t
+    next()
+    {
+        rng = rng * 1664525u + 1013904223u;
+        return rng >> 8;
+    }
+
+    Tick
+    nextDelay()
+    {
+        switch (shape) {
+        case Shape::TimerHeavy:
+            return 1 + static_cast<Tick>(next() % 1000);
+        case Shape::WakeupHeavy:
+            return 0;
+        case Shape::Mixed:
+            return (next() & 1) ? 0 : 1 + static_cast<Tick>(next() % 1000);
+        }
+        return 0;
+    }
+
+    void
+    operator()()
+    {
+        *sink += payload.words[0] + payload.words[7];
+        if (*budget == 0)
+            return;
+        --*budget;
+        Chain c = *this;
+        ++c.payload.words[0];
+        Tick d = c.nextDelay();
+        sim->after(d, std::move(c));
+    }
+};
+
+/**
+ * Start @p chains chains sharing a budget of @p events successors, run
+ * them to completion, and return the allocations made while sim.run()
+ * dispatched.
+ */
+std::uint64_t
+dispatchAllocs(Simulator &sim, Shape shape, std::uint64_t events,
+               int chains, std::uint64_t *sink)
+{
+    std::uint64_t budget = events;
+    for (int i = 0; i < chains; ++i) {
+        Chain c{&sim, &budget, sink,
+                0x9e3779b9u + static_cast<std::uint32_t>(i), shape,
+                Payload{}};
+        Tick d = c.nextDelay();
+        sim.after(d, std::move(c));
+    }
+    std::uint64_t before = test::allocCount();
+    sim.run();
+    return test::allocCount() - before;
+}
+
+/**
+ * Allowed allocations per client op on the protocol runs. Not 0: a
+ * node's sparse nextLocalVersion_ map gains an entry on each key's first
+ * write (see DESIGN.md §5f), and the latency series grow.
+ */
+constexpr double protocolAllocBound = 2.0;
+
+/**
+ * Allocations per client op of one short YCSB-A run, counted only while
+ * sim.run() dispatches (construction and stream generation are outside).
+ */
+template <typename ClusterT>
+double
+protocolAllocsPerOp(simproto::PersistModel model,
+                    simproto::OffloadOptions opts)
+{
+    Simulator sim;
+    simproto::ClusterConfig cfg;
+    cfg.numNodes = 5;
+    cfg.numRecords = 10'000;
+    ClusterT cluster(sim, cfg, model, opts);
+    simproto::DriverConfig dc;
+    dc.requestsPerNode = 1000;
+    dc.workersPerNode = 5;
+    dc.ycsb = workload::ycsbPreset('A');
+    dc.ycsb.numRecords = cfg.numRecords;
+    dc.ycsb.requestsPerNode = dc.requestsPerNode;
+    dc.ycsb.seed = 7;
+
+    // Queued ahead of the workers, so it runs first in sim.run().
+    std::uint64_t allocsAtStart = 0;
+    sim.after(0, [&allocsAtStart] { allocsAtStart = test::allocCount(); });
+    simproto::RunResult res = simproto::runWorkload(sim, cluster, dc);
+    std::uint64_t allocs = test::allocCount() - allocsAtStart;
+    std::uint64_t ops = res.reads + res.writes + res.persistLat.count();
+    EXPECT_GT(ops, 0u);
+    return ops ? static_cast<double>(allocs) / ops : 0.0;
+}
+
+/** Warm the frame pool with one run, then measure a second. */
+template <typename ClusterT>
+double
+warmProtocolAllocsPerOp(simproto::PersistModel model,
+                        simproto::OffloadOptions opts)
+{
+    protocolAllocsPerOp<ClusterT>(model, opts);
+    return protocolAllocsPerOp<ClusterT>(model, opts);
+}
+
+} // namespace
+
+TEST(AllocGate, SteadyStateDispatchNeverAllocates)
+{
+    // Outstanding chains: timer-heavy keeps a deep heap, wakeup-heavy a
+    // busy ring.
+    const struct
+    {
+        const char *name;
+        Shape shape;
+        int chains;
+    } workloads[] = {{"timer_heavy", Shape::TimerHeavy, 4096},
+                     {"wakeup_heavy", Shape::WakeupHeavy, 64},
+                     {"mixed", Shape::Mixed, 4096}};
+    constexpr std::uint64_t events = 200'000;
+    for (const auto &w : workloads) {
+        SCOPED_TRACE(w.name);
+        Simulator sim;
+        std::uint64_t sink = 0;
+        // Warm the ring and heap, then measure on the same simulator.
+        dispatchAllocs(sim, w.shape, events / 10, w.chains, &sink);
+        std::uint64_t executedBefore = sim.eventsExecuted();
+        EXPECT_EQ(dispatchAllocs(sim, w.shape, events, w.chains, &sink),
+                  0u);
+        EXPECT_EQ(sim.eventsExecuted() - executedBefore,
+                  events + static_cast<std::uint64_t>(w.chains));
+    }
+}
+
+TEST(AllocGate, BaselineSynchRunAllocatesAtMostTwicePerOp)
+{
+    if (!FramePool::enabled)
+        GTEST_SKIP() << "frame pool is off under AddressSanitizer";
+    EXPECT_LE(warmProtocolAllocsPerOp<simproto::ClusterB>(
+                  simproto::PersistModel::Synch,
+                  simproto::OffloadOptions::minosB()),
+              protocolAllocBound);
+}
+
+TEST(AllocGate, OffloadStrictRunAllocatesAtMostTwicePerOp)
+{
+    if (!FramePool::enabled)
+        GTEST_SKIP() << "frame pool is off under AddressSanitizer";
+    EXPECT_LE(warmProtocolAllocsPerOp<snic::ClusterO>(
+                  simproto::PersistModel::Strict,
+                  simproto::OffloadOptions::minosO()),
+              protocolAllocBound);
 }
 
 TEST(Link, UncontendedTransferIsLatencyPlusSerialization)

@@ -191,7 +191,6 @@ TEST_P(OAblationTest, ProtocolCorrectUnderAllFabricOptions)
     sim::Simulator sim;
     ClusterConfig cfg = smallConfig(4, 16);
     OffloadOptions opts;
-    opts.offload = true;
     opts.batching = batching;
     opts.broadcast = broadcast;
     ClusterO cluster(sim, cfg, PersistModel::Synch, opts);

@@ -97,71 +97,3 @@ TEST(Table, FmtFixedPoint)
     EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
     EXPECT_EQ(Table::fmt(2.0, 0), "2");
 }
-
-TEST(LogHistogram, BucketBoundaries)
-{
-    EXPECT_EQ(LogHistogram::bucketOf(0), 0);
-    EXPECT_EQ(LogHistogram::bucketOf(1), 0);
-    EXPECT_EQ(LogHistogram::bucketOf(2), 1);
-    EXPECT_EQ(LogHistogram::bucketOf(3), 1);
-    EXPECT_EQ(LogHistogram::bucketOf(4), 2);
-    EXPECT_EQ(LogHistogram::bucketOf(1024), 10);
-    EXPECT_EQ(LogHistogram::bucketLow(0), 0);
-    EXPECT_EQ(LogHistogram::bucketLow(10), 1024);
-}
-
-TEST(LogHistogram, CountsAndMean)
-{
-    LogHistogram h;
-    h.add(100);
-    h.add(200);
-    h.add(300);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_DOUBLE_EQ(h.mean(), 200.0);
-    EXPECT_EQ(h.bucketCount(LogHistogram::bucketOf(100)), 1u);
-}
-
-TEST(LogHistogram, PercentileUpperBound)
-{
-    LogHistogram h;
-    for (int i = 0; i < 99; ++i)
-        h.add(100); // bucket [64, 128)
-    h.add(100'000); // one outlier
-    // p50 must sit in the 100ns bucket; p100 must cover the outlier.
-    EXPECT_LT(h.percentileUpperBound(50.0), 256);
-    EXPECT_GE(h.percentileUpperBound(100.0), 100'000);
-    EXPECT_GE(h.percentileUpperBound(100.0),
-              h.percentileUpperBound(50.0));
-}
-
-TEST(LogHistogram, EmptyIsZero)
-{
-    LogHistogram h;
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_EQ(h.percentileUpperBound(99.0), 0);
-    EXPECT_TRUE(h.str().empty());
-}
-
-TEST(LogHistogram, MergeAddsBuckets)
-{
-    LogHistogram a, b;
-    a.add(10);
-    b.add(10);
-    b.add(1000);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_EQ(a.bucketCount(LogHistogram::bucketOf(10)), 2u);
-    EXPECT_EQ(a.bucketCount(LogHistogram::bucketOf(1000)), 1u);
-}
-
-TEST(LogHistogram, StrShowsNonEmptyBuckets)
-{
-    LogHistogram h;
-    h.add(100);
-    h.add(100);
-    h.add(5000);
-    std::string s = h.str();
-    EXPECT_NE(s.find('#'), std::string::npos);
-    EXPECT_NE(s.find("2"), std::string::npos);
-}
