@@ -1311,6 +1311,42 @@ TEST(GoldenRun, OffloadEngineWithoutBroadcastMatchesPinnedResults)
     expectGoldenModels<snic::ClusterO>(opts, expected);
 }
 
+TEST(GoldenRun, BaselineEngineWithBatchingAndBroadcastMatchesPinnedResults)
+{
+    // One PCIe crossing, one NIC deposit and one wire copy per fan-out.
+    const GoldenHashes expected[] = {
+        {14931532472026780644ull,
+         13105957863714538612ull},
+        {14626957981740681789ull,
+         4744080798999907986ull},
+        {11391769850742263654ull,
+         12947674765626838902ull},
+        {11220010911033854700ull,
+         10408921810665353569ull},
+        {11001514276928827835ull,
+         1672646811972685873ull}};
+    expectGoldenModels<simproto::ClusterB>(
+        simproto::OffloadOptions::minosO(), expected);
+}
+
+TEST(GoldenRun, OffloadEngineCombinedOnlyMatchesPinnedResults)
+{
+    // Fig. 12 "Combined": no batching, no broadcast.
+    const GoldenHashes expected[] = {
+        {3140604456057315486ull,
+         10225009152017056295ull},
+        {10656359682347558290ull,
+         13388529424358303592ull},
+        {16592423327874848555ull,
+         12335969753407285176ull},
+        {5384135105154558144ull,
+         3588772879514964201ull},
+        {8158858338359707765ull,
+         15107162390494413032ull}};
+    expectGoldenModels<snic::ClusterO>(simproto::OffloadOptions::minosB(),
+                                       expected);
+}
+
 TEST(GoldenRun, BaselineEngineMutantsMatchPinnedResults)
 {
     const GoldenHashes expected[] = {
