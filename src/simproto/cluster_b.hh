@@ -20,16 +20,30 @@
 #ifndef MINOS_SIMPROTO_CLUSTER_B_HH
 #define MINOS_SIMPROTO_CLUSTER_B_HH
 
-#include <memory>
-#include <vector>
-
-#include "sim/network.hh"
+#include "simproto/cluster_shell.hh"
 #include "simproto/node_b.hh"
 
 namespace minos::simproto {
 
+/** Per-node MINOS-B fabric. */
+struct FabricB
+{
+    FabricB(sim::Simulator &sim, const ClusterConfig &cfg)
+        : pcieOut(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
+                  cfg.pcieMsgOverheadNs),
+          pcieIn(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
+                 cfg.pcieMsgOverheadNs),
+          nic(sim, cfg)
+    {
+    }
+
+    sim::Link pcieOut; ///< host send queue -> NIC
+    sim::Link pcieIn;  ///< NIC -> host receive queue
+    NicTx nic;         ///< NIC send engine + egress port
+};
+
 /** MINOS-B cluster (paper §III/§IV) on the simulated machine. */
-class ClusterB : public DdpCluster
+class ClusterB : public ClusterShell<NodeB, FabricB>
 {
   public:
     /**
@@ -40,60 +54,18 @@ class ClusterB : public DdpCluster
              PersistModel model,
              OffloadOptions opts = OffloadOptions::minosB());
 
-    sim::Task<OpStats> clientWrite(kv::NodeId node, kv::Key key,
-                                   kv::Value value,
-                                   net::ScopeId scope) override;
-    sim::Task<OpStats> clientRead(kv::NodeId node, kv::Key key) override;
-    sim::Task<OpStats> persistScope(kv::NodeId node,
-                                    net::ScopeId scope) override;
-
-    int numNodes() const override { return cfg_.numNodes; }
-    PersistModel model() const override { return model_; }
-
-    NodeB &node(kv::NodeId id);
-    const ClusterConfig &config() const { return cfg_; }
-    const OffloadOptions &options() const { return opts_; }
-
     /** Send @p msg (src/dst filled in) through the full B fabric. */
-    void unicast(net::Message msg);
+    void unicast(const net::Message &msg);
 
     /**
-     * Fan @p tmpl out from @p src to every other node, honoring the
+     * Fan @p tmpl out from tmpl.src to every other node, honoring the
      * batching/broadcast options.
      */
-    void multicast(kv::NodeId src, net::Message tmpl);
+    void multicast(const net::Message &tmpl);
 
   private:
-    /** Per-node fabric state. */
-    struct Fabric
-    {
-        Fabric(sim::Simulator &sim, const ClusterConfig &cfg)
-            : pcieOut(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
-                      cfg.pcieMsgOverheadNs),
-              pcieIn(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
-                     cfg.pcieMsgOverheadNs),
-              netOut(sim, cfg.netLatencyNs, cfg.netBwBytesPerSec)
-        {
-        }
-
-        sim::Link pcieOut; ///< host send queue -> NIC
-        sim::Link pcieIn;  ///< NIC -> host receive queue
-        sim::Link netOut;  ///< NIC egress port -> wire
-        sim::SerialStage nicTx; ///< NIC send engine (deposit + gap)
-    };
-
-    /** NIC deposit cost for a message type (Table III). */
-    Tick depositCost(net::MsgType type) const;
-
     /** Final delivery: remote PCIe leg + handoff to the dst node. */
-    void deliverAt(Tick wire_arrival, net::Message msg);
-
-    sim::Simulator &sim_;
-    ClusterConfig cfg_;
-    PersistModel model_;
-    OffloadOptions opts_;
-    std::vector<std::unique_ptr<Fabric>> fabric_;
-    std::vector<std::unique_ptr<NodeB>> nodes_;
+    void deliverAt(Tick wire_arrival, const net::Message &msg);
 };
 
 } // namespace minos::simproto

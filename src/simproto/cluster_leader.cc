@@ -10,7 +10,7 @@ using net::ScopeId;
 ClusterLeader::ClusterLeader(sim::Simulator &sim,
                              const ClusterConfig &cfg,
                              PersistModel model, NodeId leader)
-    : sim_(sim), inner_(sim, cfg, model), leader_(leader)
+    : ClusterB(sim, cfg, model), leader_(leader)
 {
     MINOS_ASSERT(leader >= 0 && leader < cfg.numNodes,
                  "bad leader id ", leader);
@@ -20,24 +20,21 @@ ClusterLeader::ClusterLeader(sim::Simulator &sim,
 }
 
 sim::Task<OpStats>
-ClusterLeader::clientWrite(NodeId node, Key key, Value value,
+ClusterLeader::clientWrite(NodeId node_id, Key key, Value value,
                            ScopeId scope)
 {
-    if (node == leader_)
-        co_return co_await inner_.clientWrite(leader_, key, value,
-                                              scope);
+    if (node_id == leader_)
+        co_return co_await node(leader_).clientWrite(key, value, scope);
 
     // Forward the write request (carrying the record) to the leader...
     Tick t0 = sim_.now();
-    auto &path = *paths_[static_cast<std::size_t>(node)];
+    auto &path = *paths_[static_cast<std::size_t>(node_id)];
     Tick at_leader = path.toLeader.transferFrom(
-        sim_.now(),
-        inner_.config().recordBytes + net::controlMsgBytes);
+        sim_.now(), cfg_.recordBytes + net::controlMsgBytes);
     co_await sim::delay(at_leader - sim_.now());
 
     // ...the leader coordinates the full protocol...
-    OpStats st = co_await inner_.clientWrite(leader_, key, value,
-                                             scope);
+    OpStats st = co_await node(leader_).clientWrite(key, value, scope);
 
     // ...and the response travels back to the origin node.
     Tick back = path.fromLeader.transferFrom(sim_.now(),
@@ -50,24 +47,16 @@ ClusterLeader::clientWrite(NodeId node, Key key, Value value,
 }
 
 sim::Task<OpStats>
-ClusterLeader::clientRead(NodeId node, Key key)
+ClusterLeader::persistScope(NodeId node_id, ScopeId scope)
 {
-    // Reads are local; the RDLock/VAL machinery keeps them
-    // linearizable just as in the leaderless engine.
-    return inner_.clientRead(node, key);
-}
-
-sim::Task<OpStats>
-ClusterLeader::persistScope(NodeId node, ScopeId scope)
-{
-    if (node == leader_)
-        co_return co_await inner_.persistScope(leader_, scope);
+    if (node_id == leader_)
+        co_return co_await node(leader_).persistScope(scope);
     Tick t0 = sim_.now();
-    auto &path = *paths_[static_cast<std::size_t>(node)];
+    auto &path = *paths_[static_cast<std::size_t>(node_id)];
     Tick at_leader = path.toLeader.transferFrom(sim_.now(),
                                                 net::controlMsgBytes);
     co_await sim::delay(at_leader - sim_.now());
-    OpStats st = co_await inner_.persistScope(leader_, scope);
+    OpStats st = co_await node(leader_).persistScope(scope);
     Tick back = path.fromLeader.transferFrom(sim_.now(),
                                              net::controlMsgBytes);
     co_await sim::delay(back - sim_.now());

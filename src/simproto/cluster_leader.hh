@@ -24,13 +24,12 @@
 #include <memory>
 #include <vector>
 
-#include "sim/network.hh"
 #include "simproto/cluster_b.hh"
 
 namespace minos::simproto {
 
 /** Leader-based variant: all writes coordinated by a fixed leader. */
-class ClusterLeader : public DdpCluster
+class ClusterLeader : public ClusterB
 {
   public:
     ClusterLeader(sim::Simulator &sim, const ClusterConfig &cfg,
@@ -39,16 +38,10 @@ class ClusterLeader : public DdpCluster
     sim::Task<OpStats> clientWrite(kv::NodeId node, kv::Key key,
                                    kv::Value value,
                                    net::ScopeId scope) override;
-    sim::Task<OpStats> clientRead(kv::NodeId node, kv::Key key) override;
     sim::Task<OpStats> persistScope(kv::NodeId node,
                                     net::ScopeId scope) override;
 
-    int numNodes() const override { return inner_.numNodes(); }
-    PersistModel model() const override { return inner_.model(); }
-
     kv::NodeId leader() const { return leader_; }
-    NodeB &node(kv::NodeId id) { return inner_.node(id); }
-    const ClusterConfig &config() const { return inner_.config(); }
 
   private:
     /** Forwarding leg: origin host -> leader host (or back). */
@@ -68,8 +61,6 @@ class ClusterLeader : public DdpCluster
         sim::Link fromLeader;
     };
 
-    sim::Simulator &sim_;
-    ClusterB inner_;
     kv::NodeId leader_;
     std::vector<std::unique_ptr<ForwardPath>> paths_;
 };

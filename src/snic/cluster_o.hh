@@ -19,97 +19,74 @@
 #ifndef MINOS_SNIC_CLUSTER_O_HH
 #define MINOS_SNIC_CLUSTER_O_HH
 
-#include <memory>
-#include <vector>
-
-#include "sim/network.hh"
+#include "simproto/cluster_shell.hh"
 #include "snic/node_o.hh"
 
 namespace minos::snic {
 
+/** Per-node MINOS-O fabric. */
+struct FabricO
+{
+    FabricO(sim::Simulator &sim, const ClusterConfig &cfg)
+        : pcieDown(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
+                   cfg.pcieMsgOverheadNs),
+          pcieUp(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
+                 cfg.pcieMsgOverheadNs),
+          // The drain engines stream descriptors in bursts; the
+          // per-transfer overhead is far below the doorbell cost of
+          // host-posted messages.
+          pcieDmaV(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
+                   /*per_msg_overhead=*/30),
+          pcieDmaD(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
+                   /*per_msg_overhead=*/30),
+          nic(sim, cfg)
+    {
+    }
+
+    sim::Link pcieDown;      ///< host -> SNIC
+    sim::Link pcieUp;        ///< SNIC -> host messages
+    sim::Link pcieDmaV;      ///< vFIFO drain DMA queue
+    sim::Link pcieDmaD;      ///< dFIFO drain DMA queue
+    simproto::NicTx nic;     ///< SNIC send engine + egress port
+};
+
 /** MINOS-O cluster (paper §V) on the simulated machine. */
-class ClusterO : public simproto::DdpCluster
+class ClusterO : public simproto::ClusterShell<NodeO, FabricO>
 {
   public:
     ClusterO(sim::Simulator &sim, const ClusterConfig &cfg,
              PersistModel model,
              OffloadOptions opts = OffloadOptions::minosO());
 
-    sim::Task<OpStats> clientWrite(kv::NodeId node, kv::Key key,
-                                   kv::Value value,
-                                   net::ScopeId scope) override;
-    sim::Task<OpStats> clientRead(kv::NodeId node, kv::Key key) override;
-    sim::Task<OpStats> persistScope(kv::NodeId node,
-                                    net::ScopeId scope) override;
-
-    int numNodes() const override { return cfg_.numNodes; }
-    PersistModel model() const override { return model_; }
-
-    NodeO &node(kv::NodeId id);
-    const ClusterConfig &config() const { return cfg_; }
-    const OffloadOptions &options() const { return opts_; }
-
     /** Host -> local SNIC: send the INV(s) for one write over PCIe. */
-    void hostSendInv(kv::NodeId src, net::Message tmpl);
+    void hostSendInv(kv::NodeId src, const net::Message &tmpl);
 
     /** Host -> local SNIC: send a control message (e.g. [PERSIST]sc). */
-    void hostSendControl(kv::NodeId src, net::Message msg);
+    void hostSendControl(kv::NodeId src, const net::Message &msg);
 
     /** SNIC -> SNIC point-to-point (ACK family). */
-    void snicUnicast(net::Message msg);
+    void snicUnicast(const net::Message &msg);
 
     /**
-     * SNIC -> all other SNICs (INV/VAL family).
+     * SNIC of tmpl.src -> all other SNICs (INV/VAL family).
      * @param from_batched the message arrived batched from the host and
      *        must be unpacked per destination unless broadcast hardware
      *        consumes it directly.
      */
-    void snicMulticast(kv::NodeId src, net::Message tmpl,
-                       bool from_batched);
+    void snicMulticast(const net::Message &tmpl, bool from_batched);
 
     /** SNIC -> local host over PCIe; @p deliver runs at arrival. */
     void snicNotifyHost(kv::NodeId src, std::uint32_t bytes,
                         sim::EventFn deliver);
 
-    /** The SNIC->host DMA queues used by the FIFO drain engines. */
-    sim::Link &vfifoDma(kv::NodeId id);
-    sim::Link &dfifoDma(kv::NodeId id);
+    /** @{ The SNIC->host DMA queues used by the FIFO drain engines. */
+    sim::Link &vfifoDma(kv::NodeId id) { return fabric(id).pcieDmaV; }
+    sim::Link &dfifoDma(kv::NodeId id) { return fabric(id).pcieDmaD; }
+    /** @} */
 
   private:
-    struct Fabric
-    {
-        Fabric(sim::Simulator &sim, const ClusterConfig &cfg)
-            : pcieDown(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
-                       cfg.pcieMsgOverheadNs),
-              pcieUp(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
-                     cfg.pcieMsgOverheadNs),
-              // The drain engines stream descriptors in bursts; the
-              // per-transfer overhead is far below the doorbell cost of
-              // host-posted messages.
-              pcieDmaV(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
-                       /*per_msg_overhead=*/30),
-              pcieDmaD(sim, cfg.pcieLatencyNs, cfg.pcieBwBytesPerSec,
-                       /*per_msg_overhead=*/30),
-              netOut(sim, cfg.netLatencyNs, cfg.netBwBytesPerSec)
-        {
-        }
-
-        sim::Link pcieDown; ///< host -> SNIC
-        sim::Link pcieUp;   ///< SNIC -> host messages
-        sim::Link pcieDmaV; ///< vFIFO drain DMA queue
-        sim::Link pcieDmaD; ///< dFIFO drain DMA queue
-        sim::Link netOut;   ///< SNIC egress port
-        sim::SerialStage snicTx; ///< SNIC send engine
-    };
-
-    Tick depositCost(net::MsgType type) const;
-
-    sim::Simulator &sim_;
-    ClusterConfig cfg_;
-    PersistModel model_;
-    OffloadOptions opts_;
-    std::vector<std::unique_ptr<Fabric>> fabric_;
-    std::vector<std::unique_ptr<NodeO>> nodes_;
+    /** Hand @p msg to the SNIC of node @p id at tick @p at. */
+    void toSnic(kv::NodeId id, Tick at, const net::Message &msg);
 };
 
 } // namespace minos::snic
