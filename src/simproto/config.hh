@@ -79,9 +79,6 @@ struct ClusterConfig
     Tick snicUnpackPerDestNs = 70; ///< unpack one dest of a batched msg
     Tick coherenceNs = 60; ///< host<->SNIC coherent-field access penalty
 
-    // ---- <Lin, Scope> workload shape ----
-    int scopeSize = 10; ///< writes per scope before [PERSIST]sc
-
     // ---- Diagnostics ----
     /** Optional flight recorder (see obs/recorder.hh); not owned. */
     obs::FlightRecorder *trace = nullptr;
