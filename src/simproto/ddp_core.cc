@@ -157,6 +157,12 @@ DdpCore::makeVal(MsgType type, Key key, Timestamp ts, net::ScopeId scope)
     m.scope = scope;
     m.sizeBytes = net::controlMsgBytes;
     counters_.valsSent += static_cast<std::uint64_t>(cfg_.followers());
+    // [VAL_P]sc is about a scope, not a write.
+    bool scoped = type == MsgType::VAL_P_SC;
+    traceEvent(obs::Category::Message, obs::EventKind::ValSent,
+               static_cast<std::int64_t>(scoped ? scope : key),
+               scoped ? 0 : static_cast<std::int64_t>(ts.pack()),
+               static_cast<std::uint16_t>(valFlavorOf(type)));
     return m;
 }
 

@@ -309,7 +309,7 @@ class DdpCore
     /** @{ Build a message this node sends. Every send is counted here,
      *  once per destination: the INV and VAL fan-outs once per follower,
      *  an ACK once. makeInv also lays the InvFanout (and, for
-     *  <Lin,Scope>, ScopeMark) records. */
+     *  <Lin,Scope>, ScopeMark) records, makeVal the ValSent record. */
     net::Message makeInv(kv::Key key, kv::Value value, kv::Timestamp ts,
                          net::ScopeId scope);
     net::Message makeVal(net::MsgType type, kv::Key key, kv::Timestamp ts,

@@ -74,10 +74,6 @@ class NodeB : public DdpCore
 
     // ---- messaging ----
 
-    /** Send the per-model VAL flavor(s) to every follower. */
-    void sendVals(net::MsgType type, kv::Key key, kv::Timestamp ts,
-                  net::ScopeId scope);
-
     /** Respond to a coordinator. */
     sim::Task<void> sendResponse(const net::Message &req,
                                  net::MsgType type, Tick handle_ns);

@@ -40,7 +40,7 @@ smallDriver(const ClusterConfig &cfg, double write_fraction)
 }
 
 TraceRun
-runB(int records = 8)
+runB(int records = 8, PersistModel model = PersistModel::Synch)
 {
     TraceRun run;
     sim::Simulator sim;
@@ -49,13 +49,13 @@ runB(int records = 8)
     cfg.numRecords = static_cast<std::uint64_t>(records);
     cfg.trace = &run.recorder;
     cfg.phases = &run.phases;
-    ClusterB cluster(sim, cfg, PersistModel::Synch);
+    ClusterB cluster(sim, cfg, model);
     run.result = runWorkload(sim, cluster, smallDriver(cfg, 1.0));
     return run;
 }
 
 TraceRun
-runO(int records = 8)
+runO(int records = 8, PersistModel model = PersistModel::Synch)
 {
     TraceRun run;
     sim::Simulator sim;
@@ -64,7 +64,7 @@ runO(int records = 8)
     cfg.numRecords = static_cast<std::uint64_t>(records);
     cfg.trace = &run.recorder;
     cfg.phases = &run.phases;
-    snic::ClusterO cluster(sim, cfg, PersistModel::Synch);
+    snic::ClusterO cluster(sim, cfg, model);
     run.result = runWorkload(sim, cluster, smallDriver(cfg, 1.0));
     return run;
 }
@@ -103,6 +103,29 @@ TEST(TraceIntegration, OffloadEngineEmitsSnicEvents)
     EXPECT_TRUE(sawKind(events, EventKind::SnicBroadcastInv));
     EXPECT_TRUE(sawKind(events, EventKind::FollowerEnqueued));
     EXPECT_TRUE(sawKind(events, EventKind::FifoDepth));
+}
+
+TEST(TraceIntegration, SendRecordsAreMessageCategoryOnBothEngines)
+{
+    // DdpCore::makeInv/makeVal lay the send records for both engines,
+    // so --trace-categories=message keeps every INV and VAL fan-out,
+    // [VAL_P]sc included.
+    for (bool offload : {false, true}) {
+        TraceRun run = offload ? runO(8, PersistModel::Scope)
+                               : runB(8, PersistModel::Scope);
+        SCOPED_TRACE(offload ? "MINOS-O" : "MINOS-B");
+        bool saw_val_p_sc = false;
+        for (const auto &e : run.recorder.snapshot()) {
+            if (e.kind != EventKind::InvFanout &&
+                e.kind != EventKind::ValSent)
+                continue;
+            EXPECT_EQ(e.category, Category::Message);
+            saw_val_p_sc |= e.kind == EventKind::ValSent &&
+                            e.aux == static_cast<std::uint16_t>(
+                                         ValFlavor::ValPSc);
+        }
+        EXPECT_TRUE(saw_val_p_sc);
+    }
 }
 
 TEST(TraceIntegration, EveryWritePhaseIsSpannedOnBothEngines)
