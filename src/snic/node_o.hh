@@ -79,7 +79,6 @@ class NodeO : public simproto::DdpCore
         bool invProcessed = false; ///< SNIC already did the enqueues
         std::uint64_t vfifoId = noEntry;
         bool vfifoAssigned = false;
-        std::uint64_t dfifoId = noEntry;
         bool dfifoEnqueued = false;
         bool releasedByValC = false; ///< follower: VAL_C processed
         bool gateFired = false; ///< client gate already handled
