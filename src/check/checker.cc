@@ -1,10 +1,9 @@
 #include "checker.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
+#include <deque>
 #include <limits>
-#include <memory>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -67,7 +66,7 @@ enum PBit : std::uint8_t
 
 /**
  * The abstract protocol state. All members are single bytes so the
- * struct has no padding and can be hashed/compared bytewise.
+ * struct has no padding and can be hashed bytewise.
  */
 struct State
 {
@@ -94,12 +93,6 @@ struct State
     std::uint8_t ppc;
     std::uint8_t pAckMask;
     std::uint8_t pMsgs[maxNodes];
-
-    bool
-    operator==(const State &o) const
-    {
-        return std::memcmp(this, &o, sizeof(State)) == 0;
-    }
 };
 
 static_assert(sizeof(State) ==
@@ -145,140 +138,67 @@ hashState(const State &s)
 }
 
 /**
- * Append-only array whose elements never move: element i lives in a
- * fixed chunk for the whole run, so a reference taken before a push
- * stays valid after it. Chunk c holds firstChunk << c elements up to
- * maxChunk, then maxChunk each: a run that reaches few states
- * allocates a few KB, and a large one over-allocates at most one
- * chunk.
+ * Set of reached states, kept as 64-bit fingerprints (hashState) the
+ * way TLC keeps them: no state is stored, so a probe never reads one.
+ * Open addressing with linear probing from fp & mask over 8-byte
+ * slots; 0 marks an empty slot, so a zero fingerprint is stored as
+ * zeroFp. Two distinct states with one fingerprint would be merged;
+ * fingerprintCollisionBound() bounds the chance of that.
  */
-template <class T>
-class ChunkedArena
+class FingerprintSet
 {
   public:
-    std::uint32_t size() const { return size_; }
+    FingerprintSet() : slots_(initialSlots, 0) {}
 
-    T &
-    operator[](std::uint32_t i)
+    /** Add @p fp; false if it was already present. */
+    bool
+    insert(std::uint64_t fp)
     {
-        if (i < geoEnd) {
-            const int c = std::bit_width((i >> firstShift) + 1u) - 1;
-            return chunks_[static_cast<std::size_t>(c)]
-                          [i + firstChunk - (firstChunk << c)];
-        }
-        const std::uint32_t j = i - geoEnd;
-        return chunks_[geoChunks + (j >> maxShift)][j & (maxChunk - 1)];
-    }
-
-    /** Append @p v; returns its index. */
-    std::uint32_t
-    push(const T &v)
-    {
-        if (size_ == capacity_) {
-            const std::size_t c = chunks_.size();
-            const std::uint32_t n =
-                c < geoChunks ? firstChunk << c : maxChunk;
-            // Default-initialised: pages are touched only when used.
-            chunks_.emplace_back(new T[n]);
-            capacity_ += n;
-        }
-        (*this)[size_] = v;
-        return size_++;
-    }
-
-  private:
-    static constexpr int firstShift = 6;
-    static constexpr int maxShift = 16;
-    static constexpr std::uint32_t firstChunk = 1u << firstShift;
-    static constexpr std::uint32_t maxChunk = 1u << maxShift;
-    /** Chunks 0..geoChunks-1 double in size; the rest are maxChunk. */
-    static constexpr std::size_t geoChunks = maxShift - firstShift + 1;
-    static constexpr std::uint32_t geoEnd = (maxChunk << 1) - firstChunk;
-
-    std::vector<std::unique_ptr<T[]>> chunks_;
-    std::uint32_t size_ = 0;
-    std::uint32_t capacity_ = 0;
-};
-
-/**
- * Set of reached states, as indices into the state arena. Open
- * addressing with linear probing over 8-byte slots; a slot holds
- * (hash >> 32) << 32 | (index + 1), 0 when empty. The home slot comes
- * from the low hash bits and the stored tag from the high ones, so a
- * probe rejects a mismatching slot without reading the arena.
- */
-class VisitedTable
-{
-  public:
-    VisitedTable() : slots_(initialSlots, 0) {}
-
-    /**
-     * The slot holding @p s if it was reached before, else the empty
-     * slot where it belongs (pass that to claim()).
-     */
-    std::uint64_t *
-    find(const State &s, std::uint64_t h, ChunkedArena<State> &states)
-    {
-        const std::uint64_t tag = h & tagMask;
-        const std::size_t mask = slots_.size() - 1;
-        for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-            const std::uint64_t slot = slots_[i];
-            if (slot == 0 ||
-                ((slot & tagMask) == tag &&
-                 states[static_cast<std::uint32_t>(slot) - 1] == s))
-                return &slots_[i];
-        }
-    }
-
-    /**
-     * Record state @p index (hash @p h) in the empty @p slot from
-     * find(). Invalidates slot pointers when the table grows.
-     */
-    void
-    claim(std::uint64_t *slot, std::uint64_t h, std::uint32_t index,
-          ChunkedArena<State> &states)
-    {
-        *slot = entry(h, index);
+        fp = fp ? fp : zeroFp;
+        std::uint64_t &slot = probe(slots_, fp);
+        if (slot == fp)
+            return false;
+        slot = fp;
         if (++used_ > slots_.size() / 4 * 3)
-            grow(states);
+            grow();
+        return true;
     }
 
-    /** Start loading the home slot of hash @p h. */
+    /** Start loading the home slot of @p fp. */
     void
-    prefetch(std::uint64_t h) const
+    prefetch(std::uint64_t fp) const
     {
-        __builtin_prefetch(&slots_[h & (slots_.size() - 1)]);
+        __builtin_prefetch(&slots_[fp & (slots_.size() - 1)]);
     }
 
   private:
     static constexpr std::size_t initialSlots = 512;
-    static constexpr std::uint64_t tagMask = ~std::uint64_t{0} << 32;
+    static constexpr std::uint64_t zeroFp = 0x9E3779B97F4A7C15ull;
 
-    static std::uint64_t
-    entry(std::uint64_t h, std::uint32_t index)
+    /** The slot holding @p fp, else the empty slot where it belongs. */
+    static std::uint64_t &
+    probe(std::vector<std::uint64_t> &slots, std::uint64_t fp)
     {
-        return (h & tagMask) | (std::uint64_t{index} + 1);
+        const std::size_t mask = slots.size() - 1;
+        std::size_t i = fp & mask;
+        while (slots[i] != 0 && slots[i] != fp)
+            i = (i + 1) & mask;
+        return slots[i];
     }
 
     /**
-     * Double the table. Every reached state is in the arena, so the new
-     * table is rebuilt from it in index order (sequential reads) and the
-     * old one is freed first.
+     * Double the table by re-inserting the stored fingerprints; no state
+     * is rehashed. The old and the new table are both live meanwhile.
      */
     void
-    grow(ChunkedArena<State> &states)
+    grow()
     {
-        const std::size_t n = slots_.size() * 2;
-        slots_ = {};
-        slots_.assign(n, 0);
-        const std::size_t mask = n - 1;
-        for (std::uint32_t k = 0; k < states.size(); ++k) {
-            const std::uint64_t h = hashState(states[k]);
-            std::size_t i = h & mask;
-            while (slots_[i] != 0)
-                i = (i + 1) & mask;
-            slots_[i] = entry(h, k);
+        std::vector<std::uint64_t> bigger(slots_.size() * 2, 0);
+        for (std::uint64_t fp : slots_) {
+            if (fp != 0)
+                probe(bigger, fp) = fp;
         }
+        slots_.swap(bigger);
     }
 
     std::vector<std::uint64_t> slots_;
@@ -1009,20 +929,14 @@ checkModel(const CheckConfig &cfg)
     }
 
     CheckResult result;
-    // BFS over the arena: states are appended in discovery order, and
-    // arena[head..size) is the frontier.
-    ChunkedArena<State> states;
-    VisitedTable seen;
+    FingerprintSet seen;
+    seen.insert(hashState(init));
     /** Discovering state and action per state (recordTraces only). */
-    ChunkedArena<std::uint32_t> parents;
-    ChunkedArena<const char *> actions;
-
-    const std::uint64_t initHash = hashState(init);
-    std::uint64_t *initSlot = seen.find(init, initHash, states);
-    seen.claim(initSlot, initHash, states.push(init), states);
+    std::vector<std::uint32_t> parents;
+    std::vector<const char *> actions;
     if (cfg.recordTraces) {
-        parents.push(0);
-        actions.push(nullptr);
+        parents.push_back(0);
+        actions.push_back(nullptr);
     }
     checkInvariants(ctx, init, result.violations);
 
@@ -1046,14 +960,20 @@ checkModel(const CheckConfig &cfg)
     };
     std::vector<Successor> succ;
     succ.reserve(32);
-    for (std::uint32_t head = 0;
-         head < states.size() && !result.inconclusive; ++head) {
-        const State &s = states[head]; // chunks never move
-        ++result.statesExplored;
+    // The BFS queue holds full states only for the rest of the level
+    // being expanded and the part of the next level found so far.
+    // States leave it in discovery order, so the k-th state expanded is
+    // the one with discovery index k.
+    std::deque<State> queue{init};
+    std::uint32_t discovered = 1;
+    while (!queue.empty() && !result.inconclusive) {
+        const State &s = queue.front(); // push_back does not move it
+        const auto head =
+            static_cast<std::uint32_t>(result.statesExplored++);
 
         // Gather the successors and prefetch each one's home slot, then
-        // look them up in emission order: the cache misses overlap, and
-        // discovery order is the same as looking up at emission.
+        // insert them in emission order: the cache misses overlap, and
+        // discovery order is the same as inserting at emission.
         succ.clear();
         forEachSuccessor(ctx, s, [&](const State &ns, const char *action) {
             succ.push_back({ns, action, hashState(ns)});
@@ -1061,18 +981,17 @@ checkModel(const CheckConfig &cfg)
         });
         result.transitions += succ.size();
         for (const Successor &x : succ) {
-            std::uint64_t *slot = seen.find(x.state, x.hash, states);
-            if (*slot != 0)
+            if (!seen.insert(x.hash))
                 continue;
-            if (states.size() == cfg.maxStates) {
+            if (discovered == cfg.maxStates) {
                 result.inconclusive = true;
                 break;
             }
-            const std::uint32_t index = states.push(x.state);
-            seen.claim(slot, x.hash, index, states);
+            const std::uint32_t index = discovered++;
+            queue.push_back(x.state);
             if (cfg.recordTraces) {
-                parents.push(head);
-                actions.push(x.action);
+                parents.push_back(head);
+                actions.push_back(x.action);
             }
             if (result.violations.size() < violationCap) {
                 std::size_t before = result.violations.size();
@@ -1092,9 +1011,17 @@ checkModel(const CheckConfig &cfg)
                 result.violations.push_back(std::move(v));
             }
         }
+        queue.pop_front();
     }
 
     return result;
+}
+
+double
+fingerprintCollisionBound(std::size_t states)
+{
+    const double n = static_cast<double>(states);
+    return n * (n - 1) / 2 / 0x1p64;
 }
 
 } // namespace minos::check

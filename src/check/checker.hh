@@ -27,6 +27,12 @@
  *  4. Type checks: only the model's legal message kinds ever appear;
  *     record metadata and ACK-bookkeeping stay in range.
  *
+ * Like TLC, the search remembers each reached state only by a 64-bit
+ * fingerprint, and holds full states only for the rest of the BFS
+ * level being expanded and the next one. Two distinct states with one
+ * fingerprint would be merged; fingerprintCollisionBound() bounds the
+ * chance.
+ *
  * Deliberate protocol mutations (skip the ConsistencySpin, release the
  * RDLock early) are available to validate that the checker actually
  * catches bugs.
@@ -35,6 +41,7 @@
 #ifndef MINOS_CHECK_CHECKER_HH
 #define MINOS_CHECK_CHECKER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -71,15 +78,15 @@ struct CheckConfig
 
     /**
      * State budget. A run that reaches a new state with this many
-     * already stored stops and reports CheckResult::inconclusive.
+     * already discovered stops and reports CheckResult::inconclusive.
      */
     std::size_t maxStates = 4'000'000;
 
     /**
      * Record each state's predecessor index and action so violations
      * come with a counterexample action trace (TLC-style). Costs 12 B
-     * per state, on top of the 77 B state and its 11-21 B share of the
-     * visited table; off by default.
+     * per state, on top of the 11-21 B share of the fingerprint table
+     * and the full states of at most two BFS levels; off by default.
      */
     bool recordTraces = false;
 };
@@ -115,6 +122,13 @@ struct CheckResult
  * are stored (CheckResult::inconclusive), and check Table I.
  */
 CheckResult checkModel(const CheckConfig &cfg);
+
+/**
+ * TLC's bound on the chance that a run which reached @p states distinct
+ * fingerprints merged two distinct states: n(n-1)/2 pairs, each equal
+ * with probability 2^-64 under a uniform hash.
+ */
+double fingerprintCollisionBound(std::size_t states);
 
 } // namespace minos::check
 

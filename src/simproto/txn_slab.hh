@@ -284,11 +284,10 @@ class TxnSlab<T>::Store
     }
 
     /**
-     * Linear probing from the home slot, as in the checker's
-     * VisitedTable (DESIGN.md §5e): an entry is (hash << 32) |
-     * (slot + 1), 0 when empty, and the key in the slab is read only on
-     * a tag match. Returns the entry of @p key, or the empty slot where
-     * it belongs.
+     * Linear probing from the home slot (DESIGN.md §5f): an entry is
+     * (hash << 32) | (slot + 1), 0 when empty, and the key in the slab
+     * is read only on a hash match. Returns the entry of @p key, or the
+     * empty slot where it belongs.
      */
     std::size_t
     probe(const TxnKey &key, std::uint32_t h)

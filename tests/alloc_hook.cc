@@ -1,11 +1,28 @@
 #include "alloc_hook.hh"
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 
 namespace {
 
 std::uint64_t g_allocs = 0;
+std::int64_t g_liveBytes = 0;
+std::int64_t g_peakBytes = 0;
+
+/** Count a block from malloc (null passes through). */
+void *
+counted(void *p)
+{
+    ++g_allocs;
+    if (p) {
+        g_liveBytes += static_cast<std::int64_t>(malloc_usable_size(p));
+        g_peakBytes = std::max(g_peakBytes, g_liveBytes);
+    }
+    return p;
+}
 
 } // namespace
 
@@ -15,11 +32,28 @@ minos::test::allocCount()
     return g_allocs;
 }
 
+std::int64_t
+minos::test::liveBytes()
+{
+    return g_liveBytes;
+}
+
+std::int64_t
+minos::test::peakBytes()
+{
+    return g_peakBytes;
+}
+
+void
+minos::test::resetPeakBytes()
+{
+    g_peakBytes = g_liveBytes;
+}
+
 void *
 operator new(std::size_t n)
 {
-    ++g_allocs;
-    if (void *p = std::malloc(n))
+    if (void *p = counted(std::malloc(n)))
         return p;
     throw std::bad_alloc();
 }
@@ -36,8 +70,7 @@ operator new[](std::size_t n)
 void *
 operator new(std::size_t n, const std::nothrow_t &) noexcept
 {
-    ++g_allocs;
-    return std::malloc(n);
+    return counted(std::malloc(n));
 }
 
 void *
@@ -49,35 +82,37 @@ operator new[](std::size_t n, const std::nothrow_t &) noexcept
 void
 operator delete(void *p) noexcept
 {
+    if (p)
+        g_liveBytes -= static_cast<std::int64_t>(malloc_usable_size(p));
     std::free(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
 
 void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    ::operator delete(p);
 }
