@@ -1,8 +1,9 @@
 #include "flags.hh"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
-
-#include "logging.hh"
+#include <sstream>
 
 namespace minos {
 
@@ -74,31 +75,52 @@ Flags::getStrings(const std::string &name, char sep) const
 }
 
 std::int64_t
-Flags::getInt(const std::string &name, std::int64_t dflt) const
+Flags::getInt(const std::string &name, std::int64_t dflt, std::int64_t lo,
+              std::int64_t hi) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
-        return dflt;
-    char *end = nullptr;
-    std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        MINOS_FATAL("flag --", name, " expects an integer, got '",
-                    it->second, "'");
-    return v;
+    return has(name) ? parseInt(name, getString(name), lo, hi) : dflt;
 }
 
 double
-Flags::getDouble(const std::string &name, double dflt) const
+Flags::getDouble(const std::string &name, double dflt, double lo,
+                 double hi) const
 {
-    auto it = values_.find(name);
-    if (it == values_.end())
+    if (!has(name))
         return dflt;
+    const std::string text = getString(name);
     char *end = nullptr;
-    double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        MINOS_FATAL("flag --", name, " expects a number, got '",
-                    it->second, "'");
+    const double v = std::strtod(text.c_str(), &end);
+    // Written so that NaN fails the range test too.
+    if (text.empty() || *end != '\0' || !(v >= lo && v <= hi)) {
+        std::ostringstream msg;
+        msg << "--" << name << " expects a number in [" << lo << ", " << hi
+            << "], got '" << text << "'";
+        badFlag(msg.str());
+    }
     return v;
+}
+
+std::int64_t
+Flags::parseInt(const std::string &flag, const std::string &text,
+                std::int64_t lo, std::int64_t hi) const
+{
+    char *end = nullptr;
+    errno = 0;
+    const long long v = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno == ERANGE || v < lo ||
+        v > hi)
+        badFlag("--" + flag + " expects an integer in [" +
+                std::to_string(lo) + ", " + std::to_string(hi) +
+                "], got '" + text + "'");
+    return v;
+}
+
+void
+Flags::badFlag(const std::string &msg) const
+{
+    const std::string tool = program_.substr(program_.rfind('/') + 1);
+    std::fprintf(stderr, "%s: %s\n", tool.c_str(), msg.c_str());
+    std::exit(2);
 }
 
 bool

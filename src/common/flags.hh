@@ -4,13 +4,16 @@
  *
  * Supports `--name=value`, `--name value`, and bare boolean `--name`
  * switches, plus positional arguments. Unknown-flag detection lets
- * tools fail fast on typos.
+ * tools fail fast on typos, and the range-checked getters let them
+ * reject a bad value with exit status 2, the tools' "bad flag" status.
  */
 
 #ifndef MINOS_COMMON_FLAGS_HH
 #define MINOS_COMMON_FLAGS_HH
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,14 +46,30 @@ class Flags
                                         char sep = ',') const;
 
     /**
-     * Integer value, or @p dflt when absent. Malformed values are a
-     * fatal user error.
+     * Integer value in [@p lo, @p hi], or @p dflt when absent; any other
+     * value is a badFlag().
      */
-    std::int64_t getInt(const std::string &name,
-                        std::int64_t dflt = 0) const;
+    std::int64_t
+    getInt(const std::string &name, std::int64_t dflt = 0,
+           std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+           std::int64_t hi = std::numeric_limits<std::int64_t>::max()) const;
 
-    /** Double value, or @p dflt when absent. */
-    double getDouble(const std::string &name, double dflt = 0.0) const;
+    /**
+     * Number in [@p lo, @p hi], or @p dflt when absent; any other value
+     * is a badFlag().
+     */
+    double getDouble(const std::string &name, double dflt = 0.0,
+                     double lo = -HUGE_VAL, double hi = HUGE_VAL) const;
+
+    /**
+     * @p text, a piece of the value of --@p flag, as an integer in
+     * [@p lo, @p hi]; any other text is a badFlag().
+     */
+    std::int64_t parseInt(const std::string &flag, const std::string &text,
+                          std::int64_t lo, std::int64_t hi) const;
+
+    /** Print "<program>: @p msg" on stderr and exit 2. */
+    [[noreturn]] void badFlag(const std::string &msg) const;
 
     /**
      * Boolean: true when the flag appears with no value or with

@@ -17,12 +17,11 @@ using net::ScopeId;
 using recovery::CtrlMsg;
 using recovery::CtrlType;
 using recovery::nodeBit;
-using simproto::ackCType;
+using simproto::ackOf;
+using simproto::FollowerStep;
 using simproto::invType;
 using simproto::isScopeModel;
-using simproto::tracksPersistPerWrite;
 using simproto::txnKey;
-using simproto::usesSplitAcks;
 using simproto::valCType;
 
 using Clock = std::chrono::steady_clock;
@@ -34,6 +33,8 @@ using Clock = std::chrono::steady_clock;
 ThreadedNode::ThreadedNode(ThreadedCluster &cluster,
                            const ThreadedConfig &cfg, NodeId id)
     : cluster_(cluster), cfg_(cfg), id_(id),
+      appliedSteps_(simproto::appliedSchedule(cfg.model, false, false)),
+      obsoleteSteps_(simproto::obsoleteSchedule(cfg.model)),
       store_(std::max<std::size_t>(64, cfg.numRecords * 2)),
       nvm_(cfg.persistNsPerKb),
       live_((std::uint64_t{1} << cfg.numNodes) - 1)
@@ -136,6 +137,27 @@ ThreadedNode::spinPersistLatency(std::uint32_t bytes) const
 }
 
 void
+ThreadedNode::persist(Key key, Value value, const Timestamp &ts)
+{
+    spinPersistLatency(cfg_.recordBytes);
+    log_.append({key, value, ts});
+}
+
+void
+ThreadedNode::flushScope(ScopeId scope)
+{
+    for (;;) {
+        {
+            std::lock_guard<std::mutex> guard(scopeMutex_);
+            if (scopeUnpersisted_[scope] == 0)
+                break;
+        }
+        std::this_thread::yield();
+    }
+    spinPersistLatency(net::controlMsgBytes);
+}
+
+void
 ThreadedNode::handleObsoleteBlocking(AtomicRecord &rec,
                                      std::uint64_t observed_pack)
 {
@@ -206,6 +228,19 @@ ThreadedNode::respond(const Message &req, MsgType type)
     cluster_.fabric().send(net::makeResponse(req, type));
 }
 
+void
+ThreadedNode::sendVal(MsgType type, Key key, const Timestamp &ts,
+                      ScopeId scope)
+{
+    Message val;
+    val.type = type;
+    val.key = key;
+    val.tsWr = ts;
+    val.scope = scope;
+    val.sizeBytes = net::controlMsgBytes;
+    broadcastToLive(val);
+}
+
 // ---------------------------------------------------------------------
 // Coordinator bookkeeping
 // ---------------------------------------------------------------------
@@ -237,19 +272,16 @@ ThreadedNode::unregisterTxn(Key key, const Timestamp &ts)
     txns_.erase(txnKey(key, ts));
 }
 
-bool
-ThreadedNode::waitMask(const std::atomic<std::uint64_t> &mask,
-                       const char *what)
+template <typename Acked>
+void
+ThreadedNode::waitAcks(const char *what, Acked acked)
 {
     auto deadline = Clock::now() + cfg_.ackTimeout;
     for (;;) {
-        std::uint64_t required = followerMask();
-        if ((mask.load(std::memory_order_acquire) & required) ==
-            required)
-            return true;
+        std::uint64_t missing = followerMask() & ~acked();
+        if (!missing)
+            return;
         if (Clock::now() > deadline) {
-            std::uint64_t missing =
-                required & ~mask.load(std::memory_order_acquire);
             MINOS_WARN("node ", id_, ": timeout waiting ", what);
             for (int n = 0; n < cfg_.numNodes; ++n) {
                 if (missing & nodeBit(static_cast<NodeId>(n)))
@@ -262,8 +294,7 @@ ThreadedNode::waitMask(const std::atomic<std::uint64_t> &mask,
 }
 
 void
-ThreadedNode::maybeFinalizeRenf(Key key, const Timestamp &ts,
-                                const TxnPtr &txn)
+ThreadedNode::maybeFinalizeRenf(const TxnPtr &txn)
 {
     if (cfg_.model != PersistModel::REnf)
         return;
@@ -271,25 +302,17 @@ ThreadedNode::maybeFinalizeRenf(Key key, const Timestamp &ts,
     // stray: it must wait for every ACK_C too, not only the ACK_Ps, or an
     // ACK_C popped by another rpc thread after the last ACK_P is lost and
     // write() times out waiting for it.
-    std::uint64_t required = followerMask();
-    if ((txn->ackCMask.load(std::memory_order_acquire) & required) !=
-            required ||
-        (txn->ackPMask.load(std::memory_order_acquire) & required) !=
-            required ||
-        !txn->localPersistDone.load(std::memory_order_acquire))
+    std::uint64_t acked = txn->ackCMask.load(std::memory_order_acquire) &
+                          txn->ackPMask.load(std::memory_order_acquire);
+    if ((followerMask() & ~acked) ||
+        !txn->localPersistDone.load(std::memory_order_acquire) ||
+        txn->finalized.exchange(true, std::memory_order_acq_rel))
         return;
-    if (txn->finalized.exchange(true, std::memory_order_acq_rel))
-        return;
-    AtomicRecord &rec = store_.getOrCreate(key);
-    AtomicRecord::raiseTs(rec.glbDurableTs, ts);
-    releaseRdLockIfOwner(rec, ts);
-    Message val;
-    val.type = MsgType::VAL;
-    val.key = key;
-    val.tsWr = ts;
-    val.sizeBytes = net::controlMsgBytes;
-    broadcastToLive(val);
-    unregisterTxn(key, ts);
+    AtomicRecord &rec = store_.getOrCreate(txn->key);
+    AtomicRecord::raiseTs(rec.glbDurableTs, txn->ts);
+    releaseRdLockIfOwner(rec, txn->ts);
+    sendVal(MsgType::VAL, txn->key, txn->ts, /*scope=*/0);
+    unregisterTxn(txn->key, txn->ts);
 }
 
 // ---------------------------------------------------------------------
@@ -311,26 +334,10 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
         return res;
     }
 
-    // Lines 8-9: Snatch RDLock, grab WRLock.
+    // Lines 8-10: snatch RDLock, grab WRLock, final check under it.
     snatchRdLock(rec, ts);
     acquireWrLock(rec);
-
-    TxnPtr txn;
-    // Line 10: final check under the WRLock.
-    if (!obsolete(rec, ts)) {
-        txn = registerTxn(key, ts);
-        Message m;
-        m.type = invType(cfg_.model);
-        m.key = key;
-        m.tsWr = ts;
-        m.value = value;
-        m.scope = scope;
-        m.sizeBytes = cfg_.recordBytes + net::controlMsgBytes;
-        broadcastToLive(m);
-        rec.value.store(value, std::memory_order_release);
-        AtomicRecord::raiseTs(rec.volatileTs, ts);
-        releaseWrLock(rec);
-    } else {
+    if (obsolete(rec, ts)) {
         res.obsolete = true;
         std::uint64_t observed = rec.volatileTs.load();
         releaseWrLock(rec);
@@ -339,75 +346,55 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
         return res;
     }
 
-    // Line 18 / Fig. 3 step d: persist.
+    // Lines 11-13: INVs to the followers, LLC update, release WRLock.
+    TxnPtr txn = registerTxn(key, ts);
+    Message inv;
+    inv.type = invType(cfg_.model);
+    inv.key = key;
+    inv.tsWr = ts;
+    inv.value = value;
+    inv.scope = scope;
+    inv.sizeBytes = cfg_.recordBytes + net::controlMsgBytes;
+    broadcastToLive(inv);
+    rec.value.store(value, std::memory_order_release);
+    AtomicRecord::raiseTs(rec.volatileTs, ts);
+    releaseWrLock(rec);
+
+    // Line 18 / Fig. 3 step d: persist (critical path only for Synch
+    // and Strict; background otherwise).
     if (simproto::persistOnCriticalPath(cfg_.model)) {
-        spinPersistLatency(cfg_.recordBytes);
-        log_.append({key, value, ts});
+        persist(key, value, ts);
         txn->localPersistDone.store(true, std::memory_order_release);
     } else {
-        PersistJob job{key, value, ts, scope,
-                       cfg_.model == PersistModel::REnf};
-        enqueuePersist(std::move(job));
+        enqueuePersist(PersistJob{key, value, ts, scope,
+                                  cfg_.model == PersistModel::REnf});
     }
 
-    // Per-model gates and completion.
-    switch (cfg_.model) {
-      case PersistModel::Synch: {
-        waitMask(txn->ackMask, "ACKs");
-        AtomicRecord::raiseTs(rec.glbVolatileTs, ts);
+    // Line 19 / Fig. 3 step e: wait for the gating consistency ACKs,
+    // then the per-model completion (Fig. 2 lines 20-22, Fig. 3 f).
+    waitAcks("consistency ACKs", [&] {
+        return txn->ackCMask.load(std::memory_order_acquire);
+    });
+    AtomicRecord::raiseTs(rec.glbVolatileTs, ts);
+    if (cfg_.model == PersistModel::Synch)
         AtomicRecord::raiseTs(rec.glbDurableTs, ts);
-        releaseRdLockIfOwner(rec, ts);
-        Message val;
-        val.type = MsgType::VAL;
-        val.key = key;
-        val.tsWr = ts;
-        val.sizeBytes = net::controlMsgBytes;
-        broadcastToLive(val);
-        unregisterTxn(key, ts);
-        break;
-      }
-      case PersistModel::Strict: {
-        waitMask(txn->ackCMask, "ACK_Cs");
-        AtomicRecord::raiseTs(rec.glbVolatileTs, ts);
-        releaseRdLockIfOwner(rec, ts);
-        Message valc;
-        valc.type = MsgType::VAL_C;
-        valc.key = key;
-        valc.tsWr = ts;
-        valc.sizeBytes = net::controlMsgBytes;
-        broadcastToLive(valc);
-        waitMask(txn->ackPMask, "ACK_Ps");
-        AtomicRecord::raiseTs(rec.glbDurableTs, ts);
-        Message valp = valc;
-        valp.type = MsgType::VAL_P;
-        broadcastToLive(valp);
-        unregisterTxn(key, ts);
-        break;
-      }
-      case PersistModel::REnf: {
-        waitMask(txn->ackCMask, "ACK_Cs");
-        AtomicRecord::raiseTs(rec.glbVolatileTs, ts);
-        // RDLock stays held; the tail (VALs + unlock) runs when all
+    if (cfg_.model == PersistModel::REnf) {
+        // The RDLock stays held; the tail (VAL + unlock) runs when all
         // ACK_Ps and the local background persist are in.
-        maybeFinalizeRenf(key, ts, txn);
-        break;
-      }
-      case PersistModel::Event:
-      case PersistModel::Scope: {
-        waitMask(txn->ackCMask, "ACK_Cs");
-        AtomicRecord::raiseTs(rec.glbVolatileTs, ts);
-        releaseRdLockIfOwner(rec, ts);
-        Message val;
-        val.type = valCType(cfg_.model);
-        val.key = key;
-        val.tsWr = ts;
-        val.scope = scope;
-        val.sizeBytes = net::controlMsgBytes;
-        broadcastToLive(val);
-        unregisterTxn(key, ts);
-        break;
-      }
+        maybeFinalizeRenf(txn);
+        return res;
     }
+    releaseRdLockIfOwner(rec, ts);
+    sendVal(valCType(cfg_.model), key, ts, scope);
+    if (cfg_.model == PersistModel::Strict) {
+        // VAL_P strictly after VAL_C, once every ACK_P is in.
+        waitAcks("ACK_Ps", [&] {
+            return txn->ackPMask.load(std::memory_order_acquire);
+        });
+        AtomicRecord::raiseTs(rec.glbDurableTs, ts);
+        sendVal(MsgType::VAL_P, key, ts, scope);
+    }
+    unregisterTxn(key, ts);
     return res;
 }
 
@@ -435,44 +422,13 @@ ThreadedNode::persistScope(ScopeId scope)
     m.sizeBytes = net::controlMsgBytes;
     broadcastToLive(m);
 
-    // Complete all local persists in the scope, then the marker itself.
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> guard(scopeMutex_);
-            if (scopeUnpersisted_[scope] == 0)
-                break;
-        }
-        std::this_thread::yield();
-    }
-    spinPersistLatency(net::controlMsgBytes);
-
-    // Spin for all [ACK_P]sc with failure detection.
-    auto deadline = Clock::now() + cfg_.ackTimeout;
-    for (;;) {
-        std::uint64_t acked;
-        {
-            std::lock_guard<std::mutex> guard(scopeMutex_);
-            acked = scopeAckMask_[scope];
-        }
-        std::uint64_t required = followerMask();
-        if ((acked & required) == required)
-            break;
-        if (Clock::now() > deadline) {
-            std::uint64_t missing = required & ~acked;
-            for (int n = 0; n < cfg_.numNodes; ++n) {
-                if (missing & nodeBit(static_cast<NodeId>(n)))
-                    declareFailed(static_cast<NodeId>(n));
-            }
-            deadline = Clock::now() + cfg_.ackTimeout;
-        }
-        std::this_thread::yield();
-    }
-
-    Message val;
-    val.type = MsgType::VAL_P_SC;
-    val.scope = scope;
-    val.sizeBytes = net::controlMsgBytes;
-    broadcastToLive(val);
+    // Flush the local scope, gather every [ACK_P]sc, then [VAL_P]sc.
+    flushScope(scope);
+    waitAcks("[ACK_P]sc", [&] {
+        std::lock_guard<std::mutex> guard(scopeMutex_);
+        return scopeAckMask_[scope];
+    });
+    sendVal(MsgType::VAL_P_SC, 0, Timestamp::none(), scope);
     std::lock_guard<std::mutex> guard(scopeMutex_);
     scopeAckMask_.erase(scope);
 }
@@ -534,53 +490,48 @@ ThreadedNode::onInv(const Message &msg)
 {
     AtomicRecord &rec = store_.getOrCreate(msg.key);
 
-    // Lines 27-30: obsolete INV -> park the spin as a deferred
-    // continuation (the rpc loop must not block on it).
-    if (obsolete(rec, msg.tsWr)) {
+    // Lines 27-34: an INV already obsolete is cut at once; otherwise
+    // snatch the RDLock, grab the WRLock and re-check under it.
+    std::uint64_t observed = rec.volatileTs.load();
+    bool cut = observed > msg.tsWr.pack();
+    if (!cut) {
+        snatchRdLock(rec, msg.tsWr);
+        acquireWrLock(rec);
+        observed = rec.volatileTs.load();
+        cut = observed > msg.tsWr.pack();
+        if (!cut) {
+            // Lines 35-37: update the LLC copy.
+            rec.value.store(msg.value, std::memory_order_release);
+            AtomicRecord::raiseTs(rec.volatileTs, msg.tsWr);
+        }
+        releaseWrLock(rec);
+    }
+    if (cut) {
+        // Park the spins and ACKs as a continuation: the rpc loop must
+        // not block on them.
         obsoleteInvs_.fetch_add(1, std::memory_order_relaxed);
-        Deferred d{msg, rec.volatileTs.load(), 0, Clock::now()};
         std::lock_guard<std::mutex> guard(deferredMutex_);
-        deferred_.push_back(std::move(d));
+        deferred_.push_back(Deferred{msg, observed});
         return;
     }
 
-    // Lines 31-33.
-    snatchRdLock(rec, msg.tsWr);
-    acquireWrLock(rec);
-    if (!obsolete(rec, msg.tsWr)) {
-        rec.value.store(msg.value, std::memory_order_release);
-        AtomicRecord::raiseTs(rec.volatileTs, msg.tsWr);
-        releaseWrLock(rec);
-    } else {
-        obsoleteInvs_.fetch_add(1, std::memory_order_relaxed);
-        std::uint64_t observed = rec.volatileTs.load();
-        releaseWrLock(rec);
-        Deferred d{msg, observed, 0, Clock::now()};
-        std::lock_guard<std::mutex> guard(deferredMutex_);
-        deferred_.push_back(std::move(d));
-        return;
-    }
-
-    // Lines 39-40 / Fig. 3 follower deltas.
-    switch (cfg_.model) {
-      case PersistModel::Synch:
-        spinPersistLatency(cfg_.recordBytes);
-        log_.append({msg.key, msg.value, msg.tsWr});
-        respond(msg, MsgType::ACK);
-        break;
-      case PersistModel::Strict:
-      case PersistModel::REnf:
-        respond(msg, MsgType::ACK_C);
-        spinPersistLatency(cfg_.recordBytes);
-        log_.append({msg.key, msg.value, msg.tsWr});
-        respond(msg, MsgType::ACK_P);
-        break;
-      case PersistModel::Event:
-      case PersistModel::Scope:
-        respond(msg, ackCType(cfg_.model));
-        enqueuePersist(
-            PersistJob{msg.key, msg.value, msg.tsWr, msg.scope, false});
-        break;
+    // Lines 39-40 / Fig. 3 follower deltas: persist + acknowledge.
+    for (FollowerStep s : appliedSteps_) {
+        switch (s) {
+          case FollowerStep::AckC:
+          case FollowerStep::AckP:
+            respond(msg, ackOf(cfg_.model, s));
+            break;
+          case FollowerStep::Persist:
+            persist(msg.key, msg.value, msg.tsWr);
+            break;
+          case FollowerStep::PersistLater:
+            enqueuePersist(
+                PersistJob{msg.key, msg.value, msg.tsWr, msg.scope});
+            break;
+          default:
+            break;
+        }
     }
 }
 
@@ -595,65 +546,31 @@ ThreadedNode::onAck(const Message &msg)
     TxnPtr txn = findTxn(msg.key, msg.tsWr);
     if (!txn)
         return; // stray ACK for a finished transaction
-    std::uint64_t bit = nodeBit(msg.src);
-    switch (msg.type) {
-      case MsgType::ACK:
-        txn->ackMask.fetch_or(bit, std::memory_order_acq_rel);
-        break;
-      case MsgType::ACK_C:
-      case MsgType::ACK_C_SC:
-        txn->ackCMask.fetch_or(bit, std::memory_order_acq_rel);
-        maybeFinalizeRenf(msg.key, msg.tsWr, txn);
-        break;
-      case MsgType::ACK_P:
-        txn->ackPMask.fetch_or(bit, std::memory_order_acq_rel);
-        maybeFinalizeRenf(msg.key, msg.tsWr, txn);
-        break;
-      default:
-        break;
-    }
+    // ACK_P, or one of the consistency ACKs (ACK, ACK_C, ACK_C_SC).
+    auto &mask = msg.type == MsgType::ACK_P ? txn->ackPMask : txn->ackCMask;
+    mask.fetch_or(nodeBit(msg.src), std::memory_order_acq_rel);
+    maybeFinalizeRenf(txn);
 }
 
 void
 ThreadedNode::onVal(const Message &msg)
 {
     AtomicRecord &rec = store_.getOrCreate(msg.key);
-    switch (msg.type) {
-      case MsgType::VAL:
+    const simproto::ValEffect fx = simproto::valEffect(msg.type);
+    if (fx.raisesGlbVolatile)
         AtomicRecord::raiseTs(rec.glbVolatileTs, msg.tsWr);
+    if (fx.raisesGlbDurable)
         AtomicRecord::raiseTs(rec.glbDurableTs, msg.tsWr);
+    if (fx.releasesRdLock)
         releaseRdLockIfOwner(rec, msg.tsWr);
-        break;
-      case MsgType::VAL_C:
-      case MsgType::VAL_C_SC:
-        AtomicRecord::raiseTs(rec.glbVolatileTs, msg.tsWr);
-        releaseRdLockIfOwner(rec, msg.tsWr);
-        break;
-      case MsgType::VAL_P:
-        AtomicRecord::raiseTs(rec.glbDurableTs, msg.tsWr);
-        break;
-      case MsgType::VAL_P_SC:
-        break; // terminates the [PERSIST]sc at the follower
-      default:
-        break;
-    }
 }
 
 void
 ThreadedNode::onPersistSc(const Message &msg)
 {
-    // Complete persisting all WRs inside the scope (the persister thread
-    // drains them independently, so this bounded wait cannot deadlock),
-    // persist the marker, acknowledge.
-    for (;;) {
-        {
-            std::lock_guard<std::mutex> guard(scopeMutex_);
-            if (scopeUnpersisted_[msg.scope] == 0)
-                break;
-        }
-        std::this_thread::yield();
-    }
-    spinPersistLatency(net::controlMsgBytes);
+    // The persister thread drains the scope's writes independently, so
+    // this bounded wait cannot deadlock.
+    flushScope(msg.scope);
     respond(msg, MsgType::ACK_P_SC);
 }
 
@@ -683,33 +600,20 @@ bool
 ThreadedNode::advanceDeferred(Deferred &d)
 {
     AtomicRecord &rec = store_.getOrCreate(d.req.key);
-    const bool split = usesSplitAcks(cfg_.model);
-    const bool tracks = tracksPersistPerWrite(cfg_.model);
-
-    if (d.stage == 0) {
-        // ConsistencySpin condition.
-        if (rec.glbVolatileTs.load(std::memory_order_acquire) <
-            d.observedPack)
-            return false;
-        if (split) {
-            respond(d.req, ackCType(cfg_.model));
-            if (!tracks) {
-                // Event/Scope: done after the consistency ACK.
-                releaseRdLockIfOwner(rec, d.req.tsWr);
-                return true;
-            }
-            d.stage = 1;
-            return false;
+    for (; d.step < obsoleteSteps_.size; ++d.step) {
+        FollowerStep s = obsoleteSteps_.steps[d.step];
+        if (s == FollowerStep::AwaitGlbVolatile) {
+            if (rec.glbVolatileTs.load(std::memory_order_acquire) <
+                d.observedPack)
+                return false; // ConsistencySpin
+        } else if (s == FollowerStep::AwaitGlbDurable) {
+            if (rec.glbDurableTs.load(std::memory_order_acquire) <
+                d.observedPack)
+                return false; // PersistencySpin
+        } else {
+            respond(d.req, ackOf(cfg_.model, s));
         }
-        d.stage = 1; // Synch: also needs the PersistencySpin
-        return false;
     }
-
-    // PersistencySpin condition.
-    if (rec.glbDurableTs.load(std::memory_order_acquire) <
-        d.observedPack)
-        return false;
-    respond(d.req, split ? MsgType::ACK_P : MsgType::ACK);
     // We may be a stale RDLock owner (see §III-A discussion); release.
     releaseRdLockIfOwner(rec, d.req.tsWr);
     return true;
@@ -744,8 +648,7 @@ ThreadedNode::persisterLoop()
             continue;
         }
         for (auto &job : batch) {
-            spinPersistLatency(cfg_.recordBytes);
-            log_.append({job.key, job.value, job.ts});
+            persist(job.key, job.value, job.ts);
             if (isScopeModel(cfg_.model)) {
                 std::lock_guard<std::mutex> guard(scopeMutex_);
                 --scopeUnpersisted_[job.scope];
@@ -754,7 +657,7 @@ ThreadedNode::persisterLoop()
                 if (TxnPtr txn = findTxn(job.key, job.ts)) {
                     txn->localPersistDone.store(
                         true, std::memory_order_release);
-                    maybeFinalizeRenf(job.key, job.ts, txn);
+                    maybeFinalizeRenf(txn);
                 }
             }
         }
@@ -781,7 +684,7 @@ ThreadedNode::onCtrl(const CtrlMsg &msg)
                     snapshot.push_back(txn);
             }
             for (auto &txn : snapshot)
-                maybeFinalizeRenf(txn->key, txn->ts, txn);
+                maybeFinalizeRenf(txn);
         }
         break;
       }

@@ -15,6 +15,11 @@
  *  - One persister thread per node emulates the NVM write latency and
  *    retires background persists (Event/Scope and the REnf coordinator).
  *
+ * The per-model decisions — a follower's steps for an applied and for
+ * an obsolete INV, the ACK each step sends, what each VAL raises — are
+ * the shared tables of simproto/models.hh, the ones the simulated
+ * engines walk too; this file keeps only the threaded mechanisms.
+ *
  * Failure detection and recovery (§III-E): ACK waits carry a timeout;
  * non-responders are declared failed (Ctrl Fail) and writes complete
  * against the shrunken live set. A rejoining node asks the designated
@@ -114,7 +119,7 @@ class ThreadedNode
     {
         kv::Key key = 0;
         kv::Timestamp ts = kv::Timestamp::none();
-        std::atomic<std::uint64_t> ackMask{0};
+        /** Consistency ACKs in (the combined ACK for Synch). */
         std::atomic<std::uint64_t> ackCMask{0};
         std::atomic<std::uint64_t> ackPMask{0};
         std::atomic<bool> localPersistDone{false};
@@ -128,8 +133,8 @@ class ThreadedNode
     {
         net::Message req;
         std::uint64_t observedPack;
-        int stage = 0;
-        std::chrono::steady_clock::time_point t0;
+        /** Next step of obsoleteSteps_ to run. */
+        std::uint8_t step = 0;
     };
 
     /** Background persist work item. */
@@ -152,6 +157,11 @@ class ThreadedNode
     void acquireWrLock(kv::AtomicRecord &rec);
     void releaseWrLock(kv::AtomicRecord &rec);
     void spinPersistLatency(std::uint32_t bytes) const;
+    /** Make one update durable: the NVM latency, then the log. */
+    void persist(kv::Key key, kv::Value value, const kv::Timestamp &ts);
+    /** Complete every local persist of @p scope, then persist the
+     *  [PERSIST]sc marker itself. */
+    void flushScope(net::ScopeId scope);
     void handleObsoleteBlocking(kv::AtomicRecord &rec,
                                 std::uint64_t observed_pack);
 
@@ -163,15 +173,19 @@ class ThreadedNode
     // ---- messaging ----
     void broadcastToLive(net::Message tmpl);
     void respond(const net::Message &req, net::MsgType type);
+    /** Send a VAL of @p type to every live follower. */
+    void sendVal(net::MsgType type, kv::Key key, const kv::Timestamp &ts,
+                 net::ScopeId scope);
 
     // ---- coordinator bookkeeping ----
     TxnPtr registerTxn(kv::Key key, const kv::Timestamp &ts);
     TxnPtr findTxn(kv::Key key, const kv::Timestamp &ts);
     void unregisterTxn(kv::Key key, const kv::Timestamp &ts);
-    bool waitMask(const std::atomic<std::uint64_t> &mask,
-                  const char *what);
-    void maybeFinalizeRenf(kv::Key key, const kv::Timestamp &ts,
-                           const TxnPtr &txn);
+    /** Wait until @p acked() covers every live follower, declaring
+     *  the missing ones failed at each ACK timeout. */
+    template <typename Acked>
+    void waitAcks(const char *what, Acked acked);
+    void maybeFinalizeRenf(const TxnPtr &txn);
 
     // ---- rpc loop ----
     void rpcLoop();
@@ -190,6 +204,9 @@ class ThreadedNode
     ThreadedCluster &cluster_;
     const ThreadedConfig cfg_;
     kv::NodeId id_;
+    /** Follower steps after applying an INV / for an obsolete INV. */
+    const simproto::FollowerSchedule appliedSteps_;
+    const simproto::FollowerSchedule obsoleteSteps_;
 
     kv::HashTable store_;
     nvm::DurableLog log_;

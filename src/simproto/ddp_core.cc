@@ -7,78 +7,14 @@ using kv::Record;
 using kv::Timestamp;
 using net::Message;
 using net::MsgType;
-using S = FollowerStep;
-
-namespace {
-
-/** Fig. 2 lines 39-40 and the Fig. 3 follower deltas, with the
- *  follower-side mutation hooks applied. */
-FollowerSchedule
-appliedSchedule(PersistModel m, const ClusterConfig::MutationHooks &mut)
-{
-    FollowerSchedule s;
-    // The durable acknowledgement follows the persist; the
-    // ackBeforePersist mutation acknowledges durability before it
-    // exists.
-    auto durable = [&](S ack) {
-        s.push(mut.ackBeforePersist ? ack : S::Persist);
-        s.push(mut.ackBeforePersist ? S::Persist : ack);
-    };
-    switch (m) {
-      case PersistModel::Synch:
-        // Persist in the critical path, then the single combined ACK.
-        durable(S::AckC);
-        if (mut.duplicateAck)
-            s.push(S::AckC);
-        break;
-      case PersistModel::Strict:
-      case PersistModel::REnf:
-        // ACK_C right after the LLC update; ACK_P after the persist.
-        s.push(S::AckC);
-        if (mut.duplicateAck)
-            s.push(S::AckC);
-        durable(S::AckP);
-        break;
-      case PersistModel::Event:
-      case PersistModel::Scope:
-        // ACK_C after the LLC update; persist in the background.
-        s.push(S::AckC);
-        if (mut.duplicateAck)
-            s.push(S::AckC);
-        s.push(S::PersistLater);
-        break;
-    }
-    return s;
-}
-
-/** Fig. 2 lines 27-30 and Fig. 3(ii)/(iv)/(vi)/(viii): the spins and
- *  ACKs of an obsolete INV. The VAL received later is discarded. */
-FollowerSchedule
-obsoleteSchedule(PersistModel m)
-{
-    FollowerSchedule s;
-    s.push(S::AwaitGlbVolatile);
-    if (!usesSplitAcks(m)) {
-        // handleObsolete(), then the combined ACK.
-        s.push(S::AwaitGlbDurable);
-        s.push(S::AckC);
-        return s;
-    }
-    s.push(S::AckC);
-    if (tracksPersistPerWrite(m)) {
-        s.push(S::AwaitGlbDurable);
-        s.push(S::AckP);
-    }
-    return s;
-}
-
-} // namespace
 
 DdpCore::DdpCore(sim::Simulator &sim, const ClusterConfig &cfg,
                  PersistModel model, kv::NodeId id)
     : sim_(sim), cfg_(cfg), model_(model), id_(id),
       store_(cfg.numRecords), hostCores_(sim, cfg.hostCores),
-      progress_(sim), appliedSteps_(appliedSchedule(model, cfg.mutations)),
+      progress_(sim),
+      appliedSteps_(appliedSchedule(model, cfg.mutations.ackBeforePersist,
+                                    cfg.mutations.duplicateAck)),
       obsoleteSteps_(obsoleteSchedule(model))
 {
 }

@@ -10,7 +10,8 @@
  * the per-scope unpersisted counts and the per-record TS_WR guard — and
  * defines each primitive over it once: RDLock snatch/release, the glb
  * raises, TS_WR generation, handleObsolete, the local client read, the
- * follower's per-model ACK schedules and the coordinator's ACK tally.
+ * walk of the follower's obsolete-INV steps and the coordinator's ACK
+ * tally. The per-model step tables themselves live in models.hh.
  * The engines keep only what really differs: MINOS-B its WRLock, host
  * persist and coordinator tails; MINOS-O its SNIC engine, vFIFO/dFIFO,
  * PCIe host ACK mirror and coordinator tails.
@@ -23,7 +24,6 @@
 #define MINOS_SIMPROTO_DDP_CORE_HH
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <unordered_map>
 
@@ -92,28 +92,6 @@ struct WriteTxn : AckTally
                       static_cast<double>(handleNsSum) / handleCnt;
         return std::clamp(comm, 0.0, static_cast<double>(latency));
     }
-};
-
-/** One step of a follower's answer to an INV (Figs. 2-3). */
-enum class FollowerStep : std::uint8_t
-{
-    AwaitGlbVolatile, ///< ConsistencySpin on the newer write
-    AwaitGlbDurable,  ///< PersistencySpin on the newer write
-    AckC,         ///< the model's consistency ACK (combined for Synch)
-    AckP,         ///< ACK_P
-    Persist,      ///< make the update durable, awaited
-    PersistLater, ///< make the update durable in the background
-};
-
-/** A follower's steps for one INV, in order. */
-struct FollowerSchedule
-{
-    std::array<FollowerStep, 4> steps{};
-    std::uint8_t size = 0;
-
-    void push(FollowerStep s) { steps[size++] = s; }
-    const FollowerStep *begin() const { return steps.data(); }
-    const FollowerStep *end() const { return steps.data() + size; }
 };
 
 /** Replica state and Table I primitives of one simulated node. */
@@ -234,16 +212,15 @@ class DdpCore
     }
     /** @} */
 
-    /** Raise the glb fields a VAL of @p val's flavor validates: VAL
-     *  both, VAL_C/VAL_C_SC glb_volatileTS, VAL_P glb_durableTS. */
+    /** Raise the glb fields a VAL of @p val's flavor validates
+     *  (valEffect). */
     void
     raiseGlbForVal(kv::Record &rec, const net::Message &val)
     {
-        using net::MsgType;
-        if (val.type == MsgType::VAL || val.type == MsgType::VAL_C ||
-            val.type == MsgType::VAL_C_SC)
+        const ValEffect fx = valEffect(val.type);
+        if (fx.raisesGlbVolatile)
             raiseGlbVolatile(rec, val.key, val.tsWr);
-        if (val.type == MsgType::VAL || val.type == MsgType::VAL_P)
+        if (fx.raisesGlbDurable)
             raiseGlbDurable(rec, val.key, val.tsWr);
     }
 
@@ -296,14 +273,6 @@ class DdpCore
     {
         return check::persistencyAcksComplete(model_, t.acks, t.acksP,
                                               persistNeeded());
-    }
-
-    /** The ACK type a follower step sends. */
-    net::MsgType
-    ackOf(FollowerStep s) const
-    {
-        return s == FollowerStep::AckP ? net::MsgType::ACK_P
-                                       : ackCType(model_);
     }
 
     /** @{ Build a message this node sends. Every send is counted here,
@@ -366,7 +335,7 @@ class DdpCore
                 co_await progress_.until(
                     [&] { return rec.glbDurableTs >= observed; });
             else
-                co_await respond(ackOf(s), sim_.now() - t_handle0);
+                co_await respond(ackOf(model_, s), sim_.now() - t_handle0);
         }
     }
 

@@ -3,12 +3,14 @@
  * The DDP model taxonomy: Linearizable consistency combined with one of
  * five persistency models (paper §II-A).
  *
- * The helpers encode the per-model protocol differences of Fig. 3:
+ * The helpers encode the per-model protocol decisions of Figs. 2-3:
  * which ACK/VAL message types are exchanged, whether the NVM persist is
- * on the write critical path, and whether obsolete-write handling
- * requires the PersistencySpin. Every engine (MINOS-B, MINOS-O and the
- * threaded runtime) takes its message flavors and its write identity
- * from here.
+ * on the write critical path, whether obsolete-write handling requires
+ * the PersistencySpin, a follower's steps for an applied and for an
+ * obsolete INV, and which glb fields a VAL raises. Every engine
+ * (MINOS-B, MINOS-O and the threaded runtime) takes these decisions,
+ * its message flavors and its write identity from here, and keeps only
+ * the mechanisms that carry them out.
  */
 
 #ifndef MINOS_SIMPROTO_MODELS_HH
@@ -149,6 +151,123 @@ valCType(PersistModel m)
         return net::MsgType::VAL_C_SC;
     }
     return net::MsgType::VAL;
+}
+
+/** One step of a follower's answer to an INV (Figs. 2-3). */
+enum class FollowerStep : std::uint8_t
+{
+    AwaitGlbVolatile, ///< ConsistencySpin on the newer write
+    AwaitGlbDurable,  ///< PersistencySpin on the newer write
+    AckC,         ///< the model's consistency ACK (combined for Synch)
+    AckP,         ///< ACK_P
+    Persist,      ///< make the update durable, awaited
+    PersistLater, ///< make the update durable in the background
+};
+
+/** A follower's steps for one INV, in order. */
+struct FollowerSchedule
+{
+    std::array<FollowerStep, 4> steps{};
+    std::uint8_t size = 0;
+
+    constexpr void push(FollowerStep s) { steps[size++] = s; }
+    constexpr const FollowerStep *begin() const { return steps.data(); }
+    constexpr const FollowerStep *end() const { return steps.data() + size; }
+};
+
+/** The ACK type a follower step sends under model @p m. */
+constexpr net::MsgType
+ackOf(PersistModel m, FollowerStep s)
+{
+    return s == FollowerStep::AckP ? net::MsgType::ACK_P : ackCType(m);
+}
+
+/**
+ * Fig. 2 lines 39-40 and the Fig. 3 follower deltas: the steps after an
+ * INV is applied. The two test mutations move them: @p ackBeforePersist
+ * acknowledges durability before it exists, @p duplicateAck sends the
+ * consistency ACK twice.
+ */
+constexpr FollowerSchedule
+appliedSchedule(PersistModel m, bool ackBeforePersist, bool duplicateAck)
+{
+    using S = FollowerStep;
+    FollowerSchedule s;
+    // The durable acknowledgement follows the persist.
+    auto durable = [&](S ack) {
+        s.push(ackBeforePersist ? ack : S::Persist);
+        s.push(ackBeforePersist ? S::Persist : ack);
+    };
+    switch (m) {
+      case PersistModel::Synch:
+        // Persist in the critical path, then the single combined ACK.
+        durable(S::AckC);
+        if (duplicateAck)
+            s.push(S::AckC);
+        break;
+      case PersistModel::Strict:
+      case PersistModel::REnf:
+        // ACK_C right after the LLC update; ACK_P after the persist.
+        s.push(S::AckC);
+        if (duplicateAck)
+            s.push(S::AckC);
+        durable(S::AckP);
+        break;
+      case PersistModel::Event:
+      case PersistModel::Scope:
+        // ACK_C after the LLC update; persist in the background.
+        s.push(S::AckC);
+        if (duplicateAck)
+            s.push(S::AckC);
+        s.push(S::PersistLater);
+        break;
+    }
+    return s;
+}
+
+/** Fig. 2 lines 27-30 and Fig. 3(ii)/(iv)/(vi)/(viii): the spins and
+ *  ACKs of an obsolete INV. The VAL received later is discarded. */
+constexpr FollowerSchedule
+obsoleteSchedule(PersistModel m)
+{
+    using S = FollowerStep;
+    FollowerSchedule s;
+    s.push(S::AwaitGlbVolatile);
+    if (!usesSplitAcks(m)) {
+        // handleObsolete(), then the combined ACK.
+        s.push(S::AwaitGlbDurable);
+        s.push(S::AckC);
+        return s;
+    }
+    s.push(S::AckC);
+    if (tracksPersistPerWrite(m)) {
+        s.push(S::AwaitGlbDurable);
+        s.push(S::AckP);
+    }
+    return s;
+}
+
+/** What a follower does with a VAL of one flavor. */
+struct ValEffect
+{
+    bool raisesGlbVolatile = false;
+    bool raisesGlbDurable = false;
+    bool releasesRdLock = false; ///< the write is validated
+};
+
+/** VAL raises both glb fields, VAL_C/VAL_C_SC glb_volatileTS and
+ *  VAL_P glb_durableTS; VAL and the VAL_C flavors free the RDLock.
+ *  VAL_P_SC only terminates the [PERSIST]sc at the follower. */
+constexpr ValEffect
+valEffect(net::MsgType type)
+{
+    switch (type) {
+      case net::MsgType::VAL: return {true, true, true};
+      case net::MsgType::VAL_C:
+      case net::MsgType::VAL_C_SC: return {true, false, true};
+      case net::MsgType::VAL_P: return {false, true, false};
+      default: return {};
+    }
 }
 
 /**

@@ -404,7 +404,8 @@ NodeB::onInv(Message msg, Tick t_handle0)
         switch (s) {
           case FollowerStep::AckC:
           case FollowerStep::AckP:
-            co_await sendResponse(msg, ackOf(s), sim_.now() - t_handle0);
+            co_await sendResponse(msg, ackOf(model_, s),
+                                  sim_.now() - t_handle0);
             break;
           case FollowerStep::Persist:
             co_await persistToNvm(msg.key, msg.value, msg.tsWr);
@@ -458,9 +459,7 @@ NodeB::onVal(Message msg)
     co_await hostCores_.compute(cfg_.bookkeepNs);
     Record &rec = store_.at(msg.key);
     raiseGlbForVal(rec, msg);
-    // VAL (Synch, REnf) and the VAL_C flavors validate the write and free
-    // its RDLock; VAL_P_SC terminates the [PERSIST]sc at the follower.
-    if (msg.type != MsgType::VAL_P && msg.type != MsgType::VAL_P_SC)
+    if (valEffect(msg.type).releasesRdLock)
         releaseRdLockIfOwner(rec, msg.key, msg.tsWr);
 }
 

@@ -15,6 +15,7 @@ using net::Message;
 using net::MsgType;
 using net::ScopeId;
 using simproto::AckTally;
+using simproto::ackOf;
 using simproto::FollowerStep;
 using simproto::isScopeModel;
 using simproto::tracksPersistPerWrite;
@@ -492,7 +493,7 @@ NodeO::snicOnFollowerInv(Message msg, Tick t_handle0)
         switch (s) {
           case FollowerStep::AckC:
           case FollowerStep::AckP:
-            sendAck(msg, ackOf(s), sim_.now() - t_handle0);
+            sendAck(msg, ackOf(model_, s), sim_.now() - t_handle0);
             break;
           case FollowerStep::Persist:
             co_await dfifo_.enqueue(msg.key, msg.value, msg.tsWr,

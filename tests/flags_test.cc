@@ -127,3 +127,50 @@ TEST(Flags, EmptyCommandLine)
     EXPECT_TRUE(f.positional().empty());
     EXPECT_EQ(f.getInt("anything", 9), 9);
 }
+
+TEST(Flags, RangeCheckedValuesInRange)
+{
+    auto f = make({"prog", "--nodes=64", "--frac=0.25", "--lo=-3"});
+    EXPECT_EQ(f.getInt("nodes", 5, 2, 64), 64);
+    EXPECT_EQ(f.getInt("lo", 0, -3, 3), -3);
+    EXPECT_EQ(f.getInt("records", 9, 1, 10), 9); // absent: the default
+    EXPECT_DOUBLE_EQ(f.getDouble("frac", 0.5, 0, 1), 0.25);
+    EXPECT_DOUBLE_EQ(f.getDouble("missing", 0.5, 0, 1), 0.5);
+    EXPECT_EQ(f.parseInt("writers", "2", 0, 2), 2);
+}
+
+TEST(FlagsDeathTest, BadIntegerValueExitsTwo)
+{
+    const auto bad = ::testing::ExitedWithCode(2);
+    for (const char *arg : {"--nodes=1", "--nodes=65", "--nodes=x",
+                            "--nodes=3x", "--nodes=",
+                            "--nodes=99999999999999999999"}) {
+        auto f = make({"/opt/tools/prog", arg});
+        EXPECT_EXIT(f.getInt("nodes", 5, 2, 64), bad,
+                    "^prog: --nodes expects an integer in \\[2, 64\\]")
+            << arg;
+    }
+    auto f = make({"prog"});
+    EXPECT_EXIT(f.parseInt("writers", "0,x", 0, 2), bad,
+                "--writers expects an integer in \\[0, 2\\], got '0,x'");
+}
+
+TEST(FlagsDeathTest, BadNumberValueExitsTwo)
+{
+    const auto bad = ::testing::ExitedWithCode(2);
+    for (const char *arg : {"--frac=2", "--frac=-1", "--frac=nan",
+                            "--frac=abc", "--frac=0.5x", "--frac="}) {
+        auto f = make({"prog", arg});
+        EXPECT_EXIT(f.getDouble("frac", 0.5, 0, 1), bad,
+                    "^prog: --frac expects a number in \\[0, 1\\]")
+            << arg;
+    }
+}
+
+TEST(FlagsDeathTest, BadFlagNamesTheProgram)
+{
+    auto f = make({"./build/tools/minos-sim"});
+    EXPECT_EXIT(f.badFlag("unknown --model 'foo'"),
+                ::testing::ExitedWithCode(2),
+                "^minos-sim: unknown --model 'foo'");
+}

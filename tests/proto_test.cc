@@ -197,6 +197,41 @@ TEST_P(TModelTest, ConcurrentSameKeyWritersProduceUniqueTimestamps)
               static_cast<std::size_t>(threads * per_thread));
 }
 
+TEST_P(TModelTest, StaleInvIsCutAsObsolete)
+{
+    ThreadedCluster cluster(smallConfig(GetParam()));
+    const Key key = 11;
+    cluster.node(0).write(key, 1);
+    WriteResult w = cluster.node(0).write(key, 2);
+    ASSERT_FALSE(w.obsolete);
+    // Node 2 has validated the write: its VAL raised glb_volatileTS and
+    // freed the RDLock.
+    ASSERT_TRUE(eventually([&] {
+        const auto *rec = cluster.node(2).record(key);
+        return rec && rec->loadGlbVolatileTs() >= w.ts &&
+               rec->loadRdLockOwner().isNone();
+    }));
+    ASSERT_EQ(cluster.node(2).obsoleteInvs(), 0u);
+
+    // An INV older than the validated write, as from a slow coordinator
+    // on node 1; its ACKs reach node 1 as strays.
+    net::Message inv;
+    inv.type = simproto::invType(GetParam());
+    inv.src = 1;
+    inv.dst = 2;
+    inv.key = key;
+    inv.tsWr = Timestamp{w.ts.version - 1, 1};
+    inv.value = 999;
+    cluster.fabric().send(inv);
+
+    EXPECT_TRUE(
+        eventually([&] { return cluster.node(2).obsoleteInvs() == 1; }));
+    expectReplicated(cluster, key, 2, w.ts);
+    EXPECT_TRUE(eventually([&] {
+        return cluster.node(2).record(key)->loadRdLockOwner().isNone();
+    }));
+}
+
 TEST(ThreadedScope, PersistScopeMakesScopeDurable)
 {
     ThreadedCluster cluster(smallConfig(PersistModel::Scope));

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "simproto/cluster_b.hh"
 #include "simproto/driver.hh"
@@ -476,4 +477,90 @@ TEST_P(ModelTest, SeededRunsAreDeterministic)
     EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
     EXPECT_EQ(a.completionTick, b.completionTick);
     EXPECT_TRUE(a == b);
+}
+
+// ---------------------------------------------------------------------
+// The per-model follower tables every engine walks (models.hh)
+// ---------------------------------------------------------------------
+
+namespace {
+
+using Steps = std::vector<FollowerStep>;
+
+Steps
+stepsOf(const FollowerSchedule &s)
+{
+    return Steps(s.begin(), s.end());
+}
+
+} // namespace
+
+// The tables are constexpr: an engine may build them at compile time.
+static_assert(appliedSchedule(PersistModel::Synch, false, false).size == 2);
+
+TEST(FollowerTables, PinStepsAcksAndValEffects)
+{
+    using S = FollowerStep;
+    using T = net::MsgType;
+    struct Row
+    {
+        PersistModel model;
+        Steps applied;
+        Steps ackBeforePersist; ///< the durable ACK swapped ahead
+        Steps duplicateAck;     ///< one more consistency ACK
+        Steps obsolete;
+        T ackC; ///< what an AckC step sends
+    };
+    const Steps split = {S::AwaitGlbVolatile, S::AckC, S::AwaitGlbDurable,
+                         S::AckP};
+    const Row rows[] = {
+        {PersistModel::Synch, {S::Persist, S::AckC}, {S::AckC, S::Persist},
+         {S::Persist, S::AckC, S::AckC},
+         {S::AwaitGlbVolatile, S::AwaitGlbDurable, S::AckC}, T::ACK},
+        {PersistModel::Strict, {S::AckC, S::Persist, S::AckP},
+         {S::AckC, S::AckP, S::Persist},
+         {S::AckC, S::AckC, S::Persist, S::AckP}, split, T::ACK_C},
+        {PersistModel::REnf, {S::AckC, S::Persist, S::AckP},
+         {S::AckC, S::AckP, S::Persist},
+         {S::AckC, S::AckC, S::Persist, S::AckP}, split, T::ACK_C},
+        {PersistModel::Event, {S::AckC, S::PersistLater},
+         {S::AckC, S::PersistLater}, {S::AckC, S::AckC, S::PersistLater},
+         {S::AwaitGlbVolatile, S::AckC}, T::ACK_C},
+        {PersistModel::Scope, {S::AckC, S::PersistLater},
+         {S::AckC, S::PersistLater}, {S::AckC, S::AckC, S::PersistLater},
+         {S::AwaitGlbVolatile, S::AckC}, T::ACK_C_SC},
+    };
+    ASSERT_EQ(std::size(rows), allModels.size());
+    for (const Row &r : rows) {
+        SCOPED_TRACE(std::string(shortModelName(r.model)));
+        EXPECT_EQ(stepsOf(appliedSchedule(r.model, false, false)),
+                  r.applied);
+        EXPECT_EQ(stepsOf(appliedSchedule(r.model, true, false)),
+                  r.ackBeforePersist);
+        EXPECT_EQ(stepsOf(appliedSchedule(r.model, false, true)),
+                  r.duplicateAck);
+        EXPECT_EQ(stepsOf(obsoleteSchedule(r.model)), r.obsolete);
+        EXPECT_EQ(ackOf(r.model, S::AckC), r.ackC);
+        EXPECT_EQ(ackOf(r.model, S::AckP), T::ACK_P);
+    }
+
+    struct ValRow
+    {
+        T type;
+        bool glbVolatile, glbDurable, releasesRdLock;
+    };
+    const ValRow vals[] = {
+        {T::VAL, true, true, true},
+        {T::VAL_C, true, false, true},
+        {T::VAL_C_SC, true, false, true},
+        {T::VAL_P, false, true, false},
+        {T::VAL_P_SC, false, false, false},
+    };
+    for (const ValRow &v : vals) {
+        SCOPED_TRACE(net::msgTypeName(v.type));
+        const ValEffect fx = valEffect(v.type);
+        EXPECT_EQ(fx.raisesGlbVolatile, v.glbVolatile);
+        EXPECT_EQ(fx.raisesGlbDurable, v.glbDurable);
+        EXPECT_EQ(fx.releasesRdLock, v.releasesRdLock);
+    }
 }

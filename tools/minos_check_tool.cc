@@ -15,9 +15,7 @@
  */
 
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "check/checker.hh"
@@ -28,32 +26,8 @@ using namespace minos::check;
 
 namespace {
 
-/** Report a bad flag value and exit 2. */
-[[noreturn]] void
-badFlag(const std::string &msg)
-{
-    std::fprintf(stderr, "minos-check: %s\n", msg.c_str());
-    std::exit(2);
-}
-
-/** @p text as an integer in [lo, hi]; any other text is a bad flag. */
-long long
-parseInt(const std::string &flag, const std::string &text, long long lo,
-         long long hi)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    if (text.empty() || *end != '\0' || errno == ERANGE || v < lo ||
-        v > hi)
-        badFlag("--" + flag + " expects an integer in [" +
-                std::to_string(lo) + ", " + std::to_string(hi) +
-                "], got '" + text + "'");
-    return v;
-}
-
 PersistModel
-parseModel(const std::string &name)
+parseModel(const Flags &flags, const std::string &name)
 {
     for (PersistModel m : simproto::allModels) {
         std::string s(simproto::shortModelName(m));
@@ -62,25 +36,25 @@ parseModel(const std::string &name)
         if (s == name)
             return m;
     }
-    badFlag("unknown --model '" + name + "'");
+    flags.badFlag("unknown --model '" + name + "'");
 }
 
 /** Comma-separated coordinator ids, each a node in [0, nodes). */
 std::vector<int>
-parseWriters(const std::string &spec, int nodes)
+parseWriters(const Flags &flags, const std::string &spec, int nodes)
 {
     std::vector<int> writers;
     for (std::size_t start = 0;;) {
         const std::size_t comma = spec.find(',', start);
-        writers.push_back(static_cast<int>(parseInt(
+        writers.push_back(static_cast<int>(flags.parseInt(
             "writers", spec.substr(start, comma - start), 0, nodes - 1)));
         if (comma == std::string::npos)
             break;
         start = comma + 1;
     }
     if (writers.size() > static_cast<std::size_t>(maxWrites))
-        badFlag("--writers takes at most " + std::to_string(maxWrites) +
-                " writes");
+        flags.badFlag("--writers takes at most " +
+                      std::to_string(maxWrites) + " writes");
     return writers;
 }
 
@@ -104,15 +78,15 @@ main(int argc, char **argv)
     }
 
     CheckConfig cfg;
-    cfg.model = parseModel(flags.getString("model", "synch"));
-    cfg.numNodes = static_cast<int>(
-        parseInt("nodes", flags.getString("nodes", "3"), 2, maxNodes));
-    cfg.writers =
-        parseWriters(flags.getString("writers", "0,1"), cfg.numNodes);
+    cfg.model = parseModel(flags, flags.getString("model", "synch"));
+    cfg.numNodes =
+        static_cast<int>(flags.getInt("nodes", 3, 2, maxNodes));
+    cfg.writers = parseWriters(flags, flags.getString("writers", "0,1"),
+                               cfg.numNodes);
     cfg.scopePersist = !flags.getBool("no-scope-persist");
     cfg.maxStates = static_cast<std::size_t>(
-        parseInt("max-states", flags.getString("max-states", "4000000"),
-                 1, std::numeric_limits<std::uint32_t>::max() - 1LL));
+        flags.getInt("max-states", 4000000, 1,
+                     std::numeric_limits<std::uint32_t>::max() - 1LL));
 
     const std::string bug = flags.getString("bug", "");
     if (bug == "release-early")
@@ -122,7 +96,7 @@ main(int argc, char **argv)
     else if (bug == "skip-spin")
         cfg.bugSkipConsistencySpin = true;
     else if (!bug.empty())
-        badFlag("unknown --bug '" + bug + "'");
+        flags.badFlag("unknown --bug '" + bug + "'");
     // Counterexample traces for the buggy configs. They cost 12 B per
     // state: the violation cap stops only the invariant checks, and BFS
     // still explores (and records) the whole space.

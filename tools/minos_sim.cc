@@ -28,11 +28,15 @@
  * any invariant is breached, for CI smoke runs. --trace-categories
  * restricts which event categories the ring retains (auditors see the
  * full stream regardless).
+ *
+ * An unknown flag or a bad flag value (out of range, malformed, an
+ * unknown name) exits 2 with a message.
  */
 
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "common/flags.hh"
@@ -50,8 +54,11 @@ using namespace minos::simproto;
 
 namespace {
 
+/** Upper bound of the count flags (records, requests, ...). */
+constexpr std::int64_t maxCount = 100'000'000;
+
 PersistModel
-parseModel(const std::string &name)
+parseModel(const Flags &flags, const std::string &name)
 {
     for (PersistModel m : allModels) {
         std::string s(shortModelName(m));
@@ -60,8 +67,8 @@ parseModel(const std::string &name)
         if (s == name)
             return m;
     }
-    MINOS_FATAL("unknown model '", name,
-                "' (expected synch|strict|renf|event|scope)");
+    flags.badFlag("unknown --model '" + name +
+                  "' (expected synch|strict|renf|event|scope)");
 }
 
 const std::vector<std::string> knownFlags = {
@@ -129,18 +136,22 @@ main(int argc, char **argv)
     }
 
     const std::string engine = flags.getString("engine", "o");
-    MINOS_ASSERT(engine == "b" || engine == "o",
-                 "--engine must be b or o");
+    if (engine != "b" && engine != "o")
+        flags.badFlag("--engine must be b or o, got '" + engine + "'");
     PersistModel model =
-        parseModel(flags.getString("model", "synch"));
+        parseModel(flags, flags.getString("model", "synch"));
 
     ClusterConfig cfg;
-    cfg.numNodes = static_cast<int>(flags.getInt("nodes", 5));
-    cfg.numRecords =
-        static_cast<std::uint64_t>(flags.getInt("records", 100'000));
-    cfg.persistNsPerKb = flags.getInt("persist-ns", 1295);
-    cfg.vfifoEntries = static_cast<int>(flags.getInt("vfifo", 5));
-    cfg.dfifoEntries = static_cast<int>(flags.getInt("dfifo", 5));
+    // The destination bitmaps limit a cluster to 64 nodes.
+    cfg.numNodes = static_cast<int>(flags.getInt("nodes", 5, 2, 64));
+    cfg.numRecords = static_cast<std::uint64_t>(
+        flags.getInt("records", 100'000, 1, maxCount));
+    cfg.persistNsPerKb = flags.getInt("persist-ns", 1295, 0, maxCount);
+    // 0 = unlimited FIFO.
+    cfg.vfifoEntries =
+        static_cast<int>(flags.getInt("vfifo", 5, 0, maxCount));
+    cfg.dfifoEntries =
+        static_cast<int>(flags.getInt("dfifo", 5, 0, maxCount));
 
     OffloadOptions opts = engine == "o" ? OffloadOptions::minosO()
                                         : OffloadOptions::minosB();
@@ -150,26 +161,37 @@ main(int argc, char **argv)
         opts.broadcast = false;
 
     DriverConfig dc;
-    dc.requestsPerNode =
-        static_cast<std::uint64_t>(flags.getInt("requests", 2000));
-    dc.workersPerNode = static_cast<int>(flags.getInt("workers", 0));
-    dc.scopeSize = static_cast<int>(flags.getInt("scope-size", 10));
+    dc.requestsPerNode = static_cast<std::uint64_t>(
+        flags.getInt("requests", 2000, 0, maxCount));
+    // 0 = one worker per host core.
+    dc.workersPerNode =
+        static_cast<int>(flags.getInt("workers", 0, 0, 4096));
+    dc.scopeSize =
+        static_cast<int>(flags.getInt("scope-size", 10, 1, maxCount));
     if (flags.has("ycsb")) {
         // Named YCSB core workload (A/B/C/F) overrides the mix flags.
-        dc.ycsb = workload::ycsbPreset(flags.getString("ycsb")[0]);
+        const std::string preset = flags.getString("ycsb");
+        if (preset.size() != 1 ||
+            std::string("ABCFabcf").find(preset[0]) == std::string::npos)
+            flags.badFlag("--ycsb expects A, B, C or F, got '" + preset +
+                          "'");
+        dc.ycsb = workload::ycsbPreset(preset[0]);
     }
     dc.ycsb.numRecords = cfg.numRecords;
     dc.ycsb.writeFraction =
-        flags.getDouble("write-frac", dc.ycsb.writeFraction);
+        flags.getDouble("write-frac", dc.ycsb.writeFraction, 0, 1);
     dc.ycsb.rmwFraction =
-        flags.getDouble("rmw-frac", dc.ycsb.rmwFraction);
-    dc.ycsb.seed =
-        static_cast<std::uint64_t>(flags.getInt("seed", 42));
+        flags.getDouble("rmw-frac", dc.ycsb.rmwFraction, 0, 1);
+    if (dc.ycsb.writeFraction + dc.ycsb.rmwFraction > 1)
+        flags.badFlag("--write-frac plus --rmw-frac exceeds 1");
+    dc.ycsb.seed = static_cast<std::uint64_t>(flags.getInt(
+        "seed", 42, 0, std::numeric_limits<std::int64_t>::max()));
     const std::string dist = flags.getString("dist", "zipfian");
     if (dist == "uniform")
         dc.ycsb.dist = workload::KeyDist::Uniform;
     else if (dist != "zipfian")
-        MINOS_FATAL("--dist must be zipfian or uniform");
+        flags.badFlag("--dist must be zipfian or uniform, got '" + dist +
+                      "'");
 
     const std::string trace_out = flags.getString("trace-out", "");
     const std::string metrics_out = flags.getString("metrics-out", "");
@@ -179,7 +201,7 @@ main(int argc, char **argv)
                              !metrics_out.empty() || !trace_out.empty();
 
     obs::FlightRecorder recorder(static_cast<std::size_t>(
-        flags.getInt("trace-capacity", 1 << 15)));
+        flags.getInt("trace-capacity", 1 << 15, 1, 1 << 26)));
     auto cats = flags.getStrings("trace-categories");
     if (!cats.empty()) {
         // Mute everything, then re-enable the requested categories.
@@ -190,7 +212,8 @@ main(int argc, char **argv)
         for (const auto &name : cats) {
             obs::Category c;
             if (!obs::categoryFromName(name, c))
-                MINOS_FATAL("unknown trace category '", name, "'");
+                flags.badFlag("unknown --trace-categories entry '" +
+                              name + "'");
             recorder.setEnabled(c, true);
         }
     }
