@@ -1,17 +1,22 @@
 #include "checker.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <deque>
 #include <limits>
 #include <sstream>
+#include <tuple>
 
+#include "check/predicates.hh"
 #include "common/logging.hh"
 
 namespace minos::check {
 
 namespace {
 
+using simproto::FollowerSchedule;
+using simproto::FollowerStep;
 using simproto::isScopeModel;
 using simproto::needsPersistencySpin;
 using simproto::persistOnCriticalPath;
@@ -43,15 +48,81 @@ enum CPc : std::uint8_t
     CDone,
 };
 
-/** Follower program counter (per write, per node). */
-enum FPc : std::uint8_t
+/** The in-flight bit that carries a message of @p type. */
+std::uint8_t
+bitOf(net::MsgType type)
 {
-    FIdle = 0,
-    FPersist,
-    FBgPersist,
-    FObsWaitC,
-    FObsWaitP,
-    FDone,
+    using net::MsgType;
+    switch (type) {
+      case MsgType::ACK: return BitAck;
+      case MsgType::ACK_C:
+      case MsgType::ACK_C_SC: return BitAckC;
+      case MsgType::ACK_P: return BitAckP;
+      case MsgType::VAL: return BitVal;
+      case MsgType::VAL_C:
+      case MsgType::VAL_C_SC: return BitValC;
+      case MsgType::VAL_P: return BitValP;
+      default: MINOS_PANIC("no message bit for type ", int(type));
+    }
+}
+
+/** Follower program counters outside the compiled steps. */
+inline constexpr std::uint8_t fpcIdle = 0;    // INV not delivered yet
+inline constexpr std::uint8_t fpcDone = 0xFF; // schedule finished
+
+/**
+ * One persist or spin of a follower's schedule, with the ACKs that
+ * follow it in the schedule (sent when it completes) and the next fpc.
+ */
+struct FollowerInstr
+{
+    FollowerStep step{};
+    std::uint8_t acks = 0;
+    std::uint8_t next = fpcDone;
+    const char *action = nullptr;
+};
+
+/**
+ * appliedSchedule() and obsoleteSchedule() of one configuration,
+ * compiled once so the search does not walk the tables per state.
+ * applied/obsolete hold only the ACKs at the head of each schedule,
+ * which go out with the INV delivery, and its first fpc.
+ */
+struct FollowerProgram
+{
+    FollowerInstr applied;
+    FollowerInstr obsolete;
+    /** Indexed by fpc: fpcIdle, then at most one per step of the two
+     *  schedules (FollowerSchedule holds four). */
+    std::array<FollowerInstr, 1 + 2 * 4> instrs{};
+
+    FollowerProgram(PersistModel model, bool ackBeforePersist)
+    {
+        std::uint8_t size = 1;
+        auto compile = [&](FollowerInstr &head,
+                           const FollowerSchedule &sched) {
+            FollowerInstr *last = &head;
+            for (FollowerStep step : sched) {
+                if (step == FollowerStep::AckC ||
+                    step == FollowerStep::AckP) {
+                    last->acks |= bitOf(ackOf(model, step));
+                } else {
+                    last->next = size;
+                    last = &instrs[size++];
+                    last->step = step;
+                }
+            }
+        };
+        compile(applied, appliedSchedule(model, ackBeforePersist, false));
+        compile(obsolete, obsoleteSchedule(model));
+        for (FollowerInstr &in : instrs) {
+            in.action =
+                in.step == FollowerStep::AwaitGlbVolatile ? "FollowerObsWaitC"
+                : in.step == FollowerStep::AwaitGlbDurable ? "FollowerObsWaitP"
+                : in.acks ? "FollowerPersist"
+                          : "FollowerBgPersist";
+        }
+    }
 };
 
 /** Scope-[PERSIST] per-node bits. */
@@ -80,7 +151,6 @@ struct State
     std::uint8_t cpc[maxWrites];
     std::int8_t ver[maxWrites];
     std::int8_t obsObs[maxWrites];
-    std::uint8_t ackMask[maxWrites];
     std::uint8_t ackCMask[maxWrites];
     std::uint8_t ackPMask[maxWrites];
     std::uint8_t bgPending[maxWrites];
@@ -96,7 +166,7 @@ struct State
 };
 
 static_assert(sizeof(State) ==
-                  5 * maxNodes + 7 * maxWrites +
+                  5 * maxNodes + 6 * maxWrites +
                       4 * maxWrites * maxNodes + 2 + maxNodes,
               "State must be packed (byte members only)");
 
@@ -119,7 +189,7 @@ mum(std::uint64_t a, std::uint64_t b)
 
 /**
  * Word-wise 64-bit hash of a State: nine 8-byte words plus one
- * overlapping word for the 5-byte tail, each folded in with one
+ * overlapping word for the 2-byte tail, each folded in with one
  * multiply.
  */
 std::uint64_t
@@ -209,8 +279,9 @@ class FingerprintSet
 struct Ctx
 {
     CheckConfig cfg;
-    int W = 0; // number of writes
-    int N = 0; // number of nodes
+    int W; // number of writes
+    int N; // number of nodes
+    FollowerProgram follower;
 
     /** Timestamp of write i: (version, writer). none() for -1. */
     std::pair<int, int>
@@ -262,6 +333,17 @@ releaseIfOwner(State &s, int node, int i)
         s.rdOwner[node] = -1;
 }
 
+/** Put message @p bit of write @p i in flight to every follower. */
+void
+sendToFollowers(const Ctx &ctx, State &s, int i, std::uint8_t bit)
+{
+    const int c = ctx.writerOf(i);
+    for (int n = 0; n < ctx.N; ++n) {
+        if (n != c)
+            s.msgs[i][n] |= bit;
+    }
+}
+
 /**
  * Node @p m's durable-log frontier has reached write @p i: the write
  * itself, or a newer write that obsoleted it, is persisted at m
@@ -275,6 +357,25 @@ frontierReached(const Ctx &ctx, const State &s, int i, int m)
             return true;
     }
     return false;
+}
+
+/**
+ * Can follower @p n of write @p i run @p in now? A spin waits for its
+ * glb field to reach the newer write; a persist always can.
+ */
+bool
+canRun(const Ctx &ctx, const State &s, const FollowerInstr &in, int i,
+       int n)
+{
+    switch (in.step) {
+      case FollowerStep::AwaitGlbVolatile:
+        return ctx.cfg.bugSkipConsistencySpin ||
+               ctx.reached(s, s.glbV[n], s.fObs[i][n]);
+      case FollowerStep::AwaitGlbDurable:
+        return ctx.reached(s, s.glbD[n], s.fObs[i][n]);
+      default:
+        return true;
+    }
 }
 
 /** Enumerate every successor of @p s; calls @p emit for each. */
@@ -313,10 +414,7 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
                 ns.obsObs[i] = s.vol[c];
                 ns.cpc[i] = CObsWaitC;
             } else {
-                for (int n = 0; n < ctx.N; ++n) {
-                    if (n != c)
-                        ns.msgs[i][n] |= BitInv;
-                }
+                sendToFollowers(ctx, ns, i, BitInv);
                 ns.vol[c] = static_cast<std::int8_t>(i);
                 if (cfg.bugReleaseRdLockEarly)
                     releaseIfOwner(ns, c, i);
@@ -346,61 +444,24 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
             emit(ns, "CoordBgPersist");
         }
 
-        // --- Coordinator gates ---
+        // --- Coordinator gates (NodeB::write and its REnf tail) ---
         const std::uint8_t fmask = ctx.followerMaskOf(i);
-        if (s.cpc[i] == CWaitAcks) {
-            switch (model) {
-              case PersistModel::Synch:
-                if ((s.ackMask[i] & fmask) == fmask &&
-                    s.durable[i][c]) {
-                    State ns = s;
-                    raiseField(ctx, ns, ns.glbV[c], i);
-                    raiseField(ctx, ns, ns.glbD[c], i);
-                    releaseIfOwner(ns, c, i);
-                    for (int n = 0; n < ctx.N; ++n) {
-                        if (n != c)
-                            ns.msgs[i][n] |= BitVal;
-                    }
-                    ns.cpc[i] = CDone;
-                    emit(ns, "CoordCommit");
-                }
-                break;
-              case PersistModel::Strict:
-                if ((s.ackCMask[i] & fmask) == fmask) {
-                    State ns = s;
-                    raiseField(ctx, ns, ns.glbV[c], i);
-                    releaseIfOwner(ns, c, i);
-                    for (int n = 0; n < ctx.N; ++n) {
-                        if (n != c)
-                            ns.msgs[i][n] |= BitValC;
-                    }
-                    ns.cpc[i] = CWaitAcksP;
-                    emit(ns, "CoordCommitC");
-                }
-                break;
-              case PersistModel::REnf:
-                if ((s.ackCMask[i] & fmask) == fmask) {
-                    // Client return; RDLock stays held for REnf.
-                    State ns = s;
-                    raiseField(ctx, ns, ns.glbV[c], i);
-                    ns.cpc[i] = CWaitAcksP;
-                    emit(ns, "CoordReturn");
-                }
-                break;
-              case PersistModel::Event:
-              case PersistModel::Scope:
-                if ((s.ackCMask[i] & fmask) == fmask) {
-                    State ns = s;
-                    raiseField(ctx, ns, ns.glbV[c], i);
-                    releaseIfOwner(ns, c, i);
-                    for (int n = 0; n < ctx.N; ++n) {
-                        if (n != c)
-                            ns.msgs[i][n] |= BitValC;
-                    }
-                    ns.cpc[i] = CDone;
-                    emit(ns, "CoordCommitC");
-                }
-                break;
+        if (s.cpc[i] == CWaitAcks && (s.ackCMask[i] & fmask) == fmask) {
+            State ns = s;
+            raiseField(ctx, ns, ns.glbV[c], i);
+            if (model == PersistModel::Synch)
+                raiseField(ctx, ns, ns.glbD[c], i);
+            if (model == PersistModel::REnf) {
+                // Client return; the RDLock stays held until CommitP.
+                ns.cpc[i] = CWaitAcksP;
+                emit(ns, "CoordReturn");
+            } else {
+                releaseIfOwner(ns, c, i);
+                sendToFollowers(ctx, ns, i, bitOf(valCType(model)));
+                ns.cpc[i] =
+                    model == PersistModel::Strict ? CWaitAcksP : CDone;
+                emit(ns, usesSplitAcks(model) ? "CoordCommitC"
+                                              : "CoordCommit");
             }
         }
         if (s.cpc[i] == CWaitAcksP &&
@@ -408,18 +469,10 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
             !s.bgPending[i]) {
             State ns = s;
             raiseField(ctx, ns, ns.glbD[c], i);
-            if (model == PersistModel::REnf) {
+            if (model == PersistModel::REnf)
                 releaseIfOwner(ns, c, i);
-                for (int n = 0; n < ctx.N; ++n) {
-                    if (n != c)
-                        ns.msgs[i][n] |= BitVal;
-                }
-            } else { // Strict
-                for (int n = 0; n < ctx.N; ++n) {
-                    if (n != c)
-                        ns.msgs[i][n] |= BitValP;
-                }
-            }
+            sendToFollowers(ctx, ns, i,
+                            model == PersistModel::REnf ? BitVal : BitValP);
             ns.cpc[i] = CDone;
             emit(ns, "CoordCommitP");
         }
@@ -450,87 +503,36 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
             if (n == c)
                 continue;
 
-            // Deliver INV.
+            // Deliver INV: start the applied or the obsolete schedule.
             if (s.msgs[i][n] & BitInv) {
                 State ns = s;
                 ns.msgs[i][n] &= static_cast<std::uint8_t>(~BitInv);
+                const FollowerInstr *head = &ctx.follower.applied;
                 if (ctx.newer(s, s.vol[n], i)) {
                     ns.fObs[i][n] = s.vol[n];
-                    ns.fpc[i][n] = FObsWaitC;
+                    head = &ctx.follower.obsolete;
                 } else {
                     if (ctx.newer(ns, i, ns.rdOwner[n]))
                         ns.rdOwner[n] = static_cast<std::int8_t>(i);
                     ns.vol[n] = static_cast<std::int8_t>(i);
-                    switch (model) {
-                      case PersistModel::Synch:
-                        if (cfg.bugAckBeforePersist) {
-                            // Mutation: acknowledge before the persist
-                            // completes — durability invariant 3a must
-                            // flag this.
-                            ns.msgs[i][n] |= BitAck;
-                            ns.fpc[i][n] = FBgPersist;
-                        } else {
-                            ns.fpc[i][n] = FPersist;
-                        }
-                        break;
-                      case PersistModel::Strict:
-                      case PersistModel::REnf:
-                        ns.msgs[i][n] |= BitAckC;
-                        ns.fpc[i][n] = FPersist;
-                        break;
-                      case PersistModel::Event:
-                      case PersistModel::Scope:
-                        ns.msgs[i][n] |= BitAckC;
-                        ns.fpc[i][n] = FBgPersist;
-                        break;
-                    }
                 }
+                ns.msgs[i][n] |= head->acks;
+                ns.fpc[i][n] = head->next;
                 emit(ns, "DeliverInv");
             }
 
-            // Follower persist (critical path; emits the persist ACK).
-            if (s.fpc[i][n] == FPersist) {
-                State ns = s;
-                ns.durable[i][n] = 1;
-                ns.msgs[i][n] |= (model == PersistModel::Synch)
-                                     ? BitAck
-                                     : BitAckP;
-                ns.fpc[i][n] = FDone;
-                emit(ns, "FollowerPersist");
-            }
-
-            // Follower background persist (weak models).
-            if (s.fpc[i][n] == FBgPersist) {
-                State ns = s;
-                ns.durable[i][n] = 1;
-                ns.fpc[i][n] = FDone;
-                emit(ns, "FollowerBgPersist");
-            }
-
-            // Follower obsolete-path spins.
-            if (s.fpc[i][n] == FObsWaitC &&
-                (cfg.bugSkipConsistencySpin ||
-                 ctx.reached(s, s.glbV[n], s.fObs[i][n]))) {
-                State ns = s;
-                if (model == PersistModel::Synch) {
-                    ns.fpc[i][n] = FObsWaitP;
-                } else if (tracksPersistPerWrite(model)) {
-                    ns.msgs[i][n] |= BitAckC;
-                    ns.fpc[i][n] = FObsWaitP;
-                } else {
-                    ns.msgs[i][n] |= BitAckC;
-                    ns.fpc[i][n] = FDone;
+            // The follower's next persist or spin, once enabled.
+            if (s.fpc[i][n] != fpcIdle && s.fpc[i][n] != fpcDone) {
+                const FollowerInstr &in = ctx.follower.instrs[s.fpc[i][n]];
+                if (canRun(ctx, s, in, i, n)) {
+                    State ns = s;
+                    if (in.step == FollowerStep::Persist ||
+                        in.step == FollowerStep::PersistLater)
+                        ns.durable[i][n] = 1;
+                    ns.msgs[i][n] |= in.acks;
+                    ns.fpc[i][n] = in.next;
+                    emit(ns, in.action);
                 }
-                emit(ns, "FollowerObsWaitC");
-            }
-            if (s.fpc[i][n] == FObsWaitP &&
-                ctx.reached(s, s.glbD[n], s.fObs[i][n])) {
-                State ns = s;
-                ns.msgs[i][n] |= (model == PersistModel::Synch)
-                                     ? BitAck
-                                     : BitAckP;
-                ns.fpc[i][n] = FDone;
-                emit(ns, "FollowerObsWaitP");
             }
 
             // Deliver ACK family to the coordinator.
@@ -541,39 +543,32 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
                 if (s.msgs[i][n] & bit) {
                     State ns = s;
                     ns.msgs[i][n] &= static_cast<std::uint8_t>(~bit);
-                    std::uint8_t b =
-                        static_cast<std::uint8_t>(1u << n);
-                    if (bit == BitAck)
-                        ns.ackMask[i] |= b;
-                    else if (bit == BitAckC)
-                        ns.ackCMask[i] |= b;
-                    else
-                        ns.ackPMask[i] |= b;
+                    // Synch's combined ACK gates like an ACK_C.
+                    std::uint8_t &mask =
+                        bit == BitAckP ? ns.ackPMask[i] : ns.ackCMask[i];
+                    mask |= static_cast<std::uint8_t>(1u << n);
                     emit(ns, name);
                 }
             }
 
             // Deliver VAL family to the follower.
-            if (s.msgs[i][n] & BitVal) {
-                State ns = s;
-                ns.msgs[i][n] &= static_cast<std::uint8_t>(~BitVal);
-                raiseField(ctx, ns, ns.glbV[n], i);
-                raiseField(ctx, ns, ns.glbD[n], i);
-                releaseIfOwner(ns, n, i);
-                emit(ns, "DeliverVal");
-            }
-            if (s.msgs[i][n] & BitValC) {
-                State ns = s;
-                ns.msgs[i][n] &= static_cast<std::uint8_t>(~BitValC);
-                raiseField(ctx, ns, ns.glbV[n], i);
-                releaseIfOwner(ns, n, i);
-                emit(ns, "DeliverValC");
-            }
-            if (s.msgs[i][n] & BitValP) {
-                State ns = s;
-                ns.msgs[i][n] &= static_cast<std::uint8_t>(~BitValP);
-                raiseField(ctx, ns, ns.glbD[n], i);
-                emit(ns, "DeliverValP");
+            for (auto [bit, type, name] :
+                 {std::tuple{BitVal, net::MsgType::VAL, "DeliverVal"},
+                  std::tuple{BitValC, net::MsgType::VAL_C, "DeliverValC"},
+                  std::tuple{BitValP, net::MsgType::VAL_P, "DeliverValP"}}) {
+                if (s.msgs[i][n] & bit) {
+                    const simproto::ValEffect effect =
+                        simproto::valEffect(type);
+                    State ns = s;
+                    ns.msgs[i][n] &= static_cast<std::uint8_t>(~bit);
+                    if (effect.raisesGlbVolatile)
+                        raiseField(ctx, ns, ns.glbV[n], i);
+                    if (effect.raisesGlbDurable)
+                        raiseField(ctx, ns, ns.glbD[n], i);
+                    if (effect.releasesRdLock)
+                        releaseIfOwner(ns, n, i);
+                    emit(ns, name);
+                }
             }
         }
     }
@@ -669,7 +664,7 @@ isFinal(const Ctx &ctx, const State &s)
         for (int n = 0; n < ctx.N; ++n) {
             if (s.msgs[i][n] != 0)
                 return false;
-            if (s.fpc[i][n] != FIdle && s.fpc[i][n] != FDone)
+            if (s.fpc[i][n] != fpcIdle && s.fpc[i][n] != fpcDone)
                 return false;
         }
     }
@@ -735,10 +730,7 @@ checkInvariants(const Ctx &ctx, const State &s,
             continue;
         const std::uint8_t fmask = ctx.followerMaskOf(i);
         const bool sent = s.cpc[i] >= CPersist && s.cpc[i] < CObsWaitC;
-        const std::uint8_t cmask =
-            model == PersistModel::Synch ? s.ackMask[i]
-                                         : s.ackCMask[i];
-        const bool all_c = (cmask & fmask) == fmask;
+        const bool all_c = (s.ackCMask[i] & fmask) == fmask;
 
         // 2b: all consistency ACKs => every replica at/above TS_WR.
         if (sent && all_c) {
@@ -769,7 +761,7 @@ checkInvariants(const Ctx &ctx, const State &s,
         // globally durable anywhere (models that track persistency).
         if (tracksPersistPerWrite(model) && sent) {
             const std::uint8_t pmask = model == PersistModel::Synch
-                                           ? s.ackMask[i]
+                                           ? s.ackCMask[i]
                                            : s.ackPMask[i];
             bool all_p = (pmask & fmask) == fmask;
             if (!all_p) {
@@ -815,8 +807,7 @@ checkInvariants(const Ctx &ctx, const State &s,
         // applied AND readable (RDLock free), it must already be
         // durable on every replica. Strict/Event/Scope deliberately do
         // not provide this for reads.
-        if (model == PersistModel::Synch ||
-            model == PersistModel::REnf) {
+        if (readImpliesDurableEverywhere(model)) {
             for (int n = 0; n < ctx.N; ++n) {
                 if (s.rdOwner[n] != -1 ||
                     s.vol[n] != static_cast<std::int8_t>(i))
@@ -833,7 +824,7 @@ checkInvariants(const Ctx &ctx, const State &s,
         }
 
         // 4c: bookkeeping masks only contain follower senders.
-        if ((s.ackMask[i] | s.ackCMask[i] | s.ackPMask[i]) & ~fmask) {
+        if ((s.ackCMask[i] | s.ackPMask[i]) & ~fmask) {
             out.push_back(Violation{"4c-bookkeeping-sender-out-of-range",
                            describeState(ctx, s),
                            {}});
@@ -907,10 +898,8 @@ checkModel(const CheckConfig &cfg)
                          std::numeric_limits<std::uint32_t>::max(),
                  "maxStates must be in [1, 2^32 - 1)");
 
-    Ctx ctx;
-    ctx.cfg = cfg;
-    ctx.W = static_cast<int>(cfg.writers.size());
-    ctx.N = cfg.numNodes;
+    const Ctx ctx{cfg, static_cast<int>(cfg.writers.size()), cfg.numNodes,
+                  FollowerProgram(cfg.model, cfg.bugAckBeforePersist)};
 
     State init;
     std::memset(&init, 0, sizeof(State));

@@ -33,9 +33,10 @@
  * fingerprint would be merged; fingerprintCollisionBound() bounds the
  * chance.
  *
+ * The follower runs the engines' step tables (simproto/models.hh).
  * Deliberate protocol mutations (skip the ConsistencySpin, release the
- * RDLock early) are available to validate that the checker actually
- * catches bugs.
+ * RDLock early, ACK durability before the persist) are available to
+ * validate that the checker actually catches bugs.
  */
 
 #ifndef MINOS_CHECK_CHECKER_HH
@@ -72,7 +73,8 @@ struct CheckConfig
     /** @{ Deliberate bugs used to validate the checker itself. */
     bool bugSkipConsistencySpin = false;
     bool bugReleaseRdLockEarly = false;
-    /** Follower acknowledges before persisting (breaks durability). */
+    /** Follower ACKs durability before persisting (appliedSchedule's
+     *  ackBeforePersist); Event and Scope have no such ACK to move. */
     bool bugAckBeforePersist = false;
     /** @} */
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * Model-aware protocol gate predicates shared between the offline
- * model checker (check/checker.cc) and the streaming run-time auditors
- * (obs/audit.cc).
+ * Model-aware protocol gate predicates shared by the offline model
+ * checker (check/checker.cc, its read-enforced durability invariant),
+ * the run-time auditors (obs/audit.cc) and the engines' gates.
  *
- * Both verifiers ask the same Table I questions — "has this write
+ * They all ask the same Table I questions — "has this write
  * gathered the ACKs its model requires before X?" — so the ACK-count
  * arithmetic lives here, header-only (no link dependency; everything
  * derives from the constexpr helpers in simproto/models.hh).

@@ -10,7 +10,9 @@
  * obsolete INV, and which glb fields a VAL raises. Every engine
  * (MINOS-B, MINOS-O and the threaded runtime) takes these decisions,
  * its message flavors and its write identity from here, and keeps only
- * the mechanisms that carry them out.
+ * the mechanisms that carry them out. The model checker
+ * (check/checker.cc) compiles the same follower schedules and VAL
+ * effects into its abstract follower.
  */
 
 #ifndef MINOS_SIMPROTO_MODELS_HH

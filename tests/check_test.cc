@@ -111,7 +111,7 @@ TEST_P(CheckModelTest, ThreeConflictingWritersThreeNodes)
 TEST(CheckMemory, PeakLiveBytesPerStateOnSynchThreeByThree)
 {
     // The visited set keeps an 8 B fingerprint per state, at 3/8 to 3/4
-    // load, and full 77 B states live only in the BFS queue (at most two
+    // load, and full 74 B states live only in the BFS queue (at most two
     // levels): ~25 B/state at the peak, when the table doubles. Keeping
     // every state, as the arena store did, peaks at ~92 B/state.
     CheckConfig cfg;
@@ -340,10 +340,10 @@ joined(const std::vector<std::string> &trace)
 
 /** Run a mutant on 3 nodes, writers {0, 1}, with traces recorded. */
 CheckResult
-runMutant(bool CheckConfig::*bug)
+runMutant(bool CheckConfig::*bug, PersistModel model = PersistModel::Synch)
 {
     CheckConfig cfg;
-    cfg.model = PersistModel::Synch;
+    cfg.model = model;
     cfg.numNodes = 3;
     cfg.writers = {0, 1};
     cfg.recordTraces = true;
@@ -448,6 +448,41 @@ TEST(CheckGolden, AckBeforePersistCounterexamples)
                               {kRenf, val},
                               {kRenf, val},
                           });
+}
+
+TEST(CheckGolden, AckBeforePersistSplitAckCounterexamples)
+{
+    // Strict and REnf send ACK_P ahead of the persist: the coordinator
+    // raises glb_durableTS while one follower has logged nothing. Unlike
+    // the cases above, these were recorded from the checker that runs
+    // the shared follower tables; none before it had this mutant.
+    struct Case
+    {
+        PersistModel model;
+        std::size_t states, transitions;
+        std::string first;
+    };
+    const std::string acks =
+        " DeliverInv DeliverAckC DeliverAckP DeliverInv DeliverAckC ";
+    const Case cases[] = {
+        {PersistModel::Strict, 298'740, 1'922'560,
+         "StartWrite CoordSend CoordPersist" + acks +
+             "CoordCommitC DeliverAckP CoordCommitP"},
+        {PersistModel::REnf, 147'924, 948'604,
+         "StartWrite CoordSend CoordBgPersist" + acks +
+             "CoordReturn DeliverAckP CoordCommitP"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(std::string(simproto::shortModelName(c.model)));
+        CheckResult res =
+            runMutant(&CheckConfig::bugAckBeforePersist, c.model);
+        EXPECT_EQ(res.statesExplored, c.states);
+        EXPECT_EQ(res.transitions, c.transitions);
+        EXPECT_EQ(res.finalStates, 9u);
+        ASSERT_EQ(res.violations.size(), 16u) << report(res);
+        EXPECT_EQ(res.violations.front().invariant, k3a);
+        EXPECT_EQ(joined(res.violations.front().trace), c.first);
+    }
 }
 
 TEST(CheckGolden, SkipSpinExploration)

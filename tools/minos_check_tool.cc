@@ -11,9 +11,11 @@
  *
  * Exit status: 0 when the whole space was explored without a
  * violation, 1 on a violation, 3 when the --max-states budget ran out
- * first (inconclusive), 2 on an unknown flag or a bad flag value.
+ * first (inconclusive), 2 on an unknown flag, a bad flag value, or a
+ * --bug that leaves the model's protocol unchanged.
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <limits>
@@ -97,6 +99,17 @@ main(int argc, char **argv)
         cfg.bugSkipConsistencySpin = true;
     else if (!bug.empty())
         flags.badFlag("unknown --bug '" + bug + "'");
+    // A mutant that moves no follower step would check the correct
+    // protocol and pass.
+    if (cfg.bugAckBeforePersist) {
+        const auto clean = simproto::appliedSchedule(cfg.model, false, false);
+        const auto mutant = simproto::appliedSchedule(cfg.model, true, false);
+        if (std::equal(clean.begin(), clean.end(), mutant.begin(),
+                       mutant.end()))
+            flags.badFlag("--bug=" + bug + " changes nothing under " +
+                          std::string(simproto::modelName(cfg.model)) +
+                          ": its followers send no durability ACK");
+    }
     // Counterexample traces for the buggy configs. They cost 12 B per
     // state: the violation cap stops only the invariant checks, and BFS
     // still explores (and records) the whole space.
