@@ -39,10 +39,10 @@ namespace minos::sim {
  * goes straight back to the end of the queue without being resumed.
  *
  * A notification takes the waiters parked at that moment, in FIFO order,
- * and schedules ONE ready-ring event for the whole batch. When that event
+ * and schedules ONE same-tick event for the whole batch. When that event
  * runs it visits the batch in order: a false-predicate waiter re-parks,
  * the others are resumed inline. Dispatch order is exactly that of one
- * ring event per waiter running the loop above: such events hold
+ * same-tick event per waiter running the loop above: such events hold
  * consecutive seqs, so nothing else can run between them, and each
  * predicate is tested at the point where the loop would re-test it.
  *
@@ -115,8 +115,8 @@ class Condition
 
     /**
      * Wake every current waiter at the present tick, in wait (FIFO)
-     * order, with one ready-ring event for the whole batch: no closure
-     * allocation, no heap traffic.
+     * order, with one same-tick event for the whole batch: no closure
+     * allocation.
      */
     void
     notifyAll()
@@ -172,7 +172,7 @@ class Condition
 
     /**
      * Visit the next @p n notified waiters. Batches are consumed in the
-     * order they were scheduled (all are ready-ring events of this
+     * order they were scheduled (all are same-tick events of this
      * tick), so they always sit at the head of notified_.
      */
     void

@@ -14,7 +14,7 @@
  * to `inlineBytes` in-place, relocates them by move (or memcpy when
  * trivially copyable), and represents a raw `std::coroutine_handle<>`
  * with a dedicated ops table so coroutine wakeups never touch the
- * allocator at all. Oversized callables still work via a heap fallback,
+ * allocator at all and a move copies only the handle. Oversized callables still work via a heap fallback,
  * so the API stays fully general.
  */
 
@@ -123,9 +123,9 @@ class EventFn
     }
 
     static void
-    relocateBytes(void *dst, void *src) noexcept
+    relocateHandle(void *dst, void *src) noexcept
     {
-        std::memcpy(dst, src, inlineBytes);
+        std::memcpy(dst, src, sizeof(void *));
     }
 
     static void destroyNoop(void *) noexcept {}
@@ -138,7 +138,7 @@ class EventFn
         std::coroutine_handle<>::from_address(addr).resume();
     }
 
-    static constexpr Ops coroOps_{invokeCoro, relocateBytes,
+    static constexpr Ops coroOps_{invokeCoro, relocateHandle,
                                   destroyNoop};
 
     template <typename Fn>

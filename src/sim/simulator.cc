@@ -1,11 +1,15 @@
 #include "simulator.hh"
 
+#include <bit>
 #include <coroutine>
+#include <limits>
 
 #include "common/logging.hh"
 #include "sim/process.hh"
 
 namespace minos::sim {
+
+Simulator::Simulator() : buckets_(wheelSpan) {}
 
 Simulator::~Simulator()
 {
@@ -39,24 +43,41 @@ FramePool::Reaper::~Reaper()
 }
 
 void
-Simulator::ReadyRing::grow()
+Simulator::pushWheel(Tick when, EventFn &&fn, bool same_tick)
 {
-    std::size_t cap = buf_.empty() ? 64 : buf_.size() * 2;
-    std::vector<ReadyEvent> next(cap);
-    std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i)
-        next[i] = std::move(buf_[(head_ + i) & mask_]);
-    buf_ = std::move(next);
-    head_ = 0;
-    tail_ = n;
-    mask_ = cap - 1;
+    std::uint32_t i = freeNode_;
+    if (i == noNode) {
+        i = static_cast<std::uint32_t>(nodes_.size());
+        nodes_.emplace_back();
+    } else {
+        freeNode_ = nodes_[i].next;
+    }
+    Node &n = nodes_[i];
+    n.fn = std::move(fn);
+    n.next = noNode;
+    n.sameTick = same_tick;
+
+    // Every pending wheel event is due in [now_, now_ + wheelSpan), so a
+    // bucket only ever holds one tick, and appending keeps it in
+    // scheduling order.
+    std::size_t b = static_cast<std::size_t>(when) & wheelMask;
+    std::uint64_t bit = std::uint64_t{1} << (b % 64);
+    Bucket &bucket = buckets_[b];
+    if (bitmap_[b / 64] & bit) {
+        nodes_[bucket.tail].next = i;
+        bucket.tail = i;
+    } else {
+        bitmap_[b / 64] |= bit;
+        bucket = Bucket{i, i};
+    }
+    ++wheelEvents_;
 }
 
 void
-Simulator::pushReady(EventFn fn)
+Simulator::pushNow(EventFn fn)
 {
-    ring_.push(ReadyEvent{seq_++, std::move(fn)});
-    peakRing_ = std::max(peakRing_, ring_.size());
+    pushWheel(now_, std::move(fn), true);
+    peakRing_ = std::max(peakRing_, ++pendingNow_);
 }
 
 void
@@ -65,14 +86,15 @@ Simulator::schedule(Tick when, EventFn fn)
     MINOS_ASSERT(when >= now_, "scheduling into the past: ", when,
                  " < ", now_);
     if (when == now_) {
-        // Same-tick events (the ubiquitous `after(0, ...)` wakeup) skip
-        // the heap; FIFO ring order is exactly their seq order.
-        pushReady(std::move(fn));
+        pushNow(std::move(fn));
         return;
     }
-    heap_.push(when, seq_++, std::move(fn));
+    if (when - now_ < wheelSpan)
+        pushWheel(when, std::move(fn), false);
+    else
+        far_.push(when, seq_++, std::move(fn));
     ++heapPushes_;
-    peakHeap_ = std::max(peakHeap_, heap_.size());
+    peakHeap_ = std::max(peakHeap_, ++pendingLater_);
 }
 
 void
@@ -82,57 +104,92 @@ Simulator::after(Tick delay, EventFn fn)
     schedule(now_ + delay, std::move(fn));
 }
 
-void
-Simulator::step()
+std::size_t
+Simulator::nextBucket() const
 {
-    // Ring entries are all due at now_; the heap may still hold events
-    // at now_ that were scheduled *earlier* (smaller seq) from a past
-    // tick. Comparing seqs preserves the exact (when, seq) dispatch
-    // order the pre-ring implementation had.
-    bool from_heap;
-    if (ring_.empty())
-        from_heap = true;
-    else if (heap_.empty())
-        from_heap = false;
-    else {
-        const TimerHeap::Key &t = heap_.top();
-        from_heap = t.when == now_ && t.seq < ring_.front().seq;
+    // Scan forward from now_'s bucket. Buckets before it, reached after
+    // wrapping around, hold the latest ticks of the window.
+    std::size_t start = static_cast<std::size_t>(now_) & wheelMask;
+    std::size_t w = start / 64;
+    std::uint64_t bits = bitmap_[w] & (~std::uint64_t{0} << (start % 64));
+    while (bits == 0) {
+        w = (w + 1) % bitmapWords;
+        bits = bitmap_[w];
     }
+    return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+}
 
-    if (from_heap) {
-        now_ = heap_.top().when;
-        EventFn fn = heap_.popTop();
-        ++executed_;
-        fn();
-    } else {
-        ReadyEvent ev = ring_.pop();
-        ++executed_;
+EventFn
+Simulator::popBucket(std::size_t b)
+{
+    Bucket &bucket = buckets_[b];
+    std::uint32_t i = bucket.head;
+    Node &n = nodes_[i];
+    bucket.head = n.next;
+    if (n.next == noNode)
+        bitmap_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+    --wheelEvents_;
+    if (n.sameTick) {
+        --pendingNow_;
         ++ringHits_;
-        ev.fn();
+    } else {
+        --pendingLater_;
     }
+    EventFn fn = std::move(n.fn);
+    n.next = freeNode_;
+    freeNode_ = i;
+    return fn;
+}
+
+bool
+Simulator::step(Tick limit)
+{
+    bool from_wheel = wheelEvents_ != 0;
+    if (!from_wheel && far_.empty())
+        return false;
+    std::size_t b = 0;
+    Tick when = std::numeric_limits<Tick>::max();
+    if (from_wheel) {
+        b = nextBucket();
+        when = now_ + static_cast<Tick>(
+                          (b - static_cast<std::size_t>(now_)) & wheelMask);
+    }
+    // A far event due at the same tick as a wheel event was scheduled
+    // earlier (it was at least wheelSpan ticks out then, the wheel event
+    // less), so its seq is smaller: it goes first.
+    if (!far_.empty() && far_.top().when <= when) {
+        from_wheel = false;
+        when = far_.top().when;
+    }
+    if (when > limit)
+        return false;
+
+    now_ = when;
+    EventFn fn = from_wheel ? popBucket(b) : far_.popTop();
+    if (!from_wheel)
+        --pendingLater_;
+    ++executed_;
+    fn();
+    return true;
 }
 
 void
 Simulator::run()
 {
-    while (!ring_.empty() || !heap_.empty())
-        step();
+    while (step(std::numeric_limits<Tick>::max())) {
+    }
 }
 
 bool
 Simulator::runUntil(Tick limit)
 {
-    for (;;) {
-        if (ring_.empty()) {
-            if (heap_.empty())
-                return true;
-            if (heap_.top().when > limit) {
-                now_ = limit;
-                return false;
-            }
-        }
-        step();
+    limit = std::max(limit, now_);
+    while (step(limit)) {
     }
+    if (pendingEvents() == 0)
+        return true;
+    now_ = limit;
+    return false;
 }
 
 void

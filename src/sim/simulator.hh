@@ -14,20 +14,20 @@
  * Event-core layout (see DESIGN.md "Event core"):
  *  - events are EventFn (SBO callable / raw coroutine resume; event.hh),
  *    so steady-state dispatch performs zero heap allocations;
- *  - events scheduled for the *current* tick go to a FIFO ready ring
- *    and bypass the heap entirely (the `after(0, ...)` wakeup pattern
- *    used by every condition/mailbox notification);
- *  - future events live in a 4-ary min-heap of (when, seq, slot) keys
- *    over a recycled slab of EventFns, so sifts never move callables.
+ *  - every event due less than `wheelSpan` ticks from now, the
+ *    `after(0, ...)` wakeups included, is appended to a one-tick FIFO
+ *    bucket of a timing wheel; a bitmap finds the next non-empty bucket;
+ *  - rarer events due further out wait in a 4-ary min-heap of
+ *    (when, seq, slot) keys over a recycled slab of EventFns.
  * Dispatch order is exactly (when, seq) — FIFO within a tick — which is
- * the documented determinism contract; the ring is an ordering-exact
- * bypass, not a reordering.
+ * the documented determinism contract.
  */
 
 #ifndef MINOS_SIM_SIMULATOR_HH
 #define MINOS_SIM_SIMULATOR_HH
 
 #include <algorithm>
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <vector>
@@ -52,9 +52,8 @@ struct LiveLink
 };
 
 /**
- * The discrete-event simulator: a two-stage event queue (same-tick
- * ready ring + timed 4-ary heap) plus the registry of live coroutine
- * processes.
+ * The discrete-event simulator: a timing wheel for near events and a
+ * 4-ary heap for far ones, plus the registry of live coroutine processes.
  *
  * Events scheduled for the same tick run in scheduling (FIFO) order,
  * which keeps runs fully deterministic.
@@ -62,7 +61,14 @@ struct LiveLink
 class Simulator
 {
   public:
-    Simulator() = default;
+    /**
+     * Ticks covered by the timing wheel: an event due less than this far
+     * ahead skips the far heap. It covers every delay the default
+     * configurations schedule.
+     */
+    static constexpr Tick wheelSpan = 16384;
+
+    Simulator();
     ~Simulator();
 
     Simulator(const Simulator &) = delete;
@@ -79,8 +85,8 @@ class Simulator
 
     /** @{
      * Coroutine fast path: schedule a raw resume with no closure.
-     * resumeSoon() is the `after(0, ...)` wakeup — it goes straight to
-     * the ready ring.
+     * resumeSoon() is the `after(0, ...)` wakeup: it joins the current
+     * tick's bucket behind the events already due now.
      */
     void
     resumeAfter(Tick delay, std::coroutine_handle<> h)
@@ -90,7 +96,7 @@ class Simulator
 
     void resumeSoon(std::coroutine_handle<> h)
     {
-        pushReady(EventFn::resume(h));
+        pushNow(EventFn::resume(h));
     }
     /** @} */
 
@@ -99,7 +105,8 @@ class Simulator
 
     /**
      * Run until the event queue is empty or simulated time would pass
-     * @p limit.
+     * @p limit. A limit below now() runs only the events due now; time
+     * never moves backwards.
      * @return true if the queue drained, false if the limit was hit.
      */
     bool runUntil(Tick limit);
@@ -113,13 +120,14 @@ class Simulator
     /** Total events executed so far (for tests and sanity checks). */
     std::uint64_t eventsExecuted() const { return executed_; }
 
-    /** Events dispatched through the same-tick ready ring. */
+    /** Same-tick events dispatched: those scheduled for the tick that
+     *  was current when they were scheduled. */
     std::uint64_t readyRingHits() const { return ringHits_; }
 
-    /** Events that went through the timed heap. */
+    /** Events scheduled for a later tick, near or far. */
     std::uint64_t heapPushes() const { return heapPushes_; }
 
-    /** High-water marks of the two queues. */
+    /** High-water marks of the pending later-tick and same-tick events. */
     std::size_t peakHeapSize() const { return peakHeap_; }
     std::size_t peakRingSize() const { return peakRing_; }
 
@@ -132,11 +140,11 @@ class Simulator
                 static_cast<std::uint64_t>(peakRing_)};
     }
 
-    /** Events currently queued (ring + heap). */
+    /** Events currently queued (wheel + far heap). */
     std::size_t
     pendingEvents() const
     {
-        return ring_.size() + heap_.size();
+        return pendingNow_ + pendingLater_;
     }
 
     /** @{ Internal: live-process list used by the coroutine glue. */
@@ -160,18 +168,12 @@ class Simulator
     /** @} */
 
   private:
-    /** Ring-ring entry: the tick is implicitly the current one. */
-    struct ReadyEvent
-    {
-        std::uint64_t seq;
-        EventFn fn;
-    };
-
     /**
-     * 4-ary min-heap of small (when, seq, slot) keys over a slab of
-     * EventFns. Sifts move 24-byte keys, never the callables; a popped
-     * event's slot is recycled for the next push, so the slab and its
-     * free list only grow. Order is exactly (when, seq): the slot index
+     * The far heap: events due `wheelSpan` or more ticks ahead when they
+     * were scheduled. A 4-ary min-heap of small (when, seq, slot) keys
+     * over a slab of EventFns. Sifts move 24-byte keys, never the
+     * callables; a popped event's slot is recycled for the next push, so
+     * the slab and its free list only grow. Order is exactly (when, seq): the slot index
      * takes no part in the comparison.
      */
     class TimerHeap
@@ -268,66 +270,63 @@ class Simulator
         std::vector<std::uint32_t> free_;
     };
 
-    /**
-     * Growable power-of-two ring buffer of same-tick events. FIFO; all
-     * entries are due at the current tick. Steady state never touches
-     * the allocator (it only grows).
-     */
-    class ReadyRing
+    /** A wheel event and the link to the next one in its bucket. */
+    struct Node
     {
-      public:
-        bool empty() const { return head_ == tail_; }
-
-        std::size_t
-        size() const
-        {
-            return static_cast<std::size_t>(tail_ - head_);
-        }
-
-        const ReadyEvent &
-        front() const
-        {
-            return buf_[head_ & mask_];
-        }
-
-        void
-        push(ReadyEvent &&e)
-        {
-            if (size() == buf_.size())
-                grow();
-            buf_[tail_++ & mask_] = std::move(e);
-        }
-
-        ReadyEvent
-        pop()
-        {
-            return std::move(buf_[head_++ & mask_]);
-        }
-
-      private:
-        void grow();
-
-        std::vector<ReadyEvent> buf_;
-        std::uint64_t head_ = 0;
-        std::uint64_t tail_ = 0;
-        std::uint64_t mask_ = 0;
+        EventFn fn;
+        std::uint32_t next = noNode;
+        /** Due at the tick current when it was scheduled (counters only). */
+        bool sameTick = false;
     };
 
-    void pushReady(EventFn fn);
+    /** One tick's FIFO of wheel events; valid while its bitmap bit is set. */
+    struct Bucket
+    {
+        std::uint32_t head;
+        std::uint32_t tail;
+    };
 
-    /** Dispatch the single next event in (when, seq) order. */
-    void step();
+    static constexpr std::uint32_t noNode = ~std::uint32_t{0};
+    static constexpr std::size_t wheelMask = wheelSpan - 1;
+    static constexpr std::size_t bitmapWords = wheelSpan / 64;
+    static_assert((wheelSpan & wheelMask) == 0 && bitmapWords > 0,
+                  "the wheel span must be a power of two of at least 64");
 
-    TimerHeap heap_;
-    ReadyRing ring_;
+    void pushNow(EventFn fn);
+    void pushWheel(Tick when, EventFn &&fn, bool same_tick);
+
+    /** Bucket of the earliest wheel event; the wheel must be non-empty. */
+    std::size_t nextBucket() const;
+
+    /** Unlink the head event of bucket @p b and return its callable. */
+    EventFn popBucket(std::size_t b);
+
+    /**
+     * Dispatch the next event in (when, seq) order if it is due at or
+     * before @p limit.
+     * @return false if nothing was due.
+     */
+    bool step(Tick limit);
+
+    std::vector<Bucket> buckets_;
+    /** Bit b set iff bucket b holds events. */
+    std::array<std::uint64_t, bitmapWords> bitmap_{};
+    /** Wheel event storage; free nodes chain through `next`. */
+    std::vector<Node> nodes_;
+    std::uint32_t freeNode_ = noNode;
+    std::size_t wheelEvents_ = 0;
+    TimerHeap far_;
     /** Sentinel of the circular list of spawned, unfinished frames. */
     LiveLink live_{&live_, &live_};
     std::size_t numLive_ = 0;
     Tick now_ = 0;
+    /** Scheduling order of far events; wheel buckets are FIFO. */
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;
     std::uint64_t ringHits_ = 0;
     std::uint64_t heapPushes_ = 0;
+    std::size_t pendingNow_ = 0;
+    std::size_t pendingLater_ = 0;
     std::size_t peakHeap_ = 0;
     std::size_t peakRing_ = 0;
 };

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "alloc_hook.hh"
+#include "nvm/model.hh"
 #include "sim/condition.hh"
 #include "sim/network.hh"
 #include "sim/process.hh"
@@ -251,6 +252,201 @@ TEST(Simulator, DeterministicStormIsBitIdentical)
     std::uint64_t e3 = 0;
     storm(999, &t3, &e3);
     EXPECT_NE(t1, t3); // the seed actually matters
+}
+
+TEST(Simulator, RunUntilNeverMovesTimeBackwards)
+{
+    Simulator sim;
+    std::vector<Tick> fired;
+    auto log = [&] { fired.push_back(sim.now()); };
+    sim.schedule(100, log);
+    sim.schedule(500, log);
+    EXPECT_FALSE(sim.runUntil(200));
+    EXPECT_EQ(sim.now(), 200);
+    EXPECT_FALSE(sim.runUntil(50));
+    EXPECT_EQ(sim.now(), 200);
+    sim.schedule(sim.now() + 10, log);
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{100, 210, 500}));
+}
+
+TEST(Simulator, FarEventBeatsLaterWheelEventOfTheSameTick)
+{
+    // At tick 0 the event for `span + 5` is too far for the wheel; at
+    // tick 10 a second one for the same tick lands in the wheel. The far
+    // one was scheduled first, so it runs first.
+    constexpr Tick span = Simulator::wheelSpan;
+    Simulator sim;
+    std::vector<int> order;
+    sim.schedule(span + 5, [&] { order.push_back(0); });
+    sim.schedule(10, [&] {
+        sim.after(span - 5, [&] { order.push_back(1); });
+    });
+    sim.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_EQ(sim.now(), span + 5);
+}
+
+TEST(Simulator, EventExactlyOneSpanAheadRunsAfterTheCurrentTick)
+{
+    // `span` ahead maps to the current tick's bucket, so it must not
+    // join it: it runs after the current tick and after `span - 1`.
+    constexpr Tick span = Simulator::wheelSpan;
+    Simulator sim;
+    std::vector<std::pair<int, Tick>> fired;
+    auto log = [&](int id) {
+        return [&fired, &sim, id] { fired.emplace_back(id, sim.now()); };
+    };
+    sim.schedule(span, log(0));
+    sim.schedule(0, log(1));
+    sim.schedule(span - 1, log(2));
+    sim.schedule(0, [&] { sim.after(span, log(3)); });
+    sim.run();
+    EXPECT_EQ(fired, (std::vector<std::pair<int, Tick>>{
+                         {1, 0}, {2, span - 1}, {0, span}, {3, span}}));
+}
+
+TEST(Simulator, CountersAreExactWithFarEvents)
+{
+    constexpr Tick span = Simulator::wheelSpan;
+    Simulator sim;
+    int fired = 0;
+    auto count = [&] { ++fired; };
+    sim.schedule(0, count);                // same tick
+    sim.schedule(span, count);             // far
+    sim.schedule(3 * span, count);         // far
+    sim.schedule(10, [&] {                 // near
+        sim.after(0, count);               // same tick
+        sim.after(1, count);               // near
+        sim.after(span + 1, count);        // far
+    });
+    EXPECT_EQ(sim.pendingEvents(), 4u);
+    sim.run();
+    EXPECT_EQ(fired, 6);
+    EXPECT_EQ(sim.eventsExecuted(), 7u);
+    EXPECT_EQ(sim.readyRingHits(), 2u);
+    EXPECT_EQ(sim.heapPushes(), 5u);
+    // At tick 10: span, 3 * span, 11 and 10 + span + 1 are pending.
+    EXPECT_EQ(sim.peakHeapSize(), 4u);
+    EXPECT_EQ(sim.peakRingSize(), 1u);
+    EXPECT_EQ(sim.now(), 3 * span);
+}
+
+namespace {
+
+/**
+ * Random schedule for the differential wheel test: each event may
+ * schedule more events with 0, near, boundary or far delays, and the
+ * model keeps every (when, id) pair and the expected counters.
+ */
+struct RandomSchedule
+{
+    Simulator sim;
+    std::vector<Tick> when; ///< by event id = scheduling order
+    std::vector<bool> sameTickId; ///< by event id
+    std::vector<int> ran;
+    std::uint64_t rng = 0x9e3779b97f4a7c15ull;
+    int budget = 20000;
+    std::uint64_t sameTick = 0, later = 0;
+    std::size_t pendingNow = 0, pendingLater = 0;
+    std::size_t peakNow = 0, peakLater = 0;
+
+    struct Fire
+    {
+        RandomSchedule *s;
+        int id;
+        void operator()() const { s->fire(id); }
+    };
+
+    std::uint64_t
+    next(std::uint64_t n)
+    {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        return rng % n;
+    }
+
+    Tick
+    delay()
+    {
+        constexpr auto span = static_cast<std::uint64_t>(Simulator::wheelSpan);
+        switch (next(6)) {
+        case 0: return 0;
+        case 1: return static_cast<Tick>(next(64));
+        case 2: return static_cast<Tick>(next(span));
+        case 3: return static_cast<Tick>(span - 1 + next(3));
+        default: return static_cast<Tick>(next(3 * span));
+        }
+    }
+
+    void
+    add(Tick d)
+    {
+        int id = static_cast<int>(when.size());
+        when.push_back(sim.now() + d);
+        sameTickId.push_back(d == 0);
+        if (d == 0) {
+            ++sameTick;
+            peakNow = std::max(peakNow, ++pendingNow);
+        } else {
+            ++later;
+            peakLater = std::max(peakLater, ++pendingLater);
+        }
+        sim.after(d, Fire{this, id});
+    }
+
+    void
+    fire(int id)
+    {
+        EXPECT_EQ(sim.now(), when[static_cast<std::size_t>(id)]);
+        ran.push_back(id);
+        if (sameTickId[static_cast<std::size_t>(id)])
+            --pendingNow;
+        else
+            --pendingLater;
+        addSome(next(3));
+    }
+
+    /** Schedule up to @p n more events while the budget lasts. */
+    void
+    addSome(std::uint64_t n)
+    {
+        for (; n > 0 && budget > 0; --n, --budget)
+            add(delay());
+    }
+};
+
+} // namespace
+
+TEST(Simulator, WheelMatchesStableSortOfTheSchedule)
+{
+    // Differential check of the wheel and far heap against the order
+    // contract: run a random self-extending schedule over many wraps of
+    // the bucket index, with runUntil gaps and outside scheduling in
+    // between, and compare with a stable sort by tick of every event.
+    RandomSchedule r;
+    r.addSome(64);
+    while (r.sim.pendingEvents() > 0) {
+        auto gap = static_cast<Tick>(r.next(2 * Simulator::wheelSpan));
+        r.sim.runUntil(r.sim.now() + gap);
+        r.addSome(r.next(4));
+    }
+    EXPECT_GT(r.sim.now(), 10 * Simulator::wheelSpan); // wrapped often
+
+    std::vector<int> want(r.when.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        want[i] = static_cast<int>(i);
+    std::stable_sort(want.begin(), want.end(), [&](int a, int b) {
+        return r.when[static_cast<std::size_t>(a)] <
+               r.when[static_cast<std::size_t>(b)];
+    });
+    EXPECT_EQ(r.ran, want);
+    EXPECT_EQ(r.sim.eventsExecuted(), r.when.size());
+    EXPECT_EQ(r.sim.readyRingHits(), r.sameTick);
+    EXPECT_EQ(r.sim.heapPushes(), r.later);
+    EXPECT_EQ(r.sim.peakRingSize(), r.peakNow);
+    EXPECT_EQ(r.sim.peakHeapSize(), r.peakLater);
 }
 
 namespace {
@@ -1131,13 +1327,11 @@ struct Fnv
 template <typename ClusterT>
 GoldenHashes
 goldenHash(simproto::PersistModel model, simproto::OffloadOptions opts,
-           simproto::ClusterConfig::MutationHooks mutations = {})
+           simproto::ClusterConfig cfg = {})
 {
     Simulator sim;
-    simproto::ClusterConfig cfg;
     cfg.numNodes = 3;
     cfg.numRecords = 64;
-    cfg.mutations = mutations;
     ClusterT cluster(sim, cfg, model, opts);
     simproto::DriverConfig dc;
     dc.requestsPerNode = 300;
@@ -1213,8 +1407,10 @@ expectGoldenMutants(simproto::OffloadOptions opts,
     auto mutants = goldenMutants();
     for (std::size_t i = 0; i < mutants.size(); ++i) {
         SCOPED_TRACE("mutant " + std::to_string(i));
+        simproto::ClusterConfig cfg;
+        cfg.mutations = mutants[i];
         GoldenHashes got = goldenHash<ClusterT>(
-            simproto::PersistModel::Strict, opts, mutants[i]);
+            simproto::PersistModel::Strict, opts, cfg);
         EXPECT_EQ(got.results, expected[i].results);
         EXPECT_EQ(got.counters, expected[i].counters);
     }
@@ -1375,4 +1571,27 @@ TEST(GoldenRun, OffloadEngineMutantsMatchPinnedResults)
          9848488553940322035ull}};
     expectGoldenMutants<snic::ClusterO>(
         simproto::OffloadOptions::minosO(), expected);
+}
+
+TEST(GoldenRun, SsdPersistsMatchPinnedResults)
+{
+    // Fig. 14's SSD point: 100 us per KiB of host NVM. Every MINOS-B
+    // persist is scheduled beyond the event wheel's span, so it runs
+    // through the far heap. MINOS-O persists to the NIC dFIFO at the
+    // fixed Table III latency, so its run equals the default Synch pin.
+    simproto::ClusterConfig cfg;
+    cfg.persistNsPerKb = 100000;
+    ASSERT_GT(nvm::NvmModel(cfg.persistNsPerKb).persistLatency(
+                  cfg.recordBytes),
+              Simulator::wheelSpan);
+    GoldenHashes b = goldenHash<simproto::ClusterB>(
+        simproto::PersistModel::Synch, simproto::OffloadOptions::minosB(),
+        cfg);
+    EXPECT_EQ(b.results, 914791598113889233ull);
+    EXPECT_EQ(b.counters, 18330940827710514663ull);
+    GoldenHashes o = goldenHash<snic::ClusterO>(
+        simproto::PersistModel::Synch, simproto::OffloadOptions::minosO(),
+        cfg);
+    EXPECT_EQ(o.results, 15227028478125849359ull);
+    EXPECT_EQ(o.counters, 14671937009452747475ull);
 }
