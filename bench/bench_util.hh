@@ -2,10 +2,10 @@
  * @file
  * Shared helpers for the per-figure benchmark harnesses.
  *
- * Each bench binary registers its experiment points as google-benchmark
- * cases (Iterations(1) — the simulator is deterministic, repetition adds
- * nothing), reports the simulated metrics as counters, and finally
- * prints the paper-shaped table for the figure it regenerates.
+ * Each bench binary runs its experiment points once each (the simulator
+ * is deterministic, repetition adds nothing) through timePoint, which
+ * prints the host time per point, and finally prints the paper-shaped
+ * table for the figure it regenerates and its metrics blob.
  *
  * Absolute numbers are not expected to match the paper (the substrate is
  * a calibrated simulator, not the authors' testbed); the *shape* — who
@@ -16,10 +16,9 @@
 #ifndef MINOS_BENCH_BENCH_UTIL_HH
 #define MINOS_BENCH_BENCH_UTIL_HH
 
-#include <benchmark/benchmark.h>
-
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -100,15 +99,35 @@ runO(const simproto::ClusterConfig &cfg, simproto::PersistModel model,
 }
 
 /**
- * RegisterBenchmark shim: the packaged google-benchmark predates the
- * std::string overload, so convert here (the library copies the name).
+ * The figure benches take no arguments (MINOS_BENCH_REQS is their one
+ * knob): any argument prints a usage line and exits 2.
+ */
+inline void
+rejectArgs(int argc, char **argv)
+{
+    if (argc <= 1)
+        return;
+    std::fprintf(stderr,
+                 "usage: %s (takes no arguments; MINOS_BENCH_REQS=N "
+                 "sets the requests per node)\n",
+                 argv[0]);
+    std::exit(2);
+}
+
+/**
+ * Run one experiment point and print "<name>  <wall> ms", the host time
+ * it took. Its simulated results go to the bench's table and metrics.
  */
 template <typename Fn>
-inline ::benchmark::internal::Benchmark *
-minosRegisterBench(const std::string &name, Fn &&fn)
+inline void
+timePoint(const std::string &name, Fn &&fn)
 {
-    return ::benchmark::RegisterBenchmark(name.c_str(),
-                                          std::forward<Fn>(fn));
+    auto start = std::chrono::steady_clock::now();
+    fn();
+    std::chrono::duration<double, std::milli> wall =
+        std::chrono::steady_clock::now() - start;
+    std::printf("%-32s %10.1f ms\n", name.c_str(), wall.count());
+    std::fflush(stdout);
 }
 
 /** Print the figure banner before the table. */

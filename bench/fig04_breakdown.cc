@@ -27,21 +27,16 @@ struct Fig4Row
 std::vector<Fig4Row> rows;
 
 void
-runPoint(benchmark::State &state, PersistModel model)
+runPoint(PersistModel model)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig();
-        DriverConfig dc = paperDriver(cfg);
-        RunResult res = runB(cfg, model, dc);
-        state.counters["comm_ns"] = res.breakdown.meanComm();
-        state.counters["comp_ns"] = res.breakdown.meanComp();
-        state.counters["comm_frac"] = res.breakdown.commFraction();
-        recordRunMetrics(std::string("fig04.") +
-                             std::string(shortModelName(model)),
-                         res);
-        rows.push_back(Fig4Row{model, res.breakdown.meanComm() / 1e3,
-                               res.breakdown.meanComp() / 1e3});
-    }
+    ClusterConfig cfg = paperConfig();
+    DriverConfig dc = paperDriver(cfg);
+    RunResult res = runB(cfg, model, dc);
+    recordRunMetrics(std::string("fig04.") +
+                         std::string(shortModelName(model)),
+                     res);
+    rows.push_back(Fig4Row{model, res.breakdown.meanComm() / 1e3,
+                           res.breakdown.meanComp() / 1e3});
 }
 
 void
@@ -67,16 +62,10 @@ printTable()
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    for (PersistModel m : allModels) {
-        minosRegisterBench(
-            std::string("Fig04/") + std::string(shortModelName(m)),
-            [m](benchmark::State &st) { runPoint(st, m); })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    rejectArgs(argc, argv);
+    for (PersistModel m : allModels)
+        timePoint(std::string("Fig04/") + std::string(shortModelName(m)),
+                  [m] { runPoint(m); });
     printTable();
     printMetricsBlob("fig04");
     return 0;

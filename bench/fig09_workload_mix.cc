@@ -28,33 +28,19 @@ struct Point
 std::vector<Point> points;
 
 void
-runPoint(benchmark::State &state, PersistModel model, bool offload,
-         int write_pct)
+runPoint(PersistModel model, bool offload, int write_pct)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig();
-        DriverConfig dc = paperDriver(cfg, write_pct / 100.0);
-        RunResult res =
-            offload ? runO(cfg, model, dc) : runB(cfg, model, dc);
-        recordRunMetrics(std::string("fig09.") +
-                             std::string(shortModelName(model)) +
-                             (offload ? ".o.w" : ".b.w") +
-                             std::to_string(write_pct),
-                         res);
-        Point p;
-        p.model = model;
-        p.offload = offload;
-        p.writePct = write_pct;
-        p.writeLat = res.writeLat.mean();
-        p.readLat = res.readLat.mean();
-        p.writeTput = res.writeThroughput();
-        p.readTput = res.readThroughput();
-        points.push_back(p);
-        state.counters["write_lat_ns"] = p.writeLat;
-        state.counters["read_lat_ns"] = p.readLat;
-        state.counters["write_tput"] = p.writeTput;
-        state.counters["read_tput"] = p.readTput;
-    }
+    ClusterConfig cfg = paperConfig();
+    DriverConfig dc = paperDriver(cfg, write_pct / 100.0);
+    RunResult res = offload ? runO(cfg, model, dc) : runB(cfg, model, dc);
+    recordRunMetrics(std::string("fig09.") +
+                         std::string(shortModelName(model)) +
+                         (offload ? ".o.w" : ".b.w") +
+                         std::to_string(write_pct),
+                     res);
+    points.push_back(Point{model, offload, write_pct, res.writeLat.mean(),
+                           res.readLat.mean(), res.writeThroughput(),
+                           res.readThroughput()});
 }
 
 const Point *
@@ -148,26 +134,15 @@ printTable()
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    for (PersistModel m : allModels) {
-        for (bool off : {false, true}) {
-            for (int pct : {0, 20, 50, 80, 100}) {
-                std::string name =
-                    std::string("Fig09/") +
-                    std::string(shortModelName(m)) +
-                    (off ? "/O/w" : "/B/w") + std::to_string(pct);
-                minosRegisterBench(
-                    name,
-                    [m, off, pct](benchmark::State &st) {
-                        runPoint(st, m, off, pct);
-                    })
-                    ->Iterations(1)
-                    ->Unit(benchmark::kMillisecond);
-            }
-        }
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    rejectArgs(argc, argv);
+    for (PersistModel m : allModels)
+        for (bool off : {false, true})
+            for (int pct : {0, 20, 50, 80, 100})
+                timePoint(std::string("Fig09/") +
+                              std::string(shortModelName(m)) +
+                              (off ? "/O/w" : "/B/w") +
+                              std::to_string(pct),
+                          [=] { runPoint(m, off, pct); });
     printTable();
     printMetricsBlob("fig09");
     return 0;

@@ -31,27 +31,20 @@ struct Point
 std::vector<Point> points;
 
 void
-runPoint(benchmark::State &state, PersistModel model, bool offload,
-         int nodes)
+runPoint(PersistModel model, bool offload, int nodes)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig(nodes);
-        DriverConfig dc = paperDriver(cfg);
-        dc.requestsPerNode = benchRequestsPerNode(600);
-        RunResult res =
-            offload ? runO(cfg, model, dc) : runB(cfg, model, dc);
-        recordRunMetrics(std::string("fig10.") +
-                             std::string(shortModelName(model)) +
-                             (offload ? ".o.n" : ".b.n") +
-                             std::to_string(nodes),
-                         res);
-        points.push_back(Point{model, offload, nodes,
-                               res.writeLat.mean(), res.readLat.mean(),
-                               res.writeThroughput(),
-                               res.readThroughput()});
-        state.counters["write_lat_ns"] = res.writeLat.mean();
-        state.counters["total_tput"] = res.totalThroughput();
-    }
+    ClusterConfig cfg = paperConfig(nodes);
+    DriverConfig dc = paperDriver(cfg);
+    dc.requestsPerNode = benchRequestsPerNode(600);
+    RunResult res = offload ? runO(cfg, model, dc) : runB(cfg, model, dc);
+    recordRunMetrics(std::string("fig10.") +
+                         std::string(shortModelName(model)) +
+                         (offload ? ".o.n" : ".b.n") +
+                         std::to_string(nodes),
+                     res);
+    points.push_back(Point{model, offload, nodes, res.writeLat.mean(),
+                           res.readLat.mean(), res.writeThroughput(),
+                           res.readThroughput()});
 }
 
 const Point *
@@ -132,26 +125,15 @@ printTable()
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    for (PersistModel m : allModels) {
-        for (bool off : {false, true}) {
-            for (int nodes : nodeCounts) {
-                std::string name = std::string("Fig10/") +
-                                   std::string(shortModelName(m)) +
-                                   (off ? "/O/n" : "/B/n") +
-                                   std::to_string(nodes);
-                minosRegisterBench(
-                    name,
-                    [m, off, nodes](benchmark::State &st) {
-                        runPoint(st, m, off, nodes);
-                    })
-                    ->Iterations(1)
-                    ->Unit(benchmark::kMillisecond);
-            }
-        }
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    rejectArgs(argc, argv);
+    for (PersistModel m : allModels)
+        for (bool off : {false, true})
+            for (int nodes : nodeCounts)
+                timePoint(std::string("Fig10/") +
+                              std::string(shortModelName(m)) +
+                              (off ? "/O/n" : "/B/n") +
+                              std::to_string(nodes),
+                          [=] { runPoint(m, off, nodes); });
     printTable();
     printMetricsBlob("fig10");
     return 0;

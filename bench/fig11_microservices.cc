@@ -28,33 +28,29 @@ struct Point
 std::vector<Point> points;
 
 void
-runPoint(benchmark::State &state, PersistModel model, bool offload,
+runPoint(PersistModel model, bool offload,
          const workload::FunctionSpec &spec)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig(16);
-        MicroserviceConfig mc;
-        mc.invocationsPerNode = 15;
-        mc.workersPerNode = 2;
-        mc.numRecords = cfg.numRecords;
+    ClusterConfig cfg = paperConfig(16);
+    MicroserviceConfig mc;
+    mc.invocationsPerNode = 15;
+    mc.workersPerNode = 2;
+    mc.numRecords = cfg.numRecords;
 
-        sim::Simulator sim;
-        MicroserviceResult res = [&] {
-            if (offload) {
-                snic::ClusterO cluster(sim, cfg, model);
-                return runMicroservice(sim, cluster, spec, mc);
-            }
-            ClusterB cluster(sim, cfg, model);
+    sim::Simulator sim;
+    MicroserviceResult res = [&] {
+        if (offload) {
+            snic::ClusterO cluster(sim, cfg, model);
             return runMicroservice(sim, cluster, spec, mc);
-        }();
-        recordMicroMetrics(std::string("fig11.") +
-                               std::string(shortModelName(model)) +
-                               (offload ? ".o." : ".b.") + spec.app,
-                           res);
-        points.push_back(
-            Point{model, offload, spec.app, res.e2eLat.mean()});
-        state.counters["e2e_us"] = res.e2eLat.mean() / 1e3;
-    }
+        }
+        ClusterB cluster(sim, cfg, model);
+        return runMicroservice(sim, cluster, spec, mc);
+    }();
+    recordMicroMetrics(std::string("fig11.") +
+                           std::string(shortModelName(model)) +
+                           (offload ? ".o." : ".b.") + spec.app,
+                       res);
+    points.push_back(Point{model, offload, spec.app, res.e2eLat.mean()});
 }
 
 const Point *
@@ -102,27 +98,16 @@ printTable()
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
+    rejectArgs(argc, argv);
     const auto social = workload::socialNetworkLogin();
     const auto media = workload::mediaMicroservicesLogin();
-    for (PersistModel m : allModels) {
-        for (bool off : {false, true}) {
-            for (const auto &spec : {social, media}) {
-                std::string name = std::string("Fig11/") +
-                                   std::string(shortModelName(m)) +
-                                   (off ? "/O/" : "/B/") + spec.app;
-                minosRegisterBench(
-                    name,
-                    [m, off, spec](benchmark::State &st) {
-                        runPoint(st, m, off, spec);
-                    })
-                    ->Iterations(1)
-                    ->Unit(benchmark::kMillisecond);
-            }
-        }
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    for (PersistModel m : allModels)
+        for (bool off : {false, true})
+            for (const auto &spec : {social, media})
+                timePoint(std::string("Fig11/") +
+                              std::string(shortModelName(m)) +
+                              (off ? "/O/" : "/B/") + spec.app,
+                          [&] { runPoint(m, off, spec); });
     printTable();
     printMetricsBlob("fig11");
     return 0;

@@ -42,23 +42,18 @@ const std::vector<Config> configs = {
 std::vector<double> latencies(configs.size(), 0.0);
 
 void
-runPoint(benchmark::State &state, std::size_t idx)
+runPoint(std::size_t idx)
 {
     const Config &c = configs[idx];
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig();
-        DriverConfig dc = paperDriver(cfg, /*write_fraction=*/1.0);
-        OffloadOptions opts;
-        opts.batching = c.batching;
-        opts.broadcast = c.broadcast;
-        RunResult res = c.offload
-                            ? runO(cfg, PersistModel::Synch, dc, opts)
-                            : runB(cfg, PersistModel::Synch, dc, opts);
-        recordRunMetrics(std::string("fig12.cfg") + std::to_string(idx),
-                         res);
-        latencies[idx] = res.writeLat.mean();
-        state.counters["write_lat_ns"] = res.writeLat.mean();
-    }
+    ClusterConfig cfg = paperConfig();
+    DriverConfig dc = paperDriver(cfg, /*write_fraction=*/1.0);
+    OffloadOptions opts;
+    opts.batching = c.batching;
+    opts.broadcast = c.broadcast;
+    RunResult res = c.offload ? runO(cfg, PersistModel::Synch, dc, opts)
+                              : runB(cfg, PersistModel::Synch, dc, opts);
+    recordRunMetrics(std::string("fig12.cfg") + std::to_string(idx), res);
+    latencies[idx] = res.writeLat.mean();
 }
 
 void
@@ -87,16 +82,10 @@ printTable()
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        minosRegisterBench(
-            std::string("Fig12/") + configs[i].name,
-            [i](benchmark::State &st) { runPoint(st, i); })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    rejectArgs(argc, argv);
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        timePoint(std::string("Fig12/") + configs[i].name,
+                  [i] { runPoint(i); });
     printTable();
     printMetricsBlob("fig12");
     return 0;

@@ -23,22 +23,18 @@ const std::vector<int> sizes = {1, 2, 3, 4, 5, 100, 0};
 std::vector<double> latencies(sizes.size(), 0.0);
 
 void
-runPoint(benchmark::State &state, std::size_t idx)
+runPoint(std::size_t idx)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig();
-        cfg.vfifoEntries = sizes[idx];
-        cfg.dfifoEntries = sizes[idx];
-        DriverConfig dc = paperDriver(cfg);
-        RunResult res = runO(cfg, PersistModel::Synch, dc);
-        recordRunMetrics(std::string("fig13.entries") +
-                             (sizes[idx] == 0
-                                  ? std::string("_unlimited")
-                                  : std::to_string(sizes[idx])),
-                         res);
-        latencies[idx] = res.writeLat.mean();
-        state.counters["write_lat_ns"] = res.writeLat.mean();
-    }
+    ClusterConfig cfg = paperConfig();
+    cfg.vfifoEntries = sizes[idx];
+    cfg.dfifoEntries = sizes[idx];
+    DriverConfig dc = paperDriver(cfg);
+    RunResult res = runO(cfg, PersistModel::Synch, dc);
+    recordRunMetrics(std::string("fig13.entries") +
+                         (sizes[idx] == 0 ? std::string("_unlimited")
+                                          : std::to_string(sizes[idx])),
+                     res);
+    latencies[idx] = res.writeLat.mean();
 }
 
 void
@@ -64,18 +60,12 @@ printTable()
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        std::string label =
-            sizes[i] == 0 ? "unlimited" : std::to_string(sizes[i]);
-        minosRegisterBench(
-            std::string("Fig13/entries_") + label,
-            [i](benchmark::State &st) { runPoint(st, i); })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    rejectArgs(argc, argv);
+    for (std::size_t i = 0; i < sizes.size(); ++i)
+        timePoint(std::string("Fig13/entries_") +
+                      (sizes[i] == 0 ? "unlimited"
+                                     : std::to_string(sizes[i])),
+                  [i] { runPoint(i); });
     printTable();
     printMetricsBlob("fig13");
     return 0;

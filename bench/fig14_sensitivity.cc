@@ -39,55 +39,40 @@ speedupFor(const ClusterConfig &cfg, const DriverConfig &dc,
 }
 
 void
-persistPoint(benchmark::State &state, Tick ns_per_kb)
+persistPoint(Tick ns_per_kb)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig();
-        // Sweep the host NVM only: Table III fixes the SmartNIC dFIFO
-        // at its own 1295 ns/KB write latency, which is exactly why the
-        // offload benefit grows with slower host durable media.
-        cfg.persistNsPerKb = ns_per_kb;
-        DriverConfig dc = paperDriver(cfg);
-        double s = speedupFor(cfg, dc,
-                              "persist" + std::to_string(ns_per_kb));
-        points.push_back({"persist latency",
-                          std::to_string(ns_per_kb) + " ns/KB", s});
-        state.counters["speedup"] = s;
-    }
+    ClusterConfig cfg = paperConfig();
+    // Sweep the host NVM only: Table III fixes the SmartNIC dFIFO at its
+    // own 1295 ns/KB write latency, which is exactly why the offload
+    // benefit grows with slower host durable media.
+    cfg.persistNsPerKb = ns_per_kb;
+    DriverConfig dc = paperDriver(cfg);
+    double s = speedupFor(cfg, dc, "persist" + std::to_string(ns_per_kb));
+    points.push_back(
+        {"persist latency", std::to_string(ns_per_kb) + " ns/KB", s});
 }
 
 void
-distPoint(benchmark::State &state, workload::KeyDist dist)
+distPoint(workload::KeyDist dist)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig();
-        DriverConfig dc = paperDriver(cfg);
-        dc.ycsb.dist = dist;
-        double s = speedupFor(cfg, dc,
-                              dist == workload::KeyDist::Zipfian
-                                  ? "zipfian"
-                                  : "uniform");
-        points.push_back(
-            {"key distribution",
-             dist == workload::KeyDist::Zipfian ? "zipfian" : "uniform",
-             s});
-        state.counters["speedup"] = s;
-    }
+    const char *name =
+        dist == workload::KeyDist::Zipfian ? "zipfian" : "uniform";
+    ClusterConfig cfg = paperConfig();
+    DriverConfig dc = paperDriver(cfg);
+    dc.ycsb.dist = dist;
+    points.push_back({"key distribution", name, speedupFor(cfg, dc, name)});
 }
 
 void
-dbSizePoint(benchmark::State &state, std::uint64_t records)
+dbSizePoint(std::uint64_t records)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig();
-        cfg.numRecords = records;
-        DriverConfig dc = paperDriver(cfg);
-        dc.ycsb.numRecords = records;
-        double s = speedupFor(cfg, dc, "db" + std::to_string(records));
-        points.push_back(
-            {"database size", std::to_string(records) + " records", s});
-        state.counters["speedup"] = s;
-    }
+    ClusterConfig cfg = paperConfig();
+    cfg.numRecords = records;
+    DriverConfig dc = paperDriver(cfg);
+    dc.ycsb.numRecords = records;
+    double s = speedupFor(cfg, dc, "db" + std::to_string(records));
+    points.push_back(
+        {"database size", std::to_string(records) + " records", s});
 }
 
 void
@@ -110,33 +95,19 @@ printTable()
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    for (Tick ns : {Tick{100}, Tick{1295}, Tick{10000}, Tick{100000}}) {
-        minosRegisterBench(
-            std::string("Fig14/persist_") + std::to_string(ns) + "ns",
-            [ns](benchmark::State &st) { persistPoint(st, ns); })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
+    rejectArgs(argc, argv);
+    for (Tick ns : {Tick{100}, Tick{1295}, Tick{10000}, Tick{100000}})
+        timePoint("Fig14/persist_" + std::to_string(ns) + "ns",
+                  [ns] { persistPoint(ns); });
     for (auto dist :
-         {workload::KeyDist::Zipfian, workload::KeyDist::Uniform}) {
-        minosRegisterBench(
-            std::string("Fig14/dist_") +
-                (dist == workload::KeyDist::Zipfian ? "zipfian"
-                                                    : "uniform"),
-            [dist](benchmark::State &st) { distPoint(st, dist); })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    for (std::uint64_t recs : {10ull, 1000ull, 100000ull}) {
-        minosRegisterBench(
-            std::string("Fig14/db_") + std::to_string(recs),
-            [recs](benchmark::State &st) { dbSizePoint(st, recs); })
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+         {workload::KeyDist::Zipfian, workload::KeyDist::Uniform})
+        timePoint(std::string("Fig14/dist_") +
+                      (dist == workload::KeyDist::Zipfian ? "zipfian"
+                                                          : "uniform"),
+                  [dist] { distPoint(dist); });
+    for (std::uint64_t recs : {10ull, 1000ull, 100000ull})
+        timePoint("Fig14/db_" + std::to_string(recs),
+                  [recs] { dbSizePoint(recs); });
     printTable();
     printMetricsBlob("fig14");
     return 0;

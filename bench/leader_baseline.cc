@@ -33,30 +33,26 @@ struct Point
 std::vector<Point> points;
 
 void
-runPoint(benchmark::State &state, bool leaderless, int nodes)
+runPoint(bool leaderless, int nodes)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig(nodes);
-        DriverConfig dc = paperDriver(cfg);
-        dc.requestsPerNode = benchRequestsPerNode(600);
-        sim::Simulator sim;
-        RunResult res;
-        if (leaderless) {
-            ClusterB cluster(sim, cfg, PersistModel::Synch);
-            res = runWorkload(sim, cluster, dc);
-        } else {
-            ClusterLeader cluster(sim, cfg, PersistModel::Synch);
-            res = runWorkload(sim, cluster, dc);
-        }
-        recordRunMetrics(std::string("leader.") +
-                             (leaderless ? "leaderless.n" : "leader.n") +
-                             std::to_string(nodes),
-                         res);
-        points.push_back(Point{leaderless, nodes, res.writeLat.mean(),
-                               res.writeThroughput()});
-        state.counters["write_lat_ns"] = res.writeLat.mean();
-        state.counters["write_tput"] = res.writeThroughput();
+    ClusterConfig cfg = paperConfig(nodes);
+    DriverConfig dc = paperDriver(cfg);
+    dc.requestsPerNode = benchRequestsPerNode(600);
+    sim::Simulator sim;
+    RunResult res;
+    if (leaderless) {
+        ClusterB cluster(sim, cfg, PersistModel::Synch);
+        res = runWorkload(sim, cluster, dc);
+    } else {
+        ClusterLeader cluster(sim, cfg, PersistModel::Synch);
+        res = runWorkload(sim, cluster, dc);
     }
+    recordRunMetrics(std::string("leader.") +
+                         (leaderless ? "leaderless.n" : "leader.n") +
+                         std::to_string(nodes),
+                     res);
+    points.push_back(Point{leaderless, nodes, res.writeLat.mean(),
+                           res.writeThroughput()});
 }
 
 const Point *
@@ -105,24 +101,13 @@ printTable()
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    for (bool leaderless : {false, true}) {
-        for (int nodes : {2, 4, 6, 8}) {
-            std::string name =
-                std::string("Leader/") +
-                (leaderless ? "leaderless/n" : "leader/n") +
-                std::to_string(nodes);
-            minosRegisterBench(name,
-                               [leaderless, nodes](
-                                   benchmark::State &st) {
-                                   runPoint(st, leaderless, nodes);
-                               })
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    rejectArgs(argc, argv);
+    for (bool leaderless : {false, true})
+        for (int nodes : {2, 4, 6, 8})
+            timePoint(std::string("Leader/") +
+                          (leaderless ? "leaderless/n" : "leader/n") +
+                          std::to_string(nodes),
+                      [=] { runPoint(leaderless, nodes); });
     printTable();
     printMetricsBlob("leader");
     return 0;

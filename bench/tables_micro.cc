@@ -7,6 +7,8 @@
  * core is measured by perfbench/ (nvm.append_ns, sim.*).
  */
 
+#include <benchmark/benchmark.h>
+
 #include "bench_util.hh"
 
 #include "kv/hashtable.hh"
@@ -106,11 +108,11 @@ int
 main(int argc, char **argv)
 {
     benchmark::Initialize(&argc, argv);
-    minosRegisterBench("Micro/timestamp_pack", timestampPack);
-    minosRegisterBench("Micro/timestamp_raise_cas",
+    benchmark::RegisterBenchmark("Micro/timestamp_pack", timestampPack);
+    benchmark::RegisterBenchmark("Micro/timestamp_raise_cas",
                                  timestampRaise);
-    minosRegisterBench("Micro/zipfian_next", zipfianNext);
-    minosRegisterBench("Micro/hashtable_find", hashtableFind);
+    benchmark::RegisterBenchmark("Micro/zipfian_next", zipfianNext);
+    benchmark::RegisterBenchmark("Micro/hashtable_find", hashtableFind);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     printParameterTables();

@@ -29,26 +29,21 @@ struct Point
 std::vector<Point> points;
 
 void
-runPoint(benchmark::State &state, char wl, bool offload)
+runPoint(char wl, bool offload)
 {
-    for (auto _ : state) {
-        ClusterConfig cfg = paperConfig();
-        DriverConfig dc;
-        dc.requestsPerNode = benchRequestsPerNode();
-        dc.workersPerNode = cfg.hostCores;
-        dc.ycsb = workload::ycsbPreset(wl);
-        dc.ycsb.numRecords = cfg.numRecords;
-        RunResult res = offload
-                            ? runO(cfg, PersistModel::Synch, dc)
+    ClusterConfig cfg = paperConfig();
+    DriverConfig dc;
+    dc.requestsPerNode = benchRequestsPerNode();
+    dc.workersPerNode = cfg.hostCores;
+    dc.ycsb = workload::ycsbPreset(wl);
+    dc.ycsb.numRecords = cfg.numRecords;
+    RunResult res = offload ? runO(cfg, PersistModel::Synch, dc)
                             : runB(cfg, PersistModel::Synch, dc);
-        recordRunMetrics(std::string("ycsb.") + std::string(1, wl) +
-                             (offload ? ".o" : ".b"),
-                         res);
-        points.push_back(Point{wl, offload, res.writeLat.mean(),
-                               res.readLat.mean(),
-                               res.totalThroughput()});
-        state.counters["tput"] = res.totalThroughput();
-    }
+    recordRunMetrics(std::string("ycsb.") + std::string(1, wl) +
+                         (offload ? ".o" : ".b"),
+                     res);
+    points.push_back(Point{wl, offload, res.writeLat.mean(),
+                           res.readLat.mean(), res.totalThroughput()});
 }
 
 const Point *
@@ -89,22 +84,11 @@ printTable()
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    for (char wl : {'A', 'B', 'C', 'F'}) {
-        for (bool off : {false, true}) {
-            std::string name = std::string("Ycsb/") +
-                               std::string(1, wl) +
-                               (off ? "/O" : "/B");
-            minosRegisterBench(name,
-                               [wl, off](benchmark::State &st) {
-                                   runPoint(st, wl, off);
-                               })
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    rejectArgs(argc, argv);
+    for (char wl : {'A', 'B', 'C', 'F'})
+        for (bool off : {false, true})
+            timePoint(std::string("Ycsb/") + wl + (off ? "/O" : "/B"),
+                      [=] { runPoint(wl, off); });
     printTable();
     printMetricsBlob("ycsb");
     return 0;

@@ -34,111 +34,70 @@ OpLedger::Applied
 OpLedger::apply(const Record &rec)
 {
     Applied ap;
-    switch (rec.kind) {
-      case EventKind::ClientOpBegin:
-        if (opType(rec.aux) != OpType::Write || rec.a1 == 0)
-            return ap;
-        ap.id = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        {
-            auto [it, inserted] = ops_.try_emplace(ap.id);
-            it->second.coordinator = rec.node;
-            ap.op = &it->second;
-            ap.newOp = inserted;
-        }
+    if (!opIdOf(rec, ap.id))
         return ap;
+    if (rec.kind == EventKind::ClientOpBegin) {
+        if (opType(rec.aux) != OpType::Write)
+            return ap;
+        auto [it, inserted] = ops_.try_emplace(ap.id);
+        it->second.coordinator = rec.node;
+        ap.op = &it->second;
+        ap.newOp = inserted;
+        return ap;
+    }
+    ap.op = find(ap.id);
+    if (!ap.op)
+        return ap;
+    OpState &op = *ap.op;
 
+    switch (rec.kind) {
       case EventKind::ClientOpEnd:
-        if (rec.a1 == 0)
-            return ap;
-        ap.id = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        ap.op = find(ap.id);
-        if (ap.op && opType(rec.aux) == OpType::Write)
-            ap.op->endedObsolete = opObsolete(rec.aux);
-        return ap;
+        if (opType(rec.aux) == OpType::Write)
+            op.endedObsolete = opObsolete(rec.aux);
+        break;
 
       case EventKind::InvFanout:
       case EventKind::SnicBroadcastInv:
-        ap.id = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        ap.op = find(ap.id);
-        if (ap.op)
-            ap.op->fanout = true;
-        return ap;
+        op.fanout = true;
+        break;
 
       case EventKind::InvObsolete:
-        ap.id = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        ap.op = find(ap.id);
-        if (ap.op)
-            ap.op->obsoleteNodes |= nodeBit(rec.node);
-        return ap;
+        op.obsoleteNodes |= nodeBit(rec.node);
+        break;
 
       case EventKind::PersistDone:
-        ap.id = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        ap.op = find(ap.id);
-        if (ap.op)
-            ap.op->persistNodes |= nodeBit(rec.node);
-        return ap;
+        op.persistNodes |= nodeBit(rec.node);
+        break;
 
       case EventKind::AckReceived: {
-        if (ackFlavor(rec.aux) == AckFlavor::ScopePersist)
-            return ap;
-        ap.id = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        ap.op = find(ap.id);
-        if (!ap.op)
-            return ap;
         std::uint64_t bit = nodeBit(ackSender(rec.aux));
         switch (ackFlavor(rec.aux)) {
           case AckFlavor::Combined:
-            ap.duplicateAck = (ap.op->seenAck & bit) != 0;
-            ap.op->seenAck |= bit;
-            ++ap.op->acks;
+            ap.duplicateAck = (op.seenAck & bit) != 0;
+            op.seenAck |= bit;
+            ++op.acks;
             break;
           case AckFlavor::Consistency:
           case AckFlavor::ScopeConsistency:
-            ap.duplicateAck = (ap.op->seenAckC & bit) != 0;
-            ap.op->seenAckC |= bit;
-            ++ap.op->acksC;
+            ap.duplicateAck = (op.seenAckC & bit) != 0;
+            op.seenAckC |= bit;
+            ++op.acksC;
             break;
           case AckFlavor::Persistency:
-            ap.duplicateAck = (ap.op->seenAckP & bit) != 0;
-            ap.op->seenAckP |= bit;
-            ++ap.op->acksP;
+            ap.duplicateAck = (op.seenAckP & bit) != 0;
+            op.seenAckP |= bit;
+            ++op.acksP;
             break;
-          case AckFlavor::ScopePersist:
+          case AckFlavor::ScopePersist: // not op-keyed (opIdOf)
             break;
         }
-        return ap;
+        break;
       }
 
-      case EventKind::AckSent:
-        // Send-side ACK records carry no gate state (gates fire on
-        // receipt); they only locate the op for the send-time rules.
-        if (ackFlavor(rec.aux) == AckFlavor::ScopePersist)
-            return ap;
-        ap.id = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        ap.op = find(ap.id);
-        return ap;
-
-      case EventKind::InvApplied:
-      case EventKind::RdLockReleased:
-      case EventKind::GlbRaised:
-      case EventKind::ScopeMark:
-        ap.id = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        ap.op = find(ap.id);
-        return ap;
-
-      case EventKind::ValSent:
-        if (static_cast<ValFlavor>(rec.aux) == ValFlavor::ValPSc)
-            return ap;
-        ap.id = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        ap.op = find(ap.id);
-        return ap;
-
-      case EventKind::FollowerEnqueued:
-      case EventKind::VfifoSkipped:
-      case EventKind::FifoDepth:
-      case EventKind::SpanBegin:
-      case EventKind::SpanEnd:
-        return ap;
+      default:
+        // Every other op-keyed record (send-side ACKs included: gates
+        // fire on receipt) only locates the op for the auditors' rules.
+        break;
     }
     return ap;
 }

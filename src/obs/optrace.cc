@@ -6,13 +6,6 @@
 
 namespace minos::obs {
 
-namespace {
-
-/**
- * Map a record to the operation it belongs to. Returns false for
- * records with no per-op identity (FIFO samples, phase spans — their
- * txn token lacks the key — and scope-level messages).
- */
 bool
 opIdOf(const Record &rec, OpId &out)
 {
@@ -58,8 +51,6 @@ opIdOf(const Record &rec, OpId &out)
     }
     return false;
 }
-
-} // namespace
 
 OpTraceIndex::OpTraceIndex(std::size_t maxEventsPerOp)
     : maxEventsPerOp_(maxEventsPerOp == 0 ? 1 : maxEventsPerOp)

@@ -58,6 +58,15 @@ struct OpIdHash
 };
 
 /**
+ * Map a record to the write it belongs to: the one record-to-write
+ * mapping of the op traces and the audit ledgers. Returns false for
+ * records with no per-op identity (FIFO samples, phase spans — their
+ * txn token lacks the key — scope-level messages, [PERSIST]sc and ops
+ * that carry no TS).
+ */
+bool opIdOf(const Record &rec, OpId &out);
+
+/**
  * RecordSink that groups protocol records by operation and renders
  * per-op timelines for AuditViolation reports.
  */

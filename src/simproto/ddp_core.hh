@@ -148,10 +148,16 @@ class DdpCore
                        static_cast<std::int64_t>(m.tsWr.pack()), aux);
     }
 
-    /** Lay the InvObsolete record of an INV or write cut short. */
+    /**
+     * Count an INV or write cut short as obsolete in @p counter
+     * (`invsObsolete` for a follower's INV, `writesObsoleteCut` for a
+     * coordinator's own write) and lay its InvObsolete record.
+     */
     void
-    traceObsolete(kv::Key key, const kv::Timestamp &ts) const
+    countObsolete(std::uint64_t NodeCounters::*counter, kv::Key key,
+                  const kv::Timestamp &ts)
     {
+        ++(counters_.*counter);
         traceEvent(obs::Category::Protocol, obs::EventKind::InvObsolete,
                    static_cast<std::int64_t>(key),
                    static_cast<std::int64_t>(ts.pack()));
@@ -324,8 +330,7 @@ class DdpCore
     ackObsoleteInv(const net::Message &inv, Tick t_handle0,
                    kv::Timestamp observed, Respond respond)
     {
-        ++counters_.invsObsolete;
-        traceObsolete(inv.key, inv.tsWr);
+        countObsolete(&NodeCounters::invsObsolete, inv.key, inv.tsWr);
         const kv::Record &rec = store_.at(inv.key);
         for (FollowerStep s : obsoleteSteps_) {
             if (s == FollowerStep::AwaitGlbVolatile)

@@ -84,7 +84,7 @@ runWorkload(sim::Simulator &sim, DdpCluster &cluster,
 
     int workers = driver_cfg.workersPerNode;
     if (workers <= 0)
-        workers = 5; // one per busy host core (Table II)
+        workers = cluster.config().hostCores;
 
     for (int n = 0; n < cluster.numNodes(); ++n) {
         workload::YcsbGenerator gen(driver_cfg.ycsb,

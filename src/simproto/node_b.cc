@@ -145,8 +145,7 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
     // Line 10: final timestamp check under the WRLock.
     if (kv::isObsolete(rec, ts)) {
         st.obsolete = true;
-        ++counters_.writesObsoleteCut;
-        traceObsolete(key, ts);
+        countObsolete(&NodeCounters::writesObsoleteCut, key, ts);
         Timestamp observed = rec.volatileTs;
         // Lines 15-16: release WRLock first, then handleObsolete.
         releaseWrLock(rec);

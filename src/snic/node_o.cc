@@ -68,7 +68,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
     // Fig. 8 line 9: obsoleteness check (no WRLock in MINOS-O).
     if (kv::isObsolete(rec, ts)) {
         st.obsolete = true;
-        ++counters_.writesObsoleteCut;
+        countObsolete(&simproto::NodeCounters::writesObsoleteCut, key, ts);
         Timestamp observed = rec.volatileTs;
         co_await handleObsolete(key, observed);
         releaseRdLockIfOwner(rec, key, ts);

@@ -11,6 +11,9 @@
  *     bug, and the violation carries a non-empty causal trace.
  *  3. Non-perturbation: attaching the audit bundle leaves the simulated
  *     results bit-identical (auditors observe, they never feed back).
+ *
+ * Plus a unit check that the ledgers file records under the same write
+ * as the op traces (both use obs::opIdOf).
  */
 
 #include <gtest/gtest.h>
@@ -347,3 +350,25 @@ TEST(AuditPerturbation, AttachingAuditorsLeavesResultsBitIdentical)
     }
 }
 
+
+// ---------------------------------------------------------------------
+// 4. The ledgers map records to writes as the op traces do (opIdOf).
+// ---------------------------------------------------------------------
+
+TEST(AuditLedger, ScopeMarkReachesItsWritesEntry)
+{
+    // A ScopeMark carries a0 = (scope << 32) | key: the ledger must file
+    // it under the write's (key, TS_WR), not under the packed a0.
+    const OpId id{7, 0x10003};
+    const auto ts = static_cast<std::int64_t>(id.ts);
+    OpLedger ledger;
+    ledger.apply(Record{10, id.key, ts, 0, Category::Protocol,
+                        EventKind::ClientOpBegin,
+                        opAux(OpType::Write, false)});
+    OpLedger::Applied ap = ledger.apply(
+        Record{20, (std::int64_t{5} << 32) | id.key, ts, 0,
+               Category::Protocol, EventKind::ScopeMark, 0});
+    EXPECT_TRUE(ap.id == id);
+    ASSERT_NE(ap.op, nullptr);
+    EXPECT_EQ(ap.op, ledger.find(id));
+}

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the figure benches' shared helpers (bench/bench_util.hh):
- * the MINOS_BENCH_REQS request-count override.
+ * the MINOS_BENCH_REQS request-count override and the no-arguments
+ * rule.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "bench_util.hh"
 
 using minos::bench::benchRequestsPerNode;
+using minos::bench::rejectArgs;
 
 TEST(BenchRequests, UnsetKeepsTheDefault)
 {
@@ -38,4 +40,14 @@ TEST(BenchRequestsDeathTest, MalformedValueIsFatal)
             },
             ::testing::ExitedWithCode(1), "MINOS_BENCH_REQS");
     }
+}
+
+TEST(BenchArgsDeathTest, AnyArgumentExitsTwoWithUsage)
+{
+    char prog[] = "fig10_node_scaling";
+    char flag[] = "--benchmark_filter=Fig10/Synch/B";
+    char *argv[] = {prog, flag, nullptr};
+    rejectArgs(1, argv); // no arguments: returns
+    EXPECT_EXIT(rejectArgs(2, argv), ::testing::ExitedWithCode(2),
+                "usage: fig10_node_scaling");
 }

@@ -448,14 +448,16 @@ struct RunFingerprint
 };
 
 RunFingerprint
-runSeededB(PersistModel model)
+runSeededB(PersistModel model, int workers = 3,
+           int host_cores = ClusterConfig{}.hostCores)
 {
     sim::Simulator sim;
     ClusterConfig cfg = smallConfig(3, 32);
+    cfg.hostCores = host_cores;
     ClusterB cluster(sim, cfg, model);
     DriverConfig dc;
     dc.requestsPerNode = 300;
-    dc.workersPerNode = 3;
+    dc.workersPerNode = workers;
     dc.ycsb.numRecords = cfg.numRecords;
     dc.ycsb.seed = 2024;
     RunResult res = runWorkload(sim, cluster, dc);
@@ -477,6 +479,16 @@ TEST_P(ModelTest, SeededRunsAreDeterministic)
     EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
     EXPECT_EQ(a.completionTick, b.completionTick);
     EXPECT_TRUE(a == b);
+}
+
+TEST(Driver, ZeroWorkersMeansOnePerHostCore)
+{
+    // DriverConfig::workersPerNode = 0 runs one worker per host core,
+    // not a fixed count.
+    RunFingerprint dflt = runSeededB(PersistModel::Synch, 0, 2);
+    RunFingerprint two = runSeededB(PersistModel::Synch, 2, 2);
+    EXPECT_EQ(dflt.eventsExecuted, two.eventsExecuted);
+    EXPECT_TRUE(dflt == two);
 }
 
 // ---------------------------------------------------------------------

@@ -205,4 +205,56 @@ TEST(TraceIntegration, DetachedRecorderDoesNotPerturbResults)
     EXPECT_EQ(bare.writeLat.samples(), traced.result.writeLat.samples());
 }
 
+/** Counts the InvObsolete records a recorder hands its sinks. */
+struct ObsoleteRecordCounter : RecordSink
+{
+    std::uint64_t records = 0;
+
+    void
+    onRecord(const Record &rec) override
+    {
+        records += rec.kind == EventKind::InvObsolete;
+    }
+};
+
+TEST(TraceIntegration, EveryObsoleteCutLaysARecordOnBothEngines)
+{
+    // A follower's INV and a coordinator's own write cut short as
+    // obsolete are both counted and traced by DdpCore::countObsolete.
+    for (bool offload : {false, true}) {
+        for (std::uint64_t seed : {1, 2, 3}) {
+            SCOPED_TRACE(std::string(offload ? "MINOS-O" : "MINOS-B") +
+                         " seed " + std::to_string(seed));
+            FlightRecorder recorder{1 << 10};
+            ObsoleteRecordCounter sink;
+            recorder.addSink(&sink);
+            sim::Simulator sim;
+            ClusterConfig cfg;
+            cfg.numNodes = 3;
+            cfg.numRecords = 4;
+            cfg.trace = &recorder;
+            DriverConfig dc = smallDriver(cfg, 0.9);
+            dc.requestsPerNode = 400;
+            dc.workersPerNode = 5;
+            dc.ycsb.seed = seed;
+            NodeCounters total;
+            auto run = [&](auto &cluster) {
+                runWorkload(sim, cluster, dc);
+                for (int n = 0; n < cfg.numNodes; ++n)
+                    total += cluster.node(n).counters();
+            };
+            if (offload) {
+                snic::ClusterO cluster(sim, cfg, PersistModel::Synch);
+                run(cluster);
+            } else {
+                ClusterB cluster(sim, cfg, PersistModel::Synch);
+                run(cluster);
+            }
+            EXPECT_GT(total.writesObsoleteCut, 0u);
+            EXPECT_EQ(sink.records,
+                      total.invsObsolete + total.writesObsoleteCut);
+        }
+    }
+}
+
 } // namespace
