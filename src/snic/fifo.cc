@@ -51,6 +51,8 @@ VFifo::enqueue(Key key, Value value, Timestamp ts)
         // Claim the slot before the doorbell write suspends: the entry
         // must have a home by the time the write lands, or concurrent
         // enqueuers would push the occupancy past the hardware cap.
+        if (queue_.size() + reserved_ >= cap)
+            ++fullWaits_;
         co_await slots_.until(
             [&] { return queue_.size() + reserved_ < cap; });
         ++reserved_;
@@ -173,6 +175,8 @@ DFifo::enqueueMarker(std::uint32_t size_bytes)
             : ~std::size_t{0};
     // Slot reservation mirrors the vFIFO: claim before the write
     // latency so concurrent enqueuers cannot overshoot the cap.
+    if (queue_.size() + reserved_ >= cap)
+        ++fullWaits_;
     co_await slots_.until([&] { return queue_.size() + reserved_ < cap; });
     ++reserved_;
     co_await sim::delay(

@@ -73,6 +73,9 @@ class VFifo
     /** Deepest the queue has ever been (explains Fig. 13). */
     std::size_t peakOccupancy() const { return peak_; }
 
+    /** Enqueues that found every slot claimed and had to wait. */
+    std::uint64_t fullWaits() const { return fullWaits_; }
+
   private:
     struct Entry
     {
@@ -96,6 +99,7 @@ class VFifo
     std::uint64_t drainedThrough_ = 0; ///< ids < this are drained
     std::uint64_t skipped_ = 0;
     std::size_t peak_ = 0;
+    std::uint64_t fullWaits_ = 0;
     kv::NodeId node_;
 };
 
@@ -129,6 +133,9 @@ class DFifo
     /** Deepest the queue has ever been (explains Fig. 13). */
     std::size_t peakOccupancy() const { return peak_; }
 
+    /** Enqueues that found every slot claimed and had to wait. */
+    std::uint64_t fullWaits() const { return fullWaits_; }
+
   private:
     sim::Process drainLoop();
 
@@ -141,6 +148,7 @@ class DFifo
     std::deque<std::uint32_t> queue_; ///< entry sizes in bytes
     std::size_t reserved_ = 0; ///< slots claimed, write still in flight
     std::size_t peak_ = 0;
+    std::uint64_t fullWaits_ = 0;
     kv::NodeId node_;
 };
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -1323,20 +1324,40 @@ struct Fnv
     }
 };
 
-/** Hashes of one small seeded run of @p ClusterT under @p model. */
+/** The client load of a golden run; the defaults are the small runs. */
+struct GoldenLoad
+{
+    std::uint64_t requestsPerNode = 300;
+    int workersPerNode = 3;
+    double writeFraction = workload::YcsbConfig{}.writeFraction;
+};
+
+/** How full the dFIFOs of a MINOS-O golden run got, over all nodes. */
+struct GoldenDfifo
+{
+    std::size_t peak = 0;        ///< deepest queue
+    std::uint64_t fullWaits = 0; ///< enqueues that waited for a slot
+};
+
+/**
+ * Hashes of one small seeded run of @p ClusterT under @p model. For
+ * MINOS-O, @p dfifo (if given) receives how full the dFIFOs got.
+ */
 template <typename ClusterT>
 GoldenHashes
 goldenHash(simproto::PersistModel model, simproto::OffloadOptions opts,
-           simproto::ClusterConfig cfg = {})
+           simproto::ClusterConfig cfg = {}, GoldenLoad load = {},
+           GoldenDfifo *dfifo = nullptr)
 {
     Simulator sim;
     cfg.numNodes = 3;
     cfg.numRecords = 64;
     ClusterT cluster(sim, cfg, model, opts);
     simproto::DriverConfig dc;
-    dc.requestsPerNode = 300;
-    dc.workersPerNode = 3;
+    dc.requestsPerNode = load.requestsPerNode;
+    dc.workersPerNode = load.workersPerNode;
     dc.ycsb.numRecords = cfg.numRecords;
+    dc.ycsb.writeFraction = load.writeFraction;
     dc.ycsb.seed = 2024;
     simproto::RunResult res = simproto::runWorkload(sim, cluster, dc);
     // Every transaction retired and no hold leaked.
@@ -1344,6 +1365,17 @@ goldenHash(simproto::PersistModel model, simproto::OffloadOptions opts,
         EXPECT_EQ(cluster.node(static_cast<kv::NodeId>(n)).pendingTxns(),
                   0u)
             << "node " << n;
+    if constexpr (std::is_same_v<ClusterT, snic::ClusterO>) {
+        if (dfifo) {
+            *dfifo = {};
+            for (int n = 0; n < cfg.numNodes; ++n) {
+                const snic::DFifo &f =
+                    cluster.node(static_cast<kv::NodeId>(n)).dfifo();
+                dfifo->peak = std::max(dfifo->peak, f.peakOccupancy());
+                dfifo->fullWaits += f.fullWaits();
+            }
+        }
+    }
 
     Fnv results;
     results.add(res.writeLat.digest());
@@ -1594,4 +1626,47 @@ TEST(GoldenRun, SsdPersistsMatchPinnedResults)
         cfg);
     EXPECT_EQ(o.results, 15227028478125849359ull);
     EXPECT_EQ(o.counters, 14671937009452747475ull);
+}
+
+TEST(GoldenRun, SaturatedFifosMatchPinnedResults)
+{
+    // Write-only MINOS-O Event and REnf runs long enough for the persist
+    // backlog to build, and Strict with one-entry FIFOs: enqueuers here
+    // keep waiting on a full FIFO, so these runs pin the order in which
+    // the slot waits resume. (At the default timing the dFIFO queue peaks
+    // at 2 of 5 entries: the other slots are claimed by writes still in
+    // flight, which is why the waits are counted instead.)
+    GoldenLoad load;
+    load.requestsPerNode = 1500;
+    load.workersPerNode = 5;
+    load.writeFraction = 1.0;
+    const simproto::PersistModel models[] = {simproto::PersistModel::Event,
+                                             simproto::PersistModel::REnf};
+    const GoldenHashes expected[] = {
+        {3482457310873649680ull,
+         16469623273504604497ull},
+        {11134336473434658156ull,
+         9961122408893082190ull}};
+    for (std::size_t i = 0; i < 2; ++i) {
+        SCOPED_TRACE(std::string(simproto::modelName(models[i])));
+        GoldenDfifo dfifo;
+        GoldenHashes got = goldenHash<snic::ClusterO>(
+            models[i], simproto::OffloadOptions::minosO(), {}, load,
+            &dfifo);
+        EXPECT_GT(dfifo.fullWaits, load.requestsPerNode * 3);
+        EXPECT_EQ(got.results, expected[i].results);
+        EXPECT_EQ(got.counters, expected[i].counters);
+    }
+
+    simproto::ClusterConfig cfg;
+    cfg.vfifoEntries = 1;
+    cfg.dfifoEntries = 1;
+    GoldenDfifo dfifo;
+    GoldenHashes strict = goldenHash<snic::ClusterO>(
+        simproto::PersistModel::Strict, simproto::OffloadOptions::minosO(),
+        cfg, {}, &dfifo);
+    EXPECT_EQ(dfifo.peak, 1u);
+    EXPECT_GT(dfifo.fullWaits, 0u);
+    EXPECT_EQ(strict.results, 13251349027965269744ull);
+    EXPECT_EQ(strict.counters, 2361830347534987838ull);
 }
