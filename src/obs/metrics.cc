@@ -133,6 +133,7 @@ registerEventCore(MetricsRegistry &reg, const std::string &prefix,
     reg.gauge(prefix + "peak_ring_size",
               static_cast<double>(c.peakRingSize));
     reg.gauge(prefix + "ring_hit_rate", c.ringHitRate());
+    reg.counter(prefix + "predicate_tests", c.predicateTests);
 }
 
 } // namespace minos::obs

@@ -186,6 +186,8 @@ class Condition
                 notified_.clear();
                 head_ = 0;
             }
+            if (w.holds)
+                sim_.countPredicateTests();
             if (w.holds && !w.holds(w.pred))
                 parked_.push_back(w);
             else

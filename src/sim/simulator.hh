@@ -137,8 +137,11 @@ class Simulator
     {
         return {executed_, ringHits_, heapPushes_,
                 static_cast<std::uint64_t>(peakHeap_),
-                static_cast<std::uint64_t>(peakRing_)};
+                static_cast<std::uint64_t>(peakRing_), predicateTests_};
     }
+
+    /** Count @p n waiter predicates evaluated by a wakeup. */
+    void countPredicateTests(std::uint64_t n = 1) { predicateTests_ += n; }
 
     /** Events currently queued (wheel + far heap). */
     std::size_t
@@ -325,6 +328,7 @@ class Simulator
     std::uint64_t executed_ = 0;
     std::uint64_t ringHits_ = 0;
     std::uint64_t heapPushes_ = 0;
+    std::uint64_t predicateTests_ = 0;
     std::size_t pendingNow_ = 0;
     std::size_t pendingLater_ = 0;
     std::size_t peakHeap_ = 0;

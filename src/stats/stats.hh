@@ -101,6 +101,9 @@ struct EventCoreCounters
     std::uint64_t heapPushes = 0;
     std::uint64_t peakHeapSize = 0;
     std::uint64_t peakRingSize = 0;
+    /** Waiter predicates evaluated by wakeups (not by the first test
+     *  at the wait itself): the host cost of the wait herd. */
+    std::uint64_t predicateTests = 0;
 
     /** Fraction of executed events that bypassed the heap, in [0,1]. */
     double ringHitRate() const;

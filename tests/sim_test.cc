@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -1670,3 +1671,35 @@ TEST(GoldenRun, SaturatedFifosMatchPinnedResults)
     EXPECT_EQ(strict.results, 13251349027965269744ull);
     EXPECT_EQ(strict.counters, 2361830347534987838ull);
 }
+
+TEST(WaitHerd, PredicateTestsPerOpStayFlatAsTheBacklogGrows)
+{
+    // MINOS-O Event at 100% writes: background persists outpace the
+    // dFIFO drain, so the number of enqueuers waiting for a slot grows
+    // all run long. A wakeup that re-tests every parked waiter costs
+    // O(backlog) and the tests per op grow with the run; wakeups that
+    // cost O(1 + resumed) keep them flat.
+    auto testsPerOp = [](std::uint64_t requests) {
+        Simulator sim;
+        simproto::ClusterConfig cfg;
+        cfg.numNodes = 5;
+        cfg.numRecords = 1000;
+        snic::ClusterO cluster(sim, cfg, simproto::PersistModel::Event,
+                               simproto::OffloadOptions::minosO());
+        simproto::DriverConfig dc;
+        dc.requestsPerNode = requests;
+        dc.workersPerNode = 5;
+        dc.ycsb.numRecords = cfg.numRecords;
+        dc.ycsb.writeFraction = 1.0;
+        simproto::RunResult res = simproto::runWorkload(sim, cluster, dc);
+        return static_cast<double>(res.eventCore.predicateTests) /
+               static_cast<double>(res.writes + res.reads);
+    };
+    const double small = testsPerOp(500);
+    const double large = testsPerOp(2000);
+    EXPECT_GT(small, 0.0);
+    EXPECT_LE(std::abs(large - small), 0.1 * small)
+        << "predicate tests per op: " << small << " at 500 requests/node, "
+        << large << " at 2000";
+}
+
