@@ -13,8 +13,9 @@
 #include <coroutine>
 #include <cstddef>
 #include <deque>
+#include <optional>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "common/logging.hh"
 #include "sim/process.hh"
@@ -22,18 +23,20 @@
 namespace minos::sim {
 
 /**
- * A broadcast condition: processes block on it until notifyAll() or
- * notifyOne() wakes them at the current tick.
+ * A FIFO list of parked coroutines, woken at the current tick by
+ * notifyAll() or notifyOne(). It stores nothing but list heads: each
+ * waiter's link lives in its awaiter, inside the suspended frame, so
+ * parking and waking never allocate and notifyOne() pops in O(1).
  *
  * The usual form is a predicated wait, mirroring a spin:
  * @code
- *   co_await cond.until([&] { return pred(); });
+ *   co_await list.until([&] { return pred(); });
  * @endcode
  * which returns at once if the predicate holds and otherwise parks the
  * waiter with its predicate. It behaves exactly like the loop
  * @code
  *   while (!pred())
- *       co_await cond.wait();
+ *       co_await list.wait();
  * @endcode
  * but a waiter whose predicate is still false when its wakeup is due
  * goes straight back to the end of the queue without being resumed.
@@ -46,23 +49,46 @@ namespace minos::sim {
  * consecutive seqs, so nothing else can run between them, and each
  * predicate is tested at the point where the loop would re-test it.
  *
- * Lifetime: the batch event refers back to the Condition, so a Condition
- * must outlive every notification it has issued until that event has run,
- * and a waiter it resumes must not destroy it. Long-lived members (the
- * usual owners) meet this trivially.
+ * The owner passes the Simulator to each notification, so a WaitList can
+ * sit inside a recycled record (see NodeO's PendingTxn): copying one is
+ * allowed only while it is empty, and the copy starts empty.
+ *
+ * Lifetime: the batch event refers back to the list, so a list must
+ * outlive every notification it has issued until that event has run.
+ * Long-lived members (the usual owners) meet this trivially; a record
+ * meets it when every waiter holds the record, since the batch touches
+ * the list only while some notified waiter is still unvisited.
  */
-class Condition
+class WaitList
 {
-  public:
-    explicit Condition(Simulator &sim) : sim_(sim) {}
+    /** A parked waiter: the link inside its awaiter. */
+    struct Node
+    {
+        std::coroutine_handle<> handle;
+        /** Predicate test; null for a plain wait(). */
+        bool (*holds)(void *pred) = nullptr;
+        void *pred = nullptr;
+        Node *next = nullptr;
+    };
 
-    Condition(const Condition &) = delete;
-    Condition &operator=(const Condition &) = delete;
+  public:
+    WaitList() = default;
+
+    WaitList(const WaitList &o) { assertEmpty(o); }
+
+    WaitList &
+    operator=(const WaitList &o)
+    {
+        assertEmpty(*this);
+        assertEmpty(o);
+        return *this;
+    }
 
     /** Awaiter of wait(): parks unconditionally. */
     struct Awaiter
     {
-        Condition &cond;
+        WaitList &list;
+        Node node{};
 
         bool await_ready() const noexcept { return false; }
 
@@ -71,7 +97,8 @@ class Condition
         await_suspend(std::coroutine_handle<P> h)
         {
             static_assert(std::is_base_of_v<PromiseBase, P>);
-            cond.parked_.push_back(Waiter{h, nullptr, nullptr});
+            node.handle = h;
+            list.park(&node);
         }
 
         void await_resume() const noexcept {}
@@ -81,8 +108,9 @@ class Condition
     template <typename Pred>
     struct UntilAwaiter
     {
-        Condition &cond;
+        WaitList &list;
         Pred pred;
+        Node node{};
 
         bool await_ready() { return static_cast<bool>(pred()); }
 
@@ -91,9 +119,12 @@ class Condition
         await_suspend(std::coroutine_handle<P> h)
         {
             static_assert(std::is_base_of_v<PromiseBase, P>);
-            // The awaiter lives in the suspended frame, so &pred stays
-            // valid until the waiter is resumed.
-            cond.parked_.push_back(Waiter{h, &test<Pred>, &pred});
+            // The awaiter lives in the suspended frame, so the node and
+            // &pred stay valid until the waiter is resumed.
+            node.handle = h;
+            node.holds = &test<Pred>;
+            node.pred = &pred;
+            list.park(&node);
         }
 
         void await_resume() const noexcept {}
@@ -115,18 +146,19 @@ class Condition
 
     /**
      * Wake every current waiter at the present tick, in wait (FIFO)
-     * order, with one same-tick event for the whole batch: no closure
-     * allocation.
+     * order, with one same-tick event on @p sim for the whole batch: no
+     * closure allocation.
      */
     void
-    notifyAll()
+    notifyAll(Simulator &sim)
     {
-        if (parked_.empty())
+        if (!parked_.head)
             return;
-        std::size_t n = parked_.size();
-        notified_.insert(notified_.end(), parked_.begin(), parked_.end());
-        parked_.clear();
-        scheduleBatch(n);
+        std::size_t n = numParked_;
+        notified_.append(parked_.head, parked_.tail);
+        parked_ = {};
+        numParked_ = 0;
+        scheduleBatch(sim, n);
     }
 
     /**
@@ -136,25 +168,49 @@ class Condition
      * waiter whose predicate is false by then re-parks at the back.
      */
     void
-    notifyOne()
+    notifyOne(Simulator &sim)
     {
-        if (parked_.empty())
+        Node *w = parked_.popFront();
+        if (!w)
             return;
-        notified_.push_back(parked_.front());
-        parked_.erase(parked_.begin());
-        scheduleBatch(1);
+        --numParked_;
+        notified_.append(w, w);
+        scheduleBatch(sim, 1);
     }
 
-    /** Number of processes currently blocked on this condition. */
-    std::size_t numWaiters() const { return parked_.size(); }
+    /** Number of processes currently parked (not yet notified). */
+    std::size_t numWaiters() const { return numParked_; }
 
   private:
-    struct Waiter
+    /** A FIFO of nodes linked through Node::next. */
+    struct Chain
     {
-        std::coroutine_handle<> handle;
-        /** Predicate test; null for a plain wait(). */
-        bool (*holds)(void *pred);
-        void *pred;
+        Node *head = nullptr;
+        Node *tail = nullptr;
+
+        /** Append the linked nodes @p first .. @p last. */
+        void
+        append(Node *first, Node *last)
+        {
+            last->next = nullptr;
+            if (tail)
+                tail->next = first;
+            else
+                head = first;
+            tail = last;
+        }
+
+        Node *
+        popFront()
+        {
+            Node *n = head;
+            if (n) {
+                head = n->next;
+                if (!head)
+                    tail = nullptr;
+            }
+            return n;
+        }
     };
 
     template <typename Pred>
@@ -164,43 +220,93 @@ class Condition
         return static_cast<bool>((*static_cast<Pred *>(pred))());
     }
 
-    void
-    scheduleBatch(std::size_t n)
+    static void
+    assertEmpty(const WaitList &l)
     {
-        sim_.after(0, [this, n] { runBatch(n); });
+        MINOS_ASSERT(!l.parked_.head && !l.notified_.head,
+                     "copying a WaitList that has waiters");
+    }
+
+    void
+    park(Node *n)
+    {
+        parked_.append(n, n);
+        ++numParked_;
+    }
+
+    void
+    scheduleBatch(Simulator &sim, std::size_t n)
+    {
+        Simulator *simp = &sim;
+        sim.after(0, [this, simp, n] { runBatch(*simp, n); });
     }
 
     /**
      * Visit the next @p n notified waiters. Batches are consumed in the
      * order they were scheduled (all are same-tick events of this
-     * tick), so they always sit at the head of notified_.
+     * tick), so they always sit at the head of notified_. Each waiter is
+     * unlinked before it is resumed, and the list is not touched after
+     * the last one: a resumed waiter may notify again, park, or drop the
+     * record that holds this list.
      */
     void
-    runBatch(std::size_t n)
+    runBatch(Simulator &sim, std::size_t n)
     {
         for (std::size_t i = 0; i < n; ++i) {
-            // Copy out first: a resumed waiter may notify again and grow
-            // notified_.
-            Waiter w = notified_[head_++];
-            if (head_ == notified_.size()) {
-                notified_.clear();
-                head_ = 0;
+            Node *w = notified_.popFront();
+            if (w->holds) {
+                sim.countPredicateTests();
+                if (!w->holds(w->pred)) {
+                    park(w);
+                    continue;
+                }
             }
-            if (w.holds)
-                sim_.countPredicateTests();
-            if (w.holds && !w.holds(w.pred))
-                parked_.push_back(w);
-            else
-                w.handle.resume();
+            w->handle.resume();
         }
     }
 
-    Simulator &sim_;
     /** Waiting for a notification, FIFO. */
-    std::vector<Waiter> parked_;
-    /** Notified, batch event still pending; consumed from head_. */
-    std::vector<Waiter> notified_;
-    std::size_t head_ = 0;
+    Chain parked_;
+    std::size_t numParked_ = 0;
+    /** Notified, batch event still pending. */
+    Chain notified_;
+};
+
+/**
+ * A WaitList owned by a long-lived object (a node's progress condition,
+ * a CorePool), bound to its simulator.
+ */
+class Condition
+{
+  public:
+    explicit Condition(Simulator &sim) : sim_(sim) {}
+
+    Condition(const Condition &) = delete;
+    Condition &operator=(const Condition &) = delete;
+
+    /** @copydoc WaitList::wait */
+    WaitList::Awaiter wait() { return list_.wait(); }
+
+    /** @copydoc WaitList::until */
+    template <typename Pred>
+    WaitList::UntilAwaiter<Pred>
+    until(Pred pred)
+    {
+        return list_.until(std::move(pred));
+    }
+
+    /** @copydoc WaitList::notifyAll */
+    void notifyAll() { list_.notifyAll(sim_); }
+
+    /** @copydoc WaitList::notifyOne */
+    void notifyOne() { list_.notifyOne(sim_); }
+
+    /** @copydoc WaitList::numWaiters */
+    std::size_t numWaiters() const { return list_.numWaiters(); }
+
+  private:
+    Simulator &sim_;
+    WaitList list_;
 };
 
 /**

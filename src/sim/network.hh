@@ -14,7 +14,9 @@
 #ifndef MINOS_SIM_NETWORK_HH
 #define MINOS_SIM_NETWORK_HH
 
+#include <coroutine>
 #include <cstdint>
+#include <optional>
 
 #include "common/units.hh"
 #include "sim/condition.hh"
@@ -135,19 +137,78 @@ class CorePool
         cond_.notifyOne();
     }
 
+    /**
+     * Awaiter of compute(). With a core free it takes the core, schedules
+     * the caller's resume after the cost (the one timed event) and
+     * releases the core when the caller resumes: no coroutine frame.
+     * Otherwise it runs computeQueued(), which waits in acquire().
+     */
+    class ComputeAwaiter
+    {
+      public:
+        ComputeAwaiter(CorePool &pool, Tick cost) : pool_(pool), cost_(cost)
+        {
+        }
+
+        bool
+        await_ready()
+        {
+            if (pool_.free_ == 0)
+                return false;
+            --pool_.free_;
+            held_ = true;
+            if (cost_ > 0)
+                return false;
+            held_ = false;
+            pool_.release();
+            return true;
+        }
+
+        template <typename P>
+        std::coroutine_handle<>
+        await_suspend(std::coroutine_handle<P> h)
+        {
+            if (held_) {
+                Simulator *sim = h.promise().sim;
+                MINOS_ASSERT(sim, "coroutine not attached to a simulator");
+                sim->resumeAfter(cost_, h);
+                return std::noop_coroutine();
+            }
+            queued_.emplace(pool_.computeQueued(cost_));
+            return queued_->await_suspend(h);
+        }
+
+        void
+        await_resume()
+        {
+            if (held_)
+                pool_.release();
+        }
+
+      private:
+        CorePool &pool_;
+        Tick cost_;
+        /** The core was taken in await_ready(). */
+        bool held_ = false;
+        std::optional<Task<void>> queued_;
+    };
+
     /** Acquire a core, spend @p cost ticks of compute, release. */
+    ComputeAwaiter compute(Tick cost) { return ComputeAwaiter(*this, cost); }
+
+    int freeCores() const { return free_; }
+    int totalCores() const { return total_; }
+
+  private:
+    /** compute() when every core is busy: wait for one in acquire(). */
     Task<void>
-    compute(Tick cost)
+    computeQueued(Tick cost)
     {
         co_await acquire();
         co_await delay(cost);
         release();
     }
 
-    int freeCores() const { return free_; }
-    int totalCores() const { return total_; }
-
-  private:
     Condition cond_;
     int free_;
     int total_;

@@ -1,6 +1,7 @@
 #include "fifo.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/phase.hh"
 
@@ -26,6 +27,107 @@ scaledFifoLatency(Tick ns_per_kb, std::uint32_t bytes)
 } // namespace
 
 // ---------------------------------------------------------------------
+// SlotQueue
+// ---------------------------------------------------------------------
+
+SlotQueue::SlotQueue(sim::Simulator &sim, int cap)
+    : sim_(sim),
+      cap_(cap > 0 ? static_cast<std::size_t>(cap) : ~std::size_t{0})
+{
+}
+
+SlotQueue::Segment &
+SlotQueue::segment(std::size_t i)
+{
+    return ring_[(head_ + i) & (ring_.size() - 1)];
+}
+
+void
+SlotQueue::pushSegment(Segment s)
+{
+    if (size_ == ring_.size()) {
+        std::vector<Segment> grown(std::max<std::size_t>(8, 2 * size_));
+        for (std::size_t i = 0; i < size_; ++i)
+            grown[i] = segment(i);
+        ring_.swap(grown);
+        head_ = 0;
+    }
+    ring_[(head_ + size_++) & (ring_.size() - 1)] = s;
+}
+
+SlotQueue::Segment
+SlotQueue::popSegment()
+{
+    Segment s = ring_[head_];
+    head_ = (head_ + 1) & (ring_.size() - 1);
+    --size_;
+    return s;
+}
+
+void
+SlotQueue::parkRun(Claim *head, Claim *tail)
+{
+    tail->next_ = nullptr;
+    // Enqueuers parked back to back join one run.
+    if (size_ > notified_) {
+        Segment &back = segment(size_ - 1);
+        if (back.head) {
+            back.tail->next_ = head;
+            back.tail = tail;
+            return;
+        }
+    }
+    pushSegment({head, tail});
+}
+
+void
+SlotQueue::parkDrain()
+{
+    pushSegment({nullptr, nullptr});
+}
+
+void
+SlotQueue::notifyAll()
+{
+    const std::size_t n = size_ - notified_;
+    if (n == 0)
+        return;
+    notified_ = size_;
+    SlotQueue *self = this;
+    sim_.after(0, [self, n] { self->runBatch(n); });
+}
+
+void
+SlotQueue::runBatch(std::size_t n)
+{
+    // Batches run in the order they were scheduled, so this one's
+    // segments are at the head of the ring. A segment is popped before
+    // its waiters run: a resumed waiter may park, notify or fill.
+    for (std::size_t i = 0; i < n; ++i) {
+        Segment s = popSegment();
+        --notified_;
+        if (!s.head) {
+            sim_.countPredicateTests();
+            if (entries_ > 0)
+                std::exchange(drain_, {}).resume();
+            else
+                parkDrain();
+            continue;
+        }
+        while (s.head) {
+            sim_.countPredicateTests();
+            if (!hasSlot()) {
+                parkRun(s.head, s.tail);
+                break;
+            }
+            Claim *c = s.head;
+            s.head = c->next_;
+            c->handle_.resume();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // VFifo
 // ---------------------------------------------------------------------
 
@@ -33,7 +135,7 @@ VFifo::VFifo(sim::Simulator &sim, const simproto::ClusterConfig &cfg,
              kv::SimStore &store, sim::Link &pcie_to_host,
              sim::Condition &progress, kv::NodeId node)
     : sim_(sim), cfg_(cfg), store_(store), pcieToHost_(pcie_to_host),
-      progress_(progress), slots_(sim), node_(node)
+      progress_(progress), slots_(sim, cfg.vfifoEntries), node_(node)
 {
     sim_.spawn(drainLoop());
 }
@@ -41,26 +143,16 @@ VFifo::VFifo(sim::Simulator &sim, const simproto::ClusterConfig &cfg,
 sim::Task<std::uint64_t>
 VFifo::enqueue(Key key, Value value, Timestamp ts)
 {
-    const std::size_t cap =
-        cfg_.vfifoEntries > 0
-            ? static_cast<std::size_t>(cfg_.vfifoEntries)
-            : ~std::size_t{0};
     // The ignoreFifoCap test mutation drops the back-pressure wait so
     // the FIFO watchdog can prove it notices over-capacity depths.
-    if (!cfg_.mutations.ignoreFifoCap) {
-        // Claim the slot before the doorbell write suspends: the entry
-        // must have a home by the time the write lands, or concurrent
-        // enqueuers would push the occupancy past the hardware cap.
-        if (queue_.size() + reserved_ >= cap)
-            ++fullWaits_;
-        co_await slots_.until(
-            [&] { return queue_.size() + reserved_ < cap; });
-        ++reserved_;
-    }
+    const bool capped = !cfg_.mutations.ignoreFifoCap;
+    // Claim the slot before the doorbell write suspends: the entry must
+    // have a home by the time the write lands, or concurrent enqueuers
+    // would push the occupancy past the hardware cap.
+    if (capped)
+        co_await slots_.claim();
     co_await sim::delay(
         scaledFifoLatency(cfg_.vfifoWriteNs, cfg_.recordBytes));
-    if (!cfg_.mutations.ignoreFifoCap)
-        --reserved_;
     std::uint64_t id = nextId_++;
     queue_.push_back(Entry{id, key, value, ts});
     peak_ = std::max(peak_, queue_.size());
@@ -68,7 +160,7 @@ VFifo::enqueue(Key key, Value value, Timestamp ts)
         cfg_.trace->record(sim_.now(), obs::Category::Fifo,
                            obs::EventKind::FifoDepth, node_, /*a0=*/0,
                            static_cast<std::int64_t>(queue_.size()));
-    slots_.notifyAll(); // wakes the drain loop
+    slots_.fill(capped); // wakes the drain loop
     co_return id;
 }
 
@@ -87,10 +179,10 @@ VFifo::drainLoop()
     // arrival. Arrivals on one link are monotonic, so entries still
     // apply in FIFO order.
     for (;;) {
-        co_await slots_.until([&] { return !queue_.empty(); });
+        co_await slots_.next();
         Entry e = queue_.front();
         queue_.pop_front();
-        slots_.notifyAll(); // the slot frees when the engine claims it
+        slots_.take(); // the slot frees when the engine claims it
 
         // The hardware checks obsoleteness before updating the LLC
         // (§V-B.4): stale entries are skipped without a DMA.
@@ -140,7 +232,7 @@ DFifo::DFifo(sim::Simulator &sim, const simproto::ClusterConfig &cfg,
              nvm::DurableLog &log, sim::Link &pcie_to_host,
              sim::Condition &progress, kv::NodeId node)
     : sim_(sim), cfg_(cfg), log_(log), pcieToHost_(pcie_to_host),
-      progress_(progress), slots_(sim), node_(node)
+      progress_(progress), slots_(sim, cfg.dfifoEntries), node_(node)
 {
     sim_.spawn(drainLoop());
 }
@@ -169,26 +261,18 @@ DFifo::enqueue(Key key, Value value, Timestamp ts,
 sim::Task<void>
 DFifo::enqueueMarker(std::uint32_t size_bytes)
 {
-    const std::size_t cap =
-        cfg_.dfifoEntries > 0
-            ? static_cast<std::size_t>(cfg_.dfifoEntries)
-            : ~std::size_t{0};
     // Slot reservation mirrors the vFIFO: claim before the write
     // latency so concurrent enqueuers cannot overshoot the cap.
-    if (queue_.size() + reserved_ >= cap)
-        ++fullWaits_;
-    co_await slots_.until([&] { return queue_.size() + reserved_ < cap; });
-    ++reserved_;
+    co_await slots_.claim();
     co_await sim::delay(
         scaledFifoLatency(cfg_.dfifoWriteNs, size_bytes));
-    --reserved_;
     queue_.push_back(size_bytes);
     peak_ = std::max(peak_, queue_.size());
     if (cfg_.trace)
         cfg_.trace->record(sim_.now(), obs::Category::Fifo,
                            obs::EventKind::FifoDepth, node_, /*a0=*/1,
                            static_cast<std::int64_t>(queue_.size()));
-    slots_.notifyAll();
+    slots_.fill();
     progress_.notifyAll();
 }
 
@@ -200,10 +284,10 @@ DFifo::drainLoop()
     // serialization (the host NVM's per-entry persist latency is not an
     // inverse throughput; writes stream into the log).
     for (;;) {
-        co_await slots_.until([&] { return !queue_.empty(); });
+        co_await slots_.next();
         std::uint32_t bytes = queue_.front();
         queue_.pop_front();
-        slots_.notifyAll();
+        slots_.take();
 
         // Nothing waits for a dFIFO entry to drain (it is durable at
         // enqueue). The arrival still notifies progress_: that wakeup

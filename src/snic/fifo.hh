@@ -18,8 +18,11 @@
 #ifndef MINOS_SNIC_FIFO_HH
 #define MINOS_SNIC_FIFO_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <deque>
+#include <type_traits>
+#include <vector>
 
 #include "kv/store.hh"
 #include "nvm/log.hh"
@@ -31,6 +34,157 @@ namespace minos::snic {
 
 /** Sentinel for "no FIFO entry". */
 inline constexpr std::uint64_t noEntry = ~0ull;
+
+/**
+ * The slot accounting and slot waits of one bounded FIFO. Enqueuers wait
+ * in claim() for a free slot (entries + reserved < cap) and reserve it;
+ * the FIFO's one drain engine waits in next() for a queued entry.
+ *
+ * It keeps the exact wakeup order of a Condition on which every enqueuer
+ * and the drain engine wait with their predicates (DESIGN.md §5b), but a
+ * notification costs O(1 + resumed) instead of O(parked). The parked
+ * waiters form one FIFO, cut into segments: a run of consecutive
+ * enqueuers (an intrusive list through their awaiters) or the drain
+ * engine. A batch visits its segments in order. In a run it resumes
+ * enqueuers from the head while a slot is free; at the first full test it
+ * re-parks the rest of the run with one splice. That is exact because all
+ * enqueuers share one predicate and a predicate test changes nothing, so
+ * the untested rest would fail too, in order, with nothing run between.
+ *
+ * Lifetime: like a Condition, it must outlive the batch events its
+ * notifications schedule (its owner FIFO lives as long as the node).
+ */
+class SlotQueue
+{
+  public:
+    /** @param cap slots; 0 = unbounded */
+    SlotQueue(sim::Simulator &sim, int cap);
+
+    SlotQueue(const SlotQueue &) = delete;
+    SlotQueue &operator=(const SlotQueue &) = delete;
+
+    /** Awaiter of claim(): parks while every slot is taken. */
+    class Claim
+    {
+      public:
+        explicit Claim(SlotQueue &q) : q_(q) {}
+
+        bool await_ready() const { return q_.hasSlot(); }
+
+        template <typename P>
+        void
+        await_suspend(std::coroutine_handle<P> h)
+        {
+            static_assert(std::is_base_of_v<sim::PromiseBase, P>);
+            handle_ = h;
+            ++q_.fullWaits_;
+            q_.parkRun(this, this);
+        }
+
+        void await_resume() { ++q_.reserved_; }
+
+      private:
+        friend class SlotQueue;
+
+        SlotQueue &q_;
+        std::coroutine_handle<> handle_;
+        Claim *next_ = nullptr;
+    };
+
+    /** Awaiter of next(): parks the drain engine while the FIFO is empty. */
+    class Next
+    {
+      public:
+        explicit Next(SlotQueue &q) : q_(q) {}
+
+        bool await_ready() const { return q_.entries_ > 0; }
+
+        template <typename P>
+        void
+        await_suspend(std::coroutine_handle<P> h)
+        {
+            static_assert(std::is_base_of_v<sim::PromiseBase, P>);
+            MINOS_ASSERT(!q_.drain_, "a FIFO has one drain engine");
+            q_.drain_ = h;
+            q_.parkDrain();
+        }
+
+        void await_resume() const noexcept {}
+
+      private:
+        SlotQueue &q_;
+    };
+
+    /** Suspend until a slot is free, then reserve it. */
+    Claim claim() { return Claim(*this); }
+
+    /**
+     * An entry landed in the FIFO, into a slot reserved by claim() if
+     * @p reserved. Wakes the waiters.
+     */
+    void
+    fill(bool reserved = true)
+    {
+        if (reserved)
+            --reserved_;
+        ++entries_;
+        notifyAll();
+    }
+
+    /** Suspend the drain engine until an entry is queued. */
+    Next next() { return Next(*this); }
+
+    /** The drain engine took the head entry; its slot is free. */
+    void
+    take()
+    {
+        --entries_;
+        notifyAll();
+    }
+
+    /** Enqueues that found every slot claimed and had to wait. */
+    std::uint64_t fullWaits() const { return fullWaits_; }
+
+  private:
+    /** A run of parked enqueuers, or the drain engine if head is null. */
+    struct Segment
+    {
+        Claim *head;
+        Claim *tail;
+    };
+
+    bool hasSlot() const { return entries_ + reserved_ < cap_; }
+
+    /** @{ Append to the parked (not yet notified) segments. */
+    void parkRun(Claim *head, Claim *tail);
+    void parkDrain();
+    /** @} */
+
+    void pushSegment(Segment s);
+    Segment popSegment();
+    Segment &segment(std::size_t i);
+
+    /** Notify every parked waiter: one same-tick batch event. */
+    void notifyAll();
+
+    /** Visit the next @p n notified segments. */
+    void runBatch(std::size_t n);
+
+    sim::Simulator &sim_;
+    std::size_t cap_;
+    std::size_t entries_ = 0;
+    std::size_t reserved_ = 0; ///< slots claimed, write still in flight
+    std::uint64_t fullWaits_ = 0;
+    std::coroutine_handle<> drain_; ///< parked drain engine
+    /**
+     * Every waiting segment, FIFO: the first notified_ belong to pending
+     * batches, the rest are parked. A ring of power-of-two size.
+     */
+    std::vector<Segment> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+    std::size_t notified_ = 0;
+};
 
 /**
  * The volatile FIFO: serializes updates to the host LLC and filters
@@ -74,7 +228,7 @@ class VFifo
     std::size_t peakOccupancy() const { return peak_; }
 
     /** Enqueues that found every slot claimed and had to wait. */
-    std::uint64_t fullWaits() const { return fullWaits_; }
+    std::uint64_t fullWaits() const { return slots_.fullWaits(); }
 
   private:
     struct Entry
@@ -92,14 +246,12 @@ class VFifo
     kv::SimStore &store_;
     sim::Link &pcieToHost_;
     sim::Condition &progress_;
-    sim::Condition slots_;
+    SlotQueue slots_;
     std::deque<Entry> queue_;
-    std::size_t reserved_ = 0; ///< slots claimed, write still in flight
     std::uint64_t nextId_ = 0;
     std::uint64_t drainedThrough_ = 0; ///< ids < this are drained
     std::uint64_t skipped_ = 0;
     std::size_t peak_ = 0;
-    std::uint64_t fullWaits_ = 0;
     kv::NodeId node_;
 };
 
@@ -134,7 +286,7 @@ class DFifo
     std::size_t peakOccupancy() const { return peak_; }
 
     /** Enqueues that found every slot claimed and had to wait. */
-    std::uint64_t fullWaits() const { return fullWaits_; }
+    std::uint64_t fullWaits() const { return slots_.fullWaits(); }
 
   private:
     sim::Process drainLoop();
@@ -144,11 +296,9 @@ class DFifo
     nvm::DurableLog &log_;
     sim::Link &pcieToHost_;
     sim::Condition &progress_;
-    sim::Condition slots_;
+    SlotQueue slots_;
     std::deque<std::uint32_t> queue_; ///< entry sizes in bytes
-    std::size_t reserved_ = 0; ///< slots claimed, write still in flight
     std::size_t peak_ = 0;
-    std::uint64_t fullWaits_ = 0;
     kv::NodeId node_;
 };
 

@@ -92,7 +92,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
 
     // Fig. 8 lines 13-14: spin for the (batched) ACK. Without batching
     // the host counts the individually-forwarded ACKs itself.
-    co_await progress_.until([&] {
+    co_await txn->waits.until([&] {
         return batching ? txn->hostDone
                         : clientGateReached(txn->host, *txn);
     });
@@ -144,7 +144,7 @@ NodeO::persistScope(ScopeId scope)
     m.destMask = 1; // marks "from host" for the local SNIC
     cluster_.hostSendControl(id_, m);
 
-    co_await progress_.until([&] { return txn.hostDone; });
+    co_await txn.waits.until([&] { return txn.hostDone; });
     co_await hostCores_.compute(cfg_.bookkeepNs);
     scopePending_.erase(scope);
 
@@ -223,12 +223,14 @@ NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
                                            msg.tsWr);
     txn->vfifoAssigned = true;
     progress_.notifyAll();
+    txn->waits.notifyAll(sim_);
     if (tracksPersistPerWrite(model_)) {
         co_await dfifo_.enqueue(msg.key, msg.value, msg.tsWr,
                                 cfg_.recordBytes);
         ++counters_.persists;
         txn->dfifoEnqueued = true;
         progress_.notifyAll();
+        txn->waits.notifyAll(sim_);
     } else {
         dfifoInBackground(msg.key, msg.value, msg.tsWr, msg.scope,
                           cfg_.recordBytes);
@@ -299,6 +301,7 @@ NodeO::snicOnAck(Message msg)
                     if (it2 != self->scopePending_.end()) {
                         it2->second.hostDone = true;
                         self->progress_.notifyAll();
+                        it2->second.waits.notifyAll(self->sim_);
                     }
                 });
             cluster_.snicMulticast(
@@ -380,7 +383,7 @@ NodeO::snicCompleteWrite(Key key, Timestamp ts, ScopeId scope,
 {
     // Fig. 8 lines 21-24: wait for the vFIFO drain, release the RDLock
     // if still owner, broadcast the VALs, retire the transaction.
-    co_await progress_.until([&] { return txn->vfifoAssigned; });
+    co_await txn->waits.until([&] { return txn->vfifoAssigned; });
     co_await vfifo_.waitDrained(txn->vfifoId);
 
     Record &rec = store_.at(key);
@@ -413,6 +416,7 @@ NodeO::notifyHostGate(TxnHold txn)
                             [self, txn = std::move(txn)] {
                                 txn->hostDone = true;
                                 self->progress_.notifyAll();
+                                txn->waits.notifyAll(self->sim_);
                             });
 }
 
@@ -432,6 +436,7 @@ NodeO::forwardAckToHost(const Message &msg, TxnHold txn)
                         self->cfg_.bookkeepNs);
                     txn->host.add(type);
                     self->progress_.notifyAll();
+                    txn->waits.notifyAll(self->sim_);
                 }
             };
             self->sim_.spawn(
@@ -489,6 +494,7 @@ NodeO::snicOnFollowerInv(Message msg, Tick t_handle0)
                static_cast<std::int64_t>(msg.key),
                static_cast<std::int64_t>(txn->vfifoId));
     progress_.notifyAll();
+    txn->waits.notifyAll(sim_);
     for (FollowerStep s : appliedSteps_) {
         switch (s) {
           case FollowerStep::AckC:
@@ -526,19 +532,20 @@ NodeO::snicOnVal(Message msg)
     if (msg.type == MsgType::VAL_P) {
         // Wait for the VAL_C side to finish before retiring (VAL_C is
         // sent first but its handler may still be draining).
-        co_await progress_.until([&] { return txn->releasedByValC; });
+        co_await txn->waits.until([&] { return txn->releasedByValC; });
         pending_.erase(txnKey(msg.key, msg.tsWr));
         progress_.notifyAll();
         co_return;
     }
 
     // Fig. 8 lines 39-42: wait for the drain, then release the RDLock.
-    co_await progress_.until([&] { return txn->vfifoAssigned; });
+    co_await txn->waits.until([&] { return txn->vfifoAssigned; });
     co_await vfifo_.waitDrained(txn->vfifoId);
     co_await snicCores_.compute(cfg_.snicSyncNs + cfg_.coherenceNs);
     releaseRdLockIfOwner(rec, msg.key, msg.tsWr);
     txn->releasedByValC = true;
     progress_.notifyAll();
+    txn->waits.notifyAll(sim_);
 
     // Strict keeps the txn alive until VAL_P.
     if (model_ != PersistModel::Strict) {

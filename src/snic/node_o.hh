@@ -82,6 +82,12 @@ class NodeO : public simproto::DdpCore
         bool dfifoEnqueued = false;
         bool releasedByValC = false; ///< follower: VAL_C processed
         bool gateFired = false; ///< client gate already handled
+        /**
+         * Waits that only this transaction can satisfy: the host gate,
+         * vfifoAssigned and releasedByValC. Whoever sets one of those
+         * fields notifies it next to the progress_ notification.
+         */
+        sim::WaitList waits;
     };
 
     using TxnHold = simproto::TxnSlab<PendingTxn>::Hold;
