@@ -227,9 +227,6 @@ class VFifo
     /** Deepest the queue has ever been (explains Fig. 13). */
     std::size_t peakOccupancy() const { return peak_; }
 
-    /** Enqueues that found every slot claimed and had to wait. */
-    std::uint64_t fullWaits() const { return slots_.fullWaits(); }
-
   private:
     struct Entry
     {

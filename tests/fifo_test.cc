@@ -2,10 +2,16 @@
  * @file
  * Direct unit tests of the MINOS-O SmartNIC hardware queues (vFIFO and
  * dFIFO, paper §V-B.4): ordering, obsolete filtering, capacity
- * blocking, drain pipelining, and the durability point.
+ * blocking, drain pipelining, and the durability point; and the slot
+ * waits (SlotQueue) against the Condition they replace.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "nvm/log.hh"
 #include "sim/network.hh"
@@ -212,3 +218,147 @@ TEST(DFifo, ScalesLatencyWithSize)
     EXPECT_GT(big, small);
     EXPECT_NEAR(static_cast<double>(big), 2.0 * 1295.0, 10.0);
 }
+
+namespace {
+
+/**
+ * The slot waits as one Condition on which every enqueuer and the drain
+ * engine wait with their predicates: the reference whose wakeup order
+ * SlotQueue must reproduce.
+ */
+class ConditionSlots
+{
+  public:
+    ConditionSlots(Simulator &sim, int cap)
+        : cond_(sim), cap_(static_cast<std::size_t>(cap))
+    {
+    }
+
+    Task<void>
+    claim()
+    {
+        co_await cond_.until([this] { return entries_ + reserved_ < cap_; });
+        ++reserved_;
+    }
+
+    void
+    fill()
+    {
+        --reserved_;
+        ++entries_;
+        cond_.notifyAll();
+    }
+
+    Task<void>
+    next()
+    {
+        co_await cond_.until([this] { return entries_ > 0; });
+    }
+
+    void
+    take()
+    {
+        --entries_;
+        cond_.notifyAll();
+    }
+
+  private:
+    Condition cond_;
+    std::size_t cap_;
+    std::size_t entries_ = 0;
+    std::size_t reserved_ = 0;
+};
+
+/** One step of one actor (-1: the drain engine), in dispatch order. */
+struct SlotStep
+{
+    Tick at;
+    int actor;
+    int what; ///< 0 claimed, 1 filled, 2 took
+
+    bool operator==(const SlotStep &) const = default;
+};
+
+/** A per-actor stream of small pseudo-random delays, many of them 0. */
+struct Delays
+{
+    std::uint64_t x;
+
+    Tick
+    operator()(int n)
+    {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<Tick>((x >> 33) % static_cast<std::uint64_t>(n));
+    }
+};
+
+template <typename Slots>
+Process
+slotEnqueuer(Simulator *sim, Slots *slots, int id, std::vector<SlotStep> *log)
+{
+    Delays d{static_cast<std::uint64_t>(id) * 7919 + 1};
+    for (int i = 0; i < 20; ++i) {
+        co_await delay(d(3)); // think time
+        co_await slots->claim();
+        log->push_back({sim->now(), id, 0});
+        co_await delay(d(3)); // write latency; a 0 fills inside the batch
+        slots->fill();
+        log->push_back({sim->now(), id, 1});
+    }
+}
+
+template <typename Slots>
+Process
+slotDrainer(Simulator *sim, Slots *slots, std::vector<SlotStep> *log)
+{
+    Delays d{12345};
+    for (;;) {
+        co_await slots->next();
+        slots->take();
+        log->push_back({sim->now(), -1, 2});
+        co_await delay(d(4));
+    }
+}
+
+/** The steps and predicate tests of one run of @p enqueuers. */
+template <typename Slots>
+std::pair<std::vector<SlotStep>, std::uint64_t>
+runSlots(int cap, int enqueuers)
+{
+    Simulator sim;
+    Slots slots(sim, cap);
+    std::vector<SlotStep> log;
+    for (int id = 0; id < enqueuers; ++id)
+        sim.spawn(slotEnqueuer(&sim, &slots, id, &log));
+    sim.spawn(slotDrainer(&sim, &slots, &log));
+    sim.run();
+    return {std::move(log), sim.counters().predicateTests};
+}
+
+} // namespace
+
+TEST(SlotQueue, ResumesInTheOrderOfAConditionWithPredicates)
+{
+    // Bursts of enqueuers with 0-3 tick think times and write latencies
+    // against a drain engine with 0-3 tick gaps: many same-tick
+    // notifications, enqueuers that fill and claim again inside a batch,
+    // and a drain engine parked between runs of enqueuers. Every claim,
+    // fill and take must happen in the same order and tick as with the
+    // Condition, for fewer predicate tests.
+    for (int cap : {1, 2, 3, 5}) {
+        for (int enqueuers : {1, 4, 16, 64}) {
+            SCOPED_TRACE("cap " + std::to_string(cap) + ", " +
+                         std::to_string(enqueuers) + " enqueuers");
+            auto [want, wantTests] = runSlots<ConditionSlots>(cap, enqueuers);
+            auto [got, gotTests] = runSlots<SlotQueue>(cap, enqueuers);
+            ASSERT_EQ(got.size(), 3u * 20 * enqueuers);
+            EXPECT_TRUE(got == want);
+            EXPECT_LE(gotTests, wantTests);
+            // A deep backlog costs the Condition O(parked) per wakeup.
+            if (enqueuers == 64) {
+                EXPECT_LT(gotTests * 10, wantTests);
+            }
+        }
+    }
+}
+

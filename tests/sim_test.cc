@@ -90,15 +90,15 @@ TEST(Simulator, RunUntilStopsAtLimit)
 TEST(Simulator, SameTickEventsFromPastBeatLaterRingEvents)
 {
     // Exact (when, seq) order: an event scheduled *earlier* for tick 5
-    // (sitting in the heap) must run before a same-tick event scheduled
-    // *during* tick 5 (sitting in the ready ring).
+    // must run before a same-tick event scheduled *during* tick 5, which
+    // joins the back of tick 5's wheel bucket.
     Simulator sim;
     std::vector<int> order;
     sim.schedule(5, [&] {
         order.push_back(0);
-        sim.after(0, [&] { order.push_back(2); }); // ring, seq 2
+        sim.after(0, [&] { order.push_back(2); }); // same-tick, seq 2
     });
-    sim.schedule(5, [&] { order.push_back(1); }); // heap, seq 1
+    sim.schedule(5, [&] { order.push_back(1); }); // later-tick, seq 1
     sim.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -107,9 +107,9 @@ TEST(Simulator, CountersTrackRingAndHeapTraffic)
 {
     Simulator sim;
     int fired = 0;
-    sim.schedule(0, [&] { ++fired; });  // now == 0: ready ring
-    sim.schedule(10, [&] { ++fired; }); // future: heap
-    sim.schedule(10, [&] {              // future: heap
+    sim.schedule(0, [&] { ++fired; });  // now == 0: same-tick
+    sim.schedule(10, [&] { ++fired; }); // future: later-tick
+    sim.schedule(10, [&] {              // future: later-tick
         sim.after(0, [&] { ++fired; }); // same-tick wakeup: ring
     });
     sim.run();
@@ -144,8 +144,8 @@ TEST(Simulator, OversizedClosuresStillWork)
 
 TEST(Simulator, PendingEventsAreDestroyedAtTeardown)
 {
-    // Undispatched closures (ring and heap) must release their captures
-    // when the simulator dies mid-run.
+    // Undispatched closures (wheel and far heap) must release their
+    // captures when the simulator dies mid-run.
     auto owner = std::make_shared<int>(1);
     EXPECT_EQ(owner.use_count(), 1);
     {
@@ -208,7 +208,7 @@ TEST(Simulator, RecycledHeapSlotsKeepSeqOrderWithinATick)
 
 TEST(Simulator, DeterministicStormIsBitIdentical)
 {
-    // Guard against ready-ring/heap ordering drift: a pseudorandom
+    // Guard against wheel/far-heap ordering drift: a pseudorandom
     // event storm (self-rescheduling chains mixing 0-delay wakeups and
     // timed events) must replay bit-identically.
     auto storm = [](std::uint64_t seed, std::vector<Tick> *trace,
@@ -686,8 +686,8 @@ TEST(Condition, FalsePredicateWaiterIsNeverResumed)
 
 TEST(Condition, MixedBatchKeepsPerWaiterFifoOrder)
 {
-    // A `while (!p) co_await wait();` loop per waiter, with one ring event
-    // per wakeup, gives: 0 resumes; 1 re-tests false and re-waits; 2 resumes,
+    // A `while (!p) co_await wait();` loop per waiter, with one same-tick
+    // event per wakeup, gives: 0 resumes; 1 re-tests false and re-waits; 2 resumes,
     // opens the gate and notifies; 3 re-tests true and resumes; the event
     // queued just after the notification (99) runs; then the second
     // notification resumes 1. The batched wakeup must match exactly.
@@ -966,8 +966,8 @@ struct Payload
 
 enum class Shape
 {
-    TimerHeavy,  ///< pseudorandom future delays: a deep timed heap
-    WakeupHeavy, ///< `after(0, ...)` chains: the ready ring
+    TimerHeavy,  ///< pseudorandom future delays: many pending timers
+    WakeupHeavy, ///< `after(0, ...)` chains: same-tick wheel events
     Mixed,       ///< a 50/50 blend of the two
 };
 
@@ -1095,8 +1095,8 @@ warmProtocolAllocsPerOp(simproto::PersistModel model,
 
 TEST(AllocGate, SteadyStateDispatchNeverAllocates)
 {
-    // Outstanding chains: timer-heavy keeps a deep heap, wakeup-heavy a
-    // busy ring.
+    // Outstanding chains: timer-heavy keeps many later-tick events
+    // pending, wakeup-heavy a busy current-tick bucket.
     const struct
     {
         const char *name;
@@ -1110,7 +1110,7 @@ TEST(AllocGate, SteadyStateDispatchNeverAllocates)
         SCOPED_TRACE(w.name);
         Simulator sim;
         std::uint64_t sink = 0;
-        // Warm the ring and heap, then measure on the same simulator.
+        // Warm the wheel's node slab, then measure on the same simulator.
         dispatchAllocs(sim, w.shape, events / 10, w.chains, &sink);
         std::uint64_t executedBefore = sim.eventsExecuted();
         EXPECT_EQ(dispatchAllocs(sim, w.shape, events, w.chains, &sink),
@@ -1247,6 +1247,131 @@ TEST(CorePool, ReleaseHandsOffFifoWithoutHerd)
     // 7 releases with a waiter present -> exactly 7 handoff wakeups;
     // with notifyAll it would have been 7+6+...+1 = 28.
     EXPECT_EQ(pool.freeCores(), 1);
+}
+
+namespace {
+
+Process
+orderedPoolUser(CorePool *pool, Tick lead, int id, std::vector<int> *order)
+{
+    co_await delay(lead);
+    co_await pool->compute(10);
+    order->push_back(id);
+}
+
+Process
+computeThenMark(CorePool *pool, Tick cost, Tick *done, Simulator *simp)
+{
+    co_await pool->compute(cost);
+    *done = simp->now();
+}
+
+} // namespace
+
+TEST(CorePool, HundredWaitersHandOffFifoAcrossASameTickSteal)
+{
+    // 100 users queue on one core. At tick 10 the first one releases it
+    // and notifyOne() hands it to user 1, but a same-tick acquirer whose
+    // delay ends right after the release takes the free core first. User
+    // 1's batch then finds no core and re-parks at the back, as its
+    // `while (!free) wait();` loop would, so it runs last; every other
+    // handoff is FIFO, one wakeup and one predicate test each.
+    Simulator sim;
+    CorePool pool(sim, 1);
+    std::vector<int> order;
+    for (int i = 0; i < 100; ++i)
+        sim.spawn(orderedPoolUser(&pool, 0, i, &order));
+    sim.spawn(orderedPoolUser(&pool, 10, 1000, &order));
+    sim.run();
+
+    std::vector<int> expected{0, 1000};
+    for (int i = 2; i < 100; ++i)
+        expected.push_back(i);
+    expected.push_back(1);
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(sim.now(), 101 * 10);
+    EXPECT_EQ(pool.freeCores(), 1);
+    // Users 2..99 are tested once, user 1 twice; the stealer never waits.
+    EXPECT_EQ(sim.counters().predicateTests, 100u);
+    EXPECT_EQ(sim.numLiveProcesses(), 0u);
+}
+
+TEST(CorePool, ComputeOnAFreeCoreIsOneTimedEvent)
+{
+    // With a core free, compute() takes it at once, schedules only the
+    // caller's resume and gives the core back when the caller resumes.
+    Simulator sim;
+    CorePool pool(sim, 2);
+    Tick done = -1;
+    sim.spawn(computeThenMark(&pool, 30, &done, &sim));
+    sim.runUntil(0);
+    EXPECT_EQ(pool.freeCores(), 1);
+    EXPECT_EQ(sim.pendingEvents(), 1u);
+    sim.run();
+    EXPECT_EQ(done, 30);
+    EXPECT_EQ(pool.freeCores(), 2);
+
+    // A zero cost never suspends and never holds the core.
+    Tick instant = -1;
+    sim.spawn(computeThenMark(&pool, 0, &instant, &sim));
+    sim.runUntil(sim.now());
+    EXPECT_EQ(instant, 30);
+    EXPECT_EQ(pool.freeCores(), 2);
+    EXPECT_EQ(sim.pendingEvents(), 0u);
+}
+
+namespace {
+
+/** A record that owns a wait list, like NodeO's PendingTxn. */
+struct WaitingRecord
+{
+    bool ready = false;
+    WaitList waits;
+};
+
+Process
+awaitRecord(std::unique_ptr<WaitingRecord> *rec, int id,
+            std::vector<int> *woke, bool drop)
+{
+    WaitingRecord &r = **rec;
+    co_await r.waits.until([&r] { return r.ready; });
+    woke->push_back(id);
+    if (drop)
+        rec->reset(); // the last waiter retires the record
+}
+
+} // namespace
+
+TEST(WaitList, LastResumedWaiterMayDestroyTheList)
+{
+    // The batch unlinks each waiter before resuming it and never touches
+    // the list after the last one, so that waiter may free the record
+    // that holds the list (AddressSanitizer checks the claim).
+    Simulator sim;
+    auto rec = std::make_unique<WaitingRecord>();
+    std::vector<int> woke;
+    sim.spawn(awaitRecord(&rec, 0, &woke, false));
+    sim.spawn(awaitRecord(&rec, 1, &woke, true));
+    sim.run();
+    ASSERT_EQ(rec->waits.numWaiters(), 2u);
+
+    rec->ready = true;
+    rec->waits.notifyAll(sim);
+    sim.run();
+    EXPECT_EQ(woke, (std::vector<int>{0, 1}));
+    EXPECT_EQ(rec, nullptr);
+    EXPECT_EQ(sim.counters().predicateTests, 2u);
+}
+
+TEST(WaitList, EmptyListsCopyAsEmpty)
+{
+    // A recycled record is reassigned from a fresh one; the list comes
+    // along only while nobody waits on it.
+    WaitingRecord a;
+    a.ready = true;
+    WaitingRecord b(a);
+    b = WaitingRecord{};
+    EXPECT_TRUE(b.waits.numWaiters() == 0 && !b.ready);
 }
 
 namespace {

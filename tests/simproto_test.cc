@@ -471,9 +471,9 @@ runSeededB(PersistModel model, int workers = 3,
 
 TEST_P(ModelTest, SeededRunsAreDeterministic)
 {
-    // Guards the ready-ring/heap event-core rewrite against ordering
-    // drift: the same seeded configuration must replay identically,
-    // down to the event count and every latency sample.
+    // Guards the event core (timing wheel, far heap, batched wakeups)
+    // against ordering drift: the same seeded configuration must replay
+    // identically, down to the event count and every latency sample.
     RunFingerprint a = runSeededB(GetParam());
     RunFingerprint b = runSeededB(GetParam());
     EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);

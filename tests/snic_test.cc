@@ -391,7 +391,8 @@ runSeededO(PersistModel model)
 TEST_P(OModelTest, SeededRunsAreDeterministic)
 {
     // Same guard as the MINOS-B variant, through the SmartNIC engine
-    // (vFIFO/dFIFO drain loops are heavy ready-ring users).
+    // (vFIFO/dFIFO drain loops and slot waits are heavy same-tick
+    // wakeup users).
     RunFingerprintO a = runSeededO(GetParam());
     RunFingerprintO b = runSeededO(GetParam());
     EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);

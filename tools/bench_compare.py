@@ -44,6 +44,8 @@ COMMON_FLAGS = ["--requests=500", "--records=1000", "--seed=42"]
 # (simulator-efficiency guards from the zero-allocation event core).
 # ring_hit_rate is pinned, not "up": removing useless same-tick wakeups
 # lowers the share of ring events while making the simulator cheaper.
+# predicate_tests (waiter predicates re-tested by wakeups) is the
+# deterministic proxy of the wakeup cost; a wait herd inflates it.
 METRICS = [
     ("gauges/run.write_tput_ops", "up"),
     ("gauges/run.total_tput_ops", "up"),
@@ -55,6 +57,7 @@ METRICS = [
     ("counters/run.sim.events_executed", "pin"),
     ("counters/run.sim.heap_pushes", "pin"),
     ("gauges/run.sim.ring_hit_rate", "pin"),
+    ("counters/run.sim.predicate_tests", "pin"),
 ]
 
 
