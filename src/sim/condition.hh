@@ -22,21 +22,88 @@
 
 namespace minos::sim {
 
+class Condition;
+class WaitKey;
+
+namespace detail {
+
+/** A parked waiter: the link inside its awaiter, in the suspended frame. */
+struct WaitNode
+{
+    std::coroutine_handle<> handle;
+    /** Predicate test; null for a plain wait(). */
+    bool (*holds)(void *pred) = nullptr;
+    void *pred = nullptr;
+    WaitNode *next = nullptr;
+
+    /** @{ Keyed waits only (Condition::until(key, pred)). */
+    WaitKey *key = nullptr;
+    WaitNode *keyNext = nullptr; ///< the key's other waiters
+    Condition *cond = nullptr;   ///< where it waits
+    /** The key fired since the predicate was last tested. */
+    bool dirty = false;
+    /** At the head of a run of consecutive keyed waiters: its last
+     *  waiter and its length. */
+    WaitNode *runEnd = nullptr;
+    std::size_t runLen = 0;
+    /** @} */
+};
+
+} // namespace detail
+
 /**
- * A FIFO list of parked coroutines, woken at the current tick by
- * notifyAll() or notifyOne(). It stores nothing but list heads: each
- * waiter's link lives in its awaiter, inside the suspended frame, so
- * parking and waking never allocate and notifyOne() pops in O(1).
+ * Names the state that a group of keyed waits reads, such as the fields
+ * of one transaction. A keyed waiter, `co_await cond.until(key, pred)`,
+ * promises that @p pred reads only state whose every change is followed,
+ * in the same event, by `key.fire()`. Until its key fires, a waiter's
+ * predicate is known to be still false, so a notification can re-park it
+ * without testing it. A key may be copied only while nobody waits on it
+ * (a recycled record is reassigned from a fresh one).
+ */
+class WaitKey
+{
+  public:
+    WaitKey() = default;
+
+    WaitKey(const WaitKey &o) { assertIdle(o); }
+
+    WaitKey &
+    operator=(const WaitKey &o)
+    {
+        assertIdle(*this);
+        assertIdle(o);
+        return *this;
+    }
+
+    /** The state the keyed predicates read changed: each waiter is
+     *  tested again at its next visit. */
+    inline void fire();
+
+  private:
+    friend class Condition;
+
+    static void
+    assertIdle(const WaitKey &k)
+    {
+        MINOS_ASSERT(!k.waiters_, "copying a WaitKey that has waiters");
+    }
+
+    detail::WaitNode *waiters_ = nullptr;
+};
+
+/**
+ * A broadcast condition: processes block on it until notifyAll() or
+ * notifyOne() wakes them at the current tick.
  *
  * The usual form is a predicated wait, mirroring a spin:
  * @code
- *   co_await list.until([&] { return pred(); });
+ *   co_await cond.until([&] { return pred(); });
  * @endcode
  * which returns at once if the predicate holds and otherwise parks the
  * waiter with its predicate. It behaves exactly like the loop
  * @code
  *   while (!pred())
- *       co_await list.wait();
+ *       co_await cond.wait();
  * @endcode
  * but a waiter whose predicate is still false when its wakeup is due
  * goes straight back to the end of the queue without being resumed.
@@ -49,45 +116,32 @@ namespace minos::sim {
  * consecutive seqs, so nothing else can run between them, and each
  * predicate is tested at the point where the loop would re-test it.
  *
- * The owner passes the Simulator to each notification, so a WaitList can
- * sit inside a recycled record (see NodeO's PendingTxn): copying one is
- * allowed only while it is empty, and the copy starts empty.
+ * The queue is intrusive: each waiter's link lives in its awaiter, so
+ * parking and waking never allocate and notifyOne() pops in O(1).
+ * Keyed waiters (see WaitKey) parked back to back form a run. While no
+ * keyed waiter of this Condition has a fired key, a batch re-parks a
+ * whole run with one splice: every predicate in it would test false, and
+ * nothing runs between those tests, so the order is the same.
  *
- * Lifetime: the batch event refers back to the list, so a list must
- * outlive every notification it has issued until that event has run.
- * Long-lived members (the usual owners) meet this trivially; a record
- * meets it when every waiter holds the record, since the batch touches
- * the list only while some notified waiter is still unvisited.
+ * Lifetime: the batch event refers back to the Condition, so a Condition
+ * must outlive every notification it has issued until that event has run,
+ * and a waiter it resumes must not destroy it. Long-lived members (the
+ * usual owners) meet this trivially.
  */
-class WaitList
+class Condition
 {
-    /** A parked waiter: the link inside its awaiter. */
-    struct Node
-    {
-        std::coroutine_handle<> handle;
-        /** Predicate test; null for a plain wait(). */
-        bool (*holds)(void *pred) = nullptr;
-        void *pred = nullptr;
-        Node *next = nullptr;
-    };
+    using Node = detail::WaitNode;
 
   public:
-    WaitList() = default;
+    explicit Condition(Simulator &sim) : sim_(sim) {}
 
-    WaitList(const WaitList &o) { assertEmpty(o); }
-
-    WaitList &
-    operator=(const WaitList &o)
-    {
-        assertEmpty(*this);
-        assertEmpty(o);
-        return *this;
-    }
+    Condition(const Condition &) = delete;
+    Condition &operator=(const Condition &) = delete;
 
     /** Awaiter of wait(): parks unconditionally. */
     struct Awaiter
     {
-        WaitList &list;
+        Condition &cond;
         Node node{};
 
         bool await_ready() const noexcept { return false; }
@@ -98,7 +152,7 @@ class WaitList
         {
             static_assert(std::is_base_of_v<PromiseBase, P>);
             node.handle = h;
-            list.park(&node);
+            cond.park(&node);
         }
 
         void await_resume() const noexcept {}
@@ -108,7 +162,8 @@ class WaitList
     template <typename Pred>
     struct UntilAwaiter
     {
-        WaitList &list;
+        Condition &cond;
+        WaitKey *key;
         Pred pred;
         Node node{};
 
@@ -124,7 +179,13 @@ class WaitList
             node.handle = h;
             node.holds = &test<Pred>;
             node.pred = &pred;
-            list.park(&node);
+            if (key) {
+                node.key = key;
+                node.cond = &cond;
+                node.keyNext = key->waiters_;
+                key->waiters_ = &node;
+            }
+            cond.park(&node);
         }
 
         void await_resume() const noexcept {}
@@ -141,16 +202,27 @@ class WaitList
     UntilAwaiter<Pred>
     until(Pred pred)
     {
-        return UntilAwaiter<Pred>{*this, std::move(pred)};
+        return UntilAwaiter<Pred>{*this, nullptr, std::move(pred)};
+    }
+
+    /**
+     * Like until(pred), for a @p pred that reads only state covered by
+     * @p key: it is re-tested only at notifications after key.fire().
+     */
+    template <typename Pred>
+    UntilAwaiter<Pred>
+    until(WaitKey &key, Pred pred)
+    {
+        return UntilAwaiter<Pred>{*this, &key, std::move(pred)};
     }
 
     /**
      * Wake every current waiter at the present tick, in wait (FIFO)
-     * order, with one same-tick event on @p sim for the whole batch: no
-     * closure allocation.
+     * order, with one same-tick event for the whole batch: no closure
+     * allocation.
      */
     void
-    notifyAll(Simulator &sim)
+    notifyAll()
     {
         if (!parked_.head)
             return;
@@ -158,7 +230,8 @@ class WaitList
         notified_.append(parked_.head, parked_.tail);
         parked_ = {};
         numParked_ = 0;
-        scheduleBatch(sim, n);
+        backRun_ = nullptr;
+        scheduleBatch(n);
     }
 
     /**
@@ -168,20 +241,26 @@ class WaitList
      * waiter whose predicate is false by then re-parks at the back.
      */
     void
-    notifyOne(Simulator &sim)
+    notifyOne()
     {
-        Node *w = parked_.popFront();
+        Node *w = parked_.head;
         if (!w)
             return;
+        splitRunHead(w);
+        if (backRun_ == w)
+            backRun_ = w->next;
+        parked_.popFront();
         --numParked_;
         notified_.append(w, w);
-        scheduleBatch(sim, 1);
+        scheduleBatch(1);
     }
 
-    /** Number of processes currently parked (not yet notified). */
+    /** Number of processes currently blocked on this condition. */
     std::size_t numWaiters() const { return numParked_; }
 
   private:
+    friend class WaitKey;
+
     /** A FIFO of nodes linked through Node::next. */
     struct Chain
     {
@@ -200,16 +279,12 @@ class WaitList
             tail = last;
         }
 
-        Node *
+        void
         popFront()
         {
-            Node *n = head;
-            if (n) {
-                head = n->next;
-                if (!head)
-                    tail = nullptr;
-            }
-            return n;
+            head = head->next;
+            if (!head)
+                tail = nullptr;
         }
     };
 
@@ -220,94 +295,137 @@ class WaitList
         return static_cast<bool>((*static_cast<Pred *>(pred))());
     }
 
-    static void
-    assertEmpty(const WaitList &l)
-    {
-        MINOS_ASSERT(!l.parked_.head && !l.notified_.head,
-                     "copying a WaitList that has waiters");
-    }
-
+    /** Append one waiter; a keyed one joins the run at the back. */
     void
     park(Node *n)
     {
         parked_.append(n, n);
         ++numParked_;
+        if (!n->key) {
+            backRun_ = nullptr;
+        } else if (backRun_) {
+            backRun_->runEnd = n;
+            ++backRun_->runLen;
+        } else {
+            n->runEnd = n;
+            n->runLen = 1;
+            backRun_ = n;
+        }
+    }
+
+    /** Append the run headed by @p h; it joins the run at the back. */
+    void
+    parkRun(Node *h)
+    {
+        Node *end = h->runEnd;
+        std::size_t len = h->runLen;
+        parked_.append(h, end);
+        numParked_ += len;
+        if (backRun_) {
+            backRun_->runEnd = end;
+            backRun_->runLen += len;
+        } else {
+            backRun_ = h;
+        }
+    }
+
+    /** @p w, the head of its chain, is about to leave it alone: the
+     *  rest of its run gets a new head. */
+    static void
+    splitRunHead(Node *w)
+    {
+        if (w->key && w->runLen > 1) {
+            Node *rest = w->next;
+            rest->runEnd = w->runEnd;
+            rest->runLen = w->runLen - 1;
+            w->runEnd = w;
+            w->runLen = 1;
+        }
     }
 
     void
-    scheduleBatch(Simulator &sim, std::size_t n)
+    unlinkFromKey(Node *w)
     {
-        Simulator *simp = &sim;
-        sim.after(0, [this, simp, n] { runBatch(*simp, n); });
+        Node **p = &w->key->waiters_;
+        while (*p != w)
+            p = &(*p)->keyNext;
+        *p = w->keyNext;
+    }
+
+    void
+    scheduleBatch(std::size_t n)
+    {
+        sim_.after(0, [this, n] { runBatch(n); });
     }
 
     /**
      * Visit the next @p n notified waiters. Batches are consumed in the
      * order they were scheduled (all are same-tick events of this
-     * tick), so they always sit at the head of notified_. Each waiter is
-     * unlinked before it is resumed, and the list is not touched after
-     * the last one: a resumed waiter may notify again, park, or drop the
-     * record that holds this list.
+     * tick), so they always sit at the head of notified_. A run of keyed
+     * waiters lies wholly inside one batch.
      */
     void
-    runBatch(Simulator &sim, std::size_t n)
+    runBatch(std::size_t n)
     {
-        for (std::size_t i = 0; i < n; ++i) {
-            Node *w = notified_.popFront();
+        while (n > 0) {
+            Node *w = notified_.head;
+            if (w->key && dirty_ == 0) {
+                // No key fired: every predicate in the run is false.
+                std::size_t len = w->runLen;
+                MINOS_ASSERT(len <= n, "a keyed run crosses a batch");
+                notified_.head = w->runEnd->next;
+                if (!notified_.head)
+                    notified_.tail = nullptr;
+                parkRun(w);
+                n -= len;
+                continue;
+            }
+            splitRunHead(w);
+            notified_.popFront();
+            --n;
+            if (w->key && !w->dirty) {
+                park(w); // its predicate is still false
+                continue;
+            }
             if (w->holds) {
-                sim.countPredicateTests();
+                if (w->dirty) {
+                    w->dirty = false;
+                    --dirty_;
+                }
+                sim_.countPredicateTest();
                 if (!w->holds(w->pred)) {
                     park(w);
                     continue;
                 }
             }
+            if (w->key)
+                unlinkFromKey(w);
             w->handle.resume();
         }
     }
 
+    Simulator &sim_;
     /** Waiting for a notification, FIFO. */
     Chain parked_;
     std::size_t numParked_ = 0;
+    /** Head of the keyed run that ends parked_, if it ends in one. */
+    Node *backRun_ = nullptr;
     /** Notified, batch event still pending. */
     Chain notified_;
+    /** Keyed waiters whose key fired since their last test. */
+    std::size_t dirty_ = 0;
 };
 
-/**
- * A WaitList owned by a long-lived object (a node's progress condition,
- * a CorePool), bound to its simulator.
- */
-class Condition
+inline void
+WaitKey::fire()
 {
-  public:
-    explicit Condition(Simulator &sim) : sim_(sim) {}
-
-    Condition(const Condition &) = delete;
-    Condition &operator=(const Condition &) = delete;
-
-    /** @copydoc WaitList::wait */
-    WaitList::Awaiter wait() { return list_.wait(); }
-
-    /** @copydoc WaitList::until */
-    template <typename Pred>
-    WaitList::UntilAwaiter<Pred>
-    until(Pred pred)
-    {
-        return list_.until(std::move(pred));
+    for (detail::WaitNode *n = waiters_; n; n = n->keyNext) {
+        if (!n->dirty) {
+            n->dirty = true;
+            ++n->cond->dirty_;
+        }
     }
-
-    /** @copydoc WaitList::notifyAll */
-    void notifyAll() { list_.notifyAll(sim_); }
-
-    /** @copydoc WaitList::notifyOne */
-    void notifyOne() { list_.notifyOne(sim_); }
-
-    /** @copydoc WaitList::numWaiters */
-    std::size_t numWaiters() const { return list_.numWaiters(); }
-
-  private:
-    Simulator &sim_;
-    WaitList list_;
-};
+}
 
 /**
  * An unbounded FIFO channel of T. send() never blocks; recv() suspends

@@ -156,12 +156,14 @@ class CorePool
             if (pool_.free_ == 0)
                 return false;
             --pool_.free_;
+            if (cost_ <= 0) {
+                // Taken and given back at once, as acquire(), delay(0)
+                // and release() did; the release may hand off a core.
+                pool_.release();
+                return true;
+            }
             held_ = true;
-            if (cost_ > 0)
-                return false;
-            held_ = false;
-            pool_.release();
-            return true;
+            return false;
         }
 
         template <typename P>

@@ -140,8 +140,8 @@ class Simulator
                 static_cast<std::uint64_t>(peakRing_), predicateTests_};
     }
 
-    /** Count @p n waiter predicates evaluated by a wakeup. */
-    void countPredicateTests(std::uint64_t n = 1) { predicateTests_ += n; }
+    /** Count one waiter predicate evaluated by a wakeup. */
+    void countPredicateTest() { ++predicateTests_; }
 
     /** Events currently queued (wheel + far heap). */
     std::size_t

@@ -107,7 +107,7 @@ SlotQueue::runBatch(std::size_t n)
         Segment s = popSegment();
         --notified_;
         if (!s.head) {
-            sim_.countPredicateTests();
+            sim_.countPredicateTest();
             if (entries_ > 0)
                 std::exchange(drain_, {}).resume();
             else
@@ -115,7 +115,7 @@ SlotQueue::runBatch(std::size_t n)
             continue;
         }
         while (s.head) {
-            sim_.countPredicateTests();
+            sim_.countPredicateTest();
             if (!hasSlot()) {
                 parkRun(s.head, s.tail);
                 break;

@@ -92,7 +92,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
 
     // Fig. 8 lines 13-14: spin for the (batched) ACK. Without batching
     // the host counts the individually-forwarded ACKs itself.
-    co_await txn->waits.until([&] {
+    co_await progress_.until(txn->waitKey, [&] {
         return batching ? txn->hostDone
                         : clientGateReached(txn->host, *txn);
     });
@@ -144,7 +144,7 @@ NodeO::persistScope(ScopeId scope)
     m.destMask = 1; // marks "from host" for the local SNIC
     cluster_.hostSendControl(id_, m);
 
-    co_await txn.waits.until([&] { return txn.hostDone; });
+    co_await progress_.until(txn.waitKey, [&] { return txn.hostDone; });
     co_await hostCores_.compute(cfg_.bookkeepNs);
     scopePending_.erase(scope);
 
@@ -222,15 +222,15 @@ NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
     txn->vfifoId = co_await vfifo_.enqueue(msg.key, msg.value,
                                            msg.tsWr);
     txn->vfifoAssigned = true;
+    txn->waitKey.fire();
     progress_.notifyAll();
-    txn->waits.notifyAll(sim_);
     if (tracksPersistPerWrite(model_)) {
         co_await dfifo_.enqueue(msg.key, msg.value, msg.tsWr,
                                 cfg_.recordBytes);
         ++counters_.persists;
         txn->dfifoEnqueued = true;
+        txn->waitKey.fire();
         progress_.notifyAll();
-        txn->waits.notifyAll(sim_);
     } else {
         dfifoInBackground(msg.key, msg.value, msg.tsWr, msg.scope,
                           cfg_.recordBytes);
@@ -300,8 +300,8 @@ NodeO::snicOnAck(Message msg)
                     auto it2 = self->scopePending_.find(scope);
                     if (it2 != self->scopePending_.end()) {
                         it2->second.hostDone = true;
+                        it2->second.waitKey.fire();
                         self->progress_.notifyAll();
-                        it2->second.waits.notifyAll(self->sim_);
                     }
                 });
             cluster_.snicMulticast(
@@ -383,7 +383,8 @@ NodeO::snicCompleteWrite(Key key, Timestamp ts, ScopeId scope,
 {
     // Fig. 8 lines 21-24: wait for the vFIFO drain, release the RDLock
     // if still owner, broadcast the VALs, retire the transaction.
-    co_await txn->waits.until([&] { return txn->vfifoAssigned; });
+    co_await progress_.until(txn->waitKey,
+                             [&] { return txn->vfifoAssigned; });
     co_await vfifo_.waitDrained(txn->vfifoId);
 
     Record &rec = store_.at(key);
@@ -415,8 +416,8 @@ NodeO::notifyHostGate(TxnHold txn)
     cluster_.snicNotifyHost(id_, net::controlMsgBytes,
                             [self, txn = std::move(txn)] {
                                 txn->hostDone = true;
+                                txn->waitKey.fire();
                                 self->progress_.notifyAll();
-                                txn->waits.notifyAll(self->sim_);
                             });
 }
 
@@ -435,8 +436,8 @@ NodeO::forwardAckToHost(const Message &msg, TxnHold txn)
                     co_await self->hostCores_.compute(
                         self->cfg_.bookkeepNs);
                     txn->host.add(type);
+                    txn->waitKey.fire();
                     self->progress_.notifyAll();
-                    txn->waits.notifyAll(self->sim_);
                 }
             };
             self->sim_.spawn(
@@ -490,11 +491,11 @@ NodeO::snicOnFollowerInv(Message msg, Tick t_handle0)
     txn->vfifoId = co_await vfifo_.enqueue(msg.key, msg.value,
                                            msg.tsWr);
     txn->vfifoAssigned = true;
+    txn->waitKey.fire();
     traceEvent(obs::Category::Fifo, obs::EventKind::FollowerEnqueued,
                static_cast<std::int64_t>(msg.key),
                static_cast<std::int64_t>(txn->vfifoId));
     progress_.notifyAll();
-    txn->waits.notifyAll(sim_);
     for (FollowerStep s : appliedSteps_) {
         switch (s) {
           case FollowerStep::AckC:
@@ -532,20 +533,22 @@ NodeO::snicOnVal(Message msg)
     if (msg.type == MsgType::VAL_P) {
         // Wait for the VAL_C side to finish before retiring (VAL_C is
         // sent first but its handler may still be draining).
-        co_await txn->waits.until([&] { return txn->releasedByValC; });
+        co_await progress_.until(txn->waitKey,
+                                 [&] { return txn->releasedByValC; });
         pending_.erase(txnKey(msg.key, msg.tsWr));
         progress_.notifyAll();
         co_return;
     }
 
     // Fig. 8 lines 39-42: wait for the drain, then release the RDLock.
-    co_await txn->waits.until([&] { return txn->vfifoAssigned; });
+    co_await progress_.until(txn->waitKey,
+                             [&] { return txn->vfifoAssigned; });
     co_await vfifo_.waitDrained(txn->vfifoId);
     co_await snicCores_.compute(cfg_.snicSyncNs + cfg_.coherenceNs);
     releaseRdLockIfOwner(rec, msg.key, msg.tsWr);
     txn->releasedByValC = true;
+    txn->waitKey.fire();
     progress_.notifyAll();
-    txn->waits.notifyAll(sim_);
 
     // Strict keeps the txn alive until VAL_P.
     if (model_ != PersistModel::Strict) {

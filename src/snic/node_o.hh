@@ -83,11 +83,11 @@ class NodeO : public simproto::DdpCore
         bool releasedByValC = false; ///< follower: VAL_C processed
         bool gateFired = false; ///< client gate already handled
         /**
-         * Waits that only this transaction can satisfy: the host gate,
-         * vfifoAssigned and releasedByValC. Whoever sets one of those
-         * fields notifies it next to the progress_ notification.
+         * Key of the progress_ waits that read only this transaction:
+         * the host gate, vfifoAssigned and releasedByValC. Whoever
+         * changes a field they read fires it at once.
          */
-        sim::WaitList waits;
+        sim::WaitKey waitKey;
     };
 
     using TxnHold = simproto::TxnSlab<PendingTxn>::Hold;

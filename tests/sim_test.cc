@@ -1322,56 +1322,163 @@ TEST(CorePool, ComputeOnAFreeCoreIsOneTimedEvent)
 
 namespace {
 
-/** A record that owns a wait list, like NodeO's PendingTxn. */
-struct WaitingRecord
+/** Small pseudo-random draws, one stream per actor. */
+struct Draws
 {
-    bool ready = false;
-    WaitList waits;
+    std::uint64_t x;
+
+    int
+    operator()(int n)
+    {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<int>((x >> 33) % static_cast<std::uint64_t>(n));
+    }
+};
+
+/** Records whose levels waiters watch, keyed or not, on one Condition. */
+struct KeyedRig
+{
+    explicit KeyedRig(bool keyed) : keyed(keyed) {}
+
+    bool keyed;
+    Simulator sim;
+    Condition cond{sim};
+    std::array<int, 4> level{};
+    std::array<WaitKey, 4> keys;
+    int global = 0;
+    std::vector<std::pair<Tick, int>> log;
 };
 
 Process
-awaitRecord(std::unique_ptr<WaitingRecord> *rec, int id,
-            std::vector<int> *woke, bool drop)
+levelWaiter(KeyedRig *r, int id)
 {
-    WaitingRecord &r = **rec;
-    co_await r.waits.until([&r] { return r.ready; });
-    woke->push_back(id);
-    if (drop)
-        rec->reset(); // the last waiter retires the record
+    Draws d{static_cast<std::uint64_t>(id) * 31 + 7};
+    for (int round = 0; round < 4; ++round) {
+        int rec = d(4);
+        int target = r->level[rec] + 1 + d(2);
+        auto reached = [r, rec, target] { return r->level[rec] >= target; };
+        if (r->keyed)
+            co_await r->cond.until(r->keys[rec], reached);
+        else
+            co_await r->cond.until(reached);
+        r->log.push_back({r->sim.now(), id});
+        co_await delay(d(3));
+    }
+}
+
+Process
+globalWaiter(KeyedRig *r, int id)
+{
+    Draws d{static_cast<std::uint64_t>(id) * 17 + 3};
+    for (int round = 0; round < 4; ++round) {
+        int target = r->global + 1;
+        co_await r->cond.until([r, target] { return r->global >= target; });
+        r->log.push_back({r->sim.now(), id});
+        co_await delay(d(3));
+    }
+}
+
+Process
+levelChanger(KeyedRig *r)
+{
+    Draws d{99};
+    for (int i = 0; i < 600; ++i) {
+        co_await delay(d(3));
+        int what = d(6);
+        if (what < 4) {
+            ++r->level[what];
+            r->keys[what].fire();
+        } else {
+            ++r->global;
+        }
+        if (d(4) == 0)
+            r->cond.notifyOne();
+        else
+            r->cond.notifyAll();
+        if (d(3) == 0)
+            r->cond.notifyAll(); // a second batch from the same event
+    }
+}
+
+/** Resume log and predicate tests of one run. */
+std::pair<std::vector<std::pair<Tick, int>>, std::uint64_t>
+runLevels(bool keyed)
+{
+    KeyedRig r(keyed);
+    for (int id = 0; id < 40; ++id)
+        r.sim.spawn(levelWaiter(&r, id));
+    for (int id = 100; id < 106; ++id)
+        r.sim.spawn(globalWaiter(&r, id));
+    r.sim.spawn(levelChanger(&r));
+    r.sim.run();
+    return {std::move(r.log), r.sim.counters().predicateTests};
 }
 
 } // namespace
 
-TEST(WaitList, LastResumedWaiterMayDestroyTheList)
-{
-    // The batch unlinks each waiter before resuming it and never touches
-    // the list after the last one, so that waiter may free the record
-    // that holds the list (AddressSanitizer checks the claim).
-    Simulator sim;
-    auto rec = std::make_unique<WaitingRecord>();
-    std::vector<int> woke;
-    sim.spawn(awaitRecord(&rec, 0, &woke, false));
-    sim.spawn(awaitRecord(&rec, 1, &woke, true));
-    sim.run();
-    ASSERT_EQ(rec->waits.numWaiters(), 2u);
+namespace {
 
-    rec->ready = true;
-    rec->waits.notifyAll(sim);
-    sim.run();
-    EXPECT_EQ(woke, (std::vector<int>{0, 1}));
-    EXPECT_EQ(rec, nullptr);
-    EXPECT_EQ(sim.counters().predicateTests, 2u);
+Process
+keyedFlagWaiter(Condition *cond, WaitKey *key, const bool *flag, int id,
+                std::vector<int> *woke)
+{
+    co_await cond->until(*key, [flag] { return *flag; });
+    woke->push_back(id);
 }
 
-TEST(WaitList, EmptyListsCopyAsEmpty)
+} // namespace
+
+TEST(Condition, KeyedRunSplitsAroundAFiredWaiter)
 {
-    // A recycled record is reassigned from a fresh one; the list comes
-    // along only while nobody waits on it.
-    WaitingRecord a;
-    a.ready = true;
-    WaitingRecord b(a);
-    b = WaitingRecord{};
-    EXPECT_TRUE(b.waits.numWaiters() == 0 && !b.ready);
+    // Three keyed waiters park back to back, one run. Only the middle
+    // one's key fires: the batch tests it alone, resumes it, and
+    // re-parks the other two in order without testing them; the last
+    // one leaves as a run of its own once no fired key is left.
+    Simulator sim;
+    Condition cond(sim);
+    WaitKey keys[3];
+    bool flags[3] = {false, false, false};
+    std::vector<int> woke;
+    for (int i = 0; i < 3; ++i)
+        sim.spawn(keyedFlagWaiter(&cond, &keys[i], &flags[i], i, &woke));
+    sim.run();
+    ASSERT_EQ(cond.numWaiters(), 3u);
+
+    flags[1] = true;
+    keys[1].fire();
+    cond.notifyAll();
+    sim.run();
+    EXPECT_EQ(woke, (std::vector<int>{1}));
+    EXPECT_EQ(cond.numWaiters(), 2u);
+    EXPECT_EQ(sim.counters().predicateTests, 1u);
+
+    // Unfired keyed waiters cost no test at all.
+    cond.notifyAll();
+    sim.run();
+    EXPECT_EQ(sim.counters().predicateTests, 1u);
+
+    flags[0] = flags[2] = true;
+    keys[2].fire();
+    keys[0].fire();
+    cond.notifyOne(); // splits the run: 0 alone, then 2 with notifyAll
+    cond.notifyAll();
+    sim.run();
+    EXPECT_EQ(woke, (std::vector<int>{1, 0, 2}));
+    EXPECT_EQ(cond.numWaiters(), 0u);
+    EXPECT_EQ(sim.counters().predicateTests, 3u);
+}
+
+TEST(Condition, KeyedWaitersResumeInThePlainOrder)
+{
+    // Waiters on four record levels, keyed by record or not, mixed with
+    // plain waiters on a global level, under notifyAll (sometimes twice
+    // per event) and notifyOne. Skipping the keyed waiters whose key did
+    // not fire must not move a single resume, only save tests.
+    auto [plain, plainTests] = runLevels(false);
+    auto [keyed, keyedTests] = runLevels(true);
+    ASSERT_EQ(plain.size(), 46u * 4);
+    EXPECT_EQ(keyed, plain);
+    EXPECT_LT(keyedTests * 2, plainTests);
 }
 
 namespace {
