@@ -230,6 +230,7 @@ NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
         ++counters_.persists;
         txn->dfifoEnqueued = true;
         txn->waitKey.fire();
+        txn->acksKey.fire();
         progress_.notifyAll();
     } else {
         dfifoInBackground(msg.key, msg.value, msg.tsWr, msg.scope,
@@ -317,6 +318,7 @@ NodeO::snicOnAck(Message msg)
         co_return; // stray ACK
     if (!txn->add(msg.type))
         MINOS_PANIC("unexpected ACK type ", net::msgTypeName(msg.type));
+    txn->acksKey.fire();
     txn->addHandle(msg.handleNs);
 
     if (!cluster_.options().batching)
@@ -398,7 +400,7 @@ NodeO::snicCompleteWrite(Key key, Timestamp ts, ScopeId scope,
     if (model_ == PersistModel::Strict) {
         // VAL_P strictly after VAL_C, once the persistency gate is
         // reached (Fig. 3(i) ordering).
-        co_await progress_.until([&] {
+        co_await progress_.until(txn->acksKey, [&] {
             return persistencyGate(*txn) && txn->dfifoEnqueued;
         });
         raiseGlbDurable(rec, key, ts);

@@ -83,11 +83,14 @@ class NodeO : public simproto::DdpCore
         bool releasedByValC = false; ///< follower: VAL_C processed
         bool gateFired = false; ///< client gate already handled
         /**
-         * Key of the progress_ waits that read only this transaction:
-         * the host gate, vfifoAssigned and releasedByValC. Whoever
-         * changes a field they read fires it at once.
+         * Keys of the progress_ waits that read only this transaction;
+         * whoever changes a field they read fires the key at once.
+         * waitKey: the host gate, vfifoAssigned and releasedByValC.
+         * acksKey: Strict's VAL_P gate, which reads the ACK tally (kept
+         * apart so that ACKs do not re-test the other waits).
          */
         sim::WaitKey waitKey;
+        sim::WaitKey acksKey;
     };
 
     using TxnHold = simproto::TxnSlab<PendingTxn>::Hold;
