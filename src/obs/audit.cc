@@ -34,26 +34,31 @@ OpLedger::Applied
 OpLedger::apply(const Record &rec)
 {
     Applied ap;
-    if (!opIdOf(rec, ap.id))
+    ap.keyed = opIdOf(rec, ap.id);
+    if (!ap.keyed)
         return ap;
     if (rec.kind == EventKind::ClientOpBegin) {
         if (opType(rec.aux) != OpType::Write)
             return ap;
-        auto [it, inserted] = ops_.try_emplace(ap.id);
-        it->second.coordinator = rec.node;
-        ap.op = &it->second;
-        ap.newOp = inserted;
+        const std::uint32_t slot = slots_.insert(ap.id, ap.newOp);
+        if (ap.newOp)
+            ops_.emplace_back();
+        ap.op = &ops_[slot];
+        ap.op->coordinator = rec.node;
         return ap;
     }
-    ap.op = find(ap.id);
-    if (!ap.op)
+    const std::uint32_t slot = slots_.find(ap.id);
+    if (slot == OpSlots::none)
         return ap;
+    ap.op = &ops_[slot];
     OpState &op = *ap.op;
 
     switch (rec.kind) {
       case EventKind::ClientOpEnd:
-        if (opType(rec.aux) == OpType::Write)
+        if (opType(rec.aux) == OpType::Write) {
+            op.returned = true;
             op.endedObsolete = opObsolete(rec.aux);
+        }
         break;
 
       case EventKind::InvFanout:
@@ -102,18 +107,11 @@ OpLedger::apply(const Record &rec)
     return ap;
 }
 
-OpLedger::OpState *
-OpLedger::find(const OpId &id)
-{
-    auto it = ops_.find(id);
-    return it == ops_.end() ? nullptr : &it->second;
-}
-
 const OpLedger::OpState *
 OpLedger::find(const OpId &id) const
 {
-    auto it = ops_.find(id);
-    return it == ops_.end() ? nullptr : &it->second;
+    const std::uint32_t slot = slots_.find(id);
+    return slot == OpSlots::none ? nullptr : &ops_[slot];
 }
 
 // ---------------------------------------------------------------------
@@ -121,9 +119,18 @@ OpLedger::find(const OpId &id) const
 // ---------------------------------------------------------------------
 
 Auditor::Auditor(const char *name, const AuditConfig *cfg,
-                 const OpTraceIndex *index)
-    : name_(name), cfg_(cfg), index_(index)
+                 const OpTraceIndex *index, const OpLedger *shared)
+    : name_(name), cfg_(cfg), index_(index),
+      ledger_(shared ? shared : &own_)
 {
+}
+
+void
+Auditor::onRecord(const Record &rec)
+{
+    MINOS_ASSERT(ledger_ == &own_,
+                 "auditor on a shared ledger fed a record directly");
+    check(rec, own_.apply(rec));
 }
 
 void
@@ -158,8 +165,9 @@ Auditor::registerInto(MetricsRegistry &reg) const
 // ---------------------------------------------------------------------
 
 ConsistencyAuditor::ConsistencyAuditor(const AuditConfig *cfg,
-                                       const OpTraceIndex *index)
-    : Auditor("consistency", cfg, index)
+                                       const OpTraceIndex *index,
+                                       const OpLedger *shared)
+    : Auditor("consistency", cfg, index, shared)
 {
 }
 
@@ -171,9 +179,8 @@ ConsistencyAuditor::gateReached(const OpLedger::OpState &st) const
 }
 
 void
-ConsistencyAuditor::onRecord(const Record &rec)
+ConsistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
 {
-    OpLedger::Applied ap = ledger_.apply(rec);
     if (ap.newOp)
         ++opsAudited_;
     if (!ap.op)
@@ -241,8 +248,9 @@ ConsistencyAuditor::onRecord(const Record &rec)
 // ---------------------------------------------------------------------
 
 PersistencyAuditor::PersistencyAuditor(const AuditConfig *cfg,
-                                       const OpTraceIndex *index)
-    : Auditor("persistency", cfg, index)
+                                       const OpTraceIndex *index,
+                                       const OpLedger *shared)
+    : Auditor("persistency", cfg, index, shared)
 {
 }
 
@@ -255,7 +263,7 @@ PersistencyAuditor::persistGateReached(
 }
 
 void
-PersistencyAuditor::onRecord(const Record &rec)
+PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
 {
     if (rec.kind == EventKind::ScopeMark) {
         scopeWrites_[static_cast<std::uint64_t>(rec.a0) >> 32]
@@ -273,7 +281,7 @@ PersistencyAuditor::onRecord(const Record &rec)
             static_cast<std::uint64_t>(rec.a0));
         if (it != scopeWrites_.end() && sender >= 0) {
             for (const OpId &id : it->second) {
-                const OpLedger::OpState *st = ledger_.find(id);
+                const OpLedger::OpState *st = ledger().find(id);
                 if (st && st->fanout &&
                     !hasNode(st->persistNodes | st->obsoleteNodes,
                              sender))
@@ -288,7 +296,6 @@ PersistencyAuditor::onRecord(const Record &rec)
         return;
     }
 
-    OpLedger::Applied ap = ledger_.apply(rec);
     if (ap.newOp)
         ++opsAudited_;
     if (!ap.op)
@@ -370,9 +377,9 @@ PersistencyAuditor::finish()
     // Quiescence (cond. 3a at end of run): every fanned-out write must
     // be durable (or have been cut as obsolete) on every node — all
     // five models eventually persist everything they applied.
-    for (const auto &[id, st] : ledger_.all()) {
+    ledger().forEach([&](const OpId &id, const OpLedger::OpState &st) {
         if (!st.fanout)
-            continue;
+            return;
         std::uint64_t covered = st.persistNodes | st.obsoleteNodes;
         std::string missing;
         for (int n = 0; n < cfg().numNodes; ++n) {
@@ -386,7 +393,7 @@ PersistencyAuditor::finish()
             violate("P5-not-durable-at-quiescence", 0, id,
                     "write never became durable on node(s) " +
                         missing);
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -394,13 +401,15 @@ PersistencyAuditor::finish()
 // ---------------------------------------------------------------------
 
 AckConservationAuditor::AckConservationAuditor(
-    const AuditConfig *cfg, const OpTraceIndex *index)
-    : Auditor("ack_conservation", cfg, index)
+    const AuditConfig *cfg, const OpTraceIndex *index,
+    const OpLedger *shared)
+    : Auditor("ack_conservation", cfg, index, shared)
 {
 }
 
 void
-AckConservationAuditor::onRecord(const Record &rec)
+AckConservationAuditor::check(const Record &rec,
+                              const OpLedger::Applied &ap)
 {
     if (rec.kind == EventKind::AckReceived &&
         ackFlavor(rec.aux) == AckFlavor::ScopePersist) {
@@ -418,7 +427,6 @@ AckConservationAuditor::onRecord(const Record &rec)
         return;
     }
 
-    OpLedger::Applied ap = ledger_.apply(rec);
     if (ap.newOp)
         ++opsAudited_;
 
@@ -447,9 +455,9 @@ AckConservationAuditor::onRecord(const Record &rec)
 void
 AckConservationAuditor::finish()
 {
-    for (const auto &[id, st] : ledger_.all()) {
+    ledger().forEach([&](const OpId &id, const OpLedger::OpState &st) {
         if (!st.fanout)
-            continue;
+            return;
         // Exactly N-1 consistency-family ACKs (followers answer with
         // the family even when they cut the INV as obsolete).
         bool synch = cfg().model == PersistModel::Synch;
@@ -465,7 +473,7 @@ AckConservationAuditor::finish()
                     std::to_string(st.acksP) + "/" +
                         std::to_string(needed()) +
                         " ACK_Ps at quiescence");
-    }
+    });
     for (const auto &[scope, sa] : scopeAcks_) {
         if (!sa.completed)
             continue;
@@ -488,8 +496,14 @@ AckConservationAuditor::finish()
 
 FifoWatchdog::FifoWatchdog(const AuditConfig *cfg,
                            const OpTraceIndex *index)
-    : Auditor("fifo", cfg, index)
+    : Auditor("fifo", cfg, index, nullptr)
 {
+}
+
+void
+FifoWatchdog::onRecord(const Record &rec)
+{
+    check(rec, {});
 }
 
 std::string
@@ -497,8 +511,8 @@ FifoWatchdog::renderHistory(const NodeState &st) const
 {
     std::ostringstream os;
     os << "recent FIFO activity on this node:\n";
-    // The history vector is a bounded ring; start at the oldest entry.
-    std::size_t n = st.history.size();
+    // The history is a bounded ring; start at the oldest entry.
+    std::size_t n = st.historyLen;
     std::size_t start = (n == historyPerNode) ? st.historyNext : 0;
     for (std::size_t i = 0; i < n; ++i)
         os << "  " << renderRecord(st.history[(start + i) % n])
@@ -507,19 +521,21 @@ FifoWatchdog::renderHistory(const NodeState &st) const
 }
 
 void
-FifoWatchdog::onRecord(const Record &rec)
+FifoWatchdog::check(const Record &rec, const OpLedger::Applied &)
 {
     if (rec.kind != EventKind::FifoDepth &&
         rec.kind != EventKind::VfifoSkipped)
         return;
 
-    NodeState &st = nodes_[rec.node];
-    if (st.history.size() < historyPerNode) {
-        st.history.push_back(rec);
-    } else {
-        st.history[st.historyNext] = rec;
-        st.historyNext = (st.historyNext + 1) % historyPerNode;
-    }
+    MINOS_ASSERT(rec.node >= 0, "FIFO record without a node");
+    const auto node = static_cast<std::size_t>(rec.node);
+    if (node >= nodes_.size())
+        nodes_.resize(node + 1);
+    NodeState &st = nodes_[node];
+    st.history[st.historyNext] = rec;
+    st.historyNext = (st.historyNext + 1) % historyPerNode;
+    if (st.historyLen < historyPerNode)
+        ++st.historyLen;
 
     if (rec.kind == EventKind::VfifoSkipped) {
         // Drains walk the vFIFO in enqueue order, so skipped entry ids
@@ -565,8 +581,9 @@ FifoWatchdog::onRecord(const Record &rec)
 // ---------------------------------------------------------------------
 
 AuditBundle::AuditBundle()
-    : consistency_(&cfg_, &index_), persistency_(&cfg_, &index_),
-      acks_(&cfg_, &index_), fifo_(&cfg_, &index_)
+    : consistency_(&cfg_, &index_, &ledger_),
+      persistency_(&cfg_, &index_, &ledger_),
+      acks_(&cfg_, &index_, &ledger_), fifo_(&cfg_, &index_)
 {
 }
 
@@ -584,13 +601,7 @@ AuditBundle::attach(FlightRecorder &rec)
     MINOS_ASSERT(!attached_,
                  "AuditBundle is already attached to a recorder");
     attached_ = &rec;
-    // The index must observe each record before the auditors so a
-    // violation's rendered trace includes the triggering event.
-    rec.addSink(&index_);
-    rec.addSink(&consistency_);
-    rec.addSink(&persistency_);
-    rec.addSink(&acks_);
-    rec.addSink(&fifo_);
+    rec.addSink(this);
 }
 
 void
@@ -598,12 +609,41 @@ AuditBundle::detach()
 {
     if (!attached_)
         return;
-    attached_->removeSink(&index_);
-    attached_->removeSink(&consistency_);
-    attached_->removeSink(&persistency_);
-    attached_->removeSink(&acks_);
-    attached_->removeSink(&fifo_);
+    attached_->removeSink(this);
     attached_ = nullptr;
+}
+
+bool
+AuditBundle::quiescent(const OpLedger::OpState &st) const
+{
+    const int needed = cfg_.followers();
+    const bool synch = cfg_.model == PersistModel::Synch;
+    if (!st.fanout || !st.returned ||
+        !check::consistencyAcksComplete(cfg_.model, st.acks, st.acksC,
+                                        needed))
+        return false;
+    if (simproto::tracksPersistPerWrite(cfg_.model) && !synch &&
+        st.acksP < needed)
+        return false;
+    const std::uint64_t all =
+        cfg_.numNodes >= 64 ? ~0ull : (1ull << cfg_.numNodes) - 1;
+    return ((st.persistNodes | st.obsoleteNodes) & all) == all;
+}
+
+void
+AuditBundle::onRecord(const Record &rec)
+{
+    const OpLedger::Applied ap = ledger_.apply(rec);
+    // Index before the rules run, so a violation's rendered trace
+    // includes the triggering event.
+    const std::uint32_t slot =
+        ap.keyed ? index_.add(ap.id, rec) : OpSlots::none;
+    consistency_.check(rec, ap);
+    persistency_.check(rec, ap);
+    acks_.check(rec, ap);
+    fifo_.check(rec, ap);
+    if (ap.op && quiescent(*ap.op))
+        index_.quiesce(slot);
 }
 
 void
@@ -670,6 +710,7 @@ AuditBundle::registerInto(MetricsRegistry &reg) const
         a->registerInto(reg);
     reg.counter("audit.ops_indexed",
                 static_cast<std::uint64_t>(index_.ops()));
+    reg.counter("audit.trace_records_peak", index_.recordsPeak());
 }
 
 } // namespace minos::obs

@@ -26,7 +26,9 @@
  *    the configured bounds and grow at most one entry per push.
  *
  * Every violation carries the rendered per-op causal timeline from the
- * OpTraceIndex (obs/optrace.hh), not just a predicate name. Auditors
+ * OpTraceIndex (obs/optrace.hh), not just a predicate name. Under an
+ * AuditBundle the four share one ledger and one index: a record is
+ * folded and indexed once, then each auditor's rules check it. Auditors
  * never feed back into the simulation: they only observe records built
  * from timestamps the engines already took, so attaching them cannot
  * perturb simulated results.
@@ -35,6 +37,7 @@
 #ifndef MINOS_OBS_AUDIT_HH
 #define MINOS_OBS_AUDIT_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -72,7 +75,10 @@ struct AuditViolation
 /**
  * Streaming per-write protocol state shared by the protocol auditors:
  * digests the record stream into ACK counts and per-node apply/persist
- * masks, keyed by (key, TS_WR).
+ * masks, keyed by (key, TS_WR). Entries live in a flat OpId -> slot
+ * table (OpSlots) and a chunked array indexed by slot, so a new write
+ * costs no allocation of its own. Entries are never retired: the end-of-run
+ * rules (P5, A3) read every write the run made.
  */
 class OpLedger
 {
@@ -81,6 +87,7 @@ class OpLedger
     {
         std::int32_t coordinator = -1;
         bool fanout = false;        ///< INVs left the coordinator
+        bool returned = false;      ///< the write returned to its client
         bool endedObsolete = false; ///< write returned as obsolete-cut
         int acks = 0;               ///< combined ACKs (Synch)
         int acksC = 0;              ///< ACK_C / ACK_C_SC
@@ -96,6 +103,7 @@ class OpLedger
     {
         OpState *op = nullptr; ///< null when the record is not op-keyed
         OpId id;
+        bool keyed = false; ///< opIdOf() named a write for the record
         bool newOp = false; ///< this record opened a new ledger entry
         bool duplicateAck = false; ///< this ACK's (family, sender) repeats
     };
@@ -103,29 +111,45 @@ class OpLedger
     /** Fold one record into the ledger. */
     Applied apply(const Record &rec);
 
-    OpState *find(const OpId &id);
     const OpState *find(const OpId &id) const;
 
     std::size_t ops() const { return ops_.size(); }
 
-    const std::unordered_map<OpId, OpState, OpIdHash> &
-    all() const
+    /** Visit every entry, in the order the writes were admitted. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
     {
-        return ops_;
+        for (std::uint32_t i = 0; i < ops_.size(); ++i)
+            fn(slots_.id(i), ops_[i]);
     }
 
   private:
-    std::unordered_map<OpId, OpState, OpIdHash> ops_;
+    OpSlots slots_;
+    ChunkedArray<OpState> ops_; ///< by slot
 };
 
-/** Base class: sink + violation reporting + metrics publication. */
+/**
+ * Base class: rule set + violation reporting + metrics publication.
+ *
+ * An auditor's rules run as check(rec, applied), after the record has
+ * been folded into the ledger the auditor reads. AuditBundle folds
+ * each record once into its shared ledger and calls check() on every
+ * auditor; onRecord() is the standalone path, for an auditor used as a
+ * sink of its own: it folds into the auditor's private ledger, then
+ * checks.
+ */
 class Auditor : public RecordSink
 {
   public:
-    Auditor(const char *name, const AuditConfig *cfg,
-            const OpTraceIndex *index);
-
     const char *name() const { return name_; }
+
+    /** Standalone path: fold into the private ledger, then check. */
+    void onRecord(const Record &rec) override;
+
+    /** Run the rules on @p rec, already folded into the ledger. */
+    virtual void check(const Record &rec,
+                       const OpLedger::Applied &ap) = 0;
 
     /** End-of-run (quiescence) checks; called once by AuditBundle. */
     virtual void finish() {}
@@ -146,11 +170,16 @@ class Auditor : public RecordSink
     void registerInto(MetricsRegistry &reg) const;
 
   protected:
+    /** @param shared the bundle's ledger, or null for a private one */
+    Auditor(const char *name, const AuditConfig *cfg,
+            const OpTraceIndex *index, const OpLedger *shared);
+
     /** Violations stored per auditor; beyond this, only counted. */
     static constexpr std::size_t maxStoredViolations = 64;
 
     const AuditConfig &cfg() const { return *cfg_; }
     int needed() const { return cfg_->followers(); }
+    const OpLedger &ledger() const { return *ledger_; }
 
     /** Report a violation with the op's rendered causal trace. */
     void violate(const char *rule, Tick when, const OpId &id,
@@ -166,6 +195,8 @@ class Auditor : public RecordSink
     const char *name_;
     const AuditConfig *cfg_;
     const OpTraceIndex *index_;
+    OpLedger own_;           ///< the standalone path's ledger
+    const OpLedger *ledger_; ///< &own_, or the bundle's
     std::vector<AuditViolation> violations_;
     std::uint64_t violationCount_ = 0;
 };
@@ -174,27 +205,25 @@ class Auditor : public RecordSink
 class ConsistencyAuditor : public Auditor
 {
   public:
-    ConsistencyAuditor(const AuditConfig *cfg,
-                       const OpTraceIndex *index);
-    void onRecord(const Record &rec) override;
+    ConsistencyAuditor(const AuditConfig *cfg, const OpTraceIndex *index,
+                       const OpLedger *shared = nullptr);
+    void check(const Record &rec, const OpLedger::Applied &ap) override;
 
   private:
     bool gateReached(const OpLedger::OpState &st) const;
-    OpLedger ledger_;
 };
 
 /** Per-model persistency rules (Table I conds. 3a/3b). */
 class PersistencyAuditor : public Auditor
 {
   public:
-    PersistencyAuditor(const AuditConfig *cfg,
-                       const OpTraceIndex *index);
-    void onRecord(const Record &rec) override;
+    PersistencyAuditor(const AuditConfig *cfg, const OpTraceIndex *index,
+                       const OpLedger *shared = nullptr);
+    void check(const Record &rec, const OpLedger::Applied &ap) override;
     void finish() override;
 
   private:
     bool persistGateReached(const OpLedger::OpState &st) const;
-    OpLedger ledger_;
     /** Scope id -> fanned-out writes marked into it (<Lin, Scope>). */
     std::unordered_map<std::uint64_t, std::vector<OpId>> scopeWrites_;
 };
@@ -204,12 +233,12 @@ class AckConservationAuditor : public Auditor
 {
   public:
     AckConservationAuditor(const AuditConfig *cfg,
-                           const OpTraceIndex *index);
-    void onRecord(const Record &rec) override;
+                           const OpTraceIndex *index,
+                           const OpLedger *shared = nullptr);
+    void check(const Record &rec, const OpLedger::Applied &ap) override;
     void finish() override;
 
   private:
-    OpLedger ledger_;
     struct ScopeAcks
     {
         std::uint64_t senders = 0;
@@ -224,7 +253,9 @@ class FifoWatchdog : public Auditor
 {
   public:
     FifoWatchdog(const AuditConfig *cfg, const OpTraceIndex *index);
+    /** Standalone path: the rules read no ledger, so none is folded. */
     void onRecord(const Record &rec) override;
+    void check(const Record &rec, const OpLedger::Applied &ap) override;
 
   private:
     /** Last few FIFO records per node, rendered into violations. */
@@ -234,21 +265,25 @@ class FifoWatchdog : public Auditor
     {
         std::int64_t lastDepth[2] = {-1, -1}; ///< [vFIFO, dFIFO]
         std::int64_t lastSkipId = -1;
-        std::vector<Record> history; ///< bounded ring
+        std::array<Record, historyPerNode> history; ///< bounded ring
+        std::size_t historyLen = 0;
         std::size_t historyNext = 0;
     };
 
     std::string renderHistory(const NodeState &st) const;
-    std::unordered_map<std::int32_t, NodeState> nodes_;
+    std::vector<NodeState> nodes_; ///< by node id
 };
 
 /**
- * The default audit harness: one OpTraceIndex plus all four auditors,
- * attachable to a FlightRecorder in one call. Engines wire this up
- * from ClusterConfig::audit (the cluster fills in the AuditConfig from
- * its own topology/model, so callers just default-construct a bundle).
+ * The default audit harness: one ledger, one OpTraceIndex and all four
+ * auditors behind a single RecordSink, attachable to a FlightRecorder
+ * in one call. Each record is folded once into the shared ledger and
+ * indexed once, then every auditor's rules check it. Engines wire this
+ * up from ClusterConfig::audit (the cluster fills in the AuditConfig
+ * from its own topology/model, so callers just default-construct a
+ * bundle).
  */
-class AuditBundle
+class AuditBundle : public RecordSink
 {
   public:
     AuditBundle();
@@ -256,11 +291,13 @@ class AuditBundle
     /** Set the cluster facts; must precede the first recorded event. */
     void configure(const AuditConfig &cfg);
 
-    /** Register the index + auditors as sinks (once). */
+    /** Register the bundle as the recorder's sink (once). */
     void attach(FlightRecorder &rec);
 
     /** Unregister from the recorder (safe to call when detached). */
     void detach();
+
+    void onRecord(const Record &rec) override;
 
     /** Run end-of-run checks exactly once (later calls no-op). */
     void finish();
@@ -274,7 +311,7 @@ class AuditBundle
     /** All stored violations, with traces, ready to print. */
     std::string report(std::size_t maxViolations = 16) const;
 
-    /** Publish audit.* counters for every auditor. */
+    /** Publish audit.* counters for every auditor and the index. */
     void registerInto(MetricsRegistry &reg) const;
 
     const AuditConfig &config() const { return cfg_; }
@@ -288,7 +325,16 @@ class AuditBundle
     std::vector<const Auditor *> auditors() const;
 
   private:
+    /**
+     * Nothing more is owed for the write: it fanned out and returned,
+     * its consistency ACK family (and per-write persistency family,
+     * where the model has one) is complete, and every node made it
+     * durable or cut it as obsolete.
+     */
+    bool quiescent(const OpLedger::OpState &st) const;
+
     AuditConfig cfg_;
+    OpLedger ledger_;
     OpTraceIndex index_;
     ConsistencyAuditor consistency_;
     PersistencyAuditor persistency_;

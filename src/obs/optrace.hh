@@ -6,9 +6,14 @@
  * recorder's event stream.
  *
  * The index is a RecordSink, so it sees every record the engines emit
- * regardless of ring capacity or category muting — a violation found
- * near the end of a long run can still render the full history of the
- * offending operation even after the ring overwrote it.
+ * regardless of ring capacity or category muting. Standalone it keeps
+ * every op's records for the whole run. Under an AuditBundle it keeps
+ * a recycle window instead: the bundle marks an op quiescent once its
+ * protocol is complete (quiesce()), and the op's records are recycled
+ * when recycleWindow later ops have gone quiescent too. A violation
+ * raised on a live or recently quiescent op renders its full history,
+ * even after the ring overwrote it; one raised on a recycled op
+ * renders the records laid since, headed by a count of those recycled.
  *
  * Operations are keyed by (key, packed TS_WR): a write timestamp alone
  * is *not* unique across keys (two keys written once by node 0 both
@@ -19,9 +24,10 @@
 #ifndef MINOS_OBS_OPTRACE_HH
 #define MINOS_OBS_OPTRACE_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/recorder.hh"
@@ -41,22 +47,6 @@ struct OpId
     }
 };
 
-struct OpIdHash
-{
-    std::size_t
-    operator()(const OpId &id) const
-    {
-        // splitmix64-style finalizer over the xor of the halves.
-        std::uint64_t x =
-            static_cast<std::uint64_t>(id.key) * 0x9e3779b97f4a7c15ull ^
-            id.ts;
-        x ^= x >> 30;
-        x *= 0xbf58476d1ce4e5b9ull;
-        x ^= x >> 27;
-        return static_cast<std::size_t>(x);
-    }
-};
-
 /**
  * Map a record to the write it belongs to: the one record-to-write
  * mapping of the op traces and the audit ledgers. Returns false for
@@ -67,38 +57,157 @@ struct OpIdHash
 bool opIdOf(const Record &rec, OpId &out);
 
 /**
+ * Append-only array in fixed chunks of ChunkLen elements: growth never
+ * copies or moves an element, so a reference stays valid for the
+ * array's life, and no chunk is large enough to need its own mapping.
+ */
+template <typename T, std::size_t ChunkLen = 256>
+class ChunkedArray
+{
+  public:
+    T &
+    operator[](std::size_t i)
+    {
+        return chunks_[i / ChunkLen][i % ChunkLen];
+    }
+
+    const T &
+    operator[](std::size_t i) const
+    {
+        return chunks_[i / ChunkLen][i % ChunkLen];
+    }
+
+    /** Append a value-initialized element and return it. */
+    T &
+    emplace_back()
+    {
+        if (size_ % ChunkLen == 0)
+            chunks_.push_back(std::make_unique<T[]>(ChunkLen));
+        return (*this)[size_++];
+    }
+
+    std::size_t size() const { return size_; }
+
+  private:
+    std::vector<std::unique_ptr<T[]>> chunks_;
+    std::size_t size_ = 0;
+};
+
+/**
+ * Flat open-addressing map from OpId to a dense slot number: slots are
+ * handed out 0, 1, 2, ... in insertion order, so callers keep per-op
+ * state in arrays indexed by slot. Entries are never erased.
+ * An index entry is (hash << 32) | (slot + 1), 0 when empty, and the
+ * stored id is compared only on a hash match (as in TxnSlab).
+ */
+class OpSlots
+{
+  public:
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
+    /** Slot of @p id, adding the next slot when absent (@p added). */
+    std::uint32_t insert(const OpId &id, bool &added);
+
+    /** Slot of @p id, or none. */
+    std::uint32_t find(const OpId &id) const;
+
+    const OpId &id(std::uint32_t slot) const { return ids_[slot]; }
+    std::size_t size() const { return ids_.size(); }
+
+  private:
+    static std::uint32_t hashOf(const OpId &id);
+    std::size_t probe(const OpId &id, std::uint32_t h) const;
+    void grow();
+
+    std::vector<std::uint64_t> index_;
+    ChunkedArray<OpId> ids_;
+};
+
+/**
  * RecordSink that groups protocol records by operation and renders
- * per-op timelines for AuditViolation reports.
+ * per-op timelines for AuditViolation reports. Records live in a
+ * chunked arena; the chunks of recycled ops go back to a free list.
  */
 class OpTraceIndex : public RecordSink
 {
   public:
+    /** Quiescent ops whose records are kept (see quiesce()). */
+    static constexpr std::size_t recycleWindow = 1024;
+
     /** @param maxEventsPerOp retained records per op (rest counted). */
     explicit OpTraceIndex(std::size_t maxEventsPerOp = 48);
 
     void onRecord(const Record &rec) override;
 
-    /** Number of distinct operations seen. */
-    std::size_t ops() const { return ops_.size(); }
-
-    /** True when at least one record was indexed under @p id. */
-    bool knows(const OpId &id) const { return ops_.count(id) > 0; }
+    /** Index @p rec under @p id; returns the op's slot for quiesce(). */
+    std::uint32_t add(const OpId &id, const Record &rec);
 
     /**
-     * Render the causal timeline of @p id, one line per record in
-     * arrival order. Empty string for an unknown op.
+     * The op in @p slot is quiescent: its records are recycled once
+     * recycleWindow later ops are quiescent too. Later calls for the
+     * same op are no-ops. A record added to a recycled op puts it back
+     * in the window, so late records are kept for a while as well.
+     */
+    void quiesce(std::uint32_t slot);
+
+    /** Number of distinct operations seen. */
+    std::size_t ops() const { return slots_.size(); }
+
+    /** True when at least one record was indexed under @p id. */
+    bool knows(const OpId &id) const
+    {
+        return slots_.find(id) != OpSlots::none;
+    }
+
+    /** Records held at once, at most (a deterministic count). */
+    std::uint64_t recordsPeak() const { return recordsPeak_; }
+
+    /**
+     * Render the causal timeline of @p id, one line per retained
+     * record in arrival order. Empty string for an unknown op.
      */
     std::string render(const OpId &id) const;
 
   private:
-    struct OpTrace
+    static constexpr std::size_t chunkRecords = 16;
+    static constexpr std::uint32_t noChunk = ~std::uint32_t{0};
+
+    struct Chunk
     {
-        std::vector<Record> events;
-        std::uint64_t total = 0; ///< including events beyond the cap
+        std::array<Record, chunkRecords> recs;
+        std::uint32_t next = noChunk;
     };
 
+    enum class Stage : std::uint8_t
+    {
+        Live,     ///< not yet quiescent
+        Windowed, ///< quiescent, records kept
+        Recycled, ///< records returned to the arena
+    };
+
+    struct OpTrace
+    {
+        std::uint32_t head = noChunk;
+        std::uint32_t tail = noChunk;
+        std::uint32_t kept = 0;     ///< records held in the chunks
+        std::uint64_t total = 0;    ///< including dropped and recycled
+        std::uint64_t recycled = 0; ///< records given back
+        Stage stage = Stage::Live;
+    };
+
+    std::uint32_t allocChunk();
+    void recycle(std::uint32_t slot);
+
     std::size_t maxEventsPerOp_;
-    std::unordered_map<OpId, OpTrace, OpIdHash> ops_;
+    OpSlots slots_;
+    ChunkedArray<OpTrace> traces_; ///< by slot
+    ChunkedArray<Chunk, 64> arena_;
+    std::uint32_t freeChunks_ = noChunk;
+    /** Ring of the last recycleWindow quiescent ops, oldest at next. */
+    std::vector<std::uint32_t> window_;
+    std::size_t windowNext_ = 0;
+    std::uint64_t records_ = 0;
+    std::uint64_t recordsPeak_ = 0;
 };
 
 } // namespace minos::obs

@@ -12,14 +12,19 @@
  *  3. Non-perturbation: attaching the audit bundle leaves the simulated
  *     results bit-identical (auditors observe, they never feed back).
  *
- * Plus a unit check that the ledgers file records under the same write
- * as the op traces (both use obs::opIdOf).
+ * Plus unit checks that the ledger files records under the same write
+ * as the op traces (both use obs::opIdOf), that the bundle's shared
+ * ledger reaches the verdicts the standalone auditors reach on their
+ * own ledgers, and that an op whose records were recycled still renders
+ * an excerpt.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "kv/timestamp.hh"
 #include "obs/audit.hh"
 #include "obs/recorder.hh"
 #include "simproto/cluster_b.hh"
@@ -32,10 +37,18 @@ using namespace minos::simproto;
 
 namespace {
 
+/** Copies the record stream, for replay through other sinks. */
+struct StreamCapture : RecordSink
+{
+    std::vector<Record> records;
+    void onRecord(const Record &rec) override { records.push_back(rec); }
+};
+
 struct AuditRun
 {
     FlightRecorder recorder{1 << 15};
     AuditBundle audit;
+    StreamCapture stream;
     RunResult result;
 };
 
@@ -53,6 +66,8 @@ struct RunOpts
     std::uint64_t numRecords = 16;
     std::uint64_t requestsPerNode = 80;
     std::uint64_t seed = 7;
+    /** Copy the record stream into AuditRun::stream. */
+    bool capture = false;
 };
 
 /** Run a small closed-loop workload with the auditors attached. */
@@ -72,6 +87,8 @@ runAudited(bool offload, PersistModel model, const RunOpts &opts = {})
     cfg.trace = &run.recorder;
     cfg.audit = &run.audit;
     cfg.mutations = opts.mutations;
+    if (opts.capture)
+        run.recorder.addSink(&run.stream);
 
     DriverConfig dc;
     dc.requestsPerNode = opts.requestsPerNode;
@@ -371,4 +388,163 @@ TEST(AuditLedger, ScopeMarkReachesItsWritesEntry)
     EXPECT_TRUE(ap.id == id);
     ASSERT_NE(ap.op, nullptr);
     EXPECT_EQ(ap.op, ledger.find(id));
+}
+
+TEST(AuditLedger, BundleMatchesStandaloneAuditors)
+{
+    // The bundle folds each record once into one shared ledger; each
+    // auditor on its own folds into a private one. Replaying a run's
+    // stream through the four standalone auditors must reach the same
+    // verdicts: same count, same stored rule ids in the same order,
+    // same units audited.
+    struct Case
+    {
+        const char *name;
+        PersistModel model;
+        RunOpts opts;
+    };
+    std::vector<Case> cases;
+    RunOpts healthy;
+    // More writes than the trace index's recycle window, so the
+    // bundle's run recycles op records along the way.
+    healthy.requestsPerNode = 800;
+    healthy.numRecords = 200;
+    cases.push_back({"healthy", PersistModel::Scope, healthy});
+    RunOpts m;
+    m.mutations.releaseRdLockEarly = true;
+    cases.push_back({"releaseRdLockEarly", PersistModel::Synch, m});
+    m = {};
+    m.mutations.ackBeforePersist = true;
+    cases.push_back({"ackBeforePersist", PersistModel::Strict, m});
+    m.persistNsPerKb = 60'000;
+    cases.push_back({"ackBeforePersist/scope", PersistModel::Scope, m});
+    m = {};
+    m.mutations.dropOnePersistAck = true;
+    cases.push_back({"dropOnePersistAck", PersistModel::Strict, m});
+    m = {};
+    m.mutations.duplicateAck = true;
+    cases.push_back({"duplicateAck", PersistModel::Synch, m});
+    m = {};
+    m.mutations.ignoreFifoCap = true;
+    m.vfifoEntries = 1;
+    m.workersPerNode = 4;
+    m.writeFraction = 1.0;
+    cases.push_back({"ignoreFifoCap", PersistModel::Synch, m});
+
+    const auto ruleIds = [](const Auditor &a) {
+        std::vector<std::string> ids;
+        for (const AuditViolation &v : a.violations())
+            ids.push_back(v.rule);
+        return ids;
+    };
+
+    for (bool offload : {false, true}) {
+        for (Case &c : cases) {
+            SCOPED_TRACE(describe(offload, c.model) + " " + c.name);
+            c.opts.capture = true;
+            AuditRun run = runAudited(offload, c.model, c.opts);
+            ASSERT_FALSE(run.stream.records.empty());
+
+            const AuditConfig &cfg = run.audit.config();
+            OpTraceIndex index;
+            ConsistencyAuditor consistency(&cfg, &index);
+            PersistencyAuditor persistency(&cfg, &index);
+            AckConservationAuditor acks(&cfg, &index);
+            FifoWatchdog fifo(&cfg, &index);
+            const std::vector<Auditor *> alone = {&consistency,
+                                                  &persistency, &acks,
+                                                  &fifo};
+            for (const Record &rec : run.stream.records) {
+                index.onRecord(rec);
+                for (Auditor *a : alone)
+                    a->onRecord(rec);
+            }
+            for (Auditor *a : alone)
+                a->finish();
+
+            const std::vector<const Auditor *> bundled =
+                run.audit.auditors();
+            ASSERT_EQ(bundled.size(), alone.size());
+            for (std::size_t i = 0; i < alone.size(); ++i) {
+                SCOPED_TRACE(alone[i]->name());
+                EXPECT_STREQ(bundled[i]->name(), alone[i]->name());
+                EXPECT_EQ(bundled[i]->violationCount(),
+                          alone[i]->violationCount());
+                EXPECT_EQ(ruleIds(*bundled[i]), ruleIds(*alone[i]));
+                EXPECT_EQ(bundled[i]->opsAudited(),
+                          alone[i]->opsAudited());
+            }
+            if (std::string(c.name) == "healthy") {
+                EXPECT_TRUE(run.audit.clean()) << run.audit.report(4);
+                EXPECT_GT(run.audit.opsAudited(),
+                          OpTraceIndex::recycleWindow);
+                // The window held fewer records than the run laid;
+                // the standalone index kept them all.
+                EXPECT_LT(run.audit.index().recordsPeak(),
+                          index.recordsPeak());
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// 5. The bundle's trace index recycles quiescent ops' records.
+// ---------------------------------------------------------------------
+
+TEST(AuditTrace, RecycledOpStillRendersAnExcerpt)
+{
+    // <Lin, Synch> on two nodes: node 0 coordinates every write, node 1
+    // follows. A complete write fans out, is durable on both nodes, gets
+    // its one combined ACK and returns, so it goes quiescent.
+    FlightRecorder recorder{64};
+    AuditBundle audit;
+    audit.configure({2, PersistModel::Synch});
+    audit.attach(recorder);
+    Tick now = 0;
+    const auto rec = [&](EventKind kind, std::int32_t node, OpId id,
+                         std::uint16_t aux = 0) {
+        recorder.record(now += 10, Category::Protocol, kind, node, id.key,
+                        static_cast<std::int64_t>(id.ts), aux);
+    };
+    const std::uint16_t ack = ackAux(AckFlavor::Combined, 1);
+    const auto completeWrite = [&](OpId id) {
+        rec(EventKind::ClientOpBegin, 0, id, opAux(OpType::Write, false));
+        rec(EventKind::InvFanout, 0, id);
+        rec(EventKind::PersistDone, 0, id);
+        rec(EventKind::InvApplied, 1, id);
+        rec(EventKind::PersistDone, 1, id);
+        rec(EventKind::AckSent, 1, id, ack);
+        rec(EventKind::AckReceived, 0, id, ack);
+        rec(EventKind::ClientOpEnd, 0, id, opAux(OpType::Write, false));
+    };
+
+    kv::Timestamp ts;
+    ts.node = 0;
+    ts.version = 1;
+    const OpId first{1, ts.pack()};
+    completeWrite(first);
+    for (std::int64_t k = 0;
+         k <= static_cast<std::int64_t>(OpTraceIndex::recycleWindow); ++k)
+        completeWrite({k + 2, ts.pack()});
+    // The first write's 8 records went back to the arena when the last
+    // write went quiescent; until then the window's writes and the last
+    // one were held.
+    EXPECT_EQ(audit.index().recordsPeak(),
+              8 * (OpTraceIndex::recycleWindow + 1));
+    ASSERT_TRUE(audit.clean()) << audit.report();
+
+    rec(EventKind::AckReceived, 0, first, ack);
+    audit.detach();
+    ASSERT_EQ(audit.violationCount(), 1u) << audit.report();
+    ASSERT_EQ(audit.acks().violations().size(), 1u);
+    const AuditViolation &v = audit.acks().violations().front();
+    EXPECT_EQ(v.rule, "A2-duplicate-ack");
+    EXPECT_FALSE(v.trace.empty());
+    EXPECT_NE(v.trace.find("8 earlier records recycled"),
+              std::string::npos)
+        << v.trace;
+    const Record dup{now, first.key, static_cast<std::int64_t>(first.ts),
+                     0, Category::Protocol, EventKind::AckReceived, ack};
+    EXPECT_NE(v.trace.find(renderRecord(dup)), std::string::npos)
+        << v.trace;
 }
