@@ -258,7 +258,10 @@ bool
 PersistencyAuditor::persistGateReached(
     const OpLedger::OpState &st) const
 {
-    return check::persistencyAcksComplete(cfg().model, st.acks,
+    // Durable everywhere: every persistency ACK, and the coordinator's
+    // own persist, which no ACK certifies.
+    return hasNode(st.persistNodes, st.coordinator) &&
+           check::persistencyAcksComplete(cfg().model, st.acks,
                                           st.acksP, needed());
 }
 

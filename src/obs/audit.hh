@@ -223,6 +223,8 @@ class PersistencyAuditor : public Auditor
     void finish() override;
 
   private:
+    /** Every persistency ACK of the write is in and its coordinator
+     *  has persisted it (P2, P3 and P6 gate on this). */
     bool persistGateReached(const OpLedger::OpState &st) const;
     /** Scope id -> fanned-out writes marked into it (<Lin, Scope>). */
     std::unordered_map<std::uint64_t, std::vector<OpId>> scopeWrites_;

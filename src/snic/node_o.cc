@@ -18,6 +18,7 @@ using simproto::AckTally;
 using simproto::ackOf;
 using simproto::FollowerStep;
 using simproto::isScopeModel;
+using simproto::persistOnCriticalPath;
 using simproto::tracksPersistPerWrite;
 using simproto::txnKey;
 
@@ -36,8 +37,8 @@ NodeO::clientGateReached(const AckTally &acks,
                          const PendingTxn &txn) const
 {
     return consistencyGate(acks) &&
-           (model_ != PersistModel::Strict ||
-            (persistencyGate(acks) && txn.dfifoEnqueued));
+           (model_ != PersistModel::Strict || persistencyGate(acks)) &&
+           (!persistOnCriticalPath(model_) || txn.dfifoEnqueued);
 }
 
 // ---------------------------------------------------------------------
@@ -237,9 +238,11 @@ NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
                           cfg_.recordBytes);
         txn->dfifoEnqueued = true; // durability tracked via scope map
     }
-    // The Strict client gate includes the local durable enqueue; the
-    // last ACK may already have arrived.
+    // The Synch and Strict client gates and the REnf persistency tail
+    // include the local durable enqueue; the last ACK may already have
+    // arrived.
     maybeFireClientGate(msg.key, msg.tsWr, msg.scope, txn);
+    maybeFireRenfTail(msg.key, msg.tsWr, msg.scope, txn);
 }
 
 sim::Task<void>
@@ -333,16 +336,25 @@ NodeO::snicOnAck(Message msg)
     }
 
     maybeFireClientGate(msg.key, msg.tsWr, msg.scope, txn);
-
-    // REnf persistency tail: all ACK_Ps + local durable -> VALs+unlock.
-    if (model_ == PersistModel::REnf && msg.type == MsgType::ACK_P &&
-        txn->acksP == persistNeeded()) {
-        Record &rec = store_.at(msg.key);
-        raiseGlbDurable(rec, msg.key, msg.tsWr);
-        sim_.spawn(snicCompleteWrite(msg.key, msg.tsWr, msg.scope, txn));
-    }
+    maybeFireRenfTail(msg.key, msg.tsWr, msg.scope, txn);
 
     progress_.notifyAll();
+}
+
+void
+NodeO::maybeFireRenfTail(Key key, Timestamp ts, ScopeId scope,
+                         const TxnHold &txn)
+{
+    // REnf persistency tail: after the client gate, all ACK_Ps and the
+    // local durable enqueue -> raise glb_durableTS, VALs + unlock.
+    if (model_ != PersistModel::REnf || !txn->gateFired ||
+        txn->durableFired || !persistencyGate(*txn) ||
+        !txn->dfifoEnqueued)
+        return;
+    txn->durableFired = true;
+    Record &rec = store_.at(key);
+    raiseGlbDurable(rec, key, ts);
+    sim_.spawn(snicCompleteWrite(key, ts, scope, txn));
 }
 
 void

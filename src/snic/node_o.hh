@@ -82,6 +82,7 @@ class NodeO : public simproto::DdpCore
         bool dfifoEnqueued = false;
         bool releasedByValC = false; ///< follower: VAL_C processed
         bool gateFired = false; ///< client gate already handled
+        bool durableFired = false; ///< REnf persistency tail spawned
         /**
          * Keys of the progress_ waits that read only this transaction;
          * whoever changes a field they read fires the key at once.
@@ -121,10 +122,16 @@ class NodeO : public simproto::DdpCore
      * Fire the client-gate actions (notify host, raise glb fields,
      * spawn the completion tail) exactly once, as soon as the per-model
      * gate condition holds. Called after every ACK and after the local
-     * dFIFO enqueue (which participates in the Strict gate).
+     * dFIFO enqueue (which participates in the Synch and Strict gates).
      */
     void maybeFireClientGate(kv::Key key, kv::Timestamp ts,
                              net::ScopeId scope, const TxnHold &txn);
+
+    /** Fire the REnf persistency tail exactly once, when the client
+     *  gate has fired, every ACK_P is in and the local dFIFO enqueue is
+     *  done. Called wherever maybeFireClientGate is. */
+    void maybeFireRenfTail(kv::Key key, kv::Timestamp ts,
+                           net::ScopeId scope, const TxnHold &txn);
 
     /** Notify the host that the client gate is reached (PCIe). */
     void notifyHostGate(TxnHold txn);
@@ -142,8 +149,9 @@ class NodeO : public simproto::DdpCore
                            std::uint32_t bytes);
 
     /**
-     * The client gate over @p acks: every consistency ACK, and for
-     * Strict also every persistency ACK and the local dFIFO enqueue.
+     * The client gate over @p acks: every consistency ACK; for Strict
+     * also every persistency ACK; for Synch and Strict also the local
+     * dFIFO enqueue.
      */
     bool clientGateReached(const simproto::AckTally &acks,
                            const PendingTxn &txn) const;
