@@ -31,6 +31,7 @@ MATRIX = [
     ("b_strict", ["--engine=b", "--model=strict"]),
     ("b_renf", ["--engine=b", "--model=renf"]),
     ("o_synch", ["--engine=o", "--model=synch"]),
+    ("o_renf", ["--engine=o", "--model=renf"]),
     ("o_strict", ["--engine=o", "--model=strict"]),
     ("o_strict_nobatch", ["--engine=o", "--model=strict", "--no-batch"]),
     ("o_scope", ["--engine=o", "--model=scope"]),
