@@ -15,11 +15,13 @@ namespace minos::check {
 
 namespace {
 
+using simproto::CoordinatorGate;
+using simproto::CoordinatorSchedule;
+using simproto::CoordinatorStep;
 using simproto::FollowerSchedule;
 using simproto::FollowerStep;
 using simproto::isScopeModel;
 using simproto::needsPersistencySpin;
-using simproto::persistOnCriticalPath;
 using simproto::tracksPersistPerWrite;
 using simproto::usesSplitAcks;
 
@@ -121,6 +123,73 @@ struct FollowerProgram
                 : in.step == FollowerStep::AwaitGlbDurable ? "FollowerObsWaitP"
                 : in.acks ? "FollowerPersist"
                           : "FollowerBgPersist";
+        }
+    }
+};
+
+/** The coordinator pc that waits at Await step @p s. */
+std::uint8_t
+pcOf(CoordinatorStep s)
+{
+    return s == CoordinatorStep::AwaitAcksP ? CWaitAcksP : CWaitAcks;
+}
+
+/** One segment of the coordinator schedule: its gate, and what the
+ *  atomic action that runs it does. */
+struct CoordSegment
+{
+    CoordinatorGate gate;
+    bool raiseV = false;
+    bool raiseD = false;
+    bool release = false;
+    std::uint8_t vals = 0; ///< in-flight bits sent to every follower
+    std::uint8_t next = CDone;
+    const char *action = nullptr;
+};
+
+/**
+ * coordinatorSchedule() of one configuration, compiled once: CoordSend
+ * runs the head (the early RDLock release, the persist's kind), then
+ * each Await's segment runs as one action when its gate holds.
+ */
+struct CoordinatorProgram
+{
+    bool releaseEarly = false;
+    bool persistInline = false; ///< Persist (CPersist), not PersistLater
+    std::uint8_t firstWait = CDone;
+    /** Indexed by pc - CWaitAcks. */
+    std::array<CoordSegment, 2> segments{};
+
+    CoordinatorProgram(PersistModel model, bool releaseRdLockEarly)
+    {
+        const CoordinatorSchedule sched =
+            simproto::coordinatorSchedule(model, releaseRdLockEarly);
+        const CoordinatorStep *g = sched.segmentEnd(sched.begin());
+        for (const CoordinatorStep *s = sched.begin(); s != g; ++s) {
+            releaseEarly |= *s == CoordinatorStep::ReleaseRdLock;
+            persistInline |= *s == CoordinatorStep::Persist;
+        }
+        if (g != sched.end())
+            firstWait = pcOf(*g);
+        while (g != sched.end()) {
+            const CoordinatorStep *e = sched.segmentEnd(g);
+            CoordSegment &seg = segments[pcOf(*g) - CWaitAcks];
+            seg.gate = sched.gateOf(g);
+            for (const CoordinatorStep *s = g + 1; s != e; ++s) {
+                seg.raiseV |= *s == CoordinatorStep::RaiseGlbVolatile;
+                seg.raiseD |= *s == CoordinatorStep::RaiseGlbDurable;
+                seg.release |= *s == CoordinatorStep::ReleaseRdLock;
+                if (*s == CoordinatorStep::SendVal ||
+                    *s == CoordinatorStep::SendValP)
+                    seg.vals |= bitOf(simproto::valOf(model, *s));
+            }
+            if (e != sched.end())
+                seg.next = pcOf(*e);
+            seg.action = *g == CoordinatorStep::AwaitAcksP ? "CoordCommitP"
+                         : !seg.vals                       ? "CoordReturn"
+                         : usesSplitAcks(model)            ? "CoordCommitC"
+                                                           : "CoordCommit";
+            g = e;
         }
     }
 };
@@ -282,6 +351,7 @@ struct Ctx
     int W; // number of writes
     int N; // number of nodes
     FollowerProgram follower;
+    CoordinatorProgram coordinator;
 
     /** Timestamp of write i: (version, writer). none() for -1. */
     std::pair<int, int>
@@ -359,6 +429,16 @@ frontierReached(const Ctx &ctx, const State &s, int i, int m)
     return false;
 }
 
+/** Does coordinator gate @p g hold for write @p i at its writer @p c? */
+bool
+gateHolds(const CoordinatorGate &g, const State &s, int i,
+          std::uint8_t fmask, int c)
+{
+    return (!g.acksC || (s.ackCMask[i] & fmask) == fmask) &&
+           (!g.acksP || (s.ackPMask[i] & fmask) == fmask) &&
+           (!g.localPersist || (s.durable[i][c] && !s.bgPending[i]));
+}
+
 /**
  * Can follower @p n of write @p i run @p in now? A spin waits for its
  * glb field to reach the newer write; a persist always can.
@@ -385,6 +465,7 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
 {
     const auto &cfg = ctx.cfg;
     const PersistModel model = cfg.model;
+    const CoordinatorProgram &coord = ctx.coordinator;
 
     for (int i = 0; i < ctx.W; ++i) {
         const int c = ctx.writerOf(i);
@@ -416,13 +497,13 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
             } else {
                 sendToFollowers(ctx, ns, i, BitInv);
                 ns.vol[c] = static_cast<std::int8_t>(i);
-                if (cfg.bugReleaseRdLockEarly)
+                if (coord.releaseEarly)
                     releaseIfOwner(ns, c, i);
-                if (persistOnCriticalPath(model)) {
+                if (coord.persistInline) {
                     ns.cpc[i] = CPersist;
                 } else {
                     ns.bgPending[i] = 1;
-                    ns.cpc[i] = CWaitAcks;
+                    ns.cpc[i] = coord.firstWait;
                 }
             }
             emit(ns, "CoordSend");
@@ -432,7 +513,7 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
         if (s.cpc[i] == CPersist) {
             State ns = s;
             ns.durable[i][c] = 1;
-            ns.cpc[i] = CWaitAcks;
+            ns.cpc[i] = coord.firstWait;
             emit(ns, "CoordPersist");
         }
 
@@ -444,37 +525,22 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
             emit(ns, "CoordBgPersist");
         }
 
-        // --- Coordinator gates (NodeB::write and its REnf tail) ---
-        const std::uint8_t fmask = ctx.followerMaskOf(i);
-        if (s.cpc[i] == CWaitAcks && (s.ackCMask[i] & fmask) == fmask) {
-            State ns = s;
-            raiseField(ctx, ns, ns.glbV[c], i);
-            if (model == PersistModel::Synch)
-                raiseField(ctx, ns, ns.glbD[c], i);
-            if (model == PersistModel::REnf) {
-                // Client return; the RDLock stays held until CommitP.
-                ns.cpc[i] = CWaitAcksP;
-                emit(ns, "CoordReturn");
-            } else {
-                releaseIfOwner(ns, c, i);
-                sendToFollowers(ctx, ns, i, bitOf(valCType(model)));
-                ns.cpc[i] =
-                    model == PersistModel::Strict ? CWaitAcksP : CDone;
-                emit(ns, usesSplitAcks(model) ? "CoordCommitC"
-                                              : "CoordCommit");
+        // --- Coordinator segments, each atomic once its gate holds ---
+        if (s.cpc[i] == CWaitAcks || s.cpc[i] == CWaitAcksP) {
+            const CoordSegment &seg = coord.segments[s.cpc[i] - CWaitAcks];
+            if (gateHolds(seg.gate, s, i, ctx.followerMaskOf(i), c)) {
+                State ns = s;
+                if (seg.raiseV)
+                    raiseField(ctx, ns, ns.glbV[c], i);
+                if (seg.raiseD)
+                    raiseField(ctx, ns, ns.glbD[c], i);
+                if (seg.release)
+                    releaseIfOwner(ns, c, i);
+                if (seg.vals)
+                    sendToFollowers(ctx, ns, i, seg.vals);
+                ns.cpc[i] = seg.next;
+                emit(ns, seg.action);
             }
-        }
-        if (s.cpc[i] == CWaitAcksP &&
-            (s.ackPMask[i] & fmask) == fmask && s.durable[i][c] &&
-            !s.bgPending[i]) {
-            State ns = s;
-            raiseField(ctx, ns, ns.glbD[c], i);
-            if (model == PersistModel::REnf)
-                releaseIfOwner(ns, c, i);
-            sendToFollowers(ctx, ns, i,
-                            model == PersistModel::REnf ? BitVal : BitValP);
-            ns.cpc[i] = CDone;
-            emit(ns, "CoordCommitP");
         }
 
         // --- Coordinator obsolete-path spins ---
@@ -899,7 +965,8 @@ checkModel(const CheckConfig &cfg)
                  "maxStates must be in [1, 2^32 - 1)");
 
     const Ctx ctx{cfg, static_cast<int>(cfg.writers.size()), cfg.numNodes,
-                  FollowerProgram(cfg.model, cfg.bugAckBeforePersist)};
+                  FollowerProgram(cfg.model, cfg.bugAckBeforePersist),
+                  CoordinatorProgram(cfg.model, cfg.bugReleaseRdLockEarly)};
 
     State init;
     std::memset(&init, 0, sizeof(State));

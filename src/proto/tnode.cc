@@ -18,11 +18,12 @@ using recovery::CtrlMsg;
 using recovery::CtrlType;
 using recovery::nodeBit;
 using simproto::ackOf;
+using simproto::CoordinatorGate;
+using simproto::CoordinatorStep;
 using simproto::FollowerStep;
 using simproto::invType;
 using simproto::isScopeModel;
 using simproto::txnKey;
-using simproto::valCType;
 
 using Clock = std::chrono::steady_clock;
 
@@ -35,6 +36,7 @@ ThreadedNode::ThreadedNode(ThreadedCluster &cluster,
     : cluster_(cluster), cfg_(cfg), id_(id),
       appliedSteps_(simproto::appliedSchedule(cfg.model, false, false)),
       obsoleteSteps_(simproto::obsoleteSchedule(cfg.model)),
+      coordinatorSteps_(simproto::coordinatorSchedule(cfg.model, false)),
       store_(std::max<std::size_t>(64, cfg.numRecords * 2)),
       nvm_(cfg.persistNsPerKb),
       live_((std::uint64_t{1} << cfg.numNodes) - 1)
@@ -246,11 +248,12 @@ ThreadedNode::sendVal(MsgType type, Key key, const Timestamp &ts,
 // ---------------------------------------------------------------------
 
 ThreadedNode::TxnPtr
-ThreadedNode::registerTxn(Key key, const Timestamp &ts)
+ThreadedNode::registerTxn(Key key, const Timestamp &ts, ScopeId scope)
 {
     auto txn = std::make_shared<TxnState>();
     txn->key = key;
     txn->ts = ts;
+    txn->scope = scope;
     std::lock_guard<std::mutex> guard(txnMutex_);
     auto [it, inserted] = txns_.emplace(txnKey(key, ts), txn);
     MINOS_ASSERT(inserted, "duplicate threaded TS_WR");
@@ -294,24 +297,41 @@ ThreadedNode::waitAcks(const char *what, Acked acked)
 }
 
 void
-ThreadedNode::maybeFinalizeRenf(const TxnPtr &txn)
+ThreadedNode::runStep(CoordinatorStep s, AtomicRecord &rec,
+                      const TxnState &txn)
 {
-    if (cfg_.model != PersistModel::REnf)
-        return;
-    // The tail retires the txn, after which further ACKs count as
-    // stray: it must wait for every ACK_C too, not only the ACK_Ps, or an
-    // ACK_C popped by another rpc thread after the last ACK_P is lost and
-    // write() times out waiting for it.
-    std::uint64_t acked = txn->ackCMask.load(std::memory_order_acquire) &
-                          txn->ackPMask.load(std::memory_order_acquire);
-    if ((followerMask() & ~acked) ||
-        !txn->localPersistDone.load(std::memory_order_acquire) ||
-        txn->finalized.exchange(true, std::memory_order_acq_rel))
+    if (s == CoordinatorStep::RaiseGlbVolatile)
+        AtomicRecord::raiseTs(rec.glbVolatileTs, txn.ts);
+    else if (s == CoordinatorStep::RaiseGlbDurable)
+        AtomicRecord::raiseTs(rec.glbDurableTs, txn.ts);
+    else if (s == CoordinatorStep::ReleaseRdLock)
+        releaseRdLockIfOwner(rec, txn.ts);
+    else if (s == CoordinatorStep::SendVal || s == CoordinatorStep::SendValP)
+        sendVal(simproto::valOf(cfg_.model, s), txn.key, txn.ts, txn.scope);
+}
+
+void
+ThreadedNode::finishTail(const TxnPtr &txn)
+{
+    // No row has more than one segment after Return, so the tail runs
+    // whole, once, when the last step's gate holds. That gate is
+    // cumulative: every ACK_C is in too, so none is lost as stray once
+    // the txn is retired. The loads are sequentially consistent, like
+    // tail's: a thread that publishes an ACK or the local persist and
+    // then reads tail, and write() publishing tail and then reading
+    // these, cannot both miss.
+    const CoordinatorStep *s = txn->tail.load();
+    const CoordinatorGate g =
+        coordinatorSteps_.gateOf(coordinatorSteps_.end() - 1);
+    const std::uint64_t acked = (g.acksC ? txn->ackCMask.load() : ~0ull) &
+                                (g.acksP ? txn->ackPMask.load() : ~0ull);
+    if (!s || (followerMask() & ~acked) ||
+        (g.localPersist && !txn->localPersistDone.load()) ||
+        !txn->tail.compare_exchange_strong(s, nullptr))
         return;
     AtomicRecord &rec = store_.getOrCreate(txn->key);
-    AtomicRecord::raiseTs(rec.glbDurableTs, txn->ts);
-    releaseRdLockIfOwner(rec, txn->ts);
-    sendVal(MsgType::VAL, txn->key, txn->ts, /*scope=*/0);
+    for (; s != coordinatorSteps_.end(); ++s)
+        runStep(*s, rec, *txn);
     unregisterTxn(txn->key, txn->ts);
 }
 
@@ -347,7 +367,7 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
     }
 
     // Lines 11-13: INVs to the followers, LLC update, release WRLock.
-    TxnPtr txn = registerTxn(key, ts);
+    TxnPtr txn = registerTxn(key, ts, scope);
     Message inv;
     inv.type = invType(cfg_.model);
     inv.key = key;
@@ -360,41 +380,34 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
     AtomicRecord::raiseTs(rec.volatileTs, ts);
     releaseWrLock(rec);
 
-    // Line 18 / Fig. 3 step d: persist (critical path only for Synch
-    // and Strict; background otherwise).
-    if (simproto::persistOnCriticalPath(cfg_.model)) {
-        persist(key, value, ts);
-        txn->localPersistDone.store(true, std::memory_order_release);
+    // Lines 18-22 / Fig. 3 steps d-f: the model's coordinator schedule
+    // up to the client's answer; the rpc threads finish the rest.
+    const CoordinatorStep *s = coordinatorSteps_.begin();
+    for (; *s != CoordinatorStep::Return; ++s) {
+        if (*s == CoordinatorStep::Persist) {
+            persist(key, value, ts);
+            txn->localPersistDone.store(true);
+        } else if (*s == CoordinatorStep::PersistLater) {
+            enqueuePersist(PersistJob{key, value, ts, scope,
+                                      coordinatorSteps_.awaitsLocalPersist()});
+        } else if (simproto::CoordinatorSchedule::isAwait(*s)) {
+            const bool acks_p = *s == CoordinatorStep::AwaitAcksP;
+            const auto &mask = acks_p ? txn->ackPMask : txn->ackCMask;
+            waitAcks(acks_p ? "ACK_Ps" : "consistency ACKs",
+                     [&] { return mask.load(std::memory_order_acquire); });
+            while (coordinatorSteps_.gateOf(s).localPersist &&
+                   !txn->localPersistDone.load())
+                std::this_thread::yield();
+        } else {
+            runStep(*s, rec, *txn);
+        }
+    }
+    if (s + 1 == coordinatorSteps_.end()) {
+        unregisterTxn(key, ts);
     } else {
-        enqueuePersist(PersistJob{key, value, ts, scope,
-                                  cfg_.model == PersistModel::REnf});
+        txn->tail.store(s + 1);
+        finishTail(txn);
     }
-
-    // Line 19 / Fig. 3 step e: wait for the gating consistency ACKs,
-    // then the per-model completion (Fig. 2 lines 20-22, Fig. 3 f).
-    waitAcks("consistency ACKs", [&] {
-        return txn->ackCMask.load(std::memory_order_acquire);
-    });
-    AtomicRecord::raiseTs(rec.glbVolatileTs, ts);
-    if (cfg_.model == PersistModel::Synch)
-        AtomicRecord::raiseTs(rec.glbDurableTs, ts);
-    if (cfg_.model == PersistModel::REnf) {
-        // The RDLock stays held; the tail (VAL + unlock) runs when all
-        // ACK_Ps and the local background persist are in.
-        maybeFinalizeRenf(txn);
-        return res;
-    }
-    releaseRdLockIfOwner(rec, ts);
-    sendVal(valCType(cfg_.model), key, ts, scope);
-    if (cfg_.model == PersistModel::Strict) {
-        // VAL_P strictly after VAL_C, once every ACK_P is in.
-        waitAcks("ACK_Ps", [&] {
-            return txn->ackPMask.load(std::memory_order_acquire);
-        });
-        AtomicRecord::raiseTs(rec.glbDurableTs, ts);
-        sendVal(MsgType::VAL_P, key, ts, scope);
-    }
-    unregisterTxn(key, ts);
     return res;
 }
 
@@ -548,8 +561,8 @@ ThreadedNode::onAck(const Message &msg)
         return; // stray ACK for a finished transaction
     // ACK_P, or one of the consistency ACKs (ACK, ACK_C, ACK_C_SC).
     auto &mask = msg.type == MsgType::ACK_P ? txn->ackPMask : txn->ackCMask;
-    mask.fetch_or(nodeBit(msg.src), std::memory_order_acq_rel);
-    maybeFinalizeRenf(txn);
+    mask.fetch_or(nodeBit(msg.src));
+    finishTail(txn);
 }
 
 void
@@ -653,11 +666,10 @@ ThreadedNode::persisterLoop()
                 std::lock_guard<std::mutex> guard(scopeMutex_);
                 --scopeUnpersisted_[job.scope];
             }
-            if (job.renfCoordinator) {
+            if (job.awaited) {
                 if (TxnPtr txn = findTxn(job.key, job.ts)) {
-                    txn->localPersistDone.store(
-                        true, std::memory_order_release);
-                    maybeFinalizeRenf(txn);
+                    txn->localPersistDone.store(true);
+                    finishTail(txn);
                 }
             }
         }
@@ -675,17 +687,15 @@ ThreadedNode::onCtrl(const CtrlMsg &msg)
       case CtrlType::Fail: {
         live_.fetch_and(~nodeBit(msg.subject),
                         std::memory_order_acq_rel);
-        // REnf tails may now be unblocked (one fewer required ACK_P).
-        if (cfg_.model == PersistModel::REnf) {
-            std::vector<TxnPtr> snapshot;
-            {
-                std::lock_guard<std::mutex> guard(txnMutex_);
-                for (auto &[k, txn] : txns_)
-                    snapshot.push_back(txn);
-            }
-            for (auto &txn : snapshot)
-                maybeFinalizeRenf(txn);
+        // Tails may now be unblocked (one fewer required ACK).
+        std::vector<TxnPtr> snapshot;
+        {
+            std::lock_guard<std::mutex> guard(txnMutex_);
+            for (auto &[k, txn] : txns_)
+                snapshot.push_back(txn);
         }
+        for (auto &txn : snapshot)
+            finishTail(txn);
         break;
       }
       case CtrlType::JoinReq: {

@@ -16,9 +16,11 @@
  *    retires background persists (Event/Scope and the REnf coordinator).
  *
  * The per-model decisions — a follower's steps for an applied and for
- * an obsolete INV, the ACK each step sends, what each VAL raises — are
- * the shared tables of simproto/models.hh, the ones the simulated
- * engines walk too; this file keeps only the threaded mechanisms.
+ * an obsolete INV, the ACK each step sends, what each VAL raises, the
+ * coordinator's steps and gates — are the shared tables of
+ * simproto/models.hh, the ones the simulated engines walk too; this
+ * file keeps only the threaded mechanisms. The client thread walks the
+ * coordinator schedule up to Return; the rpc threads run the rest.
  *
  * Failure detection and recovery (§III-E): ACK waits carry a timeout;
  * non-responders are declared failed (Ctrl Fail) and writes complete
@@ -119,11 +121,14 @@ class ThreadedNode
     {
         kv::Key key = 0;
         kv::Timestamp ts = kv::Timestamp::none();
+        net::ScopeId scope = 0;
         /** Consistency ACKs in (the combined ACK for Synch). */
         std::atomic<std::uint64_t> ackCMask{0};
         std::atomic<std::uint64_t> ackPMask{0};
         std::atomic<bool> localPersistDone{false};
-        std::atomic<bool> finalized{false};
+        /** The steps after Return, once write() has answered; null
+         *  before that and once a thread has claimed them. */
+        std::atomic<const simproto::CoordinatorStep *> tail{nullptr};
     };
 
     using TxnPtr = std::shared_ptr<TxnState>;
@@ -144,7 +149,7 @@ class ThreadedNode
         kv::Value value;
         kv::Timestamp ts;
         net::ScopeId scope;
-        bool renfCoordinator = false;
+        bool awaited = false; ///< a coordinator gate waits for it
     };
 
     // ---- primitives ----
@@ -178,14 +183,21 @@ class ThreadedNode
                  net::ScopeId scope);
 
     // ---- coordinator bookkeeping ----
-    TxnPtr registerTxn(kv::Key key, const kv::Timestamp &ts);
+    TxnPtr registerTxn(kv::Key key, const kv::Timestamp &ts,
+                       net::ScopeId scope);
     TxnPtr findTxn(kv::Key key, const kv::Timestamp &ts);
     void unregisterTxn(kv::Key key, const kv::Timestamp &ts);
     /** Wait until @p acked() covers every live follower, declaring
      *  the missing ones failed at each ACK timeout. */
     template <typename Acked>
     void waitAcks(const char *what, Acked acked);
-    void maybeFinalizeRenf(const TxnPtr &txn);
+
+    // ---- coordinator schedule (simproto/models.hh) ----
+    /** Run a raise, the RDLock release or a VAL send; nothing else. */
+    void runStep(simproto::CoordinatorStep s, kv::AtomicRecord &rec,
+                 const TxnState &txn);
+    /** Run the steps after Return once their gate holds (any thread). */
+    void finishTail(const TxnPtr &txn);
 
     // ---- rpc loop ----
     void rpcLoop();
@@ -207,6 +219,8 @@ class ThreadedNode
     /** Follower steps after applying an INV / for an obsolete INV. */
     const simproto::FollowerSchedule appliedSteps_;
     const simproto::FollowerSchedule obsoleteSteps_;
+    /** Coordinator steps after the INV fan-out. */
+    const simproto::CoordinatorSchedule coordinatorSteps_;
 
     kv::HashTable store_;
     nvm::DurableLog log_;

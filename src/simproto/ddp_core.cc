@@ -15,7 +15,12 @@ DdpCore::DdpCore(sim::Simulator &sim, const ClusterConfig &cfg,
       progress_(sim),
       appliedSteps_(appliedSchedule(model, cfg.mutations.ackBeforePersist,
                                     cfg.mutations.duplicateAck)),
-      obsoleteSteps_(obsoleteSchedule(model))
+      obsoleteSteps_(obsoleteSchedule(model)),
+      coordinatorSteps_(coordinatorSchedule(
+          model, cfg.mutations.releaseRdLockEarly)),
+      returnGate_(coordinatorSteps_.gateOf(
+          std::find(coordinatorSteps_.begin(), coordinatorSteps_.end(),
+                    CoordinatorStep::Return)))
 {
 }
 

@@ -12,9 +12,10 @@
  * raises, TS_WR generation, handleObsolete, the local client read, the
  * walk of the follower's obsolete-INV steps and the coordinator's ACK
  * tally. The per-model step tables themselves live in models.hh.
- * The engines keep only what really differs: MINOS-B its WRLock, host
- * persist and coordinator tails; MINOS-O its SNIC engine, vFIFO/dFIFO,
- * PCIe host ACK mirror and coordinator tails.
+ * Both walk the coordinator schedule of models.hh with the gate and
+ * step helpers here. The engines keep only what really differs:
+ * MINOS-B its WRLock and host persist; MINOS-O its SNIC engine,
+ * vFIFO/dFIFO and PCIe host ACK mirror.
  *
  * Gate arithmetic comes from check/predicates.hh, the predicates the
  * model checker and the auditors use too.
@@ -281,6 +282,31 @@ class DdpCore
                                               persistNeeded());
     }
 
+    /** Coordinator gate @p g holds over the ACKs @p t, with the local
+     *  persist done or not (@p localPersisted). */
+    bool
+    gateHolds(const CoordinatorGate &g, const AckTally &t,
+              bool localPersisted) const
+    {
+        return (!g.acksC || consistencyGate(t)) &&
+               (!g.acksP || persistencyGate(t)) &&
+               (!g.localPersist || localPersisted);
+    }
+
+    /** Run coordinator step @p s if it is a glb raise or the RDLock
+     *  release; every other step is the engine's own. */
+    void
+    runCoordinatorStep(CoordinatorStep s, kv::Record &rec, kv::Key key,
+                       const kv::Timestamp &ts)
+    {
+        if (s == CoordinatorStep::RaiseGlbVolatile)
+            raiseGlbVolatile(rec, key, ts);
+        else if (s == CoordinatorStep::RaiseGlbDurable)
+            raiseGlbDurable(rec, key, ts);
+        else if (s == CoordinatorStep::ReleaseRdLock)
+            releaseRdLockIfOwner(rec, key, ts);
+    }
+
     /** @{ Build a message this node sends. Every send is counted here,
      *  once per destination: the INV and VAL fan-outs once per follower,
      *  an ACK once. makeInv also lays the InvFanout (and, for
@@ -359,6 +385,10 @@ class DdpCore
     const FollowerSchedule appliedSteps_;
     /** Follower steps for an obsolete INV, per model. */
     const FollowerSchedule obsoleteSteps_;
+    /** Coordinator steps after the INV fan-out, per model and mutation. */
+    const CoordinatorSchedule coordinatorSteps_;
+    /** The gate of the client's answer (the Return step). */
+    const CoordinatorGate returnGate_;
 
     /** Unpersisted scoped writes on this node, per scope. */
     std::unordered_map<net::ScopeId, int> scopeUnpersisted_;

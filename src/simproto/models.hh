@@ -7,12 +7,13 @@
  * which ACK/VAL message types are exchanged, whether the NVM persist is
  * on the write critical path, whether obsolete-write handling requires
  * the PersistencySpin, a follower's steps for an applied and for an
- * obsolete INV, and which glb fields a VAL raises. Every engine
+ * obsolete INV, which glb fields a VAL raises, and the coordinator's
+ * steps after the INV fan-out with the gate of each. Every engine
  * (MINOS-B, MINOS-O and the threaded runtime) takes these decisions,
  * its message flavors and its write identity from here, and keeps only
  * the mechanisms that carry them out. The model checker
- * (check/checker.cc) compiles the same follower schedules and VAL
- * effects into its abstract follower.
+ * (check/checker.cc) compiles the same follower and coordinator
+ * schedules and VAL effects into its abstract nodes.
  */
 
 #ifndef MINOS_SIMPROTO_MODELS_HH
@@ -21,6 +22,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string_view>
 #include <utility>
 
@@ -81,17 +83,6 @@ constexpr bool
 usesSplitAcks(PersistModel m)
 {
     return m != PersistModel::Synch;
-}
-
-/**
- * True if the NVM persist sits on the write critical path (Fig. 3:
- * "For the rest of the models, persisting the update to NVM is performed
- * outside of the critical path").
- */
-constexpr bool
-persistOnCriticalPath(PersistModel m)
-{
-    return m == PersistModel::Synch || m == PersistModel::Strict;
 }
 
 /**
@@ -166,16 +157,25 @@ enum class FollowerStep : std::uint8_t
     PersistLater, ///< make the update durable in the background
 };
 
-/** A follower's steps for one INV, in order. */
-struct FollowerSchedule
+/** Up to @p N steps of one node's part in a write, in order. */
+template <typename Step, std::size_t N>
+struct StepList
 {
-    std::array<FollowerStep, 4> steps{};
+    std::array<Step, N> steps{};
     std::uint8_t size = 0;
 
-    constexpr void push(FollowerStep s) { steps[size++] = s; }
-    constexpr const FollowerStep *begin() const { return steps.data(); }
-    constexpr const FollowerStep *end() const { return steps.data() + size; }
+    constexpr void
+    push(std::initializer_list<Step> more)
+    {
+        for (Step s : more)
+            steps[size++] = s;
+    }
+    constexpr const Step *begin() const { return steps.data(); }
+    constexpr const Step *end() const { return steps.data() + size; }
 };
+
+/** A follower's steps for one INV. */
+using FollowerSchedule = StepList<FollowerStep, 4>;
 
 /** The ACK type a follower step sends under model @p m. */
 constexpr net::MsgType
@@ -197,31 +197,31 @@ appliedSchedule(PersistModel m, bool ackBeforePersist, bool duplicateAck)
     FollowerSchedule s;
     // The durable acknowledgement follows the persist.
     auto durable = [&](S ack) {
-        s.push(ackBeforePersist ? ack : S::Persist);
-        s.push(ackBeforePersist ? S::Persist : ack);
+        s.push({ackBeforePersist ? ack : S::Persist,
+                ackBeforePersist ? S::Persist : ack});
     };
     switch (m) {
       case PersistModel::Synch:
         // Persist in the critical path, then the single combined ACK.
         durable(S::AckC);
         if (duplicateAck)
-            s.push(S::AckC);
+            s.push({S::AckC});
         break;
       case PersistModel::Strict:
       case PersistModel::REnf:
         // ACK_C right after the LLC update; ACK_P after the persist.
-        s.push(S::AckC);
+        s.push({S::AckC});
         if (duplicateAck)
-            s.push(S::AckC);
+            s.push({S::AckC});
         durable(S::AckP);
         break;
       case PersistModel::Event:
       case PersistModel::Scope:
         // ACK_C after the LLC update; persist in the background.
-        s.push(S::AckC);
+        s.push({S::AckC});
         if (duplicateAck)
-            s.push(S::AckC);
-        s.push(S::PersistLater);
+            s.push({S::AckC});
+        s.push({S::PersistLater});
         break;
     }
     return s;
@@ -234,18 +234,15 @@ obsoleteSchedule(PersistModel m)
 {
     using S = FollowerStep;
     FollowerSchedule s;
-    s.push(S::AwaitGlbVolatile);
+    s.push({S::AwaitGlbVolatile});
     if (!usesSplitAcks(m)) {
         // handleObsolete(), then the combined ACK.
-        s.push(S::AwaitGlbDurable);
-        s.push(S::AckC);
+        s.push({S::AwaitGlbDurable, S::AckC});
         return s;
     }
-    s.push(S::AckC);
-    if (tracksPersistPerWrite(m)) {
-        s.push(S::AwaitGlbDurable);
-        s.push(S::AckP);
-    }
+    s.push({S::AckC});
+    if (tracksPersistPerWrite(m))
+        s.push({S::AwaitGlbDurable, S::AckP});
     return s;
 }
 
@@ -270,6 +267,125 @@ valEffect(net::MsgType type)
       case net::MsgType::VAL_P: return {false, true, false};
       default: return {};
     }
+}
+
+/**
+ * One step of a coordinator's write after the INV fan-out and the LLC
+ * update (Fig. 2 lines 18-22, Fig. 3 steps d-f). Persist is awaited,
+ * PersistLater runs in the background; AwaitAcksC waits for every
+ * consistency ACK (combined for Synch), AwaitAcksP for every ACK_P;
+ * SendVal sends valCType; Return answers the client.
+ */
+enum class CoordinatorStep : std::uint8_t
+{
+    Persist, PersistLater, AwaitAcksC, AwaitAcksP, RaiseGlbVolatile,
+    RaiseGlbDurable, ReleaseRdLock, SendVal, SendValP, Return,
+};
+
+/** What a coordinator must have waited for before it runs a step. */
+struct CoordinatorGate
+{
+    bool acksC = false, acksP = false;
+    bool localPersist = false; ///< its own persist of the update
+};
+
+/**
+ * A coordinator's steps for one write. The Await steps cut it into
+ * segments: the head before the first Await, then one per Await.
+ */
+struct CoordinatorSchedule : StepList<CoordinatorStep, 10>
+{
+    static constexpr bool
+    isAwait(CoordinatorStep s)
+    {
+        return s == CoordinatorStep::AwaitAcksC ||
+               s == CoordinatorStep::AwaitAcksP;
+    }
+
+    /** The end of @p at's segment: the next Await after it, else end(). */
+    constexpr const CoordinatorStep *
+    segmentEnd(const CoordinatorStep *at) const
+    {
+        do
+            ++at;
+        while (at != end() && !isAwait(*at));
+        return at;
+    }
+
+    /**
+     * The gate of step @p at: every Await up to it, and the local
+     * persist once a segment up to its own raises glb_durableTS.
+     */
+    constexpr CoordinatorGate
+    gateOf(const CoordinatorStep *at) const
+    {
+        CoordinatorGate g;
+        for (const CoordinatorStep *s = begin(); s != segmentEnd(at); ++s) {
+            g.acksC |= s <= at && *s == CoordinatorStep::AwaitAcksC;
+            g.acksP |= s <= at && *s == CoordinatorStep::AwaitAcksP;
+            g.localPersist |= *s == CoordinatorStep::RaiseGlbDurable;
+        }
+        return g;
+    }
+
+    /** True if some step waits for the coordinator's own persist. */
+    constexpr bool
+    awaitsLocalPersist() const
+    {
+        return gateOf(end() - 1).localPersist;
+    }
+};
+
+/** The VAL a coordinator send step sends under model @p m. */
+constexpr net::MsgType
+valOf(PersistModel m, CoordinatorStep s)
+{
+    return s == CoordinatorStep::SendValP ? net::MsgType::VAL_P
+                                          : valCType(m);
+}
+
+/**
+ * Fig. 2 lines 18-22 and the Fig. 3 coordinator deltas. The persist is
+ * on the critical path only for Synch and Strict (Fig. 3: "for the rest
+ * of the models, persisting the update to NVM is performed outside of
+ * the critical path"). The test mutation @p releaseRdLockEarly frees the
+ * RDLock first.
+ *
+ * Every walker keeps gateOf's rule: a segment that raises glb_durableTS
+ * also waits for the coordinator's own persist. Blocking walkers await
+ * each gate in line; trigger-driven ones run a segment when its gate
+ * holds. Steps after Return run off the client path.
+ */
+constexpr CoordinatorSchedule
+coordinatorSchedule(PersistModel m, bool releaseRdLockEarly)
+{
+    using S = CoordinatorStep;
+    CoordinatorSchedule s;
+    if (releaseRdLockEarly)
+        s.push({S::ReleaseRdLock});
+    const bool persist_inline =
+        m == PersistModel::Synch || m == PersistModel::Strict;
+    s.push({persist_inline ? S::Persist : S::PersistLater, S::AwaitAcksC,
+            S::RaiseGlbVolatile});
+    switch (m) {
+      case PersistModel::Synch: // one VAL validates both
+        s.push({S::RaiseGlbDurable, S::ReleaseRdLock, S::SendVal,
+                S::Return});
+        break;
+      case PersistModel::Strict: // VAL_P strictly after VAL_C (Fig. 3(i))
+        s.push({S::ReleaseRdLock, S::SendVal, S::AwaitAcksP,
+                S::RaiseGlbDurable, S::SendValP, S::Return});
+        break;
+      case PersistModel::REnf: // the VAL once durable everywhere
+        s.push({S::Return, S::AwaitAcksP, S::RaiseGlbDurable,
+                S::ReleaseRdLock, S::SendVal});
+        break;
+      case PersistModel::Event:
+      case PersistModel::Scope:
+        s.push({S::ReleaseRdLock, S::SendVal, S::Return});
+        break;
+    }
+    return s;
 }
 
 /**

@@ -184,50 +184,34 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
     // Line 13: release WRLock.
     releaseWrLock(rec);
 
-    if (cfg_.mutations.releaseRdLockEarly)
-        releaseRdLockIfOwner(rec, key, ts);
-
-    // Line 18 / Fig. 3 step d: persist to NVM (critical path only for
-    // Synch and Strict; background otherwise).
-    if (persistOnCriticalPath(model_)) {
-        co_await persistToNvm(key, value, ts);
-        txn->localPersistDone = true;
-    } else {
-        persistInBackground(key, value, ts, scope);
-    }
-
-    // Line 19 / Fig. 3 step e: wait for the gating consistency ACKs
-    // (the combined ACKs for Synch).
-    co_await progress_.until([&] { return consistencyGate(*txn); });
-    Tick t_gate = sim_.now();
-
-    // Post-gate per-model completion (Fig. 2 lines 20-22, Fig. 3 f).
-    raiseGlbVolatile(rec, key, ts);
-    if (model_ == PersistModel::Synch)
-        raiseGlbDurable(rec, key, ts);
-    if (model_ == PersistModel::REnf) {
-        // Return to the client after all ACK_Cs; the RDLock stays held
-        // and VALs go out when all ACK_Ps have arrived (Fig. 3(iii)).
-        sim_.spawn(renfTail(key, ts));
-    } else {
-        releaseRdLockIfOwner(rec, key, ts);
-        co_await hostCores_.compute(cfg_.hostSendNs * cfg_.followers());
-        cluster_.multicast(makeVal(valCType(model_), key, ts, scope));
-        if (model_ == PersistModel::Strict) {
-            // VAL_P strictly after VAL_C, once every ACK_P is in
-            // (Fig. 3(i) step f).
-            co_await progress_.until([&] {
-                return persistencyGate(*txn) && txn->localPersistDone;
-            });
-            raiseGlbDurable(rec, key, ts);
+    // Lines 18-22 / Fig. 3 steps d-f: the model's coordinator schedule
+    // up to the client's answer; the steps after it run in a tail.
+    Tick t_gate = 0;
+    const CoordinatorStep *s = coordinatorSteps_.begin();
+    for (; *s != CoordinatorStep::Return; ++s) {
+        if (*s == CoordinatorStep::Persist) {
+            co_await persistToNvm(key, value, ts);
+            txn->localPersistDone = true;
+        } else if (*s == CoordinatorStep::PersistLater) {
+            persistInBackground(key, value, ts, scope);
+        } else if (CoordinatorSchedule::isAwait(*s)) {
+            co_await awaitGate(*txn, s);
+            if (*s == CoordinatorStep::AwaitAcksC)
+                t_gate = sim_.now();
+        } else if (*s == CoordinatorStep::SendVal ||
+                   *s == CoordinatorStep::SendValP) {
             co_await hostCores_.compute(cfg_.hostSendNs *
                                         cfg_.followers());
-            cluster_.multicast(makeVal(MsgType::VAL_P, key, ts, scope));
+            cluster_.multicast(makeVal(valOf(model_, *s), key, ts, scope));
+        } else {
+            runCoordinatorStep(*s, rec, key, ts);
         }
     }
-    // Retire the txn; our hold keeps its timing fields for the
-    // comm/comp split.
-    if (model_ != PersistModel::REnf)
+    // Retire the txn when no tail needs it; our hold keeps its timing
+    // fields for the comm/comp split.
+    if (s + 1 != coordinatorSteps_.end())
+        sim_.spawn(coordinatorTail(key, ts, scope, s + 1));
+    else
         pending_.erase(txnKey(key, ts));
 
     // Spans for the gather/completion phases; every timestamp was taken
@@ -249,17 +233,26 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
 }
 
 sim::Process
-NodeB::renfTail(Key key, Timestamp ts)
+NodeB::coordinatorTail(Key key, Timestamp ts, ScopeId scope,
+                       const CoordinatorStep *s)
 {
     Record &rec = store_.at(key);
     auto txn = pending_.find(txnKey(key, ts));
-    MINOS_ASSERT(txn, "REnf tail without pending txn");
-    co_await progress_.until(
-        [&] { return persistencyGate(*txn) && txn->localPersistDone; });
-    raiseGlbDurable(rec, key, ts);
-    releaseRdLockIfOwner(rec, key, ts);
-    co_await hostCores_.compute(cfg_.hostSendNs * cfg_.followers());
-    cluster_.multicast(makeVal(MsgType::VAL, key, ts, /*scope=*/0));
+    MINOS_ASSERT(txn, "coordinator tail without pending txn");
+    // Every persist step precedes Return, so a tail only waits, raises,
+    // releases and sends.
+    for (; s != coordinatorSteps_.end(); ++s) {
+        if (CoordinatorSchedule::isAwait(*s)) {
+            co_await awaitGate(*txn, s);
+        } else if (*s == CoordinatorStep::SendVal ||
+                   *s == CoordinatorStep::SendValP) {
+            co_await hostCores_.compute(cfg_.hostSendNs *
+                                        cfg_.followers());
+            cluster_.multicast(makeVal(valOf(model_, *s), key, ts, scope));
+        } else {
+            runCoordinatorStep(*s, rec, key, ts);
+        }
+    }
     pending_.erase(txnKey(key, ts));
 }
 
@@ -443,8 +436,7 @@ NodeB::onAck(Message msg, Tick t_rx)
     // The ACK family that gates the client response for this model
     // times the communication window, which ends when the ACK reaches
     // the host receive queue (paper SIV), not when this handler runs.
-    MsgType gate = model_ == PersistModel::Strict ? MsgType::ACK_P
-                                                  : ackCType(model_);
+    MsgType gate = returnGate_.acksP ? MsgType::ACK_P : ackCType(model_);
     if (msg.type == gate) {
         txn->tGateAck = t_rx;
         txn->addHandle(msg.handleNs);

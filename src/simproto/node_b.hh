@@ -11,9 +11,10 @@
  *     handleObsolete() (ConsistencySpin + PersistencySpin) and return;
  *  3. send INVs to all Followers, update the local LLC copy, release
  *     WRLock;
- *  4. persist to the NVM log (critical path only for Synch/Strict);
- *  5. wait for the per-model ACK set; raise glb_volatileTS /
- *     glb_durableTS; release RDLock if still owner; send VALs.
+ *  4. walk the model's coordinator schedule (models.hh): persist to
+ *     the NVM log, wait for the ACK gates, raise glb_volatileTS /
+ *     glb_durableTS, release the RDLock if still owner, send the VALs
+ *     and answer the client; steps after the answer run in a tail.
  *
  * The Follower checks obsoleteness, mirrors steps 2-4 and acknowledges
  * (the DdpCore schedules); its RDLock is released by the VAL. The
@@ -87,8 +88,20 @@ class NodeB : public DdpCore
     sim::Task<void> onVal(net::Message msg);
     sim::Task<void> onPersistSc(net::Message msg, Tick t_handle0);
 
-    /** Background tail of the REnf coordinator (post-ACK_C work). */
-    sim::Process renfTail(kv::Key key, kv::Timestamp ts);
+    /** The coordinator steps from @p s on, after the client's answer. */
+    sim::Process coordinatorTail(kv::Key key, kv::Timestamp ts,
+                                 net::ScopeId scope,
+                                 const CoordinatorStep *s);
+
+    /** Await the gate of coordinator step @p at over @p txn. */
+    auto
+    awaitGate(PendingTxn &txn, const CoordinatorStep *at)
+    {
+        return progress_.until(
+            [this, &txn, gate = coordinatorSteps_.gateOf(at)] {
+                return gateHolds(gate, txn, txn.localPersistDone);
+            });
+    }
 
     ClusterB &cluster_;
     nvm::NvmModel nvm_;

@@ -14,31 +14,24 @@ using kv::Value;
 using net::Message;
 using net::MsgType;
 using net::ScopeId;
-using simproto::AckTally;
 using simproto::ackOf;
+using simproto::CoordinatorGate;
+using simproto::CoordinatorSchedule;
+using simproto::CoordinatorStep;
 using simproto::FollowerStep;
 using simproto::isScopeModel;
-using simproto::persistOnCriticalPath;
-using simproto::tracksPersistPerWrite;
 using simproto::txnKey;
+using simproto::valOf;
 
 NodeO::NodeO(sim::Simulator &sim, ClusterO &cluster,
              const ClusterConfig &cfg, PersistModel model, NodeId id)
     : DdpCore(sim, cfg, model, id), cluster_(cluster),
       snicCores_(sim, cfg.snicCores), snicRx_(sim),
       vfifo_(sim, cfg, store_, cluster.vfifoDma(id), progress_, id),
-      dfifo_(sim, cfg, log_, cluster.dfifoDma(id), progress_, id)
+      dfifo_(sim, cfg, log_, cluster.dfifoDma(id), progress_, id),
+      valTail_(valTailOf(coordinatorSteps_))
 {
     sim_.spawn(snicDispatcher());
-}
-
-bool
-NodeO::clientGateReached(const AckTally &acks,
-                         const PendingTxn &txn) const
-{
-    return consistencyGate(acks) &&
-           (model_ != PersistModel::Strict || persistencyGate(acks)) &&
-           (!persistOnCriticalPath(model_) || txn.dfifoEnqueued);
 }
 
 // ---------------------------------------------------------------------
@@ -81,6 +74,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
     // Register the transaction, then send the (batched) INV.
     TxnHold txn = pending_.insert(txnKey(key, ts));
     MINOS_ASSERT(txn, "duplicate TS_WR ", ts, " key ", key);
+    txn->gate = coordinatorSteps_.segmentEnd(coordinatorSteps_.begin());
 
     const bool batching = cluster_.options().batching;
     co_await hostCores_.compute(
@@ -88,14 +82,18 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
                  : cfg_.hostSendNs * cfg_.followers());
     txn->tFirstSend = sim_.now();
     cluster_.hostSendInv(id_, makeInv(key, value, ts, scope));
-    if (cfg_.mutations.releaseRdLockEarly)
-        releaseRdLockIfOwner(rec, key, ts);
+    // The head of the coordinator schedule: the SNIC persists; the host
+    // runs the rest (the early RDLock release of a test mutation).
+    for (const CoordinatorStep *s = coordinatorSteps_.begin();
+         s != txn->gate; ++s)
+        runCoordinatorStep(*s, rec, key, ts);
 
     // Fig. 8 lines 13-14: spin for the (batched) ACK. Without batching
     // the host counts the individually-forwarded ACKs itself.
     co_await progress_.until(txn->waitKey, [&] {
         return batching ? txn->hostDone
-                        : clientGateReached(txn->host, *txn);
+                        : gateHolds(returnGate_, txn->host,
+                                    txn->dfifoEnqueued);
     });
     txn->tGateAck = sim_.now();
     co_await hostCores_.compute(cfg_.bookkeepNs);
@@ -218,14 +216,15 @@ sim::Task<void>
 NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
 {
     // Fig. 8 line 17: enqueue to vFIFO and dFIFO. The dFIFO enqueue is
-    // in the handler's path when persistency gates the protocol
-    // (Synch/Strict/REnf); the weak models defer it to the background.
+    // in the handler's path when a gate of the coordinator schedule
+    // waits for it (Synch/Strict/REnf); the weak models defer it to the
+    // background.
     txn->vfifoId = co_await vfifo_.enqueue(msg.key, msg.value,
                                            msg.tsWr);
     txn->vfifoAssigned = true;
     txn->waitKey.fire();
     progress_.notifyAll();
-    if (tracksPersistPerWrite(model_)) {
+    if (coordinatorSteps_.awaitsLocalPersist()) {
         co_await dfifo_.enqueue(msg.key, msg.value, msg.tsWr,
                                 cfg_.recordBytes);
         ++counters_.persists;
@@ -238,11 +237,9 @@ NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
                           cfg_.recordBytes);
         txn->dfifoEnqueued = true; // durability tracked via scope map
     }
-    // The Synch and Strict client gates and the REnf persistency tail
-    // include the local durable enqueue; the last ACK may already have
-    // arrived.
-    maybeFireClientGate(msg.key, msg.tsWr, msg.scope, txn);
-    maybeFireRenfTail(msg.key, msg.tsWr, msg.scope, txn);
+    // The gates that raise glb_durableTS include the local durable
+    // enqueue; the last ACK may already have arrived.
+    runGates(msg.key, msg.tsWr, msg.scope, txn);
 }
 
 sim::Task<void>
@@ -327,97 +324,63 @@ NodeO::snicOnAck(Message msg)
     if (!cluster_.options().batching)
         forwardAckToHost(msg, txn); // Fig. 6: pass every ACK to host
 
-    // Strict: the consistency gate spawns the VAL_C -> VAL_P tail.
-    if (model_ == PersistModel::Strict &&
-        msg.type == MsgType::ACK_C && txn->acksC == cfg_.followers()) {
-        Record &rec = store_.at(msg.key);
-        raiseGlbVolatile(rec, msg.key, msg.tsWr);
-        sim_.spawn(snicCompleteWrite(msg.key, msg.tsWr, msg.scope, txn));
-    }
-
-    maybeFireClientGate(msg.key, msg.tsWr, msg.scope, txn);
-    maybeFireRenfTail(msg.key, msg.tsWr, msg.scope, txn);
-
+    runGates(msg.key, msg.tsWr, msg.scope, txn);
     progress_.notifyAll();
 }
 
 void
-NodeO::maybeFireRenfTail(Key key, Timestamp ts, ScopeId scope,
-                         const TxnHold &txn)
+NodeO::runGates(Key key, Timestamp ts, ScopeId scope, const TxnHold &txn)
 {
-    // REnf persistency tail: after the client gate, all ACK_Ps and the
-    // local durable enqueue -> raise glb_durableTS, VALs + unlock.
-    if (model_ != PersistModel::REnf || !txn->gateFired ||
-        txn->durableFired || !persistencyGate(*txn) ||
-        !txn->dfifoEnqueued)
-        return;
-    txn->durableFired = true;
+    // Run each segment of the coordinator schedule whose gate holds, in
+    // order and once: its at-gate steps now, the rest in the VAL tail.
     Record &rec = store_.at(key);
-    raiseGlbDurable(rec, key, ts);
-    sim_.spawn(snicCompleteWrite(key, ts, scope, txn));
-}
-
-void
-NodeO::maybeFireClientGate(Key key, Timestamp ts, ScopeId scope,
-                           const TxnHold &txn)
-{
-    if (txn->gateFired || !clientGateReached(*txn, *txn))
-        return;
-    txn->gateFired = true;
-    if (cluster_.options().batching)
-        notifyHostGate(txn);
-    Record &rec = store_.at(key);
-    switch (model_) {
-      case PersistModel::Synch:
-        raiseGlbVolatile(rec, key, ts);
-        raiseGlbDurable(rec, key, ts);
-        sim_.spawn(snicCompleteWrite(key, ts, scope, txn));
-        break;
-      case PersistModel::Strict:
-        raiseGlbDurable(rec, key, ts);
-        // VAL_C/VAL_P sequencing handled by the tail spawned at the
-        // consistency gate.
-        break;
-      case PersistModel::REnf:
-        raiseGlbVolatile(rec, key, ts);
-        // VALs + unlock wait for all ACK_Ps (REnf tail in snicOnAck).
-        break;
-      case PersistModel::Event:
-      case PersistModel::Scope:
-        raiseGlbVolatile(rec, key, ts);
-        sim_.spawn(snicCompleteWrite(key, ts, scope, txn));
-        break;
+    while (txn->gate != coordinatorSteps_.end() &&
+           gateHolds(coordinatorSteps_.gateOf(txn->gate), *txn,
+                     txn->dfifoEnqueued)) {
+        const CoordinatorStep *g = txn->gate;
+        txn->gate = coordinatorSteps_.segmentEnd(g);
+        for (const CoordinatorStep *s = g + 1; s != txn->gate; ++s) {
+            if (*s == CoordinatorStep::Return) {
+                if (cluster_.options().batching)
+                    notifyHostGate(txn);
+            } else if (runsAtGate(*s)) {
+                runCoordinatorStep(*s, rec, key, ts);
+            }
+        }
+        if (g < valTail_ && valTail_ < txn->gate)
+            sim_.spawn(snicCompleteWrite(key, ts, scope, txn));
+        progress_.notifyAll();
     }
-    progress_.notifyAll();
 }
 
 sim::Process
 NodeO::snicCompleteWrite(Key key, Timestamp ts, ScopeId scope,
                          TxnHold txn)
 {
-    // Fig. 8 lines 21-24: wait for the vFIFO drain, release the RDLock
-    // if still owner, broadcast the VALs, retire the transaction.
+    // Fig. 8 lines 21-24: wait for the vFIFO drain, then walk the VAL
+    // tail: release the RDLock if still owner and broadcast the VALs,
+    // waiting at each gate on the way; retire the transaction.
     co_await progress_.until(txn->waitKey,
                              [&] { return txn->vfifoAssigned; });
     co_await vfifo_.waitDrained(txn->vfifoId);
 
     Record &rec = store_.at(key);
     co_await snicCores_.compute(cfg_.snicSyncNs + cfg_.coherenceNs);
-    releaseRdLockIfOwner(rec, key, ts);
-
-    cluster_.snicMulticast(
-        makeVal(simproto::valCType(model_), key, ts, scope),
-        /*from_batched=*/false);
-
-    if (model_ == PersistModel::Strict) {
-        // VAL_P strictly after VAL_C, once the persistency gate is
-        // reached (Fig. 3(i) ordering).
-        co_await progress_.until(txn->acksKey, [&] {
-            return persistencyGate(*txn) && txn->dfifoEnqueued;
-        });
-        raiseGlbDurable(rec, key, ts);
-        cluster_.snicMulticast(makeVal(MsgType::VAL_P, key, ts, scope),
-                               /*from_batched=*/false);
+    for (const CoordinatorStep *s = valTail_; s != coordinatorSteps_.end();
+         ++s) {
+        if (*s == CoordinatorStep::ReleaseRdLock) {
+            releaseRdLockIfOwner(rec, key, ts);
+        } else if (*s == CoordinatorStep::SendVal ||
+                   *s == CoordinatorStep::SendValP) {
+            cluster_.snicMulticast(
+                makeVal(valOf(model_, *s), key, ts, scope),
+                /*from_batched=*/false);
+        } else if (CoordinatorSchedule::isAwait(*s)) {
+            const CoordinatorGate gate = coordinatorSteps_.gateOf(s);
+            co_await progress_.until(txn->acksKey, [&] {
+                return gateHolds(gate, *txn, txn->dfifoEnqueued);
+            });
+        }
     }
     pending_.erase(txnKey(key, ts));
     progress_.notifyAll();

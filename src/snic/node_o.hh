@@ -10,6 +10,9 @@
  *  - Coordinator SNIC: broadcast INV to all followers, enqueue the
  *    update to vFIFO and dFIFO, collect ACKs, send the batched ACK to
  *    the host, wait for the vFIFO drain, release the RDLock, send VALs.
+ *    It walks the coordinator schedule of models.hh: at each gate it
+ *    raises the glb fields and answers the host (Return); the RDLock
+ *    release, the VALs and any gate between them run after the drain.
  *  - Follower SNIC: obsoleteness check, Snatch RDLock, enqueue to
  *    vFIFO/dFIFO, ACK; on VAL wait for the drain and release the RDLock.
  *    The follower host is never invoked.
@@ -56,6 +59,31 @@ class NodeO : public simproto::DdpCore
     /** Deliver a network message into this node's SmartNIC. */
     void deliverToSnic(net::Message msg);
 
+    /** @{
+     * NodeO's split of the coordinator schedule: the glb raises and
+     * Return (the host notification) run at their gate; from
+     * valTailOf() on, the RDLock release, the VALs and the gates
+     * between them run in snicCompleteWrite after the vFIFO drain.
+     */
+    static constexpr bool
+    runsAtGate(simproto::CoordinatorStep s)
+    {
+        return s == simproto::CoordinatorStep::RaiseGlbVolatile ||
+               s == simproto::CoordinatorStep::RaiseGlbDurable ||
+               s == simproto::CoordinatorStep::Return;
+    }
+
+    static constexpr const simproto::CoordinatorStep *
+    valTailOf(const simproto::CoordinatorSchedule &sched)
+    {
+        const simproto::CoordinatorStep *s = sched.segmentEnd(sched.begin());
+        while (s != sched.end() &&
+               (runsAtGate(*s) || simproto::CoordinatorSchedule::isAwait(*s)))
+            ++s;
+        return s;
+    }
+    /** @} */
+
     /** @{ Introspection for tests. */
     /** Transactions not yet recycled (in flight or still held). */
     std::size_t pendingTxns() const { return pending_.live(); }
@@ -81,8 +109,9 @@ class NodeO : public simproto::DdpCore
         bool vfifoAssigned = false;
         bool dfifoEnqueued = false;
         bool releasedByValC = false; ///< follower: VAL_C processed
-        bool gateFired = false; ///< client gate already handled
-        bool durableFired = false; ///< REnf persistency tail spawned
+        /// Coordinator: the next Await of the schedule whose segment
+        /// has not run (its end once all have).
+        const simproto::CoordinatorStep *gate = nullptr;
         /**
          * Keys of the progress_ waits that read only this transaction;
          * whoever changes a field they read fires the key at once.
@@ -108,9 +137,9 @@ class NodeO : public simproto::DdpCore
                                     Tick t_handle0);
 
     /**
-     * Coordinator SNIC tail: after the vFIFO drain, release the RDLock
-     * and send the consistency VALs; Strict then sends VAL_P once the
-     * persistency gate is reached.
+     * Coordinator SNIC VAL tail: after the vFIFO drain, walk the
+     * schedule from valTail_: release the RDLock, send the VALs and wait
+     * at the gates between them (Strict's VAL_P waits for every ACK_P).
      */
     sim::Process snicCompleteWrite(kv::Key key, kv::Timestamp ts,
                                    net::ScopeId scope, TxnHold txn);
@@ -119,19 +148,14 @@ class NodeO : public simproto::DdpCore
     sim::Task<void> snicEnqueueUpdate(net::Message msg, TxnHold txn);
 
     /**
-     * Fire the client-gate actions (notify host, raise glb fields,
-     * spawn the completion tail) exactly once, as soon as the per-model
-     * gate condition holds. Called after every ACK and after the local
-     * dFIFO enqueue (which participates in the Synch and Strict gates).
+     * Run every segment of the coordinator schedule whose gate now
+     * holds, once each and in order: raise the glb fields, notify the
+     * host at Return (with batching) and spawn the VAL tail from the
+     * segment that holds its start. Called after every ACK and after
+     * the local dFIFO enqueue (which the glb_durableTS gates include).
      */
-    void maybeFireClientGate(kv::Key key, kv::Timestamp ts,
-                             net::ScopeId scope, const TxnHold &txn);
-
-    /** Fire the REnf persistency tail exactly once, when the client
-     *  gate has fired, every ACK_P is in and the local dFIFO enqueue is
-     *  done. Called wherever maybeFireClientGate is. */
-    void maybeFireRenfTail(kv::Key key, kv::Timestamp ts,
-                           net::ScopeId scope, const TxnHold &txn);
+    void runGates(kv::Key key, kv::Timestamp ts, net::ScopeId scope,
+                  const TxnHold &txn);
 
     /** Notify the host that the client gate is reached (PCIe). */
     void notifyHostGate(TxnHold txn);
@@ -148,20 +172,14 @@ class NodeO : public simproto::DdpCore
                            kv::Timestamp ts, net::ScopeId scope,
                            std::uint32_t bytes);
 
-    /**
-     * The client gate over @p acks: every consistency ACK; for Strict
-     * also every persistency ACK; for Synch and Strict also the local
-     * dFIFO enqueue.
-     */
-    bool clientGateReached(const simproto::AckTally &acks,
-                           const PendingTxn &txn) const;
-
     ClusterO &cluster_;
     sim::CorePool snicCores_;
     sim::Mailbox<net::Message> snicRx_;
 
     VFifo vfifo_;
     DFifo dfifo_;
+    /** Where snicCompleteWrite starts (valTailOf). */
+    const simproto::CoordinatorStep *const valTail_;
 
     simproto::TxnSlab<PendingTxn> pending_;
     std::unordered_map<net::ScopeId, PendingTxn> scopePending_;

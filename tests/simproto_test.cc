@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "simproto/cluster_b.hh"
 #include "simproto/driver.hh"
+#include "snic/node_o.hh"
 
 using namespace minos;
 using namespace minos::simproto;
@@ -574,5 +576,135 @@ TEST(FollowerTables, PinStepsAcksAndValEffects)
         EXPECT_EQ(fx.raisesGlbVolatile, v.glbVolatile);
         EXPECT_EQ(fx.raisesGlbDurable, v.glbDurable);
         EXPECT_EQ(fx.releasesRdLock, v.releasesRdLock);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The per-model coordinator table every engine and the checker walk
+// ---------------------------------------------------------------------
+
+namespace {
+
+using CSteps = std::vector<CoordinatorStep>;
+
+CSteps
+stepsOf(const CoordinatorSchedule &s)
+{
+    return CSteps(s.begin(), s.end());
+}
+
+CSteps
+stepsOf(const CoordinatorStep *from, const CoordinatorStep *to)
+{
+    return CSteps(from, to);
+}
+
+/** Each step's gate, one word per step: C for every consistency ACK,
+ *  P for every ACK_P, L for the local persist, - for none. */
+std::string
+gatesOf(const CoordinatorSchedule &s)
+{
+    std::string out;
+    for (const CoordinatorStep *at = s.begin(); at != s.end(); ++at) {
+        const CoordinatorGate g = s.gateOf(at);
+        if (at != s.begin())
+            out += ' ';
+        if (!g.acksC && !g.acksP && !g.localPersist)
+            out += '-';
+        if (g.acksC)
+            out += 'C';
+        if (g.acksP)
+            out += 'P';
+        if (g.localPersist)
+            out += 'L';
+    }
+    return out;
+}
+
+} // namespace
+
+static_assert(coordinatorSchedule(PersistModel::REnf, false).size == 8);
+
+TEST(CoordinatorTables, PinStepsAndGates)
+{
+    using S = CoordinatorStep;
+    struct Row
+    {
+        PersistModel model;
+        CSteps steps;
+        std::string gates;
+        /** NodeO: the steps it runs at each Await's gate, then the VAL
+         *  tail it runs after the vFIFO drain (gates included). */
+        std::vector<CSteps> atGates;
+        CSteps valTail;
+    };
+    const CSteps weak = {S::PersistLater, S::AwaitAcksC,
+                         S::RaiseGlbVolatile, S::ReleaseRdLock, S::SendVal,
+                         S::Return};
+    const Row rows[] = {
+        {PersistModel::Synch,
+         {S::Persist, S::AwaitAcksC, S::RaiseGlbVolatile, S::RaiseGlbDurable,
+          S::ReleaseRdLock, S::SendVal, S::Return},
+         "- CL CL CL CL CL CL",
+         {{S::RaiseGlbVolatile, S::RaiseGlbDurable, S::Return}},
+         {S::ReleaseRdLock, S::SendVal, S::Return}},
+        {PersistModel::Strict,
+         {S::Persist, S::AwaitAcksC, S::RaiseGlbVolatile, S::ReleaseRdLock,
+          S::SendVal, S::AwaitAcksP, S::RaiseGlbDurable, S::SendValP,
+          S::Return},
+         "- C C C C CPL CPL CPL CPL",
+         {{S::RaiseGlbVolatile}, {S::RaiseGlbDurable, S::Return}},
+         {S::ReleaseRdLock, S::SendVal, S::AwaitAcksP, S::RaiseGlbDurable,
+          S::SendValP, S::Return}},
+        {PersistModel::REnf,
+         {S::PersistLater, S::AwaitAcksC, S::RaiseGlbVolatile, S::Return,
+          S::AwaitAcksP, S::RaiseGlbDurable, S::ReleaseRdLock, S::SendVal},
+         "- C C C CPL CPL CPL CPL",
+         {{S::RaiseGlbVolatile, S::Return}, {S::RaiseGlbDurable}},
+         {S::ReleaseRdLock, S::SendVal}},
+        {PersistModel::Event, weak, "- C C C C C",
+         {{S::RaiseGlbVolatile, S::Return}},
+         {S::ReleaseRdLock, S::SendVal, S::Return}},
+        {PersistModel::Scope, weak, "- C C C C C",
+         {{S::RaiseGlbVolatile, S::Return}},
+         {S::ReleaseRdLock, S::SendVal, S::Return}},
+    };
+    ASSERT_EQ(std::size(rows), allModels.size());
+    for (const Row &r : rows) {
+        SCOPED_TRACE(std::string(shortModelName(r.model)));
+        const CoordinatorSchedule sched = coordinatorSchedule(r.model, false);
+        EXPECT_EQ(stepsOf(sched), r.steps);
+        EXPECT_EQ(gatesOf(sched), r.gates);
+
+        // The mutation frees the RDLock ahead of the same steps and
+        // gates.
+        const CoordinatorSchedule early = coordinatorSchedule(r.model, true);
+        CSteps early_steps = {S::ReleaseRdLock};
+        early_steps.insert(early_steps.end(), r.steps.begin(),
+                           r.steps.end());
+        EXPECT_EQ(stepsOf(early), early_steps);
+        EXPECT_EQ(gatesOf(early), "- " + r.gates);
+
+        // NodeO walks the same rows.
+        std::vector<CSteps> at_gates;
+        for (const CoordinatorStep *g = sched.segmentEnd(sched.begin());
+             g != sched.end(); g = sched.segmentEnd(g)) {
+            CSteps here;
+            for (const CoordinatorStep *s = g + 1; s != sched.segmentEnd(g);
+                 ++s) {
+                if (snic::NodeO::runsAtGate(*s))
+                    here.push_back(*s);
+            }
+            at_gates.push_back(here);
+        }
+        EXPECT_EQ(at_gates, r.atGates);
+        EXPECT_EQ(stepsOf(snic::NodeO::valTailOf(sched), sched.end()),
+                  r.valTail);
+        EXPECT_EQ(snic::NodeO::valTailOf(early),
+                  early.end() - r.valTail.size());
+
+        // The send steps' VALs.
+        EXPECT_EQ(valOf(r.model, S::SendVal), valCType(r.model));
+        EXPECT_EQ(valOf(r.model, S::SendValP), net::MsgType::VAL_P);
     }
 }
