@@ -321,11 +321,13 @@ ThreadedNode::finishTail(const TxnPtr &txn)
     // then reads tail, and write() publishing tail and then reading
     // these, cannot both miss.
     const CoordinatorStep *s = txn->tail.load();
+    if (!s)
+        return;
     const CoordinatorGate g =
         coordinatorSteps_.gateOf(coordinatorSteps_.end() - 1);
     const std::uint64_t acked = (g.acksC ? txn->ackCMask.load() : ~0ull) &
                                 (g.acksP ? txn->ackPMask.load() : ~0ull);
-    if (!s || (followerMask() & ~acked) ||
+    if ((followerMask() & ~acked) ||
         (g.localPersist && !txn->localPersistDone.load()) ||
         !txn->tail.compare_exchange_strong(s, nullptr))
         return;
