@@ -8,6 +8,7 @@
 #include <sstream>
 #include <tuple>
 
+#include "check/fingerprint_set.hh"
 #include "check/predicates.hh"
 #include "common/logging.hh"
 
@@ -256,93 +257,41 @@ mum(std::uint64_t a, std::uint64_t b)
            static_cast<std::uint64_t>(m);
 }
 
+/** 16-byte lanes of a State; the last one overlaps the one before. */
+inline constexpr std::size_t hashLanes = (sizeof(State) + 15) / 16;
+
+/** Two keys per lane and two for the finalizer: splitmix64 of 1, 2, ... */
+inline constexpr auto hashKeys = [] {
+    std::array<std::uint64_t, 2 * hashLanes + 2> keys{};
+    std::uint64_t x = 0;
+    for (std::uint64_t &k : keys) {
+        x += 0x9E3779B97F4A7C15ull;
+        std::uint64_t z = x;
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+        k = z ^ (z >> 31);
+    }
+    return keys;
+}();
+
 /**
- * Word-wise 64-bit hash of a State: nine 8-byte words plus one
- * overlapping word for the 2-byte tail, each folded in with one
- * multiply.
+ * 64-bit hash of a State in independent 16-byte lanes: each lane's two
+ * words, XORed with keys of their own, are folded by one multiply, so
+ * no multiply waits for another. The lane sum is finalized once.
  */
 std::uint64_t
 hashState(const State &s)
 {
-    constexpr std::uint64_t k0 = 0xA0761D6478BD642Full;
-    constexpr std::uint64_t k1 = 0xE7037ED1A0B428DBull;
+    static_assert(sizeof(State) >= 16);
     const auto *p = reinterpret_cast<const unsigned char *>(&s);
-    std::uint64_t h = k0;
-    std::size_t off = 0;
-    for (; off + 8 <= sizeof(State); off += 8)
-        h = mum(h ^ load64(p + off), k1);
-    if (off < sizeof(State))
-        h = mum(h ^ load64(p + sizeof(State) - 8), k1);
-    return mum(h, k0);
+    std::uint64_t h = 0;
+    for (std::size_t l = 0; l < hashLanes; ++l) {
+        const std::size_t off = std::min(16 * l, sizeof(State) - 16);
+        h += mum(load64(p + off) ^ hashKeys[2 * l],
+                 load64(p + off + 8) ^ hashKeys[2 * l + 1]);
+    }
+    return mum(h ^ hashKeys[2 * hashLanes], hashKeys[2 * hashLanes + 1]);
 }
-
-/**
- * Set of reached states, kept as 64-bit fingerprints (hashState) the
- * way TLC keeps them: no state is stored, so a probe never reads one.
- * Open addressing with linear probing from fp & mask over 8-byte
- * slots; 0 marks an empty slot, so a zero fingerprint is stored as
- * zeroFp. Two distinct states with one fingerprint would be merged;
- * fingerprintCollisionBound() bounds the chance of that.
- */
-class FingerprintSet
-{
-  public:
-    FingerprintSet() : slots_(initialSlots, 0) {}
-
-    /** Add @p fp; false if it was already present. */
-    bool
-    insert(std::uint64_t fp)
-    {
-        fp = fp ? fp : zeroFp;
-        std::uint64_t &slot = probe(slots_, fp);
-        if (slot == fp)
-            return false;
-        slot = fp;
-        if (++used_ > slots_.size() / 4 * 3)
-            grow();
-        return true;
-    }
-
-    /** Start loading the home slot of @p fp. */
-    void
-    prefetch(std::uint64_t fp) const
-    {
-        __builtin_prefetch(&slots_[fp & (slots_.size() - 1)]);
-    }
-
-  private:
-    static constexpr std::size_t initialSlots = 512;
-    static constexpr std::uint64_t zeroFp = 0x9E3779B97F4A7C15ull;
-
-    /** The slot holding @p fp, else the empty slot where it belongs. */
-    static std::uint64_t &
-    probe(std::vector<std::uint64_t> &slots, std::uint64_t fp)
-    {
-        const std::size_t mask = slots.size() - 1;
-        std::size_t i = fp & mask;
-        while (slots[i] != 0 && slots[i] != fp)
-            i = (i + 1) & mask;
-        return slots[i];
-    }
-
-    /**
-     * Double the table by re-inserting the stored fingerprints; no state
-     * is rehashed. The old and the new table are both live meanwhile.
-     */
-    void
-    grow()
-    {
-        std::vector<std::uint64_t> bigger(slots_.size() * 2, 0);
-        for (std::uint64_t fp : slots_) {
-            if (fp != 0)
-                probe(bigger, fp) = fp;
-        }
-        slots_.swap(bigger);
-    }
-
-    std::vector<std::uint64_t> slots_;
-    std::size_t used_ = 0;
-};
 
 /** Exploration context. */
 struct Ctx
@@ -997,6 +946,8 @@ checkModel(const CheckConfig &cfg)
     checkInvariants(ctx, init, result.violations);
 
     constexpr std::size_t violationCap = 16;
+    /** States whose successors are gathered before any is inserted. */
+    constexpr std::size_t lookahead = 16;
 
     auto traceTo = [&](std::uint32_t index) {
         std::vector<std::string> trace;
@@ -1014,8 +965,11 @@ checkModel(const CheckConfig &cfg)
         const char *action;
         std::uint64_t hash;
     };
+    // Successors of the states of one lookahead batch; ends[k] is one
+    // past the last successor of the batch's k-th state.
     std::vector<Successor> succ;
     succ.reserve(32);
+    std::array<std::size_t, lookahead> ends{};
     // The BFS queue holds full states only for the rest of the level
     // being expanded and the part of the next level found so far.
     // States leave it in discovery order, so the k-th state expanded is
@@ -1023,51 +977,64 @@ checkModel(const CheckConfig &cfg)
     std::deque<State> queue{init};
     std::uint32_t discovered = 1;
     while (!queue.empty() && !result.inconclusive) {
-        const State &s = queue.front(); // push_back does not move it
-        const auto head =
-            static_cast<std::uint32_t>(result.statesExplored++);
-
-        // Gather the successors and prefetch each one's home slot, then
-        // insert them in emission order: the cache misses overlap, and
-        // discovery order is the same as inserting at emission.
+        // Gather the successors of the next states and prefetch each
+        // one's home slot, then insert them state by state in emission
+        // order: the table's cache misses overlap across states, and
+        // the discovery order is the serial one. A state's successors
+        // depend on it alone, so expanding it early changes nothing.
+        const std::size_t batch = std::min(lookahead, queue.size());
         succ.clear();
-        forEachSuccessor(ctx, s, [&](const State &ns, const char *action) {
-            succ.push_back({ns, action, hashState(ns)});
-            seen.prefetch(succ.back().hash);
-        });
-        result.transitions += succ.size();
-        for (const Successor &x : succ) {
-            if (!seen.insert(x.hash))
-                continue;
-            if (discovered == cfg.maxStates) {
-                result.inconclusive = true;
-                break;
-            }
-            const std::uint32_t index = discovered++;
-            queue.push_back(x.state);
-            if (cfg.recordTraces) {
-                parents.push_back(head);
-                actions.push_back(x.action);
-            }
-            if (result.violations.size() < violationCap) {
-                std::size_t before = result.violations.size();
-                checkInvariants(ctx, x.state, result.violations);
-                for (std::size_t v = before; v < result.violations.size();
-                     ++v)
-                    result.violations[v].trace = traceTo(index);
-            }
+        for (std::size_t k = 0; k < batch; ++k) {
+            forEachSuccessor(ctx, queue[k],
+                             [&](const State &ns, const char *action) {
+                                 succ.emplace_back(ns, action, hashState(ns));
+                                 seen.prefetch(succ.back().hash);
+                             });
+            ends[k] = succ.size();
         }
 
-        if (succ.empty()) {
-            if (isFinal(ctx, s)) {
-                ++result.finalStates;
-            } else if (result.violations.size() < violationCap) {
-                Violation v{"1-deadlock", describeState(ctx, s), {}};
-                v.trace = traceTo(head);
-                result.violations.push_back(std::move(v));
+        std::size_t k = 0;
+        for (std::size_t first = 0; k < batch && !result.inconclusive;
+             first = ends[k++]) {
+            const State &s = queue[k]; // push_back does not move it
+            const auto head =
+                static_cast<std::uint32_t>(result.statesExplored++);
+            result.transitions += ends[k] - first;
+            for (std::size_t i = first; i < ends[k]; ++i) {
+                const Successor &x = succ[i];
+                if (!seen.insert(x.hash))
+                    continue;
+                if (discovered == cfg.maxStates) {
+                    result.inconclusive = true;
+                    break;
+                }
+                const std::uint32_t index = discovered++;
+                queue.push_back(x.state);
+                if (cfg.recordTraces) {
+                    parents.push_back(head);
+                    actions.push_back(x.action);
+                }
+                if (result.violations.size() < violationCap) {
+                    std::size_t before = result.violations.size();
+                    checkInvariants(ctx, x.state, result.violations);
+                    for (std::size_t v = before; v < result.violations.size();
+                         ++v)
+                        result.violations[v].trace = traceTo(index);
+                }
+            }
+
+            if (ends[k] == first) {
+                if (isFinal(ctx, s)) {
+                    ++result.finalStates;
+                } else if (result.violations.size() < violationCap) {
+                    Violation v{"1-deadlock", describeState(ctx, s), {}};
+                    v.trace = traceTo(head);
+                    result.violations.push_back(std::move(v));
+                }
             }
         }
-        queue.pop_front();
+        queue.erase(queue.begin(),
+                    queue.begin() + static_cast<std::ptrdiff_t>(k));
     }
 
     return result;

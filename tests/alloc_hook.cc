@@ -3,6 +3,7 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <new>
 
@@ -12,16 +13,49 @@ std::uint64_t g_allocs = 0;
 std::int64_t g_liveBytes = 0;
 std::int64_t g_peakBytes = 0;
 
+std::int64_t
+usableBytes(void *p)
+{
+    return static_cast<std::int64_t>(malloc_usable_size(p));
+}
+
+void
+addLive(std::int64_t bytes)
+{
+    g_liveBytes += bytes;
+    g_peakBytes = std::max(g_peakBytes, g_liveBytes);
+}
+
 /** Count a block from malloc (null passes through). */
 void *
 counted(void *p)
 {
     ++g_allocs;
-    if (p) {
-        g_liveBytes += static_cast<std::int64_t>(malloc_usable_size(p));
-        g_peakBytes = std::max(g_peakBytes, g_liveBytes);
-    }
+    if (p)
+        addLive(usableBytes(p));
     return p;
+}
+
+// The binaries that link this file also link with --wrap=realloc and
+// --wrap=free, so the calls that the repository's own code makes reach
+// __wrap_realloc and __wrap_free below, and __real_* is the allocator's
+// own. Blocks that realloc made are counted from that realloc to the
+// free that ends them; the table below tells them apart in free. A
+// block that moves in a realloc is counted once: the C library moves a
+// large block with mremap, not a copy.
+
+/** Live blocks made by realloc; null entries are free. */
+std::array<void *, 16> g_reallocBlocks{};
+
+/** The entry holding @p p (a free entry for null), else null. */
+void **
+reallocEntry(void *p)
+{
+    for (void *&b : g_reallocBlocks) {
+        if (b == p)
+            return &b;
+    }
+    return nullptr;
 }
 
 } // namespace
@@ -48,6 +82,36 @@ void
 minos::test::resetPeakBytes()
 {
     g_peakBytes = g_liveBytes;
+}
+
+extern "C" void *__real_realloc(void *p, std::size_t n);
+extern "C" void __real_free(void *p);
+
+extern "C" void *
+__wrap_realloc(void *p, std::size_t n)
+{
+    void **entry = p ? reallocEntry(p) : nullptr;
+    const std::int64_t before = entry ? usableBytes(p) : 0;
+    void *q = __real_realloc(p, n);
+    if (!q) // failed: p is unchanged
+        return q;
+    if (!entry)
+        entry = reallocEntry(nullptr);
+    if (entry) { // else the table is full: q goes uncounted
+        *entry = q;
+        addLive(usableBytes(q) - before);
+    }
+    return q;
+}
+
+extern "C" void
+__wrap_free(void *p)
+{
+    if (void **entry = p ? reallocEntry(p) : nullptr) {
+        g_liveBytes -= usableBytes(p);
+        *entry = nullptr;
+    }
+    __real_free(p);
 }
 
 void *

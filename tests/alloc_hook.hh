@@ -7,7 +7,10 @@
  * Linking alloc_hook.cc into a binary replaces the global operator
  * new/delete with malloc/free wrappers that count every new and the
  * bytes of the blocks alive (malloc_usable_size); tests read the
- * counters before and after the region under test. The counters are
+ * counters before and after the region under test. The binaries also
+ * link with --wrap=realloc and --wrap=free, so a block that the
+ * repository's own code grows with realloc (the model checker's
+ * fingerprint table) counts as live until it is freed. The counters are
  * not atomic: the regions they measure run on one thread.
  */
 
@@ -21,7 +24,8 @@ namespace minos::test {
 /** Number of global operator new calls (every form) so far. */
 std::uint64_t allocCount();
 
-/** Bytes held by operator new blocks not yet deleted. */
+/** Bytes held by operator new blocks not yet deleted, and by realloc
+ *  blocks not yet freed. */
 std::int64_t liveBytes();
 
 /** Highest liveBytes() since the last resetPeakBytes(). */

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "alloc_hook.hh"
 #include "check/checker.hh"
+#include "check/fingerprint_set.hh"
 
 using namespace minos;
 using namespace minos::check;
@@ -23,6 +27,16 @@ report(const CheckResult &res)
     for (const auto &v : res.violations)
         out += v.invariant + ": " + v.detail + "\n";
     return out;
+}
+
+/** splitmix64: distinct inputs give distinct, well-spread outputs. */
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x += 0x9E3779B97F4A7C15ull;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+    return x ^ (x >> 31);
 }
 
 } // namespace
@@ -112,8 +126,10 @@ TEST(CheckMemory, PeakLiveBytesPerStateOnSynchThreeByThree)
 {
     // The visited set keeps an 8 B fingerprint per state, at 3/8 to 3/4
     // load, and full 74 B states live only in the BFS queue (at most two
-    // levels): ~25 B/state at the peak, when the table doubles. Keeping
-    // every state, as the arena store did, peaks at ~92 B/state.
+    // levels): ~18 B/state at the peak. The table doubles in place, so
+    // the old and the new table are never both live; a grow that copies
+    // into a second table peaks at ~25 B/state, and keeping every
+    // state, as the arena store did, at ~92 B/state.
     CheckConfig cfg;
     cfg.model = PersistModel::Synch;
     cfg.numNodes = 3;
@@ -125,7 +141,51 @@ TEST(CheckMemory, PeakLiveBytesPerStateOnSynchThreeByThree)
     const double perState =
         static_cast<double>(test::peakBytes() - before) /
         static_cast<double>(res.statesExplored);
-    EXPECT_LT(perState, 40.0) << "peak live bytes per state";
+    EXPECT_LT(perState, 21.0) << "peak live bytes per state";
+    // The table is counted: 2^21 slots of 8 B.
+    EXPECT_GT(perState, 16.0 * 1024 * 1024 / 1'276'098)
+        << "peak live bytes per state";
+}
+
+TEST(FingerprintSet, GrowKeepsEveryFingerprint)
+{
+    // Fingerprints of three kinds, interleaved, across six doublings
+    // (512 to 32 768 slots), plus the zero fingerprint. The low 16 bits
+    // of the first kind put it in the last four slots of every table up
+    // to 2^16 slots: their home slots collide, and their cluster wraps
+    // past the table end at every size. The second kind collides the
+    // same way in the 512-slot table, then splits between both halves
+    // at each doubling. The third is spread.
+    FingerprintSet set;
+    std::vector<std::uint64_t> fps{0};
+    for (std::uint64_t k = 1; fps.size() < 20'000; ++k) {
+        const std::uint64_t r = mix(k);
+        switch (k % 3) {
+          case 0: fps.push_back(r << 16 | (0xFFFF - k % 4)); break;
+          case 1: fps.push_back(r << 9 | (0x1FF - k % 4)); break;
+          default: fps.push_back(r); break;
+        }
+    }
+    // Right after each doubling, every fingerprint inserted so far is
+    // found (a re-insert returns false). Check then: a later insert
+    // can land in a hole that a bad move left and hide it again.
+    std::size_t slots = set.slots();
+    int doublings = 0;
+    for (std::size_t i = 0; i < fps.size(); ++i) {
+        ASSERT_TRUE(set.insert(fps[i])) << "fingerprint " << fps[i];
+        if (set.slots() == slots)
+            continue;
+        slots = set.slots();
+        ++doublings;
+        for (std::size_t j = 0; j <= i; ++j)
+            ASSERT_FALSE(set.insert(fps[j]))
+                << "fingerprint " << fps[j] << " lost growing to " << slots
+                << " slots";
+    }
+    EXPECT_EQ(doublings, 6);
+    for (std::uint64_t fp : fps)
+        EXPECT_FALSE(set.insert(fp)) << "lost fingerprint " << fp;
+    EXPECT_EQ(set.size(), fps.size());
 }
 
 TEST(Checker, FingerprintCollisionBound)
