@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdio>
 #include <limits>
 
@@ -120,7 +121,11 @@ main(int argc, char **argv)
                 cfg.numNodes, cfg.writers.size(),
                 bug.empty() ? "" : (" [bug: " + bug + "]").c_str());
 
+    const auto start = std::chrono::steady_clock::now();
     CheckResult res = checkModel(cfg);
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
     std::printf("states explored : %zu\n", res.statesExplored);
     std::printf("transitions     : %zu\n", res.transitions);
     std::printf("final states    : %zu\n", res.finalStates);
@@ -131,6 +136,9 @@ main(int argc, char **argv)
         std::printf("result          : inconclusive (state budget of %zu "
                     "exhausted)\n",
                     cfg.maxStates);
+    std::printf("elapsed         : %.2f s\n", elapsed);
+    std::printf("states/s        : %.0f\n",
+                static_cast<double>(res.statesExplored) / elapsed);
     for (const auto &v : res.violations) {
         std::printf("  %s\n    %s\n", v.invariant.c_str(),
                     v.detail.c_str());
