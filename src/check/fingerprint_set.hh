@@ -87,15 +87,13 @@ class FingerprintSet
     }
 
     /**
-     * Double the table in place; no state is rehashed. The old n slots
-     * stay where they are and the new half starts empty, so a stored
-     * fingerprint is found where it is until it is moved. One pass then
-     * moves each: it goes to the first slot on its new probe path that is
-     * empty or holds a fingerprint not yet moved, and a fingerprint it
-     * displaces is carried on the same way. A moved one is never
-     * displaced again, so the probe path of each stays filled. Every
-     * fingerprint in the new half has been moved; in the old half, a
-     * bitmap marks them.
+     * Double the table in place; no state is rehashed. The new half
+     * starts empty. One pass then moves each stored fingerprint to the
+     * first slot on its new probe path that is empty or holds a
+     * fingerprint not yet moved, and carries a fingerprint it displaces
+     * on the same way. A moved one is never displaced again, so the
+     * probe path of each stays filled. Every fingerprint in the new half
+     * has been moved; in the old half, a bitmap marks the moved ones.
      */
     void
     grow()
