@@ -11,6 +11,7 @@
 #include "check/fingerprint_set.hh"
 #include "check/predicates.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 
 namespace minos::check {
 
@@ -264,13 +265,8 @@ inline constexpr std::size_t hashLanes = (sizeof(State) + 15) / 16;
 inline constexpr auto hashKeys = [] {
     std::array<std::uint64_t, 2 * hashLanes + 2> keys{};
     std::uint64_t x = 0;
-    for (std::uint64_t &k : keys) {
-        x += 0x9E3779B97F4A7C15ull;
-        std::uint64_t z = x;
-        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-        z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-        k = z ^ (z >> 31);
-    }
+    for (std::uint64_t &k : keys)
+        k = mix64(x += 0x9E3779B97F4A7C15ull);
     return keys;
 }();
 

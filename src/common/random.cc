@@ -8,17 +8,6 @@ namespace minos {
 
 namespace {
 
-/** splitmix64, used to expand the seed into xoshiro state. */
-std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t
 rotl(std::uint64_t x, int k)
 {
@@ -29,9 +18,10 @@ rotl(std::uint64_t x, int k)
 
 Rng::Rng(std::uint64_t seed)
 {
+    // splitmix64 expands the seed into xoshiro state.
     std::uint64_t x = seed;
     for (auto &w : s)
-        w = splitmix64(x);
+        w = mix64(x += 0x9E3779B97F4A7C15ull);
 }
 
 std::uint64_t

@@ -17,6 +17,18 @@
 namespace minos {
 
 /**
+ * splitmix64's finalizer (Steele et al.): a bijective 64-bit mix in
+ * which every input bit reaches every output bit.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+}
+
+/**
  * Small, fast, seedable PRNG (xoshiro256**).
  *
  * Deterministic across platforms so experiment output is reproducible.

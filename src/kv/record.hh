@@ -24,9 +24,6 @@
 
 namespace minos::kv {
 
-/** Record key. Records are replicated on every node (paper §II-A). */
-using Key = std::uint64_t;
-
 /** Abstract record value: a 64-bit token standing in for the 1KB blob. */
 using Value = std::uint64_t;
 

@@ -21,11 +21,15 @@
 #include <ostream>
 
 #include "common/logging.hh"
+#include "common/slot_index.hh"
 
 namespace minos::kv {
 
 /** Node identifier; -1 means "no node". */
 using NodeId = std::int32_t;
+
+/** Record key. Records are replicated on every node (paper §II-A). */
+using Key = std::uint64_t;
 
 /**
  * Logical timestamp <node_id, version> (Figure 1(b) of the paper).
@@ -86,6 +90,29 @@ struct Timestamp
     {
         return os << "<" << ts.node << "," << ts.version << ">";
     }
+};
+
+/**
+ * Identity of one write (paper Fig. 2): its key and packed TS_WR.
+ * TS_WR versions are per-record, so a TS alone is not unique across
+ * keys (two keys written once by node 0 both carry TS 1.0).
+ */
+struct WriteId
+{
+    Key key = 0;
+    std::uint64_t ts = 0; ///< Timestamp::pack() of TS_WR
+
+    static WriteId of(Key k, const Timestamp &t) { return {k, t.pack()}; }
+
+    bool operator==(const WriteId &) const = default;
+
+    std::uint32_t hash() const { return SlotIndex::hash(key, ts); }
+
+    /** Hasher for std::unordered_map, through the slot-index hash. */
+    struct Hash
+    {
+        std::size_t operator()(const WriteId &id) const { return id.hash(); }
+    };
 };
 
 } // namespace minos::kv

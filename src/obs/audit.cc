@@ -108,7 +108,7 @@ OpLedger::apply(const Record &rec)
 }
 
 const OpLedger::OpState *
-OpLedger::find(const OpId &id) const
+OpLedger::find(const kv::WriteId &id) const
 {
     const std::uint32_t slot = slots_.find(id);
     return slot == OpSlots::none ? nullptr : &ops_[slot];
@@ -134,7 +134,7 @@ Auditor::onRecord(const Record &rec)
 }
 
 void
-Auditor::violate(const char *rule, Tick when, const OpId &id,
+Auditor::violate(const char *rule, Tick when, const kv::WriteId &id,
                  std::string detail)
 {
     violateRaw(rule, when, std::move(detail),
@@ -268,11 +268,9 @@ PersistencyAuditor::persistGateReached(
 void
 PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
 {
-    if (rec.kind == EventKind::ScopeMark) {
-        scopeWrites_[static_cast<std::uint64_t>(rec.a0) >> 32]
-            .push_back({rec.a0 & 0xffffffff,
-                        static_cast<std::uint64_t>(rec.a1)});
-    }
+    if (rec.kind == EventKind::ScopeMark) // opIdOf names the marked write
+        scopeWrites_[static_cast<std::uint64_t>(rec.a0) >> 32].push_back(
+            ap.id);
     if (rec.kind == EventKind::AckSent &&
         ackFlavor(rec.aux) == AckFlavor::ScopePersist) {
         // <Lin, Scope> cond.: a follower's [ACK_P]sc certifies that
@@ -283,7 +281,7 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         auto it = scopeWrites_.find(
             static_cast<std::uint64_t>(rec.a0));
         if (it != scopeWrites_.end() && sender >= 0) {
-            for (const OpId &id : it->second) {
+            for (const kv::WriteId &id : it->second) {
                 const OpLedger::OpState *st = ledger().find(id);
                 if (st && st->fanout &&
                     !hasNode(st->persistNodes | st->obsoleteNodes,
@@ -380,7 +378,8 @@ PersistencyAuditor::finish()
     // Quiescence (cond. 3a at end of run): every fanned-out write must
     // be durable (or have been cut as obsolete) on every node — all
     // five models eventually persist everything they applied.
-    ledger().forEach([&](const OpId &id, const OpLedger::OpState &st) {
+    ledger().forEach([&](const kv::WriteId &id,
+                         const OpLedger::OpState &st) {
         if (!st.fanout)
             return;
         std::uint64_t covered = st.persistNodes | st.obsoleteNodes;
@@ -458,7 +457,8 @@ AckConservationAuditor::check(const Record &rec,
 void
 AckConservationAuditor::finish()
 {
-    ledger().forEach([&](const OpId &id, const OpLedger::OpState &st) {
+    ledger().forEach([&](const kv::WriteId &id,
+                         const OpLedger::OpState &st) {
         if (!st.fanout)
             return;
         // Exactly N-1 consistency-family ACKs (followers answer with

@@ -75,7 +75,7 @@ struct AuditViolation
 /**
  * Streaming per-write protocol state shared by the protocol auditors:
  * digests the record stream into ACK counts and per-node apply/persist
- * masks, keyed by (key, TS_WR). Entries live in a flat OpId -> slot
+ * masks, keyed by kv::WriteId. Entries live in a flat WriteId -> slot
  * table (OpSlots) and a chunked array indexed by slot, so a new write
  * costs no allocation of its own. Entries are never retired: the end-of-run
  * rules (P5, A3) read every write the run made.
@@ -102,7 +102,7 @@ class OpLedger
     struct Applied
     {
         OpState *op = nullptr; ///< null when the record is not op-keyed
-        OpId id;
+        kv::WriteId id;
         bool keyed = false; ///< opIdOf() named a write for the record
         bool newOp = false; ///< this record opened a new ledger entry
         bool duplicateAck = false; ///< this ACK's (family, sender) repeats
@@ -111,7 +111,7 @@ class OpLedger
     /** Fold one record into the ledger. */
     Applied apply(const Record &rec);
 
-    const OpState *find(const OpId &id) const;
+    const OpState *find(const kv::WriteId &id) const;
 
     std::size_t ops() const { return ops_.size(); }
 
@@ -182,7 +182,7 @@ class Auditor : public RecordSink
     const OpLedger &ledger() const { return *ledger_; }
 
     /** Report a violation with the op's rendered causal trace. */
-    void violate(const char *rule, Tick when, const OpId &id,
+    void violate(const char *rule, Tick when, const kv::WriteId &id,
                  std::string detail);
 
     /** Report a violation with a caller-supplied trace excerpt. */
@@ -227,7 +227,8 @@ class PersistencyAuditor : public Auditor
      *  has persisted it (P2, P3 and P6 gate on this). */
     bool persistGateReached(const OpLedger::OpState &st) const;
     /** Scope id -> fanned-out writes marked into it (<Lin, Scope>). */
-    std::unordered_map<std::uint64_t, std::vector<OpId>> scopeWrites_;
+    std::unordered_map<std::uint64_t, std::vector<kv::WriteId>>
+        scopeWrites_;
 };
 
 /** INV/ACK bookkeeping conservation. */

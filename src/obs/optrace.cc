@@ -2,13 +2,12 @@
 
 #include <sstream>
 
-#include "kv/timestamp.hh"
-
 namespace minos::obs {
 
 bool
-opIdOf(const Record &rec, OpId &out)
+opIdOf(const Record &rec, kv::WriteId &out)
 {
+    auto key = static_cast<kv::Key>(rec.a0);
     switch (rec.kind) {
       case EventKind::InvFanout:
       case EventKind::InvApplied:
@@ -17,31 +16,26 @@ opIdOf(const Record &rec, OpId &out)
       case EventKind::SnicBroadcastInv:
       case EventKind::PersistDone:
       case EventKind::GlbRaised:
-        out = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        return rec.a1 != 0;
+        break;
       case EventKind::AckReceived:
       case EventKind::AckSent:
         if (ackFlavor(rec.aux) == AckFlavor::ScopePersist)
             return false;
-        out = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        return rec.a1 != 0;
+        break;
       case EventKind::ValSent:
         if (static_cast<ValFlavor>(rec.aux) == ValFlavor::ValPSc)
             return false;
-        out = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        return rec.a1 != 0;
+        break;
       case EventKind::ClientOpBegin:
       case EventKind::ClientOpEnd:
         // Writes (and reads that observed a version) join the written
         // op's timeline; [PERSIST]sc and unresolved reads have no TS.
         if (opType(rec.aux) == OpType::PersistSc)
             return false;
-        out = {rec.a0, static_cast<std::uint64_t>(rec.a1)};
-        return rec.a1 != 0;
-      case EventKind::ScopeMark:
-        out = {rec.a0 & 0xffffffff,
-               static_cast<std::uint64_t>(rec.a1)};
-        return rec.a1 != 0;
+        break;
+      case EventKind::ScopeMark: // a0 = (scope << 32) | key
+        key &= 0xffffffff;
+        break;
       case EventKind::FollowerEnqueued:
       case EventKind::VfifoSkipped:
       case EventKind::FifoDepth:
@@ -49,76 +43,8 @@ opIdOf(const Record &rec, OpId &out)
       case EventKind::SpanEnd:
         return false;
     }
-    return false;
-}
-
-// ---------------------------------------------------------------------
-// OpSlots
-// ---------------------------------------------------------------------
-
-std::uint32_t
-OpSlots::hashOf(const OpId &id)
-{
-    std::uint64_t x =
-        static_cast<std::uint64_t>(id.key) * 0x9E3779B97F4A7C15ull ^ id.ts;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return static_cast<std::uint32_t>(x ^ (x >> 31));
-}
-
-std::size_t
-OpSlots::probe(const OpId &id, std::uint32_t h) const
-{
-    const std::size_t mask = index_.size() - 1;
-    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-        const std::uint64_t e = index_[i];
-        if (e == 0 || (static_cast<std::uint32_t>(e >> 32) == h &&
-                       ids_[static_cast<std::uint32_t>(e) - 1] == id))
-            return i;
-    }
-}
-
-std::uint32_t
-OpSlots::find(const OpId &id) const
-{
-    if (index_.empty())
-        return none;
-    const std::uint64_t e = index_[probe(id, hashOf(id))];
-    return e == 0 ? none : static_cast<std::uint32_t>(e) - 1;
-}
-
-std::uint32_t
-OpSlots::insert(const OpId &id, bool &added)
-{
-    if (index_.empty())
-        index_.assign(64, 0);
-    const std::uint32_t h = hashOf(id);
-    const std::size_t pos = probe(id, h);
-    added = index_[pos] == 0;
-    if (!added)
-        return static_cast<std::uint32_t>(index_[pos]) - 1;
-    const auto slot = static_cast<std::uint32_t>(ids_.size());
-    ids_.emplace_back() = id;
-    index_[pos] = (std::uint64_t{h} << 32) | (slot + 1);
-    if (ids_.size() > index_.size() / 4 * 3)
-        grow();
-    return slot;
-}
-
-void
-OpSlots::grow()
-{
-    std::vector<std::uint64_t> old(index_.size() * 2, 0);
-    old.swap(index_);
-    const std::size_t mask = index_.size() - 1;
-    for (std::uint64_t e : old) {
-        if (e == 0)
-            continue;
-        std::size_t i = (e >> 32) & mask;
-        while (index_[i] != 0)
-            i = (i + 1) & mask;
-        index_[i] = e;
-    }
+    out = {key, static_cast<std::uint64_t>(rec.a1)};
+    return rec.a1 != 0;
 }
 
 // ---------------------------------------------------------------------
@@ -133,7 +59,7 @@ OpTraceIndex::OpTraceIndex(std::size_t maxEventsPerOp)
 void
 OpTraceIndex::onRecord(const Record &rec)
 {
-    OpId id;
+    kv::WriteId id;
     if (opIdOf(rec, id))
         add(id, rec);
 }
@@ -153,7 +79,7 @@ OpTraceIndex::allocChunk()
 }
 
 std::uint32_t
-OpTraceIndex::add(const OpId &id, const Record &rec)
+OpTraceIndex::add(const kv::WriteId &id, const Record &rec)
 {
     bool added = false;
     const std::uint32_t slot = slots_.insert(id, added);
@@ -213,7 +139,7 @@ OpTraceIndex::recycle(std::uint32_t slot)
 }
 
 std::string
-OpTraceIndex::render(const OpId &id) const
+OpTraceIndex::render(const kv::WriteId &id) const
 {
     const std::uint32_t slot = slots_.find(id);
     if (slot == OpSlots::none)

@@ -15,10 +15,8 @@
  * even after the ring overwrote it; one raised on a recycled op
  * renders the records laid since, headed by a count of those recycled.
  *
- * Operations are keyed by (key, packed TS_WR): a write timestamp alone
- * is *not* unique across keys (two keys written once by node 0 both
- * carry TS 1.0), which is also why the engines key their pending-write
- * tables by the same pair.
+ * Operations are keyed by kv::WriteId, (key, packed TS_WR), the same
+ * write identity the engines key their pending-write tables by.
  */
 
 #ifndef MINOS_OBS_OPTRACE_HH
@@ -26,26 +24,14 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/slot_index.hh"
+#include "kv/timestamp.hh"
 #include "obs/recorder.hh"
 
 namespace minos::obs {
-
-/** Identity of one coordinated write: (key, packed TS_WR). */
-struct OpId
-{
-    std::int64_t key = 0;
-    std::uint64_t ts = 0;
-
-    bool
-    operator==(const OpId &o) const
-    {
-        return key == o.key && ts == o.ts;
-    }
-};
 
 /**
  * Map a record to the write it belongs to: the one record-to-write
@@ -54,73 +40,45 @@ struct OpId
  * txn token lacks the key — scope-level messages, [PERSIST]sc and ops
  * that carry no TS).
  */
-bool opIdOf(const Record &rec, OpId &out);
+bool opIdOf(const Record &rec, kv::WriteId &out);
 
 /**
- * Append-only array in fixed chunks of ChunkLen elements: growth never
- * copies or moves an element, so a reference stays valid for the
- * array's life, and no chunk is large enough to need its own mapping.
- */
-template <typename T, std::size_t ChunkLen = 256>
-class ChunkedArray
-{
-  public:
-    T &
-    operator[](std::size_t i)
-    {
-        return chunks_[i / ChunkLen][i % ChunkLen];
-    }
-
-    const T &
-    operator[](std::size_t i) const
-    {
-        return chunks_[i / ChunkLen][i % ChunkLen];
-    }
-
-    /** Append a value-initialized element and return it. */
-    T &
-    emplace_back()
-    {
-        if (size_ % ChunkLen == 0)
-            chunks_.push_back(std::make_unique<T[]>(ChunkLen));
-        return (*this)[size_++];
-    }
-
-    std::size_t size() const { return size_; }
-
-  private:
-    std::vector<std::unique_ptr<T[]>> chunks_;
-    std::size_t size_ = 0;
-};
-
-/**
- * Flat open-addressing map from OpId to a dense slot number: slots are
- * handed out 0, 1, 2, ... in insertion order, so callers keep per-op
- * state in arrays indexed by slot. Entries are never erased.
- * An index entry is (hash << 32) | (slot + 1), 0 when empty, and the
- * stored id is compared only on a hash match (as in TxnSlab).
+ * Map from a write to a dense slot number over the shared SlotIndex:
+ * slots are handed out 0, 1, 2, ... in insertion order, so callers keep
+ * per-op state in arrays indexed by slot. Entries are never erased.
  */
 class OpSlots
 {
   public:
-    static constexpr std::uint32_t none = ~std::uint32_t{0};
+    static constexpr std::uint32_t none = SlotIndex::none;
 
     /** Slot of @p id, adding the next slot when absent (@p added). */
-    std::uint32_t insert(const OpId &id, bool &added);
+    std::uint32_t
+    insert(const kv::WriteId &id, bool &added)
+    {
+        return index_.insert(
+            id.hash(), [&](std::uint32_t s) { return ids_[s] == id; },
+            [&] {
+                ids_.emplace_back() = id;
+                return static_cast<std::uint32_t>(ids_.size() - 1);
+            },
+            added);
+    }
 
     /** Slot of @p id, or none. */
-    std::uint32_t find(const OpId &id) const;
+    std::uint32_t
+    find(const kv::WriteId &id) const
+    {
+        return index_.find(id.hash(),
+                           [&](std::uint32_t s) { return ids_[s] == id; });
+    }
 
-    const OpId &id(std::uint32_t slot) const { return ids_[slot]; }
+    const kv::WriteId &id(std::uint32_t slot) const { return ids_[slot]; }
     std::size_t size() const { return ids_.size(); }
 
   private:
-    static std::uint32_t hashOf(const OpId &id);
-    std::size_t probe(const OpId &id, std::uint32_t h) const;
-    void grow();
-
-    std::vector<std::uint64_t> index_;
-    ChunkedArray<OpId> ids_;
+    SlotIndex index_;
+    ChunkedArray<kv::WriteId> ids_;
 };
 
 /**
@@ -140,7 +98,7 @@ class OpTraceIndex : public RecordSink
     void onRecord(const Record &rec) override;
 
     /** Index @p rec under @p id; returns the op's slot for quiesce(). */
-    std::uint32_t add(const OpId &id, const Record &rec);
+    std::uint32_t add(const kv::WriteId &id, const Record &rec);
 
     /**
      * The op in @p slot is quiescent: its records are recycled once
@@ -154,7 +112,7 @@ class OpTraceIndex : public RecordSink
     std::size_t ops() const { return slots_.size(); }
 
     /** True when at least one record was indexed under @p id. */
-    bool knows(const OpId &id) const
+    bool knows(const kv::WriteId &id) const
     {
         return slots_.find(id) != OpSlots::none;
     }
@@ -166,7 +124,7 @@ class OpTraceIndex : public RecordSink
      * Render the causal timeline of @p id, one line per retained
      * record in arrival order. Empty string for an unknown op.
      */
-    std::string render(const OpId &id) const;
+    std::string render(const kv::WriteId &id) const;
 
   private:
     static constexpr std::size_t chunkRecords = 16;

@@ -23,7 +23,6 @@ using simproto::CoordinatorStep;
 using simproto::FollowerStep;
 using simproto::invType;
 using simproto::isScopeModel;
-using simproto::txnKey;
 
 using Clock = std::chrono::steady_clock;
 
@@ -255,7 +254,7 @@ ThreadedNode::registerTxn(Key key, const Timestamp &ts, ScopeId scope)
     txn->ts = ts;
     txn->scope = scope;
     std::lock_guard<std::mutex> guard(txnMutex_);
-    auto [it, inserted] = txns_.emplace(txnKey(key, ts), txn);
+    auto [it, inserted] = txns_.emplace(kv::WriteId::of(key, ts), txn);
     MINOS_ASSERT(inserted, "duplicate threaded TS_WR");
     return txn;
 }
@@ -264,7 +263,7 @@ ThreadedNode::TxnPtr
 ThreadedNode::findTxn(Key key, const Timestamp &ts)
 {
     std::lock_guard<std::mutex> guard(txnMutex_);
-    auto it = txns_.find(txnKey(key, ts));
+    auto it = txns_.find(kv::WriteId::of(key, ts));
     return it == txns_.end() ? nullptr : it->second;
 }
 
@@ -272,7 +271,7 @@ void
 ThreadedNode::unregisterTxn(Key key, const Timestamp &ts)
 {
     std::lock_guard<std::mutex> guard(txnMutex_);
-    txns_.erase(txnKey(key, ts));
+    txns_.erase(kv::WriteId::of(key, ts));
 }
 
 template <typename Acked>

@@ -232,8 +232,7 @@ class ThreadedNode
     std::thread persister_;
 
     std::mutex txnMutex_;
-    std::unordered_map<simproto::TxnKey, TxnPtr, simproto::TxnKeyHash>
-        txns_;
+    std::unordered_map<kv::WriteId, TxnPtr, kv::WriteId::Hash> txns_;
 
     std::mutex scopeMutex_;
     std::unordered_map<net::ScopeId, int> scopeUnpersisted_;

@@ -388,28 +388,6 @@ coordinatorSchedule(PersistModel m, bool releaseRdLockEarly)
     return s;
 }
 
-/**
- * Identity of one write: (key, packed TS_WR). TS_WR versions are
- * per-record, so the key participates in the identity.
- */
-using TxnKey = std::pair<kv::Key, std::uint64_t>;
-
-struct TxnKeyHash
-{
-    std::size_t
-    operator()(const TxnKey &k) const noexcept
-    {
-        return std::hash<std::uint64_t>()(k.first * 0x9E3779B9u) ^
-               std::hash<std::uint64_t>()(k.second);
-    }
-};
-
-inline TxnKey
-txnKey(kv::Key key, const kv::Timestamp &ts)
-{
-    return {key, ts.pack()};
-}
-
 } // namespace minos::simproto
 
 #endif // MINOS_SIMPROTO_MODELS_HH

@@ -84,7 +84,7 @@ NodeB::persistInBackground(Key key, Value value, Timestamp ts,
             self->endScopedPersist(scope);
             // The REnf coordinator's background tail gates on the local
             // persist completing.
-            auto txn = self->pending_.find(txnKey(key, ts));
+            auto txn = self->pending_.find(kv::WriteId::of(key, ts));
             if (txn && ts.node == self->id_) {
                 txn->localPersistDone = true;
                 self->progress_.notifyAll();
@@ -159,7 +159,7 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
                            static_cast<std::int64_t>(ts.pack()));
     }
 
-    auto txn = pending_.insert(txnKey(key, ts));
+    auto txn = pending_.insert(kv::WriteId::of(key, ts));
     MINOS_ASSERT(txn, "duplicate TS_WR ", ts);
 
     // Line 11: send INVs to all Followers.
@@ -212,7 +212,7 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
     if (s + 1 != coordinatorSteps_.end())
         sim_.spawn(coordinatorTail(key, ts, scope, s + 1));
     else
-        pending_.erase(txnKey(key, ts));
+        pending_.erase(kv::WriteId::of(key, ts));
 
     // Spans for the gather/completion phases; every timestamp was taken
     // at an await point the protocol already had, so recording them
@@ -237,7 +237,7 @@ NodeB::coordinatorTail(Key key, Timestamp ts, ScopeId scope,
                        const CoordinatorStep *s)
 {
     Record &rec = store_.at(key);
-    auto txn = pending_.find(txnKey(key, ts));
+    auto txn = pending_.find(kv::WriteId::of(key, ts));
     MINOS_ASSERT(txn, "coordinator tail without pending txn");
     // Every persist step precedes Return, so a tail only waits, raises,
     // releases and sends.
@@ -253,7 +253,7 @@ NodeB::coordinatorTail(Key key, Timestamp ts, ScopeId scope,
             runCoordinatorStep(*s, rec, key, ts);
         }
     }
-    pending_.erase(txnKey(key, ts));
+    pending_.erase(kv::WriteId::of(key, ts));
 }
 
 // ---------------------------------------------------------------------
@@ -428,7 +428,7 @@ NodeB::onAck(Message msg, Tick t_rx)
         co_return;
     }
 
-    auto txn = pending_.find(txnKey(msg.key, msg.tsWr));
+    auto txn = pending_.find(kv::WriteId::of(msg.key, msg.tsWr));
     if (!txn)
         co_return; // stray ACK for a completed transaction
     if (!txn->add(msg.type))

@@ -1,8 +1,8 @@
 /**
  * @file
  * Pending-transaction store of one protocol engine: a slab of
- * per-write records with recycled slots, indexed by TxnKey in an
- * open-addressing table (DESIGN.md §5f).
+ * per-write records with recycled slots, indexed by kv::WriteId in the
+ * shared SlotIndex (common/slot_index.hh, DESIGN.md §5f).
  *
  * A slot's lifetime is an intrusive hold count. The index holds each
  * entry once; every other owner that must see the record after a
@@ -19,12 +19,11 @@
 #define MINOS_SIMPROTO_TXN_SLAB_HH
 
 #include <cstdint>
-#include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/logging.hh"
-#include "simproto/models.hh"
+#include "common/slot_index.hh"
+#include "kv/timestamp.hh"
 
 namespace minos::simproto {
 
@@ -100,28 +99,14 @@ class TxnSlab
 
     /** Add a default-constructed record for @p key and hold it; an
      *  empty Hold if @p key is already indexed. */
-    Hold
-    insert(const TxnKey &key)
-    {
-        Handle h;
-        if (!store_->insert(key, h))
-            return {};
-        return Hold(store_, h);
-    }
+    Hold insert(const kv::WriteId &key) { return hold(store_->insert(key)); }
 
     /** Hold the record of @p key; an empty Hold if it is not indexed. */
-    Hold
-    find(const TxnKey &key)
-    {
-        Handle h;
-        if (!store_->find(key, h))
-            return {};
-        return Hold(store_, h);
-    }
+    Hold find(const kv::WriteId &key) { return hold(store_->find(key)); }
 
     /** Drop @p key from the index (and its index hold); false if it
      *  was not there. The slot is recycled once no Hold remains. */
-    bool erase(const TxnKey &key) { return store_->erase(key); }
+    bool erase(const kv::WriteId &key) { return store_->erase(key); }
 
     /** The record @p h names; asserts that its slot was not recycled. */
     T &operator[](Handle h) const { return store_->get(h); }
@@ -134,19 +119,20 @@ class TxnSlab
 
     /** @{ The index layout, for tests: an entry's home slot is
      *  hashOf(key) modulo indexSlots(). */
-    static std::uint32_t
-    hashOf(const TxnKey &key)
-    {
-        std::uint64_t x = key.first * 0x9E3779B97F4A7C15ull ^ key.second;
-        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-        x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-        return static_cast<std::uint32_t>(x ^ (x >> 31));
-    }
+    static std::uint32_t hashOf(const kv::WriteId &key) { return key.hash(); }
 
     std::size_t indexSlots() const { return store_->indexSlots(); }
     /** @} */
 
   private:
+    Hold
+    hold(std::uint32_t slot)
+    {
+        if (slot == SlotIndex::none)
+            return {};
+        return Hold(store_, store_->handle(slot));
+    }
+
     Store *store_;
 };
 
@@ -154,41 +140,34 @@ template <typename T>
 class TxnSlab<T>::Store
 {
   public:
-    bool
-    insert(const TxnKey &key, Handle &out)
+    Store() { index_.reserve(); }
+
+    /** Slot of a new record for @p key; none if @p key is indexed. */
+    std::uint32_t
+    insert(const kv::WriteId &key)
     {
-        const std::uint32_t h = hashOf(key);
-        const std::size_t pos = probe(key, h);
-        if (index_[pos] != 0)
-            return false;
-        out = acquire(key);
-        index_[pos] = (std::uint64_t{h} << 32) | (out.slot + 1);
-        if (++used_ > index_.size() / 4 * 3)
-            grow();
-        return true;
+        bool added = false;
+        const std::uint32_t slot = index_.insert(
+            key.hash(), isKey(key), [&] { return acquire(key); }, added);
+        return added ? slot : SlotIndex::none;
+    }
+
+    std::uint32_t
+    find(const kv::WriteId &key)
+    {
+        return index_.find(key.hash(), isKey(key));
     }
 
     bool
-    find(const TxnKey &key, Handle &out)
+    erase(const kv::WriteId &key)
     {
-        const std::uint64_t e = index_[probe(key, hashOf(key))];
-        if (e == 0)
-            return false;
-        out = handleOf(e);
-        return true;
+        const std::uint32_t slot = index_.erase(key.hash(), isKey(key));
+        if (slot != SlotIndex::none)
+            release(handle(slot));
+        return slot != SlotIndex::none;
     }
 
-    bool
-    erase(const TxnKey &key)
-    {
-        const std::size_t pos = probe(key, hashOf(key));
-        const std::uint64_t e = index_[pos];
-        if (e == 0)
-            return false;
-        removeAt(pos);
-        release(handleOf(e));
-        return true;
-    }
+    Handle handle(std::uint32_t slot) { return {slot, slots_[slot].gen}; }
 
     T &get(Handle h) { return checked(h).value; }
 
@@ -212,142 +191,65 @@ class TxnSlab<T>::Store
     void
     close()
     {
-        for (std::uint64_t &e : index_) {
-            if (e != 0)
-                release(handleOf(std::exchange(e, 0)));
-        }
-        used_ = 0;
+        index_.clear([this](std::uint32_t slot) { release(handle(slot)); });
         if (live_ == 0)
             delete this;
         else
             closed_ = true;
     }
 
-    std::size_t size() const { return used_; }
+    std::size_t size() const { return index_.size(); }
     std::size_t live() const { return live_; }
-    std::size_t indexSlots() const { return index_.size(); }
+    std::size_t indexSlots() const { return index_.tableSize(); }
 
   private:
     struct Slot
     {
         T value{};
-        TxnKey key{};
+        kv::WriteId key{};
         std::uint32_t gen = 1;
         std::uint32_t holds = 0;
         std::uint32_t nextFree = 0;
     };
 
-    static constexpr std::uint32_t chunkBits = 6;
-    static constexpr std::uint32_t chunkSize = 1u << chunkBits;
-    static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
-    static constexpr std::size_t initialIndexSlots = 64;
-
-    Slot &
-    at(std::uint32_t i)
+    auto
+    isKey(const kv::WriteId &key)
     {
-        return chunks_[i >> chunkBits][i & (chunkSize - 1)];
+        return [this, &key](std::uint32_t s) { return slots_[s].key == key; };
     }
 
     Slot &
     checked(Handle h)
     {
-        MINOS_ASSERT(h.slot < numSlots_ && at(h.slot).gen == h.gen,
+        MINOS_ASSERT(h.slot < slots_.size() && slots_[h.slot].gen == h.gen,
                      "stale txn handle: slot ", h.slot, " gen ", h.gen);
-        return at(h.slot);
-    }
-
-    Handle
-    handleOf(std::uint64_t entry)
-    {
-        const auto slot = static_cast<std::uint32_t>(entry) - 1;
-        return {slot, at(slot).gen};
+        return slots_[h.slot];
     }
 
     /** A fresh or recycled (LIFO) slot for @p key, held by the index. */
-    Handle
-    acquire(const TxnKey &key)
+    std::uint32_t
+    acquire(const kv::WriteId &key)
     {
         std::uint32_t i = freeHead_;
-        if (i != noSlot) {
-            freeHead_ = at(i).nextFree;
+        if (i != SlotIndex::none) {
+            freeHead_ = slots_[i].nextFree;
         } else {
-            if ((numSlots_ & (chunkSize - 1)) == 0)
-                chunks_.push_back(std::make_unique<Slot[]>(chunkSize));
-            i = numSlots_++;
+            i = static_cast<std::uint32_t>(slots_.size());
+            slots_.emplace_back();
         }
-        Slot &s = at(i);
+        Slot &s = slots_[i];
         s.value = T{};
         s.key = key;
         s.holds = 1;
         ++live_;
-        return {i, s.gen};
+        return i;
     }
 
-    /**
-     * Linear probing from the home slot (DESIGN.md §5f): an entry is
-     * (hash << 32) | (slot + 1), 0 when empty, and the key in the slab
-     * is read only on a hash match. Returns the entry of @p key, or the
-     * empty slot where it belongs.
-     */
-    std::size_t
-    probe(const TxnKey &key, std::uint32_t h)
-    {
-        const std::size_t mask = index_.size() - 1;
-        for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-            const std::uint64_t e = index_[i];
-            if (e == 0 || (static_cast<std::uint32_t>(e >> 32) == h &&
-                           at(static_cast<std::uint32_t>(e) - 1).key == key))
-                return i;
-        }
-    }
-
-    /**
-     * Backward-shift deletion: pull each later entry of the probe run
-     * into the hole unless its home slot lies cyclically in
-     * (hole, entry], so no tombstones are left and lookups stay short.
-     */
-    void
-    removeAt(std::size_t hole)
-    {
-        const std::size_t mask = index_.size() - 1;
-        for (std::size_t j = (hole + 1) & mask; index_[j] != 0;
-             j = (j + 1) & mask) {
-            const std::size_t home = (index_[j] >> 32) & mask;
-            if (((j - home) & mask) >= ((j - hole) & mask)) {
-                index_[hole] = index_[j];
-                hole = j;
-            }
-        }
-        index_[hole] = 0;
-        --used_;
-    }
-
-    /** Double the index, re-placing every entry from its stored hash. */
-    void
-    grow()
-    {
-        std::vector<std::uint64_t> old(index_.size() * 2, 0);
-        old.swap(index_);
-        const std::size_t mask = index_.size() - 1;
-        for (std::uint64_t e : old) {
-            if (e == 0)
-                continue;
-            std::size_t i = (e >> 32) & mask;
-            while (index_[i] != 0)
-                i = (i + 1) & mask;
-            index_[i] = e;
-        }
-    }
-
-    std::vector<std::unique_ptr<Slot[]>> chunks_;
-    std::uint32_t numSlots_ = 0;
-    std::uint32_t freeHead_ = noSlot;
+    ChunkedArray<Slot, 64> slots_;
+    std::uint32_t freeHead_ = SlotIndex::none;
     std::size_t live_ = 0;
     bool closed_ = false;
-
-    std::vector<std::uint64_t> index_ =
-        std::vector<std::uint64_t>(initialIndexSlots, 0);
-    std::size_t used_ = 0;
+    SlotIndex index_;
 };
 
 } // namespace minos::simproto

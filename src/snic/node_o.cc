@@ -20,7 +20,6 @@ using simproto::CoordinatorSchedule;
 using simproto::CoordinatorStep;
 using simproto::FollowerStep;
 using simproto::isScopeModel;
-using simproto::txnKey;
 using simproto::valOf;
 
 NodeO::NodeO(sim::Simulator &sim, ClusterO &cluster,
@@ -72,7 +71,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
     }
 
     // Register the transaction, then send the (batched) INV.
-    TxnHold txn = pending_.insert(txnKey(key, ts));
+    TxnHold txn = pending_.insert(kv::WriteId::of(key, ts));
     MINOS_ASSERT(txn, "duplicate TS_WR ", ts, " key ", key);
     txn->gate = coordinatorSteps_.segmentEnd(coordinatorSteps_.begin());
 
@@ -245,7 +244,7 @@ NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
 sim::Task<void>
 NodeO::snicOnCoordinatorInv(Message msg)
 {
-    TxnHold txn = pending_.find(txnKey(msg.key, msg.tsWr));
+    TxnHold txn = pending_.find(kv::WriteId::of(msg.key, msg.tsWr));
     MINOS_ASSERT(txn, "coordinator INV without a registered transaction");
 
     if (cluster_.options().batching) {
@@ -313,7 +312,7 @@ NodeO::snicOnAck(Message msg)
         co_return;
     }
 
-    TxnHold txn = pending_.find(txnKey(msg.key, msg.tsWr));
+    TxnHold txn = pending_.find(kv::WriteId::of(msg.key, msg.tsWr));
     if (!txn)
         co_return; // stray ACK
     if (!txn->add(msg.type))
@@ -382,7 +381,7 @@ NodeO::snicCompleteWrite(Key key, Timestamp ts, ScopeId scope,
             });
         }
     }
-    pending_.erase(txnKey(key, ts));
+    pending_.erase(kv::WriteId::of(key, ts));
     progress_.notifyAll();
 }
 
@@ -460,7 +459,7 @@ NodeO::snicOnFollowerInv(Message msg, Tick t_handle0)
 
     // Track the follower-side transaction so the VAL can find the
     // vFIFO entry to wait on.
-    TxnHold txn = pending_.insert(txnKey(msg.key, msg.tsWr));
+    TxnHold txn = pending_.insert(kv::WriteId::of(msg.key, msg.tsWr));
     if (!txn)
         co_return; // duplicate INV: cannot happen with this fabric
 
@@ -500,7 +499,7 @@ NodeO::snicOnVal(Message msg)
     co_await snicCores_.compute(cfg_.bookkeepNs);
     Record &rec = store_.at(msg.key);
 
-    TxnHold txn = pending_.find(txnKey(msg.key, msg.tsWr));
+    TxnHold txn = pending_.find(kv::WriteId::of(msg.key, msg.tsWr));
 
     raiseGlbForVal(rec, msg);
     // VAL_P_SC terminates the [PERSIST]sc at the follower; a VAL for an
@@ -512,7 +511,7 @@ NodeO::snicOnVal(Message msg)
         // sent first but its handler may still be draining).
         co_await progress_.until(txn->waitKey,
                                  [&] { return txn->releasedByValC; });
-        pending_.erase(txnKey(msg.key, msg.tsWr));
+        pending_.erase(kv::WriteId::of(msg.key, msg.tsWr));
         progress_.notifyAll();
         co_return;
     }
@@ -529,7 +528,7 @@ NodeO::snicOnVal(Message msg)
 
     // Strict keeps the txn alive until VAL_P.
     if (model_ != PersistModel::Strict) {
-        pending_.erase(txnKey(msg.key, msg.tsWr));
+        pending_.erase(kv::WriteId::of(msg.key, msg.tsWr));
         progress_.notifyAll();
     }
 }

@@ -15,8 +15,9 @@
  * Plus unit checks that the ledger files records under the same write
  * as the op traces (both use obs::opIdOf), that the bundle's shared
  * ledger reaches the verdicts the standalone auditors reach on their
- * own ledgers, and that an op whose records were recycled still renders
- * an excerpt.
+ * own ledgers, that an op whose records were recycled still renders
+ * an excerpt, and that the write -> slot table both of them use
+ * (OpSlots) keeps every write's slot as it grows.
  */
 
 #include <gtest/gtest.h>
@@ -376,14 +377,15 @@ TEST(AuditLedger, ScopeMarkReachesItsWritesEntry)
 {
     // A ScopeMark carries a0 = (scope << 32) | key: the ledger must file
     // it under the write's (key, TS_WR), not under the packed a0.
-    const OpId id{7, 0x10003};
+    const kv::WriteId id{7, 0x10003};
     const auto ts = static_cast<std::int64_t>(id.ts);
     OpLedger ledger;
-    ledger.apply(Record{10, id.key, ts, 0, Category::Protocol,
+    const auto key = static_cast<std::int64_t>(id.key);
+    ledger.apply(Record{10, key, ts, 0, Category::Protocol,
                         EventKind::ClientOpBegin,
                         opAux(OpType::Write, false)});
     OpLedger::Applied ap = ledger.apply(
-        Record{20, (std::int64_t{5} << 32) | id.key, ts, 0,
+        Record{20, (std::int64_t{5} << 32) | key, ts, 0,
                Category::Protocol, EventKind::ScopeMark, 0});
     EXPECT_TRUE(ap.id == id);
     ASSERT_NE(ap.op, nullptr);
@@ -501,13 +503,13 @@ TEST(AuditTrace, RecycledOpStillRendersAnExcerpt)
     audit.configure({2, PersistModel::Synch});
     audit.attach(recorder);
     Tick now = 0;
-    const auto rec = [&](EventKind kind, std::int32_t node, OpId id,
+    const auto rec = [&](EventKind kind, std::int32_t node, kv::WriteId id,
                          std::uint16_t aux = 0) {
         recorder.record(now += 10, Category::Protocol, kind, node, id.key,
                         static_cast<std::int64_t>(id.ts), aux);
     };
     const std::uint16_t ack = ackAux(AckFlavor::Combined, 1);
-    const auto completeWrite = [&](OpId id) {
+    const auto completeWrite = [&](kv::WriteId id) {
         rec(EventKind::ClientOpBegin, 0, id, opAux(OpType::Write, false));
         rec(EventKind::InvFanout, 0, id);
         rec(EventKind::PersistDone, 0, id);
@@ -521,11 +523,11 @@ TEST(AuditTrace, RecycledOpStillRendersAnExcerpt)
     kv::Timestamp ts;
     ts.node = 0;
     ts.version = 1;
-    const OpId first{1, ts.pack()};
+    const kv::WriteId first{1, ts.pack()};
     completeWrite(first);
     for (std::int64_t k = 0;
          k <= static_cast<std::int64_t>(OpTraceIndex::recycleWindow); ++k)
-        completeWrite({k + 2, ts.pack()});
+        completeWrite({static_cast<kv::Key>(k + 2), ts.pack()});
     // The first write's 8 records went back to the arena when the last
     // write went quiescent; until then the window's writes and the last
     // one were held.
@@ -543,8 +545,53 @@ TEST(AuditTrace, RecycledOpStillRendersAnExcerpt)
     EXPECT_NE(v.trace.find("8 earlier records recycled"),
               std::string::npos)
         << v.trace;
-    const Record dup{now, first.key, static_cast<std::int64_t>(first.ts),
-                     0, Category::Protocol, EventKind::AckReceived, ack};
+    const Record dup{now, static_cast<std::int64_t>(first.key),
+                     static_cast<std::int64_t>(first.ts), 0,
+                     Category::Protocol, EventKind::AckReceived, ack};
     EXPECT_NE(v.trace.find(renderRecord(dup)), std::string::npos)
         << v.trace;
+}
+
+// ---------------------------------------------------------------------
+// 6. OpSlots, the ledgers' and op traces' write -> slot table.
+// ---------------------------------------------------------------------
+
+TEST(OpSlots, EveryWriteKeepsItsSlotAcrossDoublings)
+{
+    // The table starts at 64 entries and doubles past 3/4 load, so 1500
+    // writes take it through five doublings to 2048 entries. The first
+    // four writes hash to the last entry of every table up to 2048
+    // entries: at each size their probe run wraps past the end, and
+    // each grow must re-place the wrapped ones.
+    constexpr std::uint32_t lastEntry = 2047;
+    constexpr std::size_t n = 1500;
+    std::vector<kv::WriteId> ids;
+    for (kv::Key k = 1; ids.size() < 4; ++k) {
+        const kv::WriteId id{k, 7};
+        if ((id.hash() & lastEntry) == lastEntry)
+            ids.push_back(id);
+    }
+    for (kv::Key k = 1; ids.size() < n; ++k)
+        ids.push_back({k, 1});
+
+    OpSlots slots;
+    EXPECT_EQ(slots.find(ids[0]), OpSlots::none); // before any table
+    for (std::uint32_t i = 0; i < n; ++i) {
+        bool added = false;
+        ASSERT_EQ(slots.insert(ids[i], added), i);
+        ASSERT_TRUE(added);
+        ASSERT_EQ(slots.size(), i + 1u);
+        for (std::uint32_t j = 0; j <= i; ++j)
+            ASSERT_EQ(slots.find(ids[j]), j)
+                << "write " << j << " lost after " << i + 1 << " inserts";
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+        bool added = true;
+        EXPECT_EQ(slots.insert(ids[i], added), i);
+        EXPECT_FALSE(added);
+        EXPECT_TRUE(slots.id(i) == ids[i]);
+    }
+    EXPECT_EQ(slots.size(), n);
+    EXPECT_EQ(slots.find({1, 2}), OpSlots::none);
+    EXPECT_EQ(slots.find({n + 1, 1}), OpSlots::none);
 }

@@ -27,12 +27,12 @@ struct Rec
 using Slab = TxnSlab<Rec>;
 
 /** @p n distinct keys whose home is index slot @p home. */
-std::vector<TxnKey>
+std::vector<kv::WriteId>
 keysWithHome(const Slab &slab, std::size_t home, std::size_t n)
 {
-    std::vector<TxnKey> keys;
+    std::vector<kv::WriteId> keys;
     for (std::uint64_t k = 1; keys.size() < n; ++k) {
-        TxnKey key{k, 7};
+        kv::WriteId key{k, 7};
         if ((Slab::hashOf(key) & (slab.indexSlots() - 1)) == home)
             keys.push_back(key);
     }
@@ -47,10 +47,10 @@ TEST(TxnSlab, RandomOpsMatchUnorderedMap)
     // point), so probe runs are long, wrap past the last slot and are
     // erased from the middle.
     Slab slab;
-    std::unordered_map<TxnKey, std::uint64_t, TxnKeyHash> ref;
+    std::unordered_map<kv::WriteId, std::uint64_t, kv::WriteId::Hash> ref;
     std::mt19937_64 rng(2024);
     for (std::uint64_t step = 1; step <= 200'000; ++step) {
-        TxnKey key{rng() % 24, rng() % 3};
+        kv::WriteId key{rng() % 24, rng() % 3};
         switch (rng() % 3) {
           case 0: {
             Slab::Hold h = slab.insert(key);
@@ -89,7 +89,7 @@ TEST(TxnSlab, ProbeRunWrapsAndSurvivesMiddleErase)
     const std::size_t last = slab.indexSlots() - 1;
     // Three keys homed on the last slot occupy it and wrap to 0 and 1;
     // a key homed on slot 0 lands behind them, at 2.
-    std::vector<TxnKey> run = keysWithHome(slab, last, 3);
+    std::vector<kv::WriteId> run = keysWithHome(slab, last, 3);
     run.push_back(keysWithHome(slab, 0, 1).front());
     for (std::size_t i = 0; i < run.size(); ++i)
         slab.insert(run[i])->value = i;
