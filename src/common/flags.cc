@@ -134,7 +134,8 @@ Flags::getBool(const std::string &name, bool dflt) const
         return true;
     if (v == "0" || v == "false" || v == "no")
         return false;
-    return dflt;
+    badFlag("--" + name + " expects no value, 1/true/yes or 0/false/no, " +
+            "got '" + v + "'");
 }
 
 std::vector<std::string>

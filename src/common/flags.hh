@@ -73,7 +73,9 @@ class Flags
 
     /**
      * Boolean: true when the flag appears with no value or with
-     * "1"/"true"/"yes"; false for "0"/"false"/"no"; @p dflt otherwise.
+     * "1"/"true"/"yes"; false for "0"/"false"/"no"; @p dflt when absent.
+     * Any other value is a badFlag(), so `--csv out` (which gives --csv
+     * the value "out") is refused rather than read as off.
      */
     bool getBool(const std::string &name, bool dflt = false) const;
 

@@ -167,6 +167,18 @@ TEST(FlagsDeathTest, BadNumberValueExitsTwo)
     }
 }
 
+TEST(FlagsDeathTest, BadBooleanValueExitsTwo)
+{
+    const auto bad = ::testing::ExitedWithCode(2);
+    EXPECT_EXIT(make({"prog", "--audit-fatal=on"}).getBool("audit-fatal"),
+                bad,
+                "^prog: --audit-fatal expects no value, 1/true/yes or "
+                "0/false/no, got 'on'");
+    // `--csv out` gives --csv the value "out": refused, not read as off.
+    EXPECT_EXIT(make({"prog", "--csv", "out"}).getBool("csv"), bad,
+                "^prog: --csv expects .*, got 'out'");
+}
+
 TEST(FlagsDeathTest, BadFlagNamesTheProgram)
 {
     auto f = make({"./build/tools/minos-sim"});
