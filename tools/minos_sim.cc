@@ -5,18 +5,24 @@
  * Usage:
  *   minos_sim [--engine=b|o] [--model=synch|strict|renf|event|scope]
  *             [--nodes=N] [--records=N] [--requests=N] [--workers=N]
- *             [--write-frac=F] [--dist=zipfian|uniform]
- *             [--persist-ns=N] [--vfifo=N] [--dfifo=N]
- *             [--no-batch] [--no-bcast] [--csv] [--seed=N]
- *             [--trace-out=FILE.json] [--trace-capacity=N]
+ *             [--ycsb=A|B|C|F] [--write-frac=F] [--rmw-frac=F]
+ *             [--dist=zipfian|uniform] [--persist-ns=N]
+ *             [--vfifo=N] [--dfifo=N] [--no-batch] [--no-bcast]
+ *             [--scope-size=N] [--seed=N] [--csv] [--csv-header]
+ *             [--stats] [--trace-out=FILE.json] [--trace-capacity=N]
  *             [--trace-categories=lock,fifo,...]
  *             [--metrics-out=FILE.json] [--phases]
- *             [--audit] [--audit-fatal]
+ *             [--audit] [--audit-fatal] [--help]
  *
  * Prints a human-readable summary, or a CSV row with --csv (header via
  * --csv-header) so sweeps can be scripted:
  *
  *   for n in 2 4 6 8 10; do ./minos_sim --nodes=$n --csv; done
+ *
+ * --ycsb starts from a YCSB core workload's mix; --write-frac and
+ * --rmw-frac, when given, override it. Under <Lin, Scope>, each worker
+ * closes its scope with a [PERSIST]sc every --scope-size writes.
+ * --stats prints the cluster-aggregate protocol counters.
  *
  * --trace-out attaches the flight recorder and writes a Chrome
  * trace-event JSON (load it in Perfetto); --metrics-out writes the
@@ -96,15 +102,16 @@ usage(const char *prog)
         "scope]\n"
         "          [--nodes=N] [--records=N] [--requests=N] "
         "[--workers=N]\n"
-        "          [--write-frac=F] [--dist=zipfian|uniform] "
-        "[--persist-ns=N]\n"
+        "          [--ycsb=A|B|C|F] [--write-frac=F] [--rmw-frac=F]\n"
+        "          [--dist=zipfian|uniform] [--persist-ns=N]\n"
         "          [--vfifo=N] [--dfifo=N] [--no-batch] [--no-bcast]\n"
         "          [--scope-size=N] [--seed=N] [--csv] "
         "[--csv-header]\n"
-        "          [--trace-out=FILE.json] [--trace-capacity=N]\n"
+        "          [--stats] [--trace-out=FILE.json] "
+        "[--trace-capacity=N]\n"
         "          [--trace-categories=lock,fifo,...]\n"
         "          [--metrics-out=FILE.json] [--phases]\n"
-        "          [--audit] [--audit-fatal]\n",
+        "          [--audit] [--audit-fatal] [--help]\n",
         prog);
 }
 
