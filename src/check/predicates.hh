@@ -5,21 +5,63 @@
  * the run-time auditors (obs/audit.cc) and the engines' gates.
  *
  * They all ask the same Table I questions — "has this write
- * gathered the ACKs its model requires before X?" — so the ACK-count
- * arithmetic lives here, header-only (no link dependency; everything
- * derives from the constexpr helpers in simproto/models.hh).
+ * gathered the ACKs its model requires before X?" — so the ACK count
+ * and its arithmetic live here, header-only (no link dependency;
+ * everything derives from the constexpr helpers in simproto/models.hh).
+ * The engines' coordinators (simproto/ddp_core.hh) and the audit ledger
+ * (obs/audit.hh) count ACKs with the one AckTally below.
  *
- * Conventions: @p needed is the follower count (numNodes - 1);
- * @p acks counts combined ACKs (Synch), @p acksC consistency-family
- * ACKs (ACK_C / ACK_C_SC), @p acksP persistency-family ACKs (ACK_P).
+ * Convention: @p needed is the follower count (numNodes - 1).
  */
 
 #ifndef MINOS_CHECK_PREDICATES_HH
 #define MINOS_CHECK_PREDICATES_HH
 
+#include "net/message.hh"
 #include "simproto/models.hh"
 
 namespace minos::check {
+
+/** ACKs one write or [PERSIST]sc has gathered, by family. */
+struct AckTally
+{
+    /** The ACK families, as add() reports them. */
+    enum Family : int
+    {
+        notAck = -1,
+        combined,    ///< ACK (Synch: consistency + persistency in one)
+        consistency, ///< ACK_C, ACK_C_SC
+        persistency, ///< ACK_P, ACK_P_SC
+        numFamilies,
+    };
+
+    int acks = 0;  ///< combined ACKs
+    int acksC = 0; ///< consistency ACKs
+    int acksP = 0; ///< persistency ACKs
+
+    /** Count one ACK of @p type and return its family; notAck, and
+     *  nothing counted, if @p type is not an ACK. */
+    constexpr Family
+    add(net::MsgType type)
+    {
+        switch (type) {
+          case net::MsgType::ACK: ++acks; return combined;
+          case net::MsgType::ACK_C:
+          case net::MsgType::ACK_C_SC: ++acksC; return consistency;
+          case net::MsgType::ACK_P:
+          case net::MsgType::ACK_P_SC: ++acksP; return persistency;
+          default: return notAck;
+        }
+    }
+};
+
+/** The ACKs of @p t that gate consistency under @p m: the combined
+ *  ACKs for Synch, the ACK_C family otherwise. */
+constexpr int
+consistencyAcks(simproto::PersistModel m, const AckTally &t)
+{
+    return simproto::usesSplitAcks(m) ? t.acksC : t.acks;
+}
 
 /**
  * Table I cond. 2b/2c gate: all consistency ACKs for the write are in.
@@ -27,23 +69,24 @@ namespace minos::check {
  * and no consistency validation (VAL/VAL_C/VAL_C_SC) may be sent.
  */
 constexpr bool
-consistencyAcksComplete(simproto::PersistModel m, int acks, int acksC,
+consistencyAcksComplete(simproto::PersistModel m, const AckTally &t,
                         int needed)
 {
-    return (simproto::usesSplitAcks(m) ? acksC : acks) >= needed;
+    return consistencyAcks(m, t) >= needed;
 }
 
 /**
- * Table I cond. 3b gate: all persistency ACKs for the write are in.
- * Before this holds, glb_durableTS must not advance past the write and
- * no persistency validation (VAL of Synch/REnf, VAL_P) may be sent.
- * Only meaningful for models that track persistency per write.
+ * Table I cond. 3b gate: all persistency ACKs for the write are in
+ * (the combined ACKs for Synch, the ACK_Ps otherwise). Before this
+ * holds, glb_durableTS must not advance past the write and no
+ * persistency validation (VAL of Synch/REnf, VAL_P) may be sent. Only
+ * meaningful for models that track persistency per write.
  */
 constexpr bool
-persistencyAcksComplete(simproto::PersistModel m, int acks, int acksP,
+persistencyAcksComplete(simproto::PersistModel m, const AckTally &t,
                         int needed)
 {
-    return (m == simproto::PersistModel::Synch ? acks : acksP) >=
+    return (m == simproto::PersistModel::Synch ? t.acks : t.acksP) >=
            needed;
 }
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "check/predicates.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 
@@ -75,27 +74,13 @@ OpLedger::apply(const Record &rec)
         break;
 
       case EventKind::AckReceived: {
-        std::uint64_t bit = nodeBit(ackSender(rec.aux));
-        switch (ackFlavor(rec.aux)) {
-          case AckFlavor::Combined:
-            ap.duplicateAck = (op.seenAck & bit) != 0;
-            op.seenAck |= bit;
-            ++op.acks;
+        // [ACK_P]sc never gets here: it is not op-keyed (opIdOf).
+        const check::AckTally::Family family = op.add(ackType(rec.aux));
+        if (family == check::AckTally::notAck)
             break;
-          case AckFlavor::Consistency:
-          case AckFlavor::ScopeConsistency:
-            ap.duplicateAck = (op.seenAckC & bit) != 0;
-            op.seenAckC |= bit;
-            ++op.acksC;
-            break;
-          case AckFlavor::Persistency:
-            ap.duplicateAck = (op.seenAckP & bit) != 0;
-            op.seenAckP |= bit;
-            ++op.acksP;
-            break;
-          case AckFlavor::ScopePersist: // not op-keyed (opIdOf)
-            break;
-        }
+        const std::uint64_t bit = nodeBit(ackSender(rec.aux));
+        ap.duplicateAck = (op.seenAck[family] & bit) != 0;
+        op.seenAck[family] |= bit;
         break;
       }
 
@@ -174,8 +159,7 @@ ConsistencyAuditor::ConsistencyAuditor(const AuditConfig *cfg,
 bool
 ConsistencyAuditor::gateReached(const OpLedger::OpState &st) const
 {
-    return check::consistencyAcksComplete(cfg().model, st.acks,
-                                          st.acksC, needed());
+    return check::consistencyAcksComplete(cfg().model, st, needed());
 }
 
 void
@@ -201,9 +185,7 @@ ConsistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         break;
 
       case EventKind::ValSent: {
-        ValFlavor f = static_cast<ValFlavor>(rec.aux);
-        if ((f == ValFlavor::Val || f == ValFlavor::ValC ||
-             f == ValFlavor::ValCSc) &&
+        if (simproto::valEffect(valType(rec.aux)).raisesGlbVolatile &&
             !gateReached(st))
             violate("C2-val-before-acks", rec.when, ap.id,
                     "consistency VAL sent with " +
@@ -261,8 +243,7 @@ PersistencyAuditor::persistGateReached(
     // Durable everywhere: every persistency ACK, and the coordinator's
     // own persist, which no ACK certifies.
     return hasNode(st.persistNodes, st.coordinator) &&
-           check::persistencyAcksComplete(cfg().model, st.acks,
-                                          st.acksP, needed());
+           check::persistencyAcksComplete(cfg().model, st, needed());
 }
 
 void
@@ -272,7 +253,7 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         scopeWrites_[static_cast<std::uint64_t>(rec.a0) >> 32].push_back(
             ap.id);
     if (rec.kind == EventKind::AckSent &&
-        ackFlavor(rec.aux) == AckFlavor::ScopePersist) {
+        ackType(rec.aux) == net::MsgType::ACK_P_SC) {
         // <Lin, Scope> cond.: a follower's [ACK_P]sc certifies that
         // everything written into the scope is durable there. Checked
         // when the ACK leaves the follower: by receipt time the scope
@@ -310,10 +291,9 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         // sender must be durable (or an obsolete-cut) when the ACK
         // leaves. Receipt time is too late to check: the persist often
         // completes while the ACK is still in the network.
-        AckFlavor f = ackFlavor(rec.aux);
+        const net::MsgType type = ackType(rec.aux);
         std::int32_t sender = ackSender(rec.aux);
-        if ((f == AckFlavor::Persistency ||
-             f == AckFlavor::Combined) &&
+        if ((type == net::MsgType::ACK_P || type == net::MsgType::ACK) &&
             sender >= 0 &&
             !hasNode(st.persistNodes | st.obsoleteNodes, sender))
             violate("P1-ack-before-persist", rec.when, ap.id,
@@ -324,13 +304,10 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
       }
 
       case EventKind::ValSent: {
-        // Cond. 3b: no persistency validation before all ACK_Ps.
-        ValFlavor f = static_cast<ValFlavor>(rec.aux);
-        bool certifies_persist =
-            f == ValFlavor::ValP ||
-            (f == ValFlavor::Val &&
-             simproto::tracksPersistPerWrite(cfg().model));
-        if (certifies_persist && !persistGateReached(st))
+        // Cond. 3b: no persistency validation (VAL, VAL_P) before all
+        // ACK_Ps.
+        if (simproto::valEffect(valType(rec.aux)).raisesGlbDurable &&
+            !persistGateReached(st))
             violate("P2-val-before-persist-acks", rec.when, ap.id,
                     "persistency VAL sent with " +
                         std::to_string(st.acks + st.acksP) + "/" +
@@ -414,7 +391,7 @@ AckConservationAuditor::check(const Record &rec,
                               const OpLedger::Applied &ap)
 {
     if (rec.kind == EventKind::AckReceived &&
-        ackFlavor(rec.aux) == AckFlavor::ScopePersist) {
+        ackType(rec.aux) == net::MsgType::ACK_P_SC) {
         std::int32_t sender = ackSender(rec.aux);
         ScopeAcks &sa = scopeAcks_[static_cast<std::uint64_t>(rec.a0)];
         if (sender >= 0) {
@@ -463,15 +440,17 @@ AckConservationAuditor::finish()
             return;
         // Exactly N-1 consistency-family ACKs (followers answer with
         // the family even when they cut the INV as obsolete).
-        bool synch = cfg().model == PersistModel::Synch;
-        int consistency = synch ? st.acks : st.acksC;
+        const PersistModel m = cfg().model;
+        const int consistency = check::consistencyAcks(m, st);
         if (consistency != needed())
             violate("A3-consistency-acks-unbalanced", 0, id,
                     std::to_string(consistency) + "/" +
                         std::to_string(needed()) +
                         " consistency-family ACKs at quiescence");
-        if (simproto::tracksPersistPerWrite(cfg().model) && !synch &&
-            st.acksP != needed())
+        // Synch's combined ACKs, its persistency ACKs too, were
+        // balanced above.
+        if (simproto::tracksPersistPerWrite(m) &&
+            simproto::usesSplitAcks(m) && st.acksP != needed())
             violate("A3-persist-acks-unbalanced", 0, id,
                     std::to_string(st.acksP) + "/" +
                         std::to_string(needed()) +
@@ -620,13 +599,11 @@ bool
 AuditBundle::quiescent(const OpLedger::OpState &st) const
 {
     const int needed = cfg_.followers();
-    const bool synch = cfg_.model == PersistModel::Synch;
     if (!st.fanout || !st.returned ||
-        !check::consistencyAcksComplete(cfg_.model, st.acks, st.acksC,
-                                        needed))
+        !check::consistencyAcksComplete(cfg_.model, st, needed))
         return false;
-    if (simproto::tracksPersistPerWrite(cfg_.model) && !synch &&
-        st.acksP < needed)
+    if (simproto::tracksPersistPerWrite(cfg_.model) &&
+        !check::persistencyAcksComplete(cfg_.model, st, needed))
         return false;
     const std::uint64_t all =
         cfg_.numNodes >= 64 ? ~0ull : (1ull << cfg_.numNodes) - 1;

@@ -43,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "check/predicates.hh"
 #include "obs/optrace.hh"
 #include "obs/recorder.hh"
 #include "simproto/models.hh"
@@ -74,7 +75,7 @@ struct AuditViolation
 
 /**
  * Streaming per-write protocol state shared by the protocol auditors:
- * digests the record stream into ACK counts and per-node apply/persist
+ * digests the record stream into ACK tallies and per-node apply/persist
  * masks, keyed by kv::WriteId. Entries live in a flat WriteId -> slot
  * table (OpSlots) and a chunked array indexed by slot, so a new write
  * costs no allocation of its own. Entries are never retired: the end-of-run
@@ -83,20 +84,18 @@ struct AuditViolation
 class OpLedger
 {
   public:
-    struct OpState
+    /** One write: the ACKs received, counted as the coordinators
+     *  count them, plus what the rules need beside the counts. */
+    struct OpState : check::AckTally
     {
         std::int32_t coordinator = -1;
         bool fanout = false;        ///< INVs left the coordinator
         bool returned = false;      ///< the write returned to its client
         bool endedObsolete = false; ///< write returned as obsolete-cut
-        int acks = 0;               ///< combined ACKs (Synch)
-        int acksC = 0;              ///< ACK_C / ACK_C_SC
-        int acksP = 0;              ///< ACK_P
         std::uint64_t persistNodes = 0;  ///< nodes with PersistDone
         std::uint64_t obsoleteNodes = 0; ///< nodes that cut the INV
-        std::uint64_t seenAck = 0;       ///< sender masks, per family
-        std::uint64_t seenAckC = 0;
-        std::uint64_t seenAckP = 0;
+        /** ACK sender masks, by AckTally::Family. */
+        std::uint64_t seenAck[numFamilies] = {};
     };
 
     struct Applied

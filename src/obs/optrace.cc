@@ -19,11 +19,11 @@ opIdOf(const Record &rec, kv::WriteId &out)
         break;
       case EventKind::AckReceived:
       case EventKind::AckSent:
-        if (ackFlavor(rec.aux) == AckFlavor::ScopePersist)
+        if (ackType(rec.aux) == net::MsgType::ACK_P_SC)
             return false;
         break;
       case EventKind::ValSent:
-        if (static_cast<ValFlavor>(rec.aux) == ValFlavor::ValPSc)
+        if (valType(rec.aux) == net::MsgType::VAL_P_SC)
             return false;
         break;
       case EventKind::ClientOpBegin:

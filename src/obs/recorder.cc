@@ -96,42 +96,6 @@ tsArg(std::int64_t packed)
 }
 
 const char *
-ackFlavorName(AckFlavor f)
-{
-    switch (f) {
-      case AckFlavor::Combined:
-        return "ACK";
-      case AckFlavor::Consistency:
-        return "ACK_C";
-      case AckFlavor::Persistency:
-        return "ACK_P";
-      case AckFlavor::ScopeConsistency:
-        return "ACK_C_SC";
-      case AckFlavor::ScopePersist:
-        return "ACK_P_SC";
-    }
-    return "?";
-}
-
-const char *
-valFlavorName(ValFlavor f)
-{
-    switch (f) {
-      case ValFlavor::Val:
-        return "VAL";
-      case ValFlavor::ValC:
-        return "VAL_C";
-      case ValFlavor::ValP:
-        return "VAL_P";
-      case ValFlavor::ValCSc:
-        return "VAL_C_SC";
-      case ValFlavor::ValPSc:
-        return "VAL_P_SC";
-    }
-    return "?";
-}
-
-const char *
 opTypeName(OpType t)
 {
     switch (t) {
@@ -184,11 +148,11 @@ renderRecord(const Record &rec)
         break;
       case EventKind::AckReceived:
       case EventKind::AckSent:
-        os << ackFlavorName(ackFlavor(rec.aux))
+        os << net::msgTypeName(ackType(rec.aux))
            << (rec.kind == EventKind::AckSent ? " sent by "
                                               : " received from ")
            << ackSender(rec.aux);
-        if (ackFlavor(rec.aux) == AckFlavor::ScopePersist)
+        if (ackType(rec.aux) == net::MsgType::ACK_P_SC)
             os << " scope=" << rec.a0;
         else
             os << " key=" << rec.a0 << " ts=" << tsArg(rec.a1);
@@ -197,9 +161,8 @@ renderRecord(const Record &rec)
         os << "persist done key=" << rec.a0 << " ts=" << tsArg(rec.a1);
         break;
       case EventKind::ValSent:
-        os << valFlavorName(static_cast<ValFlavor>(rec.aux))
-           << " sent";
-        if (static_cast<ValFlavor>(rec.aux) == ValFlavor::ValPSc)
+        os << net::msgTypeName(valType(rec.aux)) << " sent";
+        if (valType(rec.aux) == net::MsgType::VAL_P_SC)
             os << " scope=" << rec.a0;
         else
             os << " key=" << rec.a0 << " ts=" << tsArg(rec.a1);

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/units.hh"
+#include "net/message.hh"
 
 namespace minos::obs {
 
@@ -68,13 +69,13 @@ enum class EventKind : std::uint8_t
     SpanEnd,          ///< phase span ends; a0=phase, a1=txn token
     AckReceived,      ///< coordinator got an ACK; a0=key (scope acks:
                       ///< scope id), a1=packed TS_WR (scope acks: 0),
-                      ///< aux=ackAux(flavor, sender)
+                      ///< aux=ackAux(type, sender)
     PersistDone,      ///< one record became durable at this node
                       ///< (NVM append on B, dFIFO enqueue on O);
                       ///< a0=key, a1=packed TS_WR
     ValSent,          ///< coordinator sent VALs; a0=key (VAL_P_SC:
                       ///< scope id), a1=packed TS_WR (VAL_P_SC: 0),
-                      ///< aux=ValFlavor
+                      ///< aux=valAux(type)
     ClientOpBegin,    ///< client op admitted; a0=key ([PERSIST]sc:
                       ///< scope id), a1=packed TS_WR (reads/persist:
                       ///< 0), aux=opAux(type, false)
@@ -88,7 +89,7 @@ enum class EventKind : std::uint8_t
                       ///< a1=packed TS_WR
     AckSent,          ///< follower dispatched an ACK; a0=key (scope
                       ///< acks: scope id), a1=packed TS_WR (scope
-                      ///< acks: 0), aux=ackAux(flavor, sender=self).
+                      ///< acks: 0), aux=ackAux(type, sender=self).
                       ///< Laid at the send decision so auditors can
                       ///< check what the sender certified *then* (its
                       ///< own durability), which receipt-time records
@@ -99,26 +100,6 @@ enum class EventKind : std::uint8_t
 /** Human-readable event-kind name (also the Chrome trace event name). */
 const char *eventKindName(EventKind kind);
 
-/** ACK family carried in an AckReceived record's aux field. */
-enum class AckFlavor : std::uint8_t
-{
-    Combined,         ///< ACK (Synch: consistency + persistency in one)
-    Consistency,      ///< ACK_C
-    Persistency,      ///< ACK_P
-    ScopeConsistency, ///< ACK_C_SC
-    ScopePersist,     ///< ACK_P_SC (scope flush acknowledgment)
-};
-
-/** VAL flavor carried in a ValSent record's aux field. */
-enum class ValFlavor : std::uint8_t
-{
-    Val,   ///< VAL (consistency + persistency validation in one)
-    ValC,  ///< VAL_C
-    ValP,  ///< VAL_P
-    ValCSc, ///< VAL_C_SC
-    ValPSc, ///< VAL_P_SC (scope durable everywhere)
-};
-
 /** Client operation type in ClientOpBegin/End aux. */
 enum class OpType : std::uint8_t
 {
@@ -127,12 +108,13 @@ enum class OpType : std::uint8_t
     PersistSc, ///< the <Lin, Scope> [PERSIST]sc transaction
 };
 
-/** Pack an AckReceived aux: low byte flavor, high byte sender + 1. */
+/** Pack an AckSent/AckReceived aux: low byte the ACK's message type,
+ *  high byte sender + 1. */
 constexpr std::uint16_t
-ackAux(AckFlavor flavor, std::int32_t sender)
+ackAux(net::MsgType type, std::int32_t sender)
 {
     return static_cast<std::uint16_t>(
-        static_cast<std::uint16_t>(flavor) |
+        static_cast<std::uint16_t>(type) |
         (static_cast<std::uint16_t>(sender + 1) << 8));
 }
 
@@ -143,11 +125,25 @@ ackSender(std::uint16_t aux)
     return static_cast<std::int32_t>(aux >> 8) - 1;
 }
 
-/** ACK flavor encoded by ackAux(). */
-constexpr AckFlavor
-ackFlavor(std::uint16_t aux)
+/** ACK message type encoded by ackAux(). */
+constexpr net::MsgType
+ackType(std::uint16_t aux)
 {
-    return static_cast<AckFlavor>(aux & 0xff);
+    return static_cast<net::MsgType>(aux & 0xff);
+}
+
+/** Pack a ValSent aux: the VAL's message type. */
+constexpr std::uint16_t
+valAux(net::MsgType type)
+{
+    return static_cast<std::uint16_t>(type);
+}
+
+/** VAL message type encoded by valAux(). */
+constexpr net::MsgType
+valType(std::uint16_t aux)
+{
+    return static_cast<net::MsgType>(aux);
 }
 
 /** Pack a ClientOpBegin/End aux: low byte type, bit 8 obsolete. */
@@ -179,7 +175,8 @@ struct Record
     std::int32_t node = -1;
     Category category = Category::Protocol;
     EventKind kind = EventKind::InvFanout;
-    /** Per-kind extra payload (ack/val flavor, op type); 0 otherwise. */
+    /** Per-kind extra payload (ACK/VAL message type, op type); 0
+     *  otherwise. */
     std::uint16_t aux = 0;
 };
 

@@ -103,7 +103,7 @@ DdpCore::makeVal(MsgType type, Key key, Timestamp ts, net::ScopeId scope)
     traceEvent(obs::Category::Message, obs::EventKind::ValSent,
                static_cast<std::int64_t>(scoped ? scope : key),
                scoped ? 0 : static_cast<std::int64_t>(ts.pack()),
-               static_cast<std::uint16_t>(valFlavorOf(type)));
+               obs::valAux(type));
     return m;
 }
 

@@ -10,15 +10,17 @@
  * the per-scope unpersisted counts and the per-record TS_WR guard — and
  * defines each primitive over it once: RDLock snatch/release, the glb
  * raises, TS_WR generation, handleObsolete, the local client read, the
- * walk of the follower's obsolete-INV steps and the coordinator's ACK
- * tally. The per-model step tables themselves live in models.hh.
+ * walk of the follower's obsolete-INV steps and the coordinator's
+ * write bookkeeping. The per-model step tables themselves live in
+ * models.hh.
  * Both walk the coordinator schedule of models.hh with the gate and
  * step helpers here. The engines keep only what really differs:
  * MINOS-B its WRLock and host persist; MINOS-O its SNIC engine,
  * vFIFO/dFIFO and PCIe host ACK mirror.
  *
- * Gate arithmetic comes from check/predicates.hh, the predicates the
- * model checker and the auditors use too.
+ * The ACK tally and the gate arithmetic come from check/predicates.hh:
+ * the audit ledger counts ACKs with the same AckTally, and the model
+ * checker and the auditors ask the same predicates.
  */
 
 #ifndef MINOS_SIMPROTO_DDP_CORE_HH
@@ -38,31 +40,11 @@
 #include "simproto/cluster.hh"
 #include "simproto/counters.hh"
 #include "simproto/models.hh"
-#include "simproto/trace_map.hh"
 
 namespace minos::simproto {
 
-/** ACKs one write or [PERSIST]sc has gathered, by family. */
-struct AckTally
-{
-    int acks = 0;  ///< combined ACKs (Synch)
-    int acksC = 0; ///< consistency ACKs (ACK_C, ACK_C_SC)
-    int acksP = 0; ///< persistency ACKs (ACK_P, ACK_P_SC)
-
-    /** Count one ACK of @p type; false if @p type is not an ACK. */
-    bool
-    add(net::MsgType type)
-    {
-        switch (type) {
-          case net::MsgType::ACK: ++acks; return true;
-          case net::MsgType::ACK_C:
-          case net::MsgType::ACK_C_SC: ++acksC; return true;
-          case net::MsgType::ACK_P:
-          case net::MsgType::ACK_P_SC: ++acksP; return true;
-          default: return false;
-        }
-    }
-};
+/** The coordinators' ACK count, shared with the auditors' ledger. */
+using check::AckTally;
 
 /** Coordinator bookkeeping of one write, common to both engines. */
 struct WriteTxn : AckTally
@@ -139,7 +121,7 @@ class DdpCore
     traceAck(obs::EventKind kind, const net::Message &m,
              net::MsgType type, kv::NodeId from) const
     {
-        std::uint16_t aux = obs::ackAux(ackFlavorOf(type), from);
+        const std::uint16_t aux = obs::ackAux(type, from);
         if (type == net::MsgType::ACK_P_SC)
             traceEvent(obs::Category::Protocol, kind,
                        static_cast<std::int64_t>(m.scope), 0, aux);
@@ -270,16 +252,14 @@ class DdpCore
     bool
     consistencyGate(const AckTally &t) const
     {
-        return check::consistencyAcksComplete(model_, t.acks, t.acksC,
-                                              cfg_.followers());
+        return check::consistencyAcksComplete(model_, t, cfg_.followers());
     }
 
     /** Table I 3b: every persistency ACK of @p t is in. */
     bool
     persistencyGate(const AckTally &t) const
     {
-        return check::persistencyAcksComplete(model_, t.acks, t.acksP,
-                                              persistNeeded());
+        return check::persistencyAcksComplete(model_, t, persistNeeded());
     }
 
     /** Coordinator gate @p g holds over the ACKs @p t, with the local

@@ -431,7 +431,7 @@ NodeB::onAck(Message msg, Tick t_rx)
     auto txn = pending_.find(kv::WriteId::of(msg.key, msg.tsWr));
     if (!txn)
         co_return; // stray ACK for a completed transaction
-    if (!txn->add(msg.type))
+    if (txn->add(msg.type) == AckTally::notAck)
         MINOS_PANIC("unexpected ACK type ", net::msgTypeName(msg.type));
     // The ACK family that gates the client response for this model
     // times the communication window, which ends when the ACK reaches

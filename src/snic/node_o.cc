@@ -315,7 +315,7 @@ NodeO::snicOnAck(Message msg)
     TxnHold txn = pending_.find(kv::WriteId::of(msg.key, msg.tsWr));
     if (!txn)
         co_return; // stray ACK
-    if (!txn->add(msg.type))
+    if (txn->add(msg.type) == simproto::AckTally::notAck)
         MINOS_PANIC("unexpected ACK type ", net::msgTypeName(msg.type));
     txn->acksKey.fire();
     txn->addHandle(msg.handleNs);

@@ -508,7 +508,7 @@ TEST(AuditTrace, RecycledOpStillRendersAnExcerpt)
         recorder.record(now += 10, Category::Protocol, kind, node, id.key,
                         static_cast<std::int64_t>(id.ts), aux);
     };
-    const std::uint16_t ack = ackAux(AckFlavor::Combined, 1);
+    const std::uint16_t ack = ackAux(net::MsgType::ACK, 1);
     const auto completeWrite = [&](kv::WriteId id) {
         rec(EventKind::ClientOpBegin, 0, id, opAux(OpType::Write, false));
         rec(EventKind::InvFanout, 0, id);

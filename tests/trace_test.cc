@@ -107,6 +107,29 @@ TEST(TraceIntegration, OffloadEngineEmitsSnicEvents)
 
 TEST(TraceIntegration, SendRecordsAreMessageCategoryOnBothEngines)
 {
+    using net::MsgType;
+    // ACK and VAL records carry the wire's own net::MsgType, so a
+    // rendered record spells it as every other part of the program.
+    for (MsgType t : {MsgType::ACK, MsgType::ACK_C, MsgType::ACK_P,
+                      MsgType::ACK_C_SC, MsgType::ACK_P_SC})
+        for (std::int32_t sender : {0, 63}) {
+            EXPECT_EQ(ackType(ackAux(t, sender)), t);
+            EXPECT_EQ(ackSender(ackAux(t, sender)), sender);
+        }
+    const auto named = [](const Record &rec, MsgType t) {
+        const std::string line = renderRecord(rec);
+        return line.find(": " + std::string(net::msgTypeName(t)) + " ") !=
+               std::string::npos;
+    };
+    EXPECT_TRUE(named(Record{10, 4, 7, 0, Category::Protocol,
+                             EventKind::AckReceived,
+                             ackAux(MsgType::ACK_C_SC, 2)},
+                      MsgType::ACK_C_SC));
+    EXPECT_TRUE(named(Record{10, 4, 0, 0, Category::Message,
+                             EventKind::ValSent,
+                             valAux(MsgType::VAL_P_SC)},
+                      MsgType::VAL_P_SC));
+
     // DdpCore::makeInv/makeVal lay the send records for both engines,
     // so --trace-categories=message keeps every INV and VAL fan-out,
     // [VAL_P]sc included.
@@ -116,13 +139,18 @@ TEST(TraceIntegration, SendRecordsAreMessageCategoryOnBothEngines)
         SCOPED_TRACE(offload ? "MINOS-O" : "MINOS-B");
         bool saw_val_p_sc = false;
         for (const auto &e : run.recorder.snapshot()) {
+            if (e.kind == EventKind::AckReceived) {
+                EXPECT_TRUE(named(e, ackType(e.aux))) << renderRecord(e);
+            }
             if (e.kind != EventKind::InvFanout &&
                 e.kind != EventKind::ValSent)
                 continue;
             EXPECT_EQ(e.category, Category::Message);
+            if (e.kind == EventKind::ValSent) {
+                EXPECT_TRUE(named(e, valType(e.aux))) << renderRecord(e);
+            }
             saw_val_p_sc |= e.kind == EventKind::ValSent &&
-                            e.aux == static_cast<std::uint16_t>(
-                                         ValFlavor::ValPSc);
+                            valType(e.aux) == MsgType::VAL_P_SC;
         }
         EXPECT_TRUE(saw_val_p_sc);
     }
