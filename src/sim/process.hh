@@ -189,13 +189,6 @@ class Process
     std::coroutine_handle<promise_type> handle_;
 };
 
-/**
- * Awaitable subroutine returning T (or void). Lazily started; the caller's
- * coroutine is resumed when the task completes (symmetric transfer).
- */
-template <typename T = void>
-class Task;
-
 namespace detail {
 
 template <typename Promise>
@@ -226,73 +219,42 @@ struct TaskPromiseBase : PromiseBase
     }
 };
 
-} // namespace detail
-
+/** How a Task<T>'s promise takes its result, and how the awaiting
+ *  caller gets it back: the only part Task<T> and Task<void> do not
+ *  share. */
 template <typename T>
-class Task
+struct TaskResult
 {
-  public:
-    struct promise_type : detail::TaskPromiseBase
-    {
-        std::optional<T> value;
+    std::optional<T> value;
 
-        Task
-        get_return_object()
-        {
-            return Task(
-                std::coroutine_handle<promise_type>::from_promise(*this));
-        }
-
-        detail::TaskFinalAwaiter<promise_type>
-        final_suspend() noexcept
-        {
-            return {};
-        }
-
-        void return_value(T v) { value.emplace(std::move(v)); }
-    };
-
-    Task(Task &&o) noexcept : handle_(std::exchange(o.handle_, {})) {}
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
-
-    ~Task()
-    {
-        if (handle_)
-            handle_.destroy();
-    }
-
-    bool await_ready() const noexcept { return false; }
-
-    template <typename P>
-    std::coroutine_handle<>
-    await_suspend(std::coroutine_handle<P> parent)
-    {
-        static_assert(std::is_base_of_v<PromiseBase, P>);
-        handle_.promise().sim = parent.promise().sim;
-        handle_.promise().continuation = parent;
-        return handle_;
-    }
+    void return_value(T v) { value.emplace(std::move(v)); }
 
     T
-    await_resume()
+    result()
     {
-        MINOS_ASSERT(handle_.promise().value.has_value(),
-                     "Task finished without a value");
-        return std::move(*handle_.promise().value);
+        MINOS_ASSERT(value.has_value(), "Task finished without a value");
+        return std::move(*value);
     }
-
-  private:
-    explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-
-    std::coroutine_handle<promise_type> handle_;
 };
 
 template <>
-class Task<void>
+struct TaskResult<void>
+{
+    void return_void() {}
+    void result() {}
+};
+
+} // namespace detail
+
+/**
+ * Awaitable subroutine returning T (or void). Lazily started; the caller's
+ * coroutine is resumed when the task completes (symmetric transfer).
+ */
+template <typename T = void>
+class Task
 {
   public:
-    struct promise_type : detail::TaskPromiseBase
+    struct promise_type : detail::TaskPromiseBase, detail::TaskResult<T>
     {
         Task
         get_return_object()
@@ -306,8 +268,6 @@ class Task<void>
         {
             return {};
         }
-
-        void return_void() {}
     };
 
     Task(Task &&o) noexcept : handle_(std::exchange(o.handle_, {})) {}
@@ -332,7 +292,7 @@ class Task<void>
         return handle_;
     }
 
-    void await_resume() {}
+    T await_resume() { return handle_.promise().result(); }
 
   private:
     explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
