@@ -54,6 +54,15 @@ Flags::getString(const std::string &name, const std::string &dflt) const
     return it == values_.end() ? dflt : it->second;
 }
 
+std::string
+Flags::getNonEmpty(const std::string &name) const
+{
+    const std::string v = getString(name);
+    if (has(name) && v.empty())
+        badFlag("--" + name + " expects a value");
+    return v;
+}
+
 std::vector<std::string>
 Flags::getStrings(const std::string &name, char sep) const
 {
@@ -71,6 +80,8 @@ Flags::getStrings(const std::string &name, char sep) const
             out.push_back(v.substr(start, end - start));
         start = end + 1;
     }
+    if (out.empty())
+        badFlag("--" + name + " expects a value");
     return out;
 }
 

@@ -38,9 +38,17 @@ class Flags
                           const std::string &dflt = "") const;
 
     /**
+     * Value of a flag that must name something when given (a path, a
+     * mutant): empty when absent; given with no value (bare, as
+     * `--name=`, or followed by another flag), a badFlag().
+     */
+    std::string getNonEmpty(const std::string &name) const;
+
+    /**
      * Value split on @p sep (default comma), empty pieces dropped:
      * `--trace-categories=lock,fifo` -> {"lock","fifo"}. Empty when the
-     * flag is absent or has no value.
+     * flag is absent; given with no piece (`--name`, `--name=`,
+     * `--name=,`), a badFlag().
      */
     std::vector<std::string> getStrings(const std::string &name,
                                         char sep = ',') const;

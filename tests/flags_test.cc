@@ -179,6 +179,28 @@ TEST(FlagsDeathTest, BadBooleanValueExitsTwo)
                 "^prog: --csv expects .*, got 'out'");
 }
 
+TEST(FlagsDeathTest, EmptyValueExitsTwo)
+{
+    // A path or list flag given with nothing to name is refused, not
+    // read as absent: bare before another flag, or as `--name=`.
+    const auto bad = ::testing::ExitedWithCode(2);
+    for (auto args : {make({"prog", "--metrics-out", "--audit"}),
+                      make({"prog", "--metrics-out="}),
+                      make({"prog", "--metrics-out"})})
+        EXPECT_EXIT(args.getNonEmpty("metrics-out"), bad,
+                    "^prog: --metrics-out expects a value");
+    for (const char *arg : {"--trace-categories", "--trace-categories=",
+                            "--trace-categories=,"})
+        EXPECT_EXIT(make({"prog", arg}).getStrings("trace-categories"),
+                    bad, "^prog: --trace-categories expects a value")
+            << arg;
+
+    // Absent, the flag reads as empty; given, as its value.
+    EXPECT_EQ(make({"prog"}).getNonEmpty("bug"), "");
+    EXPECT_EQ(make({"prog", "--bug=skip-spin"}).getNonEmpty("bug"),
+              "skip-spin");
+}
+
 TEST(FlagsDeathTest, BadFlagNamesTheProgram)
 {
     auto f = make({"./build/tools/minos-sim"});

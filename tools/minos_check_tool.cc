@@ -11,8 +11,9 @@
  *
  * Exit status: 0 when the whole space was explored without a
  * violation, 1 on a violation, 3 when the --max-states budget ran out
- * first (inconclusive), 2 on an unknown flag, a bad flag value, or a
- * --bug that leaves the model's protocol unchanged.
+ * first (inconclusive), 2 on an unknown flag, a bad flag value (an
+ * empty `--bug=` included), or a --bug that leaves the model's protocol
+ * unchanged.
  */
 
 #include <algorithm>
@@ -91,7 +92,7 @@ main(int argc, char **argv)
         flags.getInt("max-states", 4000000, 1,
                      std::numeric_limits<std::uint32_t>::max() - 1LL));
 
-    const std::string bug = flags.getString("bug", "");
+    const std::string bug = flags.getNonEmpty("bug");
     if (bug == "release-early")
         cfg.bugReleaseRdLockEarly = true;
     else if (bug == "ack-before-persist")

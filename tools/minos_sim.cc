@@ -36,7 +36,8 @@
  * full stream regardless).
  *
  * An unknown flag or a bad flag value (out of range, malformed, an
- * unknown name) exits 2 with a message.
+ * unknown name, or none where one is needed: `--trace-out=`) exits 2
+ * with a message.
  */
 
 #include <algorithm>
@@ -200,8 +201,8 @@ main(int argc, char **argv)
         flags.badFlag("--dist must be zipfian or uniform, got '" + dist +
                       "'");
 
-    const std::string trace_out = flags.getString("trace-out", "");
-    const std::string metrics_out = flags.getString("metrics-out", "");
+    const std::string trace_out = flags.getNonEmpty("trace-out");
+    const std::string metrics_out = flags.getNonEmpty("metrics-out");
     const bool audit_fatal = flags.getBool("audit-fatal");
     const bool want_audit = flags.getBool("audit") || audit_fatal;
     const bool want_phases = flags.getBool("phases") ||
