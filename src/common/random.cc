@@ -85,6 +85,26 @@ zeta(std::uint64_t n, double theta)
     return sum;
 }
 
+/**
+ * zeta(n, theta), memoised per thread for the last (n, theta) asked. A
+ * run builds one generator per node, all of one shape, and each zeta()
+ * of the paper's 100 K keys is 100 K pow() calls.
+ */
+double
+memoZeta(std::uint64_t n, double theta)
+{
+    struct Memo
+    {
+        std::uint64_t n = 0; ///< never a valid key count
+        double theta = 0.0;
+        double zeta = 0.0;
+    };
+    thread_local Memo memo;
+    if (memo.n != n || memo.theta != theta)
+        memo = {n, theta, zeta(n, theta)};
+    return memo.zeta;
+}
+
 } // namespace
 
 ZipfianKeys::ZipfianKeys(std::uint64_t num_keys, double theta)
@@ -93,7 +113,7 @@ ZipfianKeys::ZipfianKeys(std::uint64_t num_keys, double theta)
     MINOS_ASSERT(num_keys > 0, "ZipfianKeys needs >= 1 key");
     MINOS_ASSERT(theta > 0.0 && theta < 1.0,
                  "zipfian theta must be in (0, 1)");
-    zetan_ = zeta(numKeys_, theta_);
+    zetan_ = memoZeta(numKeys_, theta_);
     zeta2Theta_ = zeta(2, theta_);
     alpha_ = 1.0 / (1.0 - theta_);
     eta_ = (1.0 - std::pow(2.0 / static_cast<double>(numKeys_),

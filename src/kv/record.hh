@@ -6,13 +6,16 @@
  *  - RDLock_Owner: timestamp of the youngest ongoing client-write, or
  *    <-1,-1> when free. Taken RDLock blocks reads; a younger client-write
  *    may "snatch" it.
- *  - WRLock: guards local-writes to the volatile copy (MINOS-B only;
- *    MINOS-O replaces it with the vFIFO).
  *  - volatileTS: version of the local volatile copy.
  *  - glb_volatileTS: version known updated in volatile memory on ALL
  *    replicas (set once consistency completes cluster-wide).
  *  - glb_durableTS: version known persisted on ALL replicas (set once
  *    persistency completes cluster-wide).
+ *
+ * The paper's fifth field, the WRLock guarding local-writes to the
+ * volatile copy, is MINOS-B state: simproto::NodeB holds it as a per-key
+ * bitmap (MINOS-O replaces it with the vFIFO, paper §V). Leaving it out
+ * keeps a record at five words.
  */
 
 #ifndef MINOS_KV_RECORD_HH
@@ -35,7 +38,6 @@ using Value = std::uint64_t;
 struct Record
 {
     Timestamp rdLockOwner = Timestamp::none();
-    bool wrLock = false;
     Timestamp volatileTs = Timestamp::none();
     Timestamp glbVolatileTs = Timestamp::none();
     Timestamp glbDurableTs = Timestamp::none();
@@ -43,6 +45,8 @@ struct Record
 
     bool rdLockFree() const { return rdLockOwner.isNone(); }
 };
+
+static_assert(sizeof(Record) == 40, "a record is four timestamps + value");
 
 /**
  * The Obsolete primitive (paper §III-A): a client-write with timestamp

@@ -7,9 +7,10 @@
  * node_id. The sentinel <-1, -1> means "none" and is also the released
  * state of RDLock_Owner.
  *
- * Timestamps pack into a single 64-bit word (version in the high bits,
- * node_id + 1 in the low 16 bits) so that raw integer comparison equals
- * timestamp comparison and the threaded runtime can CAS them atomically.
+ * A timestamp is stored as one 8-byte word of bit-fields. It also packs
+ * into a single 64-bit integer (version + 1 in the high bits, node_id + 1
+ * in the low 16 bits) so that raw integer comparison equals timestamp
+ * comparison and the threaded runtime can CAS them atomically.
  */
 
 #ifndef MINOS_KV_TIMESTAMP_HH
@@ -33,13 +34,27 @@ using Key = std::uint64_t;
 
 /**
  * Logical timestamp <node_id, version> (Figure 1(b) of the paper).
+ *
+ * One 8-byte word: a 48-bit version and a 16-bit node id. Every replica
+ * record holds four of these, so the width is what sizes the stores.
  */
 struct Timestamp
 {
     /** Version counter; -1 only in the "none" sentinel. */
-    std::int64_t version = -1;
+    std::int64_t version : 48 = -1;
     /** Initiating node; -1 only in the "none" sentinel. */
-    NodeId node = -1;
+    NodeId node : 16 = -1;
+
+    /** Number of bits of the packed word holding node_id + 1. */
+    static constexpr int nodeBits = 16;
+    /** Largest node id a timestamp holds (the field is signed). */
+    static constexpr NodeId maxNode = (1 << (nodeBits - 1)) - 1;
+    /**
+     * Largest version that packs: (version + 1) << nodeBits stays below
+     * 2^63, so a packed word is a non-negative int64 trace token.
+     */
+    static constexpr std::int64_t maxVersion =
+        (std::int64_t{1} << (63 - nodeBits)) - 2;
 
     /** The sentinel value: unset timestamp / released RDLock. */
     static constexpr Timestamp
@@ -58,18 +73,15 @@ struct Timestamp
     friend auto operator<=>(const Timestamp &,
                             const Timestamp &) = default;
 
-    /** Number of bits of the packed word holding node_id + 1. */
-    static constexpr int nodeBits = 16;
-
     /** Pack into one word; preserves ordering of valid timestamps. */
     std::uint64_t
     pack() const
     {
-        MINOS_ASSERT(node >= -1 && node < (1 << nodeBits) - 1,
-                     "node id out of packing range: ", node);
-        MINOS_ASSERT(version >= -1 &&
-                     version < (std::int64_t{1} << (63 - nodeBits)) - 1,
-                     "version out of packing range: ", version);
+        MINOS_ASSERT(node >= -1 && node <= maxNode,
+                     "node id out of packing range: ", NodeId{node});
+        MINOS_ASSERT(version >= -1 && version <= maxVersion,
+                     "version out of packing range: ",
+                     std::int64_t{version});
         return (static_cast<std::uint64_t>(version + 1) << nodeBits) |
                static_cast<std::uint64_t>(node + 1);
     }
@@ -78,11 +90,14 @@ struct Timestamp
     static Timestamp
     unpack(std::uint64_t word)
     {
-        Timestamp ts;
-        ts.version =
-            static_cast<std::int64_t>(word >> nodeBits) - 1;
-        ts.node = static_cast<NodeId>(word & ((1u << nodeBits) - 1)) - 1;
-        return ts;
+        const std::uint64_t ver1 = word >> nodeBits;
+        const std::uint64_t node1 = word & ((1u << nodeBits) - 1);
+        MINOS_ASSERT(ver1 <= static_cast<std::uint64_t>(maxVersion) + 1,
+                     "packed version out of range: ", ver1);
+        MINOS_ASSERT(node1 <= static_cast<std::uint64_t>(maxNode) + 1,
+                     "packed node id out of range: ", node1);
+        return Timestamp{static_cast<std::int64_t>(ver1) - 1,
+                         static_cast<NodeId>(node1) - 1};
     }
 
     friend std::ostream &
@@ -91,6 +106,8 @@ struct Timestamp
         return os << "<" << ts.node << "," << ts.version << ">";
     }
 };
+
+static_assert(sizeof(Timestamp) == 8, "a timestamp is one word");
 
 /**
  * Identity of one write (paper Fig. 2): its key and packed TS_WR.

@@ -99,6 +99,8 @@ struct Message
     std::uint64_t destMask = 0;
 };
 
+static_assert(sizeof(Message) == 64, "a message fills one cache line");
+
 /** Size in bytes of a control (non-data) message on the wire. */
 inline constexpr std::uint32_t controlMsgBytes = 64;
 

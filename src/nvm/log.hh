@@ -39,12 +39,16 @@ struct LogEntry
     friend bool operator==(const LogEntry &, const LogEntry &) = default;
 };
 
+static_assert(sizeof(LogEntry) == 24, "key, value and one-word TS");
+
 /** Durable state of one key after log application. */
 struct DurableRecord
 {
     kv::Value value = 0;
     kv::Timestamp ts = kv::Timestamp::none();
 };
+
+static_assert(sizeof(DurableRecord) == 16, "value and one-word TS");
 
 /** Key -> durable record map produced by replaying a log. */
 using DurableDb = std::unordered_map<kv::Key, DurableRecord>;

@@ -227,7 +227,11 @@ class DdpCore
         // a per-record monotonic guard keeps locally-issued TS_WR
         // unique; cross-node ties are broken by node_id as usual.
         auto &next = nextLocalVersion_[key];
-        std::int64_t ver = std::max(rec.volatileTs.version + 1, next);
+        std::int64_t ver =
+            std::max<std::int64_t>(rec.volatileTs.version + 1, next);
+        // The 48-bit version field must not wrap silently.
+        MINOS_ASSERT(ver <= kv::Timestamp::maxVersion,
+                     "TS_WR version overflow on key ", key);
         next = ver + 1;
         return kv::Timestamp{ver, id_};
     }

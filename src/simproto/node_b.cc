@@ -18,7 +18,7 @@ using net::ScopeId;
 NodeB::NodeB(sim::Simulator &sim, ClusterB &cluster,
              const ClusterConfig &cfg, PersistModel model, NodeId id)
     : DdpCore(sim, cfg, model, id), cluster_(cluster),
-      nvm_(cfg.persistNsPerKb), rx_(sim)
+      nvm_(cfg.persistNsPerKb), rx_(sim), wrLocks_(cfg.numRecords)
 {
     sim_.spawn(dispatcher());
 }
@@ -28,23 +28,23 @@ NodeB::NodeB(sim::Simulator &sim, ClusterB &cluster,
 // ---------------------------------------------------------------------
 
 sim::Task<void>
-NodeB::grabWrLock(Record &rec)
+NodeB::grabWrLock(Key key)
 {
     for (;;) {
         // One CAS attempt costs the host synchronization latency.
         co_await hostCores_.compute(cfg_.hostSyncNs);
-        if (!rec.wrLock) {
-            rec.wrLock = true;
+        if (!wrLocks_[key]) {
+            wrLocks_[key] = true;
             co_return;
         }
-        co_await progress_.until([&] { return !rec.wrLock; });
+        co_await progress_.until([this, key] { return !wrLocks_[key]; });
     }
 }
 
 void
-NodeB::releaseWrLock(Record &rec)
+NodeB::releaseWrLock(Key key)
 {
-    rec.wrLock = false;
+    wrLocks_[key] = false;
     progress_.notifyAll();
 }
 
@@ -139,7 +139,7 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
     snatchRdLock(rec, ts);
 
     // Line 9: grab WRLock (spin).
-    co_await grabWrLock(rec);
+    co_await grabWrLock(key);
     Tick t_lock1 = sim_.now();
 
     // Line 10: final timestamp check under the WRLock.
@@ -148,7 +148,7 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
         countObsolete(&NodeCounters::writesObsoleteCut, key, ts);
         Timestamp observed = rec.volatileTs;
         // Lines 15-16: release WRLock first, then handleObsolete.
-        releaseWrLock(rec);
+        releaseWrLock(key);
         co_await handleObsolete(key, observed);
         // Lines 20-21 apply on this path too: if the (already complete)
         // newer write released the RDLock before our snatch, we may be a
@@ -182,7 +182,7 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
     progress_.notifyAll();
 
     // Line 13: release WRLock.
-    releaseWrLock(rec);
+    releaseWrLock(key);
 
     // Lines 18-22 / Fig. 3 steps d-f: the model's coordinator schedule
     // up to the client's answer; the steps after it run in a tail.
@@ -361,10 +361,10 @@ NodeB::onInv(Message msg, Tick t_handle0)
     if (!cut) {
         co_await hostCores_.compute(cfg_.hostSyncNs);
         snatchRdLock(rec, msg.tsWr);
-        co_await grabWrLock(rec);
+        co_await grabWrLock(msg.key);
         cut = kv::isObsolete(rec, msg.tsWr);
         if (cut)
-            releaseWrLock(rec);
+            releaseWrLock(msg.key);
     }
     if (cut) {
         // Spin as required, then ACK as if the write was performed; the
@@ -389,7 +389,7 @@ NodeB::onInv(Message msg, Tick t_handle0)
                static_cast<std::int64_t>(msg.key),
                static_cast<std::int64_t>(msg.tsWr.pack()));
     progress_.notifyAll();
-    releaseWrLock(rec);
+    releaseWrLock(msg.key);
 
     // Lines 39-40 / Fig. 3 follower deltas: persist + acknowledge.
     for (FollowerStep s : appliedSteps_) {

@@ -25,6 +25,7 @@
 #define MINOS_SIMPROTO_NODE_B_HH
 
 #include <unordered_map>
+#include <vector>
 
 #include "nvm/model.hh"
 #include "simproto/ddp_core.hh"
@@ -54,6 +55,9 @@ class NodeB : public DdpCore
     /** Coordinator transactions not yet recycled (tests). */
     std::size_t pendingTxns() const { return pending_.live(); }
 
+    /** Whether a local-write holds @p key's WRLock (tests). */
+    bool wrLockHeld(kv::Key key) const { return wrLocks_.at(key); }
+
   private:
     /** Coordinator-side bookkeeping for one outstanding client-write. */
     struct PendingTxn : WriteTxn
@@ -61,9 +65,9 @@ class NodeB : public DdpCore
         bool localPersistDone = false; ///< coordinator's own persist
     };
 
-    /** Spin-grab the WRLock (local-write mutual exclusion). */
-    sim::Task<void> grabWrLock(kv::Record &rec);
-    void releaseWrLock(kv::Record &rec);
+    /** Spin-grab @p key's WRLock (local-write mutual exclusion). */
+    sim::Task<void> grabWrLock(kv::Key key);
+    void releaseWrLock(kv::Key key);
 
     /** Persist one update into the local NVM log (occupies a core). */
     sim::Task<void> persistToNvm(kv::Key key, kv::Value value,
@@ -106,6 +110,12 @@ class NodeB : public DdpCore
     ClusterB &cluster_;
     nvm::NvmModel nvm_;
     sim::Mailbox<net::Message> rx_;
+
+    /**
+     * WRLock per key (paper Fig. 1(a)), one bit each: the lock is
+     * MINOS-B state, so it lives here rather than in kv::Record.
+     */
+    std::vector<bool> wrLocks_;
 
     TxnSlab<PendingTxn> pending_;
     /** [PERSIST]sc transactions in flight, keyed by scope. */

@@ -235,6 +235,7 @@ class VFifo
         kv::Value value;
         kv::Timestamp ts;
     };
+    static_assert(sizeof(Entry) == 32, "id, key, value and one-word TS");
 
     sim::Process drainLoop();
 

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
+#include <iterator>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kv/hashtable.hh"
@@ -44,10 +48,69 @@ TEST(Timestamp, PackRoundTrips)
 {
     std::vector<Timestamp> cases = {
         Timestamp::none(), {0, 0}, {1, 0}, {0, 1}, {123456789, 42},
-        {1, 65533},
+        {1, Timestamp::maxNode},
     };
     for (const auto &ts : cases)
         EXPECT_EQ(Timestamp::unpack(ts.pack()), ts);
+}
+
+namespace {
+
+/** Versions at the edges of the 48-bit field, and the sentinel's. */
+constexpr std::int64_t edgeVersions[] = {
+    -1, 0, 1, Timestamp::maxVersion - 1, Timestamp::maxVersion,
+};
+/** Node ids at the edges of the 16-bit field, and the sentinel's. */
+constexpr NodeId edgeNodes[] = {
+    -1, 0, 1, Timestamp::maxNode - 1, Timestamp::maxNode,
+};
+
+} // namespace
+
+TEST(Timestamp, OneWordHoldsTheFieldEdges)
+{
+    for (std::int64_t v : edgeVersions) {
+        for (NodeId n : edgeNodes) {
+            Timestamp ts{v, n};
+            EXPECT_EQ(ts.version, v);
+            EXPECT_EQ(ts.node, n);
+            EXPECT_EQ(Timestamp::unpack(ts.pack()), ts) << ts;
+        }
+    }
+    // The packed word of the largest timestamp stays a non-negative
+    // int64, as the trace tokens need.
+    Timestamp top{Timestamp::maxVersion, Timestamp::maxNode};
+    EXPECT_GT(static_cast<std::int64_t>(top.pack()), 0);
+    EXPECT_EQ(Timestamp::unpack(0), Timestamp::none());
+}
+
+TEST(TimestampProperty, CompareAgreesWithPackAndLexicographicOrder)
+{
+    std::mt19937_64 rng(2024);
+    auto draw = [&]() {
+        std::int64_t v = rng() % 3 == 0
+                             ? edgeVersions[rng() % std::size(edgeVersions)]
+                             : static_cast<std::int64_t>(
+                                   rng() % (Timestamp::maxVersion + 1));
+        NodeId n = rng() % 3 == 0
+                       ? edgeNodes[rng() % std::size(edgeNodes)]
+                       : static_cast<NodeId>(
+                             rng() % (Timestamp::maxNode + 1));
+        // Small versions make equal-version pairs (node tie-breaks)
+        // common.
+        if (rng() % 4 == 0)
+            v = static_cast<std::int64_t>(rng() % 3);
+        return rng() % 16 == 0 ? Timestamp::none() : Timestamp{v, n};
+    };
+    for (int i = 0; i < 20000; ++i) {
+        Timestamp a = draw(), b = draw();
+        using Lex = std::pair<std::int64_t, NodeId>;
+        auto lex = Lex(+a.version, +a.node) <=> Lex(+b.version, +b.node);
+        EXPECT_EQ(a <=> b, lex) << a << " vs " << b;
+        EXPECT_EQ(a <=> b, a.pack() <=> b.pack()) << a << " vs " << b;
+        EXPECT_EQ(a == b, lex == 0) << a << " vs " << b;
+        EXPECT_EQ(Timestamp::unpack(a.pack()), a) << a;
+    }
 }
 
 TEST(Timestamp, PackPreservesOrdering)

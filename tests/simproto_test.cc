@@ -66,7 +66,8 @@ expectConverged(ClusterB &cluster, Key k)
         const kv::Record &rec = cluster.node(static_cast<NodeId>(n))
                                     .record(k);
         EXPECT_TRUE(rec.rdLockFree()) << "node " << n << " key " << k;
-        EXPECT_FALSE(rec.wrLock) << "node " << n << " key " << k;
+        EXPECT_FALSE(cluster.node(static_cast<NodeId>(n)).wrLockHeld(k))
+            << "node " << n << " key " << k;
         EXPECT_EQ(rec.value, ref.value) << "node " << n << " key " << k;
         EXPECT_EQ(rec.volatileTs, ref.volatileTs)
             << "node " << n << " key " << k;

@@ -64,6 +64,14 @@ recordOf(DdpCluster &cluster, NodeId node, Key key)
     return l->node(node).record(key);
 }
 
+/** The WRLock is MINOS-B state; the other engines never take one. */
+bool
+wrLockHeld(DdpCluster &cluster, NodeId node, Key key)
+{
+    auto *b = dynamic_cast<ClusterB *>(&cluster);
+    return b && b->node(node).wrLockHeld(key);
+}
+
 nvm::DurableDb
 durableDbOf(DdpCluster &cluster, NodeId node)
 {
@@ -125,7 +133,8 @@ TEST_P(SweepTest, ConflictingWorkloadConvergesAndPersists)
                 recordOf(*cluster, static_cast<NodeId>(n), k);
             // Convergence: identical replicas, all locks released.
             EXPECT_TRUE(rec.rdLockFree()) << "n=" << n << " k=" << k;
-            EXPECT_FALSE(rec.wrLock) << "n=" << n << " k=" << k;
+            EXPECT_FALSE(wrLockHeld(*cluster, static_cast<NodeId>(n), k))
+                << "n=" << n << " k=" << k;
             EXPECT_EQ(rec.value, ref.value) << "n=" << n << " k=" << k;
             EXPECT_EQ(rec.volatileTs, ref.volatileTs)
                 << "n=" << n << " k=" << k;

@@ -23,6 +23,61 @@ TEST(Ycsb, DeterministicPerNodeStreams)
     EXPECT_NE(sa, sc);
 }
 
+namespace {
+
+/** FNV-1a over the type, key and value of the first @p n requests. */
+std::uint64_t
+streamDigest(YcsbGenerator &gen, std::uint64_t n)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t word) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (word >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const Op &op : gen.stream(n)) {
+        mix(static_cast<std::uint64_t>(op.type));
+        mix(op.key);
+        mix(op.value);
+    }
+    return h;
+}
+
+/** Node 0's first 4000 requests under the paper's default YCSB mix. */
+constexpr std::uint64_t paperZipfianDigest = 0xec698ba8b615ac0aull;
+
+} // namespace
+
+TEST(Ycsb, ZipfianStreamIsPinned)
+{
+    YcsbGenerator gen(YcsbConfig{}, 0);
+    EXPECT_EQ(streamDigest(gen, 4000), paperZipfianDigest);
+}
+
+TEST(Ycsb, ZipfianNormaliserSurvivesOtherShapes)
+{
+    // The zipfian normaliser is memoised per thread; a generator of
+    // another record count or skew in between must not leak into the
+    // next one, either way round.
+    YcsbConfig other_theta;
+    other_theta.zipfTheta = 0.5;
+    YcsbConfig other_records;
+    other_records.numRecords = 1000;
+    YcsbConfig neither;
+    neither.numRecords = 10;
+    neither.zipfTheta = 0.3;
+    for (const YcsbConfig &other : {other_theta, other_records}) {
+        // Start from a memo that matches neither field.
+        YcsbGenerator reset(neither, 0);
+        YcsbGenerator before(other, 0);
+        YcsbGenerator gen(YcsbConfig{}, 0);
+        YcsbGenerator after(other, 0);
+        EXPECT_EQ(streamDigest(gen, 4000), paperZipfianDigest);
+        EXPECT_EQ(before.stream(500), after.stream(500));
+    }
+}
+
 TEST(Ycsb, WriteFractionRespected)
 {
     YcsbConfig cfg;

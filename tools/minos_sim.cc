@@ -37,7 +37,8 @@
  *
  * An unknown flag or a bad flag value (out of range, malformed, an
  * unknown name, or none where one is needed: `--trace-out=`) exits 2
- * with a message.
+ * with a message, and so does an output file that cannot be opened for
+ * writing; both files are opened before the run.
  */
 
 #include <algorithm>
@@ -86,12 +87,31 @@ const std::vector<std::string> knownFlags = {
     "phases", "audit", "audit-fatal", "help",
 };
 
-void
-writeFileOrDie(const std::string &path, const std::string &content)
+/**
+ * Open the output file named by --@p flag (none when @p path is empty).
+ * Called before the run, so an unwritable path is a bad flag rather than
+ * a lost run.
+ */
+std::ofstream
+openOutput(const Flags &flags, const std::string &flag,
+           const std::string &path)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    MINOS_ASSERT(out.good(), "cannot open ", path, " for writing");
+    std::ofstream out;
+    if (path.empty())
+        return out;
+    out.open(path, std::ios::binary | std::ios::trunc);
+    if (!out)
+        flags.badFlag("--" + flag + ": cannot open '" + path +
+                      "' for writing");
+    return out;
+}
+
+void
+writeOrDie(std::ofstream &out, const std::string &path,
+           const std::string &content)
+{
     out << content;
+    out.flush();
     MINOS_ASSERT(out.good(), "write to ", path, " failed");
 }
 
@@ -234,6 +254,17 @@ main(int argc, char **argv)
     if (want_phases)
         cfg.phases = &phase_stats;
 
+    const bool want_csv = flags.getBool("csv");
+    const bool want_stats = flags.getBool("stats");
+
+    // Last of the flag checks: no file is created for a run that a bad
+    // flag refuses.
+    if (!trace_out.empty() && trace_out == metrics_out)
+        flags.badFlag("--trace-out and --metrics-out name the same file");
+    std::ofstream trace_file = openOutput(flags, "trace-out", trace_out);
+    std::ofstream metrics_file =
+        openOutput(flags, "metrics-out", metrics_out);
+
     sim::Simulator sim;
     RunResult res;
     NodeCounters aggregate;
@@ -258,7 +289,7 @@ main(int argc, char **argv)
     }
 
     if (!trace_out.empty())
-        writeFileOrDie(trace_out, obs::chromeTraceJson(recorder));
+        writeOrDie(trace_file, trace_out, obs::chromeTraceJson(recorder));
     if (!metrics_out.empty()) {
         obs::MetricsRegistry reg;
         registerRunMetrics(reg, "run.", res);
@@ -277,7 +308,7 @@ main(int argc, char **argv)
         }
         if (want_audit)
             audit.registerInto(reg);
-        writeFileOrDie(metrics_out, reg.json());
+        writeOrDie(metrics_file, metrics_out, reg.json());
     }
 
     int exit_code = 0;
@@ -295,7 +326,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (flags.getBool("csv")) {
+    if (want_csv) {
         std::printf(
             "%s,%s,%d,%llu,%llu,%.2f,%s,%.0f,%.0f,%ld,%ld,%.0f,%.0f,"
             "%.0f,%llu,%.3f\n",
@@ -338,7 +369,7 @@ main(int argc, char **argv)
     if (flags.getBool("phases") && !phase_stats.empty())
         std::printf("per-phase write latency:\n%s",
                     phase_stats.table().c_str());
-    if (flags.getBool("stats")) {
+    if (want_stats) {
         std::printf("cluster-aggregate protocol counters:\n%s",
                     aggregate.str().c_str());
     }
