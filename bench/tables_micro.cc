@@ -61,7 +61,8 @@ timestampPack(benchmark::State &state)
     std::uint64_t acc = 0;
     for (auto _ : state) {
         acc += ts.pack();
-        ts.version += 1;
+        // maxVersion is all ones: wrap inside the 24-bit field.
+        ts.version = (ts.version + 1) & kv::Timestamp::maxVersion;
         benchmark::DoNotOptimize(acc);
     }
 }
@@ -72,6 +73,12 @@ timestampRaise(benchmark::State &state)
     kv::AtomicRecord rec;
     std::int64_t v = 0;
     for (auto _ : state) {
+        // Start over below the 24-bit version limit, so every raise
+        // still succeeds.
+        if (v > kv::Timestamp::maxVersion) {
+            v = 0;
+            rec.volatileTs.store(kv::Timestamp::none().pack());
+        }
         kv::AtomicRecord::raiseTs(rec.volatileTs,
                                   kv::Timestamp{v++, 0});
     }

@@ -15,7 +15,7 @@
  * The paper's fifth field, the WRLock guarding local-writes to the
  * volatile copy, is MINOS-B state: simproto::NodeB holds it as a per-key
  * bitmap (MINOS-O replaces it with the vFIFO, paper §V). Leaving it out
- * keeps a record at five words.
+ * keeps a record at 24 bytes: four 4-byte timestamps and the value.
  */
 
 #ifndef MINOS_KV_RECORD_HH
@@ -46,7 +46,7 @@ struct Record
     bool rdLockFree() const { return rdLockOwner.isNone(); }
 };
 
-static_assert(sizeof(Record) == 40, "a record is four timestamps + value");
+static_assert(sizeof(Record) == 24, "a record is four timestamps + value");
 
 /**
  * The Obsolete primitive (paper §III-A): a client-write with timestamp

@@ -7,9 +7,9 @@
  * node_id. The sentinel <-1, -1> means "none" and is also the released
  * state of RDLock_Owner.
  *
- * A timestamp is stored as one 8-byte word of bit-fields. It also packs
- * into a single 64-bit integer (version + 1 in the high bits, node_id + 1
- * in the low 16 bits) so that raw integer comparison equals timestamp
+ * A timestamp is stored in 4 bytes of bit-fields. It also packs into a
+ * single 64-bit integer (version + 1 in the high bits, node_id + 1 in
+ * the low 16 bits) so that raw integer comparison equals timestamp
  * comparison and the threaded runtime can CAS them atomically.
  */
 
@@ -35,68 +35,92 @@ using Key = std::uint64_t;
 /**
  * Logical timestamp <node_id, version> (Figure 1(b) of the paper).
  *
- * One 8-byte word: a 48-bit version and a 16-bit node id. Every replica
+ * Four bytes: a 24-bit version and an 8-bit node id. Every replica
  * record holds four of these, so the width is what sizes the stores.
+ * The constructor checks both ranges, so a value that does not fit
+ * panics (or fails to compile as a constant) rather than wrapping.
  */
 struct Timestamp
 {
     /** Version counter; -1 only in the "none" sentinel. */
-    std::int64_t version : 48 = -1;
+    std::int32_t version : 24 = -1;
     /** Initiating node; -1 only in the "none" sentinel. */
-    NodeId node : 16 = -1;
+    NodeId node : 8 = -1;
 
+    /** Largest version the signed 24-bit field holds. */
+    static constexpr std::int64_t maxVersion = (std::int64_t{1} << 23) - 1;
+    /** Largest node id the signed 8-bit field holds. */
+    static constexpr NodeId maxNode = 127;
     /** Number of bits of the packed word holding node_id + 1. */
     static constexpr int nodeBits = 16;
-    /** Largest node id a timestamp holds (the field is signed). */
-    static constexpr NodeId maxNode = (1 << (nodeBits - 1)) - 1;
-    /**
-     * Largest version that packs: (version + 1) << nodeBits stays below
-     * 2^63, so a packed word is a non-negative int64 trace token.
-     */
-    static constexpr std::int64_t maxVersion =
-        (std::int64_t{1} << (63 - nodeBits)) - 2;
+
+    /** The "none" sentinel. */
+    constexpr Timestamp() = default;
+
+    constexpr Timestamp(std::int64_t v, NodeId n)
+        : version(static_cast<std::int32_t>(v)), node(n)
+    {
+        MINOS_ASSERT(v >= -1 && v <= maxVersion,
+                     "timestamp version out of range: ", v);
+        MINOS_ASSERT(n >= -1 && n <= maxNode,
+                     "timestamp node id out of range: ", n);
+    }
 
     /** The sentinel value: unset timestamp / released RDLock. */
     static constexpr Timestamp
     none()
     {
-        return Timestamp{-1, -1};
+        return Timestamp{};
     }
 
     bool isNone() const { return version < 0; }
 
     /**
      * Ordering per §III-A: higher version is newer; same version, higher
-     * node_id is newer. Member order (version, node) makes the defaulted
-     * comparison implement exactly that.
+     * node_id is newer. Both compare as one unsigned word: version above
+     * node, each with its sign bit flipped (biased by 2^23 and 2^7), so
+     * unsigned order is signed (version, node) order.
      */
-    friend auto operator<=>(const Timestamp &,
-                            const Timestamp &) = default;
+    constexpr std::uint32_t
+    orderKey() const
+    {
+        return ((static_cast<std::uint32_t>(version) << 8) |
+                static_cast<std::uint8_t>(node)) ^
+               0x80000080u;
+    }
 
-    /** Pack into one word; preserves ordering of valid timestamps. */
+    friend constexpr std::strong_ordering
+    operator<=>(const Timestamp &a, const Timestamp &b)
+    {
+        return a.orderKey() <=> b.orderKey();
+    }
+
+    friend constexpr bool
+    operator==(const Timestamp &a, const Timestamp &b)
+    {
+        return a.orderKey() == b.orderKey();
+    }
+
+    /**
+     * Pack into one word; preserves ordering of valid timestamps. The
+     * field widths keep both fields below their packing limits, so only
+     * a field assigned directly below -1 can fail to pack.
+     */
     std::uint64_t
     pack() const
     {
-        MINOS_ASSERT(node >= -1 && node <= maxNode,
-                     "node id out of packing range: ", NodeId{node});
-        MINOS_ASSERT(version >= -1 && version <= maxVersion,
-                     "version out of packing range: ",
-                     std::int64_t{version});
+        MINOS_ASSERT(version >= -1 && node >= -1,
+                     "timestamp out of packing range: ", *this);
         return (static_cast<std::uint64_t>(version + 1) << nodeBits) |
                static_cast<std::uint64_t>(node + 1);
     }
 
-    /** Inverse of pack(). */
+    /** Inverse of pack(); the constructor checks the unpacked fields. */
     static Timestamp
     unpack(std::uint64_t word)
     {
-        const std::uint64_t ver1 = word >> nodeBits;
         const std::uint64_t node1 = word & ((1u << nodeBits) - 1);
-        MINOS_ASSERT(ver1 <= static_cast<std::uint64_t>(maxVersion) + 1,
-                     "packed version out of range: ", ver1);
-        MINOS_ASSERT(node1 <= static_cast<std::uint64_t>(maxNode) + 1,
-                     "packed node id out of range: ", node1);
-        return Timestamp{static_cast<std::int64_t>(ver1) - 1,
+        return Timestamp{static_cast<std::int64_t>(word >> nodeBits) - 1,
                          static_cast<NodeId>(node1) - 1};
     }
 
@@ -107,7 +131,7 @@ struct Timestamp
     }
 };
 
-static_assert(sizeof(Timestamp) == 8, "a timestamp is one word");
+static_assert(sizeof(Timestamp) == 4, "a timestamp is four bytes");
 
 /**
  * Identity of one write (paper Fig. 2): its key and packed TS_WR.

@@ -39,7 +39,7 @@ struct LogEntry
     friend bool operator==(const LogEntry &, const LogEntry &) = default;
 };
 
-static_assert(sizeof(LogEntry) == 24, "key, value and one-word TS");
+static_assert(sizeof(LogEntry) == 24, "key, value and a 4-byte TS, padded");
 
 /** Durable state of one key after log application. */
 struct DurableRecord
@@ -48,7 +48,7 @@ struct DurableRecord
     kv::Timestamp ts = kv::Timestamp::none();
 };
 
-static_assert(sizeof(DurableRecord) == 16, "value and one-word TS");
+static_assert(sizeof(DurableRecord) == 16, "value and a 4-byte TS, padded");
 
 /** Key -> durable record map produced by replaying a log. */
 using DurableDb = std::unordered_map<kv::Key, DurableRecord>;

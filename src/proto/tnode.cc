@@ -74,7 +74,7 @@ ThreadedNode::stop()
 // ---------------------------------------------------------------------
 
 Timestamp
-ThreadedNode::makeWriteTs(AtomicRecord &rec)
+ThreadedNode::makeWriteTs(Key key, AtomicRecord &rec)
 {
     std::int64_t guard =
         rec.localVersionGuard.load(std::memory_order_acquire);
@@ -87,6 +87,9 @@ ThreadedNode::makeWriteTs(AtomicRecord &rec)
         ver = std::max(vol + 1, guard);
     } while (!rec.localVersionGuard.compare_exchange_weak(
         guard, ver + 1, std::memory_order_acq_rel));
+    // The 24-bit version field must not wrap silently.
+    MINOS_ASSERT(ver <= Timestamp::maxVersion,
+                 "TS_WR version overflow on key ", key);
     return Timestamp{ver, id_};
 }
 
@@ -345,7 +348,7 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
 {
     MINOS_ASSERT(running_.load(), "node not started");
     AtomicRecord &rec = store_.getOrCreate(key);
-    Timestamp ts = makeWriteTs(rec);
+    Timestamp ts = makeWriteTs(key, rec);
     WriteResult res{ts, false};
 
     // Line 5: early obsoleteness check.

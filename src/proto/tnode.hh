@@ -153,7 +153,7 @@ class ThreadedNode
     };
 
     // ---- primitives ----
-    kv::Timestamp makeWriteTs(kv::AtomicRecord &rec);
+    kv::Timestamp makeWriteTs(kv::Key key, kv::AtomicRecord &rec);
     static bool obsolete(const kv::AtomicRecord &rec,
                          const kv::Timestamp &ts);
     void snatchRdLock(kv::AtomicRecord &rec, const kv::Timestamp &ts);

@@ -229,7 +229,7 @@ class DdpCore
         auto &next = nextLocalVersion_[key];
         std::int64_t ver =
             std::max<std::int64_t>(rec.volatileTs.version + 1, next);
-        // The 48-bit version field must not wrap silently.
+        // The 24-bit version field must not wrap silently.
         MINOS_ASSERT(ver <= kv::Timestamp::maxVersion,
                      "TS_WR version overflow on key ", key);
         next = ver + 1;

@@ -235,7 +235,8 @@ class VFifo
         kv::Value value;
         kv::Timestamp ts;
     };
-    static_assert(sizeof(Entry) == 32, "id, key, value and one-word TS");
+    static_assert(sizeof(Entry) == 32,
+                  "id, key, value and a 4-byte TS, padded");
 
     sim::Process drainLoop();
 

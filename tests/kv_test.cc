@@ -47,7 +47,7 @@ TEST(Timestamp, NoneOrdersBeforeEverything)
 TEST(Timestamp, PackRoundTrips)
 {
     std::vector<Timestamp> cases = {
-        Timestamp::none(), {0, 0}, {1, 0}, {0, 1}, {123456789, 42},
+        Timestamp::none(), {0, 0}, {1, 0}, {0, 1}, {1234567, 42},
         {1, Timestamp::maxNode},
     };
     for (const auto &ts : cases)
@@ -56,11 +56,11 @@ TEST(Timestamp, PackRoundTrips)
 
 namespace {
 
-/** Versions at the edges of the 48-bit field, and the sentinel's. */
+/** Versions at the edges of the 24-bit field, and the sentinel's. */
 constexpr std::int64_t edgeVersions[] = {
     -1, 0, 1, Timestamp::maxVersion - 1, Timestamp::maxVersion,
 };
-/** Node ids at the edges of the 16-bit field, and the sentinel's. */
+/** Node ids at the edges of the 8-bit field, and the sentinel's. */
 constexpr NodeId edgeNodes[] = {
     -1, 0, 1, Timestamp::maxNode - 1, Timestamp::maxNode,
 };
@@ -69,6 +69,8 @@ constexpr NodeId edgeNodes[] = {
 
 TEST(Timestamp, OneWordHoldsTheFieldEdges)
 {
+    static_assert(Timestamp::maxVersion == 8388607);
+    static_assert(Timestamp::maxNode == 127);
     for (std::int64_t v : edgeVersions) {
         for (NodeId n : edgeNodes) {
             Timestamp ts{v, n};
@@ -82,6 +84,49 @@ TEST(Timestamp, OneWordHoldsTheFieldEdges)
     Timestamp top{Timestamp::maxVersion, Timestamp::maxNode};
     EXPECT_GT(static_cast<std::int64_t>(top.pack()), 0);
     EXPECT_EQ(Timestamp::unpack(0), Timestamp::none());
+}
+
+// The constructor is usable in constant expressions, where an
+// out-of-range field would fail to compile.
+static_assert(Timestamp{Timestamp::maxVersion, Timestamp::maxNode} >
+              Timestamp{Timestamp::maxVersion, 0});
+static_assert(Timestamp{} == Timestamp::none());
+
+TEST(Timestamp, PackedWordIsPinned)
+{
+    // Words of the 64-bit format: version + 1 above a 16-bit node + 1.
+    // Write ids, slot-index probes and trace tokens all hash or print
+    // this word, so it must not move when the fields change width.
+    const std::pair<Timestamp, std::uint64_t> pins[] = {
+        {Timestamp::none(), 0x0},
+        {{0, 0}, 0x10001},
+        {{0, 1}, 0x10002},
+        {{1, 0}, 0x20001},
+        {{5, 1}, 0x60002},
+        {{123456, 42}, 0x1e241002b},
+        {{Timestamp::maxVersion - 1, Timestamp::maxNode - 1}, 0x7fffff007f},
+        {{Timestamp::maxVersion, Timestamp::maxNode}, 0x8000000080},
+        {{Timestamp::maxVersion, -1}, 0x8000000000},
+        {{-1, Timestamp::maxNode}, 0x80},
+        {{0, -1}, 0x10000},
+    };
+    for (const auto &[ts, word] : pins) {
+        EXPECT_EQ(ts.pack(), word) << ts;
+        EXPECT_EQ(Timestamp::unpack(word), ts) << ts;
+    }
+}
+
+TEST(TimestampDeathTest, ConstructorRefusesFieldsOutOfRange)
+{
+    EXPECT_DEATH((void)(Timestamp{Timestamp::maxVersion + 1, 0}),
+                 "version out of range");
+    EXPECT_DEATH((void)(Timestamp{-2, 0}), "version out of range");
+    EXPECT_DEATH((void)(Timestamp{0, Timestamp::maxNode + 1}),
+                 "node id out of range");
+    EXPECT_DEATH((void)(Timestamp{0, -2}), "node id out of range");
+    // A packed word whose fields do not fit is refused the same way.
+    EXPECT_DEATH((void)Timestamp::unpack(std::uint64_t{1} << 40),
+                 "version out of range");
 }
 
 TEST(TimestampProperty, CompareAgreesWithPackAndLexicographicOrder)

@@ -352,6 +352,27 @@ TEST(ThreadedRecovery, RejoinedNodeParticipatesInNewWrites)
     }));
 }
 
+namespace {
+
+/** A client-write on a key whose version guard is past the largest
+ *  version a timestamp holds. */
+void
+writeAfterTopVersion()
+{
+    ThreadedCluster cluster(smallConfig(PersistModel::Synch));
+    cluster.node(0).write(7, 1);
+    auto *rec = const_cast<kv::AtomicRecord *>(cluster.node(0).record(7));
+    rec->localVersionGuard.store(Timestamp::maxVersion + 1);
+    cluster.node(0).write(7, 2);
+}
+
+} // namespace
+
+TEST(ThreadedNodeDeathTest, WriteVersionOverflowPanics)
+{
+    EXPECT_DEATH(writeAfterTopVersion(), "TS_WR version overflow on key 7");
+}
+
 TEST(ThreadedFabric, DropsTrafficWhenLinkDown)
 {
     runtime::Fabric fabric(2, std::chrono::nanoseconds(0));

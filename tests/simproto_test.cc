@@ -182,6 +182,28 @@ TEST_P(ModelTest, SequentialWritesLastValueWins)
               (Timestamp{2, 2}));
 }
 
+namespace {
+
+/** A client-write on a key whose local copy has the largest version. */
+void
+writeAfterTopVersion()
+{
+    sim::Simulator sim;
+    ClusterB cluster(sim, smallConfig(), PersistModel::Synch);
+    const_cast<kv::Record &>(cluster.node(0).record(7)).volatileTs =
+        Timestamp{Timestamp::maxVersion, 1};
+    OpStats st;
+    sim.spawn(doWrite(&cluster, 0, 7, 1, &st));
+    sim.run();
+}
+
+} // namespace
+
+TEST(DdpCoreDeathTest, WriteVersionOverflowPanics)
+{
+    EXPECT_DEATH(writeAfterTopVersion(), "TS_WR version overflow on key 7");
+}
+
 TEST_P(ModelTest, ConcurrentConflictingWritesConverge)
 {
     sim::Simulator sim;

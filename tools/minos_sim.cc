@@ -39,6 +39,9 @@
  * unknown name, or none where one is needed: `--trace-out=`) exits 2
  * with a message, and so does an output file that cannot be opened for
  * writing; both files are opened before the run.
+ *
+ * A run allows 8 388 607 writes per key (the 24-bit TS_WR version
+ * field; a version past that panics) and node ids up to 127.
  */
 
 #include <algorithm>
@@ -132,8 +135,12 @@ usage(const char *prog)
         "[--trace-capacity=N]\n"
         "          [--trace-categories=lock,fifo,...]\n"
         "          [--metrics-out=FILE.json] [--phases]\n"
-        "          [--audit] [--audit-fatal] [--help]\n",
-        prog);
+        "          [--audit] [--audit-fatal] [--help]\n"
+        "limits: --nodes 2..64; timestamps hold node ids up to %d and "
+        "%lld writes\n"
+        "        per key in one run (a TS_WR version past that panics)\n",
+        prog, static_cast<int>(kv::Timestamp::maxNode),
+        static_cast<long long>(kv::Timestamp::maxVersion));
 }
 
 } // namespace
