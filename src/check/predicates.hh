@@ -39,6 +39,8 @@ struct AckTally
     int acksC = 0; ///< consistency ACKs
     int acksP = 0; ///< persistency ACKs
 
+    constexpr bool operator==(const AckTally &) const = default;
+
     /** Count one ACK of @p type and return its family; notAck, and
      *  nothing counted, if @p type is not an ACK. */
     constexpr Family

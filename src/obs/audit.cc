@@ -1,6 +1,7 @@
 #include "obs/audit.hh"
 
 #include <sstream>
+#include <utility>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -29,6 +30,49 @@ hasNode(std::uint64_t mask, std::int32_t node)
 // OpLedger
 // ---------------------------------------------------------------------
 
+bool
+OpLedger::OpState::fold(const Record &rec)
+{
+    switch (rec.kind) {
+      case EventKind::ClientOpEnd:
+        if (opType(rec.aux) == OpType::Write) {
+            returned = true;
+            endedObsolete = opObsolete(rec.aux);
+        }
+        break;
+
+      case EventKind::InvFanout:
+      case EventKind::SnicBroadcastInv:
+        fanout = true;
+        break;
+
+      case EventKind::InvObsolete:
+        obsoleteNodes |= nodeBit(rec.node);
+        break;
+
+      case EventKind::PersistDone:
+        persistNodes |= nodeBit(rec.node);
+        break;
+
+      case EventKind::AckReceived: {
+        // [ACK_P]sc never gets here: it is not op-keyed (opIdOf).
+        const check::AckTally::Family family = add(ackType(rec.aux));
+        if (family == check::AckTally::notAck)
+            break;
+        const std::uint64_t bit = nodeBit(ackSender(rec.aux));
+        const bool duplicate = (seenAck[family] & bit) != 0;
+        seenAck[family] |= bit;
+        return duplicate;
+      }
+
+      default:
+        // Every other op-keyed record (send-side ACKs included: gates
+        // fire on receipt) only locates the op for the auditors' rules.
+        break;
+    }
+    return false;
+}
+
 OpLedger::Applied
 OpLedger::apply(const Record &rec)
 {
@@ -39,56 +83,18 @@ OpLedger::apply(const Record &rec)
     if (rec.kind == EventKind::ClientOpBegin) {
         if (opType(rec.aux) != OpType::Write)
             return ap;
-        const std::uint32_t slot = slots_.insert(ap.id, ap.newOp);
+        ap.slot = slots_.insert(ap.id, ap.newOp);
         if (ap.newOp)
             ops_.emplace_back();
-        ap.op = &ops_[slot];
+        ap.op = &ops_[ap.slot];
         ap.op->coordinator = rec.node;
         return ap;
     }
-    const std::uint32_t slot = slots_.find(ap.id);
-    if (slot == OpSlots::none)
+    ap.slot = slots_.find(ap.id);
+    if (ap.slot == OpSlots::none)
         return ap;
-    ap.op = &ops_[slot];
-    OpState &op = *ap.op;
-
-    switch (rec.kind) {
-      case EventKind::ClientOpEnd:
-        if (opType(rec.aux) == OpType::Write) {
-            op.returned = true;
-            op.endedObsolete = opObsolete(rec.aux);
-        }
-        break;
-
-      case EventKind::InvFanout:
-      case EventKind::SnicBroadcastInv:
-        op.fanout = true;
-        break;
-
-      case EventKind::InvObsolete:
-        op.obsoleteNodes |= nodeBit(rec.node);
-        break;
-
-      case EventKind::PersistDone:
-        op.persistNodes |= nodeBit(rec.node);
-        break;
-
-      case EventKind::AckReceived: {
-        // [ACK_P]sc never gets here: it is not op-keyed (opIdOf).
-        const check::AckTally::Family family = op.add(ackType(rec.aux));
-        if (family == check::AckTally::notAck)
-            break;
-        const std::uint64_t bit = nodeBit(ackSender(rec.aux));
-        ap.duplicateAck = (op.seenAck[family] & bit) != 0;
-        op.seenAck[family] |= bit;
-        break;
-      }
-
-      default:
-        // Every other op-keyed record (send-side ACKs included: gates
-        // fire on receipt) only locates the op for the auditors' rules.
-        break;
-    }
+    ap.op = &ops_[ap.slot];
+    ap.duplicateAck = ap.op->fold(rec);
     return ap;
 }
 
@@ -100,30 +106,244 @@ OpLedger::find(const kv::WriteId &id) const
 }
 
 // ---------------------------------------------------------------------
+// OpTable
+// ---------------------------------------------------------------------
+
+OpTable::OpTable(const AuditConfig *cfg, std::size_t maxEventsPerOp)
+    : cfg_(cfg), arena_(maxEventsPerOp)
+{
+}
+
+std::uint64_t
+OpTable::allNodes() const
+{
+    return cfg_->numNodes >= 64 ? ~0ull : (1ull << cfg_->numNodes) - 1;
+}
+
+bool
+OpTable::quiescent(const OpLedger::OpState &st) const
+{
+    // Nothing more is owed: fanned out and returned, the consistency
+    // ACK family (and the per-write persistency family, where the
+    // model has one) complete, and every node made the write durable
+    // or cut it as obsolete.
+    const PersistModel m = cfg_->model;
+    const int needed = cfg_->followers();
+    if (!st.fanout || !st.returned ||
+        !check::consistencyAcksComplete(m, st, needed))
+        return false;
+    if (simproto::tracksPersistPerWrite(m) &&
+        !check::persistencyAcksComplete(m, st, needed))
+        return false;
+    return ((st.persistNodes | st.obsoleteNodes) & allNodes()) ==
+           allNodes();
+}
+
+OpLedger::OpState
+OpTable::cleanState(const kv::WriteId &id, std::uint64_t cuts) const
+{
+    using Family = check::AckTally::Family;
+    OpLedger::OpState st;
+    // The coordinator is TS_WR's node, packed in the word's low bits.
+    st.coordinator = static_cast<std::int32_t>(
+                         id.ts & ((1u << kv::Timestamp::nodeBits) - 1)) -
+                     1;
+    st.fanout = true;
+    st.returned = true;
+    st.persistNodes = allNodes() & ~cuts;
+    st.obsoleteNodes = cuts;
+    const std::uint64_t followers = allNodes() & ~nodeBit(st.coordinator);
+    const int needed = cfg_->followers();
+    const PersistModel m = cfg_->model;
+    if (!simproto::usesSplitAcks(m)) {
+        st.acks = needed;
+        st.seenAck[Family::combined] = followers;
+        return st;
+    }
+    st.acksC = needed;
+    st.seenAck[Family::consistency] = followers;
+    if (simproto::tracksPersistPerWrite(m)) {
+        st.acksP = needed;
+        st.seenAck[Family::persistency] = followers;
+    }
+    return st;
+}
+
+OpTable::Entry &
+OpTable::addEntry(std::uint32_t slot)
+{
+    Head &h = heads_[slot];
+    std::uint32_t at;
+    if (freeEntries_.empty()) {
+        at = static_cast<std::uint32_t>(entries_.size());
+        entries_.emplace_back();
+    } else {
+        at = freeEntries_.back();
+        freeEntries_.pop_back();
+    }
+    if (++fullOps_ > fullPeak_)
+        fullPeak_ = fullOps_;
+    Entry &e = entries_[at];
+    e = Entry{};
+    if (h.isStub()) {
+        e.op = cleanState(slots_.id(slot), h.entryOrCuts);
+        e.trace.total = h.stubTotal;
+        e.trace.recycled = h.stubRecycled;
+        e.admitted = true;
+        e.stage = Stage::Recycled;
+    }
+    h = Head{};
+    h.entryOrCuts = at;
+    return e;
+}
+
+OpLedger::Applied
+OpTable::apply(const Record &rec)
+{
+    OpLedger::Applied ap;
+    ap.keyed = opIdOf(rec, ap.id);
+    if (!ap.keyed)
+        return ap;
+    bool added = false;
+    ap.slot = slots_.insert(ap.id, added);
+    if (added)
+        heads_.emplace_back();
+    const Head &h = heads_[ap.slot];
+    Entry &e = h.isEntry() ? entries_[h.entryOrCuts] : addEntry(ap.slot);
+
+    if (rec.kind == EventKind::ClientOpBegin) {
+        if (opType(rec.aux) == OpType::Write) {
+            if (!e.admitted) {
+                // Admission order is slot order: a write indexed
+                // before later ones moves to the next slot.
+                if (ap.slot + 1 != slots_.slots()) {
+                    Head &left = heads_[ap.slot];
+                    ap.slot = slots_.moveToEnd(ap.id);
+                    heads_.emplace_back().entryOrCuts =
+                        std::exchange(left.entryOrCuts, Head::noEntry);
+                }
+                e.admitted = true;
+                ap.newOp = true;
+            }
+            e.op.coordinator = rec.node;
+            ap.op = &e.op;
+        }
+    } else if (e.admitted) {
+        ap.op = &e.op;
+        ap.duplicateAck = e.op.fold(rec);
+    }
+
+    if (e.stage == Stage::Recycled)
+        quiesce(ap.slot);
+    arena_.append(e.trace, rec);
+    return ap;
+}
+
+void
+OpTable::settle(const OpLedger::Applied &ap)
+{
+    if (ap.op && quiescent(*ap.op))
+        quiesce(ap.slot);
+}
+
+void
+OpTable::quiesce(std::uint32_t slot)
+{
+    Entry &e = entries_[heads_[slot].entryOrCuts];
+    if (e.stage == Stage::Windowed)
+        return;
+    e.stage = Stage::Windowed;
+    if (window_.size() < recycleWindow) {
+        window_.push_back(slot);
+        return;
+    }
+    retire(window_[windowNext_]);
+    window_[windowNext_] = slot;
+    windowNext_ = (windowNext_ + 1) % recycleWindow;
+}
+
+void
+OpTable::retire(std::uint32_t slot)
+{
+    Head &h = heads_[slot];
+    Entry &e = entries_[h.entryOrCuts];
+    arena_.release(e.trace);
+    e.stage = Stage::Recycled;
+    const std::uint64_t cuts = e.op.obsoleteNodes;
+    if (!e.admitted || e.trace.total > 0xffff || (cuts >> 32) != 0 ||
+        !(e.op == cleanState(slots_.id(slot), cuts)))
+        return;
+    freeEntries_.push_back(h.entryOrCuts);
+    --fullOps_;
+    h.stubTotal = static_cast<std::uint16_t>(e.trace.total);
+    h.stubRecycled = static_cast<std::uint16_t>(e.trace.recycled);
+    h.entryOrCuts = static_cast<std::uint32_t>(cuts);
+}
+
+const OpLedger::OpState *
+OpTable::find(const kv::WriteId &id, OpLedger::OpState &scratch) const
+{
+    const std::uint32_t slot = slots_.find(id);
+    if (slot == OpSlots::none)
+        return nullptr;
+    const Head &h = heads_[slot];
+    if (h.isStub()) {
+        scratch = cleanState(id, h.entryOrCuts);
+        return &scratch;
+    }
+    const Entry &e = entries_[h.entryOrCuts];
+    return e.admitted ? &e.op : nullptr;
+}
+
+std::string
+OpTable::render(const kv::WriteId &id) const
+{
+    const std::uint32_t slot = slots_.find(id);
+    if (slot == OpSlots::none)
+        return "";
+    const Head &h = heads_[slot];
+    if (!h.isStub())
+        return arena_.render(id, entries_[h.entryOrCuts].trace);
+    OpTrace stub;
+    stub.total = h.stubTotal;
+    stub.recycled = h.stubRecycled;
+    return arena_.render(id, stub);
+}
+
+// ---------------------------------------------------------------------
 // Auditor base
 // ---------------------------------------------------------------------
 
 Auditor::Auditor(const char *name, const AuditConfig *cfg,
-                 const OpTraceIndex *index, const OpLedger *shared)
-    : name_(name), cfg_(cfg), index_(index),
-      ledger_(shared ? shared : &own_)
+                 const OpTraceIndex *index, const OpTable *shared)
+    : name_(name), cfg_(cfg), index_(index), shared_(shared)
 {
 }
 
 void
 Auditor::onRecord(const Record &rec)
 {
-    MINOS_ASSERT(ledger_ == &own_,
-                 "auditor on a shared ledger fed a record directly");
+    MINOS_ASSERT(!shared_,
+                 "auditor on a shared op table fed a record directly");
     check(rec, own_.apply(rec));
+}
+
+const OpLedger::OpState *
+Auditor::findOp(const kv::WriteId &id, OpLedger::OpState &scratch) const
+{
+    return shared_ ? shared_->find(id, scratch) : own_.find(id);
 }
 
 void
 Auditor::violate(const char *rule, Tick when, const kv::WriteId &id,
                  std::string detail)
 {
-    violateRaw(rule, when, std::move(detail),
-               index_ ? index_->render(id) : std::string());
+    std::string trace;
+    if (shared_)
+        trace = shared_->render(id);
+    else if (index_)
+        trace = index_->render(id);
+    violateRaw(rule, when, std::move(detail), std::move(trace));
 }
 
 void
@@ -151,7 +371,7 @@ Auditor::registerInto(MetricsRegistry &reg) const
 
 ConsistencyAuditor::ConsistencyAuditor(const AuditConfig *cfg,
                                        const OpTraceIndex *index,
-                                       const OpLedger *shared)
+                                       const OpTable *shared)
     : Auditor("consistency", cfg, index, shared)
 {
 }
@@ -231,7 +451,7 @@ ConsistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
 
 PersistencyAuditor::PersistencyAuditor(const AuditConfig *cfg,
                                        const OpTraceIndex *index,
-                                       const OpLedger *shared)
+                                       const OpTable *shared)
     : Auditor("persistency", cfg, index, shared)
 {
 }
@@ -262,8 +482,9 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         auto it = scopeWrites_.find(
             static_cast<std::uint64_t>(rec.a0));
         if (it != scopeWrites_.end() && sender >= 0) {
+            OpLedger::OpState scratch;
             for (const kv::WriteId &id : it->second) {
-                const OpLedger::OpState *st = ledger().find(id);
+                const OpLedger::OpState *st = findOp(id, scratch);
                 if (st && st->fanout &&
                     !hasNode(st->persistNodes | st->obsoleteNodes,
                              sender))
@@ -355,8 +576,7 @@ PersistencyAuditor::finish()
     // Quiescence (cond. 3a at end of run): every fanned-out write must
     // be durable (or have been cut as obsolete) on every node — all
     // five models eventually persist everything they applied.
-    ledger().forEach([&](const kv::WriteId &id,
-                         const OpLedger::OpState &st) {
+    forEachOp([&](const kv::WriteId &id, const OpLedger::OpState &st) {
         if (!st.fanout)
             return;
         std::uint64_t covered = st.persistNodes | st.obsoleteNodes;
@@ -381,7 +601,7 @@ PersistencyAuditor::finish()
 
 AckConservationAuditor::AckConservationAuditor(
     const AuditConfig *cfg, const OpTraceIndex *index,
-    const OpLedger *shared)
+    const OpTable *shared)
     : Auditor("ack_conservation", cfg, index, shared)
 {
 }
@@ -434,8 +654,7 @@ AckConservationAuditor::check(const Record &rec,
 void
 AckConservationAuditor::finish()
 {
-    ledger().forEach([&](const kv::WriteId &id,
-                         const OpLedger::OpState &st) {
+    forEachOp([&](const kv::WriteId &id, const OpLedger::OpState &st) {
         if (!st.fanout)
             return;
         // Exactly N-1 consistency-family ACKs (followers answer with
@@ -563,9 +782,9 @@ FifoWatchdog::check(const Record &rec, const OpLedger::Applied &)
 // ---------------------------------------------------------------------
 
 AuditBundle::AuditBundle()
-    : consistency_(&cfg_, &index_, &ledger_),
-      persistency_(&cfg_, &index_, &ledger_),
-      acks_(&cfg_, &index_, &ledger_), fifo_(&cfg_, &index_)
+    : table_(&cfg_), consistency_(&cfg_, nullptr, &table_),
+      persistency_(&cfg_, nullptr, &table_),
+      acks_(&cfg_, nullptr, &table_), fifo_(&cfg_, nullptr)
 {
 }
 
@@ -595,35 +814,17 @@ AuditBundle::detach()
     attached_ = nullptr;
 }
 
-bool
-AuditBundle::quiescent(const OpLedger::OpState &st) const
-{
-    const int needed = cfg_.followers();
-    if (!st.fanout || !st.returned ||
-        !check::consistencyAcksComplete(cfg_.model, st, needed))
-        return false;
-    if (simproto::tracksPersistPerWrite(cfg_.model) &&
-        !check::persistencyAcksComplete(cfg_.model, st, needed))
-        return false;
-    const std::uint64_t all =
-        cfg_.numNodes >= 64 ? ~0ull : (1ull << cfg_.numNodes) - 1;
-    return ((st.persistNodes | st.obsoleteNodes) & all) == all;
-}
-
 void
 AuditBundle::onRecord(const Record &rec)
 {
-    const OpLedger::Applied ap = ledger_.apply(rec);
-    // Index before the rules run, so a violation's rendered trace
+    // Indexed before the rules run, so a violation's rendered trace
     // includes the triggering event.
-    const std::uint32_t slot =
-        ap.keyed ? index_.add(ap.id, rec) : OpSlots::none;
+    const OpLedger::Applied ap = table_.apply(rec);
     consistency_.check(rec, ap);
     persistency_.check(rec, ap);
     acks_.check(rec, ap);
     fifo_.check(rec, ap);
-    if (ap.op && quiescent(*ap.op))
-        index_.quiesce(slot);
+    table_.settle(ap);
 }
 
 void
@@ -689,8 +890,9 @@ AuditBundle::registerInto(MetricsRegistry &reg) const
     for (const Auditor *a : auditors())
         a->registerInto(reg);
     reg.counter("audit.ops_indexed",
-                static_cast<std::uint64_t>(index_.ops()));
-    reg.counter("audit.trace_records_peak", index_.recordsPeak());
+                static_cast<std::uint64_t>(table_.ops()));
+    reg.counter("audit.trace_records_peak", table_.recordsPeak());
+    reg.counter("audit.ops_full_peak", table_.fullPeak());
 }
 
 } // namespace minos::obs

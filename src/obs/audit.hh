@@ -26,8 +26,8 @@
  *    the configured bounds and grow at most one entry per push.
  *
  * Every violation carries the rendered per-op causal timeline from the
- * OpTraceIndex (obs/optrace.hh), not just a predicate name. Under an
- * AuditBundle the four share one ledger and one index: a record is
+ * op trace (obs/optrace.hh), not just a predicate name. Under an
+ * AuditBundle the four share one op table (OpTable): a record is
  * folded and indexed once, then each auditor's rules check it. Auditors
  * never feed back into the simulation: they only observe records built
  * from timestamps the engines already took, so attaching them cannot
@@ -74,12 +74,14 @@ struct AuditViolation
 };
 
 /**
- * Streaming per-write protocol state shared by the protocol auditors:
- * digests the record stream into ACK tallies and per-node apply/persist
- * masks, keyed by kv::WriteId. Entries live in a flat WriteId -> slot
- * table (OpSlots) and a chunked array indexed by slot, so a new write
- * costs no allocation of its own. Entries are never retired: the end-of-run
- * rules (P5, A3) read every write the run made.
+ * Streaming per-write protocol state of the protocol auditors: digests
+ * the record stream into ACK tallies and per-node apply/persist masks,
+ * keyed by kv::WriteId. Entries live in a flat WriteId -> slot table
+ * (OpSlots) and a chunked array indexed by slot, so a new write costs
+ * no allocation of its own. Entries are never retired: the end-of-run
+ * rules (P5, A3) read every write the run made. This is the standalone
+ * auditors' ledger; the AuditBundle keeps the same state in its
+ * OpTable, which compacts it.
  */
 class OpLedger
 {
@@ -96,12 +98,20 @@ class OpLedger
         std::uint64_t obsoleteNodes = 0; ///< nodes that cut the INV
         /** ACK sender masks, by AckTally::Family. */
         std::uint64_t seenAck[numFamilies] = {};
+
+        bool operator==(const OpState &) const = default;
+
+        /** Fold @p rec, a record of this write other than its
+         *  ClientOpBegin; true when it is an ACK whose (family,
+         *  sender) repeats. */
+        bool fold(const Record &rec);
     };
 
     struct Applied
     {
         OpState *op = nullptr; ///< null when the record is not op-keyed
         kv::WriteId id;
+        std::uint32_t slot = OpSlots::none; ///< the write's, if indexed
         bool keyed = false; ///< opIdOf() named a write for the record
         bool newOp = false; ///< this record opened a new ledger entry
         bool duplicateAck = false; ///< this ACK's (family, sender) repeats
@@ -129,14 +139,155 @@ class OpLedger
 };
 
 /**
+ * The AuditBundle's one op table: a write's ledger state and its trace
+ * header sit in one entry under one OpSlots slot, so a keyed record
+ * costs one probe. apply() folds a record as OpLedger::apply does and
+ * indexes it as OpTraceIndex::add does.
+ *
+ * Traces are kept in a recycle window: settle() marks a write
+ * quiescent once nothing more is owed for it, and its records go back
+ * to the arena when recycleWindow later writes are quiescent too. A
+ * record for a recycled write puts it back in the window, so late
+ * records are kept for a while as well.
+ *
+ * A write that leaves the window *clean* is compacted to a stub: its
+ * WriteId, its trace's total and recycled counts and the nodes that
+ * cut it as obsolete. Clean means its state is exactly the one the
+ * config, its id and those nodes rebuild (cleanState): fanned out and
+ * returned, every ACK family the model uses at N-1 ACKs from the
+ * follower set, and durable on every node that did not cut it. A late
+ * record on a stub rebuilds the entry exactly. Other writes (a
+ * coordinator's own obsolete cut, a mutant's extra or missing ACK)
+ * keep their entries. A clean write passes P5 and A3, so the
+ * end-of-run rules read only the entries (forEachFull).
+ */
+class OpTable
+{
+  public:
+    /** Quiescent writes whose records are kept. */
+    static constexpr std::size_t recycleWindow = 1024;
+
+    /** @param maxEventsPerOp retained records per op (rest counted). */
+    explicit OpTable(const AuditConfig *cfg,
+                     std::size_t maxEventsPerOp = 48);
+
+    /** Fold @p rec into its write's state and index it. */
+    OpLedger::Applied apply(const Record &rec);
+
+    /** After the rules ran on @p ap: a write with nothing more owed
+     *  enters the recycle window (once). */
+    void settle(const OpLedger::Applied &ap);
+
+    /** State of the admitted write @p id, or null; a stub's state is
+     *  rebuilt into @p scratch. */
+    const OpLedger::OpState *find(const kv::WriteId &id,
+                                  OpLedger::OpState &scratch) const;
+
+    /** Visit every admitted write that is not a stub, in the order
+     *  the writes were admitted. */
+    template <typename Fn>
+    void
+    forEachFull(Fn &&fn) const
+    {
+        for (std::uint32_t s = 0; s < slots_.slots(); ++s) {
+            if (!heads_[s].isEntry())
+                continue;
+            const Entry &e = entries_[heads_[s].entryOrCuts];
+            if (e.admitted)
+                fn(slots_.id(s), e.op);
+        }
+    }
+
+    /** The causal timeline of @p id, as OpTraceIndex::render. */
+    std::string render(const kv::WriteId &id) const;
+
+    /** Distinct writes seen. */
+    std::size_t ops() const { return slots_.size(); }
+
+    /** True when @p id is held as a stub. */
+    bool
+    compacted(const kv::WriteId &id) const
+    {
+        const std::uint32_t slot = slots_.find(id);
+        return slot != OpSlots::none && heads_[slot].isStub();
+    }
+
+    /** Trace records held at once, at most. */
+    std::uint64_t recordsPeak() const { return arena_.recordsPeak(); }
+
+    /** Full entries held now, and at most at once. */
+    std::uint64_t fullOps() const { return fullOps_; }
+    std::uint64_t fullPeak() const { return fullPeak_; }
+
+  private:
+    enum class Stage : std::uint8_t
+    {
+        Live,     ///< not yet quiescent
+        Windowed, ///< quiescent, records kept
+        Recycled, ///< records returned to the arena
+    };
+
+    /** A write's full state. */
+    struct Entry
+    {
+        OpLedger::OpState op;
+        OpTrace trace;
+        bool admitted = false; ///< a ClientOpBegin opened its state
+        Stage stage = Stage::Live;
+    };
+
+    /** Per slot: the write's entry, or its stub. */
+    struct Head
+    {
+        static constexpr std::uint32_t noEntry = ~std::uint32_t{0};
+
+        std::uint16_t stubTotal = 0;    ///< a stub's trace total; 0: none
+        std::uint16_t stubRecycled = 0; ///< a stub's recycled records
+        /** A stub's obsolete cuts (node mask); else the entry, or
+         *  noEntry in a slot moveToEnd() left behind. */
+        std::uint32_t entryOrCuts = noEntry;
+
+        bool isStub() const { return stubTotal != 0; }
+        bool isEntry() const { return !isStub() && entryOrCuts != noEntry; }
+    };
+
+    /** Give @p slot, new or a stub, an entry (a stub's rebuilt). */
+    Entry &addEntry(std::uint32_t slot);
+    /** Enter the write in @p slot in the recycle window. */
+    void quiesce(std::uint32_t slot);
+    /** Recycle the records of the write in @p slot; compact it if
+     *  clean. */
+    void retire(std::uint32_t slot);
+    /** The state of a clean write @p id that the nodes in @p cuts cut
+     *  as obsolete. */
+    OpLedger::OpState cleanState(const kv::WriteId &id,
+                                 std::uint64_t cuts) const;
+    bool quiescent(const OpLedger::OpState &st) const;
+    std::uint64_t allNodes() const;
+
+    const AuditConfig *cfg_;
+    OpSlots slots_;
+    ChunkedArray<Head> heads_; ///< by slot
+    ChunkedArray<Entry> entries_;
+    std::vector<std::uint32_t> freeEntries_;
+    std::uint64_t fullOps_ = 0;
+    std::uint64_t fullPeak_ = 0;
+    TraceArena arena_;
+    /** Ring of the last recycleWindow quiescent writes' slots, oldest
+     *  at windowNext_. */
+    std::vector<std::uint32_t> window_;
+    std::size_t windowNext_ = 0;
+};
+
+/**
  * Base class: rule set + violation reporting + metrics publication.
  *
  * An auditor's rules run as check(rec, applied), after the record has
- * been folded into the ledger the auditor reads. AuditBundle folds
- * each record once into its shared ledger and calls check() on every
+ * been folded into the state the auditor reads. AuditBundle folds each
+ * record once into its shared OpTable and calls check() on every
  * auditor; onRecord() is the standalone path, for an auditor used as a
  * sink of its own: it folds into the auditor's private ledger, then
- * checks.
+ * checks, and renders traces from a caller's OpTraceIndex.
  */
 class Auditor : public RecordSink
 {
@@ -169,16 +320,32 @@ class Auditor : public RecordSink
     void registerInto(MetricsRegistry &reg) const;
 
   protected:
-    /** @param shared the bundle's ledger, or null for a private one */
+    /** @param shared the bundle's op table, or null for a private
+     *  ledger and traces from @p index */
     Auditor(const char *name, const AuditConfig *cfg,
-            const OpTraceIndex *index, const OpLedger *shared);
+            const OpTraceIndex *index, const OpTable *shared);
 
     /** Violations stored per auditor; beyond this, only counted. */
     static constexpr std::size_t maxStoredViolations = 64;
 
     const AuditConfig &cfg() const { return *cfg_; }
     int needed() const { return cfg_->followers(); }
-    const OpLedger &ledger() const { return *ledger_; }
+
+    /** State of the admitted write @p id, or null (see OpTable::find). */
+    const OpLedger::OpState *findOp(const kv::WriteId &id,
+                                    OpLedger::OpState &scratch) const;
+
+    /** Visit, in admission order, every write the end-of-run rules
+     *  must read: all of them, less the bundle's clean stubs. */
+    template <typename Fn>
+    void
+    forEachOp(Fn &&fn) const
+    {
+        if (shared_)
+            shared_->forEachFull(fn);
+        else
+            own_.forEach(fn);
+    }
 
     /** Report a violation with the op's rendered causal trace. */
     void violate(const char *rule, Tick when, const kv::WriteId &id,
@@ -193,9 +360,9 @@ class Auditor : public RecordSink
   private:
     const char *name_;
     const AuditConfig *cfg_;
-    const OpTraceIndex *index_;
-    OpLedger own_;           ///< the standalone path's ledger
-    const OpLedger *ledger_; ///< &own_, or the bundle's
+    const OpTraceIndex *index_; ///< the standalone path's traces
+    const OpTable *shared_;     ///< the bundle's table, or null
+    OpLedger own_;              ///< the standalone path's ledger
     std::vector<AuditViolation> violations_;
     std::uint64_t violationCount_ = 0;
 };
@@ -205,7 +372,7 @@ class ConsistencyAuditor : public Auditor
 {
   public:
     ConsistencyAuditor(const AuditConfig *cfg, const OpTraceIndex *index,
-                       const OpLedger *shared = nullptr);
+                       const OpTable *shared = nullptr);
     void check(const Record &rec, const OpLedger::Applied &ap) override;
 
   private:
@@ -217,7 +384,7 @@ class PersistencyAuditor : public Auditor
 {
   public:
     PersistencyAuditor(const AuditConfig *cfg, const OpTraceIndex *index,
-                       const OpLedger *shared = nullptr);
+                       const OpTable *shared = nullptr);
     void check(const Record &rec, const OpLedger::Applied &ap) override;
     void finish() override;
 
@@ -236,7 +403,7 @@ class AckConservationAuditor : public Auditor
   public:
     AckConservationAuditor(const AuditConfig *cfg,
                            const OpTraceIndex *index,
-                           const OpLedger *shared = nullptr);
+                           const OpTable *shared = nullptr);
     void check(const Record &rec, const OpLedger::Applied &ap) override;
     void finish() override;
 
@@ -277,10 +444,10 @@ class FifoWatchdog : public Auditor
 };
 
 /**
- * The default audit harness: one ledger, one OpTraceIndex and all four
- * auditors behind a single RecordSink, attachable to a FlightRecorder
- * in one call. Each record is folded once into the shared ledger and
- * indexed once, then every auditor's rules check it. Engines wire this
+ * The default audit harness: one OpTable and all four auditors behind a
+ * single RecordSink, attachable to a FlightRecorder in one call. Each
+ * record is folded into the table and indexed in one probe, then every
+ * auditor's rules check it. Engines wire this
  * up from ClusterConfig::audit (the cluster fills in the AuditConfig
  * from its own topology/model, so callers just default-construct a
  * bundle).
@@ -313,11 +480,11 @@ class AuditBundle : public RecordSink
     /** All stored violations, with traces, ready to print. */
     std::string report(std::size_t maxViolations = 16) const;
 
-    /** Publish audit.* counters for every auditor and the index. */
+    /** Publish audit.* counters for every auditor and the table. */
     void registerInto(MetricsRegistry &reg) const;
 
     const AuditConfig &config() const { return cfg_; }
-    const OpTraceIndex &index() const { return index_; }
+    const OpTable &table() const { return table_; }
     const ConsistencyAuditor &consistency() const { return consistency_; }
     const PersistencyAuditor &persistency() const { return persistency_; }
     const AckConservationAuditor &acks() const { return acks_; }
@@ -327,17 +494,8 @@ class AuditBundle : public RecordSink
     std::vector<const Auditor *> auditors() const;
 
   private:
-    /**
-     * Nothing more is owed for the write: it fanned out and returned,
-     * its consistency ACK family (and per-write persistency family,
-     * where the model has one) is complete, and every node made it
-     * durable or cut it as obsolete.
-     */
-    bool quiescent(const OpLedger::OpState &st) const;
-
     AuditConfig cfg_;
-    OpLedger ledger_;
-    OpTraceIndex index_;
+    OpTable table_;
     ConsistencyAuditor consistency_;
     PersistencyAuditor persistency_;
     AckConservationAuditor acks_;

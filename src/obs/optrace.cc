@@ -48,11 +48,88 @@ opIdOf(const Record &rec, kv::WriteId &out)
 }
 
 // ---------------------------------------------------------------------
+// TraceArena
+// ---------------------------------------------------------------------
+
+TraceArena::TraceArena(std::size_t maxEventsPerOp)
+    : maxEventsPerOp_(maxEventsPerOp == 0 ? 1 : maxEventsPerOp)
+{
+}
+
+std::uint32_t
+TraceArena::allocChunk()
+{
+    std::uint32_t c = freeChunks_;
+    if (c != OpTrace::noChunk) {
+        freeChunks_ = chunks_[c].next;
+        chunks_[c].next = OpTrace::noChunk;
+    } else {
+        c = static_cast<std::uint32_t>(chunks_.size());
+        chunks_.emplace_back();
+    }
+    return c;
+}
+
+void
+TraceArena::append(OpTrace &t, const Record &rec)
+{
+    ++t.total;
+    if (t.kept == maxEventsPerOp_)
+        return;
+    const std::size_t at = t.kept % chunkRecords;
+    if (at == 0) {
+        const std::uint32_t c = allocChunk();
+        if (t.tail == OpTrace::noChunk)
+            t.head = c;
+        else
+            chunks_[t.tail].next = c;
+        t.tail = c;
+    }
+    chunks_[t.tail].recs[at] = rec;
+    ++t.kept;
+    if (++records_ > recordsPeak_)
+        recordsPeak_ = records_;
+}
+
+void
+TraceArena::release(OpTrace &t)
+{
+    if (t.tail != OpTrace::noChunk) {
+        chunks_[t.tail].next = freeChunks_;
+        freeChunks_ = t.head;
+    }
+    t.head = t.tail = OpTrace::noChunk;
+    t.recycled += t.kept;
+    records_ -= t.kept;
+    t.kept = 0;
+}
+
+std::string
+TraceArena::render(const kv::WriteId &id, const OpTrace &t) const
+{
+    std::ostringstream os;
+    os << "op key=" << id.key << " ts=" << kv::Timestamp::unpack(id.ts)
+       << " causal trace (" << t.total << " events):\n";
+    if (t.recycled > 0)
+        os << "  ... (" << t.recycled
+           << " earlier records recycled after quiescence)\n";
+    std::uint32_t left = t.kept;
+    for (std::uint32_t c = t.head; left > 0; c = chunks_[c].next) {
+        for (std::size_t i = 0; i < chunkRecords && left > 0; ++i, --left)
+            os << "  " << renderRecord(chunks_[c].recs[i]) << '\n';
+    }
+    const std::uint64_t more = t.total - t.recycled - t.kept;
+    if (more > 0)
+        os << "  ... (+" << more << " more)\n";
+    return os.str();
+}
+
+// ---------------------------------------------------------------------
 // OpTraceIndex
 // ---------------------------------------------------------------------
 
 OpTraceIndex::OpTraceIndex(std::size_t maxEventsPerOp)
-    : maxEventsPerOp_(maxEventsPerOp == 0 ? 1 : maxEventsPerOp)
+    : arena_(maxEventsPerOp)
 {
 }
 
@@ -64,102 +141,22 @@ OpTraceIndex::onRecord(const Record &rec)
         add(id, rec);
 }
 
-std::uint32_t
-OpTraceIndex::allocChunk()
-{
-    std::uint32_t c = freeChunks_;
-    if (c != noChunk) {
-        freeChunks_ = arena_[c].next;
-        arena_[c].next = noChunk;
-    } else {
-        c = static_cast<std::uint32_t>(arena_.size());
-        arena_.emplace_back();
-    }
-    return c;
-}
-
-std::uint32_t
+void
 OpTraceIndex::add(const kv::WriteId &id, const Record &rec)
 {
     bool added = false;
     const std::uint32_t slot = slots_.insert(id, added);
     if (added)
         traces_.emplace_back();
-    OpTrace &t = traces_[slot];
-    ++t.total;
-    if (t.stage == Stage::Recycled)
-        quiesce(slot);
-    if (t.kept == maxEventsPerOp_)
-        return slot;
-    const std::size_t at = t.kept % chunkRecords;
-    if (at == 0) {
-        const std::uint32_t c = allocChunk();
-        if (t.tail == noChunk)
-            t.head = c;
-        else
-            arena_[t.tail].next = c;
-        t.tail = c;
-    }
-    arena_[t.tail].recs[at] = rec;
-    ++t.kept;
-    if (++records_ > recordsPeak_)
-        recordsPeak_ = records_;
-    return slot;
-}
-
-void
-OpTraceIndex::quiesce(std::uint32_t slot)
-{
-    OpTrace &t = traces_[slot];
-    if (t.stage == Stage::Windowed)
-        return;
-    t.stage = Stage::Windowed;
-    if (window_.size() < recycleWindow) {
-        window_.push_back(slot);
-        return;
-    }
-    recycle(window_[windowNext_]);
-    window_[windowNext_] = slot;
-    windowNext_ = (windowNext_ + 1) % recycleWindow;
-}
-
-void
-OpTraceIndex::recycle(std::uint32_t slot)
-{
-    OpTrace &t = traces_[slot];
-    if (t.tail != noChunk) {
-        arena_[t.tail].next = freeChunks_;
-        freeChunks_ = t.head;
-    }
-    t.head = t.tail = noChunk;
-    t.recycled += t.kept;
-    records_ -= t.kept;
-    t.kept = 0;
-    t.stage = Stage::Recycled;
+    arena_.append(traces_[slot], rec);
 }
 
 std::string
 OpTraceIndex::render(const kv::WriteId &id) const
 {
     const std::uint32_t slot = slots_.find(id);
-    if (slot == OpSlots::none)
-        return "";
-    const OpTrace &t = traces_[slot];
-    std::ostringstream os;
-    os << "op key=" << id.key << " ts=" << kv::Timestamp::unpack(id.ts)
-       << " causal trace (" << t.total << " events):\n";
-    if (t.recycled > 0)
-        os << "  ... (" << t.recycled
-           << " earlier records recycled after quiescence)\n";
-    std::uint32_t left = t.kept;
-    for (std::uint32_t c = t.head; left > 0; c = arena_[c].next) {
-        for (std::size_t i = 0; i < chunkRecords && left > 0; ++i, --left)
-            os << "  " << renderRecord(arena_[c].recs[i]) << '\n';
-    }
-    const std::uint64_t more = t.total - t.recycled - t.kept;
-    if (more > 0)
-        os << "  ... (+" << more << " more)\n";
-    return os.str();
+    return slot == OpSlots::none ? std::string()
+                                 : arena_.render(id, traces_[slot]);
 }
 
 } // namespace minos::obs

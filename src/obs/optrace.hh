@@ -6,14 +6,13 @@
  * recorder's event stream.
  *
  * The index is a RecordSink, so it sees every record the engines emit
- * regardless of ring capacity or category muting. Standalone it keeps
- * every op's records for the whole run. Under an AuditBundle it keeps
- * a recycle window instead: the bundle marks an op quiescent once its
- * protocol is complete (quiesce()), and the op's records are recycled
- * when recycleWindow later ops have gone quiescent too. A violation
- * raised on a live or recently quiescent op renders its full history,
- * even after the ring overwrote it; one raised on a recycled op
- * renders the records laid since, headed by a count of those recycled.
+ * regardless of ring capacity or category muting, and it keeps every
+ * op's records for the whole run. The AuditBundle's OpTable
+ * (obs/audit.hh) keeps its traces in the same TraceArena but recycles
+ * them: a violation raised on a live or recently quiescent op renders
+ * its full history, even after the ring overwrote it; one raised on a
+ * recycled op renders the records laid since, headed by a count of
+ * those recycled.
  *
  * Operations are keyed by kv::WriteId, (key, packed TS_WR), the same
  * write identity the engines key their pending-write tables by.
@@ -25,7 +24,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/slot_index.hh"
 #include "kv/timestamp.hh"
@@ -45,7 +43,8 @@ bool opIdOf(const Record &rec, kv::WriteId &out);
 /**
  * Map from a write to a dense slot number over the shared SlotIndex:
  * slots are handed out 0, 1, 2, ... in insertion order, so callers keep
- * per-op state in arrays indexed by slot. Entries are never erased.
+ * per-op state in arrays indexed by slot. A write keeps its slot unless
+ * moveToEnd() gives it a new one; no write is erased.
  */
 class OpSlots
 {
@@ -73,40 +72,98 @@ class OpSlots
                            [&](std::uint32_t s) { return ids_[s] == id; });
     }
 
+    /** Give @p id, already present, the next slot; the old slot keeps
+     *  its id but is no longer found. Returns the new slot. */
+    std::uint32_t
+    moveToEnd(const kv::WriteId &id)
+    {
+        index_.erase(id.hash(),
+                     [&](std::uint32_t s) { return ids_[s] == id; });
+        bool added = false;
+        return insert(id, added);
+    }
+
     const kv::WriteId &id(std::uint32_t slot) const { return ids_[slot]; }
-    std::size_t size() const { return ids_.size(); }
+    /** Distinct writes. */
+    std::size_t size() const { return index_.size(); }
+    /** Slots handed out, the ones moveToEnd() left behind included. */
+    std::size_t slots() const { return ids_.size(); }
 
   private:
     SlotIndex index_;
     ChunkedArray<kv::WriteId> ids_;
 };
 
+/** One op's trace: its kept records, a chain of arena chunks, and
+ *  the counts of those it dropped or gave back. */
+struct OpTrace
+{
+    static constexpr std::uint32_t noChunk = ~std::uint32_t{0};
+
+    std::uint32_t head = noChunk;
+    std::uint32_t tail = noChunk;
+    std::uint32_t kept = 0;     ///< records held in the chunks
+    std::uint64_t total = 0;    ///< including dropped and recycled
+    std::uint64_t recycled = 0; ///< records given back
+};
+
+/**
+ * The records of many op traces, in 16-record chunks of one arena; the
+ * chunks of released traces go back to a free list. OpTraceIndex and
+ * the audit's OpTable keep their records here.
+ */
+class TraceArena
+{
+  public:
+    /** @param maxEventsPerOp retained records per op (rest counted). */
+    explicit TraceArena(std::size_t maxEventsPerOp);
+
+    /** Count @p rec in @p t, and keep it while @p t has room. */
+    void append(OpTrace &t, const Record &rec);
+
+    /** Give @p t's kept records back, counting them as recycled. */
+    void release(OpTrace &t);
+
+    /** Records held at once, at most (a deterministic count). */
+    std::uint64_t recordsPeak() const { return recordsPeak_; }
+
+    /** Render @p t, the trace of @p id: one line per kept record. */
+    std::string render(const kv::WriteId &id, const OpTrace &t) const;
+
+  private:
+    static constexpr std::size_t chunkRecords = 16;
+
+    struct Chunk
+    {
+        std::array<Record, chunkRecords> recs;
+        std::uint32_t next = OpTrace::noChunk;
+    };
+
+    std::uint32_t allocChunk();
+
+    std::size_t maxEventsPerOp_;
+    ChunkedArray<Chunk, 64> chunks_;
+    std::uint32_t freeChunks_ = OpTrace::noChunk;
+    std::uint64_t records_ = 0;
+    std::uint64_t recordsPeak_ = 0;
+};
+
 /**
  * RecordSink that groups protocol records by operation and renders
- * per-op timelines for AuditViolation reports. Records live in a
- * chunked arena; the chunks of recycled ops go back to a free list.
+ * per-op timelines for AuditViolation reports. It keeps every op's
+ * records for the whole run; the AuditBundle keeps its traces in its
+ * OpTable (obs/audit.hh) instead, which recycles them.
  */
 class OpTraceIndex : public RecordSink
 {
   public:
-    /** Quiescent ops whose records are kept (see quiesce()). */
-    static constexpr std::size_t recycleWindow = 1024;
-
     /** @param maxEventsPerOp retained records per op (rest counted). */
     explicit OpTraceIndex(std::size_t maxEventsPerOp = 48);
 
     void onRecord(const Record &rec) override;
 
-    /** Index @p rec under @p id; returns the op's slot for quiesce(). */
-    std::uint32_t add(const kv::WriteId &id, const Record &rec);
-
-    /**
-     * The op in @p slot is quiescent: its records are recycled once
-     * recycleWindow later ops are quiescent too. Later calls for the
-     * same op are no-ops. A record added to a recycled op puts it back
-     * in the window, so late records are kept for a while as well.
-     */
-    void quiesce(std::uint32_t slot);
+    /** Index @p rec under @p id. */
+    void add(const kv::WriteId &id, const Record &rec);
 
     /** Number of distinct operations seen. */
     std::size_t ops() const { return slots_.size(); }
@@ -118,7 +175,7 @@ class OpTraceIndex : public RecordSink
     }
 
     /** Records held at once, at most (a deterministic count). */
-    std::uint64_t recordsPeak() const { return recordsPeak_; }
+    std::uint64_t recordsPeak() const { return arena_.recordsPeak(); }
 
     /**
      * Render the causal timeline of @p id, one line per retained
@@ -127,45 +184,9 @@ class OpTraceIndex : public RecordSink
     std::string render(const kv::WriteId &id) const;
 
   private:
-    static constexpr std::size_t chunkRecords = 16;
-    static constexpr std::uint32_t noChunk = ~std::uint32_t{0};
-
-    struct Chunk
-    {
-        std::array<Record, chunkRecords> recs;
-        std::uint32_t next = noChunk;
-    };
-
-    enum class Stage : std::uint8_t
-    {
-        Live,     ///< not yet quiescent
-        Windowed, ///< quiescent, records kept
-        Recycled, ///< records returned to the arena
-    };
-
-    struct OpTrace
-    {
-        std::uint32_t head = noChunk;
-        std::uint32_t tail = noChunk;
-        std::uint32_t kept = 0;     ///< records held in the chunks
-        std::uint64_t total = 0;    ///< including dropped and recycled
-        std::uint64_t recycled = 0; ///< records given back
-        Stage stage = Stage::Live;
-    };
-
-    std::uint32_t allocChunk();
-    void recycle(std::uint32_t slot);
-
-    std::size_t maxEventsPerOp_;
     OpSlots slots_;
     ChunkedArray<OpTrace> traces_; ///< by slot
-    ChunkedArray<Chunk, 64> arena_;
-    std::uint32_t freeChunks_ = noChunk;
-    /** Ring of the last recycleWindow quiescent ops, oldest at next. */
-    std::vector<std::uint32_t> window_;
-    std::size_t windowNext_ = 0;
-    std::uint64_t records_ = 0;
-    std::uint64_t recordsPeak_ = 0;
+    TraceArena arena_;
 };
 
 } // namespace minos::obs

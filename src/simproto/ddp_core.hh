@@ -29,6 +29,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "check/predicates.hh"
 #include "kv/store.hh"
@@ -94,6 +96,11 @@ class DdpCore
     const nvm::DurableLog &log() const { return log_; }
     /** Protocol activity counters. */
     const NodeCounters &counters() const { return counters_; }
+    /** Scopes with scoped updates still persisting on this node. */
+    std::size_t scopesPersisting() const
+    {
+        return scopeUnpersisted_.size();
+    }
     /** @} */
 
     /** Durable database obtained by replaying this node's NVM log. */
@@ -308,15 +315,25 @@ class DdpCore
     void
     beginScopedPersist(net::ScopeId scope)
     {
-        if (isScopeModel(model_))
-            ++scopeUnpersisted_[scope];
+        if (!isScopeModel(model_))
+            return;
+        if (const auto it = findScope(scope); it != scopeUnpersisted_.end())
+            ++it->second;
+        else
+            scopeUnpersisted_.emplace_back(scope, 1);
     }
 
     void
     endScopedPersist(net::ScopeId scope)
     {
-        if (isScopeModel(model_) && --scopeUnpersisted_[scope] == 0)
+        if (!isScopeModel(model_))
+            return;
+        const auto it = findScope(scope);
+        if (--it->second == 0) {
+            *it = scopeUnpersisted_.back();
+            scopeUnpersisted_.pop_back();
             progress_.notifyAll();
+        }
     }
     /** @} */
 
@@ -324,8 +341,9 @@ class DdpCore
     auto
     scopeFlushed(net::ScopeId scope)
     {
-        return progress_.until(
-            [this, scope] { return scopeUnpersisted_[scope] == 0; });
+        return progress_.until([this, scope] {
+            return findScope(scope) == scopeUnpersisted_.end();
+        });
     }
 
     /**
@@ -374,13 +392,23 @@ class DdpCore
     /** The gate of the client's answer (the Return step). */
     const CoordinatorGate returnGate_;
 
-    /** Unpersisted scoped writes on this node, per scope. */
-    std::unordered_map<net::ScopeId, int> scopeUnpersisted_;
+    /** Unpersisted scoped writes on this node, per scope; a scope with
+     *  none has no entry. Few scopes persist at once, so a flat list
+     *  serves, and dropping and re-adding a scope allocates nothing. */
+    std::vector<std::pair<net::ScopeId, int>> scopeUnpersisted_;
     /** Per-record guard that keeps locally-issued TS_WR unique. Sparse:
      *  only keys this node coordinated get an entry. */
     std::unordered_map<kv::Key, std::int64_t> nextLocalVersion_;
 
   private:
+    std::vector<std::pair<net::ScopeId, int>>::iterator
+    findScope(net::ScopeId scope)
+    {
+        return std::find_if(
+            scopeUnpersisted_.begin(), scopeUnpersisted_.end(),
+            [scope](const auto &e) { return e.first == scope; });
+    }
+
     void
     raiseGlb(kv::Timestamp &glb, kv::Key key, const kv::Timestamp &ts,
              std::uint16_t durable)

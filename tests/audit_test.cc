@@ -13,11 +13,13 @@
  *     results bit-identical (auditors observe, they never feed back).
  *
  * Plus unit checks that the ledger files records under the same write
- * as the op traces (both use obs::opIdOf), that the bundle's shared
- * ledger reaches the verdicts the standalone auditors reach on their
- * own ledgers, that an op whose records were recycled still renders
- * an excerpt, and that the write -> slot table both of them use
- * (OpSlots) keeps every write's slot as it grows.
+ * as the op traces (both use obs::opIdOf), that the bundle's op table
+ * reaches the verdicts the standalone auditors reach on their own
+ * ledgers, that an op whose records were recycled still renders an
+ * excerpt, that a compacted write rebuilds exactly (a late ACK stays a
+ * duplicate, never an orphan) while dirty writes keep their entries,
+ * and that the write -> slot table (OpSlots) keeps every write's slot
+ * as it grows.
  */
 
 #include <gtest/gtest.h>
@@ -43,6 +45,43 @@ struct StreamCapture : RecordSink
 {
     std::vector<Record> records;
     void onRecord(const Record &rec) override { records.push_back(rec); }
+};
+
+/** The four auditors on their own: private ledgers, and traces from an
+ *  index that keeps every record. */
+struct StandaloneAudit
+{
+    explicit StandaloneAudit(const AuditConfig &config)
+        : cfg(config), consistency(&cfg, &index), persistency(&cfg, &index),
+          acks(&cfg, &index), fifo(&cfg, &index)
+    {
+    }
+
+    std::vector<Auditor *>
+    auditors()
+    {
+        return {&consistency, &persistency, &acks, &fifo};
+    }
+
+    /** Feed @p records to the index and every auditor, then finish. */
+    void
+    replay(const std::vector<Record> &records)
+    {
+        for (const Record &rec : records) {
+            index.onRecord(rec);
+            for (Auditor *a : auditors())
+                a->onRecord(rec);
+        }
+        for (Auditor *a : auditors())
+            a->finish();
+    }
+
+    AuditConfig cfg;
+    OpTraceIndex index;
+    ConsistencyAuditor consistency;
+    PersistencyAuditor persistency;
+    AckConservationAuditor acks;
+    FifoWatchdog fifo;
 };
 
 struct AuditRun
@@ -394,11 +433,12 @@ TEST(AuditLedger, ScopeMarkReachesItsWritesEntry)
 
 TEST(AuditLedger, BundleMatchesStandaloneAuditors)
 {
-    // The bundle folds each record once into one shared ledger; each
-    // auditor on its own folds into a private one. Replaying a run's
-    // stream through the four standalone auditors must reach the same
-    // verdicts: same count, same stored rule ids in the same order,
-    // same units audited.
+    // The bundle folds each record once into its op table, which
+    // compacts clean writes as they leave the recycle window; each
+    // auditor on its own folds into a private ledger that keeps every
+    // write whole. Replaying a run's stream through the four standalone
+    // auditors must reach the same verdicts: same count, same stored
+    // rule ids in the same order, same units audited.
     struct Case
     {
         const char *name;
@@ -406,27 +446,28 @@ TEST(AuditLedger, BundleMatchesStandaloneAuditors)
         RunOpts opts;
     };
     std::vector<Case> cases;
-    RunOpts healthy;
-    // More writes than the trace index's recycle window, so the
-    // bundle's run recycles op records along the way.
-    healthy.requestsPerNode = 800;
-    healthy.numRecords = 200;
-    cases.push_back({"healthy", PersistModel::Scope, healthy});
-    RunOpts m;
+    // Every case makes more writes than the recycle window, so the
+    // bundle's run recycles op records, and compacts clean writes,
+    // along the way.
+    RunOpts longer;
+    longer.requestsPerNode = 800;
+    longer.numRecords = 200;
+    cases.push_back({"healthy", PersistModel::Scope, longer});
+    RunOpts m = longer;
     m.mutations.releaseRdLockEarly = true;
     cases.push_back({"releaseRdLockEarly", PersistModel::Synch, m});
-    m = {};
+    m = longer;
     m.mutations.ackBeforePersist = true;
     cases.push_back({"ackBeforePersist", PersistModel::Strict, m});
     m.persistNsPerKb = 60'000;
     cases.push_back({"ackBeforePersist/scope", PersistModel::Scope, m});
-    m = {};
+    m = longer;
     m.mutations.dropOnePersistAck = true;
     cases.push_back({"dropOnePersistAck", PersistModel::Strict, m});
-    m = {};
+    m = longer;
     m.mutations.duplicateAck = true;
     cases.push_back({"duplicateAck", PersistModel::Synch, m});
-    m = {};
+    m = longer;
     m.mutations.ignoreFifoCap = true;
     m.vfifoEntries = 1;
     m.workersPerNode = 4;
@@ -447,22 +488,9 @@ TEST(AuditLedger, BundleMatchesStandaloneAuditors)
             AuditRun run = runAudited(offload, c.model, c.opts);
             ASSERT_FALSE(run.stream.records.empty());
 
-            const AuditConfig &cfg = run.audit.config();
-            OpTraceIndex index;
-            ConsistencyAuditor consistency(&cfg, &index);
-            PersistencyAuditor persistency(&cfg, &index);
-            AckConservationAuditor acks(&cfg, &index);
-            FifoWatchdog fifo(&cfg, &index);
-            const std::vector<Auditor *> alone = {&consistency,
-                                                  &persistency, &acks,
-                                                  &fifo};
-            for (const Record &rec : run.stream.records) {
-                index.onRecord(rec);
-                for (Auditor *a : alone)
-                    a->onRecord(rec);
-            }
-            for (Auditor *a : alone)
-                a->finish();
+            StandaloneAudit standalone(run.audit.config());
+            standalone.replay(run.stream.records);
+            const std::vector<Auditor *> alone = standalone.auditors();
 
             const std::vector<const Auditor *> bundled =
                 run.audit.auditors();
@@ -476,80 +504,317 @@ TEST(AuditLedger, BundleMatchesStandaloneAuditors)
                 EXPECT_EQ(bundled[i]->opsAudited(),
                           alone[i]->opsAudited());
             }
+            EXPECT_GT(run.audit.opsAudited(), OpTable::recycleWindow);
             if (std::string(c.name) == "healthy") {
                 EXPECT_TRUE(run.audit.clean()) << run.audit.report(4);
-                EXPECT_GT(run.audit.opsAudited(),
-                          OpTraceIndex::recycleWindow);
                 // The window held fewer records than the run laid;
                 // the standalone index kept them all.
-                EXPECT_LT(run.audit.index().recordsPeak(),
-                          index.recordsPeak());
+                EXPECT_LT(run.audit.table().recordsPeak(),
+                          standalone.index.recordsPeak());
+                // Clean writes left the window as stubs.
+                EXPECT_LT(run.audit.table().fullPeak(),
+                          run.audit.table().ops());
             }
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// 5. The bundle's trace index recycles quiescent ops' records.
+// 5. The bundle's op table recycles quiescent writes' records and
+//    compacts the clean ones; late records rebuild them exactly.
 // ---------------------------------------------------------------------
 
-TEST(AuditTrace, RecycledOpStillRendersAnExcerpt)
+namespace {
+
+/**
+ * Hand-built record streams for <Lin, Synch> on two nodes: node 0
+ * coordinates every write, node 1 follows. The bundle audits the
+ * stream as it is laid; stream keeps a copy for a standalone replay.
+ */
+struct SynchPair
 {
-    // <Lin, Synch> on two nodes: node 0 coordinates every write, node 1
-    // follows. A complete write fans out, is durable on both nodes, gets
-    // its one combined ACK and returns, so it goes quiescent.
     FlightRecorder recorder{64};
     AuditBundle audit;
-    audit.configure({2, PersistModel::Synch});
-    audit.attach(recorder);
+    StreamCapture stream;
     Tick now = 0;
-    const auto rec = [&](EventKind kind, std::int32_t node, kv::WriteId id,
-                         std::uint16_t aux = 0) {
+    kv::Key nextKey = 1000;
+    const std::uint16_t ack = ackAux(net::MsgType::ACK, 1);
+
+    SynchPair()
+    {
+        audit.configure({2, PersistModel::Synch});
+        audit.attach(recorder);
+        recorder.addSink(&stream);
+    }
+
+    /** Write @p key, coordinated by node 0. */
+    static kv::WriteId
+    write(kv::Key key)
+    {
+        return kv::WriteId::of(key, kv::Timestamp{1, 0});
+    }
+
+    Record
+    rec(EventKind kind, std::int32_t node, kv::WriteId id,
+        std::uint16_t aux = 0)
+    {
         recorder.record(now += 10, Category::Protocol, kind, node, id.key,
                         static_cast<std::int64_t>(id.ts), aux);
-    };
-    const std::uint16_t ack = ackAux(net::MsgType::ACK, 1);
-    const auto completeWrite = [&](kv::WriteId id) {
+        return stream.records.back();
+    }
+
+    /** Begin and fan out @p id. */
+    void
+    begin(kv::WriteId id)
+    {
         rec(EventKind::ClientOpBegin, 0, id, opAux(OpType::Write, false));
         rec(EventKind::InvFanout, 0, id);
         rec(EventKind::PersistDone, 0, id);
+    }
+
+    /** The follower applies @p id, persists and acknowledges it. */
+    void
+    follow(kv::WriteId id)
+    {
         rec(EventKind::InvApplied, 1, id);
         rec(EventKind::PersistDone, 1, id);
         rec(EventKind::AckSent, 1, id, ack);
         rec(EventKind::AckReceived, 0, id, ack);
-        rec(EventKind::ClientOpEnd, 0, id, opAux(OpType::Write, false));
-    };
+    }
 
-    kv::Timestamp ts;
-    ts.node = 0;
-    ts.version = 1;
-    const kv::WriteId first{1, ts.pack()};
-    completeWrite(first);
-    for (std::int64_t k = 0;
-         k <= static_cast<std::int64_t>(OpTraceIndex::recycleWindow); ++k)
-        completeWrite({static_cast<kv::Key>(k + 2), ts.pack()});
+    void
+    end(kv::WriteId id, bool obsolete = false)
+    {
+        rec(EventKind::ClientOpEnd, 0, id, opAux(OpType::Write, obsolete));
+    }
+
+    /** A complete write: it goes quiescent, clean, in 8 records. */
+    void
+    completeWrite(kv::WriteId id)
+    {
+        begin(id);
+        follow(id);
+        end(id);
+    }
+
+    /** Quiesce recycleWindow + 1 clean writes, so every write that
+     *  went quiescent before leaves the window. */
+    void
+    pushOut()
+    {
+        for (std::size_t i = 0; i <= OpTable::recycleWindow; ++i)
+            completeWrite(write(nextKey++));
+    }
+
+    void
+    finish()
+    {
+        audit.detach();
+        audit.finish();
+    }
+};
+
+/** Violations as (rule, time, detail), for comparing two audits whose
+ *  rendered traces differ by what was recycled. */
+std::vector<std::string>
+verdicts(const Auditor &a)
+{
+    std::vector<std::string> out;
+    for (const AuditViolation &v : a.violations())
+        out.push_back(v.rule + " @" + std::to_string(v.when) + " " +
+                      v.detail);
+    return out;
+}
+
+/** The bundle's and the standalone auditors' verdicts agree. */
+void
+expectSameVerdicts(const AuditBundle &audit, StandaloneAudit &alone)
+{
+    const std::vector<const Auditor *> bundled = audit.auditors();
+    const std::vector<Auditor *> standalone = alone.auditors();
+    for (std::size_t i = 0; i < bundled.size(); ++i) {
+        SCOPED_TRACE(bundled[i]->name());
+        EXPECT_EQ(bundled[i]->violationCount(),
+                  standalone[i]->violationCount());
+        EXPECT_EQ(verdicts(*bundled[i]), verdicts(*standalone[i]));
+    }
+}
+
+} // namespace
+
+TEST(AuditTrace, RecycledOpStillRendersAnExcerpt)
+{
+    SynchPair p;
+    const kv::WriteId first = SynchPair::write(1);
+    p.completeWrite(first);
+    p.pushOut();
     // The first write's 8 records went back to the arena when the last
     // write went quiescent; until then the window's writes and the last
-    // one were held.
-    EXPECT_EQ(audit.index().recordsPeak(),
-              8 * (OpTraceIndex::recycleWindow + 1));
-    ASSERT_TRUE(audit.clean()) << audit.report();
+    // one were held. The clean write left the window as a stub.
+    EXPECT_EQ(p.audit.table().recordsPeak(),
+              8 * (OpTable::recycleWindow + 1));
+    EXPECT_TRUE(p.audit.table().compacted(first));
+    ASSERT_TRUE(p.audit.clean()) << p.audit.report();
 
-    rec(EventKind::AckReceived, 0, first, ack);
-    audit.detach();
-    ASSERT_EQ(audit.violationCount(), 1u) << audit.report();
-    ASSERT_EQ(audit.acks().violations().size(), 1u);
-    const AuditViolation &v = audit.acks().violations().front();
+    const Record dup = p.rec(EventKind::AckReceived, 0, first, p.ack);
+    p.audit.detach();
+    // The late ACK rebuilt the write's entry; now dirty, it stays one.
+    EXPECT_FALSE(p.audit.table().compacted(first));
+    ASSERT_EQ(p.audit.violationCount(), 1u) << p.audit.report();
+    ASSERT_EQ(p.audit.acks().violations().size(), 1u);
+    const AuditViolation &v = p.audit.acks().violations().front();
     EXPECT_EQ(v.rule, "A2-duplicate-ack");
     EXPECT_FALSE(v.trace.empty());
+    EXPECT_NE(v.trace.find("causal trace (9 events)"), std::string::npos)
+        << v.trace;
     EXPECT_NE(v.trace.find("8 earlier records recycled"),
               std::string::npos)
         << v.trace;
-    const Record dup{now, static_cast<std::int64_t>(first.key),
-                     static_cast<std::int64_t>(first.ts), 0,
-                     Category::Protocol, EventKind::AckReceived, ack};
     EXPECT_NE(v.trace.find(renderRecord(dup)), std::string::npos)
         << v.trace;
+}
+
+TEST(AuditAcks, OrphanAckIsOneA1)
+{
+    // An ACK for a write that was never admitted: exactly one A1, on
+    // the bundle and on the standalone auditors.
+    SynchPair p;
+    const kv::WriteId never = SynchPair::write(1);
+    const Record orphan = p.rec(EventKind::AckReceived, 0, never, p.ack);
+    p.finish();
+    ASSERT_EQ(p.audit.violationCount(), 1u) << p.audit.report();
+    ASSERT_EQ(p.audit.acks().violations().size(), 1u);
+    const AuditViolation &v = p.audit.acks().violations().front();
+    EXPECT_EQ(v.rule, "A1-orphan-ack");
+    EXPECT_NE(v.trace.find(renderRecord(orphan)), std::string::npos)
+        << v.trace;
+
+    StandaloneAudit alone(p.audit.config());
+    alone.replay(p.stream.records);
+    ASSERT_EQ(alone.acks.violationCount(), 1u);
+    EXPECT_EQ(alone.acks.violations().front().rule, "A1-orphan-ack");
+    expectSameVerdicts(p.audit, alone);
+}
+
+TEST(AuditAcks, LateAckOnCompactedWriteStaysA2)
+{
+    // The same ACK, sent again after its write was compacted: a stub
+    // rebuilds the write's sender mask, so it is a duplicate (A2), not
+    // an orphan (A1), on the bundle as on the standalone auditors; the
+    // doubled ACK count then fails A3 at the end of the run.
+    SynchPair p;
+    const kv::WriteId first = SynchPair::write(1);
+    p.completeWrite(first);
+    p.pushOut();
+    ASSERT_TRUE(p.audit.table().compacted(first));
+    p.rec(EventKind::AckReceived, 0, first, p.ack);
+    p.finish();
+
+    const std::vector<std::string> want = {"A2-duplicate-ack",
+                                           "A3-consistency-acks-unbalanced"};
+    std::vector<std::string> got;
+    for (const AuditViolation &v : p.audit.acks().violations())
+        got.push_back(v.rule);
+    EXPECT_EQ(got, want) << p.audit.report();
+    EXPECT_EQ(p.audit.violationCount(), 2u) << p.audit.report();
+    EXPECT_NE(p.audit.acks().violations().front().trace.find(
+                  "8 earlier records recycled"),
+              std::string::npos);
+
+    StandaloneAudit alone(p.audit.config());
+    alone.replay(p.stream.records);
+    expectSameVerdicts(p.audit, alone);
+}
+
+TEST(AuditTrace, DirtyWritesAreNeverCompacted)
+{
+    // A write whose state the config and its id cannot rebuild keeps
+    // its entry: one with a duplicated ACK, and one its coordinator cut
+    // as obsolete. A follower's obsolete cut is kept in the stub (the
+    // cut node's mask), so that write is compacted, and rebuilt exactly.
+    SynchPair p;
+    const kv::WriteId dupAck = SynchPair::write(1);
+    p.begin(dupAck);
+    p.follow(dupAck);
+    p.rec(EventKind::AckReceived, 0, dupAck, p.ack);
+    p.end(dupAck);
+
+    const kv::WriteId coordCut = SynchPair::write(2);
+    p.begin(coordCut);
+    p.rec(EventKind::InvObsolete, 0, coordCut);
+    p.rec(EventKind::InvApplied, 1, coordCut);
+    p.rec(EventKind::PersistDone, 1, coordCut);
+    p.rec(EventKind::AckSent, 1, coordCut, p.ack);
+    p.rec(EventKind::AckReceived, 0, coordCut, p.ack);
+    p.end(coordCut, /*obsolete=*/true);
+
+    const kv::WriteId followerCut = SynchPair::write(3);
+    p.begin(followerCut);
+    p.rec(EventKind::InvObsolete, 1, followerCut);
+    p.rec(EventKind::AckSent, 1, followerCut, p.ack);
+    p.rec(EventKind::AckReceived, 0, followerCut, p.ack);
+    p.end(followerCut);
+
+    p.pushOut();
+    EXPECT_FALSE(p.audit.table().compacted(dupAck));
+    EXPECT_FALSE(p.audit.table().compacted(coordCut));
+    EXPECT_TRUE(p.audit.table().compacted(followerCut));
+    OpLedger::OpState scratch;
+    const OpLedger::OpState *cut = p.audit.table().find(followerCut, scratch);
+    ASSERT_NE(cut, nullptr);
+    EXPECT_EQ(cut->obsoleteNodes, 2u);
+    EXPECT_EQ(cut->persistNodes, 1u);
+    // The window's writes and the two dirty ones.
+    EXPECT_EQ(p.audit.table().fullOps(), OpTable::recycleWindow + 2);
+
+    // A late duplicate on the follower-cut stub: A2, and at the end A3;
+    // P5 holds, since the rebuilt entry still has node 1's cut.
+    p.rec(EventKind::AckReceived, 0, followerCut, p.ack);
+    p.finish();
+    StandaloneAudit alone(p.audit.config());
+    alone.replay(p.stream.records);
+    expectSameVerdicts(p.audit, alone);
+    EXPECT_EQ(p.audit.persistency().violationCount(), 0u)
+        << p.audit.report();
+    EXPECT_EQ(p.audit.acks().violationCount(), 4u) << p.audit.report();
+}
+
+TEST(AuditLedger, WriteIndexedBeforeAdmissionKeepsAdmissionOrder)
+{
+    // An orphan ACK indexes write A before A is admitted, after B. The
+    // end-of-run rules still visit B before A, as the standalone
+    // ledger's admission order does, and every rendered trace agrees.
+    SynchPair p;
+    const kv::WriteId a = SynchPair::write(1);
+    const kv::WriteId b = SynchPair::write(2);
+    p.rec(EventKind::AckReceived, 0, a, p.ack);
+    p.begin(b);
+    p.begin(a);
+    p.finish();
+
+    StandaloneAudit alone(p.audit.config());
+    alone.replay(p.stream.records);
+    const std::vector<const Auditor *> bundled = p.audit.auditors();
+    const std::vector<Auditor *> standalone = alone.auditors();
+    for (std::size_t i = 0; i < bundled.size(); ++i) {
+        SCOPED_TRACE(bundled[i]->name());
+        ASSERT_EQ(bundled[i]->violations().size(),
+                  standalone[i]->violations().size());
+        for (std::size_t j = 0; j < bundled[i]->violations().size();
+             ++j) {
+            const AuditViolation &x = bundled[i]->violations()[j];
+            const AuditViolation &y = standalone[i]->violations()[j];
+            EXPECT_EQ(x.rule, y.rule);
+            EXPECT_EQ(x.detail, y.detail);
+            EXPECT_EQ(x.trace, y.trace);
+        }
+    }
+    // P5 for B, then for A (node 1 never persisted either).
+    const auto &p5 = p.audit.persistency().violations();
+    ASSERT_EQ(p5.size(), 2u) << p.audit.report();
+    EXPECT_NE(p5[0].trace.find("op key=2 "), std::string::npos);
+    EXPECT_NE(p5[1].trace.find("op key=1 "), std::string::npos);
+    EXPECT_EQ(p.audit.table().ops(), 2u);
 }
 
 // ---------------------------------------------------------------------

@@ -269,6 +269,39 @@ TEST(YcsbWorkloadF, ReadModifyWriteRunsOnBothEngines)
     }
 }
 
+TEST(ScopeTracking, ScopeRunEndsWithNoScopeEntries)
+{
+    // A node counts its scoped updates still persisting per scope and
+    // drops a scope's entry when its count reaches zero; [PERSIST]sc's
+    // wait reads an absent scope as flushed and adds none. So after a
+    // Scope run no node tracks any scope.
+    for (bool offload : {false, true}) {
+        SCOPED_TRACE(offload ? "MINOS-O" : "MINOS-B");
+        sim::Simulator sim;
+        ClusterConfig cfg;
+        cfg.numNodes = 3;
+        cfg.numRecords = 32;
+        DriverConfig dc;
+        dc.requestsPerNode = 200;
+        dc.workersPerNode = 3;
+        dc.ycsb.numRecords = cfg.numRecords;
+        const auto expectNone = [&](auto &cluster) {
+            RunResult res = runWorkload(sim, cluster, dc);
+            EXPECT_GT(res.persistLat.count(), 0u);
+            for (NodeId n = 0; n < cfg.numNodes; ++n)
+                EXPECT_EQ(cluster.node(n).scopesPersisting(), 0u)
+                    << "node " << n;
+        };
+        if (offload) {
+            ClusterO cluster(sim, cfg, PersistModel::Scope);
+            expectNone(cluster);
+        } else {
+            ClusterB cluster(sim, cfg, PersistModel::Scope);
+            expectNone(cluster);
+        }
+    }
+}
+
 TEST(LeaderBaseline, ForwardedWritePaysRoundTrip)
 {
     sim::Simulator sim;
