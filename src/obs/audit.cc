@@ -109,7 +109,7 @@ OpLedger::find(const kv::WriteId &id) const
 // OpTable
 // ---------------------------------------------------------------------
 
-OpTable::OpTable(const AuditConfig *cfg, std::size_t maxEventsPerOp)
+OpTable::OpTable(const AuditConfig *cfg)
     : cfg_(cfg), arena_(maxEventsPerOp)
 {
 }

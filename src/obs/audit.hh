@@ -166,10 +166,10 @@ class OpTable
   public:
     /** Quiescent writes whose records are kept. */
     static constexpr std::size_t recycleWindow = 1024;
+    /** Records kept per op trace (the rest are counted). */
+    static constexpr std::size_t maxEventsPerOp = 48;
 
-    /** @param maxEventsPerOp retained records per op (rest counted). */
-    explicit OpTable(const AuditConfig *cfg,
-                     std::size_t maxEventsPerOp = 48);
+    explicit OpTable(const AuditConfig *cfg);
 
     /** Fold @p rec into its write's state and index it. */
     OpLedger::Applied apply(const Record &rec);
