@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -540,9 +541,10 @@ TEST(AuditLedger, BundleMatchesStandaloneAuditors)
 namespace {
 
 /**
- * Hand-built record streams for <Lin, Synch> on two nodes: node 0
- * coordinates every write, node 1 follows. The bundle audits the
- * stream as it is laid; stream keeps a copy for a standalone replay.
+ * Hand-built record streams for <Lin, Synch> (or another model) on two
+ * nodes: node 0 coordinates every write, node 1 follows. The bundle
+ * audits the stream as it is laid; stream keeps a copy for a
+ * standalone replay.
  */
 struct SynchPair
 {
@@ -551,11 +553,13 @@ struct SynchPair
     StreamCapture stream;
     Tick now = 0;
     kv::Key nextKey = 1000;
-    const std::uint16_t ack = ackAux(net::MsgType::ACK, 1);
+    /** The follower's consistency ACK (Synch's combined one). */
+    const std::uint16_t ack;
 
-    SynchPair()
+    explicit SynchPair(PersistModel model = PersistModel::Synch)
+        : ack(ackAux(ackCType(model), 1))
     {
-        audit.configure({2, PersistModel::Synch});
+        audit.configure({2, model});
         audit.attach(recorder);
         recorder.addSink(&stream);
     }
@@ -599,6 +603,25 @@ struct SynchPair
     end(kv::WriteId id, bool obsolete = false)
     {
         rec(EventKind::ClientOpEnd, 0, id, opAux(OpType::Write, obsolete));
+    }
+
+    /** <Lin, Scope>: node 0 tags @p id into @p scope. */
+    void
+    mark(kv::WriteId id, std::uint32_t scope)
+    {
+        recorder.record(now += 10, Category::Protocol, EventKind::ScopeMark,
+                        0,
+                        (static_cast<std::int64_t>(scope) << 32) |
+                            static_cast<std::int64_t>(id.key),
+                        static_cast<std::int64_t>(id.ts));
+    }
+
+    /** <Lin, Scope>: node 1 sends its [ACK_P]sc for @p scope. */
+    void
+    scopeAck(std::uint32_t scope)
+    {
+        recorder.record(now += 10, Category::Message, EventKind::AckSent, 1,
+                        scope, 0, ackAux(net::MsgType::ACK_P_SC, 1));
     }
 
     /** A complete write: it goes quiescent, clean, in 8 records. */
@@ -651,6 +674,29 @@ expectSameVerdicts(const AuditBundle &audit, StandaloneAudit &alone)
                   standalone[i]->violationCount());
         EXPECT_EQ(verdicts(*bundled[i]), verdicts(*standalone[i]));
     }
+}
+
+/**
+ * The trace of @p id rendered from @p records: every record opIdOf
+ * files under it, whole, none dropped or recycled.
+ */
+std::string
+expectedTrace(const kv::WriteId &id, const std::vector<Record> &records)
+{
+    std::string lines;
+    std::size_t n = 0;
+    for (const Record &r : records) {
+        kv::WriteId rid;
+        if (opIdOf(r, rid) && rid == id) {
+            lines += "  " + renderRecord(r) + "\n";
+            ++n;
+        }
+    }
+    std::ostringstream os;
+    os << "op key=" << id.key << " ts=" << kv::Timestamp::unpack(id.ts)
+       << " causal trace (" << n << " events):\n"
+       << lines;
+    return os.str();
 }
 
 } // namespace
@@ -831,7 +877,190 @@ TEST(AuditLedger, WriteIndexedBeforeAdmissionKeepsAdmissionOrder)
 }
 
 // ---------------------------------------------------------------------
-// 6. OpSlots, the ledgers' and op traces' write -> slot table.
+// 6. <Lin, Scope>'s P4 walks a scope's writes; op traces render every
+//    kept record exactly.
+// ---------------------------------------------------------------------
+
+TEST(AuditScope, P4NamesTheWriteNotDurableAtTheSender)
+{
+    // Node 1 sends its [ACK_P]sc while one of the scope's two writes is
+    // durable there and the other is not: exactly one P4, naming the
+    // second write, with that write's trace up to the ACK.
+    SynchPair p(PersistModel::Scope);
+    constexpr std::uint32_t scope = 5;
+    const kv::WriteId durable = SynchPair::write(1);
+    const kv::WriteId pending = SynchPair::write(2);
+    p.begin(durable);
+    p.mark(durable, scope);
+    p.follow(durable);
+    p.end(durable);
+    p.begin(pending);
+    p.mark(pending, scope);
+    p.rec(EventKind::InvApplied, 1, pending);
+    p.scopeAck(scope);
+    const std::vector<Record> upToAck = p.stream.records;
+    p.rec(EventKind::PersistDone, 1, pending);
+    p.rec(EventKind::AckSent, 1, pending, p.ack);
+    p.rec(EventKind::AckReceived, 0, pending, p.ack);
+    p.end(pending);
+    p.finish();
+
+    ASSERT_EQ(p.audit.violationCount(), 1u) << p.audit.report();
+    ASSERT_EQ(p.audit.persistency().violations().size(), 1u);
+    const AuditViolation &v = p.audit.persistency().violations().front();
+    EXPECT_EQ(v.rule, "P4-scope-ack-before-flush");
+    EXPECT_EQ(v.when, upToAck.back().when);
+    EXPECT_NE(v.detail.find("node 1 for scope 5 "), std::string::npos)
+        << v.detail;
+    EXPECT_EQ(v.trace, expectedTrace(pending, upToAck));
+
+    StandaloneAudit alone(p.audit.config());
+    alone.replay(p.stream.records);
+    expectSameVerdicts(p.audit, alone);
+    ASSERT_EQ(alone.persistency.violations().size(), 1u);
+    EXPECT_EQ(alone.persistency.violations().front().trace, v.trace);
+}
+
+TEST(AuditScope, P4SkipsCompactedWrites)
+{
+    // Two writes of the scope left the recycle window as stubs, one
+    // durable on both nodes and one node 1 cut as obsolete: neither is
+    // a P4. A third write, not yet durable at node 1, is the only one.
+    SynchPair p(PersistModel::Scope);
+    constexpr std::uint32_t scope = 9;
+    const kv::WriteId clean = SynchPair::write(1);
+    const kv::WriteId cut = SynchPair::write(2);
+    const kv::WriteId pending = SynchPair::write(3);
+    p.begin(clean);
+    p.mark(clean, scope);
+    p.follow(clean);
+    p.end(clean);
+    p.begin(cut);
+    p.mark(cut, scope);
+    p.rec(EventKind::InvObsolete, 1, cut);
+    p.rec(EventKind::AckSent, 1, cut, p.ack);
+    p.rec(EventKind::AckReceived, 0, cut, p.ack);
+    p.end(cut);
+    p.pushOut();
+    ASSERT_TRUE(p.audit.table().compacted(clean));
+    ASSERT_TRUE(p.audit.table().compacted(cut));
+    p.begin(pending);
+    p.mark(pending, scope);
+    p.scopeAck(scope);
+    p.rec(EventKind::InvApplied, 1, pending);
+    p.rec(EventKind::PersistDone, 1, pending);
+    p.rec(EventKind::AckSent, 1, pending, p.ack);
+    p.rec(EventKind::AckReceived, 0, pending, p.ack);
+    p.end(pending);
+    p.finish();
+
+    ASSERT_EQ(p.audit.violationCount(), 1u) << p.audit.report();
+    ASSERT_EQ(p.audit.persistency().violations().size(), 1u);
+    EXPECT_NE(p.audit.persistency().violations().front().trace.find(
+                  "op key=3 "),
+              std::string::npos);
+    StandaloneAudit alone(p.audit.config());
+    alone.replay(p.stream.records);
+    expectSameVerdicts(p.audit, alone);
+}
+
+TEST(AuditScope, P4ChecksAWriteMarkedBeforeItsAdmission)
+{
+    // The write's ScopeMark is its first record, laid before another
+    // write is admitted, so its admission moves it to a later slot of
+    // the op table. It is marked again after: the [ACK_P]sc checks it
+    // once per mark.
+    SynchPair p(PersistModel::Scope);
+    constexpr std::uint32_t scope = 3;
+    const kv::WriteId early = SynchPair::write(1);
+    const kv::WriteId other = SynchPair::write(2);
+    p.mark(early, scope);
+    p.completeWrite(other);
+    p.begin(early);
+    p.mark(early, scope);
+    p.rec(EventKind::InvApplied, 1, early);
+    p.scopeAck(scope);
+    const std::vector<Record> upToAck = p.stream.records;
+    p.rec(EventKind::PersistDone, 1, early);
+    p.rec(EventKind::AckSent, 1, early, p.ack);
+    p.rec(EventKind::AckReceived, 0, early, p.ack);
+    p.end(early);
+    p.finish();
+
+    const auto &got = p.audit.persistency().violations();
+    ASSERT_EQ(p.audit.violationCount(), 2u) << p.audit.report();
+    ASSERT_EQ(got.size(), 2u);
+    for (const AuditViolation &v : got) {
+        EXPECT_EQ(v.rule, "P4-scope-ack-before-flush");
+        EXPECT_EQ(v.trace, expectedTrace(early, upToAck));
+    }
+    StandaloneAudit alone(p.audit.config());
+    alone.replay(p.stream.records);
+    expectSameVerdicts(p.audit, alone);
+}
+
+TEST(AuditTrace, KeptRecordsRenderExactlyForEveryOpKeyedKind)
+{
+    // One record of every op-keyed kind, over every category and node
+    // ids from -1 to 63, and a ScopeMark whose scope needs more than 16
+    // bits: the op table and the standalone index render each exactly
+    // as the record itself renders. A second write's key needs more
+    // than 32 bits.
+    const kv::WriteId id = kv::WriteId::of(7, kv::Timestamp{3, 2});
+    const auto key = static_cast<std::int64_t>(id.key);
+    const auto ts = static_cast<std::int64_t>(id.ts);
+    const std::vector<Record> records = {
+        {10, key, ts, 2, Category::Protocol, EventKind::ClientOpBegin,
+         opAux(OpType::Write, false)},
+        {11, key, ts, 2, Category::Message, EventKind::InvFanout, 0},
+        {12, key, ts, 2, Category::Fifo, EventKind::SnicBroadcastInv, 0},
+        {13, (std::int64_t{0x12345} << 32) | key, ts, 2,
+         Category::Protocol, EventKind::ScopeMark, 0},
+        {14, key, ts, 0, Category::Protocol, EventKind::InvApplied, 0},
+        {15, key, ts, 1, Category::Protocol, EventKind::InvObsolete, 0},
+        {16, key, ts, 0, Category::Recovery, EventKind::PersistDone, 0},
+        {17, key, ts, 0, Category::Message, EventKind::AckSent,
+         ackAux(net::MsgType::ACK_C, 0)},
+        {18, key, ts, 2, Category::Message, EventKind::AckReceived,
+         ackAux(net::MsgType::ACK_P, 0)},
+        {19, key, ts, 2, Category::Message, EventKind::ValSent,
+         valAux(net::MsgType::VAL_C)},
+        {20, key, ts, 0, Category::Lock, EventKind::RdLockReleased, 0},
+        {21, key, ts, -1, Category::Phase, EventKind::GlbRaised, 1},
+        {Tick{1} << 40, key, ts, 63, Category::Protocol,
+         EventKind::ClientOpEnd, opAux(OpType::Write, true)},
+    };
+    const kv::WriteId wide = kv::WriteId::of((kv::Key{1} << 33) + 5,
+                                             kv::Timestamp{1, 0});
+    const std::vector<Record> wideRecords = {
+        {30, static_cast<std::int64_t>(wide.key),
+         static_cast<std::int64_t>(wide.ts), 0, Category::Message,
+         EventKind::InvFanout, 0},
+    };
+
+    OpTraceIndex index;
+    AuditBundle audit;
+    audit.configure({3, PersistModel::Scope});
+    for (const std::vector<Record> *rs : {&records, &wideRecords}) {
+        for (const Record &r : *rs) {
+            kv::WriteId rid;
+            ASSERT_TRUE(opIdOf(r, rid)) << renderRecord(r);
+            index.onRecord(r);
+            audit.onRecord(r);
+        }
+    }
+    const std::string want = expectedTrace(id, records);
+    EXPECT_NE(want.find("causal trace (13 events)"), std::string::npos);
+    EXPECT_EQ(index.render(id), want);
+    EXPECT_EQ(audit.table().render(id), want);
+    const std::string wantWide = expectedTrace(wide, wideRecords);
+    EXPECT_NE(wantWide.find("key=8589934597 "), std::string::npos);
+    EXPECT_EQ(index.render(wide), wantWide);
+    EXPECT_EQ(audit.table().render(wide), wantWide);
+}
+
+// ---------------------------------------------------------------------
+// 7. OpSlots, the ledgers' and op traces' write -> slot table.
 // ---------------------------------------------------------------------
 
 TEST(OpSlots, EveryWriteKeepsItsSlotAcrossDoublings)
