@@ -23,8 +23,10 @@ namespace minos::kv {
 class SimStore
 {
   public:
-    /** Create @p num_records records, all at version <-1,-1>. */
-    explicit SimStore(std::size_t num_records) : recs_(num_records) {}
+    /** Create @p num_records records, all at version <-1,-1>. The
+     *  store's pages are faulted in by one call before the records are
+     *  written, rather than one fault per page. */
+    explicit SimStore(std::size_t num_records);
 
     /** Access the record for @p k. @pre k < size() */
     Record &

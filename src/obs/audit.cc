@@ -235,7 +235,7 @@ OpTable::apply(const Record &rec)
 
     if (e.stage == Stage::Recycled)
         quiesce(ap.slot);
-    arena_.append(e.trace, rec);
+    arena_.append(e.trace, ap.id, rec);
     return ap;
 }
 
@@ -295,6 +295,19 @@ OpTable::find(const kv::WriteId &id, OpLedger::OpState &scratch) const
     return e.admitted ? &e.op : nullptr;
 }
 
+const OpLedger::OpState *
+OpTable::scopedOp(std::uint32_t slot, kv::WriteId &id) const
+{
+    id = slots_.id(slot);
+    const Head *h = &heads_[slot];
+    if (!h->isStub() && !h->isEntry()) // left behind by moveToEnd()
+        h = &heads_[slots_.find(id)];
+    if (h->isStub())
+        return nullptr;
+    const Entry &e = entries_[h->entryOrCuts];
+    return e.admitted ? &e.op : nullptr;
+}
+
 std::string
 OpTable::render(const kv::WriteId &id) const
 {
@@ -308,6 +321,39 @@ OpTable::render(const kv::WriteId &id) const
     stub.total = h.stubTotal;
     stub.recycled = h.stubRecycled;
     return arena_.render(id, stub);
+}
+
+// ---------------------------------------------------------------------
+// ScopeChains
+// ---------------------------------------------------------------------
+
+void
+ScopeChains::append(std::uint64_t scope, std::uint32_t slot)
+{
+    MINOS_ASSERT(scope >> 32 == 0, "scope id wider than 32 bits: ", scope);
+    bool added = false;
+    const std::uint32_t c = index_.insert(
+        hash(scope),
+        [&](std::uint32_t i) { return chains_[i].scope == scope; },
+        [&] {
+            chains_.emplace_back().scope =
+                static_cast<std::uint32_t>(scope);
+            return static_cast<std::uint32_t>(chains_.size() - 1);
+        },
+        added);
+    Chain &chain = chains_[c];
+    const std::uint32_t at = chain.len % chunkSlots;
+    if (at == 0) {
+        const auto k = static_cast<std::uint32_t>(chunks_.size());
+        chunks_.emplace_back();
+        if (chain.len == 0)
+            chain.head = k;
+        else
+            chunks_[chain.tail].next = k;
+        chain.tail = k;
+    }
+    chunks_[chain.tail].slots[at] = slot;
+    ++chain.len;
 }
 
 // ---------------------------------------------------------------------
@@ -326,12 +372,6 @@ Auditor::onRecord(const Record &rec)
     MINOS_ASSERT(!shared_,
                  "auditor on a shared op table fed a record directly");
     check(rec, own_.apply(rec));
-}
-
-const OpLedger::OpState *
-Auditor::findOp(const kv::WriteId &id, OpLedger::OpState &scratch) const
-{
-    return shared_ ? shared_->find(id, scratch) : own_.find(id);
 }
 
 void
@@ -467,35 +507,45 @@ PersistencyAuditor::persistGateReached(
 }
 
 void
+PersistencyAuditor::checkScopeAck(const Record &rec)
+{
+    // <Lin, Scope> cond.: a follower's [ACK_P]sc certifies that
+    // everything written into the scope is durable there. Checked when
+    // the ACK leaves the follower: by receipt time the scope may have
+    // flushed anyway, masking a premature acknowledgment.
+    const std::int32_t sender = ackSender(rec.aux);
+    if (sender < 0)
+        return;
+    scopes_.forEach(static_cast<std::uint64_t>(rec.a0),
+                    [&](std::uint32_t slot) {
+        kv::WriteId id;
+        const OpLedger::OpState *st;
+        if (shared())
+            st = shared()->scopedOp(slot, id);
+        else
+            st = ownOp(id = marked_.id(slot));
+        if (st && st->fanout &&
+            !hasNode(st->persistNodes | st->obsoleteNodes, sender))
+            violate("P4-scope-ack-before-flush", rec.when, id,
+                    "[ACK_P]sc from node " + std::to_string(sender) +
+                        " for scope " + std::to_string(rec.a0) +
+                        " with an in-scope write not yet durable there");
+    });
+}
+
+void
 PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
 {
-    if (rec.kind == EventKind::ScopeMark) // opIdOf names the marked write
-        scopeWrites_[static_cast<std::uint64_t>(rec.a0) >> 32].push_back(
-            ap.id);
+    if (rec.kind == EventKind::ScopeMark && ap.keyed) {
+        // opIdOf names the marked write; one without a TS_WR is no
+        // write any rule could find.
+        bool added = false;
+        scopes_.append(static_cast<std::uint64_t>(rec.a0) >> 32,
+                       shared() ? ap.slot : marked_.insert(ap.id, added));
+    }
     if (rec.kind == EventKind::AckSent &&
         ackType(rec.aux) == net::MsgType::ACK_P_SC) {
-        // <Lin, Scope> cond.: a follower's [ACK_P]sc certifies that
-        // everything written into the scope is durable there. Checked
-        // when the ACK leaves the follower: by receipt time the scope
-        // may have flushed anyway, masking a premature acknowledgment.
-        std::int32_t sender = ackSender(rec.aux);
-        auto it = scopeWrites_.find(
-            static_cast<std::uint64_t>(rec.a0));
-        if (it != scopeWrites_.end() && sender >= 0) {
-            OpLedger::OpState scratch;
-            for (const kv::WriteId &id : it->second) {
-                const OpLedger::OpState *st = findOp(id, scratch);
-                if (st && st->fanout &&
-                    !hasNode(st->persistNodes | st->obsoleteNodes,
-                             sender))
-                    violate("P4-scope-ack-before-flush", rec.when, id,
-                            "[ACK_P]sc from node " +
-                                std::to_string(sender) + " for scope " +
-                                std::to_string(rec.a0) +
-                                " with an in-scope write not yet "
-                                "durable there");
-            }
-        }
+        checkScopeAck(rec);
         return;
     }
 

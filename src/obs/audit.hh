@@ -198,6 +198,13 @@ class OpTable
         }
     }
 
+    /** For <Lin, Scope>'s P4: the state of the admitted write that
+     *  was indexed in @p slot, in a slot moveToEnd() left behind too,
+     *  and its id in @p id; null when it is not admitted, or a stub,
+     *  which is durable or cut as obsolete on every node. */
+    const OpLedger::OpState *scopedOp(std::uint32_t slot,
+                                      kv::WriteId &id) const;
+
     /** The causal timeline of @p id, as OpTraceIndex::render. */
     std::string render(const kv::WriteId &id) const;
 
@@ -280,6 +287,72 @@ class OpTable
 };
 
 /**
+ * <Lin, Scope>'s scope lists, kept for the whole run: per scope id, the
+ * 4-byte slots of the writes marked into it, in mark order (a write
+ * marked twice is listed twice). Each list is a chain of chunks in one
+ * arena, headed by an entry of a flat scope table.
+ */
+class ScopeChains
+{
+  public:
+    /** Append @p slot to the list of @p scope. */
+    void append(std::uint64_t scope, std::uint32_t slot);
+
+    /** Call @p fn(slot) on the list of @p scope, in order. */
+    template <typename Fn>
+    void
+    forEach(std::uint64_t scope, Fn &&fn) const
+    {
+        const std::uint32_t c = find(scope);
+        if (c == SlotIndex::none)
+            return;
+        std::uint32_t left = chains_[c].len;
+        for (std::uint32_t k = chains_[c].head; left > 0;
+             k = chunks_[k].next) {
+            for (std::uint32_t i = 0; i < chunkSlots && left > 0;
+                 ++i, --left)
+                fn(chunks_[k].slots[i]);
+        }
+    }
+
+  private:
+    static constexpr std::uint32_t chunkSlots = 5;
+
+    struct Chunk
+    {
+        std::array<std::uint32_t, chunkSlots> slots;
+        std::uint32_t next;
+    };
+
+    struct Chain
+    {
+        std::uint32_t scope; ///< scope ids are 32-bit (net::ScopeId)
+        std::uint32_t head;  ///< first chunk
+        std::uint32_t tail;  ///< last chunk
+        std::uint32_t len;   ///< slots listed
+    };
+
+    static std::uint32_t hash(std::uint64_t scope)
+    {
+        return SlotIndex::hash(scope, 0);
+    }
+
+    std::uint32_t
+    find(std::uint64_t scope) const
+    {
+        if (scope >> 32 != 0)
+            return SlotIndex::none;
+        return index_.find(hash(scope), [&](std::uint32_t c) {
+            return chains_[c].scope == scope;
+        });
+    }
+
+    SlotIndex index_;             ///< scope -> chain
+    ChunkedArray<Chain> chains_;
+    ChunkedArray<Chunk> chunks_;
+};
+
+/**
  * Base class: rule set + violation reporting + metrics publication.
  *
  * An auditor's rules run as check(rec, applied), after the record has
@@ -331,9 +404,16 @@ class Auditor : public RecordSink
     const AuditConfig &cfg() const { return *cfg_; }
     int needed() const { return cfg_->followers(); }
 
-    /** State of the admitted write @p id, or null (see OpTable::find). */
-    const OpLedger::OpState *findOp(const kv::WriteId &id,
-                                    OpLedger::OpState &scratch) const;
+    /** The bundle's op table, or null on the standalone path. */
+    const OpTable *shared() const { return shared_; }
+
+    /** The standalone path's state of the admitted write @p id, or
+     *  null. */
+    const OpLedger::OpState *
+    ownOp(const kv::WriteId &id) const
+    {
+        return own_.find(id);
+    }
 
     /** Visit, in admission order, every write the end-of-run rules
      *  must read: all of them, less the bundle's clean stubs. */
@@ -392,9 +472,12 @@ class PersistencyAuditor : public Auditor
     /** Every persistency ACK of the write is in and its coordinator
      *  has persisted it (P2, P3 and P6 gate on this). */
     bool persistGateReached(const OpLedger::OpState &st) const;
-    /** Scope id -> fanned-out writes marked into it (<Lin, Scope>). */
-    std::unordered_map<std::uint64_t, std::vector<kv::WriteId>>
-        scopeWrites_;
+    /** P4: a follower's [ACK_P]sc, @p rec, certifies the scope. */
+    void checkScopeAck(const Record &rec);
+    /** The writes marked into each scope (<Lin, Scope>): slots of the
+     *  bundle's op table, or of marked_ on the standalone path. */
+    ScopeChains scopes_;
+    OpSlots marked_;
 };
 
 /** INV/ACK bookkeeping conservation. */

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/logging.hh"
+
 namespace minos::obs {
 
 bool
@@ -70,8 +72,45 @@ TraceArena::allocChunk()
     return c;
 }
 
+TraceArena::Entry
+TraceArena::Entry::of(const kv::WriteId &id, const Record &rec)
+{
+    const auto a0 = static_cast<std::uint64_t>(rec.a0);
+    const auto kind = static_cast<unsigned>(rec.kind);
+    const auto category = static_cast<unsigned>(rec.category);
+    MINOS_ASSERT(static_cast<std::uint64_t>(rec.a1) == id.ts &&
+                     static_cast<std::uint32_t>(a0) ==
+                         static_cast<std::uint32_t>(id.key) &&
+                     rec.node >= -128 && rec.node <= 127 && kind < 32 &&
+                     category < 8,
+                 "record does not pack under its write: ",
+                 renderRecord(rec));
+    Entry e;
+    e.when = rec.when;
+    e.a0High = static_cast<std::uint32_t>(a0 >> 32);
+    e.aux = rec.aux;
+    e.node = static_cast<std::int8_t>(rec.node);
+    e.kindCategory = static_cast<std::uint8_t>(kind | category << 5);
+    return e;
+}
+
+Record
+TraceArena::Entry::record(const kv::WriteId &id) const
+{
+    Record rec;
+    rec.when = when;
+    rec.a0 = static_cast<std::int64_t>(std::uint64_t{a0High} << 32 |
+                                       (id.key & 0xffffffffu));
+    rec.a1 = static_cast<std::int64_t>(id.ts);
+    rec.node = node;
+    rec.category = static_cast<Category>(kindCategory >> 5);
+    rec.kind = static_cast<EventKind>(kindCategory & 31);
+    rec.aux = aux;
+    return rec;
+}
+
 void
-TraceArena::append(OpTrace &t, const Record &rec)
+TraceArena::append(OpTrace &t, const kv::WriteId &id, const Record &rec)
 {
     ++t.total;
     if (t.kept == maxEventsPerOp_)
@@ -85,7 +124,7 @@ TraceArena::append(OpTrace &t, const Record &rec)
             chunks_[t.tail].next = c;
         t.tail = c;
     }
-    chunks_[t.tail].recs[at] = rec;
+    chunks_[t.tail].entries[at] = Entry::of(id, rec);
     ++t.kept;
     if (++records_ > recordsPeak_)
         recordsPeak_ = records_;
@@ -116,7 +155,8 @@ TraceArena::render(const kv::WriteId &id, const OpTrace &t) const
     std::uint32_t left = t.kept;
     for (std::uint32_t c = t.head; left > 0; c = chunks_[c].next) {
         for (std::size_t i = 0; i < chunkRecords && left > 0; ++i, --left)
-            os << "  " << renderRecord(chunks_[c].recs[i]) << '\n';
+            os << "  " << renderRecord(chunks_[c].entries[i].record(id))
+               << '\n';
     }
     const std::uint64_t more = t.total - t.recycled - t.kept;
     if (more > 0)
@@ -137,18 +177,13 @@ void
 OpTraceIndex::onRecord(const Record &rec)
 {
     kv::WriteId id;
-    if (opIdOf(rec, id))
-        add(id, rec);
-}
-
-void
-OpTraceIndex::add(const kv::WriteId &id, const Record &rec)
-{
+    if (!opIdOf(rec, id))
+        return;
     bool added = false;
     const std::uint32_t slot = slots_.insert(id, added);
     if (added)
         traces_.emplace_back();
-    arena_.append(traces_[slot], rec);
+    arena_.append(traces_[slot], id, rec);
 }
 
 std::string

@@ -111,6 +111,10 @@ struct OpTrace
  * The records of many op traces, in 16-record chunks of one arena; the
  * chunks of released traces go back to a free list. OpTraceIndex and
  * the audit's OpTable keep their records here.
+ *
+ * A record is kept as a 16-byte Entry, half a Record: its op's
+ * kv::WriteId gives back the rest, since opIdOf() takes the id's TS_WR
+ * from a1 and its key from a0 (a ScopeMark's from a0's low word).
  */
 class TraceArena
 {
@@ -118,8 +122,9 @@ class TraceArena
     /** @param maxEventsPerOp retained records per op (rest counted). */
     explicit TraceArena(std::size_t maxEventsPerOp);
 
-    /** Count @p rec in @p t, and keep it while @p t has room. */
-    void append(OpTrace &t, const Record &rec);
+    /** Count @p rec, a record of the write @p id (opIdOf), in @p t,
+     *  and keep it while @p t has room. */
+    void append(OpTrace &t, const kv::WriteId &id, const Record &rec);
 
     /** Give @p t's kept records back, counting them as recycled. */
     void release(OpTrace &t);
@@ -133,9 +138,24 @@ class TraceArena
   private:
     static constexpr std::size_t chunkRecords = 16;
 
+    /** A kept record less its write's id: a0's high word (a
+     *  ScopeMark's scope) and what the id does not hold. */
+    struct Entry
+    {
+        Tick when = 0;
+        std::uint32_t a0High = 0;
+        std::uint16_t aux = 0;
+        std::int8_t node = -1;
+        std::uint8_t kindCategory = 0; ///< kind, then category << 5
+
+        static Entry of(const kv::WriteId &id, const Record &rec);
+        Record record(const kv::WriteId &id) const;
+    };
+    static_assert(sizeof(Entry) == 16, "a kept record is 16 bytes");
+
     struct Chunk
     {
-        std::array<Record, chunkRecords> recs;
+        std::array<Entry, chunkRecords> entries;
         std::uint32_t next = OpTrace::noChunk;
     };
 
@@ -161,9 +181,6 @@ class OpTraceIndex : public RecordSink
     explicit OpTraceIndex(std::size_t maxEventsPerOp = 48);
 
     void onRecord(const Record &rec) override;
-
-    /** Index @p rec under @p id. */
-    void add(const kv::WriteId &id, const Record &rec);
 
     /** Number of distinct operations seen. */
     std::size_t ops() const { return slots_.size(); }

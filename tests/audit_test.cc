@@ -18,8 +18,10 @@
  * ledgers, that an op whose records were recycled still renders an
  * excerpt, that a compacted write rebuilds exactly (a late ACK stays a
  * duplicate, never an orphan) while dirty writes keep their entries,
- * and that the write -> slot table (OpSlots) keeps every write's slot
- * as it grows.
+ * that <Lin, Scope>'s P4 finds every write marked into a scope (stubs
+ * and moved slots included), that a kept trace record renders exactly
+ * as the record it was packed from, and that the write -> slot table
+ * (OpSlots) keeps every write's slot as it grows.
  */
 
 #include <gtest/gtest.h>

@@ -33,7 +33,9 @@
  * prints a violation report; --audit-fatal additionally exits 1 when
  * any invariant is breached, for CI smoke runs. --trace-categories
  * restricts which event categories the ring retains (auditors see the
- * full stream regardless).
+ * full stream regardless). The ring is kept only for --trace-out, so
+ * without it --trace-capacity and --trace-categories are checked but
+ * change nothing.
  *
  * An unknown flag or a bad flag value (out of range, malformed, an
  * unknown name, or none where one is needed: `--trace-out=`) exits 2
@@ -235,10 +237,16 @@ main(int argc, char **argv)
     const bool want_phases = flags.getBool("phases") ||
                              !metrics_out.empty() || !trace_out.empty();
 
-    obs::FlightRecorder recorder(static_cast<std::size_t>(
-        flags.getInt("trace-capacity", 1 << 15, 1, 1 << 26)));
+    // Only --trace-out reads the ring. Without it the recorder keeps
+    // one slot and retains nothing; its sinks (the auditors) still see
+    // every record.
+    const bool keep_ring = !trace_out.empty();
+    const std::int64_t trace_capacity =
+        flags.getInt("trace-capacity", 1 << 15, 1, 1 << 26);
+    obs::FlightRecorder recorder(
+        static_cast<std::size_t>(keep_ring ? trace_capacity : 1));
     auto cats = flags.getStrings("trace-categories");
-    if (!cats.empty()) {
+    if (!cats.empty() || !keep_ring) {
         // Mute everything, then re-enable the requested categories.
         // This only governs ring retention: audit sinks still see the
         // full stream.
@@ -249,7 +257,7 @@ main(int argc, char **argv)
             if (!obs::categoryFromName(name, c))
                 flags.badFlag("unknown --trace-categories entry '" +
                               name + "'");
-            recorder.setEnabled(c, true);
+            recorder.setEnabled(c, keep_ring);
         }
     }
     obs::WritePhaseStats phase_stats;
