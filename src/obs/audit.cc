@@ -328,16 +328,14 @@ OpTable::render(const kv::WriteId &id) const
 // ---------------------------------------------------------------------
 
 void
-ScopeChains::append(std::uint64_t scope, std::uint32_t slot)
+ScopeChains::append(std::uint32_t scope, std::uint32_t slot)
 {
-    MINOS_ASSERT(scope >> 32 == 0, "scope id wider than 32 bits: ", scope);
     bool added = false;
     const std::uint32_t c = index_.insert(
         hash(scope),
         [&](std::uint32_t i) { return chains_[i].scope == scope; },
         [&] {
-            chains_.emplace_back().scope =
-                static_cast<std::uint32_t>(scope);
+            chains_.emplace_back().scope = scope;
             return static_cast<std::uint32_t>(chains_.size() - 1);
         },
         added);
@@ -540,8 +538,10 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         // opIdOf names the marked write; one without a TS_WR is no
         // write any rule could find.
         bool added = false;
-        scopes_.append(static_cast<std::uint64_t>(rec.a0) >> 32,
-                       shared() ? ap.slot : marked_.insert(ap.id, added));
+        scopes_.append(
+            static_cast<std::uint32_t>(static_cast<std::uint64_t>(rec.a0) >>
+                                       32),
+            shared() ? ap.slot : marked_.insert(ap.id, added));
     }
     if (rec.kind == EventKind::AckSent &&
         ackType(rec.aux) == net::MsgType::ACK_P_SC) {

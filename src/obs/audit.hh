@@ -296,7 +296,7 @@ class ScopeChains
 {
   public:
     /** Append @p slot to the list of @p scope. */
-    void append(std::uint64_t scope, std::uint32_t slot);
+    void append(std::uint32_t scope, std::uint32_t slot);
 
     /** Call @p fn(slot) on the list of @p scope, in order. */
     template <typename Fn>
