@@ -14,6 +14,10 @@
  * The log is also the unit of recovery: when a failed node rejoins, a
  * designated node ships it the suffix of committed entries it missed
  * (§III-E), which the rejoining node replays.
+ *
+ * Only the threaded runtime (proto/) keeps this log. The simulated
+ * engines never read theirs back, so they keep the per-key result of
+ * applying it instead (nvm/durable_state.hh).
  */
 
 #ifndef MINOS_NVM_LOG_HH

@@ -116,12 +116,4 @@ DdpCore::makeAck(const Message &req, MsgType type, Tick handle_ns)
     return resp;
 }
 
-nvm::DurableDb
-DdpCore::durableDb() const
-{
-    nvm::DurableDb db;
-    log_.applyTo(db);
-    return db;
-}
-
 } // namespace minos::simproto

@@ -5,11 +5,11 @@
  *
  * MINOS-O does not change the DDP algorithm of Figs. 2-3: it runs the
  * same Table I state machine on a different processor (paper §V). So
- * the core owns the replica state both engines keep — the record store,
- * the NVM log, the host cores, the progress Condition, the counters,
- * the per-scope unpersisted counts and the per-record TS_WR guard — and
- * defines each primitive over it once: RDLock snatch/release, the glb
- * raises, TS_WR generation, handleObsolete, the local client read, the
+ * the core owns the replica state both engines keep — the record store
+ * with its durable state and TS_WR guard (replica_store.hh), the host
+ * cores, the progress Condition, the counters and the per-scope
+ * unpersisted counts — and defines each primitive over it once:
+ * RDLock snatch/release, the glb raises, handleObsolete, the local client read, the
  * walk of the follower's obsolete-INV steps and the coordinator's
  * write bookkeeping. The per-model step tables themselves live in
  * models.hh.
@@ -28,20 +28,20 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "check/predicates.hh"
 #include "kv/store.hh"
 #include "net/message.hh"
-#include "nvm/log.hh"
+#include "nvm/durable_state.hh"
 #include "obs/recorder.hh"
 #include "sim/condition.hh"
 #include "sim/network.hh"
 #include "simproto/cluster.hh"
 #include "simproto/counters.hh"
 #include "simproto/models.hh"
+#include "simproto/replica_store.hh"
 
 namespace minos::simproto {
 
@@ -93,7 +93,9 @@ class DdpCore
 
     /** @{ Introspection for tests and invariant checks. */
     const kv::Record &record(kv::Key key) const { return store_.at(key); }
-    const nvm::DurableLog &log() const { return log_; }
+    /** The node's durable state; log().size() counts its persists, as
+     *  the length of a raw NVM log would. */
+    const nvm::DurableState &log() const { return store_.durable(); }
     /** Protocol activity counters. */
     const NodeCounters &counters() const { return counters_; }
     /** Scopes with scoped updates still persisting on this node. */
@@ -103,8 +105,9 @@ class DdpCore
     }
     /** @} */
 
-    /** Durable database obtained by replaying this node's NVM log. */
-    nvm::DurableDb durableDb() const;
+    /** Durable database: what replaying every persist of this node, in
+     *  order, gives. */
+    nvm::DurableDb durableDb() const { return store_.durableDb(); }
 
   protected:
     DdpCore(sim::Simulator &sim, const ClusterConfig &cfg,
@@ -218,29 +221,6 @@ class DdpCore
             raiseGlbVolatile(rec, val.key, val.tsWr);
         if (fx.raisesGlbDurable)
             raiseGlbDurable(rec, val.key, val.tsWr);
-    }
-
-    /**
-     * Generate a unique TS_WR for a new client-write on @p key. It is
-     * newer than the local copy, so a write cannot be obsolete before
-     * its first suspension: the engines check only after the snatch
-     * (Fig. 2 line 5's early check can never fire).
-     */
-    kv::Timestamp
-    makeWriteTs(kv::Key key, const kv::Record &rec)
-    {
-        // Paper: version = coordinator's volatileTS version + 1.
-        // Concurrent local writers would collide on that rule alone, so
-        // a per-record monotonic guard keeps locally-issued TS_WR
-        // unique; cross-node ties are broken by node_id as usual.
-        auto &next = nextLocalVersion_[key];
-        std::int64_t ver =
-            std::max<std::int64_t>(rec.volatileTs.version + 1, next);
-        // The 24-bit version field must not wrap silently.
-        MINOS_ASSERT(ver <= kv::Timestamp::maxVersion,
-                     "TS_WR version overflow on key ", key);
-        next = ver + 1;
-        return kv::Timestamp{ver, id_};
     }
 
     /**
@@ -377,8 +357,7 @@ class DdpCore
     const PersistModel model_;
     const kv::NodeId id_;
 
-    kv::SimStore store_;
-    nvm::DurableLog log_;
+    ReplicaStore store_;
     sim::CorePool hostCores_;
     sim::Condition progress_;
     NodeCounters counters_;
@@ -396,9 +375,6 @@ class DdpCore
      *  none has no entry. Few scopes persist at once, so a flat list
      *  serves, and dropping and re-adding a scope allocates nothing. */
     std::vector<std::pair<net::ScopeId, int>> scopeUnpersisted_;
-    /** Per-record guard that keeps locally-issued TS_WR unique. Sparse:
-     *  only keys this node coordinated get an entry. */
-    std::unordered_map<kv::Key, std::int64_t> nextLocalVersion_;
 
   private:
     std::vector<std::pair<net::ScopeId, int>>::iterator

@@ -86,16 +86,25 @@ runWorkload(sim::Simulator &sim, DdpCluster &cluster,
     if (workers <= 0)
         workers = cluster.config().hostCores;
 
+    if (driver_cfg.keepSampleOrder) {
+        state.result.writeLat.keepOrder();
+        state.result.readLat.keepOrder();
+        state.result.persistLat.keepOrder();
+    }
+
+    const auto per_node = driver_cfg.requestsPerNode;
+    const auto n_workers = static_cast<std::uint64_t>(workers);
     for (int n = 0; n < cluster.numNodes(); ++n) {
+        // Deal the node's stream round-robin to its workers as it is
+        // generated.
         workload::YcsbGenerator gen(driver_cfg.ycsb,
                                     static_cast<std::uint32_t>(n));
-        auto ops = gen.stream(driver_cfg.requestsPerNode);
-        // Deal the node's stream round-robin to its workers.
-        std::vector<std::vector<workload::Op>> shares(
-            static_cast<std::size_t>(workers));
-        for (std::size_t i = 0; i < ops.size(); ++i)
-            shares[i % static_cast<std::size_t>(workers)].push_back(
-                ops[i]);
+        std::vector<std::vector<workload::Op>> shares(n_workers);
+        for (std::uint64_t w = 0; w < n_workers; ++w)
+            shares[w].reserve(per_node / n_workers +
+                              (w < per_node % n_workers ? 1 : 0));
+        for (std::uint64_t i = 0; i < per_node; ++i)
+            shares[i % n_workers].push_back(gen.next());
         for (int w = 0; w < workers; ++w) {
             wg.add();
             sim.spawn(worker(&sim, &cluster, &state,

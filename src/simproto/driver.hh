@@ -34,6 +34,10 @@ struct DriverConfig
     int scopeSize = 10;
     /** Workload shape. */
     workload::YcsbConfig ycsb;
+    /** Keep RunResult's latency samples in arrival order as well
+     *  (LatencySeries::keepOrder), for tests that compare two runs
+     *  sample by sample. */
+    bool keepSampleOrder = false;
 };
 
 /** Aggregated measurement of one run. */

@@ -59,7 +59,7 @@ NodeB::persistToNvm(Key key, Value value, Timestamp ts)
     Tick issue = std::min<Tick>(lat, 200);
     co_await hostCores_.compute(issue);
     co_await sim::delay(lat - issue);
-    log_.append({key, value, ts});
+    store_.persist(key, value, ts);
     ++counters_.persists;
     traceEvent(obs::Category::Protocol, obs::EventKind::PersistDone,
                static_cast<std::int64_t>(key),
@@ -127,7 +127,7 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
     co_await hostCores_.compute(cfg_.clientReqNs);
 
     Record &rec = store_.at(key);
-    Timestamp ts = makeWriteTs(key, rec);
+    Timestamp ts = store_.makeWriteTs(key, rec, id_);
     traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpBegin,
                static_cast<std::int64_t>(key),
                static_cast<std::int64_t>(ts.pack()),
@@ -177,8 +177,7 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
 
     // Line 12: update local volatile state (LLC) + volatileTS.
     co_await hostCores_.compute(cfg_.llcWriteNs);
-    rec.value = value;
-    rec.volatileTs = ts;
+    store_.apply(rec, key, value, ts);
     progress_.notifyAll();
 
     // Line 13: release WRLock.
@@ -383,8 +382,7 @@ NodeB::onInv(Message msg, Tick t_handle0)
 
     // Lines 35-37: update the LLC copy.
     co_await hostCores_.compute(cfg_.llcWriteNs);
-    rec.value = msg.value;
-    rec.volatileTs = msg.tsWr;
+    store_.apply(rec, msg.key, msg.value, msg.tsWr);
     traceEvent(obs::Category::Protocol, obs::EventKind::InvApplied,
                static_cast<std::int64_t>(msg.key),
                static_cast<std::int64_t>(msg.tsWr.pack()));

@@ -132,7 +132,7 @@ SlotQueue::runBatch(std::size_t n)
 // ---------------------------------------------------------------------
 
 VFifo::VFifo(sim::Simulator &sim, const simproto::ClusterConfig &cfg,
-             kv::SimStore &store, sim::Link &pcie_to_host,
+             simproto::ReplicaStore &store, sim::Link &pcie_to_host,
              sim::Condition &progress, kv::NodeId node)
     : sim_(sim), cfg_(cfg), store_(store), pcieToHost_(pcie_to_host),
       progress_(progress), slots_(sim, cfg.vfifoEntries), node_(node)
@@ -195,12 +195,10 @@ VFifo::drainLoop()
                 // Re-check at apply time: a newer entry cannot have
                 // overtaken us (in-order arrivals), but the issue-time
                 // check is the architectural one; keep both.
-                if (!(r.volatileTs > e.ts)) {
-                    r.value = e.value;
-                    r.volatileTs = e.ts;
-                } else {
+                if (!(r.volatileTs > e.ts))
+                    self->store_.apply(r, e.key, e.value, e.ts);
+                else
                     ++self->skipped_;
-                }
                 self->drainedThrough_ =
                     std::max(self->drainedThrough_, e.id + 1);
                 self->progress_.notifyAll();
@@ -229,9 +227,9 @@ VFifo::drainLoop()
 // ---------------------------------------------------------------------
 
 DFifo::DFifo(sim::Simulator &sim, const simproto::ClusterConfig &cfg,
-             nvm::DurableLog &log, sim::Link &pcie_to_host,
+             simproto::ReplicaStore &store, sim::Link &pcie_to_host,
              sim::Condition &progress, kv::NodeId node)
-    : sim_(sim), cfg_(cfg), log_(log), pcieToHost_(pcie_to_host),
+    : sim_(sim), cfg_(cfg), store_(store), pcieToHost_(pcie_to_host),
       progress_(progress), slots_(sim, cfg.dfifoEntries), node_(node)
 {
     sim_.spawn(drainLoop());
@@ -246,7 +244,7 @@ DFifo::enqueue(Key key, Value value, Timestamp ts,
     Tick t0 = sim_.now();
     co_await enqueueMarker(size_bytes);
     // Durability point: the update now lives in the SNIC's NVM.
-    log_.append({key, value, ts});
+    store_.persist(key, value, ts);
     if (cfg_.trace)
         cfg_.trace->record(sim_.now(), obs::Category::Protocol,
                            obs::EventKind::PersistDone, node_,

@@ -8,8 +8,9 @@
  *   (updating volatileTS). A write cannot release the RDLock until its
  *   entry has drained.
  * - dFIFO (durable FIFO, in SNIC NVM): an update is durable the moment it
- *   is enqueued; the drain engine pushes entries to the host NVM log in
- *   the background, off the critical path.
+ *   is enqueued (it enters the node's durable state then); the drain
+ *   engine pushes entries to the host NVM log in the background, off the
+ *   critical path.
  *
  * Both queues are bounded (Table III: 5 entries each; Fig. 13 sweeps the
  * size); enqueues block while the queue is full.
@@ -24,11 +25,10 @@
 #include <type_traits>
 #include <vector>
 
-#include "kv/store.hh"
-#include "nvm/log.hh"
 #include "sim/condition.hh"
 #include "sim/network.hh"
 #include "simproto/config.hh"
+#include "simproto/replica_store.hh"
 
 namespace minos::snic {
 
@@ -194,13 +194,14 @@ class VFifo
 {
   public:
     /**
-     * @param store the node's LLC-resident record store
+     * @param store the node's LLC-resident record store; a drained
+     *        entry lands through its record-apply hook
      * @param pcie_to_host the SNIC->host PCIe link the DMA engine shares
      * @param progress node-wide progress condition (notified on LLC
      *        updates so coherent-field spins wake up)
      */
     VFifo(sim::Simulator &sim, const simproto::ClusterConfig &cfg,
-          kv::SimStore &store, sim::Link &pcie_to_host,
+          simproto::ReplicaStore &store, sim::Link &pcie_to_host,
           sim::Condition &progress, kv::NodeId node = -1);
 
     /**
@@ -242,7 +243,7 @@ class VFifo
 
     sim::Simulator &sim_;
     const simproto::ClusterConfig &cfg_;
-    kv::SimStore &store_;
+    simproto::ReplicaStore &store_;
     sim::Link &pcieToHost_;
     sim::Condition &progress_;
     SlotQueue slots_;
@@ -261,21 +262,23 @@ class VFifo
 class DFifo
 {
   public:
+    /** @param store the node's record store, whose durable state an
+     *         enqueued update enters */
     DFifo(sim::Simulator &sim, const simproto::ClusterConfig &cfg,
-          nvm::DurableLog &log, sim::Link &pcie_to_host,
+          simproto::ReplicaStore &store, sim::Link &pcie_to_host,
           sim::Condition &progress, kv::NodeId node = -1);
 
     /**
      * Atomically enqueue (and thereby persist) one update of
-     * @p size_bytes. Suspends while the FIFO is full. The entry is
-     * appended to the durable log here — this is the durability point.
+     * @p size_bytes. Suspends while the FIFO is full. The update enters
+     * the node's durable state here — this is the durability point.
      */
     sim::Task<void> enqueue(kv::Key key, kv::Value value,
                             kv::Timestamp ts, std::uint32_t size_bytes);
 
     /**
      * Persist a protocol marker (e.g. the [PERSIST]sc record) without
-     * adding a data entry to the durable log.
+     * adding a data update to the durable state.
      */
     sim::Task<void> enqueueMarker(std::uint32_t size_bytes);
 
@@ -292,7 +295,7 @@ class DFifo
 
     sim::Simulator &sim_;
     const simproto::ClusterConfig &cfg_;
-    nvm::DurableLog &log_;
+    simproto::ReplicaStore &store_;
     sim::Link &pcieToHost_;
     sim::Condition &progress_;
     SlotQueue slots_;

@@ -27,7 +27,7 @@ NodeO::NodeO(sim::Simulator &sim, ClusterO &cluster,
     : DdpCore(sim, cfg, model, id), cluster_(cluster),
       snicCores_(sim, cfg.snicCores), snicRx_(sim),
       vfifo_(sim, cfg, store_, cluster.vfifoDma(id), progress_, id),
-      dfifo_(sim, cfg, log_, cluster.dfifoDma(id), progress_, id),
+      dfifo_(sim, cfg, store_, cluster.dfifoDma(id), progress_, id),
       valTail_(valTailOf(coordinatorSteps_))
 {
     sim_.spawn(snicDispatcher());
@@ -46,7 +46,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
     co_await hostCores_.compute(cfg_.clientReqNs);
 
     Record &rec = store_.at(key);
-    Timestamp ts = makeWriteTs(key, rec);
+    Timestamp ts = store_.makeWriteTs(key, rec, id_);
     traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpBegin,
                static_cast<std::int64_t>(key),
                static_cast<std::int64_t>(ts.pack()),

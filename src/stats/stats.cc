@@ -2,68 +2,186 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "common/logging.hh"
 
 namespace minos::stats {
 
+namespace {
+
+// A word is (sample + sampleBias) << countBits | count, count >= 1: words
+// order by sample, and one word holds up to maxRunCount equal samples.
+constexpr int countBits = 16;
+constexpr std::uint64_t maxRunCount = (1u << countBits) - 1;
+constexpr Tick sampleBias = Tick{1} << 47;
+// The unsorted suffix is compacted once it is this long and at least as
+// long as the sorted prefix, so each sample is sorted O(log n) times.
+constexpr std::size_t minUnsorted = 512;
+
+std::uint64_t
+runWord(Tick sample, std::uint64_t count)
+{
+    return static_cast<std::uint64_t>(sample + sampleBias) << countBits |
+           count;
+}
+
+Tick
+runValue(std::uint64_t word)
+{
+    return static_cast<Tick>(word >> countBits) - sampleBias;
+}
+
+std::uint64_t
+runCount(std::uint64_t word)
+{
+    return word & maxRunCount;
+}
+
+} // namespace
+
 void
 LatencySeries::add(Tick sample)
 {
-    if (!samples_.empty() && sample < samples_.back())
-        sorted_ = false;
-    samples_.push_back(sample);
+    MINOS_ASSERT(sample >= -sampleBias && sample < sampleBias,
+                 "latency sample out of range: ", sample);
+    if (keepOrder_)
+        ordered_.push_back(sample);
+    ++count_;
+    sum_ += sample;
+    const std::uint64_t w = runWord(sample, 1);
+    // Latencies often repeat back to back (an uncontended read takes the
+    // same time every time): count a repeat in the newest unsorted word.
+    if (words_.size() > sorted_ &&
+        (words_.back() >> countBits) == (w >> countBits) &&
+        runCount(words_.back()) < maxRunCount) {
+        ++words_.back();
+        return;
+    }
+    push(w);
+}
+
+void
+LatencySeries::push(std::uint64_t word)
+{
+    if (words_.size() - sorted_ >= std::max(minUnsorted, sorted_))
+        compact();
+    words_.push_back(word);
+}
+
+void
+LatencySeries::keepOrder()
+{
+    MINOS_ASSERT(empty(), "keepOrder() on a series with samples");
+    keepOrder_ = true;
+}
+
+void
+LatencySeries::compact() const
+{
+    if (sorted_ == words_.size())
+        return;
+    auto byValue = [](std::uint64_t a, std::uint64_t b) {
+        return (a >> countBits) < (b >> countBits);
+    };
+    const auto mid = words_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+    std::sort(mid, words_.end(), byValue);
+    std::inplace_merge(words_.begin(), mid, words_.end(), byValue);
+    // Fold equal values into runs; a run that would overflow its count
+    // field is filled and the rest starts the next word.
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+        std::uint64_t w = words_[i];
+        if (out > 0 &&
+            (words_[out - 1] >> countBits) == (w >> countBits)) {
+            std::uint64_t &run = words_[out - 1];
+            std::uint64_t moved =
+                std::min(runCount(w), maxRunCount - runCount(run));
+            run += moved;
+            w -= moved;
+            if (runCount(w) == 0)
+                continue;
+        }
+        words_[out++] = w;
+    }
+    words_.resize(out);
+    sorted_ = out;
 }
 
 double
 LatencySeries::mean() const
 {
-    if (samples_.empty())
+    if (empty())
         return 0.0;
-    double sum = std::accumulate(samples_.begin(), samples_.end(), 0.0);
-    return sum / static_cast<double>(samples_.size());
+    return static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
 Tick
 LatencySeries::min() const
 {
-    if (samples_.empty())
+    if (empty())
         return 0;
-    return *std::min_element(samples_.begin(), samples_.end());
+    compact();
+    return runValue(words_.front());
 }
 
 Tick
 LatencySeries::max() const
 {
-    if (samples_.empty())
+    if (empty())
         return 0;
-    return *std::max_element(samples_.begin(), samples_.end());
+    compact();
+    return runValue(words_.back());
 }
 
 Tick
 LatencySeries::percentile(double p) const
 {
-    if (samples_.empty())
+    if (empty())
         return 0;
     MINOS_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range: ", p);
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
+    compact();
     auto rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(samples_.size())));
+        std::ceil(p / 100.0 * static_cast<double>(count_)));
     if (rank > 0)
         --rank;
-    return samples_[std::min(rank, samples_.size() - 1)];
+    rank = std::min(rank, count_ - 1);
+    std::size_t seen = 0;
+    for (std::uint64_t w : words_) {
+        seen += runCount(w);
+        if (rank < seen)
+            return runValue(w);
+    }
+    MINOS_PANIC("histogram holds fewer samples than its count");
 }
 
 void
 LatencySeries::merge(const LatencySeries &other)
 {
-    for (Tick t : other.samples_)
-        add(t);
+    if (keepOrder_) {
+        MINOS_ASSERT(other.keepOrder_ || other.empty(),
+                     "merging an unordered series into an ordered one");
+        ordered_.insert(ordered_.end(), other.ordered_.begin(),
+                        other.ordered_.end());
+    }
+    count_ += other.count_;
+    sum_ += other.sum_;
+    for (std::uint64_t w : other.words_)
+        push(w);
+}
+
+const std::vector<Tick> &
+LatencySeries::samples() const
+{
+    MINOS_ASSERT(keepOrder_, "samples() of a series without keepOrder()");
+    return ordered_;
+}
+
+std::size_t
+LatencySeries::footprintBytes() const
+{
+    return words_.capacity() * sizeof(std::uint64_t) +
+           ordered_.capacity() * sizeof(Tick);
 }
 
 double
@@ -85,10 +203,7 @@ Breakdown::commFraction() const
 std::uint64_t
 LatencySeries::digest() const
 {
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
+    compact();
     std::uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
     auto mix = [&h](std::uint64_t v) {
         for (int i = 0; i < 8; ++i) {
@@ -96,9 +211,10 @@ LatencySeries::digest() const
             h *= 1099511628211ull;
         }
     };
-    mix(samples_.size());
-    for (Tick s : samples_)
-        mix(static_cast<std::uint64_t>(s));
+    mix(count_);
+    for (std::uint64_t w : words_)
+        for (std::uint64_t c = runCount(w); c > 0; --c)
+            mix(static_cast<std::uint64_t>(runValue(w)));
     return h;
 }
 

@@ -17,43 +17,84 @@
 
 namespace minos::stats {
 
-/** A series of latency samples with summary statistics. */
+/**
+ * A series of latency samples with summary statistics, kept as an exact
+ * (value, count) histogram: every statistic is a function of the sample
+ * multiset, so percentiles, min, max, mean and digest() equal those of
+ * the full sample vector while the series holds one 8-byte word per
+ * distinct value instead of one per sample.
+ *
+ * The words live in one vector: a prefix of runs sorted by value, then
+ * the samples added since the last compaction, one word each, except
+ * that a sample equal to the newest one only bumps its count. A
+ * compaction (once the unsorted suffix is as long as the prefix, or
+ * before a query) sorts the suffix, merges it into the prefix and folds
+ * equal values into one run. A word always stands for at least one
+ * sample and the vector only grows by push_back, so it never holds
+ * more, nor reserves more, than a vector of every sample would (the
+ * merge may borrow a buffer of up to half the words for its duration).
+ *
+ * Samples must lie in [-2^47, 2^47) ns (±39 hours).
+ */
 class LatencySeries
 {
   public:
     void add(Tick sample);
 
-    std::size_t count() const { return samples_.size(); }
-    bool empty() const { return samples_.empty(); }
+    /**
+     * Also keep the samples in arrival order, for samples() (tests that
+     * compare two runs sample by sample). @pre the series is empty
+     */
+    void keepOrder();
 
-    /** Arithmetic mean; 0 when empty. */
+    std::size_t count() const { return count_; }
+    bool empty() const { return count_ == 0; }
+
+    /** Arithmetic mean; 0 when empty. Exact while the integer sum of
+     *  the samples stays below 2^53, whatever their order. */
     double mean() const;
 
     /** Min/max; 0 when empty. */
     Tick min() const;
     Tick max() const;
 
-    /** Percentile in [0, 100]; 0 when empty. Sorts lazily. */
+    /** Percentile in [0, 100]; 0 when empty. */
     Tick percentile(double p) const;
 
     Tick p50() const { return percentile(50.0); }
     Tick p99() const { return percentile(99.0); }
 
-    /** Merge another series into this one. */
+    /** Merge another series into this one. An order-keeping series
+     *  takes only an order-keeping (or empty) one. */
     void merge(const LatencySeries &other);
 
     /**
-     * Order-insensitive FNV-1a digest of the samples (sorts lazily,
-     * like percentile()). Two runs with identical sample multisets
-     * digest equal; used by determinism regression tests.
+     * Order-insensitive FNV-1a digest of the samples: the count, then
+     * every sample in ascending order. Two runs with identical sample
+     * multisets digest equal; used by determinism regression tests.
      */
     std::uint64_t digest() const;
 
-    const std::vector<Tick> &samples() const { return samples_; }
+    /** The samples in arrival order. @pre keepOrder() was called */
+    const std::vector<Tick> &samples() const;
+
+    /** Heap bytes the series has reserved. */
+    std::size_t footprintBytes() const;
 
   private:
-    mutable std::vector<Tick> samples_;
-    mutable bool sorted_ = true;
+    /** Append one word to the unsorted suffix, compacting first when
+     *  the suffix is full. */
+    void push(std::uint64_t word);
+    void compact() const;
+
+    /** Sorted runs, then unsorted single samples; see the class note. */
+    mutable std::vector<std::uint64_t> words_;
+    /** words_[0, sorted_) are runs sorted by value, one per value. */
+    mutable std::size_t sorted_ = 0;
+    std::size_t count_ = 0;
+    std::int64_t sum_ = 0;
+    bool keepOrder_ = false;
+    std::vector<Tick> ordered_;
 };
 
 /** Operations per second given a count and a simulated duration. */

@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "nvm/log.hh"
 #include "sim/network.hh"
 #include "snic/fifo.hh"
 
@@ -31,19 +30,19 @@ struct Rig
         cfg.vfifoEntries = entries;
         cfg.dfifoEntries = entries;
         cfg.numRecords = 16;
-        store = std::make_unique<kv::SimStore>(cfg.numRecords);
+        store = std::make_unique<simproto::ReplicaStore>(cfg.numRecords);
         dma = std::make_unique<Link>(sim, cfg.pcieLatencyNs,
                                      cfg.pcieBwBytesPerSec, 30);
         progress = std::make_unique<Condition>(sim);
         vfifo = std::make_unique<VFifo>(sim, cfg, *store, *dma,
                                         *progress);
-        dfifo = std::make_unique<DFifo>(sim, cfg, log, *dma, *progress);
+        dfifo = std::make_unique<DFifo>(sim, cfg, *store, *dma,
+                                        *progress);
     }
 
     sim::Simulator sim;
     simproto::ClusterConfig cfg;
-    nvm::DurableLog log;
-    std::unique_ptr<kv::SimStore> store;
+    std::unique_ptr<simproto::ReplicaStore> store;
     std::unique_ptr<Link> dma;
     std::unique_ptr<Condition> progress;
     std::unique_ptr<VFifo> vfifo;
@@ -165,14 +164,15 @@ TEST(DFifo, EnqueueIsTheDurabilityPoint)
             co_await rig->dfifo->enqueue(1, 42, Timestamp{0, 0}, 1024);
             // Durable immediately after the enqueue completes, before
             // any background drain to the host.
-            *log_size_at_enqueue = rig->log.size();
+            *log_size_at_enqueue = rig->store->durable().size();
         }
     };
     std::size_t at_enqueue = 0;
     rig.sim.spawn(P::run(&rig, &at_enqueue));
     rig.sim.run();
     EXPECT_EQ(at_enqueue, 1u);
-    EXPECT_EQ(rig.log.entryAt(0).value, 42u);
+    ASSERT_TRUE(rig.store->durableAt(1));
+    EXPECT_EQ(rig.store->durableAt(1)->value, 42u);
 }
 
 TEST(DFifo, MarkersDoNotPolluteTheLog)
@@ -191,8 +191,69 @@ TEST(DFifo, MarkersDoNotPolluteTheLog)
     rig.sim.spawn(P::run(&rig));
     rig.sim.run();
     // Only the data entry lands in the durable log.
-    EXPECT_EQ(rig.log.size(), 1u);
-    EXPECT_EQ(rig.log.entryAt(0).key, 2u);
+    EXPECT_EQ(rig.store->durable().size(), 1u);
+    EXPECT_TRUE(rig.store->durableAt(2));
+    EXPECT_EQ(rig.store->durableDb().size(), 1u);
+}
+
+TEST(DFifo, PersistAndDrainOfOneKeyLandInEitherOrder)
+{
+    // The durable state is the record plus an overlay of the keys whose
+    // durable (value, TS) differs: a dFIFO persist may land before or
+    // after the vFIFO drain of the same update, and the key stays in the
+    // overlay only between the two.
+    for (bool persist_first : {true, false}) {
+        SCOPED_TRACE(persist_first ? "persist first" : "drain first");
+        Rig rig;
+        struct P
+        {
+            static sim::Process
+            persist(Rig *rig, kv::Value value, Timestamp ts)
+            {
+                co_await rig->dfifo->enqueue(4, value, ts, 1024);
+            }
+
+            static sim::Process
+            drain(Rig *rig, kv::Value value, Timestamp ts)
+            {
+                std::uint64_t id =
+                    co_await rig->vfifo->enqueue(4, value, ts);
+                co_await rig->vfifo->waitDrained(id);
+            }
+        };
+        const nvm::DurableState &durable = rig.store->durable();
+        auto step = [&](bool persist, kv::Value value, Timestamp ts) {
+            rig.sim.spawn(persist ? P::persist(&rig, value, ts)
+                                  : P::drain(&rig, value, ts));
+            rig.sim.run();
+        };
+
+        step(persist_first, 11, Timestamp{0, 0});
+        EXPECT_EQ(durable.lagging(), 1u);
+        EXPECT_EQ(rig.store->durableAt(4).has_value(), persist_first);
+        step(!persist_first, 11, Timestamp{0, 0});
+        EXPECT_EQ(durable.lagging(), 0u);
+        ASSERT_TRUE(rig.store->durableAt(4));
+        EXPECT_EQ(rig.store->durableAt(4)->value, 11u);
+        EXPECT_EQ(rig.store->at(4).value, 11u);
+
+        // A newer update, in the same order: the durable state keeps the
+        // older one until the newer is persisted too.
+        step(persist_first, 12, Timestamp{1, 0});
+        EXPECT_EQ(durable.lagging(), 1u);
+        EXPECT_EQ(rig.store->durableAt(4)->value, persist_first ? 12u : 11u);
+        step(!persist_first, 12, Timestamp{1, 0});
+        EXPECT_EQ(durable.lagging(), 0u);
+        EXPECT_EQ(rig.store->durableAt(4)->ts, (Timestamp{1, 0}));
+
+        // A late persist of an older update changes nothing durable.
+        step(true, 11, Timestamp{0, 0});
+        EXPECT_EQ(durable.lagging(), 0u);
+        EXPECT_EQ(rig.store->durableAt(4)->value, 12u);
+        EXPECT_EQ(durable.size(), 3u);
+        EXPECT_EQ(durable.peakLagging(), 1u);
+        EXPECT_EQ(rig.store->durableDb().size(), 1u);
+    }
 }
 
 TEST(DFifo, ScalesLatencyWithSize)

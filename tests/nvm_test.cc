@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <thread>
+#include <vector>
 
+#include "nvm/durable_state.hh"
 #include "nvm/log.hh"
 #include "nvm/model.hh"
 
@@ -228,4 +231,65 @@ TEST(DurableLogCompaction, IdempotentAndPartial)
     DurableDb db;
     log.applyTo(db);
     EXPECT_EQ(db.size(), 4u);
+}
+
+TEST(DurableState, MatchesLogReplayUnderAnyPersistOrder)
+{
+    // Records take updates only forward, as the engines apply them;
+    // persists land in any order, late and duplicated ones included. The
+    // records plus the overlay must equal a replay of every persist, and
+    // the overlay must hold exactly the keys whose durable state differs
+    // from the record.
+    constexpr std::size_t keys = 300;
+    std::mt19937_64 rng(3);
+    kv::SimStore store(keys);
+    DurableState durable;
+    DurableLog log;
+    std::vector<std::vector<LogEntry>> issued(keys);
+    auto compare = [&] {
+        DurableDb want;
+        log.applyTo(want);
+        const DurableDb got = durable.db(store);
+        ASSERT_EQ(got.size(), want.size());
+        std::size_t differ = 0;
+        for (kv::Key k = 0; k < keys; ++k) {
+            const auto it = want.find(k);
+            const auto at = durable.at(store.at(k), k);
+            ASSERT_EQ(at.has_value(), it != want.end()) << "key " << k;
+            const kv::Record &rec = store.at(k);
+            if (it == want.end()) {
+                differ += !rec.volatileTs.isNone();
+                continue;
+            }
+            EXPECT_EQ(at->ts, it->second.ts) << "key " << k;
+            EXPECT_EQ(at->value, it->second.value) << "key " << k;
+            EXPECT_EQ(got.at(k).ts, it->second.ts) << "key " << k;
+            differ += rec.volatileTs != it->second.ts;
+        }
+        EXPECT_EQ(durable.lagging(), differ);
+    };
+    for (int step = 0; step < 200'000; ++step) {
+        const kv::Key k = rng() % (step < 100'000 ? keys : 8);
+        auto &writes = issued[k];
+        const auto r = rng() % 8;
+        if (writes.empty() || r < 2) {
+            const auto version = static_cast<std::int64_t>(writes.size());
+            writes.push_back(LogEntry{k, rng(), Timestamp{version, 0}});
+            continue;
+        }
+        const LogEntry &e = writes[rng() % writes.size()];
+        kv::Record &rec = store.at(k);
+        if (r < 5) {
+            if (!(rec.volatileTs > e.ts))
+                durable.apply(rec, k, e.value, e.ts);
+        } else {
+            durable.persist(rec, k, e.value, e.ts);
+            log.append(e);
+        }
+        if (step % 20'000 == 0)
+            compare();
+    }
+    compare();
+    EXPECT_EQ(durable.size(), log.size());
+    EXPECT_GT(durable.peakLagging(), 50u);
 }

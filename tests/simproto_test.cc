@@ -13,6 +13,7 @@
 
 #include "simproto/cluster_b.hh"
 #include "simproto/driver.hh"
+#include "simproto/replica_store.hh"
 #include "snic/node_o.hh"
 
 using namespace minos;
@@ -730,4 +731,29 @@ TEST(CoordinatorTables, PinStepsAndGates)
         EXPECT_EQ(valOf(r.model, S::SendVal), valCType(r.model));
         EXPECT_EQ(valOf(r.model, S::SendValP), net::MsgType::VAL_P);
     }
+}
+
+TEST(ReplicaStore, GuardKeepsOnlyKeysWithTsWrInFlight)
+{
+    // Two local writes in flight on one key get distinct TS_WR; the
+    // guard entry goes once the record reaches the newer one, after which
+    // TS_WR follows the paper's volatileTS + 1 alone.
+    ReplicaStore store(4);
+    kv::Record &rec = store.at(2);
+    const Timestamp a = store.makeWriteTs(2, rec, 1);
+    const Timestamp b = store.makeWriteTs(2, rec, 1);
+    EXPECT_EQ(a, (Timestamp{0, 1}));
+    EXPECT_EQ(b, (Timestamp{1, 1}));
+    EXPECT_EQ(store.guardedKeys(), 1u);
+    store.apply(rec, 2, 10, a);
+    EXPECT_EQ(store.guardedKeys(), 1u); // b not reached yet
+    store.apply(rec, 2, 11, b);
+    EXPECT_EQ(store.guardedKeys(), 0u);
+    EXPECT_EQ(store.makeWriteTs(2, rec, 1), (Timestamp{2, 1}));
+
+    // A newer remote write passing the local one drops the entry too.
+    store.apply(rec, 2, 12, Timestamp{2, 3});
+    EXPECT_EQ(store.guardedKeys(), 0u);
+    EXPECT_EQ(store.makeWriteTs(2, rec, 1), (Timestamp{3, 1}));
+    EXPECT_EQ(store.guardedKeys(), 1u);
 }

@@ -205,6 +205,7 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults)
             dc.requestsPerNode = 150;
             dc.workersPerNode = 3;
             dc.ycsb.numRecords = cfg.numRecords;
+            dc.keepSampleOrder = true;
             return runWorkload(sim, *cluster, dc);
         };
         RunResult a = run();

@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "obs/phase.hh"
 #include "obs/recorder.hh"
 #include "simproto/cluster_b.hh"
@@ -36,6 +41,8 @@ smallDriver(const ClusterConfig &cfg, double write_fraction)
     dc.workersPerNode = 2;
     dc.ycsb.numRecords = cfg.numRecords;
     dc.ycsb.writeFraction = write_fraction;
+    // DetachedRecorderDoesNotPerturbResults compares samples in order.
+    dc.keepSampleOrder = true;
     return dc;
 }
 
@@ -282,6 +289,133 @@ TEST(TraceIntegration, EveryObsoleteCutLaysARecordOnBothEngines)
             EXPECT_EQ(sink.records,
                       total.invsObsolete + total.writesObsoleteCut);
         }
+    }
+}
+
+/** Replays every PersistDone record under DurableLog::applyTo's rule:
+ *  per node and key, the first persist enters, then only a strictly
+ *  newer TS_WR. */
+struct PersistReplay : RecordSink
+{
+    explicit PersistReplay(int nodes) : durable(nodes) {}
+
+    void
+    onRecord(const Record &rec) override
+    {
+        if (rec.kind != EventKind::PersistDone)
+            return;
+        const auto key = static_cast<kv::Key>(rec.a0);
+        const auto ts =
+            kv::Timestamp::unpack(static_cast<std::uint64_t>(rec.a1));
+        auto [it, inserted] = durable[rec.node].try_emplace(key, ts);
+        if (!inserted && ts > it->second)
+            it->second = ts;
+    }
+
+    std::vector<std::map<kv::Key, kv::Timestamp>> durable;
+};
+
+/** One client of the durable-state test: mostly writes to a few keys,
+ *  closing a scope every five writes under <Lin, Scope>. */
+sim::Process
+durableClient(DdpCluster *cluster, kv::NodeId node, int worker, int ops,
+              std::uint64_t records)
+{
+    const bool scoped = cluster->model() == PersistModel::Scope;
+    net::ScopeId seq = 0;
+    auto next_scope = [&] {
+        return (static_cast<net::ScopeId>(node) << 24) |
+               (static_cast<net::ScopeId>(worker) << 16) | ++seq;
+    };
+    net::ScopeId scope = scoped ? next_scope() : 0;
+    std::uint64_t x = 0x9E3779B97F4A7C15ull * (node * 7 + worker + 1);
+    int in_scope = 0;
+    for (int i = 0; i < ops; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const kv::Key key = (x >> 33) % records;
+        if (i % 4 == 3) {
+            co_await cluster->clientRead(node, key);
+            continue;
+        }
+        co_await cluster->clientWrite(node, key, x, scope);
+        if (scoped && ++in_scope == 5) {
+            co_await cluster->persistScope(node, scope);
+            scope = next_scope();
+            in_scope = 0;
+        }
+    }
+    if (scoped && in_scope > 0)
+        co_await cluster->persistScope(node, scope);
+}
+
+class DurableStateTest : public ::testing::TestWithParam<
+                             std::tuple<bool /*offload*/, PersistModel>>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    EnginesModels, DurableStateTest,
+    ::testing::Combine(::testing::Bool(), ::testing::ValuesIn(allModels)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param) ? "O" : "B") + "_" +
+               std::string(shortModelName(std::get<1>(info.param)));
+    });
+
+TEST_P(DurableStateTest, DurableDbMatchesPersistReplayMidRun)
+{
+    // durableDb() is the records plus an overlay of the keys whose
+    // durable state differs; stopped at any tick it must equal a replay
+    // of every persist so far, and the overlay must empty at quiescence.
+    const auto [offload, model] = GetParam();
+    constexpr int nodes = 3;
+    FlightRecorder recorder{1 << 10};
+    PersistReplay replay(nodes);
+    recorder.addSink(&replay);
+    sim::Simulator sim;
+    ClusterConfig cfg;
+    cfg.numNodes = nodes;
+    cfg.numRecords = 24;
+    cfg.trace = &recorder;
+
+    auto run = [&](auto &cluster) {
+        for (int n = 0; n < nodes; ++n)
+            for (int w = 0; w < 3; ++w)
+                sim.spawn(durableClient(&cluster,
+                                        static_cast<kv::NodeId>(n), w,
+                                        150, cfg.numRecords));
+        std::size_t checks = 0, lagging_seen = 0;
+        auto check = [&] {
+            ++checks;
+            for (int n = 0; n < nodes; ++n) {
+                SCOPED_TRACE("node " + std::to_string(n) + " at " +
+                             std::to_string(sim.now()));
+                const auto &node = cluster.node(n);
+                const nvm::DurableDb db = node.durableDb();
+                const auto &want = replay.durable[n];
+                ASSERT_EQ(db.size(), want.size());
+                for (const auto &[key, ts] : want) {
+                    const auto it = db.find(key);
+                    ASSERT_NE(it, db.end()) << "key " << key;
+                    EXPECT_EQ(it->second.ts, ts) << "key " << key;
+                }
+                lagging_seen += node.log().lagging();
+            }
+        };
+        for (Tick t = 5 * US; !sim.runUntil(t); t += 5 * US)
+            check();
+        check();
+        EXPECT_GT(checks, 10u);
+        // Updates were in flight at some stop, and none is at the end.
+        EXPECT_GT(lagging_seen, 0u);
+        for (int n = 0; n < nodes; ++n)
+            EXPECT_EQ(cluster.node(n).log().lagging(), 0u) << "node " << n;
+    };
+    if (offload) {
+        snic::ClusterO cluster(sim, cfg, model);
+        run(cluster);
+    } else {
+        ClusterB cluster(sim, cfg, model);
+        run(cluster);
     }
 }
 

@@ -22,7 +22,9 @@
  * --ycsb starts from a YCSB core workload's mix; --write-frac and
  * --rmw-frac, when given, override it. Under <Lin, Scope>, each worker
  * closes its scope with a [PERSIST]sc every --scope-size writes.
- * --stats prints the cluster-aggregate protocol counters.
+ * --stats prints the cluster-aggregate protocol counters and, per node,
+ * the most keys whose durable state lagged the volatile one at once
+ * (the metrics key nvm.durable_lag_peak is the largest of them).
  *
  * --trace-out attaches the flight recorder and writes a Chrome
  * trace-event JSON (load it in Perfetto); --metrics-out writes the
@@ -51,6 +53,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/flags.hh"
 #include "common/logging.hh"
@@ -285,11 +288,18 @@ main(int argc, char **argv)
     NodeCounters aggregate;
     std::size_t vfifo_peak = 0, dfifo_peak = 0;
     std::uint64_t vfifo_skipped = 0;
+    // Per node, the most keys whose durable state lagged (or led) the
+    // volatile one at once.
+    std::vector<std::size_t> durable_lag_peak;
+    auto collect = [&](const auto &node) {
+        aggregate += node.counters();
+        durable_lag_peak.push_back(node.log().peakLagging());
+    };
     if (engine == "o") {
         snic::ClusterO cluster(sim, cfg, model, opts);
         res = runWorkload(sim, cluster, dc);
         for (int n = 0; n < cfg.numNodes; ++n) {
-            aggregate += cluster.node(n).counters();
+            collect(cluster.node(n));
             vfifo_peak = std::max(vfifo_peak,
                                   cluster.node(n).vfifo().peakOccupancy());
             dfifo_peak = std::max(dfifo_peak,
@@ -300,7 +310,7 @@ main(int argc, char **argv)
         ClusterB cluster(sim, cfg, model, opts);
         res = runWorkload(sim, cluster, dc);
         for (int n = 0; n < cfg.numNodes; ++n)
-            aggregate += cluster.node(n).counters();
+            collect(cluster.node(n));
     }
 
     if (!trace_out.empty())
@@ -317,6 +327,9 @@ main(int argc, char **argv)
                       static_cast<double>(dfifo_peak));
             reg.counter("snic.vfifo_skipped", vfifo_skipped);
         }
+        reg.gauge("nvm.durable_lag_peak",
+                  static_cast<double>(*std::max_element(
+                      durable_lag_peak.begin(), durable_lag_peak.end())));
         if (!trace_out.empty()) {
             reg.counter("trace.recorded", recorder.recorded());
             reg.counter("trace.dropped", recorder.dropped());
@@ -387,6 +400,10 @@ main(int argc, char **argv)
     if (want_stats) {
         std::printf("cluster-aggregate protocol counters:\n%s",
                     aggregate.str().c_str());
+        std::printf("durable lag peak (keys), per node:");
+        for (std::size_t peak : durable_lag_peak)
+            std::printf(" %zu", peak);
+        std::printf("\n");
     }
     return exit_code;
 }
