@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "check/fingerprint_set.hh"
 #include "check/predicates.hh"
+#include "check/state.hh"
 #include "common/logging.hh"
-#include "common/random.hh"
 
 namespace minos::check {
 
@@ -205,89 +205,6 @@ enum PBit : std::uint8_t
     PValInFlight = 8,
     PTerminated = 16,
 };
-
-/**
- * The abstract protocol state. All members are single bytes so the
- * struct has no padding and can be hashed bytewise.
- */
-struct State
-{
-    // Per node (one record).
-    std::int8_t rdOwner[maxNodes];
-    std::int8_t vol[maxNodes];
-    std::int8_t glbV[maxNodes];
-    std::int8_t glbD[maxNodes];
-    std::int8_t nextVer[maxNodes];
-    // Per write.
-    std::uint8_t cpc[maxWrites];
-    std::int8_t ver[maxWrites];
-    std::int8_t obsObs[maxWrites];
-    std::uint8_t ackCMask[maxWrites];
-    std::uint8_t ackPMask[maxWrites];
-    std::uint8_t bgPending[maxWrites];
-    // Per write x node.
-    std::uint8_t msgs[maxWrites][maxNodes];
-    std::uint8_t fpc[maxWrites][maxNodes];
-    std::int8_t fObs[maxWrites][maxNodes];
-    std::uint8_t durable[maxWrites][maxNodes];
-    // [PERSIST]sc transaction.
-    std::uint8_t ppc;
-    std::uint8_t pAckMask;
-    std::uint8_t pMsgs[maxNodes];
-};
-
-static_assert(sizeof(State) ==
-                  5 * maxNodes + 6 * maxWrites +
-                      4 * maxWrites * maxNodes + 2 + maxNodes,
-              "State must be packed (byte members only)");
-
-std::uint64_t
-load64(const unsigned char *p)
-{
-    std::uint64_t w = 0;
-    std::memcpy(&w, p, sizeof w);
-    return w;
-}
-
-/** Fold a 128-bit product: one multiply that mixes every input bit. */
-std::uint64_t
-mum(std::uint64_t a, std::uint64_t b)
-{
-    const unsigned __int128 m = static_cast<unsigned __int128>(a) * b;
-    return static_cast<std::uint64_t>(m >> 64) ^
-           static_cast<std::uint64_t>(m);
-}
-
-/** 16-byte lanes of a State; the last one overlaps the one before. */
-inline constexpr std::size_t hashLanes = (sizeof(State) + 15) / 16;
-
-/** Two keys per lane and two for the finalizer: splitmix64 of 1, 2, ... */
-inline constexpr auto hashKeys = [] {
-    std::array<std::uint64_t, 2 * hashLanes + 2> keys{};
-    std::uint64_t x = 0;
-    for (std::uint64_t &k : keys)
-        k = mix64(x += 0x9E3779B97F4A7C15ull);
-    return keys;
-}();
-
-/**
- * 64-bit hash of a State in independent 16-byte lanes: each lane's two
- * words, XORed with keys of their own, are folded by one multiply, so
- * no multiply waits for another. The lane sum is finalized once.
- */
-std::uint64_t
-hashState(const State &s)
-{
-    static_assert(sizeof(State) >= 16);
-    const auto *p = reinterpret_cast<const unsigned char *>(&s);
-    std::uint64_t h = 0;
-    for (std::size_t l = 0; l < hashLanes; ++l) {
-        const std::size_t off = std::min(16 * l, sizeof(State) - 16);
-        h += mum(load64(p + off) ^ hashKeys[2 * l],
-                 load64(p + off + 8) ^ hashKeys[2 * l + 1]);
-    }
-    return mum(h ^ hashKeys[2 * hashLanes], hashKeys[2 * hashLanes + 1]);
-}
 
 /** Exploration context. */
 struct Ctx
@@ -892,10 +809,14 @@ checkInvariants(const Ctx &ctx, const State &s,
     }
 }
 
-} // namespace
-
+/**
+ * The search behind checkModel(); @p onStore, if not null, sees each
+ * state as it is stored, the initial state first. One instantiation:
+ * with two, the successor and hash code would no longer be inlined.
+ */
 CheckResult
-checkModel(const CheckConfig &cfg)
+search(const CheckConfig &cfg,
+       const std::function<void(const State &)> *onStore)
 {
     MINOS_ASSERT(cfg.numNodes >= 2 && cfg.numNodes <= maxNodes,
                  "checker supports 2..", maxNodes, " nodes");
@@ -932,6 +853,8 @@ checkModel(const CheckConfig &cfg)
     CheckResult result;
     FingerprintSet seen;
     seen.insert(hashState(init));
+    if (onStore)
+        (*onStore)(init);
     /** Discovering state and action per state (recordTraces only). */
     std::vector<std::uint32_t> parents;
     std::vector<const char *> actions;
@@ -966,11 +889,13 @@ checkModel(const CheckConfig &cfg)
     std::vector<Successor> succ;
     succ.reserve(32);
     std::array<std::size_t, lookahead> ends{};
-    // The BFS queue holds full states only for the rest of the level
-    // being expanded and the part of the next level found so far.
-    // States leave it in discovery order, so the k-th state expanded is
-    // the one with discovery index k.
-    std::deque<State> queue{init};
+    // The BFS queue holds states only for the rest of the level being
+    // expanded and the part of the next level found so far. States
+    // leave it in discovery order, so the k-th state expanded is the one
+    // with discovery index k.
+    StateQueue queue;
+    queue.push(init);
+    std::array<State, lookahead> expanding;
     std::uint32_t discovered = 1;
     while (!queue.empty() && !result.inconclusive) {
         // Gather the successors of the next states and prefetch each
@@ -981,7 +906,8 @@ checkModel(const CheckConfig &cfg)
         const std::size_t batch = std::min(lookahead, queue.size());
         succ.clear();
         for (std::size_t k = 0; k < batch; ++k) {
-            forEachSuccessor(ctx, queue[k],
+            expanding[k] = queue.pop();
+            forEachSuccessor(ctx, expanding[k],
                              [&](const State &ns, const char *action) {
                                  succ.emplace_back(ns, action, hashState(ns));
                                  seen.prefetch(succ.back().hash);
@@ -989,10 +915,9 @@ checkModel(const CheckConfig &cfg)
             ends[k] = succ.size();
         }
 
-        std::size_t k = 0;
-        for (std::size_t first = 0; k < batch && !result.inconclusive;
-             first = ends[k++]) {
-            const State &s = queue[k]; // push_back does not move it
+        for (std::size_t k = 0, first = 0;
+             k < batch && !result.inconclusive; first = ends[k++]) {
+            const State &s = expanding[k];
             const auto head =
                 static_cast<std::uint32_t>(result.statesExplored++);
             result.transitions += ends[k] - first;
@@ -1005,7 +930,9 @@ checkModel(const CheckConfig &cfg)
                     break;
                 }
                 const std::uint32_t index = discovered++;
-                queue.push_back(x.state);
+                queue.push(x.state);
+                if (onStore)
+                    (*onStore)(x.state);
                 if (cfg.recordTraces) {
                     parents.push_back(head);
                     actions.push_back(x.action);
@@ -1029,11 +956,24 @@ checkModel(const CheckConfig &cfg)
                 }
             }
         }
-        queue.erase(queue.begin(),
-                    queue.begin() + static_cast<std::ptrdiff_t>(k));
     }
 
     return result;
+}
+
+} // namespace
+
+CheckResult
+checkModel(const CheckConfig &cfg)
+{
+    return search(cfg, nullptr);
+}
+
+void
+forEachStoredState(const CheckConfig &cfg,
+                   const std::function<void(const State &)> &visit)
+{
+    search(cfg, &visit);
 }
 
 double

@@ -28,8 +28,8 @@
  *     record metadata and ACK-bookkeeping stay in range.
  *
  * Like TLC, the search remembers each reached state only by a 64-bit
- * fingerprint, and holds full states only for the rest of the BFS
- * level being expanded and the next one. Two distinct states with one
+ * fingerprint, kept in a quotient table, and holds states, packed,
+ * only for the rest of the BFS level being expanded and the next one. Two distinct states with one
  * fingerprint would be merged; fingerprintCollisionBound() bounds the
  * chance.
  *
@@ -87,8 +87,10 @@ struct CheckConfig
     /**
      * Record each state's predecessor index and action so violations
      * come with a counterexample action trace (TLC-style). Costs 12 B
-     * per state, on top of the 11-21 B share of the fingerprint table
-     * and the full states of at most two BFS levels; off by default.
+     * per state, on top of the fingerprint table's share (a slot of
+     * 67 - q bits at 2^q slots, at 3/8 to 3/4 load: 7.7-15.3 B at
+     * 2^21) and the 32-byte packed states of at most two BFS levels;
+     * off by default.
      */
     bool recordTraces = false;
 };

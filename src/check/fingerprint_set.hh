@@ -1,128 +1,560 @@
 /**
  * @file
- * The model checker's set of reached states, kept as 64-bit fingerprints.
+ * The model checker's set of reached states, kept as 64-bit fingerprints
+ * in a quotient table.
  */
 
 #ifndef MINOS_CHECK_FINGERPRINT_SET_HH
 #define MINOS_CHECK_FINGERPRINT_SET_HH
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <utility>
 #include <vector>
 
 namespace minos::check {
 
 /**
  * Set of reached states, kept as 64-bit fingerprints the way TLC keeps
- * them: no state is stored, so a probe never reads one. Open addressing
- * with linear probing from fp & mask over 8-byte slots; 0 marks an
- * empty slot, so a zero fingerprint is stored as zeroFp. Two distinct
- * states with one fingerprint would be merged; the checker's
- * fingerprintCollisionBound() bounds the chance of that.
+ * them: no state is stored, so a probe never reads one. A zero
+ * fingerprint is stored as zeroFp. Two distinct states with one
+ * fingerprint would be merged; the checker's fingerprintCollisionBound()
+ * bounds the chance of that.
  *
- * The slots live in one malloc block that doubles in place past 3/4
- * load (glibc's realloc moves a large block with mremap, not a copy),
- * so the old and the new table are never both live.
+ * It is a quotient filter (Bender et al., VLDB 2012) that keeps every
+ * bit. With 2^q slots, a fingerprint's top q bits (its quotient) are its
+ * home slot, and the slot stores only the other 64 - q bits (its
+ * remainder) and three metadata bits:
+ *
+ *  - occupied: some fingerprint has this slot as its home;
+ *  - continuation: the slot continues the run of the slot before;
+ *  - shifted: the slot holds a remainder away from its home.
+ *
+ * The remainders of one quotient form a run, sorted ascending. Runs are
+ * kept in quotient order, each at its home slot or, pushed by the runs
+ * before it, after it, and a cluster of runs starts at a slot that is
+ * not shifted. A slot is empty when it is neither occupied nor shifted.
+ * The table does not wrap around: a run pushed past the last home slot
+ * continues into spill slots after it, and the last slot stays empty.
+ *
+ * Slots are stored in groups of eight: one byte each of occupied,
+ * continuation and shifted bits, then the eight remainders back to
+ * back. A slot costs 67 - q bits: 58 at the initial 512 slots, 46 at
+ * 2^21 and 40 at 2^27. Finding a run reads the group bytes a word at a
+ * time, not a slot at a time.
+ *
+ * Everything lives in one malloc block that doubles past 3/4 load
+ * (glibc's realloc moves a large block with mremap, not a copy), so two
+ * tables are never live at once. A doubling moves the remainder's top
+ * bit into the quotient, so each fingerprint keeps its place in the
+ * sorted order and a slot at most doubles its index: one pass down the
+ * table rewrites it in place, a cluster at a time.
  */
 class FingerprintSet
 {
   public:
     FingerprintSet()
     {
-        resize(initialSlots);
-        std::memset(slots_, 0, initialSlots * sizeof *slots_);
+        setBits(initialBits);
+        cap_ = slots() + 8;
+        resize(bytesFor(cap_, rbits_));
+        std::memset(table_, 0, bytesFor(cap_, rbits_));
     }
 
-    ~FingerprintSet() { std::free(slots_); }
+    ~FingerprintSet() { std::free(table_); }
 
     FingerprintSet(const FingerprintSet &) = delete;
     FingerprintSet &operator=(const FingerprintSet &) = delete;
 
     /** Add @p fp; false if it was already present. */
-    bool
+    [[gnu::always_inline]] bool
     insert(std::uint64_t fp)
     {
         fp = fp ? fp : zeroFp;
-        std::size_t i = fp & mask_;
-        for (; slots_[i] != 0; i = (i + 1) & mask_) {
-            if (slots_[i] == fp)
-                return false;
+        // A local copy: stores through the table's bytes would otherwise
+        // make every member reload.
+        const Table t = table();
+        const std::size_t home = fp >> t.rbits;
+        const std::uint64_t rem = fp & lowMask(t.rbits);
+        unsigned char *g = t.group(home / 8);
+        const unsigned bit = 1u << home % 8;
+        const unsigned occ = g[occupiedByte];
+        const unsigned shf = g[shiftedByte];
+        if (!((occ | shf) & bit)) { // home is empty
+            t.putRem(home, rem);
+            g[occupiedByte] = static_cast<unsigned char>(occ | bit);
+            return added();
         }
-        slots_[i] = fp;
-        if (++used_ > (mask_ + 1) / 4 * 3)
-            grow();
-        return true;
+        // Home's own run starts at home: most lookups end at its first
+        // remainder.
+        if (occ & ~shf & bit && t.rem(home) == rem)
+            return false;
+        return insertInCluster(home, rem);
     }
 
-    /** Start loading the home slot of @p fp. */
+    /** Start loading the metadata and the remainder of @p fp's home. */
     void
     prefetch(std::uint64_t fp) const
     {
-        __builtin_prefetch(&slots_[fp & mask_]);
+        const Table t = table();
+        const std::size_t home = fp >> t.rbits;
+        const unsigned char *g = t.group(home / 8);
+        __builtin_prefetch(g);
+        __builtin_prefetch(g + 3 + (home % 8 * t.rbits + t.rbits - 1) / 8);
     }
 
     /** Number of fingerprints stored. */
     std::size_t size() const { return used_; }
 
-    /** Number of slots. */
-    std::size_t slots() const { return mask_ + 1; }
+    /** Number of home slots (the spill slots after them not counted). */
+    std::size_t slots() const { return std::size_t{1} << qbits_; }
 
   private:
-    static constexpr std::size_t initialSlots = 512;
+    static constexpr unsigned initialBits = 9;
     static constexpr std::uint64_t zeroFp = 0x9E3779B97F4A7C15ull;
 
-    /** Resize the block to @p n slots, keeping its contents. */
-    void
-    resize(std::size_t n)
+    /** @{ The metadata bytes at the head of a group. */
+    static constexpr unsigned occupiedByte = 0;
+    static constexpr unsigned continuationByte = 1;
+    static constexpr unsigned shiftedByte = 2;
+    /** @} */
+
+    static constexpr std::uint64_t
+    lowMask(unsigned n)
     {
-        void *p = std::realloc(slots_, n * sizeof *slots_);
-        if (!p)
-            throw std::bad_alloc();
-        slots_ = static_cast<std::uint64_t *>(p);
-        mask_ = n - 1;
+        return (std::uint64_t{1} << n) - 1;
     }
 
     /**
-     * Double the table in place; no state is rehashed. The new half
-     * starts empty. One pass then moves each stored fingerprint to the
-     * first slot on its new probe path that is empty or holds a
-     * fingerprint not yet moved, and carries a fingerprint it displaces
-     * on the same way. A moved one is never displaced again, so the
-     * probe path of each stays filled. Every fingerprint in the new half
-     * has been moved; in the old half, a bitmap marks the moved ones.
+     * Set bits of a byte, from a table: the default -march has no
+     * popcount instruction, and __builtin_popcount becomes a call.
      */
-    void
-    grow()
+    static unsigned
+    bitsIn(unsigned byte)
     {
-        const std::size_t n = mask_ + 1;
-        resize(2 * n);
-        std::memset(slots_ + n, 0, n * sizeof *slots_);
-        std::vector<std::uint64_t> moved(n / 64, 0);
-        auto isMoved = [&](std::size_t j) {
-            return j >= n || (moved[j / 64] >> (j % 64) & 1);
-        };
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t fp = slots_[i];
-            if (fp == 0 || isMoved(i))
-                continue;
-            slots_[i] = 0;
-            while (fp != 0) {
-                std::size_t j = fp & mask_;
-                while (slots_[j] != 0 && isMoved(j))
-                    j = (j + 1) & mask_;
-                std::swap(fp, slots_[j]);
-                if (j < n)
-                    moved[j / 64] |= std::uint64_t{1} << (j % 64);
-            }
-        }
+        static constexpr auto table = [] {
+            std::array<unsigned char, 256> t{};
+            for (unsigned i = 1; i < 256; ++i)
+                t[i] = static_cast<unsigned char>(t[i / 2] + i % 2);
+            return t;
+        }();
+        return table[byte];
     }
 
-    std::uint64_t *slots_ = nullptr;
-    std::size_t mask_ = 0;
+    /**
+     * Position of the @p n-th (from 0) set bit of @p byte, from a
+     * table; 32 if it has no more.
+     */
+    static unsigned
+    nthBit(unsigned byte, unsigned n)
+    {
+        static constexpr auto table = [] {
+            std::array<std::array<unsigned char, 8>, 256> t{};
+            for (unsigned b = 0; b < 256; ++b) {
+                unsigned k = 0;
+                for (auto &e : t[b])
+                    e = 32;
+                for (unsigned i = 0; i < 8; ++i) {
+                    if (b >> i & 1)
+                        t[b][k++] = static_cast<unsigned char>(i);
+                }
+            }
+            return t;
+        }();
+        return n < 8 ? table[byte][n] : 32;
+    }
+
+    /** The @p n-th (from 0) set bit of a 16-bit @p word; 32 or more if none. */
+    static unsigned
+    nthBitOf(unsigned word, unsigned n)
+    {
+        const unsigned n0 = bitsIn(word & 0xFF);
+        return n < n0 ? nthBit(word & 0xFF, n) : 8 + nthBit(word >> 8, n - n0);
+    }
+
+    static unsigned
+    highBit(unsigned word)
+    {
+        return 31 - static_cast<unsigned>(__builtin_clz(word));
+    }
+
+    /** Bytes of a group of eight slots with @p rbits-bit remainders. */
+    static constexpr std::size_t
+    groupBytes(unsigned rbits)
+    {
+        return 3 + rbits;
+    }
+
+    /**
+     * Bytes of @p cap slots (a multiple of 8), plus 8 so that a
+     * remainder, at most 55 bits from at most 7 bits into its first
+     * byte, is always read and written as one unaligned word.
+     */
+    static std::size_t
+    bytesFor(std::size_t cap, unsigned rbits)
+    {
+        return cap / 8 * groupBytes(rbits) + 8;
+    }
+
+    void
+    setBits(unsigned q)
+    {
+        qbits_ = q;
+        rbits_ = 64 - q;
+    }
+
+    /** Resize the block to @p bytes, keeping its contents. */
+    void
+    resize(std::size_t bytes)
+    {
+        void *p = std::realloc(table_, bytes);
+        if (!p)
+            throw std::bad_alloc();
+        table_ = static_cast<unsigned char *>(p);
+    }
+
+    /** A table's bytes and remainder width, and its slot accessors. */
+    struct Table
+    {
+        unsigned char *base;
+        unsigned rbits;
+
+        unsigned char *
+        group(std::size_t g) const
+        {
+            return base + g * groupBytes(rbits);
+        }
+
+        /** Metadata byte @p which of group @p g. */
+        unsigned byteOf(std::size_t g, unsigned which) const
+        {
+            return group(g)[which];
+        }
+
+        bool flag(std::size_t i, unsigned which) const
+        {
+            return byteOf(i / 8, which) >> i % 8 & 1;
+        }
+
+        void
+        setFlag(std::size_t i, unsigned which, bool on) const
+        {
+            unsigned char &b = group(i / 8)[which];
+            b = static_cast<unsigned char>((b & ~(1u << i % 8)) |
+                                           unsigned{on} << i % 8);
+        }
+
+        std::uint64_t
+        rem(std::size_t i) const
+        {
+            const std::size_t bit = i % 8 * rbits;
+            std::uint64_t w;
+            std::memcpy(&w, group(i / 8) + 3 + bit / 8, sizeof w);
+            return w >> bit % 8 & lowMask(rbits);
+        }
+
+        void
+        putRem(std::size_t i, std::uint64_t r) const
+        {
+            const std::size_t bit = i % 8 * rbits;
+            unsigned char *p = group(i / 8) + 3 + bit / 8;
+            std::uint64_t w;
+            std::memcpy(&w, p, sizeof w);
+            w = (w & ~(lowMask(rbits) << bit % 8)) | r << bit % 8;
+            std::memcpy(p, &w, sizeof w);
+        }
+
+        /**
+         * Where the run of @p home starts, or would start; @p home must
+         * be shifted. The cluster starts at the last
+         * slot not shifted before it; each occupied slot from there to
+         * @p home owns one run, and each run ends at the next slot that
+         * does not continue it (a run start or an empty slot).
+         */
+        std::size_t
+        runStart(std::size_t home) const
+        {
+            // Most clusters start in home's group or the one before, and
+            // most runs start in home's group: read those groups' bytes
+            // as one word, and the next group's only when needed.
+            const unsigned char *c = group(home / 8);
+            const unsigned k = home % 8;
+            if (const unsigned t = ~c[shiftedByte] & ((2u << k) - 1)) {
+                const unsigned b = highBit(t);
+                const unsigned runs =
+                    bitsIn(c[occupiedByte] & ((1u << k) - (1u << b)));
+                const unsigned z =
+                    ~c[continuationByte] & (0x100u - (1u << b));
+                if (runs < bitsIn(z))
+                    return home / 8 * 8 + nthBit(z, runs);
+            } else if (home >= 8) {
+                const unsigned char *p = c - groupBytes(rbits);
+                if (const unsigned t = ~p[shiftedByte] & 0xFF) {
+                    const unsigned b = highBit(t);
+                    const unsigned runs =
+                        bitsIn(p[occupiedByte] >> b) +
+                        bitsIn(c[occupiedByte] & ((1u << k) - 1));
+                    const unsigned z =
+                        ~(p[continuationByte] | c[continuationByte] << 8) &
+                        (0x10000u - (1u << b));
+                    const unsigned at = nthBitOf(z, runs);
+                    if (at < 16)
+                        return home / 8 * 8 - 8 + at;
+                }
+            }
+            // The general walk, group by group.
+            std::size_t g = home / 8;
+            unsigned t = ~byteOf(g, shiftedByte) & ((2u << k) - 1);
+            while (!t) // slot 0 is never shifted
+                t = ~byteOf(--g, shiftedByte) & 0xFF;
+            const unsigned b = highBit(t);
+            // Runs before home's: occupied slots in [8g + b, home).
+            unsigned runs;
+            if (g == home / 8) {
+                runs = bitsIn(byteOf(g, occupiedByte) &
+                              ((1u << k) - (1u << b)));
+            } else {
+                runs = bitsIn(byteOf(g, occupiedByte) >> b);
+                for (std::size_t i = g + 1; i < home / 8; ++i)
+                    runs += bitsIn(byteOf(i, occupiedByte));
+                runs += bitsIn(byteOf(home / 8, occupiedByte) &
+                               ((1u << k) - 1));
+            }
+            // Home's run starts at the runs-th slot, from the cluster
+            // start on, that does not continue a run.
+            unsigned z =
+                ~byteOf(g, continuationByte) & 0xFF & ~((1u << b) - 1);
+            for (unsigned n; (n = bitsIn(z)) <= runs; runs -= n)
+                z = ~byteOf(++g, continuationByte) & 0xFF;
+            for (; runs > 0; --runs)
+                z &= z - 1;
+            return 8 * g + static_cast<unsigned>(__builtin_ctz(z));
+        }
+
+        /**
+         * Put @p r at slot @p s and move the slots from s up to the next
+         * empty one up by one; returns that slot. Occupied bits stay
+         * with their slots; every moved remainder is shifted.
+         */
+        std::size_t
+        shiftIn(std::size_t s, std::uint64_t r, bool cont, bool shift) const
+        {
+            std::size_t g = s / 8;
+            unsigned u = ~(byteOf(g, occupiedByte) | byteOf(g, shiftedByte)) &
+                         0xFF & ~((1u << s % 8) - 1);
+            while (!u) {
+                ++g;
+                u = ~(byteOf(g, occupiedByte) | byteOf(g, shiftedByte)) &
+                    0xFF;
+            }
+            const std::size_t e =
+                8 * g + static_cast<unsigned>(__builtin_ctz(u));
+            for (std::size_t j = e; j > s; --j) {
+                putRem(j, rem(j - 1));
+                setFlag(j, continuationByte, flag(j - 1, continuationByte));
+                setFlag(j, shiftedByte, true);
+            }
+            putRem(s, r);
+            setFlag(s, continuationByte, cont);
+            setFlag(s, shiftedByte, shift);
+            return e;
+        }
+    };
+
+    Table table() const { return {table_, rbits_}; }
+
+    unsigned char *group(std::size_t g) const { return table().group(g); }
+
+    /**
+     * insert() for a home that is not empty: find rem in the home's
+     * sorted run, or store it at the slot it belongs in.
+     */
+    [[gnu::noinline]] bool
+    insertInCluster(std::size_t home, std::uint64_t rem)
+    {
+        const Table t = table();
+        unsigned char *g = t.group(home / 8);
+        const unsigned bit = 1u << home % 8;
+        const std::size_t start =
+            g[shiftedByte] & bit ? t.runStart(home) : home;
+        std::size_t s = start;
+        if (g[occupiedByte] & bit) {
+            for (;;) {
+                const std::uint64_t r = t.rem(s);
+                if (r == rem)
+                    return false;
+                if (r > rem)
+                    break;
+                if (!t.flag(++s, continuationByte))
+                    break;
+            }
+        }
+        bool cont = false;
+        if (g[occupiedByte] & bit) {
+            if (s == start) // rem heads the run
+                t.setFlag(start, continuationByte, true);
+            else
+                cont = true;
+        }
+        g[occupiedByte] = static_cast<unsigned char>(g[occupiedByte] | bit);
+        if (t.shiftIn(s, rem, cont, s != home) + 1 == cap_)
+            addSpill();
+        return added();
+    }
+
+    bool
+    added()
+    {
+        if (++used_ > slots() / 4 * 3)
+            grow();
+        return true;
+    }
+
+    /** Add a group of empty spill slots so the last slot stays empty. */
+    [[gnu::noinline, gnu::cold]] void
+    addSpill()
+    {
+        resize(bytesFor(cap_ + 8, rbits_));
+        std::memset(group(cap_ / 8), 0, groupBytes(rbits_));
+        cap_ += 8;
+    }
+
+    /**
+     * Double the table in place; see the class comment. The top
+     * remainder bit joins the quotient: home h becomes 2h or 2h + 1.
+     * Old clusters are rewritten one at a time, from the top. Every new
+     * home of a cluster that starts at old slot b is 2b or above, and a
+     * group shrinks by one byte, so from the second old group on a
+     * cluster is written at or above the byte where it started: over
+     * slots already read, never over one still to be read. The first
+     * old group is read from a copy.
+     */
+    [[gnu::noinline, gnu::cold]] void
+    grow()
+    {
+        const unsigned oldRbits = rbits_;
+        const std::size_t oldCap = cap_;
+        const std::size_t oldBytes = bytesFor(oldCap, oldRbits);
+        const std::size_t newSlots = 2 * slots();
+        setBits(qbits_ + 1);
+
+        std::array<unsigned char, groupBytes(64 - initialBits) + 8> first{};
+        std::memcpy(first.data(), table_, groupBytes(oldRbits));
+        std::vector<std::uint64_t> cluster; // (rem << 1 | continuation), top down
+        std::vector<std::size_t> homes;     // its occupied slots, top down
+        bool sized = false;
+        std::size_t zeroed = 0; // new groups >= zeroed have their bits cleared
+        for (std::size_t gi = oldCap / 8; gi-- > 0;) {
+            const unsigned char *g =
+                (gi == 0 ? first.data() : table_ + gi * groupBytes(oldRbits));
+            const unsigned occ = g[occupiedByte];
+            const unsigned cont = g[continuationByte];
+            const unsigned shf = g[shiftedByte];
+            for (unsigned live = occ | shf; live;) {
+                const unsigned k =
+                    31 - static_cast<unsigned>(__builtin_clz(live));
+                live &= ~(1u << k);
+                const std::size_t j = 8 * gi + k;
+                if (occ >> k & 1)
+                    homes.push_back(j);
+                // Placing a cluster may move the block: read through
+                // table_ each time.
+                const Table old{gi == 0 ? first.data() : table_, oldRbits};
+                cluster.push_back(old.rem(j) << 1 |
+                                  (cont >> k & 1));
+                if (shf >> k & 1)
+                    continue;
+
+                // j starts a cluster. Its runs take its occupied slots in
+                // order; each fingerprint's new slot is its new home or
+                // the slot after the one before, whichever is higher.
+                if (!sized) { // the top cluster sets the size
+                    sized = true;
+                    const std::size_t last =
+                        lastNewSlot(cluster, homes, oldRbits);
+                    cap_ = std::max(newSlots + 8, (last + 9) / 8 * 8);
+                    resize(std::max(oldBytes, bytesFor(cap_, rbits_)));
+                    zeroed = cap_ / 8;
+                }
+                placeCluster(cluster, homes, oldRbits, zeroed);
+                cluster.clear();
+            }
+        }
+        while (zeroed > 0)
+            std::memset(group(--zeroed), 0, 3);
+        if (oldBytes > bytesFor(cap_, rbits_))
+            resize(bytesFor(cap_, rbits_));
+    }
+
+    /** The new slot of the top fingerprint of an old cluster. */
+    static std::size_t
+    lastNewSlot(const std::vector<std::uint64_t> &cluster,
+                const std::vector<std::size_t> &homes, unsigned oldRbits)
+    {
+        std::size_t n = homes.size();
+        std::size_t home = 0;
+        std::size_t pos = 0;
+        for (std::size_t i = cluster.size(); i-- > 0;) {
+            if (!(cluster[i] & 1))
+                home = homes[--n];
+            const std::size_t h = 2 * home + (cluster[i] >> oldRbits);
+            pos = i + 1 == cluster.size() ? h : std::max(h, pos + 1);
+        }
+        return pos;
+    }
+
+    /**
+     * Write one old cluster, read top down into @p cluster and
+     * @p homes, to its new slots, lowest first. New groups at or above
+     * @p zeroed already have their metadata cleared; the ones this
+     * cluster reaches below it are cleared first.
+     */
+    void
+    placeCluster(const std::vector<std::uint64_t> &cluster,
+                 std::vector<std::size_t> &homes, unsigned oldRbits,
+                 std::size_t &zeroed)
+    {
+        // Locals: a store through the table's bytes may alias anything
+        // read through a pointer or reference. The loop has no branch
+        // that depends on the data.
+        const Table t = table();
+        const std::uint64_t *x = cluster.data();
+        const std::size_t *h0 = homes.data();
+        std::size_t n = homes.size() - 1; // the home of the lowest run
+        const std::size_t lowest =
+            2 * h0[n] + (x[cluster.size() - 1] >> oldRbits);
+        while (zeroed > lowest / 8)
+            std::memset(t.group(--zeroed), 0, 3);
+        std::size_t lastHome = ~std::size_t{0};
+        std::size_t free = 0; // the lowest slot the next one may take
+        for (std::size_t i = cluster.size(); i-- > 0;) {
+            // A run start takes the next home; the others keep it.
+            n -= i + 1 != cluster.size() && !(x[i] & 1);
+            const std::uint64_t rem = x[i] >> 1;
+            const std::size_t h = 2 * h0[n] + (rem >> (oldRbits - 1));
+            const std::size_t pos = std::max(h, free);
+            free = pos + 1;
+            unsigned char *hg = t.group(h / 8);
+            hg[occupiedByte] |= static_cast<unsigned char>(1u << h % 8);
+            unsigned char *pg = t.group(pos / 8);
+            const unsigned bit = 1u << pos % 8;
+            pg[continuationByte] |=
+                static_cast<unsigned char>(bit * (h == lastHome));
+            pg[shiftedByte] |= static_cast<unsigned char>(bit * (pos != h));
+            t.putRem(pos, rem & lowMask(t.rbits));
+            lastHome = h;
+        }
+        homes.resize(n);
+    }
+
+    unsigned char *table_ = nullptr;
+    unsigned qbits_ = 0;  ///< quotient bits: 2^qbits_ home slots
+    unsigned rbits_ = 0;  ///< remainder bits, 64 - qbits_
+    std::size_t cap_ = 0; ///< slots, spill included; a multiple of 8
     std::size_t used_ = 0;
 };
 

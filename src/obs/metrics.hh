@@ -2,7 +2,8 @@
  * @file
  * The metrics registry: a name -> {counter, gauge, histogram} map with
  * one JSON serializer shared by tools/minos_sim (--metrics-out) and the
- * figure benches (bench_util.hh metrics blobs).
+ * figure benches (bench/figures prints one MINOS_METRICS blob per figure,
+ * and tools/experiments.py renders the tables from them).
  *
  * The registry is a *sink*, not a live instrument: subsystems publish
  * snapshots of their own counter structs at the end of a run

@@ -12,12 +12,12 @@
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <optional>
 #include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/ring.hh"
 #include "sim/process.hh"
 
 namespace minos::sim {
@@ -503,8 +503,8 @@ class Mailbox
     friend struct RecvAwaiter;
 
     Simulator &sim_;
-    std::deque<T> queue_;
-    std::deque<RecvAwaiter *> receivers_;
+    Ring<T> queue_;
+    Ring<RecvAwaiter *> receivers_;
 };
 
 /**

@@ -11,7 +11,7 @@
  * the sole coordinator. Reads remain local (the RDLock/VAL machinery
  * keeps them linearizable exactly as in the leaderless design).
  *
- * Expected shape (see bench/leader_baseline): the leader's host cores
+ * Expected shape (see `bench/figures leader`): the leader's host cores
  * and links saturate at roughly one node's coordination capacity, so
  * cluster write throughput stays flat as nodes are added, while the
  * leaderless engine scales — and non-leader writes pay the extra

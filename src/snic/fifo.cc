@@ -36,63 +36,35 @@ SlotQueue::SlotQueue(sim::Simulator &sim, int cap)
 {
 }
 
-SlotQueue::Segment &
-SlotQueue::segment(std::size_t i)
-{
-    return ring_[(head_ + i) & (ring_.size() - 1)];
-}
-
-void
-SlotQueue::pushSegment(Segment s)
-{
-    if (size_ == ring_.size()) {
-        std::vector<Segment> grown(std::max<std::size_t>(8, 2 * size_));
-        for (std::size_t i = 0; i < size_; ++i)
-            grown[i] = segment(i);
-        ring_.swap(grown);
-        head_ = 0;
-    }
-    ring_[(head_ + size_++) & (ring_.size() - 1)] = s;
-}
-
-SlotQueue::Segment
-SlotQueue::popSegment()
-{
-    Segment s = ring_[head_];
-    head_ = (head_ + 1) & (ring_.size() - 1);
-    --size_;
-    return s;
-}
-
 void
 SlotQueue::parkRun(Claim *head, Claim *tail)
 {
     tail->next_ = nullptr;
     // Enqueuers parked back to back join one run.
-    if (size_ > notified_) {
-        Segment &back = segment(size_ - 1);
+    if (ring_.size() > notified_) {
+        Segment &back = ring_.back();
         if (back.head) {
             back.tail->next_ = head;
             back.tail = tail;
             return;
         }
     }
-    pushSegment({head, tail});
+    ring_.push_back({head, tail});
 }
 
 void
 SlotQueue::parkDrain()
 {
-    pushSegment({nullptr, nullptr});
+    ring_.push_back({nullptr, nullptr});
 }
 
 void
 SlotQueue::notifyAll()
 {
-    const std::size_t n = size_ - notified_;
+    const std::size_t n = ring_.size() - notified_;
     if (n == 0)
         return;
-    notified_ = size_;
+    notified_ = ring_.size();
     SlotQueue *self = this;
     sim_.after(0, [self, n] { self->runBatch(n); });
 }
@@ -104,7 +76,8 @@ SlotQueue::runBatch(std::size_t n)
     // segments are at the head of the ring. A segment is popped before
     // its waiters run: a resumed waiter may park, notify or fill.
     for (std::size_t i = 0; i < n; ++i) {
-        Segment s = popSegment();
+        Segment s = ring_.front();
+        ring_.pop_front();
         --notified_;
         if (!s.head) {
             sim_.countPredicateTest();

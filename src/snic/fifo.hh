@@ -21,10 +21,9 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <type_traits>
-#include <vector>
 
+#include "common/ring.hh"
 #include "sim/condition.hh"
 #include "sim/network.hh"
 #include "simproto/config.hh"
@@ -160,10 +159,6 @@ class SlotQueue
     void parkDrain();
     /** @} */
 
-    void pushSegment(Segment s);
-    Segment popSegment();
-    Segment &segment(std::size_t i);
-
     /** Notify every parked waiter: one same-tick batch event. */
     void notifyAll();
 
@@ -178,11 +173,9 @@ class SlotQueue
     std::coroutine_handle<> drain_; ///< parked drain engine
     /**
      * Every waiting segment, FIFO: the first notified_ belong to pending
-     * batches, the rest are parked. A ring of power-of-two size.
+     * batches, the rest are parked.
      */
-    std::vector<Segment> ring_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
+    Ring<Segment> ring_;
     std::size_t notified_ = 0;
 };
 
@@ -247,7 +240,7 @@ class VFifo
     sim::Link &pcieToHost_;
     sim::Condition &progress_;
     SlotQueue slots_;
-    std::deque<Entry> queue_;
+    Ring<Entry> queue_;
     std::uint64_t nextId_ = 0;
     std::uint64_t drainedThrough_ = 0; ///< ids < this are drained
     std::uint64_t skipped_ = 0;
@@ -299,7 +292,7 @@ class DFifo
     sim::Link &pcieToHost_;
     sim::Condition &progress_;
     SlotQueue slots_;
-    std::deque<std::uint32_t> queue_; ///< entry sizes in bytes
+    Ring<std::uint32_t> queue_; ///< entry sizes in bytes
     std::size_t peak_ = 0;
     kv::NodeId node_;
 };

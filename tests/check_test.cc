@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "alloc_hook.hh"
 #include "check/checker.hh"
 #include "check/fingerprint_set.hh"
+#include "check/state.hh"
 
 using namespace minos;
 using namespace minos::check;
@@ -124,12 +127,14 @@ TEST_P(CheckModelTest, ThreeConflictingWritersThreeNodes)
 
 TEST(CheckMemory, PeakLiveBytesPerStateOnSynchThreeByThree)
 {
-    // The visited set keeps an 8 B fingerprint per state, at 3/8 to 3/4
-    // load, and full 74 B states live only in the BFS queue (at most two
-    // levels): ~18 B/state at the peak. The table doubles in place, so
-    // the old and the new table are never both live; a grow that copies
-    // into a second table peaks at ~25 B/state, and keeping every
-    // state, as the arena store did, at ~92 B/state.
+    // The visited set is a quotient table: at 2^21 slots a slot is 46
+    // bits (43 remainder bits and three metadata bits) at 3/8 to 3/4
+    // load, and the BFS queue holds 32-byte packed states for at most
+    // two levels: ~11.6 B/state at the peak. The table doubles in place,
+    // so the old and the new table are never both live. The 8-byte
+    // linear-probing table with a queue of full 74-byte states before it
+    // peaked at ~18.1 B/state; keeping every state, as the arena store
+    // did, at ~92 B/state.
     CheckConfig cfg;
     cfg.model = PersistModel::Synch;
     cfg.numNodes = 3;
@@ -141,28 +146,29 @@ TEST(CheckMemory, PeakLiveBytesPerStateOnSynchThreeByThree)
     const double perState =
         static_cast<double>(test::peakBytes() - before) /
         static_cast<double>(res.statesExplored);
-    EXPECT_LT(perState, 21.0) << "peak live bytes per state";
-    // The table is counted: 2^21 slots of 8 B.
-    EXPECT_GT(perState, 16.0 * 1024 * 1024 / 1'276'098)
+    EXPECT_LT(perState, 13.5) << "peak live bytes per state";
+    // The table is counted: 2^21 slots in groups of eight, a group 46 B.
+    EXPECT_GT(perState, (1 << 21) / 8 * 46.0 / 1'276'098)
         << "peak live bytes per state";
 }
 
 TEST(FingerprintSet, GrowKeepsEveryFingerprint)
 {
     // Fingerprints of three kinds, interleaved, across six doublings
-    // (512 to 32 768 slots), plus the zero fingerprint. The low 16 bits
-    // of the first kind put it in the last four slots of every table up
-    // to 2^16 slots: their home slots collide, and their cluster wraps
-    // past the table end at every size. The second kind collides the
-    // same way in the 512-slot table, then splits between both halves
-    // at each doubling. The third is spread.
+    // (512 to 32 768 slots), plus the zero fingerprint. A fingerprint's
+    // top bits are its home slot. The top 16 bits of the first kind put
+    // it in the last four slots of every table up to 2^16 slots: their
+    // home slots collide, and their cluster runs past the last home slot
+    // at every size. The second kind collides the same way in the
+    // 512-slot table, then splits between both halves at each doubling.
+    // The third is spread.
     FingerprintSet set;
     std::vector<std::uint64_t> fps{0};
     for (std::uint64_t k = 1; fps.size() < 20'000; ++k) {
         const std::uint64_t r = mix(k);
         switch (k % 3) {
-          case 0: fps.push_back(r << 16 | (0xFFFF - k % 4)); break;
-          case 1: fps.push_back(r << 9 | (0x1FF - k % 4)); break;
+          case 0: fps.push_back((0xFFFF - k % 4) << 48 | r >> 16); break;
+          case 1: fps.push_back((0x1FF - k % 4) << 55 | r >> 9); break;
           default: fps.push_back(r); break;
         }
     }
@@ -186,6 +192,129 @@ TEST(FingerprintSet, GrowKeepsEveryFingerprint)
     for (std::uint64_t fp : fps)
         EXPECT_FALSE(set.insert(fp)) << "lost fingerprint " << fp;
     EXPECT_EQ(set.size(), fps.size());
+}
+
+namespace {
+
+/**
+ * Insert spread fingerprints, from splitmix64 of @p next on, until the
+ * set has doubled once; every fingerprint in @p kept must then still be
+ * found. Returns the fingerprints inserted.
+ */
+std::vector<std::uint64_t>
+growOnce(FingerprintSet &set, std::uint64_t &next,
+         const std::vector<std::uint64_t> &kept)
+{
+    std::vector<std::uint64_t> filler;
+    const std::size_t slots = set.slots();
+    while (set.slots() == slots) {
+        filler.push_back(mix(next++));
+        EXPECT_TRUE(set.insert(filler.back()));
+    }
+    for (std::uint64_t fp : kept)
+        EXPECT_FALSE(set.insert(fp))
+            << "fingerprint " << fp << " lost growing to " << set.slots()
+            << " slots";
+    return filler;
+}
+
+} // namespace
+
+TEST(FingerprintSet, OneRemainderBitApartStayDistinct)
+{
+    // Fingerprints that agree in every bit the home slot takes and
+    // differ in one remainder bit each, the top one included, all share
+    // one home: only the stored remainder tells them apart. A family at
+    // each table size from 512 to 8192 slots, then five doublings; each
+    // doubling moves the top remainder bit into the home slot.
+    FingerprintSet set;
+    std::vector<std::uint64_t> kept;
+    std::uint64_t next = 1;
+    for (int doubling = 0; doubling < 10; ++doubling) {
+        if (doubling < 5) {
+            const unsigned q = 9 + static_cast<unsigned>(doubling);
+            const std::uint64_t base = mix(0x5EED0000 + q); // not a filler
+            std::vector<std::uint64_t> family{base};
+            for (unsigned b = 0; b < 64 - q; ++b)
+                family.push_back(base ^ std::uint64_t{1} << b);
+            for (std::uint64_t fp : family) {
+                ASSERT_EQ(fp >> (64 - q), base >> (64 - q));
+                ASSERT_TRUE(set.insert(fp)) << "fingerprint " << fp;
+            }
+            for (std::uint64_t fp : family)
+                ASSERT_FALSE(set.insert(fp)) << "fingerprint " << fp;
+            kept.insert(kept.end(), family.begin(), family.end());
+        }
+        const std::vector<std::uint64_t> filler = growOnce(set, next, kept);
+        kept.insert(kept.end(), filler.begin(), filler.end());
+    }
+    EXPECT_EQ(set.slots(), std::size_t{512} << 10);
+    EXPECT_EQ(set.size(), kept.size());
+}
+
+TEST(FingerprintSet, RunPastTheTableEnd)
+{
+    // The table does not wrap around: runs pushed past the last home
+    // slot continue into spill slots after it. Fingerprints whose top
+    // bits are all ones have the last home slot at every size, so 200
+    // of them, with neighbours homed on the slots before it, run well
+    // past the end, and go on doing so after each of four doublings.
+    FingerprintSet set;
+    std::vector<std::uint64_t> kept;
+    for (std::uint64_t k = 0; k < 200; ++k)
+        kept.push_back(~std::uint64_t{0} << 40 | mix(k) >> 24);
+    for (std::uint64_t k = 0; k < 40; ++k) // homes 511 - 1 .. 511 - 4
+        kept.push_back((0x1FE - k % 4) << 55 | mix(500 + k) >> 9);
+    for (std::uint64_t fp : kept)
+        ASSERT_TRUE(set.insert(fp)) << "fingerprint " << fp;
+    for (std::uint64_t fp : kept)
+        ASSERT_FALSE(set.insert(fp)) << "fingerprint " << fp;
+    std::uint64_t next = 1;
+    for (int doubling = 0; doubling < 4; ++doubling) {
+        const std::vector<std::uint64_t> filler = growOnce(set, next, kept);
+        kept.insert(kept.end(), filler.begin(), filler.end());
+    }
+    EXPECT_EQ(set.slots(), std::size_t{512} << 4);
+    EXPECT_EQ(set.size(), kept.size());
+}
+
+TEST(CheckStore, PackingRoundTripsEveryReachedState)
+{
+    // Every state that the five models reach on 2 and 3 nodes with two
+    // writers, and that a mutant reaches, packs and unpacks to the same
+    // bytes and so to the same fingerprint.
+    std::vector<CheckConfig> cfgs;
+    for (PersistModel model : simproto::allModels) {
+        for (int nodes : {2, 3}) {
+            CheckConfig cfg;
+            cfg.model = model;
+            cfg.numNodes = nodes;
+            cfg.writers = {0, 1};
+            cfgs.push_back(cfg);
+        }
+    }
+    CheckConfig mutant;
+    mutant.model = PersistModel::Strict;
+    mutant.numNodes = 3;
+    mutant.writers = {0, 1};
+    mutant.bugSkipConsistencySpin = true;
+    cfgs.push_back(mutant);
+    for (const CheckConfig &cfg : cfgs) {
+        SCOPED_TRACE(std::string(simproto::shortModelName(cfg.model)) +
+                     " nodes=" + std::to_string(cfg.numNodes) +
+                     (cfg.bugSkipConsistencySpin ? " skip-spin" : ""));
+        std::size_t states = 0;
+        std::size_t bad = 0;
+        forEachStoredState(cfg, [&](const State &s) {
+            ++states;
+            const State back = unpack(pack(s));
+            if (std::memcmp(&back, &s, sizeof s) != 0 ||
+                hashState(back) != hashState(s))
+                ++bad;
+        });
+        EXPECT_EQ(bad, 0u) << "of " << states << " states";
+        EXPECT_EQ(states, checkModel(cfg).statesExplored);
+    }
 }
 
 TEST(Checker, FingerprintCollisionBound)
