@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -206,6 +207,21 @@ enum PBit : std::uint8_t
     PTerminated = 16,
 };
 
+// The BFS queue packs each State field to the width of its range in
+// state.hh: the values this file stores must stay inside those ranges.
+static_assert(CDone <= detail::fieldAt(offsetof(State, cpc)).hi);
+static_assert((BitValP << 1) - 1 <=
+              detail::fieldAt(offsetof(State, msgs)).hi);
+static_assert(fpcDone == 0xFF &&
+              detail::fieldAt(offsetof(State, fpc)).lo == -1);
+static_assert(std::tuple_size_v<decltype(FollowerProgram::instrs)> - 1 <=
+              detail::fieldAt(offsetof(State, fpc)).hi);
+static_assert((PTerminated << 1) - 1 <=
+              detail::fieldAt(offsetof(State, pMsgs)).hi);
+// ppc runs 0 (idle), 1 (flushing), 2 (committed).
+static_assert(maxNodes <= 3, "Ctx::tsOf packs a writer into 2 bits");
+static_assert(detail::fieldAt(offsetof(State, ppc)).hi >= 2);
+
 /** Exploration context. */
 struct Ctx
 {
@@ -215,13 +231,20 @@ struct Ctx
     FollowerProgram follower;
     CoordinatorProgram coordinator;
 
-    /** Timestamp of write i: (version, writer). none() for -1. */
-    std::pair<int, int>
+    /** cfg.writers, in an array of fixed size. */
+    std::array<int, maxWrites> writer;
+
+    /**
+     * Timestamp of write i, (version, writer), as one int ordered the
+     * same way: version * 4 + writer + 1, with (-1, -1) for none (-1).
+     * Writers are below 3, so the writer never carries into the version.
+     */
+    int
     tsOf(const State &s, int i) const
     {
         if (i < 0)
-            return {-1, -1};
-        return {s.ver[i], cfg.writers[static_cast<std::size_t>(i)]};
+            return -4;
+        return s.ver[i] * 4 + writer[static_cast<std::size_t>(i)] + 1;
     }
 
     /** Is write a's timestamp strictly newer than write b's? */
@@ -240,7 +263,7 @@ struct Ctx
 
     int writerOf(int i) const
     {
-        return cfg.writers[static_cast<std::size_t>(i)];
+        return writer[static_cast<std::size_t>(i)];
     }
 
     std::uint8_t
@@ -809,14 +832,10 @@ checkInvariants(const Ctx &ctx, const State &s,
     }
 }
 
-/**
- * The search behind checkModel(); @p onStore, if not null, sees each
- * state as it is stored, the initial state first. One instantiation:
- * with two, the successor and hash code would no longer be inlined.
- */
+} // namespace
+
 CheckResult
-search(const CheckConfig &cfg,
-       const std::function<void(const State &)> *onStore)
+checkModel(const CheckConfig &cfg)
 {
     MINOS_ASSERT(cfg.numNodes >= 2 && cfg.numNodes <= maxNodes,
                  "checker supports 2..", maxNodes, " nodes");
@@ -830,9 +849,12 @@ search(const CheckConfig &cfg,
                          std::numeric_limits<std::uint32_t>::max(),
                  "maxStates must be in [1, 2^32 - 1)");
 
+    std::array<int, maxWrites> writer{};
+    std::copy(cfg.writers.begin(), cfg.writers.end(), writer.begin());
     const Ctx ctx{cfg, static_cast<int>(cfg.writers.size()), cfg.numNodes,
                   FollowerProgram(cfg.model, cfg.bugAckBeforePersist),
-                  CoordinatorProgram(cfg.model, cfg.bugReleaseRdLockEarly)};
+                  CoordinatorProgram(cfg.model, cfg.bugReleaseRdLockEarly),
+                  writer};
 
     State init;
     std::memset(&init, 0, sizeof(State));
@@ -852,9 +874,8 @@ search(const CheckConfig &cfg,
 
     CheckResult result;
     FingerprintSet seen;
+    RecentFingerprints recent;
     seen.insert(hashState(init));
-    if (onStore)
-        (*onStore)(init);
     /** Discovering state and action per state (recordTraces only). */
     std::vector<std::uint32_t> parents;
     std::vector<const char *> actions;
@@ -923,16 +944,15 @@ search(const CheckConfig &cfg,
             result.transitions += ends[k] - first;
             for (std::size_t i = first; i < ends[k]; ++i) {
                 const Successor &x = succ[i];
-                if (!seen.insert(x.hash))
+                if (recent.contains(x.hash) || !seen.insert(x.hash))
                     continue;
+                recent.add(x.hash);
                 if (discovered == cfg.maxStates) {
                     result.inconclusive = true;
                     break;
                 }
                 const std::uint32_t index = discovered++;
                 queue.push(x.state);
-                if (onStore)
-                    (*onStore)(x.state);
                 if (cfg.recordTraces) {
                     parents.push_back(head);
                     actions.push_back(x.action);
@@ -959,21 +979,6 @@ search(const CheckConfig &cfg,
     }
 
     return result;
-}
-
-} // namespace
-
-CheckResult
-checkModel(const CheckConfig &cfg)
-{
-    return search(cfg, nullptr);
-}
-
-void
-forEachStoredState(const CheckConfig &cfg,
-                   const std::function<void(const State &)> &visit)
-{
-    search(cfg, &visit);
 }
 
 double

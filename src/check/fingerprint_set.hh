@@ -44,15 +44,18 @@ namespace minos::check {
  * Slots are stored in groups of eight: one byte each of occupied,
  * continuation and shifted bits, then the eight remainders back to
  * back. A slot costs 67 - q bits: 58 at the initial 512 slots, 46 at
- * 2^21 and 40 at 2^27. Finding a run reads the group bytes a word at a
- * time, not a slot at a time.
+ * 2^21 and 40 at 2^27. Finding a run reads a group's bytes at a time,
+ * not a slot's bits.
  *
- * Everything lives in one malloc block that doubles past 3/4 load
+ * Everything lives in one malloc block that doubles past 11/16 load
  * (glibc's realloc moves a large block with mremap, not a copy), so two
- * tables are never live at once. A doubling moves the remainder's top
- * bit into the quotient, so each fingerprint keeps its place in the
- * sorted order and a slot at most doubles its index: one pass down the
- * table rewrites it in place, a cluster at a time.
+ * tables are never live at once. An insert moves the rest of its
+ * cluster up one slot, and clusters grow as 1 / (1 - load)^2: doubling
+ * at 11/16 rather than 3/4 skips the dearest inserts, and Strict 3x3's
+ * 88.9 M states still fit 2^27 slots (0.66 full). A doubling moves the
+ * remainder's top bit into the quotient, so each fingerprint keeps its
+ * place in the sorted order and a slot at most doubles its index: one
+ * pass down the table rewrites it in place.
  */
 class FingerprintSet
 {
@@ -143,37 +146,6 @@ class FingerprintSet
             return t;
         }();
         return table[byte];
-    }
-
-    /**
-     * Position of the @p n-th (from 0) set bit of @p byte, from a
-     * table; 32 if it has no more.
-     */
-    static unsigned
-    nthBit(unsigned byte, unsigned n)
-    {
-        static constexpr auto table = [] {
-            std::array<std::array<unsigned char, 8>, 256> t{};
-            for (unsigned b = 0; b < 256; ++b) {
-                unsigned k = 0;
-                for (auto &e : t[b])
-                    e = 32;
-                for (unsigned i = 0; i < 8; ++i) {
-                    if (b >> i & 1)
-                        t[b][k++] = static_cast<unsigned char>(i);
-                }
-            }
-            return t;
-        }();
-        return n < 8 ? table[byte][n] : 32;
-    }
-
-    /** The @p n-th (from 0) set bit of a 16-bit @p word; 32 or more if none. */
-    static unsigned
-    nthBitOf(unsigned word, unsigned n)
-    {
-        const unsigned n0 = bitsIn(word & 0xFF);
-        return n < n0 ? nthBit(word & 0xFF, n) : 8 + nthBit(word >> 8, n - n0);
     }
 
     static unsigned
@@ -278,34 +250,7 @@ class FingerprintSet
         std::size_t
         runStart(std::size_t home) const
         {
-            // Most clusters start in home's group or the one before, and
-            // most runs start in home's group: read those groups' bytes
-            // as one word, and the next group's only when needed.
-            const unsigned char *c = group(home / 8);
             const unsigned k = home % 8;
-            if (const unsigned t = ~c[shiftedByte] & ((2u << k) - 1)) {
-                const unsigned b = highBit(t);
-                const unsigned runs =
-                    bitsIn(c[occupiedByte] & ((1u << k) - (1u << b)));
-                const unsigned z =
-                    ~c[continuationByte] & (0x100u - (1u << b));
-                if (runs < bitsIn(z))
-                    return home / 8 * 8 + nthBit(z, runs);
-            } else if (home >= 8) {
-                const unsigned char *p = c - groupBytes(rbits);
-                if (const unsigned t = ~p[shiftedByte] & 0xFF) {
-                    const unsigned b = highBit(t);
-                    const unsigned runs =
-                        bitsIn(p[occupiedByte] >> b) +
-                        bitsIn(c[occupiedByte] & ((1u << k) - 1));
-                    const unsigned z =
-                        ~(p[continuationByte] | c[continuationByte] << 8) &
-                        (0x10000u - (1u << b));
-                    const unsigned at = nthBitOf(z, runs);
-                    if (at < 16)
-                        return home / 8 * 8 - 8 + at;
-                }
-            }
             // The general walk, group by group.
             std::size_t g = home / 8;
             unsigned t = ~byteOf(g, shiftedByte) & ((2u << k) - 1);
@@ -409,7 +354,7 @@ class FingerprintSet
     bool
     added()
     {
-        if (++used_ > slots() / 4 * 3)
+        if (++used_ > slots() / 16 * 11)
             grow();
         return true;
     }
@@ -426,63 +371,89 @@ class FingerprintSet
     /**
      * Double the table in place; see the class comment. The top
      * remainder bit joins the quotient: home h becomes 2h or 2h + 1.
-     * Old clusters are rewritten one at a time, from the top. Every new
-     * home of a cluster that starts at old slot b is 2b or above, and a
-     * group shrinks by one byte, so from the second old group on a
-     * cluster is written at or above the byte where it started: over
-     * slots already read, never over one still to be read. The first
-     * old group is read from a copy.
+     * Old groups are read from the top, and the whole clusters read so
+     * far are written out after each group. Every new home of a cluster
+     * that starts at old slot b is 2b or above, and a group shrinks by
+     * one byte, so from the third old group on, clusters that start in a
+     * group are written above that group's last byte: over slots already
+     * read, never over one still to be read. The first two old groups
+     * are read from a copy.
      */
     [[gnu::noinline, gnu::cold]] void
     grow()
     {
         const unsigned oldRbits = rbits_;
+        const std::size_t oldGroupBytes = groupBytes(oldRbits);
         const std::size_t oldCap = cap_;
         const std::size_t oldBytes = bytesFor(oldCap, oldRbits);
         const std::size_t newSlots = 2 * slots();
         setBits(qbits_ + 1);
 
-        std::array<unsigned char, groupBytes(64 - initialBits) + 8> first{};
-        std::memcpy(first.data(), table_, groupBytes(oldRbits));
-        std::vector<std::uint64_t> cluster; // (rem << 1 | continuation), top down
-        std::vector<std::size_t> homes;     // its occupied slots, top down
+        std::array<unsigned char, 2 * groupBytes(64 - initialBits) + 8> low{};
+        std::memcpy(low.data(), table_, 2 * oldGroupBytes);
+        // Slots read and not yet written, top down: (rem << 1 |
+        // continuation) of each, and the occupied ones among them.
+        std::vector<std::uint64_t> pending(64);
+        std::vector<std::size_t> homes(64);
+        std::size_t np = 0;
+        std::size_t nh = 0;
         bool sized = false;
         std::size_t zeroed = 0; // new groups >= zeroed have their bits cleared
         for (std::size_t gi = oldCap / 8; gi-- > 0;) {
+            // Placing clusters may move the block: read through table_
+            // each time.
             const unsigned char *g =
-                (gi == 0 ? first.data() : table_ + gi * groupBytes(oldRbits));
+                gi < 2 ? low.data() + gi * oldGroupBytes
+                       : table_ + gi * oldGroupBytes;
             const unsigned occ = g[occupiedByte];
             const unsigned cont = g[continuationByte];
             const unsigned shf = g[shiftedByte];
-            for (unsigned live = occ | shf; live;) {
-                const unsigned k =
-                    31 - static_cast<unsigned>(__builtin_clz(live));
-                live &= ~(1u << k);
-                const std::size_t j = 8 * gi + k;
-                if (occ >> k & 1)
-                    homes.push_back(j);
-                // Placing a cluster may move the block: read through
-                // table_ each time.
-                const Table old{gi == 0 ? first.data() : table_, oldRbits};
-                cluster.push_back(old.rem(j) << 1 |
-                                  (cont >> k & 1));
-                if (shf >> k & 1)
-                    continue;
-
-                // j starts a cluster. Its runs take its occupied slots in
-                // order; each fingerprint's new slot is its new home or
-                // the slot after the one before, whichever is higher.
-                if (!sized) { // the top cluster sets the size
-                    sized = true;
-                    const std::size_t last =
-                        lastNewSlot(cluster, homes, oldRbits);
-                    cap_ = std::max(newSlots + 8, (last + 9) / 8 * 8);
-                    resize(std::max(oldBytes, bytesFor(cap_, rbits_)));
-                    zeroed = cap_ / 8;
-                }
-                placeCluster(cluster, homes, oldRbits, zeroed);
-                cluster.clear();
+            if (!(occ | shf))
+                continue;
+            if (pending.size() < np + 8) {
+                pending.resize(2 * (np + 8));
+                homes.resize(2 * (np + 8));
             }
+            // Every slot is read and written to the buffers; only the
+            // live ones advance them, so no branch depends on the data.
+            std::size_t whole = 0; // slots of whole clusters, top down
+            std::size_t wholeHomes = 0;
+            for (unsigned k = 8; k-- > 0;) {
+                const std::size_t bit = k * oldRbits;
+                std::uint64_t w;
+                std::memcpy(&w, g + 3 + bit / 8, sizeof w);
+                pending[np] =
+                    (w >> bit % 8 & lowMask(oldRbits)) << 1 | (cont >> k & 1);
+                homes[nh] = 8 * gi + k;
+                const unsigned live = (occ | shf) >> k & 1;
+                np += live;
+                nh += occ >> k & 1;
+                // A live slot that is not shifted starts a cluster.
+                const bool starts = live & ~shf >> k;
+                whole = starts ? np : whole;
+                wholeHomes = starts ? nh : wholeHomes;
+            }
+            if (whole == 0)
+                continue;
+            if (!sized) { // the top cluster sets the size
+                sized = true;
+                const std::size_t last = placeClusters(
+                    pending.data(), whole, homes.data(), wholeHomes,
+                    oldRbits, nullptr);
+                cap_ = std::max(newSlots + 8, (last + 9) / 8 * 8);
+                resize(std::max(oldBytes, bytesFor(cap_, rbits_)));
+                zeroed = cap_ / 8;
+            }
+            placeClusters(pending.data(), whole, homes.data(), wholeHomes,
+                          oldRbits, &zeroed);
+            std::copy(pending.begin() + static_cast<std::ptrdiff_t>(whole),
+                      pending.begin() + static_cast<std::ptrdiff_t>(np),
+                      pending.begin());
+            std::copy(homes.begin() + static_cast<std::ptrdiff_t>(wholeHomes),
+                      homes.begin() + static_cast<std::ptrdiff_t>(nh),
+                      homes.begin());
+            np -= whole;
+            nh -= wholeHomes;
         }
         while (zeroed > 0)
             std::memset(group(--zeroed), 0, 3);
@@ -490,54 +461,45 @@ class FingerprintSet
             resize(bytesFor(cap_, rbits_));
     }
 
-    /** The new slot of the top fingerprint of an old cluster. */
-    static std::size_t
-    lastNewSlot(const std::vector<std::uint64_t> &cluster,
-                const std::vector<std::size_t> &homes, unsigned oldRbits)
-    {
-        std::size_t n = homes.size();
-        std::size_t home = 0;
-        std::size_t pos = 0;
-        for (std::size_t i = cluster.size(); i-- > 0;) {
-            if (!(cluster[i] & 1))
-                home = homes[--n];
-            const std::size_t h = 2 * home + (cluster[i] >> oldRbits);
-            pos = i + 1 == cluster.size() ? h : std::max(h, pos + 1);
-        }
-        return pos;
-    }
-
     /**
-     * Write one old cluster, read top down into @p cluster and
-     * @p homes, to its new slots, lowest first. New groups at or above
-     * @p zeroed already have their metadata cleared; the ones this
-     * cluster reaches below it are cleared first.
+     * Write @p n old slots that make whole clusters, read top down into
+     * @p x with their @p nHomes occupied slots in @p homes, to their new
+     * slots, lowest first; returns the new slot of the top one. Each
+     * fingerprint's new slot is its new home or the slot after the one
+     * below it, whichever is higher: a cluster ends below the new home
+     * of the next one, so this holds across clusters too. New groups at
+     * or above @p zeroed already have their metadata cleared; the ones
+     * these slots reach below it are cleared first. With @p zeroed null,
+     * nothing is written.
      */
-    void
-    placeCluster(const std::vector<std::uint64_t> &cluster,
-                 std::vector<std::size_t> &homes, unsigned oldRbits,
-                 std::size_t &zeroed)
+    std::size_t
+    placeClusters(const std::uint64_t *x, std::size_t n,
+                  const std::size_t *homes, std::size_t nHomes,
+                  unsigned oldRbits, std::size_t *zeroed) const
     {
         // Locals: a store through the table's bytes may alias anything
         // read through a pointer or reference. The loop has no branch
         // that depends on the data.
         const Table t = table();
-        const std::uint64_t *x = cluster.data();
-        const std::size_t *h0 = homes.data();
-        std::size_t n = homes.size() - 1; // the home of the lowest run
-        const std::size_t lowest =
-            2 * h0[n] + (x[cluster.size() - 1] >> oldRbits);
-        while (zeroed > lowest / 8)
-            std::memset(t.group(--zeroed), 0, 3);
+        std::size_t h0 = nHomes - 1; // the home of the lowest run
+        if (zeroed) {
+            const std::size_t lowest =
+                2 * homes[h0] + (x[n - 1] >> oldRbits);
+            while (*zeroed > lowest / 8)
+                std::memset(t.group(--*zeroed), 0, 3);
+        }
         std::size_t lastHome = ~std::size_t{0};
         std::size_t free = 0; // the lowest slot the next one may take
-        for (std::size_t i = cluster.size(); i-- > 0;) {
+        std::size_t pos = 0;
+        for (std::size_t i = n; i-- > 0;) {
             // A run start takes the next home; the others keep it.
-            n -= i + 1 != cluster.size() && !(x[i] & 1);
+            h0 -= i + 1 != n && !(x[i] & 1);
             const std::uint64_t rem = x[i] >> 1;
-            const std::size_t h = 2 * h0[n] + (rem >> (oldRbits - 1));
-            const std::size_t pos = std::max(h, free);
+            const std::size_t h = 2 * homes[h0] + (rem >> (oldRbits - 1));
+            pos = std::max(h, free);
             free = pos + 1;
+            if (!zeroed)
+                continue;
             unsigned char *hg = t.group(h / 8);
             hg[occupiedByte] |= static_cast<unsigned char>(1u << h % 8);
             unsigned char *pg = t.group(pos / 8);
@@ -548,7 +510,7 @@ class FingerprintSet
             t.putRem(pos, rem & lowMask(t.rbits));
             lastHome = h;
         }
-        homes.resize(n);
+        return pos;
     }
 
     unsigned char *table_ = nullptr;
@@ -556,6 +518,60 @@ class FingerprintSet
     unsigned rbits_ = 0;  ///< remainder bits, 64 - qbits_
     std::size_t cap_ = 0; ///< slots, spill included; a multiple of 8
     std::size_t used_ = 0;
+};
+
+/**
+ * The fingerprints added last, direct-mapped on their low bits, so that
+ * most repeat lookups end here and not in the FingerprintSet. A search
+ * reaches most states more than once, and mostly soon after the first
+ * time: the two orders of a pair of independent actions lead to one
+ * state from two sibling states, which leave the BFS queue one after the
+ * other. Every fingerprint here is one the caller added to its set, so a
+ * hit is exact; a miss says nothing.
+ *
+ * It starts at 64 entries and doubles, up to maxEntries (32 KiB), as
+ * fingerprints are added, so a small search pays for a small memo.
+ */
+class RecentFingerprints
+{
+  public:
+    static constexpr std::size_t maxEntries = 4096;
+
+    RecentFingerprints()
+    {
+        std::memset(entries_.data(), 0, (mask_ + 1) * sizeof(std::uint64_t));
+    }
+
+    /** Was @p fp added, and not yet evicted by one with its low bits? */
+    bool
+    contains(std::uint64_t fp) const
+    {
+        fp = fp ? fp : zeroFp;
+        return entries_[fp & mask_] == fp;
+    }
+
+    /** Remember @p fp, in place of the one with its low bits. */
+    void
+    add(std::uint64_t fp)
+    {
+        fp = fp ? fp : zeroFp;
+        entries_[fp & mask_] = fp;
+        if (++added_ > 8 * (mask_ + 1) && mask_ + 1 < maxEntries) {
+            // The entries already held stay true where they are; only
+            // the new half needs clearing.
+            std::memset(entries_.data() + mask_ + 1, 0,
+                        (mask_ + 1) * sizeof(std::uint64_t));
+            mask_ = 2 * mask_ + 1;
+        }
+    }
+
+  private:
+    /** A zero fingerprint is held as this; zero marks an empty entry. */
+    static constexpr std::uint64_t zeroFp = 0x9E3779B97F4A7C15ull;
+
+    std::array<std::uint64_t, maxEntries> entries_; ///< [0, mask_] valid
+    std::size_t mask_ = 63;
+    std::size_t added_ = 0;
 };
 
 } // namespace minos::check

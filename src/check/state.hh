@@ -13,10 +13,10 @@
 #include <cstdint>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <utility>
 
 #include "check/checker.hh"
+#include "common/logging.hh"
 #include "common/random.hh"
 
 namespace minos::check {
@@ -121,15 +121,67 @@ inline constexpr std::array<Chunk, 11> packChunks{{
 }};
 
 /**
+ * The values a State field takes, as the checker sets them; -1 is the
+ * byte 0xFF. checker.cc asserts that its constants stay inside these.
+ */
+struct FieldRange
+{
+    unsigned off;   ///< first State byte
+    unsigned bytes; ///< State bytes of the field
+    int lo;
+    int hi;
+};
+
+inline constexpr int writeIndexMax = maxWrites - 1;
+inline constexpr int nodeMaskMax = (1 << maxNodes) - 1;
+
+/**
+ * Every State field in order. A version is at most the number of
+ * writes started before its own (invariant 4b reports one above
+ * maxWrites), and nextVer is one above a version. Coordinator pcs run
+ * up to CDone and follower pcs up to the last compiled step, with -1
+ * for fpcDone; msgs and pMsgs are the MsgBit and PBit sets.
+ */
+inline constexpr std::array<FieldRange, 18> fieldRanges{{
+    {offsetof(State, rdOwner), maxNodes, -1, writeIndexMax},
+    {offsetof(State, vol), maxNodes, -1, writeIndexMax},
+    {offsetof(State, glbV), maxNodes, -1, writeIndexMax},
+    {offsetof(State, glbD), maxNodes, -1, writeIndexMax},
+    {offsetof(State, nextVer), maxNodes, 0, maxWrites + 1},
+    {offsetof(State, cpc), maxWrites, 0, 7},
+    {offsetof(State, ver), maxWrites, -1, maxWrites},
+    {offsetof(State, obsObs), maxWrites, -1, writeIndexMax},
+    {offsetof(State, ackCMask), maxWrites, 0, nodeMaskMax},
+    {offsetof(State, ackPMask), maxWrites, 0, nodeMaskMax},
+    {offsetof(State, bgPending), maxWrites, 0, 1},
+    {offsetof(State, msgs), maxWrites * maxNodes, 0, 127},
+    {offsetof(State, fpc), maxWrites * maxNodes, -1, 14},
+    {offsetof(State, fObs), maxWrites * maxNodes, -1, writeIndexMax},
+    {offsetof(State, durable), maxWrites * maxNodes, 0, 1},
+    {offsetof(State, ppc), 1, 0, 2},
+    {offsetof(State, pAckMask), 1, 0, nodeMaskMax},
+    {offsetof(State, pMsgs), maxNodes, 0, 31},
+}};
+
+/** The range of the field that holds State byte @p b. */
+constexpr FieldRange
+fieldAt(std::size_t b)
+{
+    for (const FieldRange &f : fieldRanges) {
+        if (b >= f.off && b < f.off + f.bytes)
+            return f;
+    }
+    return {0, 0, 0, -1}; // no field: an empty range
+}
+
+/**
  * State bytes whose all-ones value in their chunk's width stands for
- * 0xFF: the -1 of a write index and fpcDone.
+ * 0xFF: the -1 of a write index, of an unset version and fpcDone.
  */
 inline constexpr bool
 isSentinelByte(unsigned b)
 {
-    return b < offsetof(State, nextVer) ||
-           (b >= offsetof(State, ver) && b < offsetof(State, ackCMask)) ||
-           (b >= offsetof(State, fpc) && b < offsetof(State, durable));
+    return fieldAt(b).lo < 0;
 }
 
 constexpr std::uint64_t
@@ -165,6 +217,38 @@ static_assert([] {
     }
     return true;
 }(), "chunks cover every State byte once, in order");
+static_assert([] {
+    unsigned next = 0;
+    for (const FieldRange &f : fieldRanges) {
+        if (f.off != next)
+            return false;
+        next += f.bytes;
+    }
+    return next == sizeof(State);
+}(), "fieldRanges cover every State byte once, in order");
+
+/** Bits kept of State byte @p b. */
+constexpr unsigned
+widthOf(unsigned b)
+{
+    for (const Chunk &c : packChunks) {
+        if (b >= c.off && b < c.off + c.lanes)
+            return c.width;
+    }
+    return 0;
+}
+
+static_assert([] {
+    for (unsigned b = 0; b < sizeof(State); ++b) {
+        const FieldRange f = fieldAt(b);
+        // A sentinel byte keeps all ones for -1, so its other values
+        // stay below that.
+        const int top = (1 << widthOf(b)) - 1 - (f.lo < 0 ? 1 : 0);
+        if (f.lo < -1 || f.hi > top)
+            return false;
+    }
+    return true;
+}(), "every field's range fits the width its chunk keeps");
 
 /**
  * Squeeze the low @p W bits of each byte of @p x into 8W bits: three
@@ -207,17 +291,27 @@ sentinelLanes(Chunk c)
     return lanes;
 }
 
+/** The State bytes of chunk @p I, lane b in bits 8b... */
 template <std::size_t I>
-void
-packChunk(const unsigned char *p, PackedStateWords &out)
+std::uint64_t
+loadChunk(const unsigned char *p)
 {
     constexpr Chunk c = packChunks[I];
-    constexpr unsigned pos = chunkPos[I];
     std::uint64_t x = 0;
     if constexpr (c.off + 8 <= sizeof(State))
         x = load64(p + c.off);
     else
         std::memcpy(&x, p + c.off, c.lanes);
+    return x;
+}
+
+/** Squeeze chunk @p I's bytes @p x into its bits of @p out. */
+template <std::size_t I>
+void
+packChunk(std::uint64_t x, PackedStateWords &out)
+{
+    constexpr Chunk c = packChunks[I];
+    constexpr unsigned pos = chunkPos[I];
     x = squeeze<c.width>(x & (repeat(lowBits(c.width), 8) &
                               lowBits(8 * c.lanes)));
     out[pos / 64] |= x << pos % 64;
@@ -282,8 +376,15 @@ pack(const State &s)
 {
     const auto *p = reinterpret_cast<const unsigned char *>(&s);
     PackedState out{};
+    // Every chunk is loaded before any bit is stored: the result may be
+    // built in place, and a store through it could alias the State's
+    // bytes, so each |= would wait for the store before it.
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-        (detail::packChunk<I>(p, out.words), ...);
+        const std::array<std::uint64_t, sizeof...(I)> x{
+            detail::loadChunk<I>(p)...};
+        detail::PackedStateWords w{};
+        (detail::packChunk<I>(x[I], w), ...);
+        out.words = w;
     }(std::make_index_sequence<detail::packChunks.size()>());
     return out;
 }
@@ -293,18 +394,34 @@ unpack(const PackedState &in)
 {
     State s;
     auto *p = reinterpret_cast<unsigned char *>(&s);
+    // A local copy: a store through the State's bytes could alias the
+    // packed words and force them to be loaded again.
+    const detail::PackedStateWords w = in.words;
     [&]<std::size_t... I>(std::index_sequence<I...>) {
-        (detail::unpackChunk<I>(in.words, p), ...);
+        (detail::unpackChunk<I>(w, p), ...);
     }(std::make_index_sequence<detail::packChunks.size()>());
     return s;
 }
 
 /**
+ * Debug and sanitizer builds unpack every state the queue packs and
+ * compare it with the original: a field outside its range (a checker
+ * change that widened one) would be cut to its width and expanded as
+ * another state.
+ */
+#if !defined(NDEBUG) || defined(__SANITIZE_ADDRESS__)
+inline constexpr bool checkPacking = true;
+#else
+inline constexpr bool checkPacking = false;
+#endif
+
+/**
  * The BFS queue: states leave it in the order they entered. While no
  * state is packed, up to frontStates of them wait as they are; later
  * ones are packed, behind them. A search whose queue never grows past
- * frontStates, as on the smallest models, packs nothing, and a large
- * one keeps 32 bytes per waiting state.
+ * frontStates, as on the smallest models, packs nothing: the 2-node,
+ * 1-write search runs in about three quarters of the time it takes
+ * packing every state. A large one keeps 32 bytes per waiting state.
  */
 class StateQueue
 {
@@ -317,10 +434,17 @@ class StateQueue
     void
     push(const State &s)
     {
-        if (packed_.empty() && frontSize_ < frontStates)
+        if (packed_.empty() && frontSize_ < frontStates) {
             front_[(frontHead_ + frontSize_++) % frontStates] = s;
-        else
-            packed_.push_back(pack(s));
+            return;
+        }
+        const PackedState p = pack(s);
+        if constexpr (checkPacking) {
+            const State back = unpack(p);
+            MINOS_ASSERT(std::memcmp(&back, &s, sizeof s) == 0,
+                         "a State field is outside its packed width");
+        }
+        packed_.push_back(p);
     }
 
     /** Take the oldest state; the queue must not be empty. */
@@ -344,14 +468,6 @@ class StateQueue
     std::size_t frontSize_ = 0;
     std::deque<PackedState> packed_;
 };
-
-/**
- * Call @p visit with every state checkModel(@p cfg) stores, in discovery
- * order, the initial state first: the reachable states of a
- * configuration, for the tests of the store.
- */
-void forEachStoredState(const CheckConfig &cfg,
-                        const std::function<void(const State &)> &visit);
 
 } // namespace minos::check
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc_hook.hh"
@@ -278,42 +279,103 @@ TEST(FingerprintSet, RunPastTheTableEnd)
     EXPECT_EQ(set.size(), kept.size());
 }
 
+namespace {
+
+/** A State whose every field holds a value of its range, from @p seed. */
+State
+stateInRange(std::uint64_t seed)
+{
+    State s;
+    auto *p = reinterpret_cast<unsigned char *>(&s);
+    for (unsigned b = 0; b < sizeof s; ++b) {
+        const check::detail::FieldRange f = check::detail::fieldAt(b);
+        const auto span = static_cast<std::uint64_t>(f.hi - f.lo + 1);
+        p[b] = static_cast<unsigned char>(
+            f.lo + static_cast<int>(mix(seed * sizeof s + b) % span));
+    }
+    return s;
+}
+
+/** Does @p s pack and unpack to the same bytes and fingerprint? */
+bool
+roundTrips(const State &s)
+{
+    const State back = unpack(pack(s));
+    return std::memcmp(&back, &s, sizeof s) == 0 &&
+           hashState(back) == hashState(s);
+}
+
+} // namespace
+
+TEST(CheckStore, PackingRoundTripsEveryFieldValue)
+{
+    // Each byte of each field takes every value of its range, -1 and
+    // the top of the range included, among fields at random values of
+    // theirs; then random states. A field packed narrower than its range
+    // loses its top values here.
+    std::size_t bad = 0;
+    std::size_t checked = 0;
+    for (unsigned b = 0; b < sizeof(State); ++b) {
+        const check::detail::FieldRange f = check::detail::fieldAt(b);
+        for (int v = f.lo; v <= f.hi; ++v) {
+            State s = stateInRange(b * 256 + static_cast<unsigned>(v + 1));
+            reinterpret_cast<unsigned char *>(&s)[b] =
+                static_cast<unsigned char>(v);
+            ++checked;
+            if (!roundTrips(s) && ++bad <= 8)
+                ADD_FAILURE() << "State byte " << b << " = " << v;
+        }
+    }
+    for (std::uint64_t k = 0; k < 20'000; ++k)
+        bad += !roundTrips(stateInRange(0xC0FFEE + k));
+    EXPECT_EQ(bad, 0u) << "of " << checked + 20'000 << " states";
+}
+
 TEST(CheckStore, PackingRoundTripsEveryReachedState)
 {
-    // Every state that the five models reach on 2 and 3 nodes with two
-    // writers, and that a mutant reaches, packs and unpacks to the same
-    // bytes and so to the same fingerprint.
+    // Every model on 2 and 3 nodes with two writes and on 2 nodes with
+    // three (node 0 writes twice), and each mutant. Debug and sanitizer
+    // builds (checkPacking) unpack every state the BFS queue packs and
+    // panic on a difference; every build checks that the searches end
+    // and agree with a second run.
     std::vector<CheckConfig> cfgs;
     for (PersistModel model : simproto::allModels) {
-        for (int nodes : {2, 3}) {
+        for (const auto &[nodes, writers] :
+             {std::pair{2, std::vector<int>{0, 1}},
+              std::pair{3, std::vector<int>{0, 1}},
+              std::pair{2, std::vector<int>{0, 1, 0}}}) {
             CheckConfig cfg;
             cfg.model = model;
             cfg.numNodes = nodes;
-            cfg.writers = {0, 1};
+            cfg.writers = writers;
             cfgs.push_back(cfg);
         }
     }
-    CheckConfig mutant;
-    mutant.model = PersistModel::Strict;
-    mutant.numNodes = 3;
-    mutant.writers = {0, 1};
-    mutant.bugSkipConsistencySpin = true;
-    cfgs.push_back(mutant);
+    for (int bug = 0; bug < 3; ++bug) {
+        CheckConfig mutant;
+        mutant.model = PersistModel::Strict;
+        mutant.numNodes = 3;
+        mutant.writers = {0, 1};
+        mutant.bugSkipConsistencySpin = bug == 0;
+        mutant.bugAckBeforePersist = bug == 1;
+        mutant.bugReleaseRdLockEarly = bug == 2;
+        cfgs.push_back(mutant);
+    }
     for (const CheckConfig &cfg : cfgs) {
         SCOPED_TRACE(std::string(simproto::shortModelName(cfg.model)) +
                      " nodes=" + std::to_string(cfg.numNodes) +
-                     (cfg.bugSkipConsistencySpin ? " skip-spin" : ""));
-        std::size_t states = 0;
-        std::size_t bad = 0;
-        forEachStoredState(cfg, [&](const State &s) {
-            ++states;
-            const State back = unpack(pack(s));
-            if (std::memcmp(&back, &s, sizeof s) != 0 ||
-                hashState(back) != hashState(s))
-                ++bad;
-        });
-        EXPECT_EQ(bad, 0u) << "of " << states << " states";
-        EXPECT_EQ(states, checkModel(cfg).statesExplored);
+                     " writers=" + std::to_string(cfg.writers.size()) +
+                     (cfg.bugSkipConsistencySpin ? " skip-spin" : "") +
+                     (cfg.bugAckBeforePersist ? " ack-before-persist"
+                                              : "") +
+                     (cfg.bugReleaseRdLockEarly ? " early-release" : ""));
+        const CheckResult a = checkModel(cfg);
+        const CheckResult b = checkModel(cfg);
+        EXPECT_FALSE(a.inconclusive);
+        EXPECT_GT(a.statesExplored, 1u);
+        EXPECT_EQ(a.statesExplored, b.statesExplored);
+        EXPECT_EQ(a.transitions, b.transitions);
+        EXPECT_EQ(a.finalStates, b.finalStates);
     }
 }
 
