@@ -2,8 +2,9 @@
  * @file
  * The repository's one open-addressing index, key -> dense slot number
  * (DESIGN.md §5f), and the chunked array its users keep slot state in.
- * The engines' pending-txn slab and the audit's OpSlots index writes
- * with it.
+ * The engines' pending-txn slab indexes writes and [PERSIST]sc
+ * transactions with it, the audit's OpSlots writes and its ScopeTable
+ * scopes, and nvm::DurableState its overlay's keys.
  */
 
 #ifndef MINOS_COMMON_SLOT_INDEX_HH

@@ -145,6 +145,15 @@ struct WriteId
 
     static WriteId of(Key k, const Timestamp &t) { return {k, t.pack()}; }
 
+    /** A <Lin, Scope> [PERSIST]sc's identity: (scope, TS none). It never
+     *  names a write: none packs to 0, every TS_WR to at least
+     *  (1 << 16) | 1. */
+    static WriteId
+    ofScope(std::uint64_t scope)
+    {
+        return {scope, Timestamp::none().pack()};
+    }
+
     bool operator==(const WriteId &) const = default;
 
     std::uint32_t hash() const { return SlotIndex::hash(key, ts); }

@@ -104,6 +104,17 @@ static_assert(sizeof(Message) == 64, "a message fills one cache line");
 /** Size in bytes of a control (non-data) message on the wire. */
 inline constexpr std::uint32_t controlMsgBytes = 64;
 
+/** The transaction @p m belongs to: its scope's [PERSIST]sc for
+ *  PERSIST_SC, [ACK_P]sc and [VAL_P]sc, its write for every other. */
+inline kv::WriteId
+txnOf(const Message &m)
+{
+    if (m.type == MsgType::PERSIST_SC || m.type == MsgType::ACK_P_SC ||
+        m.type == MsgType::VAL_P_SC)
+        return kv::WriteId::ofScope(m.scope);
+    return kv::WriteId::of(m.key, m.tsWr);
+}
+
 /** Build a control-message response template (src/dst swapped). */
 Message makeResponse(const Message &req, MsgType type);
 

@@ -1,7 +1,6 @@
 #include "durable_state.hh"
 
 #include <algorithm>
-#include <bit>
 
 namespace minos::nvm {
 
@@ -10,17 +9,24 @@ using kv::Record;
 using kv::Timestamp;
 using kv::Value;
 
+DurableState::DurableState()
+{
+    // The index's first table holds 48 keys before it grows.
+    index_.reserve();
+    entries_.reserve(48);
+}
+
 void
 DurableState::apply(Record &rec, Key key, Value value, Timestamp ts)
 {
-    const std::size_t i = find(key);
-    if (i == noSlot) {
+    const std::uint32_t i = index_.find(hash(key), isKey(key));
+    if (i == SlotIndex::none) {
         // The durable state was the record's; keep it as the record
         // moves on.
         if (rec.volatileTs != ts || rec.value != value)
             insert(key, rec.value, rec.volatileTs);
-    } else if (slots_[i].ts == ts && slots_[i].value == value) {
-        erase(i); // the record caught up with a persist that led it
+    } else if (entries_[i].ts == ts && entries_[i].value == value) {
+        erase(key); // the record caught up with a persist that led it
     }
     rec.value = value;
     rec.volatileTs = ts;
@@ -31,16 +37,17 @@ DurableState::persist(const Record &rec, Key key, Value value,
                       Timestamp ts)
 {
     ++persists_;
-    const std::size_t i = find(key);
+    const std::uint32_t i = index_.find(hash(key), isKey(key));
+    const bool in = i != SlotIndex::none;
     // A key never persisted has TS none, older than any update's.
-    if (!(ts > (i == noSlot ? rec.volatileTs : slots_[i].ts)))
+    if (!(ts > (in ? entries_[i].ts : rec.volatileTs)))
         return;
     if (ts == rec.volatileTs && value == rec.value) {
-        if (i != noSlot)
-            erase(i);
-    } else if (i != noSlot) {
-        slots_[i].value = value;
-        slots_[i].ts = ts;
+        if (in)
+            erase(key);
+    } else if (in) {
+        entries_[i].value = value;
+        entries_[i].ts = ts;
     } else {
         insert(key, value, ts);
     }
@@ -49,9 +56,10 @@ DurableState::persist(const Record &rec, Key key, Value value,
 std::optional<DurableRecord>
 DurableState::at(const Record &rec, Key key) const
 {
-    const std::size_t i = find(key);
-    const Value value = i == noSlot ? rec.value : slots_[i].value;
-    const Timestamp ts = i == noSlot ? rec.volatileTs : slots_[i].ts;
+    const std::uint32_t i = index_.find(hash(key), isKey(key));
+    const bool in = i != SlotIndex::none;
+    const Value value = in ? entries_[i].value : rec.value;
+    const Timestamp ts = in ? entries_[i].ts : rec.volatileTs;
     if (ts.isNone())
         return std::nullopt;
     return DurableRecord{value, ts};
@@ -66,79 +74,44 @@ DurableState::db(const kv::SimStore &store) const
         if (!rec.volatileTs.isNone())
             db[k] = DurableRecord{rec.value, rec.volatileTs};
     }
-    for (const Slot &s : slots_) {
-        if (s.key == emptyKey)
+    for (const Entry &e : entries_) {
+        if (e.key == emptyKey)
             continue;
-        if (s.ts.isNone())
-            db.erase(s.key);
+        if (e.ts.isNone())
+            db.erase(e.key);
         else
-            db[s.key] = DurableRecord{s.value, s.ts};
+            db[e.key] = DurableRecord{e.value, e.ts};
     }
     return db;
-}
-
-std::size_t
-DurableState::home(Key key) const
-{
-    // Fibonacci hashing: the top bits of key * 2^64/phi.
-    const int shift = 64 - std::countr_zero(slots_.size());
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
-}
-
-std::size_t
-DurableState::find(Key key) const
-{
-    if (used_ == 0)
-        return noSlot;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = home(key);; i = (i + 1) & mask) {
-        if (slots_[i].key == key)
-            return i;
-        if (slots_[i].key == emptyKey)
-            return noSlot;
-    }
 }
 
 void
 DurableState::insert(Key key, Value value, Timestamp ts)
 {
-    if (2 * (used_ + 1) > slots_.size()) {
-        std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
-        old.swap(slots_);
-        used_ = 0;
-        for (const Slot &s : old)
-            if (s.key != emptyKey)
-                insert(s.key, s.value, s.ts);
-    }
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = home(key);
-    while (slots_[i].key != emptyKey)
-        i = (i + 1) & mask;
-    slots_[i] = Slot{key, value, ts};
-    ++used_;
-    peak_ = std::max(peak_, used_);
+    bool added = false;
+    index_.insert(
+        hash(key), isKey(key),
+        [&] {
+            std::uint32_t i = freeHead_;
+            if (i == SlotIndex::none) {
+                i = static_cast<std::uint32_t>(entries_.size());
+                entries_.emplace_back();
+            } else {
+                freeHead_ = static_cast<std::uint32_t>(entries_[i].value);
+            }
+            entries_[i] = Entry{key, value, ts};
+            return i;
+        },
+        added);
+    peak_ = std::max(peak_, index_.size());
 }
 
 void
-DurableState::erase(std::size_t slot)
+DurableState::erase(Key key)
 {
-    // Backward-shift deletion: move up every later entry of the probe
-    // run whose home does not lie in (slot, j], so no probe crosses a
-    // hole.
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t j = slot;
-    for (;;) {
-        j = (j + 1) & mask;
-        if (slots_[j].key == emptyKey)
-            break;
-        const std::size_t h = home(slots_[j].key);
-        if (((j - h) & mask) >= ((j - slot) & mask)) {
-            slots_[slot] = slots_[j];
-            slot = j;
-        }
-    }
-    slots_[slot] = Slot{};
-    --used_;
+    const std::uint32_t i = index_.erase(hash(key), isKey(key));
+    entries_[i] = Entry{emptyKey, freeHead_, kv::Timestamp::none()};
+    freeHead_ = i;
 }
 
 } // namespace minos::nvm

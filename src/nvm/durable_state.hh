@@ -21,9 +21,11 @@
 #define MINOS_NVM_DURABLE_STATE_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/slot_index.hh"
 #include "kv/record.hh"
 #include "kv/store.hh"
 #include "nvm/log.hh"
@@ -34,6 +36,10 @@ namespace minos::nvm {
 class DurableState
 {
   public:
+    /** Sized for the keys that lag in a typical run, so that such a
+     *  run allocates nothing for the overlay once it starts. */
+    DurableState();
+
     /**
      * Record-apply hook: @p rec, the record of @p key, takes (@p value,
      * @p ts) as its (value, volatileTS). Every write to a record's value
@@ -54,7 +60,7 @@ class DurableState
     std::size_t size() const { return persists_; }
 
     /** Keys whose durable state differs from their record now. */
-    std::size_t lagging() const { return used_; }
+    std::size_t lagging() const { return index_.size(); }
 
     /** Most keys that differed at once. */
     std::size_t peakLagging() const { return peak_; }
@@ -71,8 +77,9 @@ class DurableState
 
   private:
     /** One overlay entry: the durable (value, TS) of a key; a TS of
-     *  none means the key has no durable update yet. */
-    struct Slot
+     *  none means the key has no durable update yet. A free entry has
+     *  the key emptyKey, and its value names the next free entry. */
+    struct Entry
     {
         kv::Key key = emptyKey;
         kv::Value value = 0;
@@ -80,18 +87,24 @@ class DurableState
     };
 
     static constexpr kv::Key emptyKey = ~kv::Key{0};
-    static constexpr std::size_t noSlot = ~std::size_t{0};
 
-    std::size_t find(kv::Key key) const;
     void insert(kv::Key key, kv::Value value, kv::Timestamp ts);
-    void erase(std::size_t slot);
-    std::size_t home(kv::Key key) const;
+    void erase(kv::Key key);
 
-    /** Open addressing, linear probing, power-of-two size, at most
-     *  half full; grows by doubling and never shrinks, so a steady
-     *  state allocates nothing. */
-    std::vector<Slot> slots_;
-    std::size_t used_ = 0;
+    static std::uint32_t hash(kv::Key key) { return SlotIndex::hash(key, 0); }
+
+    auto
+    isKey(kv::Key key) const
+    {
+        return [this, key](std::uint32_t i) { return entries_[i].key == key; };
+    }
+
+    /** The overlay, key -> entry, in the shared SlotIndex. Freed
+     *  entries are reused, and neither array shrinks, so a steady state
+     *  allocates nothing. */
+    SlotIndex index_;
+    std::vector<Entry> entries_;
+    std::uint32_t freeHead_ = SlotIndex::none;
     std::size_t peak_ = 0;
     std::size_t persists_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "obs/audit.hh"
 
+#include <bit>
 #include <sstream>
 #include <utility>
 
@@ -330,16 +331,7 @@ OpTable::render(const kv::WriteId &id) const
 void
 ScopeChains::append(std::uint32_t scope, std::uint32_t slot)
 {
-    bool added = false;
-    const std::uint32_t c = index_.insert(
-        hash(scope),
-        [&](std::uint32_t i) { return chains_[i].scope == scope; },
-        [&] {
-            chains_.emplace_back().scope = scope;
-            return static_cast<std::uint32_t>(chains_.size() - 1);
-        },
-        added);
-    Chain &chain = chains_[c];
+    Chain &chain = chains_[scope];
     const std::uint32_t at = chain.len % chunkSlots;
     if (at == 0) {
         const auto k = static_cast<std::uint32_t>(chunks_.size());
@@ -725,12 +717,10 @@ AckConservationAuditor::finish()
                         std::to_string(needed()) +
                         " ACK_Ps at quiescence");
     });
-    for (const auto &[scope, sa] : scopeAcks_) {
+    scopeAcks_.forEach([&](std::uint64_t scope, const ScopeAcks &sa) {
         if (!sa.completed)
-            continue;
-        int got = 0;
-        for (int n = 0; n < 64; ++n)
-            got += hasNode(sa.senders, n) ? 1 : 0;
+            return;
+        const int got = std::popcount(sa.senders);
         if (got != needed())
             violateRaw("A4-scope-acks-unbalanced", sa.endedAt,
                        "[PERSIST]sc for scope " +
@@ -738,7 +728,7 @@ AckConservationAuditor::finish()
                            std::to_string(got) + "/" +
                            std::to_string(needed()) + " [ACK_P]sc",
                        "");
-    }
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -40,7 +40,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "check/predicates.hh"
@@ -287,10 +286,55 @@ class OpTable
 };
 
 /**
+ * Per-scope audit state, one T per scope, kept for the whole run. A
+ * scope is filed under its [PERSIST]sc's identity (kv::WriteId::ofScope)
+ * in an OpSlots table beside a chunked array of T: a new scope costs no
+ * heap node of its own, and a walk visits the scopes in the order they
+ * were first seen.
+ */
+template <typename T>
+class ScopeTable
+{
+  public:
+    /** The entry of @p scope, value-initialized when first seen. */
+    T &
+    operator[](std::uint64_t scope)
+    {
+        bool added = false;
+        const std::uint32_t slot =
+            slots_.insert(kv::WriteId::ofScope(scope), added);
+        if (added)
+            values_.emplace_back();
+        return values_[slot];
+    }
+
+    /** The entry of @p scope, or null. */
+    const T *
+    find(std::uint64_t scope) const
+    {
+        const std::uint32_t slot = slots_.find(kv::WriteId::ofScope(scope));
+        return slot == OpSlots::none ? nullptr : &values_[slot];
+    }
+
+    /** Call @p fn(scope, entry) on every entry, in first-seen order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::uint32_t slot = 0; slot < slots_.slots(); ++slot)
+            fn(slots_.id(slot).key, values_[slot]);
+    }
+
+  private:
+    OpSlots slots_;
+    ChunkedArray<T> values_;
+};
+
+/**
  * <Lin, Scope>'s scope lists, kept for the whole run: per scope id, the
  * 4-byte slots of the writes marked into it, in mark order (a write
  * marked twice is listed twice). Each list is a chain of chunks in one
- * arena, headed by an entry of a flat scope table.
+ * arena, headed by an entry of a ScopeTable.
  */
 class ScopeChains
 {
@@ -303,12 +347,11 @@ class ScopeChains
     void
     forEach(std::uint64_t scope, Fn &&fn) const
     {
-        const std::uint32_t c = find(scope);
-        if (c == SlotIndex::none)
+        const Chain *c = chains_.find(scope);
+        if (!c)
             return;
-        std::uint32_t left = chains_[c].len;
-        for (std::uint32_t k = chains_[c].head; left > 0;
-             k = chunks_[k].next) {
+        std::uint32_t left = c->len;
+        for (std::uint32_t k = c->head; left > 0; k = chunks_[k].next) {
             for (std::uint32_t i = 0; i < chunkSlots && left > 0;
                  ++i, --left)
                 fn(chunks_[k].slots[i]);
@@ -326,29 +369,12 @@ class ScopeChains
 
     struct Chain
     {
-        std::uint32_t scope; ///< scope ids are 32-bit (net::ScopeId)
-        std::uint32_t head;  ///< first chunk
-        std::uint32_t tail;  ///< last chunk
-        std::uint32_t len;   ///< slots listed
+        std::uint32_t head; ///< first chunk
+        std::uint32_t tail; ///< last chunk
+        std::uint32_t len;  ///< slots listed
     };
 
-    static std::uint32_t hash(std::uint64_t scope)
-    {
-        return SlotIndex::hash(scope, 0);
-    }
-
-    std::uint32_t
-    find(std::uint64_t scope) const
-    {
-        if (scope >> 32 != 0)
-            return SlotIndex::none;
-        return index_.find(hash(scope), [&](std::uint32_t c) {
-            return chains_[c].scope == scope;
-        });
-    }
-
-    SlotIndex index_;             ///< scope -> chain
-    ChunkedArray<Chain> chains_;
+    ScopeTable<Chain> chains_;
     ChunkedArray<Chunk> chunks_;
 };
 
@@ -497,7 +523,7 @@ class AckConservationAuditor : public Auditor
         bool completed = false; ///< [PERSIST]sc returned to the client
         Tick endedAt = 0;
     };
-    std::unordered_map<std::uint64_t, ScopeAcks> scopeAcks_;
+    ScopeTable<ScopeAcks> scopeAcks_;
 };
 
 /** vFIFO/dFIFO occupancy sanity. */

@@ -153,7 +153,7 @@ ThreadedNode::flushScope(ScopeId scope)
     for (;;) {
         {
             std::lock_guard<std::mutex> guard(scopeMutex_);
-            if (scopeUnpersisted_[scope] == 0)
+            if (!scopeUnpersisted_.contains(scope))
                 break;
         }
         std::this_thread::yield();
@@ -250,31 +250,31 @@ ThreadedNode::sendVal(MsgType type, Key key, const Timestamp &ts,
 // ---------------------------------------------------------------------
 
 ThreadedNode::TxnPtr
-ThreadedNode::registerTxn(Key key, const Timestamp &ts, ScopeId scope)
+ThreadedNode::registerTxn(const Message &m)
 {
     auto txn = std::make_shared<TxnState>();
-    txn->key = key;
-    txn->ts = ts;
-    txn->scope = scope;
+    txn->key = m.key;
+    txn->ts = m.tsWr;
+    txn->scope = m.scope;
     std::lock_guard<std::mutex> guard(txnMutex_);
-    auto [it, inserted] = txns_.emplace(kv::WriteId::of(key, ts), txn);
-    MINOS_ASSERT(inserted, "duplicate threaded TS_WR");
+    auto [it, inserted] = txns_.emplace(net::txnOf(m), txn);
+    MINOS_ASSERT(inserted, "duplicate threaded transaction");
     return txn;
 }
 
 ThreadedNode::TxnPtr
-ThreadedNode::findTxn(Key key, const Timestamp &ts)
+ThreadedNode::findTxn(const kv::WriteId &id)
 {
     std::lock_guard<std::mutex> guard(txnMutex_);
-    auto it = txns_.find(kv::WriteId::of(key, ts));
+    auto it = txns_.find(id);
     return it == txns_.end() ? nullptr : it->second;
 }
 
 void
-ThreadedNode::unregisterTxn(Key key, const Timestamp &ts)
+ThreadedNode::unregisterTxn(const kv::WriteId &id)
 {
     std::lock_guard<std::mutex> guard(txnMutex_);
-    txns_.erase(kv::WriteId::of(key, ts));
+    txns_.erase(id);
 }
 
 template <typename Acked>
@@ -336,7 +336,7 @@ ThreadedNode::finishTail(const TxnPtr &txn)
     AtomicRecord &rec = store_.getOrCreate(txn->key);
     for (; s != coordinatorSteps_.end(); ++s)
         runStep(*s, rec, *txn);
-    unregisterTxn(txn->key, txn->ts);
+    unregisterTxn(kv::WriteId::of(txn->key, txn->ts));
 }
 
 // ---------------------------------------------------------------------
@@ -371,7 +371,6 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
     }
 
     // Lines 11-13: INVs to the followers, LLC update, release WRLock.
-    TxnPtr txn = registerTxn(key, ts, scope);
     Message inv;
     inv.type = invType(cfg_.model);
     inv.key = key;
@@ -379,6 +378,7 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
     inv.value = value;
     inv.scope = scope;
     inv.sizeBytes = cfg_.recordBytes + net::controlMsgBytes;
+    TxnPtr txn = registerTxn(inv);
     broadcastToLive(inv);
     rec.value.store(value, std::memory_order_release);
     AtomicRecord::raiseTs(rec.volatileTs, ts);
@@ -407,7 +407,7 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
         }
     }
     if (s + 1 == coordinatorSteps_.end()) {
-        unregisterTxn(key, ts);
+        unregisterTxn(net::txnOf(inv));
     } else {
         txn->tail.store(s + 1);
         finishTail(txn);
@@ -437,17 +437,16 @@ ThreadedNode::persistScope(ScopeId scope)
     m.type = MsgType::PERSIST_SC;
     m.scope = scope;
     m.sizeBytes = net::controlMsgBytes;
+    TxnPtr txn = registerTxn(m);
     broadcastToLive(m);
 
     // Flush the local scope, gather every [ACK_P]sc, then [VAL_P]sc.
     flushScope(scope);
     waitAcks("[ACK_P]sc", [&] {
-        std::lock_guard<std::mutex> guard(scopeMutex_);
-        return scopeAckMask_[scope];
+        return txn->ackPMask.load(std::memory_order_acquire);
     });
     sendVal(MsgType::VAL_P_SC, 0, Timestamp::none(), scope);
-    std::lock_guard<std::mutex> guard(scopeMutex_);
-    scopeAckMask_.erase(scope);
+    unregisterTxn(kv::WriteId::ofScope(scope));
 }
 
 // ---------------------------------------------------------------------
@@ -555,16 +554,13 @@ ThreadedNode::onInv(const Message &msg)
 void
 ThreadedNode::onAck(const Message &msg)
 {
-    if (msg.type == MsgType::ACK_P_SC) {
-        std::lock_guard<std::mutex> guard(scopeMutex_);
-        scopeAckMask_[msg.scope] |= nodeBit(msg.src);
-        return;
-    }
-    TxnPtr txn = findTxn(msg.key, msg.tsWr);
+    TxnPtr txn = findTxn(net::txnOf(msg));
     if (!txn)
         return; // stray ACK for a finished transaction
-    // ACK_P, or one of the consistency ACKs (ACK, ACK_C, ACK_C_SC).
-    auto &mask = msg.type == MsgType::ACK_P ? txn->ackPMask : txn->ackCMask;
+    // ACK_P or ACK_P_SC, or a consistency ACK (ACK, ACK_C, ACK_C_SC).
+    auto &mask = msg.type == MsgType::ACK_P || msg.type == MsgType::ACK_P_SC
+                     ? txn->ackPMask
+                     : txn->ackCMask;
     mask.fetch_or(nodeBit(msg.src));
     finishTail(txn);
 }
@@ -668,10 +664,12 @@ ThreadedNode::persisterLoop()
             persist(job.key, job.value, job.ts);
             if (isScopeModel(cfg_.model)) {
                 std::lock_guard<std::mutex> guard(scopeMutex_);
-                --scopeUnpersisted_[job.scope];
+                const auto it = scopeUnpersisted_.find(job.scope);
+                if (--it->second == 0)
+                    scopeUnpersisted_.erase(it);
             }
             if (job.awaited) {
-                if (TxnPtr txn = findTxn(job.key, job.ts)) {
+                if (TxnPtr txn = findTxn(kv::WriteId::of(job.key, job.ts))) {
                     txn->localPersistDone.store(true);
                     finishTail(txn);
                 }
@@ -766,6 +764,13 @@ ThreadedNode::durableDb() const
     nvm::DurableDb db;
     log_.applyTo(db);
     return db;
+}
+
+std::size_t
+ThreadedNode::scopesPersisting() const
+{
+    std::lock_guard<std::mutex> guard(scopeMutex_);
+    return scopeUnpersisted_.size();
 }
 
 // ---------------------------------------------------------------------

@@ -100,7 +100,8 @@ class ThreadedNode
     /** Blocking local client-read. */
     kv::Value read(kv::Key key);
 
-    /** Blocking [PERSIST]sc transaction (<Lin, Scope> only). */
+    /** Blocking [PERSIST]sc transaction (<Lin, Scope> only); one per
+     *  scope at a time on a node. */
     void persistScope(net::ScopeId scope);
 
     /** @{ Introspection for tests. */
@@ -111,12 +112,15 @@ class ThreadedNode
     /** Fold the whole committed log into its snapshot (compaction). */
     void compactLog() { log_.compact(log_.size()); }
     std::uint64_t obsoleteInvs() const { return obsoleteInvs_.load(); }
+    /** Scopes with updates still persisting on this node. */
+    std::size_t scopesPersisting() const;
     /** @} */
 
   private:
     friend class ThreadedCluster;
 
-    /** Outstanding coordinator transaction (lock-free counters). */
+    /** Outstanding coordinator transaction, a write or a [PERSIST]sc
+     *  (lock-free counters). */
     struct TxnState
     {
         kv::Key key = 0;
@@ -183,10 +187,10 @@ class ThreadedNode
                  net::ScopeId scope);
 
     // ---- coordinator bookkeeping ----
-    TxnPtr registerTxn(kv::Key key, const kv::Timestamp &ts,
-                       net::ScopeId scope);
-    TxnPtr findTxn(kv::Key key, const kv::Timestamp &ts);
-    void unregisterTxn(kv::Key key, const kv::Timestamp &ts);
+    /** Register the transaction @p m opens, under net::txnOf(m). */
+    TxnPtr registerTxn(const net::Message &m);
+    TxnPtr findTxn(const kv::WriteId &id);
+    void unregisterTxn(const kv::WriteId &id);
     /** Wait until @p acked() covers every live follower, declaring
      *  the missing ones failed at each ACK timeout. */
     template <typename Acked>
@@ -234,9 +238,10 @@ class ThreadedNode
     std::mutex txnMutex_;
     std::unordered_map<kv::WriteId, TxnPtr, kv::WriteId::Hash> txns_;
 
-    std::mutex scopeMutex_;
+    mutable std::mutex scopeMutex_;
+    /** Background persists outstanding per scope; a scope with none has
+     *  no entry. */
     std::unordered_map<net::ScopeId, int> scopeUnpersisted_;
-    std::unordered_map<net::ScopeId, std::uint64_t> scopeAckMask_;
 
     std::mutex deferredMutex_;
     std::vector<Deferred> deferred_;

@@ -98,12 +98,10 @@ DdpCore::makeVal(MsgType type, Key key, Timestamp ts, net::ScopeId scope)
     m.scope = scope;
     m.sizeBytes = net::controlMsgBytes;
     counters_.valsSent += static_cast<std::uint64_t>(cfg_.followers());
-    // [VAL_P]sc is about a scope, not a write.
-    bool scoped = type == MsgType::VAL_P_SC;
+    const kv::WriteId txn = net::txnOf(m);
     traceEvent(obs::Category::Message, obs::EventKind::ValSent,
-               static_cast<std::int64_t>(scoped ? scope : key),
-               scoped ? 0 : static_cast<std::int64_t>(ts.pack()),
-               obs::valAux(type));
+               static_cast<std::int64_t>(txn.key),
+               static_cast<std::int64_t>(txn.ts), obs::valAux(type));
     return m;
 }
 

@@ -124,21 +124,17 @@ class DdpCore
 
     /**
      * Lay the AckSent or AckReceived (@p kind) record of an ACK of
-     * @p type about @p m's write (or scope, for ACK_P_SC), sent by
-     * @p from.
+     * @p type about @p m's transaction (net::txnOf), sent by @p from.
      */
     void
     traceAck(obs::EventKind kind, const net::Message &m,
              net::MsgType type, kv::NodeId from) const
     {
-        const std::uint16_t aux = obs::ackAux(type, from);
-        if (type == net::MsgType::ACK_P_SC)
-            traceEvent(obs::Category::Protocol, kind,
-                       static_cast<std::int64_t>(m.scope), 0, aux);
-        else
-            traceEvent(obs::Category::Protocol, kind,
-                       static_cast<std::int64_t>(m.key),
-                       static_cast<std::int64_t>(m.tsWr.pack()), aux);
+        const kv::WriteId txn = net::txnOf(m);
+        traceEvent(obs::Category::Protocol, kind,
+                   static_cast<std::int64_t>(txn.key),
+                   static_cast<std::int64_t>(txn.ts),
+                   obs::ackAux(type, from));
     }
 
     /**

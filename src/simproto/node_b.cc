@@ -271,9 +271,8 @@ NodeB::persistScope(ScopeId scope)
                static_cast<std::int64_t>(scope), 0,
                obs::opAux(obs::OpType::PersistSc, false));
     co_await hostCores_.compute(cfg_.clientReqNs);
-    auto [it, inserted] = scopePending_.emplace(scope, AckTally{});
-    MINOS_ASSERT(inserted, "duplicate [PERSIST]sc for scope ", scope);
-    AckTally &txn = it->second;
+    auto txn = pending_.insert(kv::WriteId::ofScope(scope));
+    MINOS_ASSERT(txn, "duplicate [PERSIST]sc for scope ", scope);
 
     // Send [PERSIST]sc to all followers.
     co_await hostCores_.compute(cfg_.hostSendNs * cfg_.followers());
@@ -291,11 +290,11 @@ NodeB::persistScope(ScopeId scope)
 
     // Spin for all [ACK_P]sc, then send [VAL_P]sc.
     co_await progress_.until(
-        [&] { return txn.acksP >= cfg_.followers(); });
+        [&] { return txn->acksP >= cfg_.followers(); });
     co_await hostCores_.compute(cfg_.hostSendNs * cfg_.followers());
     cluster_.multicast(
         makeVal(MsgType::VAL_P_SC, 0, Timestamp::none(), scope));
-    scopePending_.erase(scope);
+    pending_.erase(kv::WriteId::ofScope(scope));
 
     co_return finishOp(st, t0, obs::OpType::PersistSc,
                        static_cast<std::int64_t>(scope), 0);
@@ -416,17 +415,7 @@ NodeB::onAck(Message msg, Tick t_rx)
     // Recorded before the pending-table lookups so stray ACKs (for
     // already-retired transactions) are still visible to the auditors.
     traceAck(obs::EventKind::AckReceived, msg, msg.type, msg.src);
-    if (msg.type == MsgType::ACK_P_SC) {
-        // [PERSIST]sc acknowledgement.
-        auto it = scopePending_.find(msg.scope);
-        if (it != scopePending_.end()) {
-            it->second.add(msg.type);
-            progress_.notifyAll();
-        }
-        co_return;
-    }
-
-    auto txn = pending_.find(kv::WriteId::of(msg.key, msg.tsWr));
+    auto txn = pending_.find(net::txnOf(msg));
     if (!txn)
         co_return; // stray ACK for a completed transaction
     if (txn->add(msg.type) == AckTally::notAck)

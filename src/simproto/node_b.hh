@@ -24,7 +24,6 @@
 #ifndef MINOS_SIMPROTO_NODE_B_HH
 #define MINOS_SIMPROTO_NODE_B_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "nvm/model.hh"
@@ -59,7 +58,8 @@ class NodeB : public DdpCore
     bool wrLockHeld(kv::Key key) const { return wrLocks_.at(key); }
 
   private:
-    /** Coordinator-side bookkeeping for one outstanding client-write. */
+    /** Coordinator-side bookkeeping for one outstanding client-write,
+     *  or a [PERSIST]sc (which counts its ACK_P_SCs as acksP). */
     struct PendingTxn : WriteTxn
     {
         bool localPersistDone = false; ///< coordinator's own persist
@@ -117,9 +117,8 @@ class NodeB : public DdpCore
      */
     std::vector<bool> wrLocks_;
 
+    /** Writes and [PERSIST]sc transactions in flight, by net::txnOf. */
     TxnSlab<PendingTxn> pending_;
-    /** [PERSIST]sc transactions in flight, keyed by scope. */
-    std::unordered_map<net::ScopeId, AckTally> scopePending_;
 };
 
 } // namespace minos::simproto

@@ -129,9 +129,8 @@ NodeO::persistScope(ScopeId scope)
                static_cast<std::int64_t>(scope), 0,
                obs::opAux(obs::OpType::PersistSc, false));
     co_await hostCores_.compute(cfg_.clientReqNs);
-    auto [it, inserted] = scopePending_.emplace(scope, PendingTxn{});
-    MINOS_ASSERT(inserted, "duplicate [PERSIST]sc for scope ", scope);
-    PendingTxn &txn = it->second;
+    TxnHold txn = pending_.insert(kv::WriteId::ofScope(scope));
+    MINOS_ASSERT(txn, "duplicate [PERSIST]sc for scope ", scope);
 
     co_await hostCores_.compute(cfg_.hostSendNs);
     Message m;
@@ -142,9 +141,9 @@ NodeO::persistScope(ScopeId scope)
     m.destMask = 1; // marks "from host" for the local SNIC
     cluster_.hostSendControl(id_, m);
 
-    co_await progress_.until(txn.waitKey, [&] { return txn.hostDone; });
+    co_await progress_.until(txn->waitKey, [&] { return txn->hostDone; });
     co_await hostCores_.compute(cfg_.bookkeepNs);
-    scopePending_.erase(scope);
+    pending_.erase(kv::WriteId::ofScope(scope));
 
     co_return finishOp(st, t0, obs::OpType::PersistSc,
                        static_cast<std::int64_t>(scope), 0);
@@ -284,39 +283,23 @@ NodeO::snicOnAck(Message msg)
     // Recorded before the pending-table lookups so stray ACKs (for
     // already-retired transactions) are still visible to the auditors.
     traceAck(obs::EventKind::AckReceived, msg, msg.type, msg.src);
-    if (msg.type == MsgType::ACK_P_SC) {
-        auto its = scopePending_.find(msg.scope);
-        if (its == scopePending_.end())
-            co_return;
-        PendingTxn &txn = its->second;
-        txn.add(msg.type);
-        if (txn.acksP >= cfg_.followers()) {
-            // Gate: notify the host (client return) and terminate the
-            // [PERSIST]sc with [VAL_P]sc.
-            ScopeId scope = msg.scope;
-            NodeO *self = this;
-            cluster_.snicNotifyHost(
-                id_, net::controlMsgBytes, [self, scope] {
-                    auto it2 = self->scopePending_.find(scope);
-                    if (it2 != self->scopePending_.end()) {
-                        it2->second.hostDone = true;
-                        it2->second.waitKey.fire();
-                        self->progress_.notifyAll();
-                    }
-                });
-            cluster_.snicMulticast(
-                makeVal(MsgType::VAL_P_SC, 0, Timestamp::none(), scope),
-                /*from_batched=*/false);
-        }
-        progress_.notifyAll();
-        co_return;
-    }
-
-    TxnHold txn = pending_.find(kv::WriteId::of(msg.key, msg.tsWr));
+    TxnHold txn = pending_.find(net::txnOf(msg));
     if (!txn)
         co_return; // stray ACK
     if (txn->add(msg.type) == simproto::AckTally::notAck)
         MINOS_PANIC("unexpected ACK type ", net::msgTypeName(msg.type));
+    if (msg.type == MsgType::ACK_P_SC) {
+        // Every [ACK_P]sc in: answer the host and close the
+        // [PERSIST]sc with [VAL_P]sc.
+        if (txn->acksP >= cfg_.followers()) {
+            notifyHostGate(txn);
+            cluster_.snicMulticast(makeVal(MsgType::VAL_P_SC, 0,
+                                           Timestamp::none(), msg.scope),
+                                   /*from_batched=*/false);
+        }
+        progress_.notifyAll();
+        co_return;
+    }
     txn->acksKey.fire();
     txn->addHandle(msg.handleNs);
 

@@ -27,8 +27,6 @@
 #ifndef MINOS_SNIC_NODE_O_HH
 #define MINOS_SNIC_NODE_O_HH
 
-#include <unordered_map>
-
 #include "simproto/ddp_core.hh"
 #include "simproto/txn_slab.hh"
 #include "snic/fifo.hh"
@@ -93,10 +91,12 @@ class NodeO : public simproto::DdpCore
 
   private:
     /**
-     * Per-transaction bookkeeping, shared by host and SNIC engines. It
-     * lives in the pending_ slab. The host worker, the SNIC handlers,
-     * the completion tail and in-flight PCIe notifications overlap in
-     * time and may outlive the index entry, so each takes a TxnHold.
+     * Per-transaction bookkeeping, shared by host and SNIC engines: a
+     * write's, or a [PERSIST]sc's (its ACK tally, hostDone and
+     * waitKey). It lives in the pending_ slab. The host worker, the
+     * SNIC handlers, the completion tail and in-flight PCIe
+     * notifications overlap in time and may outlive the index entry,
+     * so each takes a TxnHold.
      */
     struct PendingTxn : simproto::WriteTxn
     {
@@ -181,8 +181,8 @@ class NodeO : public simproto::DdpCore
     /** Where snicCompleteWrite starts (valTailOf). */
     const simproto::CoordinatorStep *const valTail_;
 
+    /** Writes and [PERSIST]sc transactions in flight, by net::txnOf. */
     simproto::TxnSlab<PendingTxn> pending_;
-    std::unordered_map<net::ScopeId, PendingTxn> scopePending_;
 };
 
 } // namespace minos::snic

@@ -923,6 +923,32 @@ TEST(AuditScope, P4NamesTheWriteNotDurableAtTheSender)
     EXPECT_EQ(alone.persistency.violations().front().trace, v.trace);
 }
 
+TEST(AuditScope, A4ReportsScopesInFirstSeenOrder)
+{
+    // Each [PERSIST]sc completes with no [ACK_P]sc: one A4 per scope, in
+    // the order the scopes first appeared, whatever their ids hash to.
+    SynchPair p(PersistModel::Scope);
+    const std::vector<std::uint32_t> scopes = {
+        7, 3, 1'000'000, 42, 5, 0xFFFF'FFFF, 19, 8, 64, 2, 11, 1 << 20};
+    for (std::uint32_t scope : scopes) {
+        const kv::WriteId id = kv::WriteId::ofScope(scope);
+        p.rec(EventKind::ClientOpBegin, 0, id,
+              opAux(OpType::PersistSc, false));
+        p.rec(EventKind::ClientOpEnd, 0, id,
+              opAux(OpType::PersistSc, false));
+    }
+    p.finish();
+
+    const auto &found = p.audit.acks().violations();
+    ASSERT_EQ(found.size(), scopes.size()) << p.audit.report();
+    for (std::size_t i = 0; i < scopes.size(); ++i) {
+        EXPECT_EQ(found[i].rule, "A4-scope-acks-unbalanced");
+        EXPECT_EQ(found[i].detail,
+                  "[PERSIST]sc for scope " + std::to_string(scopes[i]) +
+                      " completed with 0/1 [ACK_P]sc");
+    }
+}
+
 TEST(AuditScope, P4SkipsCompactedWrites)
 {
     // Two writes of the scope left the recycle window as stubs, one

@@ -248,6 +248,24 @@ TEST(ThreadedScope, PersistScopeMakesScopeDurable)
     }
 }
 
+TEST(ThreadedScope, PersistScopeLeavesNoScopeEntries)
+{
+    // A scope's persist count is dropped at zero, so scopes that were
+    // written and persisted leave no entry behind on any node (once the
+    // background persisters have drained).
+    ThreadedCluster cluster(smallConfig(PersistModel::Scope));
+    for (net::ScopeId sc = 1; sc <= 3; ++sc) {
+        cluster.node(0).write(sc, 10 * sc, sc);
+        cluster.node(1).write(sc + 10, 20 * sc, sc);
+        cluster.node(0).persistScope(sc);
+    }
+    for (int n = 0; n < 3; ++n)
+        EXPECT_TRUE(eventually([&] {
+            return cluster.node(n).scopesPersisting() == 0;
+        })) << "node " << n << ": "
+            << cluster.node(n).scopesPersisting() << " scopes";
+}
+
 TEST(ThreadedRecovery, WritesSurviveNodeFailure)
 {
     auto cfg = smallConfig(PersistModel::Synch);

@@ -410,6 +410,43 @@ TEST(ClusterB, ScopePersistFlushesScope)
     expectDurable(cluster, 2);
 }
 
+TEST(ClusterB, PersistScopeRetiresItsTransaction)
+{
+    // A [PERSIST]sc is a transaction of the pending table, like a
+    // write: it leaves none behind, and an [ACK_P]sc that arrives after
+    // it completed is dropped as stray.
+    sim::Simulator sim;
+    ClusterB cluster(sim, smallConfig(), PersistModel::Scope);
+    const net::ScopeId sc = 0x42;
+    struct Scoped
+    {
+        static sim::Process
+        run(ClusterB *c, net::ScopeId sc)
+        {
+            co_await c->clientWrite(0, 1, 10, sc);
+            co_await c->persistScope(0, sc);
+        }
+    };
+    sim.spawn(Scoped::run(&cluster, sc));
+    sim.run();
+    NodeB &coord = cluster.node(0);
+    for (NodeId n = 0; n < 3; ++n)
+        EXPECT_EQ(cluster.node(n).pendingTxns(), 0u) << "node " << n;
+
+    const NodeCounters before = coord.counters();
+    net::Message late;
+    late.type = net::MsgType::ACK_P_SC;
+    late.src = 1;
+    late.dst = 0;
+    late.scope = sc;
+    late.sizeBytes = net::controlMsgBytes;
+    coord.deliver(late);
+    sim.run();
+    EXPECT_EQ(coord.counters().acksReceived, before.acksReceived + 1);
+    EXPECT_EQ(coord.pendingTxns(), 0u);
+    EXPECT_EQ(coord.counters().valsSent, before.valsSent);
+}
+
 TEST(ClusterB, PersistScopeIsNoopForOtherModels)
 {
     sim::Simulator sim;

@@ -356,6 +356,42 @@ TEST(ScopeO, PersistScopeFlushesScope)
     expectDurableO(cluster, 2);
 }
 
+TEST(ScopeO, PersistScopeRetiresItsTransaction)
+{
+    // As on MINOS-B: the [PERSIST]sc leaves no pending transaction,
+    // and a late [ACK_P]sc neither revives it nor sends [VAL_P]sc again.
+    sim::Simulator sim;
+    ClusterO cluster(sim, smallConfig(), PersistModel::Scope);
+    const net::ScopeId sc = 0x99;
+    struct Scoped
+    {
+        static sim::Process
+        run(ClusterO *c, net::ScopeId sc)
+        {
+            co_await c->clientWrite(0, 1, 10, sc);
+            co_await c->persistScope(0, sc);
+        }
+    };
+    sim.spawn(Scoped::run(&cluster, sc));
+    sim.run();
+    NodeO &coord = cluster.node(0);
+    for (NodeId n = 0; n < 3; ++n)
+        EXPECT_EQ(cluster.node(n).pendingTxns(), 0u) << "node " << n;
+
+    const NodeCounters before = coord.counters();
+    net::Message late;
+    late.type = net::MsgType::ACK_P_SC;
+    late.src = 1;
+    late.dst = 0;
+    late.scope = sc;
+    late.sizeBytes = net::controlMsgBytes;
+    coord.deliverToSnic(late);
+    sim.run();
+    EXPECT_EQ(coord.counters().acksReceived, before.acksReceived + 1);
+    EXPECT_EQ(coord.pendingTxns(), 0u);
+    EXPECT_EQ(coord.counters().valsSent, before.valsSent);
+}
+
 namespace {
 
 /** Determinism fingerprint of a seeded MINOS-O run. */

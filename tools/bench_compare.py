@@ -30,6 +30,7 @@ MATRIX = [
     ("b_synch", ["--engine=b", "--model=synch"]),
     ("b_strict", ["--engine=b", "--model=strict"]),
     ("b_renf", ["--engine=b", "--model=renf"]),
+    ("b_scope", ["--engine=b", "--model=scope"]),
     ("o_synch", ["--engine=o", "--model=synch"]),
     ("o_renf", ["--engine=o", "--model=renf"]),
     ("o_strict", ["--engine=o", "--model=strict"]),
