@@ -1,21 +1,20 @@
 /**
  * @file
  * Tables II & III: the simulated-machine parameter set, printed for the
- * record, plus genuine microbenchmarks of the substrate primitives the
- * protocols lean on (timestamp packing/CAS, zipfian generation,
- * hashtable lookup). The host cost of the durable log and the event
- * core is measured by perfbench/ (nvm.append_ns, sim.*).
+ * record, plus wall-clock microbenchmarks of the substrate primitives
+ * the protocols lean on (timestamp packing/CAS, zipfian generation).
+ * The host cost of the store, the durable log and the event core is
+ * measured by perfbench/ (kv.store_at_ns, nvm.append_ns, sim.*).
+ * Takes no arguments.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "common/random.hh"
-#include "kv/hashtable.hh"
-#include "obs/metrics.hh"
+#include "kv/record.hh"
 #include "simproto/config.hh"
 #include "stats/stats.hh"
+#include "wall_clock.hh"
 
 using namespace minos;
 
@@ -60,24 +59,24 @@ printParameterTables()
 }
 
 void
-timestampPack(benchmark::State &state)
+timestampPack()
 {
     kv::Timestamp ts{123456, 7};
     std::uint64_t acc = 0;
-    for (auto _ : state) {
+    bench::timeOps("Micro/timestamp_pack", bench::Unit::Ns, [&] {
         acc += ts.pack();
         // maxVersion is all ones: wrap inside the 24-bit field.
         ts.version = (ts.version + 1) & kv::Timestamp::maxVersion;
-        benchmark::DoNotOptimize(acc);
-    }
+        bench::doNotOptimize(acc);
+    });
 }
 
 void
-timestampRaise(benchmark::State &state)
+timestampRaise()
 {
     kv::AtomicRecord rec;
     std::int64_t v = 0;
-    for (auto _ : state) {
+    bench::timeOps("Micro/timestamp_raise_cas", bench::Unit::Ns, [&] {
         // Start over below the 24-bit version limit, so every raise
         // still succeeds.
         if (v > kv::Timestamp::maxVersion) {
@@ -86,32 +85,19 @@ timestampRaise(benchmark::State &state)
         }
         kv::AtomicRecord::raiseTs(rec.volatileTs,
                                   kv::Timestamp{v++, 0});
-    }
+    });
 }
 
 void
-zipfianNext(benchmark::State &state)
+zipfianNext()
 {
     Rng rng(1);
     ZipfianKeys keys(100'000);
     std::uint64_t acc = 0;
-    for (auto _ : state) {
+    bench::timeOps("Micro/zipfian_next", bench::Unit::Ns, [&] {
         acc += keys.next(rng);
-        benchmark::DoNotOptimize(acc);
-    }
-}
-
-void
-hashtableFind(benchmark::State &state)
-{
-    kv::HashTable table(1 << 16);
-    for (kv::Key k = 0; k < 100'000; ++k)
-        table.getOrCreate(k);
-    Rng rng(2);
-    for (auto _ : state) {
-        auto *rec = table.find(rng.nextUint(100'000));
-        benchmark::DoNotOptimize(rec);
-    }
+        bench::doNotOptimize(acc);
+    });
 }
 
 } // namespace
@@ -119,16 +105,10 @@ hashtableFind(benchmark::State &state)
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    benchmark::RegisterBenchmark("Micro/timestamp_pack", timestampPack);
-    benchmark::RegisterBenchmark("Micro/timestamp_raise_cas",
-                                 timestampRaise);
-    benchmark::RegisterBenchmark("Micro/zipfian_next", zipfianNext);
-    benchmark::RegisterBenchmark("Micro/hashtable_find", hashtableFind);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    bench::rejectArguments(argc, argv);
+    timestampPack();
+    timestampRaise();
+    zipfianNext();
     printParameterTables();
-    std::printf("\nMINOS_METRICS tables %s\n",
-                obs::MetricsRegistry().json().c_str());
     return 0;
 }

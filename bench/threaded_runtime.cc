@@ -3,13 +3,16 @@
  * Real-time microbenchmarks of the threaded MINOS-B runtime (the §IV
  * "distributed machine"): blocking client write/read cost per model on
  * a 3-node in-process cluster with real thread concurrency. Unlike the
- * figure harnesses, these measure actual wall-clock time, so
- * google-benchmark's repetition machinery applies.
+ * figure harnesses, these measure actual wall-clock time: each case
+ * prints its mean cost per client operation. Takes no arguments.
  */
 
-#include <benchmark/benchmark.h>
+#include <atomic>
+#include <string>
+#include <thread>
 
 #include "proto/tnode.hh"
+#include "wall_clock.hh"
 
 using namespace minos;
 using namespace minos::proto;
@@ -29,31 +32,30 @@ benchConfig(PersistModel model)
 }
 
 void
-threadedWrite(benchmark::State &state, PersistModel model)
+threadedWrite(PersistModel model)
 {
     ThreadedCluster cluster(benchConfig(model));
     kv::Key key = 0;
-    for (auto _ : state) {
+    const std::string name =
+        "Threaded/write/" + std::string(simproto::shortModelName(model));
+    bench::timeOps(name.c_str(), bench::Unit::Us, [&] {
         cluster.node(0).write(key, 1);
         key = (key + 1) % 512;
-    }
-    state.SetItemsProcessed(state.iterations());
+    });
 }
 
 void
-threadedRead(benchmark::State &state)
+threadedRead()
 {
     ThreadedCluster cluster(benchConfig(PersistModel::Synch));
     cluster.node(0).write(7, 42);
-    for (auto _ : state) {
-        auto v = cluster.node(1).read(7);
-        benchmark::DoNotOptimize(v);
-    }
-    state.SetItemsProcessed(state.iterations());
+    bench::timeOps("Threaded/read", bench::Unit::Us, [&] {
+        bench::doNotOptimize(cluster.node(1).read(7));
+    });
 }
 
 void
-threadedConflictingWriters(benchmark::State &state)
+threadedConflictingWriters()
 {
     // Two client threads on different nodes hammering one key: measures
     // snatch/WRLock contention end to end.
@@ -63,11 +65,10 @@ threadedConflictingWriters(benchmark::State &state)
         while (!stop.load(std::memory_order_acquire))
             cluster.node(1).write(0, 2);
     });
-    for (auto _ : state)
-        cluster.node(0).write(0, 1);
+    bench::timeOps("Threaded/conflicting_writers", bench::Unit::Us,
+                   [&] { cluster.node(0).write(0, 1); });
     stop.store(true, std::memory_order_release);
     rival.join();
-    state.SetItemsProcessed(state.iterations());
 }
 
 } // namespace
@@ -75,24 +76,10 @@ threadedConflictingWriters(benchmark::State &state)
 int
 main(int argc, char **argv)
 {
-    benchmark::Initialize(&argc, argv);
-    for (PersistModel m : simproto::allModels) {
-        benchmark::RegisterBenchmark(
-            (std::string("Threaded/write/") +
-             std::string(simproto::shortModelName(m)))
-                .c_str(),
-            [m](benchmark::State &st) { threadedWrite(st, m); })
-            ->Unit(benchmark::kMicrosecond)
-            ->MinTime(0.2);
-    }
-    benchmark::RegisterBenchmark("Threaded/read", threadedRead)
-        ->Unit(benchmark::kMicrosecond)
-        ->MinTime(0.2);
-    benchmark::RegisterBenchmark("Threaded/conflicting_writers",
-                                 threadedConflictingWriters)
-        ->Unit(benchmark::kMicrosecond)
-        ->MinTime(0.2);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    bench::rejectArguments(argc, argv);
+    for (PersistModel m : simproto::allModels)
+        threadedWrite(m);
+    threadedRead();
+    threadedConflictingWriters();
     return 0;
 }

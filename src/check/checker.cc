@@ -24,7 +24,6 @@ using simproto::CoordinatorStep;
 using simproto::FollowerSchedule;
 using simproto::FollowerStep;
 using simproto::isScopeModel;
-using simproto::needsPersistencySpin;
 using simproto::tracksPersistPerWrite;
 using simproto::usesSplitAcks;
 
@@ -162,9 +161,17 @@ struct CoordinatorProgram
     std::uint8_t firstWait = CDone;
     /** Indexed by pc - CWaitAcks. */
     std::array<CoordSegment, 2> segments{};
+    /** The pc after a cut write's ConsistencySpin: CObsWaitP where
+     *  handleObsolete() (obsoleteSchedule's spins) has a
+     *  PersistencySpin, else CDone. */
+    std::uint8_t afterObsWaitC = CDone;
 
     CoordinatorProgram(PersistModel model, bool releaseRdLockEarly)
     {
+        for (FollowerStep step : obsoleteSchedule(model)) {
+            if (step == FollowerStep::AwaitGlbDurable)
+                afterObsWaitC = CObsWaitP;
+        }
         const CoordinatorSchedule sched =
             simproto::coordinatorSchedule(model, releaseRdLockEarly);
         const CoordinatorStep *g = sched.segmentEnd(sched.begin());
@@ -349,7 +356,6 @@ void
 forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
 {
     const auto &cfg = ctx.cfg;
-    const PersistModel model = cfg.model;
     const CoordinatorProgram &coord = ctx.coordinator;
 
     for (int i = 0; i < ctx.W; ++i) {
@@ -433,12 +439,9 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
             (cfg.bugSkipConsistencySpin ||
              ctx.reached(s, s.glbV[c], s.obsObs[i]))) {
             State ns = s;
-            if (needsPersistencySpin(model)) {
-                ns.cpc[i] = CObsWaitP;
-            } else {
+            ns.cpc[i] = coord.afterObsWaitC;
+            if (ns.cpc[i] == CDone)
                 releaseIfOwner(ns, c, i);
-                ns.cpc[i] = CDone;
-            }
             emit(ns, "CoordObsWaitC");
         }
         if (s.cpc[i] == CObsWaitP &&

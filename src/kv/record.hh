@@ -16,11 +16,16 @@
  * volatile copy, is MINOS-B state: simproto::NodeB holds it as a per-key
  * bitmap (MINOS-O replaces it with the vFIFO, paper §V). Leaving it out
  * keeps a record at 24 bytes: four 4-byte timestamps and the value.
+ *
+ * The threaded runtime keeps the same fields, WRLock included, as
+ * individual atomics (AtomicRecord), so it can express the paper's
+ * lock-free operations with compare-and-swap.
  */
 
 #ifndef MINOS_KV_RECORD_HH
 #define MINOS_KV_RECORD_HH
 
+#include <atomic>
 #include <cstdint>
 
 #include "kv/timestamp.hh"
@@ -58,6 +63,46 @@ isObsolete(const Record &rec, const Timestamp &ts_wr)
 {
     return rec.volatileTs > ts_wr;
 }
+
+/**
+ * Record with atomic metadata for the threaded runtime.
+ *
+ * All timestamp-typed fields store Timestamp::pack() words so a plain
+ * integer CAS implements the protocol's atomic snatch/update operations
+ * (snatching, obsoleteness checks, spin loops), and raw comparison of
+ * loaded words equals timestamp comparison.
+ */
+struct AtomicRecord
+{
+    AtomicRecord();
+
+    std::atomic<std::uint64_t> rdLockOwner;
+    std::atomic<std::uint64_t> volatileTs;
+    std::atomic<std::uint64_t> glbVolatileTs;
+    std::atomic<std::uint64_t> glbDurableTs;
+    std::atomic<bool> wrLock;
+    std::atomic<Value> value;
+    /**
+     * Monotonic guard keeping locally-issued TS_WR versions unique when
+     * several local threads write the record concurrently (the paper's
+     * "volatileTS version + 1" rule alone would collide).
+     */
+    std::atomic<std::int64_t> localVersionGuard{0};
+
+    /** Convenience loads decoded back to Timestamp. */
+    Timestamp loadRdLockOwner() const;
+    Timestamp loadVolatileTs() const;
+    Timestamp loadGlbVolatileTs() const;
+    Timestamp loadGlbDurableTs() const;
+
+    /**
+     * Monotonically raise a packed-timestamp field to @p ts: CAS loop that
+     * only replaces strictly older values. Returns true if this call
+     * performed the update.
+     */
+    static bool raiseTs(std::atomic<std::uint64_t> &field,
+                        const Timestamp &ts);
+};
 
 } // namespace minos::kv
 

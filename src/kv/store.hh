@@ -4,8 +4,8 @@
  *
  * Every node replicates all records (paper §II-A), so each simulated node
  * owns one SimStore. Keys are dense in [0, size), which lets the store be
- * a flat array; the hashtable back-end of the real implementation lives in
- * kv/hashtable.hh and is exercised by the threaded runtime.
+ * a flat array; the threaded runtime keeps the same key space in a flat
+ * array of kv::AtomicRecord (proto/tnode.hh).
  */
 
 #ifndef MINOS_KV_STORE_HH

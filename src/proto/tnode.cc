@@ -36,7 +36,7 @@ ThreadedNode::ThreadedNode(ThreadedCluster &cluster,
       appliedSteps_(simproto::appliedSchedule(cfg.model, false, false)),
       obsoleteSteps_(simproto::obsoleteSchedule(cfg.model)),
       coordinatorSteps_(simproto::coordinatorSchedule(cfg.model, false)),
-      store_(std::max<std::size_t>(64, cfg.numRecords * 2)),
+      store_(cfg.numRecords),
       nvm_(cfg.persistNsPerKb),
       live_((std::uint64_t{1} << cfg.numNodes) - 1)
 {
@@ -72,6 +72,13 @@ ThreadedNode::stop()
 // ---------------------------------------------------------------------
 // Primitives
 // ---------------------------------------------------------------------
+
+AtomicRecord &
+ThreadedNode::at(Key key)
+{
+    MINOS_ASSERT(key < store_.size(), "key out of range: ", key);
+    return store_[key];
+}
 
 Timestamp
 ThreadedNode::makeWriteTs(Key key, AtomicRecord &rec)
@@ -161,17 +168,26 @@ ThreadedNode::flushScope(ScopeId scope)
     spinPersistLatency(net::controlMsgBytes);
 }
 
+bool
+ThreadedNode::stepReady(const AtomicRecord &rec, FollowerStep s,
+                        std::uint64_t observed_pack)
+{
+    // The spins are real spins on the coherent glb timestamps.
+    if (s == FollowerStep::AwaitGlbVolatile)
+        return rec.glbVolatileTs.load(std::memory_order_acquire) >=
+               observed_pack;
+    if (s == FollowerStep::AwaitGlbDurable)
+        return rec.glbDurableTs.load(std::memory_order_acquire) >=
+               observed_pack;
+    return true;
+}
+
 void
-ThreadedNode::handleObsoleteBlocking(AtomicRecord &rec,
+ThreadedNode::handleObsoleteBlocking(const AtomicRecord &rec,
                                      std::uint64_t observed_pack)
 {
-    // ConsistencySpin: a real spin on the coherent glb_volatileTS.
-    while (rec.glbVolatileTs.load(std::memory_order_acquire) <
-           observed_pack)
-        std::this_thread::yield();
-    if (simproto::needsPersistencySpin(cfg_.model)) {
-        while (rec.glbDurableTs.load(std::memory_order_acquire) <
-               observed_pack)
+    for (FollowerStep s : obsoleteSteps_) {
+        while (!stepReady(rec, s, observed_pack))
             std::this_thread::yield();
     }
 }
@@ -333,7 +349,7 @@ ThreadedNode::finishTail(const TxnPtr &txn)
         (g.localPersist && !txn->localPersistDone.load()) ||
         !txn->tail.compare_exchange_strong(s, nullptr))
         return;
-    AtomicRecord &rec = store_.getOrCreate(txn->key);
+    AtomicRecord &rec = at(txn->key);
     for (; s != coordinatorSteps_.end(); ++s)
         runStep(*s, rec, *txn);
     unregisterTxn(kv::WriteId::of(txn->key, txn->ts));
@@ -347,7 +363,7 @@ WriteResult
 ThreadedNode::write(Key key, Value value, ScopeId scope)
 {
     MINOS_ASSERT(running_.load(), "node not started");
-    AtomicRecord &rec = store_.getOrCreate(key);
+    AtomicRecord &rec = at(key);
     Timestamp ts = makeWriteTs(key, rec);
     WriteResult res{ts, false};
 
@@ -419,13 +435,21 @@ Value
 ThreadedNode::read(Key key)
 {
     MINOS_ASSERT(running_.load(), "node not started");
-    AtomicRecord &rec = store_.getOrCreate(key);
-    // §III-D: a read stalls only while the RDLock is taken.
-    while (!Timestamp::unpack(rec.rdLockOwner.load(
-                                  std::memory_order_acquire))
-                .isNone())
+    const AtomicRecord &rec = at(key);
+    // §III-D: a read stalls only while the RDLock is taken. The value is
+    // checked by a second look at the lock: every writer snatches the
+    // RDLock (acq_rel CAS) before it stores its value (release), so a
+    // read that loads a write's value also sees that write's snatch,
+    // or the release of a validated lock, and never returns the value
+    // of a write still in flight.
+    for (;;) {
+        if (rec.loadRdLockOwner().isNone()) {
+            const Value v = rec.value.load(std::memory_order_acquire);
+            if (rec.loadRdLockOwner().isNone())
+                return v;
+        }
         std::this_thread::yield();
-    return rec.value.load(std::memory_order_acquire);
+    }
 }
 
 void
@@ -504,7 +528,7 @@ ThreadedNode::handleEnvelope(runtime::Envelope env)
 void
 ThreadedNode::onInv(const Message &msg)
 {
-    AtomicRecord &rec = store_.getOrCreate(msg.key);
+    AtomicRecord &rec = at(msg.key);
 
     // Lines 27-34: an INV already obsolete is cut at once; otherwise
     // snatch the RDLock, grab the WRLock and re-check under it.
@@ -568,7 +592,7 @@ ThreadedNode::onAck(const Message &msg)
 void
 ThreadedNode::onVal(const Message &msg)
 {
-    AtomicRecord &rec = store_.getOrCreate(msg.key);
+    AtomicRecord &rec = at(msg.key);
     const simproto::ValEffect fx = simproto::valEffect(msg.type);
     if (fx.raisesGlbVolatile)
         AtomicRecord::raiseTs(rec.glbVolatileTs, msg.tsWr);
@@ -612,20 +636,13 @@ ThreadedNode::processDeferred()
 bool
 ThreadedNode::advanceDeferred(Deferred &d)
 {
-    AtomicRecord &rec = store_.getOrCreate(d.req.key);
+    AtomicRecord &rec = at(d.req.key);
     for (; d.step < obsoleteSteps_.size; ++d.step) {
         FollowerStep s = obsoleteSteps_.steps[d.step];
-        if (s == FollowerStep::AwaitGlbVolatile) {
-            if (rec.glbVolatileTs.load(std::memory_order_acquire) <
-                d.observedPack)
-                return false; // ConsistencySpin
-        } else if (s == FollowerStep::AwaitGlbDurable) {
-            if (rec.glbDurableTs.load(std::memory_order_acquire) <
-                d.observedPack)
-                return false; // PersistencySpin
-        } else {
+        if (!stepReady(rec, s, d.observedPack))
+            return false;
+        if (s == FollowerStep::AckC || s == FollowerStep::AckP)
             respond(d.req, ackOf(cfg_.model, s));
-        }
     }
     // We may be a stale RDLock owner (see §III-A discussion); release.
     releaseRdLockIfOwner(rec, d.req.tsWr);
@@ -732,7 +749,7 @@ ThreadedNode::onCtrl(const CtrlMsg &msg)
         // (obsolete entries are filtered by the timestamp checks).
         for (const auto &e : msg.entries) {
             log_.append(e);
-            AtomicRecord &rec = store_.getOrCreate(e.key);
+            AtomicRecord &rec = at(e.key);
             std::uint64_t pack = e.ts.pack();
             if (rec.volatileTs.load(std::memory_order_acquire) < pack) {
                 rec.value.store(e.value, std::memory_order_release);
@@ -755,7 +772,7 @@ ThreadedNode::onCtrl(const CtrlMsg &msg)
 const AtomicRecord *
 ThreadedNode::record(Key key) const
 {
-    return store_.find(key);
+    return key < store_.size() ? &store_[key] : nullptr;
 }
 
 nvm::DurableDb
@@ -813,14 +830,10 @@ void
 ThreadedCluster::healAndRejoin(NodeId id)
 {
     fabric_.setLinkUp(id, true);
-    // Ask the designated (lowest-id reachable) node to ship its log.
-    NodeId designated = -1;
-    for (int n = 0; n < cfg_.numNodes; ++n) {
-        if (n != id && fabric_.linkUp(static_cast<NodeId>(n))) {
-            designated = static_cast<NodeId>(n);
-            break;
-        }
-    }
+    // Ask the designated node among the other reachable ones to ship
+    // its log.
+    const NodeId designated = recovery::designatedNode(
+        fabric_.upMask() & ~nodeBit(id), cfg_.numNodes);
     MINOS_ASSERT(designated >= 0, "no live node to rejoin through");
     CtrlMsg join;
     join.type = CtrlType::JoinReq;

@@ -40,7 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "kv/hashtable.hh"
+#include "kv/record.hh"
 #include "net/message.hh"
 #include "nvm/log.hh"
 #include "nvm/model.hh"
@@ -105,6 +105,7 @@ class ThreadedNode
     void persistScope(net::ScopeId scope);
 
     /** @{ Introspection for tests. */
+    /** The record of @p key; null only for a key out of range. */
     const kv::AtomicRecord *record(kv::Key key) const;
     nvm::DurableDb durableDb() const;
     std::uint64_t liveMask() const { return live_.load(); }
@@ -157,6 +158,8 @@ class ThreadedNode
     };
 
     // ---- primitives ----
+    /** The record of @p key. @pre key < numRecords */
+    kv::AtomicRecord &at(kv::Key key);
     kv::Timestamp makeWriteTs(kv::Key key, kv::AtomicRecord &rec);
     static bool obsolete(const kv::AtomicRecord &rec,
                          const kv::Timestamp &ts);
@@ -171,7 +174,16 @@ class ThreadedNode
     /** Complete every local persist of @p scope, then persist the
      *  [PERSIST]sc marker itself. */
     void flushScope(net::ScopeId scope);
-    void handleObsoleteBlocking(kv::AtomicRecord &rec,
+    /** Whether step @p s of obsoleteSteps_ may run: a spin
+     *  (ConsistencySpin, PersistencySpin) holds until the newer write
+     *  @p observed_pack is in; an ACK never waits. */
+    static bool stepReady(const kv::AtomicRecord &rec,
+                          simproto::FollowerStep s,
+                          std::uint64_t observed_pack);
+    /** handleObsolete() of a cut client-write: every spin of
+     *  obsoleteSteps_, blocking, without the ACKs (the rpc threads run
+     *  a follower's through advanceDeferred, non-blocking). */
+    void handleObsoleteBlocking(const kv::AtomicRecord &rec,
                                 std::uint64_t observed_pack);
 
     // ---- membership / failure detection ----
@@ -226,7 +238,8 @@ class ThreadedNode
     /** Coordinator steps after the INV fan-out. */
     const simproto::CoordinatorSchedule coordinatorSteps_;
 
-    kv::HashTable store_;
+    /** The replica of every record, indexed by key. */
+    std::vector<kv::AtomicRecord> store_;
     nvm::DurableLog log_;
     nvm::NvmModel nvm_;
 

@@ -23,13 +23,12 @@ envelopeSrc(const Envelope &env)
 Fabric::Fabric(int nodes, std::chrono::nanoseconds wire_latency)
     : latency_(wire_latency)
 {
-    MINOS_ASSERT(nodes >= 1, "fabric needs at least one node");
+    MINOS_ASSERT(nodes >= 1 && nodes <= 64, "fabric needs 1..64 nodes");
+    up_.store(nodes == 64 ? ~std::uint64_t{0}
+                          : (std::uint64_t{1} << nodes) - 1);
     queues_.reserve(static_cast<std::size_t>(nodes));
-    up_.reserve(static_cast<std::size_t>(nodes));
-    for (int i = 0; i < nodes; ++i) {
+    for (int i = 0; i < nodes; ++i)
         queues_.push_back(std::make_unique<Queue>());
-        up_.push_back(std::make_unique<std::atomic<bool>>(true));
-    }
 }
 
 void
@@ -65,9 +64,10 @@ void
 Fabric::setLinkUp(kv::NodeId node, bool up)
 {
     MINOS_ASSERT(node >= 0 && node < numNodes(), "bad node ", node);
-    up_[static_cast<std::size_t>(node)]->store(up,
-                                               std::memory_order_release);
-    if (!up) {
+    if (up) {
+        up_.fetch_or(recovery::nodeBit(node), std::memory_order_acq_rel);
+    } else {
+        up_.fetch_and(~recovery::nodeBit(node), std::memory_order_acq_rel);
         // Drop anything already queued for the node.
         Queue &q = *queues_[static_cast<std::size_t>(node)];
         std::lock_guard<std::mutex> guard(q.mutex);
@@ -79,8 +79,7 @@ Fabric::setLinkUp(kv::NodeId node, bool up)
 bool
 Fabric::linkUp(kv::NodeId node) const
 {
-    return up_[static_cast<std::size_t>(node)]->load(
-        std::memory_order_acquire);
+    return recovery::isLive(up_.load(std::memory_order_acquire), node);
 }
 
 } // namespace minos::runtime

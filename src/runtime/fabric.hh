@@ -45,7 +45,7 @@ class Fabric
 {
   public:
     /**
-     * @param nodes cluster size
+     * @param nodes cluster size, 1..64
      * @param wire_latency one-way delivery latency (real time)
      */
     Fabric(int nodes, std::chrono::nanoseconds wire_latency =
@@ -66,6 +66,12 @@ class Fabric
     /** Bring a node's links up or down (failure injection). */
     void setLinkUp(kv::NodeId node, bool up);
     bool linkUp(kv::NodeId node) const;
+    /** The nodes whose links are up, one bit per node id. */
+    std::uint64_t
+    upMask() const
+    {
+        return up_.load(std::memory_order_acquire);
+    }
 
     int numNodes() const { return static_cast<int>(queues_.size()); }
 
@@ -88,7 +94,8 @@ class Fabric
     };
 
     std::vector<std::unique_ptr<Queue>> queues_;
-    std::vector<std::unique_ptr<std::atomic<bool>>> up_;
+    /** One bit per node whose links are up. */
+    std::atomic<std::uint64_t> up_{0};
     std::chrono::nanoseconds latency_;
     std::atomic<std::uint64_t> dropped_{0};
 };

@@ -1,5 +1,7 @@
 #include "ddp_core.hh"
 
+#include <coroutine>
+
 namespace minos::simproto {
 
 using kv::Key;
@@ -27,16 +29,8 @@ DdpCore::DdpCore(sim::Simulator &sim, const ClusterConfig &cfg,
 sim::Task<void>
 DdpCore::handleObsolete(Key key, Timestamp observed)
 {
-    Record &rec = store_.at(key);
-    // ConsistencySpin: wait until the newer write that obsoleted us is
-    // visible cluster-wide (its glb_volatileTS reflects it).
-    co_await progress_.until(
-        [&] { return rec.glbVolatileTs >= observed; });
-    // PersistencySpin: only models that stall accesses on outstanding
-    // persists need it (Fig. 3: Event and Scope skip it).
-    if (needsPersistencySpin(model_))
-        co_await progress_.until(
-            [&] { return rec.glbDurableTs >= observed; });
+    return walkObsolete(key, observed,
+                        [](MsgType) { return std::suspend_never{}; });
 }
 
 sim::Task<OpStats>

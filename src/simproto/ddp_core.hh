@@ -220,8 +220,9 @@ class DdpCore
     }
 
     /**
-     * handleObsolete(): ConsistencySpin (wait until glb_volatileTS
-     * reaches the newer write) then, for Synch/Strict/REnf,
+     * handleObsolete(): the spins of the obsolete-INV steps on the newer
+     * write @p observed, without their ACKs: ConsistencySpin (until
+     * glb_volatileTS reaches it) then, for Synch/Strict/REnf,
      * PersistencySpin (glb_durableTS).
      */
     sim::Task<void> handleObsolete(kv::Key key, kv::Timestamp observed);
@@ -335,7 +336,23 @@ class DdpCore
                    kv::Timestamp observed, Respond respond)
     {
         countObsolete(&NodeCounters::invsObsolete, inv.key, inv.tsWr);
-        const kv::Record &rec = store_.at(inv.key);
+        return walkObsolete(inv.key, observed,
+                            [this, t_handle0, respond](net::MsgType type) {
+                                return respond(type, sim_.now() - t_handle0);
+                            });
+    }
+
+    /**
+     * Walk the obsolete-INV steps on the newer write @p observed: each
+     * spin waits on the record of @p key, each ACK step calls
+     * @p ack(type), which returns an awaitable. Fig. 2's follower
+     * (ackObsoleteInv) and coordinator (handleObsolete) share it.
+     */
+    template <typename Ack>
+    sim::Task<void>
+    walkObsolete(kv::Key key, kv::Timestamp observed, Ack ack)
+    {
+        const kv::Record &rec = store_.at(key);
         for (FollowerStep s : obsoleteSteps_) {
             if (s == FollowerStep::AwaitGlbVolatile)
                 co_await progress_.until(
@@ -344,7 +361,7 @@ class DdpCore
                 co_await progress_.until(
                     [&] { return rec.glbDurableTs >= observed; });
             else
-                co_await respond(ackOf(model_, s), sim_.now() - t_handle0);
+                co_await ack(ackOf(model_, s));
         }
     }
 

@@ -96,16 +96,6 @@ tracksPersistPerWrite(PersistModel m)
            m == PersistModel::REnf;
 }
 
-/**
- * True if handleObsolete() must run the PersistencySpin (Fig. 3: Event
- * and Scope skip it; accesses need not stall for outstanding persists).
- */
-constexpr bool
-needsPersistencySpin(PersistModel m)
-{
-    return tracksPersistPerWrite(m);
-}
-
 /** True for the <Lin, Scope> model (scoped message variants). */
 constexpr bool
 isScopeModel(PersistModel m)
@@ -228,7 +218,10 @@ appliedSchedule(PersistModel m, bool ackBeforePersist, bool duplicateAck)
 }
 
 /** Fig. 2 lines 27-30 and Fig. 3(ii)/(iv)/(vi)/(viii): the spins and
- *  ACKs of an obsolete INV. The VAL received later is discarded. */
+ *  ACKs of an obsolete INV. The VAL received later is discarded. The
+ *  spins are handleObsolete(), which a coordinator whose write is cut
+ *  runs too: the PersistencySpin only where persistency is tracked per
+ *  write (Event and Scope accesses need not stall on persists). */
 constexpr FollowerSchedule
 obsoleteSchedule(PersistModel m)
 {

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "kv/hashtable.hh"
 #include "kv/record.hh"
 #include "kv/store.hh"
 #include "kv/timestamp.hh"
@@ -246,55 +245,4 @@ TEST(AtomicRecord, RaiseTsUnderContention)
     // The maximum must win: version per_thread-1, node threads-1.
     EXPECT_EQ(rec.loadVolatileTs(),
               (Timestamp{per_thread - 1, threads - 1}));
-}
-
-TEST(HashTable, GetOrCreateFindsSameRecord)
-{
-    HashTable table(64);
-    auto &a = table.getOrCreate(42);
-    a.value.store(7);
-    auto *b = table.find(42);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(b->value.load(), 7u);
-    EXPECT_EQ(&a, b);
-    EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(HashTable, MissingKeyIsNull)
-{
-    HashTable table(8);
-    EXPECT_EQ(table.find(9999), nullptr);
-}
-
-TEST(HashTable, ManyKeysWithCollisions)
-{
-    HashTable table(4); // tiny bucket count forces chains
-    for (Key k = 0; k < 1000; ++k)
-        table.getOrCreate(k).value.store(k * 3);
-    EXPECT_EQ(table.size(), 1000u);
-    for (Key k = 0; k < 1000; ++k) {
-        auto *rec = table.find(k);
-        ASSERT_NE(rec, nullptr) << "key " << k;
-        EXPECT_EQ(rec->value.load(), k * 3);
-    }
-}
-
-TEST(HashTable, ConcurrentInsertsAreConsistent)
-{
-    HashTable table(128);
-    constexpr int threads = 8;
-    constexpr Key keys = 2000;
-    std::vector<std::thread> pool;
-    for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&table] {
-            for (Key k = 0; k < keys; ++k)
-                table.getOrCreate(k);
-        });
-    }
-    for (auto &th : pool)
-        th.join();
-    EXPECT_EQ(table.size(), keys);
-    // All threads must agree on the same record object per key.
-    for (Key k = 0; k < keys; ++k)
-        EXPECT_NE(table.find(k), nullptr);
 }

@@ -232,6 +232,25 @@ TEST_P(TModelTest, StaleInvIsCutAsObsolete)
     }));
 }
 
+TEST(ThreadedStore, EveryRecordStartsFreshAndKeysAreBounded)
+{
+    ThreadedConfig cfg = smallConfig(PersistModel::Synch);
+    ThreadedCluster cluster(cfg);
+    for (int n = 0; n < cfg.numNodes; ++n) {
+        const ThreadedNode &node = cluster.node(static_cast<NodeId>(n));
+        for (Key k = 0; k < cfg.numRecords; ++k) {
+            const kv::AtomicRecord *rec = node.record(k);
+            ASSERT_NE(rec, nullptr) << "node " << n << " key " << k;
+            EXPECT_TRUE(rec->loadVolatileTs().isNone());
+            EXPECT_TRUE(rec->loadRdLockOwner().isNone());
+            EXPECT_TRUE(rec->loadGlbVolatileTs().isNone());
+            EXPECT_TRUE(rec->loadGlbDurableTs().isNone());
+            EXPECT_EQ(rec->value.load(), 0u);
+        }
+        EXPECT_EQ(node.record(cfg.numRecords), nullptr) << "node " << n;
+    }
+}
+
 TEST(ThreadedScope, PersistScopeMakesScopeDurable)
 {
     ThreadedCluster cluster(smallConfig(PersistModel::Scope));
@@ -389,6 +408,16 @@ writeAfterTopVersion()
 TEST(ThreadedNodeDeathTest, WriteVersionOverflowPanics)
 {
     EXPECT_DEATH(writeAfterTopVersion(), "TS_WR version overflow on key 7");
+}
+
+TEST(ThreadedNodeDeathTest, KeyOutOfRangePanics)
+{
+    EXPECT_DEATH(
+        {
+            ThreadedCluster cluster(smallConfig(PersistModel::Synch));
+            cluster.node(0).write(256, 1);
+        },
+        "key out of range: 256");
 }
 
 TEST(ThreadedFabric, DropsTrafficWhenLinkDown)
