@@ -1,27 +1,24 @@
 /**
  * @file
- * The simulator's event callable: a small-buffer-optimized, move-only
- * `void()` with a dedicated coroutine-resume representation.
+ * The simulator's closure cell: an in-place, run-once `void()` for the
+ * event callables that do not fit an event node.
  *
- * The discrete-event hot path schedules two kinds of work:
- *  - resuming a suspended coroutine (the overwhelmingly common case:
- *    every `co_await delay(t)`, condition wakeup, and mailbox handoff),
- *  - running a small closure (message delivery, bookkeeping).
- *
- * `std::function` forced a heap allocation for any closure over ~16
- * bytes and a second copy (and allocation) when the event was popped
- * back out of the priority queue. EventFn instead stores callables up
- * to `inlineBytes` in-place, relocates them by move (or memcpy when
- * trivially copyable), and represents a raw `std::coroutine_handle<>`
- * with a dedicated ops table so coroutine wakeups never touch the
- * allocator at all and a move copies only the handle. Oversized callables still work via a heap fallback,
- * so the API stays fully general.
+ * Most events never reach an EventFn. A coroutine resume is stored in
+ * its event node as the frame address, and a trivially copyable callable
+ * of up to `Simulator::nodeInlineBytes` (a Condition batch's
+ * `[this, n]`) is stored in the node as it is (simulator.hh). What is
+ * left, message deliveries that carry a whole `net::Message`, the
+ * VFifo's apply closure and closures holding a refcounted transaction,
+ * is built in an EventFn cell of the simulator's closure slab. The cells
+ * never move: a callable is built in place, run in place and destroyed
+ * once, so an EventFn has no move or relocate operation. A callable up
+ * to `inlineBytes` lives in the cell; a larger one goes to the heap, so
+ * the API stays fully general.
  */
 
 #ifndef MINOS_SIM_EVENT_HH
 #define MINOS_SIM_EVENT_HH
 
-#include <coroutine>
 #include <cstddef>
 #include <cstring>
 #include <new>
@@ -30,7 +27,7 @@
 
 namespace minos::sim {
 
-/** Move-only `void()` callable with SBO and a coroutine fast path. */
+/** In-place, non-movable `void()` callable with a heap fallback. */
 class EventFn
 {
   public:
@@ -42,24 +39,15 @@ class EventFn
     static constexpr std::size_t inlineBytes = 112;
 
     EventFn() noexcept = default;
+    EventFn(const EventFn &) = delete;
+    EventFn &operator=(const EventFn &) = delete;
 
-    /** Dedicated representation: resume @p h when the event fires. */
-    static EventFn
-    resume(std::coroutine_handle<> h) noexcept
-    {
-        EventFn fn;
-        void *addr = h.address();
-        std::memcpy(fn.storage_, &addr, sizeof addr);
-        fn.ops_ = &coroOps_;
-        return fn;
-    }
+    ~EventFn() { reset(); }
 
-    /** Wrap any `void()` callable; inline when it fits, else heap. */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventFn> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
-    EventFn(F &&f) // NOLINT: implicit by design, mirrors std::function
+    /** Build @p f in this empty cell; inline when it fits, else heap. */
+    template <typename F>
+    void
+    emplace(F &&f)
     {
         using Fn = std::decay_t<F>;
         if constexpr (sizeof(Fn) <= inlineBytes &&
@@ -73,46 +61,10 @@ class EventFn
         }
     }
 
-    EventFn(EventFn &&o) noexcept : ops_(std::exchange(o.ops_, nullptr))
-    {
-        if (ops_)
-            ops_->relocate(storage_, o.storage_);
-    }
-
-    EventFn &
-    operator=(EventFn &&o) noexcept
-    {
-        if (this != &o) {
-            reset();
-            ops_ = std::exchange(o.ops_, nullptr);
-            if (ops_)
-                ops_->relocate(storage_, o.storage_);
-        }
-        return *this;
-    }
-
-    EventFn(const EventFn &) = delete;
-    EventFn &operator=(const EventFn &) = delete;
-
-    ~EventFn() { reset(); }
-
-    /** Run the event. Callable exactly once per stored target. */
+    /** Run the callable; it stays alive until reset(). */
     void operator()() { ops_->invoke(storage_); }
 
-    explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-    /** True when this event is a raw coroutine resume. */
-    bool isResume() const noexcept { return ops_ == &coroOps_; }
-
-  private:
-    struct Ops
-    {
-        void (*invoke)(void *storage);
-        /** Move the target from @p src storage into @p dst storage. */
-        void (*relocate)(void *dst, void *src) noexcept;
-        void (*destroy)(void *storage) noexcept;
-    };
-
+    /** Destroy the callable, if any, leaving the cell empty. */
     void
     reset() noexcept
     {
@@ -122,41 +74,17 @@ class EventFn
         }
     }
 
-    static void
-    relocateHandle(void *dst, void *src) noexcept
+  private:
+    struct Ops
     {
-        std::memcpy(dst, src, sizeof(void *));
-    }
-
-    static void destroyNoop(void *) noexcept {}
-
-    static void
-    invokeCoro(void *storage)
-    {
-        void *addr;
-        std::memcpy(&addr, storage, sizeof addr);
-        std::coroutine_handle<>::from_address(addr).resume();
-    }
-
-    static constexpr Ops coroOps_{invokeCoro, relocateHandle,
-                                  destroyNoop};
+        void (*invoke)(void *storage);
+        void (*destroy)(void *storage) noexcept;
+    };
 
     template <typename Fn>
     static constexpr Ops inlineOps_{
-        // invoke
         [](void *storage) { (*std::launder(
               reinterpret_cast<Fn *>(storage)))(); },
-        // relocate
-        [](void *dst, void *src) noexcept {
-            if constexpr (std::is_trivially_copyable_v<Fn>) {
-                std::memcpy(dst, src, sizeof(Fn));
-            } else {
-                Fn *from = std::launder(reinterpret_cast<Fn *>(src));
-                ::new (dst) Fn(std::move(*from));
-                from->~Fn();
-            }
-        },
-        // destroy
         [](void *storage) noexcept {
             std::launder(reinterpret_cast<Fn *>(storage))->~Fn();
         }};
@@ -167,9 +95,6 @@ class EventFn
             Fn *p;
             std::memcpy(&p, storage, sizeof p);
             (*p)();
-        },
-        [](void *dst, void *src) noexcept {
-            std::memcpy(dst, src, sizeof(Fn *));
         },
         [](void *storage) noexcept {
             Fn *p;

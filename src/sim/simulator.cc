@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <coroutine>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.hh"
@@ -9,7 +10,7 @@
 
 namespace minos::sim {
 
-Simulator::Simulator() : buckets_(wheelSpan) {}
+Simulator::Simulator() : buckets_(wheelSpan) { growCells(); }
 
 Simulator::~Simulator()
 {
@@ -43,17 +44,19 @@ FramePool::Reaper::~Reaper()
 }
 
 void
-Simulator::pushWheel(Tick when, EventFn &&fn, bool same_tick)
+Simulator::growCells()
 {
-    std::uint32_t i = freeNode_;
-    if (i == noNode) {
-        i = static_cast<std::uint32_t>(nodes_.size());
-        nodes_.emplace_back();
-    } else {
-        freeNode_ = nodes_[i].next;
-    }
+    chunks_.push_back(std::make_unique<EventFn[]>(cellsPerChunk));
+    EventFn *chunk = chunks_.back().get();
+    freeCells_.reserve(chunks_.size() * cellsPerChunk);
+    for (std::size_t k = cellsPerChunk; k-- > 0;)
+        freeCells_.push_back(chunk + k);
+}
+
+void
+Simulator::pushWheel(Tick when, std::uint32_t i, bool same_tick)
+{
     Node &n = nodes_[i];
-    n.fn = std::move(fn);
     n.next = noNode;
     n.sameTick = same_tick;
 
@@ -74,34 +77,34 @@ Simulator::pushWheel(Tick when, EventFn &&fn, bool same_tick)
 }
 
 void
-Simulator::pushNow(EventFn fn)
+Simulator::pushNow(std::uint32_t i)
 {
-    pushWheel(now_, std::move(fn), true);
+    pushWheel(now_, i, true);
     peakRing_ = std::max(peakRing_, ++pendingNow_);
 }
 
 void
-Simulator::schedule(Tick when, EventFn fn)
+Simulator::place(Tick when, std::uint32_t i)
 {
     MINOS_ASSERT(when >= now_, "scheduling into the past: ", when,
                  " < ", now_);
     if (when == now_) {
-        pushNow(std::move(fn));
+        pushNow(i);
         return;
     }
     if (when - now_ < wheelSpan)
-        pushWheel(when, std::move(fn), false);
+        pushWheel(when, i, false);
     else
-        far_.push(when, seq_++, std::move(fn));
+        far_.push(when, seq_++, i);
     ++heapPushes_;
     peakHeap_ = std::max(peakHeap_, ++pendingLater_);
 }
 
 void
-Simulator::after(Tick delay, EventFn fn)
+Simulator::placeAfter(Tick delay, std::uint32_t i)
 {
     MINOS_ASSERT(delay >= 0, "negative delay: ", delay);
-    schedule(now_ + delay, std::move(fn));
+    place(now_ + delay, i);
 }
 
 std::size_t
@@ -119,12 +122,12 @@ Simulator::nextBucket() const
     return w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
 }
 
-EventFn
+std::uint32_t
 Simulator::popBucket(std::size_t b)
 {
     Bucket &bucket = buckets_[b];
     std::uint32_t i = bucket.head;
-    Node &n = nodes_[i];
+    const Node &n = nodes_[i];
     bucket.head = n.next;
     if (n.next == noNode)
         bitmap_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
@@ -135,10 +138,38 @@ Simulator::popBucket(std::size_t b)
     } else {
         --pendingLater_;
     }
-    EventFn fn = std::move(n.fn);
+    return i;
+}
+
+void
+Simulator::dispatch(std::uint32_t i)
+{
+    // The node is freed before its event runs, which may schedule more
+    // and so grow (move) the pool: take the payload out first.
+    Node &n = nodes_[i];
     n.next = freeNode_;
     freeNode_ = i;
-    return fn;
+    switch (n.kind) {
+    case Kind::Resume:
+        std::coroutine_handle<>::from_address(n.frame).resume();
+        return;
+    case Kind::Inline: {
+        alignas(void *) unsigned char bytes[nodeInlineBytes];
+        std::memcpy(bytes, n.bytes, sizeof bytes);
+        void (*invoke)(void *) = n.invoke;
+        invoke(bytes);
+        return;
+    }
+    case Kind::Cell: {
+        // The cell stays taken while it runs, so nothing the event
+        // schedules can reuse it.
+        EventFn *cell = n.cell;
+        (*cell)();
+        cell->reset();
+        freeCells_.push_back(cell);
+        return;
+    }
+    }
 }
 
 bool
@@ -165,11 +196,15 @@ Simulator::step(Tick limit)
         return false;
 
     now_ = when;
-    EventFn fn = from_wheel ? popBucket(b) : far_.popTop();
-    if (!from_wheel)
+    std::uint32_t i;
+    if (from_wheel) {
+        i = popBucket(b);
+    } else {
+        i = far_.popTop();
         --pendingLater_;
+    }
     ++executed_;
-    fn();
+    dispatch(i);
     return true;
 }
 

@@ -12,13 +12,17 @@
  * MINOS-O evaluation experiments (paper §VII).
  *
  * Event-core layout (see DESIGN.md "Event core"):
- *  - events are EventFn (SBO callable / raw coroutine resume; event.hh),
- *    so steady-state dispatch performs zero heap allocations;
+ *  - every pending event is one 40-byte node of a recycled pool. The node
+ *    holds a coroutine resume as the frame address, a trivially copyable
+ *    callable of up to `nodeInlineBytes` as it is, or a pointer to an
+ *    EventFn cell of an address-stable closure slab (event.hh) for any
+ *    other callable, so steady-state dispatch performs zero heap
+ *    allocations;
  *  - every event due less than `wheelSpan` ticks from now, the
  *    `after(0, ...)` wakeups included, is appended to a one-tick FIFO
  *    bucket of a timing wheel; a bitmap finds the next non-empty bucket;
  *  - rarer events due further out wait in a 4-ary min-heap of
- *    (when, seq, slot) keys over a recycled slab of EventFns.
+ *    (when, seq, node) keys over the same node pool.
  * Dispatch order is exactly (when, seq) — FIFO within a tick — which is
  * the documented determinism contract.
  */
@@ -30,6 +34,10 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/units.hh"
@@ -68,6 +76,13 @@ class Simulator
      */
     static constexpr Tick wheelSpan = 16384;
 
+    /**
+     * Largest trivially copyable callable an event node holds inline,
+     * such as a Condition batch's `[this, n]`. Others go to the closure
+     * slab.
+     */
+    static constexpr std::size_t nodeInlineBytes = 24;
+
     Simulator();
     ~Simulator();
 
@@ -77,11 +92,22 @@ class Simulator
     /** Current simulated time. */
     Tick now() const { return now_; }
 
-    /** Schedule @p fn to run at absolute time @p when (>= now). */
-    void schedule(Tick when, EventFn fn);
+    /** Schedule the `void()` callable @p fn to run at absolute time
+     *  @p when (>= now). */
+    template <typename F>
+    void
+    schedule(Tick when, F &&fn)
+    {
+        place(when, makeNode(std::forward<F>(fn)));
+    }
 
-    /** Schedule @p fn to run @p delay ticks from now. */
-    void after(Tick delay, EventFn fn);
+    /** Schedule @p fn to run @p delay (>= 0) ticks from now. */
+    template <typename F>
+    void
+    after(Tick delay, F &&fn)
+    {
+        placeAfter(delay, makeNode(std::forward<F>(fn)));
+    }
 
     /** @{
      * Coroutine fast path: schedule a raw resume with no closure.
@@ -91,13 +117,10 @@ class Simulator
     void
     resumeAfter(Tick delay, std::coroutine_handle<> h)
     {
-        after(delay, EventFn::resume(h));
+        placeAfter(delay, resumeNode(h));
     }
 
-    void resumeSoon(std::coroutine_handle<> h)
-    {
-        pushNow(EventFn::resume(h));
-    }
+    void resumeSoon(std::coroutine_handle<> h) { pushNow(resumeNode(h)); }
     /** @} */
 
     /** Run until the event queue is empty. */
@@ -171,13 +194,46 @@ class Simulator
     /** @} */
 
   private:
+    /** What a node's payload holds. */
+    enum class Kind : std::uint8_t
+    {
+        Resume, ///< a suspended coroutine's frame address
+        Inline, ///< a small trivially copyable callable, in the node
+        Cell,   ///< any other callable, in an EventFn slab cell
+    };
+
+    /**
+     * A pending event, on the wheel or in the far heap. Free nodes chain
+     * through `next`, and so do the events of one wheel bucket.
+     */
+    struct Node
+    {
+        union
+        {
+            void *frame;
+            EventFn *cell;
+            alignas(void *) unsigned char bytes[nodeInlineBytes];
+        };
+        /** Kind::Inline: runs the callable at `bytes`. */
+        void (*invoke)(void *bytes);
+        std::uint32_t next;
+        Kind kind;
+        /** Due at the tick current when it was scheduled (counters only). */
+        bool sameTick;
+    };
+    static_assert(sizeof(Node) <= 48, "an event node is a few words");
+
+    template <typename Fn>
+    static constexpr bool fitsNode =
+        std::is_trivially_copyable_v<Fn> &&
+        sizeof(Fn) <= nodeInlineBytes && alignof(Fn) <= alignof(void *);
+
     /**
      * The far heap: events due `wheelSpan` or more ticks ahead when they
-     * were scheduled. A 4-ary min-heap of small (when, seq, slot) keys
-     * over a slab of EventFns. Sifts move 24-byte keys, never the
-     * callables; a popped event's slot is recycled for the next push, so
-     * the slab and its free list only grow. Order is exactly (when, seq): the slot index
-     * takes no part in the comparison.
+     * were scheduled. A 4-ary min-heap of small (when, seq, node) keys
+     * over the simulator's node pool, so sifts move 24-byte keys, never
+     * an event. Order is exactly (when, seq): the node index takes no
+     * part in the comparison.
      */
     class TimerHeap
     {
@@ -186,40 +242,29 @@ class Simulator
         {
             Tick when;
             std::uint64_t seq;
-            std::uint32_t slot;
+            std::uint32_t node;
         };
 
         bool empty() const { return keys_.empty(); }
-        std::size_t size() const { return keys_.size(); }
         const Key &top() const { return keys_.front(); }
 
         void
-        push(Tick when, std::uint64_t seq, EventFn &&fn)
+        push(Tick when, std::uint64_t seq, std::uint32_t node)
         {
-            std::uint32_t slot;
-            if (free_.empty()) {
-                slot = static_cast<std::uint32_t>(slab_.size());
-                slab_.push_back(std::move(fn));
-            } else {
-                slot = free_.back();
-                free_.pop_back();
-                slab_[slot] = std::move(fn);
-            }
-            keys_.push_back(Key{when, seq, slot});
+            keys_.push_back(Key{when, seq, node});
             siftUp(keys_.size() - 1);
         }
 
-        /** Remove the minimum; return its callable (moved out). */
-        EventFn
+        /** Remove the minimum; return its node. */
+        std::uint32_t
         popTop()
         {
-            std::uint32_t slot = keys_.front().slot;
+            std::uint32_t node = keys_.front().node;
             Key last = keys_.back();
             keys_.pop_back();
             if (!keys_.empty())
                 siftDownHole(last);
-            free_.push_back(slot);
-            return std::move(slab_[slot]);
+            return node;
         }
 
       private:
@@ -269,17 +314,6 @@ class Simulator
         }
 
         std::vector<Key> keys_;
-        std::vector<EventFn> slab_;
-        std::vector<std::uint32_t> free_;
-    };
-
-    /** A wheel event and the link to the next one in its bucket. */
-    struct Node
-    {
-        EventFn fn;
-        std::uint32_t next = noNode;
-        /** Due at the tick current when it was scheduled (counters only). */
-        bool sameTick = false;
     };
 
     /** One tick's FIFO of wheel events; valid while its bitmap bit is set. */
@@ -294,15 +328,78 @@ class Simulator
     static constexpr std::size_t bitmapWords = wheelSpan / 64;
     static_assert((wheelSpan & wheelMask) == 0 && bitmapWords > 0,
                   "the wheel span must be a power of two of at least 64");
+    /** EventFn cells per slab chunk (32 KiB). The first chunk is made
+     *  with the simulator, so a run that never has more closures
+     *  pending does not allocate for them. */
+    static constexpr std::size_t cellsPerChunk = 256;
 
-    void pushNow(EventFn fn);
-    void pushWheel(Tick when, EventFn &&fn, bool same_tick);
+    std::uint32_t
+    allocNode()
+    {
+        std::uint32_t i = freeNode_;
+        if (i == noNode) {
+            i = static_cast<std::uint32_t>(nodes_.size());
+            nodes_.emplace_back();
+        } else {
+            freeNode_ = nodes_[i].next;
+        }
+        return i;
+    }
+
+    std::uint32_t
+    resumeNode(std::coroutine_handle<> h)
+    {
+        std::uint32_t i = allocNode();
+        nodes_[i].frame = h.address();
+        nodes_[i].kind = Kind::Resume;
+        return i;
+    }
+
+    /** A node holding @p fn, built in the payload kind that fits it. */
+    template <typename F>
+    std::uint32_t
+    makeNode(F &&fn)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(std::is_invocable_r_v<void, Fn &>,
+                      "an event is a void() callable");
+        std::uint32_t i = allocNode();
+        Node &n = nodes_[i];
+        if constexpr (fitsNode<Fn>) {
+            ::new (static_cast<void *>(n.bytes)) Fn(std::forward<F>(fn));
+            n.invoke = [](void *bytes) {
+                (*std::launder(reinterpret_cast<Fn *>(bytes)))();
+            };
+            n.kind = Kind::Inline;
+        } else {
+            if (freeCells_.empty())
+                growCells();
+            EventFn *cell = freeCells_.back();
+            freeCells_.pop_back();
+            cell->emplace(std::forward<F>(fn));
+            n.cell = cell;
+            n.kind = Kind::Cell;
+        }
+        return i;
+    }
+
+    /** Add one chunk of empty cells to the closure slab. */
+    void growCells();
+
+    /** Queue node @p i for tick @p when (>= now). */
+    void place(Tick when, std::uint32_t i);
+    void placeAfter(Tick delay, std::uint32_t i);
+    void pushNow(std::uint32_t i);
+    void pushWheel(Tick when, std::uint32_t i, bool same_tick);
 
     /** Bucket of the earliest wheel event; the wheel must be non-empty. */
     std::size_t nextBucket() const;
 
-    /** Unlink the head event of bucket @p b and return its callable. */
-    EventFn popBucket(std::size_t b);
+    /** Unlink the head event of bucket @p b and return its node. */
+    std::uint32_t popBucket(std::size_t b);
+
+    /** Free node @p i and run its event. */
+    void dispatch(std::uint32_t i);
 
     /**
      * Dispatch the next event in (when, seq) order if it is due at or
@@ -314,11 +411,18 @@ class Simulator
     std::vector<Bucket> buckets_;
     /** Bit b set iff bucket b holds events. */
     std::array<std::uint64_t, bitmapWords> bitmap_{};
-    /** Wheel event storage; free nodes chain through `next`. */
+    /** Every pending event, wheel and far heap alike. */
     std::vector<Node> nodes_;
     std::uint32_t freeNode_ = noNode;
     std::size_t wheelEvents_ = 0;
     TimerHeap far_;
+    /**
+     * The closure slab: chunks of EventFn cells that never move, and the
+     * empty ones. Destroying a chunk destroys the closures still pending
+     * in it, each once.
+     */
+    std::vector<std::unique_ptr<EventFn[]>> chunks_;
+    std::vector<EventFn *> freeCells_;
     /** Sentinel of the circular list of spawned, unfinished frames. */
     LiveLink live_{&live_, &live_};
     std::size_t numLive_ = 0;

@@ -77,12 +77,4 @@ ClusterO::snicMulticast(const Message &tmpl, bool from_batched)
                                 });
 }
 
-void
-ClusterO::snicNotifyHost(NodeId src, std::uint32_t bytes,
-                         sim::EventFn deliver)
-{
-    Tick arrival = fabric(src).pcieUp.transferFrom(sim_.now(), bytes);
-    sim_.schedule(arrival, std::move(deliver));
-}
-
 } // namespace minos::snic

@@ -19,6 +19,8 @@
 #ifndef MINOS_SNIC_CLUSTER_O_HH
 #define MINOS_SNIC_CLUSTER_O_HH
 
+#include <utility>
+
 #include "simproto/cluster_shell.hh"
 #include "snic/node_o.hh"
 
@@ -76,8 +78,13 @@ class ClusterO : public simproto::ClusterShell<NodeO, FabricO>
     void snicMulticast(const net::Message &tmpl, bool from_batched);
 
     /** SNIC -> local host over PCIe; @p deliver runs at arrival. */
-    void snicNotifyHost(kv::NodeId src, std::uint32_t bytes,
-                        sim::EventFn deliver);
+    template <typename F>
+    void
+    snicNotifyHost(kv::NodeId src, std::uint32_t bytes, F &&deliver)
+    {
+        Tick arrival = fabric(src).pcieUp.transferFrom(sim_.now(), bytes);
+        sim_.schedule(arrival, std::forward<F>(deliver));
+    }
 
     /** @{ The SNIC->host DMA queues used by the FIFO drain engines. */
     sim::Link &vfifoDma(kv::NodeId id) { return fabric(id).pcieDmaV; }

@@ -50,15 +50,39 @@ LatencySeries::add(Tick sample)
     ++count_;
     sum_ += sample;
     const std::uint64_t w = runWord(sample, 1);
-    // Latencies often repeat back to back (an uncontended read takes the
-    // same time every time): count a repeat in the newest unsorted word.
-    if (words_.size() > sorted_ &&
-        (words_.back() >> countBits) == (w >> countBits) &&
-        runCount(words_.back()) < maxRunCount) {
-        ++words_.back();
+    const std::uint64_t value = w >> countBits;
+    // Latencies repeat (an uncontended read takes the same time every
+    // time, and a run has far fewer distinct values than samples), so a
+    // repeat is counted in the word that already holds its value: the
+    // word a small direct-mapped index remembers for it, else its run
+    // in the sorted prefix. Only a new value is pushed and later sorted.
+    std::uint32_t &recent =
+        recentIndex_[static_cast<std::uint64_t>(sample) *
+                         0x9e3779b97f4a7c15ull >>
+                     (64 - recentIndexBits)];
+    if (recent < words_.size() &&
+        (words_[recent] >> countBits) == value &&
+        runCount(words_[recent]) < maxRunCount) {
+        ++words_[recent];
         return;
     }
+    if (sorted_ > 0) {
+        // Branchless search for the last run whose value is <= value:
+        // the one with room, if an overflowing value spans two words.
+        const std::uint64_t *base = words_.data();
+        for (std::size_t len = sorted_; len > 1;) {
+            const std::size_t half = len / 2;
+            base += (base[half] >> countBits) <= value ? half : 0;
+            len -= half;
+        }
+        if ((*base >> countBits) == value && runCount(*base) < maxRunCount) {
+            recent = static_cast<std::uint32_t>(base - words_.data());
+            ++words_[recent];
+            return;
+        }
+    }
     push(w);
+    recent = static_cast<std::uint32_t>(words_.size() - 1);
 }
 
 void

@@ -8,6 +8,7 @@
 #ifndef MINOS_STATS_STATS_HH
 #define MINOS_STATS_STATS_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -25,9 +26,11 @@ namespace minos::stats {
  * distinct value instead of one per sample.
  *
  * The words live in one vector: a prefix of runs sorted by value, then
- * the samples added since the last compaction, one word each, except
- * that a sample equal to the newest one only bumps its count. A
- * compaction (once the unsorted suffix is as long as the prefix, or
+ * the words added since the last compaction. A sample whose value has
+ * a run in the prefix (found by binary search), or a word that a small
+ * direct-mapped index (value hash -> word position) remembers, only
+ * bumps that word's count; any other sample is pushed as a word of its
+ * own. A compaction (once the unsorted suffix is as long as the prefix, or
  * before a query) sorts the suffix, merges it into the prefix and folds
  * equal values into one run. A word always stands for at least one
  * sample and the vector only grows by push_back, so it never holds
@@ -91,6 +94,12 @@ class LatencySeries
     mutable std::vector<std::uint64_t> words_;
     /** words_[0, sorted_) are runs sorted by value, one per value. */
     mutable std::size_t sorted_ = 0;
+    static constexpr int recentIndexBits = 8;
+    /** By value hash, the position of the word that last counted a
+     *  sample; a stale entry (past the end, or another value since a
+     *  compaction moved the words) is only a miss. */
+    std::array<std::uint32_t, std::size_t{1} << recentIndexBits>
+        recentIndex_{};
     std::size_t count_ = 0;
     std::int64_t sum_ = 0;
     bool keepOrder_ = false;

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <coroutine>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -142,6 +143,32 @@ TEST(Simulator, OversizedClosuresStillWork)
     EXPECT_EQ(got, 42u);
 }
 
+namespace {
+
+/** Registers every copy of itself alive, and fails on a second
+ *  destruction of one. */
+struct Tracked
+{
+    std::vector<const Tracked *> *live;
+
+    explicit Tracked(std::vector<const Tracked *> *l) : live(l)
+    {
+        live->push_back(this);
+    }
+    Tracked(const Tracked &o) : Tracked(o.live) {}
+    Tracked &operator=(const Tracked &) = delete;
+
+    ~Tracked()
+    {
+        auto it = std::find(live->begin(), live->end(), this);
+        EXPECT_NE(it, live->end()) << "destroyed twice";
+        if (it != live->end())
+            live->erase(it);
+    }
+};
+
+} // namespace
+
 TEST(Simulator, PendingEventsAreDestroyedAtTeardown)
 {
     // Undispatched closures (wheel and far heap) must release their
@@ -156,6 +183,31 @@ TEST(Simulator, PendingEventsAreDestroyedAtTeardown)
         EXPECT_EQ(sim.pendingEvents(), 2u);
     }
     EXPECT_EQ(owner.use_count(), 1);
+
+    // Closures a node cannot hold (these are not trivially copyable)
+    // live in the closure slab, or on the heap when too big for a cell.
+    // Each is destroyed once: after it runs, or at teardown if it is
+    // still pending.
+    constexpr Tick span = Simulator::wheelSpan;
+    std::vector<const Tracked *> live;
+    int ran = 0;
+    {
+        Simulator sim;
+        for (Tick when : {Tick{0}, Tick{50}, 2 * span, 3 * span}) {
+            sim.schedule(when, [t = Tracked{&live}, &ran] { ++ran; });
+            sim.schedule(when, [t = Tracked{&live}, &ran,
+                                big = std::array<std::uint64_t, 16>{}] {
+                ran += 1 + static_cast<int>(big[0]);
+            });
+        }
+        EXPECT_EQ(live.size(), 8u);
+        sim.runUntil(2 * span); // runs six, two stay pending in the heap
+        EXPECT_EQ(ran, 6);
+        EXPECT_EQ(live.size(), 2u);
+        EXPECT_EQ(sim.pendingEvents(), 2u);
+    }
+    EXPECT_TRUE(live.empty());
+    EXPECT_EQ(ran, 6);
 }
 
 TEST(Simulator, RecycledHeapSlotsKeepSeqOrderWithinATick)
@@ -338,27 +390,108 @@ namespace {
 
 /**
  * Random schedule for the differential wheel test: each event may
- * schedule more events with 0, near, boundary or far delays, and the
- * model keeps every (when, id) pair and the expected counters.
+ * schedule more events with 0, near, boundary or far delays, or on the
+ * tick of a pending far event, and in every payload kind of an event
+ * node (a coroutine resume, an inline callable, a slab closure, a heap
+ * closure). The model keeps every (when, id) pair and the expected
+ * counters.
  */
 struct RandomSchedule
 {
+    enum Payload { Inline, Cell, Heap, Resume, numPayloads };
+    enum Reach { SameTick, Near, Far, numReaches };
+
+    /** A parked coroutine that fires the event id it is resumed for. */
+    struct Sleeper
+    {
+        std::coroutine_handle<> handle;
+        int id = -1;
+    };
+
+    struct Park
+    {
+        RandomSchedule *s;
+        Sleeper *p;
+        bool await_ready() const noexcept { return false; }
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            p->handle = h;
+            s->idle.push_back(p);
+        }
+        void await_resume() const noexcept {}
+    };
+
+    static Process
+    sleep(RandomSchedule *s, Sleeper *p)
+    {
+        for (;;) {
+            co_await Park{s, p};
+            s->fire(p->id);
+        }
+    }
+
     Simulator sim;
+    std::array<Sleeper, 32> sleepers;
+    std::vector<Sleeper *> idle;
     std::vector<Tick> when; ///< by event id = scheduling order
     std::vector<bool> sameTickId; ///< by event id
     std::vector<int> ran;
+    /** Ticks of the latest far events, for events that land on them. */
+    std::array<Tick, 8> farTicks{};
+    std::size_t farNext = 0;
     std::uint64_t rng = 0x9e3779b97f4a7c15ull;
     int budget = 20000;
-    std::uint64_t sameTick = 0, later = 0;
+    stats::EventCoreCounters want;
     std::size_t pendingNow = 0, pendingLater = 0;
-    std::size_t peakNow = 0, peakLater = 0;
+    /** Events scheduled by payload kind and reach. */
+    std::array<std::array<int, numReaches>, numPayloads> mix{};
+    int onFarTicks = 0;
 
+    /** An inline node payload. */
     struct Fire
     {
         RandomSchedule *s;
         int id;
         void operator()() const { s->fire(id); }
     };
+    static_assert(sizeof(Fire) <= Simulator::nodeInlineBytes);
+
+    /** A slab closure of a message delivery's size. */
+    struct FireWide
+    {
+        RandomSchedule *s;
+        int id;
+        std::array<std::uint64_t, 8> pad;
+        void operator()() const { s->fire(id + static_cast<int>(pad[7])); }
+    };
+    static_assert(sizeof(FireWide) >= 64 &&
+                  sizeof(FireWide) <= EventFn::inlineBytes);
+
+    /** Beyond a slab cell: the heap fallback. */
+    struct FireHeap
+    {
+        RandomSchedule *s;
+        int id;
+        std::array<std::uint64_t, 16> pad;
+        void operator()() const { s->fire(id + static_cast<int>(pad[15])); }
+    };
+    static_assert(sizeof(FireHeap) > EventFn::inlineBytes);
+
+    /** Park the sleepers; their spawns count as same-tick events. */
+    void
+    start()
+    {
+        for (Sleeper &p : sleepers) {
+            sim.spawn(sleep(this, &p));
+            ++want.readyRingHits;
+            want.peakRingSize = std::max<std::uint64_t>(want.peakRingSize,
+                                                        ++pendingNow);
+        }
+        sim.run();
+        want.eventsExecuted += sleepers.size();
+        pendingNow = 0;
+    }
 
     std::uint64_t
     next(std::uint64_t n)
@@ -373,11 +506,19 @@ struct RandomSchedule
     delay()
     {
         constexpr auto span = static_cast<std::uint64_t>(Simulator::wheelSpan);
-        switch (next(6)) {
+        switch (next(7)) {
         case 0: return 0;
         case 1: return static_cast<Tick>(next(64));
         case 2: return static_cast<Tick>(next(span));
         case 3: return static_cast<Tick>(span - 1 + next(3));
+        case 4:
+            // The tick of a far event the wheel now reaches.
+            for (Tick t : farTicks)
+                if (t > sim.now() && t - sim.now() < Simulator::wheelSpan) {
+                    ++onFarTicks;
+                    return t - sim.now();
+                }
+            return static_cast<Tick>(next(64));
         default: return static_cast<Tick>(next(3 * span));
         }
     }
@@ -389,13 +530,37 @@ struct RandomSchedule
         when.push_back(sim.now() + d);
         sameTickId.push_back(d == 0);
         if (d == 0) {
-            ++sameTick;
-            peakNow = std::max(peakNow, ++pendingNow);
+            ++want.readyRingHits;
+            want.peakRingSize = std::max<std::uint64_t>(want.peakRingSize,
+                                                        ++pendingNow);
         } else {
-            ++later;
-            peakLater = std::max(peakLater, ++pendingLater);
+            ++want.heapPushes;
+            want.peakHeapSize = std::max<std::uint64_t>(want.peakHeapSize,
+                                                        ++pendingLater);
         }
-        sim.after(d, Fire{this, id});
+        if (d >= Simulator::wheelSpan)
+            farTicks[farNext++ % farTicks.size()] = sim.now() + d;
+        auto payload = static_cast<Payload>(next(numPayloads));
+        if (payload == Resume && idle.empty())
+            payload = Inline;
+        Reach reach = d == 0                        ? SameTick
+                      : d < Simulator::wheelSpan ? Near
+                                                   : Far;
+        ++mix[payload][reach];
+        switch (payload) {
+        case Inline: sim.after(d, Fire{this, id}); break;
+        case Cell: sim.after(d, FireWide{this, id, {}}); break;
+        case Heap: sim.after(d, FireHeap{this, id, {}}); break;
+        default: {
+            Sleeper *p = idle.back();
+            idle.pop_back();
+            p->id = id;
+            if (d == 0)
+                sim.resumeSoon(p->handle);
+            else
+                sim.resumeAfter(d, p->handle);
+        }
+        }
     }
 
     void
@@ -403,6 +568,7 @@ struct RandomSchedule
     {
         EXPECT_EQ(sim.now(), when[static_cast<std::size_t>(id)]);
         ran.push_back(id);
+        ++want.eventsExecuted;
         if (sameTickId[static_cast<std::size_t>(id)])
             --pendingNow;
         else
@@ -428,6 +594,7 @@ TEST(Simulator, WheelMatchesStableSortOfTheSchedule)
     // the bucket index, with runUntil gaps and outside scheduling in
     // between, and compare with a stable sort by tick of every event.
     RandomSchedule r;
+    r.start();
     r.addSome(64);
     while (r.sim.pendingEvents() > 0) {
         auto gap = static_cast<Tick>(r.next(2 * Simulator::wheelSpan));
@@ -444,11 +611,14 @@ TEST(Simulator, WheelMatchesStableSortOfTheSchedule)
                r.when[static_cast<std::size_t>(b)];
     });
     EXPECT_EQ(r.ran, want);
-    EXPECT_EQ(r.sim.eventsExecuted(), r.when.size());
-    EXPECT_EQ(r.sim.readyRingHits(), r.sameTick);
-    EXPECT_EQ(r.sim.heapPushes(), r.later);
-    EXPECT_EQ(r.sim.peakRingSize(), r.peakNow);
-    EXPECT_EQ(r.sim.peakHeapSize(), r.peakLater);
+    EXPECT_EQ(r.sim.counters(), r.want);
+    EXPECT_EQ(r.sim.pendingEvents(), 0u);
+
+    // Every payload kind was scheduled at every reach.
+    for (int p = 0; p < RandomSchedule::numPayloads; ++p)
+        for (int q = 0; q < RandomSchedule::numReaches; ++q)
+            EXPECT_GT(r.mix[p][q], 0) << "payload " << p << " reach " << q;
+    EXPECT_GT(r.onFarTicks, 0);
 }
 
 namespace {
@@ -1042,6 +1212,78 @@ dispatchAllocs(Simulator &sim, Shape shape, std::uint64_t events,
     return test::allocCount() - before;
 }
 
+/** Awaiter that requeues the caller behind this tick's events. */
+struct YieldNow
+{
+    bool await_ready() const noexcept { return false; }
+
+    template <typename P>
+    void
+    await_suspend(std::coroutine_handle<P> h)
+    {
+        h.promise().sim->resumeSoon(h);
+    }
+
+    void await_resume() const noexcept {}
+};
+
+/** Resume-heavy shape: every event resumes a coroutine, half of them
+ *  same-tick (resumeSoon) and half timed (resumeAfter). */
+Process
+resumeLoop(std::uint64_t *budget, std::uint32_t rng)
+{
+    while (*budget > 0) {
+        --*budget;
+        rng = rng * 1664525u + 1013904223u;
+        if ((rng >> 8) & 1)
+            co_await delay(1 + static_cast<Tick>((rng >> 9) % 1000));
+        else
+            co_await YieldNow{};
+    }
+}
+
+/** Condition-batch shape: waiters of one Condition, each for the next
+ *  generation of its parity, so every batch resumes some and re-parks
+ *  the rest. */
+Process
+batchWaiter(Condition *cond, const std::uint64_t *gen,
+            std::uint64_t *budget, std::uint64_t parity)
+{
+    while (*budget > 0) {
+        const std::uint64_t seen = *gen;
+        co_await cond->until([gen, budget, seen, parity] {
+            return *gen > seen && (*gen % 2 == parity || *budget == 0);
+        });
+        if (*budget > 0)
+            --*budget;
+    }
+}
+
+Process
+batchNotifier(Condition *cond, std::uint64_t *gen,
+              const std::uint64_t *budget)
+{
+    while (*budget > 0) {
+        co_await delay(1);
+        ++*gen;
+        cond->notifyAll();
+    }
+    ++*gen; // release the waiters still parked
+    cond->notifyAll();
+}
+
+/** Run the processes @p spawn starts and return the allocations made
+ *  while sim.run() dispatched. */
+template <typename Spawn>
+std::uint64_t
+processAllocs(Simulator &sim, Spawn &&spawn)
+{
+    spawn();
+    std::uint64_t before = test::allocCount();
+    sim.run();
+    return test::allocCount() - before;
+}
+
 /**
  * Allowed allocations per client op on the protocol runs, about 10%
  * above the larger measured value (B Synch 0.0112, O Strict 0.0146).
@@ -1124,6 +1366,45 @@ TEST(AllocGate, SteadyStateDispatchNeverAllocates)
                   0u);
         EXPECT_EQ(sim.eventsExecuted() - executedBefore,
                   events + static_cast<std::uint64_t>(w.chains));
+    }
+
+    // Coroutine shapes. Spawning allocates frames, so it stays outside
+    // the measured dispatch; the second run recycles the first's nodes.
+    {
+        SCOPED_TRACE("resume_heavy");
+        Simulator sim;
+        auto spawnAll = [&sim](std::uint64_t *budget) {
+            for (std::uint32_t i = 0; i < 64; ++i)
+                sim.spawn(resumeLoop(budget, 0x9e3779b9u + i));
+        };
+        std::uint64_t warm = events / 10;
+        processAllocs(sim, [&] { spawnAll(&warm); });
+        std::uint64_t budget = events;
+        std::uint64_t executedBefore = sim.eventsExecuted();
+        EXPECT_EQ(processAllocs(sim, [&] { spawnAll(&budget); }), 0u);
+        EXPECT_EQ(sim.eventsExecuted() - executedBefore, events + 64);
+        EXPECT_EQ(sim.numLiveProcesses(), 0u);
+    }
+    {
+        SCOPED_TRACE("condition_batch");
+        Simulator sim;
+        Condition cond(sim);
+        std::uint64_t gen = 0;
+        auto spawnAll = [&](std::uint64_t *budget) {
+            for (std::uint64_t i = 0; i < 64; ++i)
+                sim.spawn(batchWaiter(&cond, &gen, budget, i % 2));
+            sim.spawn(batchNotifier(&cond, &gen, budget));
+        };
+        std::uint64_t warm = events / 10;
+        processAllocs(sim, [&] { spawnAll(&warm); });
+        std::uint64_t budget = events;
+        std::uint64_t executedBefore = sim.eventsExecuted();
+        std::uint64_t testsBefore = sim.counters().predicateTests;
+        EXPECT_EQ(processAllocs(sim, [&] { spawnAll(&budget); }), 0u);
+        EXPECT_EQ(sim.numLiveProcesses(), 0u);
+        // One batch event per notification; more tests than resumes.
+        EXPECT_GT(sim.eventsExecuted() - executedBefore, events / 32);
+        EXPECT_GT(sim.counters().predicateTests - testsBefore, events);
     }
 }
 

@@ -162,6 +162,25 @@ TEST(LatencySeries, HistogramMatchesSortedSamples)
     }
 }
 
+TEST(LatencySeries, InterleavedRepeatsFoldInTheSuffix)
+{
+    // A cycle of 40 values never repeats back to back. Each repeat still
+    // folds into its value's unsorted word, so the suffix holds one word
+    // per value and never fills (a word per sample would compact every
+    // 512 samples and keep at least that many words).
+    LatencySeries s;
+    SortedReference ref;
+    for (int i = 0; i < 100'000; ++i) {
+        Tick t = 6000 + Tick{i} * 17 % 40;
+        s.add(t);
+        ref.samples.push_back(t);
+        if (i == 999)
+            expectMatches(s, ref); // sorts the 40 values into runs
+    }
+    expectMatches(s, ref);
+    EXPECT_LE(s.footprintBytes(), 128 * sizeof(std::uint64_t));
+}
+
 TEST(LatencySeries, MergeMatchesSortedSamples)
 {
     std::mt19937_64 rng(11);
