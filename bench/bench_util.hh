@@ -25,18 +25,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
-#include "simproto/cluster_b.hh"
-#include "simproto/cluster_leader.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
-#include "workload/deathstar.hh"
+#include "snic/run.hh"
 
 namespace minos::bench {
 
@@ -64,29 +59,28 @@ benchRequestsPerNode(std::uint64_t dflt = 1000)
     return n;
 }
 
-enum class Engine { B, O, Leader };
+using simproto::Engine;
 
 /**
- * One experiment point. Its configuration starts at the paper defaults
- * (Tables II/III: 5 nodes, 100 K records; §VII: a 50/50 zipfian YCSB mix
- * with one worker per host core) and the engine's own message options;
- * each figure edits what it sweeps.
+ * One experiment point: a metrics key and the run it names. Its
+ * configuration starts at the paper defaults (Tables II/III: 5 nodes,
+ * 100 K records; §VII: a 50/50 zipfian YCSB mix with one worker per host
+ * core) and the engine's own message options; each figure edits what it
+ * sweeps.
  */
-struct Point
+struct Point : simproto::RunSpec
 {
+    Point(std::string key_, Engine engine,
+          PersistModel model = PersistModel::Synch)
+        : RunSpec{.engine = engine, .model = model}, key(std::move(key_))
+    {
+        dc = {.requestsPerNode = benchRequestsPerNode(),
+              .workersPerNode = cfg.hostCores,
+              .ycsb = {.numRecords = cfg.numRecords}};
+    }
+
     /** Metrics prefix, e.g. "fig09.Strict.o.w20"; names the timing line. */
     std::string key;
-    Engine engine;
-    PersistModel model = PersistModel::Synch;
-    simproto::ClusterConfig cfg{};
-    simproto::DriverConfig dc{.requestsPerNode = benchRequestsPerNode(),
-                              .workersPerNode = cfg.hostCores,
-                              .ycsb = {.numRecords = cfg.numRecords}};
-    simproto::OffloadOptions opts = engine == Engine::O
-                                        ? simproto::OffloadOptions::minosO()
-                                        : simproto::OffloadOptions::minosB();
-    /** Fig. 11: invoke this DeathStar function instead of YCSB ops. */
-    std::optional<workload::FunctionSpec> micro{};
 };
 
 /** A B or O point key's engine part. */
@@ -160,7 +154,11 @@ fig11Points()
                 pts.push_back({modelKey("fig11", m, e) + "." + spec.app, e,
                                m});
                 pts.back().cfg.numNodes = 16;
-                pts.back().micro = spec;
+                // 15 Login invocations by each of 2 workers a node.
+                pts.back().micro = {spec,
+                                    {.invocationsPerNode = 15,
+                                     .workersPerNode = 2,
+                                     .numRecords = pts.back().cfg.numRecords}};
             }
     return pts;
 }
@@ -320,37 +318,7 @@ parseFigures(int argc, char **argv)
 inline void
 runPoint(const Point &p, obs::MetricsRegistry &reg)
 {
-    sim::Simulator sim;
-    auto run = [&](simproto::DdpCluster &cluster) {
-        if (!p.micro) {
-            simproto::registerRunMetrics(
-                reg, p.key + ".", simproto::runWorkload(sim, cluster, p.dc));
-            return;
-        }
-        // Fig. 11's load: 15 Login invocations by each of 2 workers a node.
-        simproto::MicroserviceConfig mc;
-        mc.invocationsPerNode = 15;
-        mc.workersPerNode = 2;
-        mc.numRecords = p.cfg.numRecords;
-        auto res = simproto::runMicroservice(sim, cluster, *p.micro, mc);
-        if (!res.e2eLat.empty())
-            reg.histogram(p.key + ".e2e_lat_ns", res.e2eLat);
-        obs::registerEventCore(reg, p.key + ".sim.", res.eventCore);
-    };
-    switch (p.engine) {
-      case Engine::B: {
-        simproto::ClusterB cluster(sim, p.cfg, p.model, p.opts);
-        return run(cluster);
-      }
-      case Engine::O: {
-        snic::ClusterO cluster(sim, p.cfg, p.model, p.opts);
-        return run(cluster);
-      }
-      case Engine::Leader: {
-        simproto::ClusterLeader cluster(sim, p.cfg, p.model);
-        return run(cluster);
-      }
-    }
+    simproto::run(p).registerResult(reg, p.key + ".");
 }
 
 /**

@@ -9,9 +9,7 @@
 
 #include <cstdio>
 
-#include "simproto/cluster_b.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "snic/run.hh"
 #include "stats/stats.hh"
 
 using namespace minos;
@@ -30,18 +28,11 @@ main()
                         "obsolete writes"});
 
     for (PersistModel m : allModels) {
-        for (bool offload : {false, true}) {
-            sim::Simulator sim;
-            RunResult res;
-            if (offload) {
-                snic::ClusterO cluster(sim, cfg, m);
-                res = runWorkload(sim, cluster, dc);
-            } else {
-                ClusterB cluster(sim, cfg, m);
-                res = runWorkload(sim, cluster, dc);
-            }
+        for (Engine e : {Engine::B, Engine::O}) {
+            const RunResult res =
+                run({.engine = e, .model = m, .cfg = cfg, .dc = dc}).result;
             table.addRow({std::string(modelName(m)),
-                          offload ? "MINOS-O" : "MINOS-B",
+                          std::string("MINOS-") + engineName(e),
                           stats::Table::fmt(res.writeLat.mean() / 1e3),
                           stats::Table::fmt(res.readLat.mean() / 1e3),
                           stats::Table::fmt(res.totalThroughput() / 1e6),

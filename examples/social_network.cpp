@@ -10,9 +10,7 @@
 
 #include <cstdio>
 
-#include "simproto/cluster_b.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "snic/run.hh"
 
 using namespace minos;
 using namespace minos::simproto;
@@ -34,25 +32,18 @@ main()
     for (const auto &spec : {workload::socialNetworkLogin(),
                              workload::mediaMicroservicesLogin()}) {
         double b_mean = 0;
-        for (bool offload : {false, true}) {
-            sim::Simulator sim;
-            MicroserviceResult res;
-            if (offload) {
-                snic::ClusterO cluster(sim, cfg, PersistModel::Synch);
-                res = runMicroservice(sim, cluster, spec, mc);
-            } else {
-                ClusterB cluster(sim, cfg, PersistModel::Synch);
-                res = runMicroservice(sim, cluster, spec, mc);
-            }
-            if (!offload)
+        for (Engine e : {Engine::B, Engine::O}) {
+            const MicroserviceResult res =
+                *run({.engine = e, .cfg = cfg, .micro = {{spec, mc}}}).micro;
+            if (e == Engine::B)
                 b_mean = res.e2eLat.mean();
             table.addRow({spec.app + " " + spec.function,
-                          offload ? "MINOS-O" : "MINOS-B",
+                          std::string("MINOS-") + engineName(e),
                           stats::Table::fmt(res.e2eLat.mean() / 1e3),
                           stats::Table::fmt(
                               static_cast<double>(res.e2eLat.p99()) /
                               1e3)});
-            if (offload) {
+            if (e == Engine::O) {
                 std::printf("%s: offload cuts end-to-end latency by "
                             "%.1f%%\n",
                             spec.app.c_str(),

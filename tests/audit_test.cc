@@ -33,9 +33,7 @@
 #include "kv/timestamp.hh"
 #include "obs/audit.hh"
 #include "obs/recorder.hh"
-#include "simproto/cluster_b.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "snic/run.hh"
 
 using namespace minos;
 using namespace minos::obs;
@@ -118,8 +116,8 @@ AuditRun
 runAudited(bool offload, PersistModel model, const RunOpts &opts = {})
 {
     AuditRun run;
-    sim::Simulator sim;
-    ClusterConfig cfg;
+    RunSpec spec{.engine = offload ? Engine::O : Engine::B, .model = model};
+    ClusterConfig &cfg = spec.cfg;
     cfg.numNodes = opts.numNodes;
     cfg.numRecords = opts.numRecords;
     cfg.vfifoEntries = opts.vfifoEntries;
@@ -133,20 +131,14 @@ runAudited(bool offload, PersistModel model, const RunOpts &opts = {})
     if (opts.capture)
         run.recorder.addSink(&run.stream);
 
-    DriverConfig dc;
+    DriverConfig &dc = spec.dc;
     dc.requestsPerNode = opts.requestsPerNode;
     dc.workersPerNode = opts.workersPerNode;
     dc.ycsb.numRecords = cfg.numRecords;
     dc.ycsb.writeFraction = opts.writeFraction;
     dc.ycsb.seed = opts.seed;
 
-    if (offload) {
-        snic::ClusterO cluster(sim, cfg, model);
-        run.result = runWorkload(sim, cluster, dc);
-    } else {
-        ClusterB cluster(sim, cfg, model);
-        run.result = runWorkload(sim, cluster, dc);
-    }
+    run.result = simproto::run(spec).result;
     run.audit.finish();
     return run;
 }
@@ -387,14 +379,11 @@ fingerprint(bool offload, bool audited)
     dc.ycsb.writeFraction = 0.8;
     dc.ycsb.seed = 11;
 
-    RunResult res;
-    if (offload) {
-        snic::ClusterO cluster(sim, cfg, PersistModel::Strict);
-        res = runWorkload(sim, cluster, dc);
-    } else {
-        ClusterB cluster(sim, cfg, PersistModel::Strict);
-        res = runWorkload(sim, cluster, dc);
-    }
+    const Engine engine = offload ? Engine::O : Engine::B;
+    RunResult res = withCluster(sim, engine, cfg, PersistModel::Strict,
+                                optionsFor(engine), [&](auto &cluster) {
+                                    return runWorkload(sim, cluster, dc);
+                                });
     return {sim.eventsExecuted(), sim.now(), res.writeLat.digest(),
             res.writes, res.reads};
 }

@@ -8,9 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "simproto/cluster_b.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "snic/run.hh"
 
 using namespace minos;
 using namespace minos::simproto;
@@ -120,26 +118,18 @@ TEST(Counters, OffloadEngineCountsTheSameProtocolWork)
 
 namespace {
 
-/** Cluster-wide counters of one conflicting seeded run. */
-template <typename ClusterT>
+/** Cluster-wide counters of @p spec's engine, model and options on
+ *  one conflicting seeded run. */
 NodeCounters
-clusterCounters(PersistModel model, OffloadOptions opts)
+clusterCounters(RunSpec spec)
 {
-    sim::Simulator sim;
-    ClusterConfig cfg;
-    cfg.numNodes = 3;
-    cfg.numRecords = 64;
-    ClusterT cluster(sim, cfg, model, opts);
-    DriverConfig dc;
-    dc.requestsPerNode = 300;
-    dc.workersPerNode = 3;
-    dc.ycsb.numRecords = cfg.numRecords;
-    dc.ycsb.seed = 2024;
-    runWorkload(sim, cluster, dc);
-    NodeCounters sum;
-    for (int n = 0; n < cfg.numNodes; ++n)
-        sum += cluster.node(static_cast<NodeId>(n)).counters();
-    return sum;
+    spec.cfg.numNodes = 3;
+    spec.cfg.numRecords = 64;
+    spec.dc.requestsPerNode = 300;
+    spec.dc.workersPerNode = 3;
+    spec.dc.ycsb.numRecords = spec.cfg.numRecords;
+    spec.dc.ycsb.seed = 2024;
+    return run(spec).counters;
 }
 
 void
@@ -160,13 +150,11 @@ TEST(Counters, FaultFreeRunsConserveMessages)
 {
     for (PersistModel m : allModels) {
         SCOPED_TRACE(std::string(modelName(m)));
-        expectConserved(
-            clusterCounters<ClusterB>(m, OffloadOptions::minosB()));
-        expectConserved(
-            clusterCounters<snic::ClusterO>(m, OffloadOptions::minosO()));
-        OffloadOptions no_batch = OffloadOptions::minosO();
-        no_batch.batching = false;
-        expectConserved(clusterCounters<snic::ClusterO>(m, no_batch));
+        expectConserved(clusterCounters({.engine = Engine::B, .model = m}));
+        expectConserved(clusterCounters({.engine = Engine::O, .model = m}));
+        RunSpec no_batch{.engine = Engine::O, .model = m};
+        no_batch.opts.batching = false;
+        expectConserved(clusterCounters(no_batch));
     }
 }
 

@@ -22,9 +22,7 @@
 #include "obs/metrics.hh"
 #include "obs/phase.hh"
 #include "obs/recorder.hh"
-#include "simproto/cluster_b.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "snic/run.hh"
 
 using namespace minos;
 using namespace minos::obs;
@@ -420,40 +418,22 @@ TEST(MetricsRegistry, PhaseStatsRegisterAsHistograms)
 std::string
 runToMetricsJson(bool offload)
 {
-    simproto::ClusterConfig cfg;
-    cfg.numNodes = 3;
-    cfg.numRecords = 64;
+    using simproto::Engine;
+    simproto::RunSpec spec{.engine = offload ? Engine::O : Engine::B};
+    spec.cfg.numNodes = 3;
+    spec.cfg.numRecords = 64;
 
-    simproto::DriverConfig dc;
-    dc.requestsPerNode = 80;
-    dc.workersPerNode = 2;
-    dc.ycsb.numRecords = cfg.numRecords;
-    dc.ycsb.writeFraction = 0.5;
-    dc.ycsb.seed = 7;
+    spec.dc.requestsPerNode = 80;
+    spec.dc.workersPerNode = 2;
+    spec.dc.ycsb.numRecords = spec.cfg.numRecords;
+    spec.dc.ycsb.writeFraction = 0.5;
+    spec.dc.ycsb.seed = 7;
 
     obs::WritePhaseStats phases;
-    cfg.phases = &phases;
-
-    sim::Simulator sim;
-    simproto::RunResult res;
-    simproto::NodeCounters aggregate;
-    if (offload) {
-        snic::ClusterO cluster(sim, cfg,
-                               simproto::PersistModel::Synch);
-        res = simproto::runWorkload(sim, cluster, dc);
-        for (int n = 0; n < cfg.numNodes; ++n)
-            aggregate += cluster.node(n).counters();
-    } else {
-        simproto::ClusterB cluster(sim, cfg,
-                                   simproto::PersistModel::Synch);
-        res = simproto::runWorkload(sim, cluster, dc);
-        for (int n = 0; n < cfg.numNodes; ++n)
-            aggregate += cluster.node(n).counters();
-    }
+    spec.cfg.phases = &phases;
 
     MetricsRegistry reg;
-    simproto::registerRunMetrics(reg, "run.", res);
-    aggregate.registerInto(reg, "proto.");
+    simproto::run(spec).registerInto(reg);
     phases.registerInto(reg, "run.");
     return reg.json();
 }

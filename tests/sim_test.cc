@@ -27,9 +27,7 @@
 #include "sim/network.hh"
 #include "sim/process.hh"
 #include "sim/simulator.hh"
-#include "simproto/cluster_b.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "snic/run.hh"
 
 using namespace minos;
 using namespace minos::sim;
@@ -2210,18 +2208,15 @@ TEST(WaitHerd, PredicateTestsPerOpStayFlatAsTheBacklogGrows)
     // O(backlog) and the tests per op grow with the run; wakeups that
     // cost O(1 + resumed) keep them flat.
     auto testsPerOp = [](std::uint64_t requests) {
-        Simulator sim;
-        simproto::ClusterConfig cfg;
-        cfg.numNodes = 5;
-        cfg.numRecords = 1000;
-        snic::ClusterO cluster(sim, cfg, simproto::PersistModel::Event,
-                               simproto::OffloadOptions::minosO());
-        simproto::DriverConfig dc;
-        dc.requestsPerNode = requests;
-        dc.workersPerNode = 5;
-        dc.ycsb.numRecords = cfg.numRecords;
-        dc.ycsb.writeFraction = 1.0;
-        simproto::RunResult res = simproto::runWorkload(sim, cluster, dc);
+        simproto::RunSpec spec{.engine = simproto::Engine::O,
+                               .model = simproto::PersistModel::Event};
+        spec.cfg.numNodes = 5;
+        spec.cfg.numRecords = 1000;
+        spec.dc.requestsPerNode = requests;
+        spec.dc.workersPerNode = 5;
+        spec.dc.ycsb.numRecords = spec.cfg.numRecords;
+        spec.dc.ycsb.writeFraction = 1.0;
+        const simproto::RunResult res = simproto::run(spec).result;
         return static_cast<double>(res.eventCore.predicateTests) /
                static_cast<double>(res.writes + res.reads);
     };

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cluster_helpers.hh"
 #include "simproto/cluster_b.hh"
 #include "simproto/driver.hh"
 #include "simproto/replica_store.hh"
@@ -18,87 +19,11 @@
 
 using namespace minos;
 using namespace minos::simproto;
+using namespace minos::test;
 using kv::Key;
 using kv::NodeId;
 using kv::Timestamp;
 using kv::Value;
-
-namespace {
-
-ClusterConfig
-smallConfig(int nodes = 3, std::uint64_t records = 64)
-{
-    ClusterConfig cfg;
-    cfg.numNodes = nodes;
-    cfg.numRecords = records;
-    return cfg;
-}
-
-/** Await a single cluster op from a fresh process. */
-sim::Process
-doWrite(DdpCluster *c, NodeId n, Key k, Value v, OpStats *out)
-{
-    *out = co_await c->clientWrite(n, k, v, 0);
-}
-
-sim::Process
-doRead(DdpCluster *c, NodeId n, Key k, OpStats *out)
-{
-    *out = co_await c->clientRead(n, k);
-}
-
-sim::Process
-writeThenRemoteRead(DdpCluster *c, NodeId wr_node, NodeId rd_node, Key k,
-                    Value v, OpStats *write_out, OpStats *read_out)
-{
-    *write_out = co_await c->clientWrite(wr_node, k, v, 0);
-    // Linearizability: once the write response returned, a subsequent
-    // read anywhere must see it (or something newer).
-    *read_out = co_await c->clientRead(rd_node, k);
-}
-
-/** Cluster-wide convergence invariants at quiescence. */
-void
-expectConverged(ClusterB &cluster, Key k)
-{
-    const ClusterConfig &cfg = cluster.config();
-    const kv::Record &ref = cluster.node(0).record(k);
-    for (int n = 0; n < cfg.numNodes; ++n) {
-        const kv::Record &rec = cluster.node(static_cast<NodeId>(n))
-                                    .record(k);
-        EXPECT_TRUE(rec.rdLockFree()) << "node " << n << " key " << k;
-        EXPECT_FALSE(cluster.node(static_cast<NodeId>(n)).wrLockHeld(k))
-            << "node " << n << " key " << k;
-        EXPECT_EQ(rec.value, ref.value) << "node " << n << " key " << k;
-        EXPECT_EQ(rec.volatileTs, ref.volatileTs)
-            << "node " << n << " key " << k;
-        // Table I check 2a: when read-unlocked everywhere, volatileTS
-        // and glb_volatileTS agree across all nodes.
-        EXPECT_EQ(rec.glbVolatileTs, rec.volatileTs)
-            << "node " << n << " key " << k;
-    }
-}
-
-/** Durable state matches volatile state at quiescence. */
-void
-expectDurable(ClusterB &cluster, Key k)
-{
-    for (int n = 0; n < cluster.config().numNodes; ++n) {
-        NodeB &node = cluster.node(static_cast<NodeId>(n));
-        const kv::Record &rec = node.record(k);
-        if (rec.volatileTs.isNone())
-            continue; // never written
-        auto db = node.durableDb();
-        auto it = db.find(k);
-        ASSERT_NE(it, db.end()) << "node " << n << " key " << k;
-        EXPECT_EQ(it->second.ts, rec.volatileTs)
-            << "node " << n << " key " << k;
-        EXPECT_EQ(it->second.value, rec.value)
-            << "node " << n << " key " << k;
-    }
-}
-
-} // namespace
 
 class ModelTest : public ::testing::TestWithParam<PersistModel>
 {

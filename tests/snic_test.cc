@@ -7,79 +7,18 @@
 
 #include <gtest/gtest.h>
 
-#include "simproto/cluster_b.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "cluster_helpers.hh"
+#include "snic/run.hh"
 
 using namespace minos;
 using namespace minos::simproto;
+using namespace minos::test;
 using minos::snic::ClusterO;
 using minos::snic::NodeO;
 using kv::Key;
 using kv::NodeId;
 using kv::Timestamp;
 using kv::Value;
-
-namespace {
-
-ClusterConfig
-smallConfig(int nodes = 3, std::uint64_t records = 64)
-{
-    ClusterConfig cfg;
-    cfg.numNodes = nodes;
-    cfg.numRecords = records;
-    return cfg;
-}
-
-sim::Process
-doWrite(DdpCluster *c, NodeId n, Key k, Value v, OpStats *out)
-{
-    *out = co_await c->clientWrite(n, k, v, 0);
-}
-
-sim::Process
-writeThenRemoteRead(DdpCluster *c, NodeId wr, NodeId rd, Key k, Value v,
-                    OpStats *w_out, OpStats *r_out)
-{
-    *w_out = co_await c->clientWrite(wr, k, v, 0);
-    *r_out = co_await c->clientRead(rd, k);
-}
-
-void
-expectConvergedO(ClusterO &cluster, Key k)
-{
-    const kv::Record &ref = cluster.node(0).record(k);
-    for (int n = 0; n < cluster.numNodes(); ++n) {
-        const kv::Record &rec =
-            cluster.node(static_cast<NodeId>(n)).record(k);
-        EXPECT_TRUE(rec.rdLockFree()) << "node " << n << " key " << k;
-        EXPECT_EQ(rec.value, ref.value) << "node " << n << " key " << k;
-        EXPECT_EQ(rec.volatileTs, ref.volatileTs)
-            << "node " << n << " key " << k;
-        EXPECT_EQ(rec.glbVolatileTs, rec.volatileTs)
-            << "node " << n << " key " << k;
-    }
-}
-
-void
-expectDurableO(ClusterO &cluster, Key k)
-{
-    for (int n = 0; n < cluster.numNodes(); ++n) {
-        NodeO &node = cluster.node(static_cast<NodeId>(n));
-        const kv::Record &rec = node.record(k);
-        if (rec.volatileTs.isNone())
-            continue;
-        auto db = node.durableDb();
-        auto it = db.find(k);
-        ASSERT_NE(it, db.end()) << "node " << n << " key " << k;
-        EXPECT_EQ(it->second.ts, rec.volatileTs)
-            << "node " << n << " key " << k;
-        EXPECT_EQ(it->second.value, rec.value)
-            << "node " << n << " key " << k;
-    }
-}
-
-} // namespace
 
 class OModelTest : public ::testing::TestWithParam<PersistModel>
 {
@@ -104,8 +43,8 @@ TEST_P(OModelTest, SingleWriteReplicatesEverywhere)
     for (int n = 0; n < 3; ++n)
         EXPECT_EQ(cluster.node(n).record(7).value, 1234u)
             << "node " << n;
-    expectConvergedO(cluster, 7);
-    expectDurableO(cluster, 7);
+    expectConverged(cluster, 7);
+    expectDurable(cluster, 7);
 }
 
 TEST_P(OModelTest, RemoteReadAfterWriteSeesValue)
@@ -128,8 +67,8 @@ TEST_P(OModelTest, ConcurrentConflictingWritesConverge)
         sim.spawn(doWrite(&cluster, static_cast<NodeId>(w), 9,
                           1000u + static_cast<Value>(w), &st[w]));
     sim.run();
-    expectConvergedO(cluster, 9);
-    expectDurableO(cluster, 9);
+    expectConverged(cluster, 9);
+    expectDurable(cluster, 9);
     for (int n = 0; n < 3; ++n)
         EXPECT_EQ(cluster.node(n).pendingTxns(), 0u) << "node " << n;
 }
@@ -148,8 +87,8 @@ TEST_P(OModelTest, WorkloadRunConvergesAllKeys)
     RunResult res = runWorkload(sim, cluster, dc);
     EXPECT_EQ(res.writes + res.reads, 600u);
     for (Key k = 0; k < cfg.numRecords; ++k) {
-        expectConvergedO(cluster, k);
-        expectDurableO(cluster, k);
+        expectConverged(cluster, k);
+        expectDurable(cluster, k);
     }
     for (int n = 0; n < 3; ++n)
         EXPECT_EQ(cluster.node(n).pendingTxns(), 0u) << "node " << n;
@@ -167,8 +106,8 @@ TEST_P(OModelTest, HotSingleKeyWorkloadConverges)
     dc.ycsb.writeFraction = 1.0;
     RunResult res = runWorkload(sim, cluster, dc);
     EXPECT_EQ(res.writes, 300u);
-    expectConvergedO(cluster, 0);
-    expectDurableO(cluster, 0);
+    expectConverged(cluster, 0);
+    expectDurable(cluster, 0);
 }
 
 /** All four batching x broadcast combinations stay correct. */
@@ -202,7 +141,7 @@ TEST_P(OAblationTest, ProtocolCorrectUnderAllFabricOptions)
     RunResult res = runWorkload(sim, cluster, dc);
     EXPECT_EQ(res.writes + res.reads, 400u);
     for (Key k = 0; k < cfg.numRecords; ++k)
-        expectConvergedO(cluster, k);
+        expectConverged(cluster, k);
 }
 
 TEST(ClusterOvsB, OffloadReducesWriteLatency)
@@ -218,13 +157,8 @@ TEST(ClusterOvsB, OffloadReducesWriteLatency)
     dc.workersPerNode = 5;
     dc.ycsb.numRecords = cfg.numRecords;
 
-    sim::Simulator simB;
-    ClusterB b(simB, cfg, PersistModel::Synch);
-    RunResult rb = runWorkload(simB, b, dc);
-
-    sim::Simulator simO;
-    ClusterO o(simO, cfg, PersistModel::Synch);
-    RunResult ro = runWorkload(simO, o, dc);
+    RunResult rb = run({.engine = Engine::B, .cfg = cfg, .dc = dc}).result;
+    RunResult ro = run({.engine = Engine::O, .cfg = cfg, .dc = dc}).result;
 
     EXPECT_GT(rb.writeLat.mean(), ro.writeLat.mean() * 1.5)
         << "B " << rb.writeLat.mean() << " O " << ro.writeLat.mean();
@@ -245,27 +179,19 @@ TEST(ClusterOvsB, OffloadLessSensitiveToPersistencyModel)
     dc.workersPerNode = 5;
     dc.ycsb.numRecords = cfg.numRecords;
 
-    auto spread = [&](auto make_cluster) {
+    auto spread = [&](Engine e) {
         double lo = 1e18, hi = 0;
         for (PersistModel m :
              {PersistModel::Synch, PersistModel::Strict,
               PersistModel::Event}) {
-            sim::Simulator sim;
-            auto cluster = make_cluster(sim, m);
-            RunResult r = runWorkload(sim, *cluster, dc);
+            RunResult r =
+                run({.engine = e, .model = m, .cfg = cfg, .dc = dc}).result;
             lo = std::min(lo, r.writeLat.mean());
             hi = std::max(hi, r.writeLat.mean());
         }
         return hi / lo;
     };
-
-    double spread_b = spread([&](sim::Simulator &sim, PersistModel m) {
-        return std::make_unique<ClusterB>(sim, cfg, m);
-    });
-    double spread_o = spread([&](sim::Simulator &sim, PersistModel m) {
-        return std::make_unique<ClusterO>(sim, cfg, m);
-    });
-    EXPECT_LT(spread_o, spread_b);
+    EXPECT_LT(spread(Engine::O), spread(Engine::B));
 }
 
 TEST(Fifo, VFifoSkipsObsoleteEntries)
@@ -282,7 +208,7 @@ TEST(Fifo, VFifoSkipsObsoleteEntries)
     dc.ycsb.writeFraction = 1.0;
     runWorkload(sim, cluster, dc);
     for (Key k = 0; k < 2; ++k)
-        expectConvergedO(cluster, k);
+        expectConverged(cluster, k);
     // At least one node must have skipped an obsolete vFIFO entry or
     // cut an obsolete INV short under this much conflict.
     std::uint64_t skipped = 0;
@@ -308,24 +234,21 @@ TEST(Fifo, TinyFifoStillCorrect)
     RunResult res = runWorkload(sim, cluster, dc);
     EXPECT_EQ(res.writes + res.reads, 300u);
     for (Key k = 0; k < cfg.numRecords; ++k)
-        expectConvergedO(cluster, k);
+        expectConverged(cluster, k);
 }
 
 TEST(Fifo, UnlimitedFifoNotSlowerThanTiny)
 {
     auto mean_with_size = [](int entries) {
-        sim::Simulator sim;
-        ClusterConfig cfg;
-        cfg.numNodes = 5;
-        cfg.numRecords = 64;
-        cfg.vfifoEntries = entries;
-        cfg.dfifoEntries = entries;
-        ClusterO cluster(sim, cfg, PersistModel::Synch);
-        DriverConfig dc;
-        dc.requestsPerNode = 200;
-        dc.workersPerNode = 5;
-        dc.ycsb.numRecords = cfg.numRecords;
-        return runWorkload(sim, cluster, dc).writeLat.mean();
+        RunSpec spec{.engine = Engine::O};
+        spec.cfg.numNodes = 5;
+        spec.cfg.numRecords = 64;
+        spec.cfg.vfifoEntries = entries;
+        spec.cfg.dfifoEntries = entries;
+        spec.dc.requestsPerNode = 200;
+        spec.dc.workersPerNode = 5;
+        spec.dc.ycsb.numRecords = spec.cfg.numRecords;
+        return run(spec).result.writeLat.mean();
     };
     double tiny = mean_with_size(1);
     double unlimited = mean_with_size(0);
@@ -352,8 +275,8 @@ TEST(ScopeO, PersistScopeFlushesScope)
     sim.spawn(Scoped::run(&cluster, &ps));
     sim.run();
     EXPECT_GT(ps.latencyNs, 0);
-    expectDurableO(cluster, 1);
-    expectDurableO(cluster, 2);
+    expectDurable(cluster, 1);
+    expectDurable(cluster, 2);
 }
 
 TEST(ScopeO, PersistScopeRetiresItsTransaction)

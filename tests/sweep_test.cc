@@ -8,82 +8,18 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 #include <tuple>
+#include <type_traits>
 
-#include "simproto/cluster_b.hh"
-#include "simproto/cluster_leader.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "cluster_helpers.hh"
+#include "snic/run.hh"
 
 using namespace minos;
 using namespace minos::simproto;
 using minos::snic::ClusterO;
 using kv::Key;
 using kv::NodeId;
-
-namespace {
-
-enum class Engine { Baseline, Offload, Leader };
-
-const char *
-engineName(Engine e)
-{
-    switch (e) {
-      case Engine::Baseline: return "B";
-      case Engine::Offload: return "O";
-      case Engine::Leader: return "Leader";
-    }
-    return "?";
-}
-
-std::unique_ptr<DdpCluster>
-makeCluster(sim::Simulator &sim, Engine engine,
-            const ClusterConfig &cfg, PersistModel model)
-{
-    switch (engine) {
-      case Engine::Baseline:
-        return std::make_unique<ClusterB>(sim, cfg, model);
-      case Engine::Offload:
-        return std::make_unique<ClusterO>(sim, cfg, model);
-      case Engine::Leader:
-        return std::make_unique<ClusterLeader>(sim, cfg, model);
-    }
-    return nullptr;
-}
-
-/** Fetch a record from whichever engine backs the cluster. */
-const kv::Record &
-recordOf(DdpCluster &cluster, NodeId node, Key key)
-{
-    if (auto *b = dynamic_cast<ClusterB *>(&cluster))
-        return b->node(node).record(key);
-    if (auto *o = dynamic_cast<ClusterO *>(&cluster))
-        return o->node(node).record(key);
-    auto *l = dynamic_cast<ClusterLeader *>(&cluster);
-    return l->node(node).record(key);
-}
-
-/** The WRLock is MINOS-B state; the other engines never take one. */
-bool
-wrLockHeld(DdpCluster &cluster, NodeId node, Key key)
-{
-    auto *b = dynamic_cast<ClusterB *>(&cluster);
-    return b && b->node(node).wrLockHeld(key);
-}
-
-nvm::DurableDb
-durableDbOf(DdpCluster &cluster, NodeId node)
-{
-    if (auto *b = dynamic_cast<ClusterB *>(&cluster))
-        return b->node(node).durableDb();
-    if (auto *o = dynamic_cast<ClusterO *>(&cluster))
-        return o->node(node).durableDb();
-    auto *l = dynamic_cast<ClusterLeader *>(&cluster);
-    return l->node(node).durableDb();
-}
-
-} // namespace
 
 using SweepParam = std::tuple<int /*engine*/, PersistModel, int /*nodes*/>;
 
@@ -114,41 +50,24 @@ TEST_P(SweepTest, ConflictingWorkloadConvergesAndPersists)
     ClusterConfig cfg;
     cfg.numNodes = nodes;
     cfg.numRecords = 16; // small DB to force conflicts
-    auto cluster = makeCluster(sim, engine, cfg, model);
 
     DriverConfig dc;
     dc.requestsPerNode = 120;
     dc.workersPerNode = 2;
     dc.ycsb.numRecords = cfg.numRecords;
 
-    RunResult res = runWorkload(sim, *cluster, dc);
-    EXPECT_EQ(res.writes + res.reads,
-              static_cast<std::uint64_t>(nodes) * 120u);
-    EXPECT_GT(res.totalThroughput(), 0.0);
-
-    for (Key k = 0; k < cfg.numRecords; ++k) {
-        const kv::Record &ref = recordOf(*cluster, 0, k);
-        for (int n = 0; n < nodes; ++n) {
-            const kv::Record &rec =
-                recordOf(*cluster, static_cast<NodeId>(n), k);
-            // Convergence: identical replicas, all locks released.
-            EXPECT_TRUE(rec.rdLockFree()) << "n=" << n << " k=" << k;
-            EXPECT_FALSE(wrLockHeld(*cluster, static_cast<NodeId>(n), k))
-                << "n=" << n << " k=" << k;
-            EXPECT_EQ(rec.value, ref.value) << "n=" << n << " k=" << k;
-            EXPECT_EQ(rec.volatileTs, ref.volatileTs)
-                << "n=" << n << " k=" << k;
-            // Durability: the newest value is durable at quiescence.
-            if (!rec.volatileTs.isNone()) {
-                auto db =
-                    durableDbOf(*cluster, static_cast<NodeId>(n));
-                auto it = db.find(k);
-                ASSERT_NE(it, db.end()) << "n=" << n << " k=" << k;
-                EXPECT_EQ(it->second.ts, rec.volatileTs)
-                    << "n=" << n << " k=" << k;
-            }
+    auto check = [&](auto &cluster) {
+        RunResult res = runWorkload(sim, cluster, dc);
+        EXPECT_EQ(res.writes + res.reads,
+                  static_cast<std::uint64_t>(nodes) * 120u);
+        EXPECT_GT(res.totalThroughput(), 0.0);
+        // Identical replicas, all locks released, newest value durable.
+        for (Key k = 0; k < cfg.numRecords; ++k) {
+            test::expectConverged(cluster, k);
+            test::expectDurable(cluster, k);
         }
-    }
+    };
+    withCluster(sim, engine, cfg, model, optionsFor(engine), check);
 }
 
 class OffloadWinsTest : public ::testing::TestWithParam<PersistModel>
@@ -175,13 +94,12 @@ TEST_P(OffloadWinsTest, OffloadNeverSlowerThanBaseline)
     dc.workersPerNode = 5;
     dc.ycsb.numRecords = cfg.numRecords;
 
-    sim::Simulator sb;
-    ClusterB b(sb, cfg, GetParam());
-    RunResult rb = runWorkload(sb, b, dc);
-
-    sim::Simulator so;
-    ClusterO o(so, cfg, GetParam());
-    RunResult ro = runWorkload(so, o, dc);
+    auto runOn = [&](Engine e) {
+        return run({.engine = e, .model = GetParam(), .cfg = cfg, .dc = dc})
+            .result;
+    };
+    RunResult rb = runOn(Engine::B);
+    RunResult ro = runOn(Engine::O);
 
     EXPECT_LE(ro.writeLat.mean(), rb.writeLat.mean())
         << shortModelName(GetParam());
@@ -193,30 +111,21 @@ TEST(Determinism, IdenticalRunsProduceIdenticalResults)
 {
     // The simulator is fully deterministic: same seed, same config =>
     // bit-identical latency series on both engines.
-    for (int engine : {0, 1}) {
-        auto run = [&] {
-            sim::Simulator sim;
-            ClusterConfig cfg;
-            cfg.numNodes = 4;
-            cfg.numRecords = 64;
-            auto cluster = makeCluster(sim, static_cast<Engine>(engine),
-                                       cfg, PersistModel::Strict);
-            DriverConfig dc;
-            dc.requestsPerNode = 150;
-            dc.workersPerNode = 3;
-            dc.ycsb.numRecords = cfg.numRecords;
-            dc.keepSampleOrder = true;
-            return runWorkload(sim, *cluster, dc);
-        };
-        RunResult a = run();
-        RunResult b = run();
-        EXPECT_EQ(a.duration, b.duration) << "engine " << engine;
-        EXPECT_EQ(a.writeLat.samples(), b.writeLat.samples())
-            << "engine " << engine;
-        EXPECT_EQ(a.readLat.samples(), b.readLat.samples())
-            << "engine " << engine;
-        EXPECT_EQ(a.obsoleteWrites, b.obsoleteWrites)
-            << "engine " << engine;
+    for (Engine engine : {Engine::B, Engine::O}) {
+        SCOPED_TRACE(engineName(engine));
+        RunSpec spec{.engine = engine, .model = PersistModel::Strict};
+        spec.cfg.numNodes = 4;
+        spec.cfg.numRecords = 64;
+        spec.dc.requestsPerNode = 150;
+        spec.dc.workersPerNode = 3;
+        spec.dc.ycsb.numRecords = spec.cfg.numRecords;
+        spec.dc.keepSampleOrder = true;
+        RunResult a = run(spec).result;
+        RunResult b = run(spec).result;
+        EXPECT_EQ(a.duration, b.duration);
+        EXPECT_EQ(a.writeLat.samples(), b.writeLat.samples());
+        EXPECT_EQ(a.readLat.samples(), b.readLat.samples());
+        EXPECT_EQ(a.obsoleteWrites, b.obsoleteWrites);
     }
 }
 
@@ -227,17 +136,14 @@ TEST(ModelSemantics, ReadEnforcedGatesReadsLongerThanEventual)
     // point. Under a write-heavy conflicting load, REnf reads must
     // therefore stall longer.
     auto read_lat = [](PersistModel m) {
-        sim::Simulator sim;
-        ClusterConfig cfg;
-        cfg.numNodes = 5;
-        cfg.numRecords = 4; // hot keys: reads frequently hit RDLocks
-        ClusterB cluster(sim, cfg, m);
-        DriverConfig dc;
-        dc.requestsPerNode = 300;
-        dc.workersPerNode = 5;
-        dc.ycsb.numRecords = cfg.numRecords;
-        dc.ycsb.writeFraction = 0.8;
-        return runWorkload(sim, cluster, dc).readLat.mean();
+        RunSpec spec{.engine = Engine::B, .model = m};
+        spec.cfg.numNodes = 5;
+        spec.cfg.numRecords = 4; // hot keys: reads frequently hit RDLocks
+        spec.dc.requestsPerNode = 300;
+        spec.dc.workersPerNode = 5;
+        spec.dc.ycsb.numRecords = spec.cfg.numRecords;
+        spec.dc.ycsb.writeFraction = 0.8;
+        return run(spec).result.readLat.mean();
     };
     EXPECT_GT(read_lat(PersistModel::REnf),
               read_lat(PersistModel::Event));
@@ -245,28 +151,26 @@ TEST(ModelSemantics, ReadEnforcedGatesReadsLongerThanEventual)
 
 TEST(YcsbWorkloadF, ReadModifyWriteRunsOnBothEngines)
 {
-    for (int engine : {0, 1}) {
+    for (Engine engine : {Engine::B, Engine::O}) {
         sim::Simulator sim;
         ClusterConfig cfg;
         cfg.numNodes = 3;
         cfg.numRecords = 32;
-        auto cluster = makeCluster(sim, static_cast<Engine>(engine),
-                                   cfg, PersistModel::Synch);
         DriverConfig dc;
         dc.requestsPerNode = 100;
         dc.workersPerNode = 2;
         dc.ycsb = workload::ycsbPreset('F');
         dc.ycsb.numRecords = cfg.numRecords;
-        RunResult res = runWorkload(sim, *cluster, dc);
-        // Every RMW contributes one read and one write.
-        EXPECT_GT(res.writes, 0u);
-        EXPECT_GT(res.reads, res.writes); // pure reads + RMW reads
-        for (Key k = 0; k < cfg.numRecords; ++k) {
-            const kv::Record &ref = recordOf(*cluster, 0, k);
-            for (int n = 1; n < 3; ++n)
-                EXPECT_EQ(recordOf(*cluster, n, k).volatileTs,
-                          ref.volatileTs);
-        }
+        auto check = [&](auto &cluster) {
+            RunResult res = runWorkload(sim, cluster, dc);
+            // Every RMW contributes one read and one write.
+            EXPECT_GT(res.writes, 0u);
+            EXPECT_GT(res.reads, res.writes); // pure reads + RMW reads
+            for (Key k = 0; k < cfg.numRecords; ++k)
+                test::expectConverged(cluster, k);
+        };
+        withCluster(sim, engine, cfg, PersistModel::Synch,
+                    optionsFor(engine), check);
     }
 }
 
@@ -276,8 +180,8 @@ TEST(ScopeTracking, ScopeRunEndsWithNoScopeEntries)
     // drops a scope's entry when its count reaches zero; [PERSIST]sc's
     // wait reads an absent scope as flushed and adds none. So after a
     // Scope run no node tracks any scope.
-    for (bool offload : {false, true}) {
-        SCOPED_TRACE(offload ? "MINOS-O" : "MINOS-B");
+    for (Engine engine : {Engine::B, Engine::O}) {
+        SCOPED_TRACE(engineName(engine));
         sim::Simulator sim;
         ClusterConfig cfg;
         cfg.numNodes = 3;
@@ -293,13 +197,8 @@ TEST(ScopeTracking, ScopeRunEndsWithNoScopeEntries)
                 EXPECT_EQ(cluster.node(n).scopesPersisting(), 0u)
                     << "node " << n;
         };
-        if (offload) {
-            ClusterO cluster(sim, cfg, PersistModel::Scope);
-            expectNone(cluster);
-        } else {
-            ClusterB cluster(sim, cfg, PersistModel::Scope);
-            expectNone(cluster);
-        }
+        withCluster(sim, engine, cfg, PersistModel::Scope,
+                    optionsFor(engine), expectNone);
     }
 }
 
@@ -333,23 +232,131 @@ TEST(LeaderBaseline, ForwardedWritePaysRoundTrip)
 
 TEST(LeaderBaseline, LeaderlessOutperformsLeaderBased)
 {
-    ClusterConfig cfg;
-    cfg.numNodes = 6;
-    cfg.numRecords = 512;
-    DriverConfig dc;
-    dc.requestsPerNode = 200;
-    dc.workersPerNode = 3;
-    dc.ycsb.numRecords = cfg.numRecords;
-
-    sim::Simulator s1;
-    ClusterB leaderless(s1, cfg, PersistModel::Synch);
-    RunResult rl = runWorkload(s1, leaderless, dc);
-
-    sim::Simulator s2;
-    ClusterLeader leader(s2, cfg, PersistModel::Synch);
-    RunResult rb = runWorkload(s2, leader, dc);
+    auto runOn = [](Engine e) {
+        RunSpec spec{.engine = e};
+        spec.cfg.numNodes = 6;
+        spec.cfg.numRecords = 512;
+        spec.dc.requestsPerNode = 200;
+        spec.dc.workersPerNode = 3;
+        spec.dc.ycsb.numRecords = spec.cfg.numRecords;
+        return run(spec).result;
+    };
+    RunResult rl = runOn(Engine::B);
+    RunResult rb = runOn(Engine::Leader);
 
     // §II-A: leaderless delivers higher performance and is scalable.
     EXPECT_GT(rl.writeThroughput(), rb.writeThroughput());
     EXPECT_LT(rl.writeLat.mean(), rb.writeLat.mean());
+}
+
+namespace {
+
+/** A small conflicting YCSB run (the RunPath tests). */
+RunSpec
+smallSpec(Engine engine, PersistModel model)
+{
+    RunSpec spec{.engine = engine, .model = model};
+    spec.cfg.numNodes = 3;
+    spec.cfg.numRecords = 16;
+    spec.dc.requestsPerNode = 100;
+    spec.dc.workersPerNode = 3;
+    spec.dc.ycsb.numRecords = spec.cfg.numRecords;
+    return spec;
+}
+
+/** run(@p spec)'s report must equal @p spec run on a ClusterT built
+ *  here, with @p opts its constructor's last arguments. */
+template <typename ClusterT, typename... Options>
+RunReport
+expectRunMatchesHandBuilt(const RunSpec &spec, Options... opts)
+{
+    const RunReport got = run(spec);
+    sim::Simulator sim;
+    ClusterT cluster(sim, spec.cfg, spec.model, opts...);
+    const RunResult want = runWorkload(sim, cluster, spec.dc);
+    EXPECT_EQ(got.result.writeLat.digest(), want.writeLat.digest());
+    EXPECT_EQ(got.result.readLat.digest(), want.readLat.digest());
+    EXPECT_EQ(got.result.persistLat.digest(), want.persistLat.digest());
+    EXPECT_EQ(got.result.writes, want.writes);
+    EXPECT_EQ(got.result.reads, want.reads);
+    EXPECT_EQ(got.result.duration, want.duration);
+    NodeCounters counters;
+    std::size_t vfifo_peak = 0, dfifo_peak = 0;
+    std::uint64_t skipped = 0;
+    std::vector<std::size_t> lag_peaks;
+    for (NodeId n = 0; n < spec.cfg.numNodes; ++n) {
+        const auto &node = cluster.node(n);
+        counters += node.counters();
+        lag_peaks.push_back(node.log().peakLagging());
+        if constexpr (std::is_same_v<ClusterT, ClusterO>) {
+            vfifo_peak = std::max(vfifo_peak, node.vfifo().peakOccupancy());
+            dfifo_peak = std::max(dfifo_peak, node.dfifo().peakOccupancy());
+            skipped += node.vfifo().skippedObsolete();
+        }
+    }
+    EXPECT_EQ(got.counters.str(), counters.str());
+    EXPECT_EQ(got.vfifoPeak, vfifo_peak);
+    EXPECT_EQ(got.dfifoPeak, dfifo_peak);
+    EXPECT_EQ(got.vfifoSkipped, skipped);
+    EXPECT_EQ(got.durableLagPeak, lag_peaks);
+    return got;
+}
+
+} // namespace
+
+TEST(RunPath, RunMatchesAHandBuiltCluster)
+{
+    for (PersistModel m : {PersistModel::Synch, PersistModel::Scope}) {
+        SCOPED_TRACE(shortModelName(m));
+        const RunReport b =
+            expectRunMatchesHandBuilt<ClusterB>(smallSpec(Engine::B, m));
+        EXPECT_GT(b.counters.persists, 0u);
+        const RunReport o =
+            expectRunMatchesHandBuilt<ClusterO>(smallSpec(Engine::O, m));
+        EXPECT_GT(o.vfifoPeak, 0u);
+        EXPECT_GT(o.dfifoPeak, 0u);
+        expectRunMatchesHandBuilt<ClusterLeader>(
+            smallSpec(Engine::Leader, m));
+        // The spec's options reach the cluster.
+        RunSpec unbatched = smallSpec(Engine::O, m);
+        unbatched.opts.batching = false;
+        expectRunMatchesHandBuilt<ClusterO>(unbatched, unbatched.opts);
+    }
+}
+
+TEST(RunPath, MicroSpecMatchesAHandRunMicroservice)
+{
+    RunSpec spec = smallSpec(Engine::O, PersistModel::Scope);
+    spec.micro = {workload::socialNetworkLogin(),
+                  {.invocationsPerNode = 4,
+                   .workersPerNode = 2,
+                   .numRecords = spec.cfg.numRecords}};
+    const RunReport got = run(spec);
+
+    sim::Simulator sim;
+    ClusterO cluster(sim, spec.cfg, spec.model);
+    const MicroserviceResult want = runMicroservice(
+        sim, cluster, spec.micro->function, spec.micro->load);
+    ASSERT_TRUE(got.micro);
+    EXPECT_EQ(got.micro->e2eLat.digest(), want.e2eLat.digest());
+    EXPECT_EQ(got.micro->e2eLat.count(), 3u * 2u * 4u);
+    EXPECT_EQ(got.micro->eventCore.eventsExecuted,
+              want.eventCore.eventsExecuted);
+}
+
+TEST(RunPath, RegisterIntoEmitsSnicKeysOnOOnly)
+{
+    for (Engine e : {Engine::B, Engine::O, Engine::Leader}) {
+        SCOPED_TRACE(engineName(e));
+        obs::MetricsRegistry reg;
+        run(smallSpec(e, PersistModel::Synch)).registerInto(reg);
+        const std::string json = reg.json();
+        for (const char *key :
+             {"run.writes", "proto.persists", "nvm.durable_lag_peak"})
+            EXPECT_NE(json.find(key), std::string::npos) << key;
+        for (const char *key :
+             {"snic.vfifo_peak", "snic.dfifo_peak", "snic.vfifo_skipped"})
+            EXPECT_EQ(json.find(key) != std::string::npos, e == Engine::O)
+                << key;
+    }
 }

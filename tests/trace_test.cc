@@ -16,9 +16,7 @@
 
 #include "obs/phase.hh"
 #include "obs/recorder.hh"
-#include "simproto/cluster_b.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "snic/run.hh"
 
 using namespace minos;
 using namespace minos::obs;
@@ -47,32 +45,17 @@ smallDriver(const ClusterConfig &cfg, double write_fraction)
 }
 
 TraceRun
-runB(int records = 8, PersistModel model = PersistModel::Synch)
+traceRun(Engine engine, int records = 8,
+         PersistModel model = PersistModel::Synch)
 {
     TraceRun run;
-    sim::Simulator sim;
-    ClusterConfig cfg;
-    cfg.numNodes = 3;
-    cfg.numRecords = static_cast<std::uint64_t>(records);
-    cfg.trace = &run.recorder;
-    cfg.phases = &run.phases;
-    ClusterB cluster(sim, cfg, model);
-    run.result = runWorkload(sim, cluster, smallDriver(cfg, 1.0));
-    return run;
-}
-
-TraceRun
-runO(int records = 8, PersistModel model = PersistModel::Synch)
-{
-    TraceRun run;
-    sim::Simulator sim;
-    ClusterConfig cfg;
-    cfg.numNodes = 3;
-    cfg.numRecords = static_cast<std::uint64_t>(records);
-    cfg.trace = &run.recorder;
-    cfg.phases = &run.phases;
-    snic::ClusterO cluster(sim, cfg, model);
-    run.result = runWorkload(sim, cluster, smallDriver(cfg, 1.0));
+    RunSpec spec{.engine = engine, .model = model};
+    spec.cfg.numNodes = 3;
+    spec.cfg.numRecords = static_cast<std::uint64_t>(records);
+    spec.cfg.trace = &run.recorder;
+    spec.cfg.phases = &run.phases;
+    spec.dc = smallDriver(spec.cfg, 1.0);
+    run.result = simproto::run(spec).result;
     return run;
 }
 
@@ -87,7 +70,7 @@ sawKind(const std::vector<Record> &events, EventKind kind)
 
 TEST(TraceIntegration, BaselineEngineEmitsTypedProtocolEvents)
 {
-    TraceRun run = runB();
+    TraceRun run = traceRun(Engine::B);
     EXPECT_GT(run.recorder.recorded(), 0u);
     auto events = run.recorder.snapshot();
     EXPECT_TRUE(sawKind(events, EventKind::InvFanout));
@@ -105,7 +88,8 @@ TEST(TraceIntegration, BaselineEngineEmitsTypedProtocolEvents)
 
 TEST(TraceIntegration, OffloadEngineEmitsSnicEvents)
 {
-    TraceRun run = runO(/*records=*/2); // conflicts -> vFIFO skips
+    // Two records: conflicts, so the vFIFOs skip obsolete entries.
+    TraceRun run = traceRun(Engine::O, /*records=*/2);
     auto events = run.recorder.snapshot();
     EXPECT_TRUE(sawKind(events, EventKind::SnicBroadcastInv));
     EXPECT_TRUE(sawKind(events, EventKind::FollowerEnqueued));
@@ -140,10 +124,9 @@ TEST(TraceIntegration, SendRecordsAreMessageCategoryOnBothEngines)
     // DdpCore::makeInv/makeVal lay the send records for both engines,
     // so --trace-categories=message keeps every INV and VAL fan-out,
     // [VAL_P]sc included.
-    for (bool offload : {false, true}) {
-        TraceRun run = offload ? runO(8, PersistModel::Scope)
-                               : runB(8, PersistModel::Scope);
-        SCOPED_TRACE(offload ? "MINOS-O" : "MINOS-B");
+    for (Engine e : {Engine::B, Engine::O}) {
+        TraceRun run = traceRun(e, 8, PersistModel::Scope);
+        SCOPED_TRACE(engineName(e));
         bool saw_val_p_sc = false;
         for (const auto &e : run.recorder.snapshot()) {
             if (e.kind == EventKind::AckReceived) {
@@ -165,9 +148,9 @@ TEST(TraceIntegration, SendRecordsAreMessageCategoryOnBothEngines)
 
 TEST(TraceIntegration, EveryWritePhaseIsSpannedOnBothEngines)
 {
-    for (bool offload : {false, true}) {
-        TraceRun run = offload ? runO() : runB();
-        SCOPED_TRACE(offload ? "MINOS-O" : "MINOS-B");
+    for (Engine e : {Engine::B, Engine::O}) {
+        TraceRun run = traceRun(e);
+        SCOPED_TRACE(engineName(e));
 
         bool begun[numPhases] = {};
         bool ended[numPhases] = {};
@@ -205,14 +188,13 @@ TEST(TraceIntegration, EveryWritePhaseIsSpannedOnBothEngines)
 TEST(TraceIntegration, PhaseStatsAloneWorkWithoutRecorder)
 {
     // --phases without --trace-out: cfg.phases set, cfg.trace null.
-    sim::Simulator sim;
-    ClusterConfig cfg;
-    cfg.numNodes = 3;
-    cfg.numRecords = 8;
     WritePhaseStats phases;
-    cfg.phases = &phases;
-    ClusterB cluster(sim, cfg, PersistModel::Synch);
-    runWorkload(sim, cluster, smallDriver(cfg, 1.0));
+    RunSpec spec{.engine = Engine::B};
+    spec.cfg.numNodes = 3;
+    spec.cfg.numRecords = 8;
+    spec.cfg.phases = &phases;
+    spec.dc = smallDriver(spec.cfg, 1.0);
+    run(spec);
     EXPECT_FALSE(phases.empty());
     EXPECT_FALSE(phases.table().empty());
 }
@@ -222,16 +204,15 @@ TEST(TraceIntegration, DetachedRecorderDoesNotPerturbResults)
     // Identical config and seed, once bare and once fully instrumented:
     // the simulated-time results must match exactly.
     auto bare = [] {
-        sim::Simulator sim;
-        ClusterConfig cfg;
-        cfg.numNodes = 3;
-        cfg.numRecords = 8;
-        EXPECT_EQ(cfg.trace, nullptr);
-        EXPECT_EQ(cfg.phases, nullptr);
-        ClusterB cluster(sim, cfg, PersistModel::Synch);
-        return runWorkload(sim, cluster, smallDriver(cfg, 1.0));
+        RunSpec spec{.engine = Engine::B};
+        spec.cfg.numNodes = 3;
+        spec.cfg.numRecords = 8;
+        EXPECT_EQ(spec.cfg.trace, nullptr);
+        EXPECT_EQ(spec.cfg.phases, nullptr);
+        spec.dc = smallDriver(spec.cfg, 1.0);
+        return run(spec).result;
     }();
-    TraceRun traced = runB();
+    TraceRun traced = traceRun(Engine::B);
 
     EXPECT_EQ(bare.writes, traced.result.writes);
     EXPECT_EQ(bare.reads, traced.result.reads);
@@ -256,35 +237,22 @@ TEST(TraceIntegration, EveryObsoleteCutLaysARecordOnBothEngines)
 {
     // A follower's INV and a coordinator's own write cut short as
     // obsolete are both counted and traced by DdpCore::countObsolete.
-    for (bool offload : {false, true}) {
+    for (Engine e : {Engine::B, Engine::O}) {
         for (std::uint64_t seed : {1, 2, 3}) {
-            SCOPED_TRACE(std::string(offload ? "MINOS-O" : "MINOS-B") +
-                         " seed " + std::to_string(seed));
+            SCOPED_TRACE(std::string(engineName(e)) + " seed " +
+                         std::to_string(seed));
             FlightRecorder recorder{1 << 10};
             ObsoleteRecordCounter sink;
             recorder.addSink(&sink);
-            sim::Simulator sim;
-            ClusterConfig cfg;
-            cfg.numNodes = 3;
-            cfg.numRecords = 4;
-            cfg.trace = &recorder;
-            DriverConfig dc = smallDriver(cfg, 0.9);
-            dc.requestsPerNode = 400;
-            dc.workersPerNode = 5;
-            dc.ycsb.seed = seed;
-            NodeCounters total;
-            auto run = [&](auto &cluster) {
-                runWorkload(sim, cluster, dc);
-                for (int n = 0; n < cfg.numNodes; ++n)
-                    total += cluster.node(n).counters();
-            };
-            if (offload) {
-                snic::ClusterO cluster(sim, cfg, PersistModel::Synch);
-                run(cluster);
-            } else {
-                ClusterB cluster(sim, cfg, PersistModel::Synch);
-                run(cluster);
-            }
+            RunSpec spec{.engine = e};
+            spec.cfg.numNodes = 3;
+            spec.cfg.numRecords = 4;
+            spec.cfg.trace = &recorder;
+            spec.dc = smallDriver(spec.cfg, 0.9);
+            spec.dc.requestsPerNode = 400;
+            spec.dc.workersPerNode = 5;
+            spec.dc.ycsb.seed = seed;
+            const NodeCounters total = run(spec).counters;
             EXPECT_GT(total.writesObsoleteCut, 0u);
             EXPECT_EQ(sink.records,
                       total.invsObsolete + total.writesObsoleteCut);
@@ -410,13 +378,8 @@ TEST_P(DurableStateTest, DurableDbMatchesPersistReplayMidRun)
         for (int n = 0; n < nodes; ++n)
             EXPECT_EQ(cluster.node(n).log().lagging(), 0u) << "node " << n;
     };
-    if (offload) {
-        snic::ClusterO cluster(sim, cfg, model);
-        run(cluster);
-    } else {
-        ClusterB cluster(sim, cfg, model);
-        run(cluster);
-    }
+    const Engine engine = offload ? Engine::O : Engine::B;
+    withCluster(sim, engine, cfg, model, optionsFor(engine), run);
 }
 
 } // namespace

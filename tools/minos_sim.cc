@@ -8,14 +8,15 @@
  *             [--ycsb=A|B|C|F] [--write-frac=F] [--rmw-frac=F]
  *             [--dist=zipfian|uniform] [--persist-ns=N]
  *             [--vfifo=N] [--dfifo=N] [--no-batch] [--no-bcast]
- *             [--scope-size=N] [--seed=N] [--csv] [--csv-header]
+ *             [--scope-size=N] [--seed=N] [--csv [--csv-header]]
  *             [--stats] [--trace-out=FILE.json] [--trace-capacity=N]
  *             [--trace-categories=lock,fifo,...]
  *             [--metrics-out=FILE.json] [--phases]
  *             [--audit] [--audit-fatal] [--help]
  *
- * Prints a human-readable summary, or a CSV row with --csv (header via
- * --csv-header) so sweeps can be scripted:
+ * Prints a human-readable summary, or a CSV row with --csv so sweeps
+ * can be scripted (--csv-header adds the header line; alone, it prints
+ * only that):
  *
  *   for n in 2 4 6 8 10; do ./minos_sim --nodes=$n --csv; done
  *
@@ -41,14 +42,14 @@
  *
  * An unknown flag or a bad flag value (out of range, malformed, an
  * unknown name, or none where one is needed: `--trace-out=`) exits 2
- * with a message, and so does an output file that cannot be opened for
- * writing; both files are opened before the run.
+ * with a message, and so do --csv-header with other flags but not
+ * --csv, and an output file that cannot be opened for writing (both
+ * files are opened before the run).
  *
  * A run allows 8 388 607 writes per key (the 24-bit TS_WR version
  * field; a version past that panics) and node ids up to 127.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -61,9 +62,7 @@
 #include "obs/chrome_trace.hh"
 #include "obs/metrics.hh"
 #include "obs/phase.hh"
-#include "simproto/cluster_b.hh"
-#include "simproto/driver.hh"
-#include "snic/cluster_o.hh"
+#include "snic/run.hh"
 
 using namespace minos;
 using namespace minos::simproto;
@@ -134,8 +133,8 @@ usage(const char *prog)
         "          [--ycsb=A|B|C|F] [--write-frac=F] [--rmw-frac=F]\n"
         "          [--dist=zipfian|uniform] [--persist-ns=N]\n"
         "          [--vfifo=N] [--dfifo=N] [--no-batch] [--no-bcast]\n"
-        "          [--scope-size=N] [--seed=N] [--csv] "
-        "[--csv-header]\n"
+        "          [--scope-size=N] [--seed=N] [--csv "
+        "[--csv-header]]\n"
         "          [--stats] [--trace-out=FILE.json] "
         "[--trace-capacity=N]\n"
         "          [--trace-categories=lock,fifo,...]\n"
@@ -166,22 +165,14 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (flags.getBool("csv-header")) {
-        std::printf("engine,model,nodes,records,requests,write_frac,"
-                    "dist,write_lat_ns,read_lat_ns,write_p99_ns,"
-                    "read_p99_ns,write_tput,read_tput,total_tput,"
-                    "obsolete,comm_frac\n");
-        if (argc == 2)
-            return 0;
-    }
-
     const std::string engine = flags.getString("engine", "o");
     if (engine != "b" && engine != "o")
         flags.badFlag("--engine must be b or o, got '" + engine + "'");
-    PersistModel model =
-        parseModel(flags, flags.getString("model", "synch"));
-
-    ClusterConfig cfg;
+    RunSpec spec{.engine = engine == "o" ? Engine::O : Engine::B,
+                 .model = parseModel(flags,
+                                     flags.getString("model", "synch"))};
+    ClusterConfig &cfg = spec.cfg;
+    DriverConfig &dc = spec.dc;
     // The destination bitmaps limit a cluster to 64 nodes.
     cfg.numNodes = static_cast<int>(flags.getInt("nodes", 5, 2, 64));
     cfg.numRecords = static_cast<std::uint64_t>(
@@ -193,14 +184,11 @@ main(int argc, char **argv)
     cfg.dfifoEntries =
         static_cast<int>(flags.getInt("dfifo", 5, 0, maxCount));
 
-    OffloadOptions opts = engine == "o" ? OffloadOptions::minosO()
-                                        : OffloadOptions::minosB();
     if (flags.getBool("no-batch"))
-        opts.batching = false;
+        spec.opts.batching = false;
     if (flags.getBool("no-bcast"))
-        opts.broadcast = false;
+        spec.opts.broadcast = false;
 
-    DriverConfig dc;
     dc.requestsPerNode = static_cast<std::uint64_t>(
         flags.getInt("requests", 2000, 0, maxCount));
     // 0 = one worker per host core.
@@ -273,6 +261,10 @@ main(int argc, char **argv)
         cfg.phases = &phase_stats;
 
     const bool want_csv = flags.getBool("csv");
+    const bool want_csv_header = flags.getBool("csv-header");
+    if (want_csv_header && argc != 2 && !want_csv)
+        flags.badFlag("--csv-header needs --csv unless it is the only "
+                      "flag");
     const bool want_stats = flags.getBool("stats");
 
     // Last of the flag checks: no file is created for a run that a bad
@@ -283,53 +275,24 @@ main(int argc, char **argv)
     std::ofstream metrics_file =
         openOutput(flags, "metrics-out", metrics_out);
 
-    sim::Simulator sim;
-    RunResult res;
-    NodeCounters aggregate;
-    std::size_t vfifo_peak = 0, dfifo_peak = 0;
-    std::uint64_t vfifo_skipped = 0;
-    // Per node, the most keys whose durable state lagged (or led) the
-    // volatile one at once.
-    std::vector<std::size_t> durable_lag_peak;
-    auto collect = [&](const auto &node) {
-        aggregate += node.counters();
-        durable_lag_peak.push_back(node.log().peakLagging());
-    };
-    if (engine == "o") {
-        snic::ClusterO cluster(sim, cfg, model, opts);
-        res = runWorkload(sim, cluster, dc);
-        for (int n = 0; n < cfg.numNodes; ++n) {
-            collect(cluster.node(n));
-            vfifo_peak = std::max(vfifo_peak,
-                                  cluster.node(n).vfifo().peakOccupancy());
-            dfifo_peak = std::max(dfifo_peak,
-                                  cluster.node(n).dfifo().peakOccupancy());
-            vfifo_skipped += cluster.node(n).vfifo().skippedObsolete();
-        }
-    } else {
-        ClusterB cluster(sim, cfg, model, opts);
-        res = runWorkload(sim, cluster, dc);
-        for (int n = 0; n < cfg.numNodes; ++n)
-            collect(cluster.node(n));
+    if (want_csv_header) {
+        std::printf("engine,model,nodes,records,requests,write_frac,"
+                    "dist,write_lat_ns,read_lat_ns,write_p99_ns,"
+                    "read_p99_ns,write_tput,read_tput,total_tput,"
+                    "obsolete,comm_frac\n");
+        if (argc == 2)
+            return 0;
     }
+
+    const RunReport report = run(spec);
+    const RunResult &res = report.result;
 
     if (!trace_out.empty())
         writeOrDie(trace_file, trace_out, obs::chromeTraceJson(recorder));
     if (!metrics_out.empty()) {
         obs::MetricsRegistry reg;
-        registerRunMetrics(reg, "run.", res);
-        aggregate.registerInto(reg, "proto.");
+        report.registerInto(reg);
         phase_stats.registerInto(reg, "run.");
-        if (engine == "o") {
-            reg.gauge("snic.vfifo_peak",
-                      static_cast<double>(vfifo_peak));
-            reg.gauge("snic.dfifo_peak",
-                      static_cast<double>(dfifo_peak));
-            reg.counter("snic.vfifo_skipped", vfifo_skipped);
-        }
-        reg.gauge("nvm.durable_lag_peak",
-                  static_cast<double>(*std::max_element(
-                      durable_lag_peak.begin(), durable_lag_peak.end())));
         if (!trace_out.empty()) {
             reg.counter("trace.recorded", recorder.recorded());
             reg.counter("trace.dropped", recorder.dropped());
@@ -359,7 +322,7 @@ main(int argc, char **argv)
             "%s,%s,%d,%llu,%llu,%.2f,%s,%.0f,%.0f,%ld,%ld,%.0f,%.0f,"
             "%.0f,%llu,%.3f\n",
             engine.c_str(),
-            std::string(shortModelName(model)).c_str(), cfg.numNodes,
+            std::string(shortModelName(spec.model)).c_str(), cfg.numNodes,
             static_cast<unsigned long long>(cfg.numRecords),
             static_cast<unsigned long long>(dc.requestsPerNode),
             dc.ycsb.writeFraction, dist.c_str(), res.writeLat.mean(),
@@ -374,7 +337,7 @@ main(int argc, char **argv)
     std::printf("MINOS-%s %s  %d nodes, %llu records, %llu req/node, "
                 "%.0f%% writes (%s keys)\n",
                 engine == "o" ? "O" : "B",
-                std::string(modelName(model)).c_str(), cfg.numNodes,
+                std::string(modelName(spec.model)).c_str(), cfg.numNodes,
                 static_cast<unsigned long long>(cfg.numRecords),
                 static_cast<unsigned long long>(dc.requestsPerNode),
                 100.0 * dc.ycsb.writeFraction, dist.c_str());
@@ -399,9 +362,9 @@ main(int argc, char **argv)
                     phase_stats.table().c_str());
     if (want_stats) {
         std::printf("cluster-aggregate protocol counters:\n%s",
-                    aggregate.str().c_str());
+                    report.counters.str().c_str());
         std::printf("durable lag peak (keys), per node:");
-        for (std::size_t peak : durable_lag_peak)
+        for (std::size_t peak : report.durableLagPeak)
             std::printf(" %zu", peak);
         std::printf("\n");
     }
