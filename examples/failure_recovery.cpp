@@ -3,7 +3,7 @@
  * Failure detection and recovery (paper §III-E) on the threaded
  * MINOS-B runtime: write, disconnect a node, watch the timeout detector
  * shrink the cluster, keep writing, then reconnect the node and watch
- * log shipping catch it up.
+ * the designated node's durable state catch it up.
  *
  *   $ ./examples/failure_recovery
  */
@@ -57,7 +57,7 @@ main()
     printLiveness(cluster);
 
     std::printf("4. reconnecting node 2: JoinReq -> designated node "
-                "ships its log -> replay\n");
+                "ships its durable state -> apply\n");
     cluster.healAndRejoin(2);
     // Give the control plane a moment to ship and replay.
     auto deadline =

@@ -40,7 +40,7 @@ DurableState::persist(const Record &rec, Key key, Value value,
     const std::uint32_t i = index_.find(hash(key), isKey(key));
     const bool in = i != SlotIndex::none;
     // A key never persisted has TS none, older than any update's.
-    if (!(ts > (in ? entries_[i].ts : rec.volatileTs)))
+    if (!DurableRecord::supersedes(ts, in ? entries_[i].ts : rec.volatileTs))
         return;
     if (ts == rec.volatileTs && value == rec.value) {
         if (in)

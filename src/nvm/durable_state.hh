@@ -3,12 +3,11 @@
  * Durable state of a simulated node, kept as its difference from the
  * node's record store.
  *
- * The paper defines durability per key (§III-B): persists may land in
- * the log out of order, and applying the log to the durable database
- * keeps, per key, the first persisted update and then only strictly
- * newer ones (DurableLog::applyTo). A simulated node never reads its log
- * back, so it keeps the result of that rule instead of the log: the
- * durable (value, TS_WR) of a key is its record's (value, volatileTS),
+ * The paper defines durability per key (§III-B): persists may land out
+ * of order, and a key's durable state keeps the first persisted update
+ * and then only strictly newer ones (DurableRecord::offer). A simulated
+ * node keeps the result of that rule as a difference from its records:
+ * the durable (value, TS_WR) of a key is its record's (value, volatileTS),
  * except for the keys in a small overlay, which hold their own. A key is
  * in the overlay exactly while the two differ, in either direction: an
  * applied update not yet persisted, or (MINOS-O) a persisted one not yet
@@ -56,7 +55,7 @@ class DurableState
     void persist(const kv::Record &rec, kv::Key key, kv::Value value,
                  kv::Timestamp ts);
 
-    /** Updates persisted so far: the length the raw log would have. */
+    /** Updates persisted so far, obsolete ones included. */
     std::size_t size() const { return persists_; }
 
     /** Keys whose durable state differs from their record now. */
@@ -71,8 +70,8 @@ class DurableState
                                     kv::Key key) const;
 
     /** The durable database over @p store, the records this state
-     *  follows: what replaying every persist through
-     *  DurableLog::applyTo gives. */
+     *  follows: what offering every persist to a DurableRecord per key
+     *  gives. */
     DurableDb db(const kv::SimStore &store) const;
 
   private:

@@ -1,7 +1,5 @@
 #include "log.hh"
 
-#include "common/logging.hh"
-
 namespace minos::nvm {
 
 std::size_t
@@ -9,119 +7,14 @@ DurableLog::append(const LogEntry &entry)
 {
     std::lock_guard<std::mutex> guard(mutex_);
     entries_.push_back(entry);
-    return base_ + entries_.size() - 1;
+    return entries_.size() - 1;
 }
 
 std::size_t
 DurableLog::size() const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    return base_ + entries_.size();
-}
-
-std::size_t
-DurableLog::compactedThrough() const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    return base_;
-}
-
-LogEntry
-DurableLog::entryAt(std::size_t index) const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    MINOS_ASSERT(index >= base_, "log index ", index,
-                 " reaches into the compacted prefix");
-    MINOS_ASSERT(index - base_ < entries_.size(),
-                 "log index out of range");
-    return entries_[index - base_];
-}
-
-std::vector<LogEntry>
-DurableLog::entriesSince(std::size_t from) const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    if (from >= base_ + entries_.size())
-        return {};
-    MINOS_ASSERT(from >= base_, "log suffix ", from,
-                 " reaches into the compacted prefix; use "
-                 "exportSince()");
-    return {entries_.begin() + static_cast<std::ptrdiff_t>(from - base_),
-            entries_.end()};
-}
-
-std::vector<LogEntry>
-DurableLog::exportSince(std::size_t from) const
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    std::vector<LogEntry> out;
-    if (from < base_) {
-        // Materialize the snapshot: one synthetic entry per key.
-        out.reserve(snapshot_.size() + entries_.size());
-        for (const auto &[key, rec] : snapshot_)
-            out.push_back(LogEntry{key, rec.value, rec.ts});
-        out.insert(out.end(), entries_.begin(), entries_.end());
-        return out;
-    }
-    if (from >= base_ + entries_.size())
-        return {};
-    return {entries_.begin() + static_cast<std::ptrdiff_t>(from - base_),
-            entries_.end()};
-}
-
-void
-DurableLog::compact(std::size_t up_to)
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    if (up_to <= base_)
-        return; // already compacted that far
-    MINOS_ASSERT(up_to <= base_ + entries_.size(),
-                 "compact beyond the log end");
-    std::size_t n = up_to - base_;
-    for (std::size_t i = 0; i < n; ++i) {
-        const LogEntry &e = entries_[i];
-        auto [it, inserted] = snapshot_.try_emplace(e.key);
-        if (inserted || e.ts > it->second.ts) {
-            it->second.value = e.value;
-            it->second.ts = e.ts;
-        }
-    }
-    entries_.erase(entries_.begin(),
-                   entries_.begin() + static_cast<std::ptrdiff_t>(n));
-    base_ = up_to;
-}
-
-std::size_t
-DurableLog::applyTo(DurableDb &db, std::size_t from) const
-{
-    std::vector<LogEntry> entries = exportSince(from);
-    return applyEntries(db, entries);
-}
-
-void
-DurableLog::clear()
-{
-    std::lock_guard<std::mutex> guard(mutex_);
-    entries_.clear();
-    snapshot_.clear();
-    base_ = 0;
-}
-
-std::size_t
-applyEntries(DurableDb &db, const std::vector<LogEntry> &entries)
-{
-    std::size_t applied = 0;
-    for (const auto &e : entries) {
-        auto [it, inserted] = db.try_emplace(e.key);
-        // Obsoleteness filter (§V-B.4): only strictly newer timestamps
-        // replace the durable record.
-        if (inserted || e.ts > it->second.ts) {
-            it->second.value = e.value;
-            it->second.ts = e.ts;
-            ++applied;
-        }
-    }
-    return applied;
+    return entries_.size();
 }
 
 } // namespace minos::nvm

@@ -1,23 +1,25 @@
 /**
  * @file
- * Durable append-only log (paper §III-B and §V-B.4).
+ * Per-key durable state and its update rule (paper §III-B and §V-B.4).
  *
  * "While the volatile state is always updated in increasing order of
  *  write TS, the NVM can be updated by writes out of order. This is
  *  acceptable because we use a log structure for the persists."
  *
- * Entries may therefore arrive out of timestamp order and may be obsolete;
- * correctness is restored when the log is applied to the durable database,
- * where every entry is checked for obsoleteness against the newest
- * timestamp already applied for its key.
+ * Persists may therefore land out of timestamp order and may be
+ * obsolete. Durability is per key: a key's durable state takes an
+ * update only if its TS is strictly newer than the key's durable TS
+ * (DurableRecord::offer), which keeps each key's newest persist
+ * whatever order they landed in. Every engine keeps that per-key result
+ * instead of a raw log: the threaded runtime (proto/) one DurableRecord
+ * per key, the simulated engines an overlay over their records
+ * (nvm/durable_state.hh).
  *
- * The log is also the unit of recovery: when a failed node rejoins, a
- * designated node ships it the suffix of committed entries it missed
- * (§III-E), which the rejoining node replays.
- *
- * Only the threaded runtime (proto/) keeps this log. The simulated
- * engines never read theirs back, so they keep the per-key result of
- * applying it instead (nvm/durable_state.hh).
+ * LogEntry is the recovery shipping unit: when a failed node rejoins,
+ * the designated node ships it one entry per key it holds durable
+ * (§III-E), and the rejoiner offers each to its own state. DurableLog
+ * is only the append-only log whose append cost perfbench's
+ * nvm.append_ns fixture times.
  */
 
 #ifndef MINOS_NVM_LOG_HH
@@ -45,90 +47,54 @@ struct LogEntry
 
 static_assert(sizeof(LogEntry) == 24, "key, value and a 4-byte TS, padded");
 
-/** Durable state of one key after log application. */
+/** Durable state of one key; a TS of none means nothing persisted. */
 struct DurableRecord
 {
     kv::Value value = 0;
     kv::Timestamp ts = kv::Timestamp::none();
+
+    /** The durability rule (§V-B.4): an update with TS @p ts replaces
+     *  a durable TS @p durable only if strictly newer. None is older
+     *  than every real TS, so a key's first persist always enters. */
+    static bool
+    supersedes(kv::Timestamp ts, kv::Timestamp durable)
+    {
+        return ts > durable;
+    }
+
+    /** Take (@p v, @p t) under the rule; whether it was taken. */
+    bool
+    offer(kv::Value v, kv::Timestamp t)
+    {
+        if (!supersedes(t, ts))
+            return false;
+        value = v;
+        ts = t;
+        return true;
+    }
 };
 
 static_assert(sizeof(DurableRecord) == 16, "value and a 4-byte TS, padded");
 
-/** Key -> durable record map produced by replaying a log. */
+/** Key -> durable record map: the durable state of a node's keys that
+ *  have a persisted update. */
 using DurableDb = std::unordered_map<kv::Key, DurableRecord>;
 
-/**
- * Append-only durable log with snapshot compaction. Thread-safe:
- * operations take a mutex (the emulated persist latency dwarfs it by
- * orders of magnitude).
- *
- * Compaction folds a prefix of the log into a per-key snapshot (keeping
- * only each key's newest update), after which the raw entries of that
- * prefix are discarded. Log indices remain global: `size()` keeps
- * counting from the beginning of time, and reading into the compacted
- * prefix is an error.
- */
+/** Append-only log of persists, behind a mutex. Nothing reads it back:
+ *  it exists for perfbench's append-cost fixture. */
 class DurableLog
 {
   public:
-    DurableLog() = default;
-
-    /** Persist one update. Returns the entry's (global) log index. */
+    /** Persist one update. Returns the entry's log index. */
     std::size_t append(const LogEntry &entry);
 
-    /** Number of entries persisted so far (including compacted ones). */
+    /** Number of entries persisted so far. */
     std::size_t size() const;
-
-    /** First index still stored as a raw entry. */
-    std::size_t compactedThrough() const;
-
-    /** Copy of entry @p index. @pre compactedThrough() <= index < size() */
-    LogEntry entryAt(std::size_t index) const;
-
-    /**
-     * Copy of all raw entries at indices >= @p from.
-     * @pre from >= compactedThrough() (or >= size(), which is empty)
-     */
-    std::vector<LogEntry> entriesSince(std::size_t from) const;
-
-    /**
-     * Everything needed to rebuild durable state from position @p from:
-     * if @p from reaches into the compacted prefix, the snapshot is
-     * materialized as synthetic entries (one per key, newest update)
-     * followed by the raw suffix. This is the recovery shipping unit.
-     */
-    std::vector<LogEntry> exportSince(std::size_t from) const;
-
-    /**
-     * Fold entries [compactedThrough(), up_to) into the snapshot and
-     * drop their raw form. @pre up_to <= size()
-     */
-    void compact(std::size_t up_to);
-
-    /**
-     * Replay the snapshot (if @p from reaches into it) and the raw
-     * entries [from, size()) into @p db, skipping obsolete entries.
-     * @return number of entries actually applied.
-     */
-    std::size_t applyTo(DurableDb &db, std::size_t from = 0) const;
-
-    /** Drop everything, including the snapshot (test helper). */
-    void clear();
 
   private:
     mutable std::mutex mutex_;
-    std::vector<LogEntry> entries_; ///< raw suffix
-    DurableDb snapshot_;            ///< compacted prefix, per-key newest
-    std::size_t base_ = 0;          ///< global index of entries_[0]
+    std::vector<LogEntry> entries_;
 };
-
-/**
- * Apply a batch of shipped entries to a database, skipping obsolete ones.
- * Used on the recovery path when replaying a remote node's log suffix.
- * @return number of entries applied.
- */
-std::size_t applyEntries(DurableDb &db,
-                         const std::vector<LogEntry> &entries);
 
 } // namespace minos::nvm
 

@@ -37,6 +37,7 @@ ThreadedNode::ThreadedNode(ThreadedCluster &cluster,
       obsoleteSteps_(simproto::obsoleteSchedule(cfg.model)),
       coordinatorSteps_(simproto::coordinatorSchedule(cfg.model, false)),
       store_(cfg.numRecords),
+      durable_(cfg.numRecords),
       nvm_(cfg.persistNsPerKb),
       live_((std::uint64_t{1} << cfg.numNodes) - 1)
 {
@@ -151,7 +152,8 @@ void
 ThreadedNode::persist(Key key, Value value, const Timestamp &ts)
 {
     spinPersistLatency(cfg_.recordBytes);
-    log_.append({key, value, ts});
+    std::lock_guard<std::mutex> guard(durableMutex_);
+    durable_[key].offer(value, ts);
 }
 
 void
@@ -718,14 +720,15 @@ ThreadedNode::onCtrl(const CtrlMsg &msg)
         break;
       }
       case CtrlType::JoinReq: {
-        // We are the designated node: ship the committed log and
+        // We are the designated node: ship our durable state and
         // announce the rejoin.
         CtrlMsg ship;
         ship.type = CtrlType::LogShip;
         ship.src = id_;
         ship.dst = msg.subject;
         ship.subject = msg.subject;
-        ship.entries = log_.exportSince(0);
+        for (const auto &[key, rec] : durableDb())
+            ship.entries.push_back({key, rec.value, rec.ts});
         ship.liveMask = live_.load() | nodeBit(msg.subject);
         cluster_.fabric().send(ship);
         live_.fetch_or(nodeBit(msg.subject), std::memory_order_acq_rel);
@@ -745,11 +748,12 @@ ThreadedNode::onCtrl(const CtrlMsg &msg)
         live_.fetch_or(nodeBit(msg.subject), std::memory_order_acq_rel);
         break;
       case CtrlType::LogShip: {
-        // Replay the shipped updates into persistent and volatile state
+        // Apply the shipped updates to durable and volatile state
         // (obsolete entries are filtered by the timestamp checks).
+        std::lock_guard<std::mutex> guard(durableMutex_);
         for (const auto &e : msg.entries) {
-            log_.append(e);
             AtomicRecord &rec = at(e.key);
+            durable_[e.key].offer(e.value, e.ts);
             std::uint64_t pack = e.ts.pack();
             if (rec.volatileTs.load(std::memory_order_acquire) < pack) {
                 rec.value.store(e.value, std::memory_order_release);
@@ -779,7 +783,10 @@ nvm::DurableDb
 ThreadedNode::durableDb() const
 {
     nvm::DurableDb db;
-    log_.applyTo(db);
+    std::lock_guard<std::mutex> guard(durableMutex_);
+    for (Key k = 0; k < durable_.size(); ++k)
+        if (!durable_[k].ts.isNone())
+            db[k] = durable_[k];
     return db;
 }
 
@@ -831,7 +838,7 @@ ThreadedCluster::healAndRejoin(NodeId id)
 {
     fabric_.setLinkUp(id, true);
     // Ask the designated node among the other reachable ones to ship
-    // its log.
+    // its durable state.
     const NodeId designated = recovery::designatedNode(
         fabric_.upMask() & ~nodeBit(id), cfg_.numNodes);
     MINOS_ASSERT(designated >= 0, "no live node to rejoin through");

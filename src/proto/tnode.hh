@@ -25,8 +25,9 @@
  * Failure detection and recovery (§III-E): ACK waits carry a timeout;
  * non-responders are declared failed (Ctrl Fail) and writes complete
  * against the shrunken live set. A rejoining node asks the designated
- * (lowest-id live) node for the committed log, replays it into durable
- * and volatile state, and is re-announced (Ctrl Joined).
+ * (lowest-id live) node for its durable state, one entry per key with
+ * a persisted update, applies it to its own durable and volatile
+ * state, and is re-announced (Ctrl Joined).
  */
 
 #ifndef MINOS_PROTO_TNODE_HH
@@ -107,11 +108,9 @@ class ThreadedNode
     /** @{ Introspection for tests. */
     /** The record of @p key; null only for a key out of range. */
     const kv::AtomicRecord *record(kv::Key key) const;
+    /** Every key with a persisted update: its durable value and TS. */
     nvm::DurableDb durableDb() const;
     std::uint64_t liveMask() const { return live_.load(); }
-    std::size_t logSize() const { return log_.size(); }
-    /** Fold the whole committed log into its snapshot (compaction). */
-    void compactLog() { log_.compact(log_.size()); }
     std::uint64_t obsoleteInvs() const { return obsoleteInvs_.load(); }
     /** Scopes with updates still persisting on this node. */
     std::size_t scopesPersisting() const;
@@ -169,7 +168,8 @@ class ThreadedNode
     void acquireWrLock(kv::AtomicRecord &rec);
     void releaseWrLock(kv::AtomicRecord &rec);
     void spinPersistLatency(std::uint32_t bytes) const;
-    /** Make one update durable: the NVM latency, then the log. */
+    /** Make one update durable: the NVM latency, then the key's
+     *  durable record takes it if newer. */
     void persist(kv::Key key, kv::Value value, const kv::Timestamp &ts);
     /** Complete every local persist of @p scope, then persist the
      *  [PERSIST]sc marker itself. */
@@ -240,7 +240,9 @@ class ThreadedNode
 
     /** The replica of every record, indexed by key. */
     std::vector<kv::AtomicRecord> store_;
-    nvm::DurableLog log_;
+    /** The durable (value, TS) of every record, indexed by key. */
+    mutable std::mutex durableMutex_;
+    std::vector<nvm::DurableRecord> durable_;
     nvm::NvmModel nvm_;
 
     std::atomic<std::uint64_t> live_;

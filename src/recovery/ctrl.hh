@@ -7,9 +7,10 @@
  *  - Fail(n): a timeout identified node n as non-responding; all nodes
  *    drop it from the live set.
  *  - JoinReq(n): node n asks to be re-inserted into the cluster.
- *  - LogShip: the designated node ships the committed update log to the
- *    rejoining node, which replays it into its persistent and volatile
- *    state (obsolete entries are filtered on apply).
+ *  - LogShip: the designated node ships its durable snapshot to the
+ *    rejoining node, one entry per key with a persisted update; the
+ *    rejoiner applies each to its durable and volatile state (obsolete
+ *    entries are filtered on apply).
  *  - Joined(n): announces that n is live again.
  */
 
@@ -41,7 +42,7 @@ struct CtrlMsg
     kv::NodeId dst = -1;
     /** Subject node (the failed / rejoining node). */
     kv::NodeId subject = -1;
-    /** Shipped log entries (LogShip only). */
+    /** Shipped durable entries, one per key (LogShip only). */
     std::vector<nvm::LogEntry> entries;
     /** Sender's liveness view, shipped so the rejoiner resyncs it. */
     std::uint64_t liveMask = 0;
@@ -62,7 +63,7 @@ isLive(std::uint64_t mask, kv::NodeId n)
 
 /**
  * The designated recovery node: the lowest-id live node (it ships its
- * log to rejoining nodes).
+ * durable state to rejoining nodes).
  */
 kv::NodeId designatedNode(std::uint64_t live_mask, int num_nodes);
 

@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for the NVM timing model and the durable log.
+ * Unit tests for the NVM timing model, the durability rule, the
+ * append-only log and the simulated engines' durable state.
  */
 
 #include <gtest/gtest.h>
 
+#include <mutex>
 #include <random>
 #include <thread>
 #include <vector>
@@ -41,24 +43,37 @@ TEST(NvmModel, SweepValuesFromFig14)
     EXPECT_EQ(NvmModel(100'000).persistLatency(1024), 100'000);
 }
 
+namespace {
+
+/** The reference fold: offers @p entries to @p db in order, by the
+ *  durability rule. Returns the number of entries taken. */
+std::size_t
+fold(DurableDb &db, const std::vector<LogEntry> &entries)
+{
+    std::size_t taken = 0;
+    for (const LogEntry &e : entries)
+        taken += db[e.key].offer(e.value, e.ts);
+    return taken;
+}
+
+} // namespace
+
 TEST(DurableLog, AppendAssignsSequentialIndices)
 {
     DurableLog log;
+    EXPECT_EQ(log.size(), 0u);
     EXPECT_EQ(log.append({1, 10, {0, 0}}), 0u);
     EXPECT_EQ(log.append({2, 20, {0, 1}}), 1u);
     EXPECT_EQ(log.size(), 2u);
-    EXPECT_EQ(log.entryAt(0).key, 1u);
-    EXPECT_EQ(log.entryAt(1).value, 20u);
 }
 
 TEST(DurableLog, ApplyInOrder)
 {
-    DurableLog log;
-    log.append({1, 10, Timestamp{0, 0}});
-    log.append({1, 11, Timestamp{1, 0}});
-    log.append({2, 20, Timestamp{0, 1}});
     DurableDb db;
-    EXPECT_EQ(log.applyTo(db), 3u);
+    EXPECT_EQ(fold(db, {{1, 10, Timestamp{0, 0}},
+                        {1, 11, Timestamp{1, 0}},
+                        {2, 20, Timestamp{0, 1}}}),
+              3u);
     EXPECT_EQ(db[1].value, 11u);
     EXPECT_EQ(db[1].ts, (Timestamp{1, 0}));
     EXPECT_EQ(db[2].value, 20u);
@@ -66,171 +81,62 @@ TEST(DurableLog, ApplyInOrder)
 
 TEST(DurableLog, OutOfOrderEntriesFilteredOnApply)
 {
-    // §V-B.4: the log may contain out-of-order (hence obsolete) entries;
-    // they are checked for obsoleteness when applied to the durable DB.
-    DurableLog log;
-    log.append({7, 100, Timestamp{5, 1}}); // newest first
-    log.append({7, 99, Timestamp{4, 0}});  // obsolete
-    log.append({7, 98, Timestamp{5, 0}});  // obsolete (tie-break on node)
+    // §V-B.4: persists may land out of order (hence obsolete); they are
+    // checked for obsoleteness when applied to the durable state.
     DurableDb db;
-    EXPECT_EQ(log.applyTo(db), 1u);
+    EXPECT_EQ(fold(db, {{7, 100, Timestamp{5, 1}},  // newest first
+                        {7, 99, Timestamp{4, 0}},   // obsolete
+                        {7, 98, Timestamp{5, 0}}}), // obsolete (node tie-break)
+              1u);
     EXPECT_EQ(db[7].value, 100u);
     EXPECT_EQ(db[7].ts, (Timestamp{5, 1}));
-}
-
-TEST(DurableLog, ApplyFromSuffix)
-{
-    DurableLog log;
-    log.append({1, 10, Timestamp{0, 0}});
-    log.append({1, 11, Timestamp{1, 0}});
-    log.append({1, 12, Timestamp{2, 0}});
-    DurableDb db;
-    EXPECT_EQ(log.applyTo(db, 2), 1u);
-    EXPECT_EQ(db[1].value, 12u);
-}
-
-TEST(DurableLog, EntriesSinceForRecoveryShipping)
-{
-    DurableLog log;
-    for (int i = 0; i < 5; ++i)
-        log.append({static_cast<kv::Key>(i), 0u,
-                    Timestamp{i, 0}});
-    auto suffix = log.entriesSince(3);
-    ASSERT_EQ(suffix.size(), 2u);
-    EXPECT_EQ(suffix[0].key, 3u);
-    EXPECT_EQ(suffix[1].key, 4u);
-    EXPECT_TRUE(log.entriesSince(5).empty());
-    EXPECT_TRUE(log.entriesSince(99).empty());
+    // An equal TS is not newer either.
+    EXPECT_FALSE(db[7].offer(97, Timestamp{5, 1}));
+    EXPECT_EQ(db[7].value, 100u);
 }
 
 TEST(DurableLog, ApplyEntriesSkipsStaleAgainstExistingDb)
 {
     DurableDb db;
     db[3] = DurableRecord{55, Timestamp{10, 0}};
-    std::vector<LogEntry> shipped = {
-        {3, 44, Timestamp{9, 4}},  // stale vs db
-        {3, 66, Timestamp{11, 0}}, // fresh
-        {4, 77, Timestamp{1, 0}},  // new key
-    };
-    EXPECT_EQ(applyEntries(db, shipped), 2u);
+    EXPECT_EQ(fold(db, {{3, 44, Timestamp{9, 4}},  // stale vs db
+                        {3, 66, Timestamp{11, 0}}, // fresh
+                        {4, 77, Timestamp{1, 0}}}), // new key
+              2u);
     EXPECT_EQ(db[3].value, 66u);
     EXPECT_EQ(db[4].value, 77u);
 }
 
 TEST(DurableLog, ConcurrentAppendsAllLand)
 {
+    // Threads append to one log and, as the threaded runtime persists,
+    // offer updates of shared keys to one durable array under a mutex.
     DurableLog log;
-    constexpr int threads = 8, per_thread = 500;
+    constexpr int threads = 8, per_thread = 500, keys = 4;
+    std::mutex mutex;
+    std::vector<DurableRecord> durable(keys);
     std::vector<std::thread> pool;
     for (int t = 0; t < threads; ++t) {
-        pool.emplace_back([&log, t] {
-            for (int i = 0; i < per_thread; ++i)
-                log.append({static_cast<kv::Key>(t), 1u,
-                            Timestamp{i, t}});
+        pool.emplace_back([&, t] {
+            for (int i = 0; i < per_thread; ++i) {
+                log.append({static_cast<kv::Key>(t), 1u, Timestamp{i, t}});
+                std::lock_guard<std::mutex> guard(mutex);
+                durable[i % keys].offer(static_cast<kv::Value>(t),
+                                        Timestamp{i, t});
+            }
         });
     }
     for (auto &th : pool)
         th.join();
     EXPECT_EQ(log.size(),
               static_cast<std::size_t>(threads * per_thread));
-    // Replay: per key the max version must win.
-    DurableDb db;
-    log.applyTo(db);
-    for (int t = 0; t < threads; ++t)
-        EXPECT_EQ(db[static_cast<kv::Key>(t)].ts,
-                  (Timestamp{per_thread - 1, t}));
-}
-
-TEST(DurableLog, ClearEmptiesLog)
-{
-    DurableLog log;
-    log.append({1, 2, Timestamp{0, 0}});
-    log.clear();
-    EXPECT_EQ(log.size(), 0u);
-    EXPECT_EQ(log.compactedThrough(), 0u);
-}
-
-TEST(DurableLogCompaction, PreservesApplyResult)
-{
-    DurableLog log;
-    for (int i = 0; i < 10; ++i)
-        log.append({static_cast<kv::Key>(i % 3),
-                    static_cast<kv::Value>(100 + i), Timestamp{i, 0}});
-    DurableDb before;
-    log.applyTo(before);
-
-    log.compact(6);
-    EXPECT_EQ(log.compactedThrough(), 6u);
-    EXPECT_EQ(log.size(), 10u); // global indices keep counting
-
-    DurableDb after;
-    log.applyTo(after);
-    ASSERT_EQ(after.size(), before.size());
-    for (const auto &[k, rec] : before) {
-        EXPECT_EQ(after[k].value, rec.value) << "key " << k;
-        EXPECT_EQ(after[k].ts, rec.ts) << "key " << k;
+    // Per key the max version wins, and on a tie the highest node.
+    for (int k = 0; k < keys; ++k) {
+        EXPECT_EQ(durable[k].ts, (Timestamp{per_thread - keys + k,
+                                            threads - 1}))
+            << "key " << k;
+        EXPECT_EQ(durable[k].value, static_cast<kv::Value>(threads - 1));
     }
-}
-
-TEST(DurableLogCompaction, SnapshotKeepsNewestPerKey)
-{
-    DurableLog log;
-    log.append({5, 1, Timestamp{0, 0}});
-    log.append({5, 2, Timestamp{1, 0}});
-    log.append({5, 3, Timestamp{2, 0}});
-    log.compact(3);
-    // The snapshot holds one entry per key: the newest.
-    auto shipped = log.exportSince(0);
-    ASSERT_EQ(shipped.size(), 1u);
-    EXPECT_EQ(shipped[0].value, 3u);
-    EXPECT_EQ(shipped[0].ts, (Timestamp{2, 0}));
-}
-
-TEST(DurableLogCompaction, ExportCombinesSnapshotAndSuffix)
-{
-    DurableLog log;
-    log.append({1, 10, Timestamp{0, 0}});
-    log.append({2, 20, Timestamp{0, 1}});
-    log.compact(2);
-    log.append({1, 11, Timestamp{1, 0}});
-
-    auto shipped = log.exportSince(0);
-    EXPECT_EQ(shipped.size(), 3u); // 2 snapshot keys + 1 suffix entry
-    DurableDb db;
-    applyEntries(db, shipped);
-    EXPECT_EQ(db[1].value, 11u);
-    EXPECT_EQ(db[2].value, 20u);
-
-    // A suffix-only export skips the snapshot.
-    auto suffix = log.exportSince(2);
-    ASSERT_EQ(suffix.size(), 1u);
-    EXPECT_EQ(suffix[0].value, 11u);
-}
-
-TEST(DurableLogCompaction, AppendsContinueAfterCompaction)
-{
-    DurableLog log;
-    log.append({1, 10, Timestamp{0, 0}});
-    log.compact(1);
-    EXPECT_EQ(log.append({1, 11, Timestamp{1, 0}}), 1u);
-    EXPECT_EQ(log.entryAt(1).value, 11u);
-    EXPECT_TRUE(log.entriesSince(2).empty());
-}
-
-TEST(DurableLogCompaction, IdempotentAndPartial)
-{
-    DurableLog log;
-    for (int i = 0; i < 4; ++i)
-        log.append({static_cast<kv::Key>(i), 1u, Timestamp{i, 0}});
-    log.compact(2);
-    log.compact(2); // no-op
-    log.compact(1); // already past; no-op
-    EXPECT_EQ(log.compactedThrough(), 2u);
-    log.compact(4);
-    EXPECT_EQ(log.compactedThrough(), 4u);
-    DurableDb db;
-    log.applyTo(db);
-    EXPECT_EQ(db.size(), 4u);
 }
 
 TEST(DurableState, MatchesLogReplayUnderAnyPersistOrder)
@@ -244,11 +150,11 @@ TEST(DurableState, MatchesLogReplayUnderAnyPersistOrder)
     std::mt19937_64 rng(3);
     kv::SimStore store(keys);
     DurableState durable;
-    DurableLog log;
+    std::vector<LogEntry> persisted;
     std::vector<std::vector<LogEntry>> issued(keys);
     auto compare = [&] {
         DurableDb want;
-        log.applyTo(want);
+        fold(want, persisted);
         const DurableDb got = durable.db(store);
         ASSERT_EQ(got.size(), want.size());
         std::size_t differ = 0;
@@ -284,12 +190,12 @@ TEST(DurableState, MatchesLogReplayUnderAnyPersistOrder)
                 durable.apply(rec, k, e.value, e.ts);
         } else {
             durable.persist(rec, k, e.value, e.ts);
-            log.append(e);
+            persisted.push_back(e);
         }
         if (step % 20'000 == 0)
             compare();
     }
     compare();
-    EXPECT_EQ(durable.size(), log.size());
+    EXPECT_EQ(durable.size(), persisted.size());
     EXPECT_GT(durable.peakLagging(), 50u);
 }

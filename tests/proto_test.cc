@@ -342,30 +342,66 @@ TEST(ThreadedRecovery, RejoinCatchesUpViaLogShipping)
     }));
 }
 
-TEST(ThreadedRecovery, RejoinWorksAfterLogCompaction)
+TEST(ThreadedRecovery, RejoinAfterOverwritesMatchesDesignatedNode)
 {
-    // A designated node whose log has been compacted into a snapshot
-    // must still be able to catch a rejoining node up.
-    auto cfg = smallConfig(PersistModel::Synch);
-    cfg.ackTimeout = std::chrono::milliseconds(30);
-    ThreadedCluster cluster(cfg);
+    // Two nodes overwrite a few keys many times while node 2 is down.
+    // The designated node keeps one durable entry per key, and the
+    // rejoiner ends with exactly its durable state, each record's
+    // volatile TS at its durable TS.
+    constexpr Key keys = 5;
+    constexpr int writes = 300;
+    for (PersistModel model : simproto::allModels) {
+        SCOPED_TRACE(simproto::shortModelName(model));
+        auto cfg = smallConfig(model);
+        cfg.ackTimeout = std::chrono::milliseconds(30);
+        ThreadedCluster cluster(cfg);
+        cluster.failNode(2);
+        std::vector<std::thread> writers;
+        for (NodeId n = 0; n < 2; ++n) {
+            writers.emplace_back([&cluster, n] {
+                for (int i = 0; i < writes; ++i)
+                    cluster.node(n).write(
+                        static_cast<Key>(i) % keys,
+                        static_cast<Value>(n * writes + i));
+            });
+        }
+        for (auto &w : writers)
+            w.join();
 
-    cluster.node(0).write(1, 11);
-    cluster.node(0).write(1, 12);
-    cluster.node(0).write(2, 21);
-    cluster.failNode(2);
-    cluster.node(0).write(3, 31); // detection
-    cluster.node(0).compactLog();
-    EXPECT_GT(cluster.node(0).logSize(),
-              cluster.node(0).durableDb().size() - 1);
+        // Quiet: the designated node has persisted what it applied.
+        ThreadedNode &designated = cluster.node(0);
+        ASSERT_TRUE(eventually([&] {
+            const nvm::DurableDb db = designated.durableDb();
+            for (Key k = 0; k < keys; ++k)
+                if (!db.contains(k) ||
+                    db.at(k).ts != designated.record(k)->loadVolatileTs())
+                    return false;
+            return true;
+        }));
+        const nvm::DurableDb want = designated.durableDb();
+        EXPECT_EQ(want.size(), keys);
 
-    cluster.healAndRejoin(2);
-    EXPECT_TRUE(eventually([&] {
-        auto db = cluster.node(2).durableDb();
-        return db.count(1) && db.count(2) && db.count(3) &&
-               db[1].value == 12 && db[2].value == 21 &&
-               db[3].value == 31;
-    }));
+        cluster.healAndRejoin(2);
+        ThreadedNode &rejoined = cluster.node(2);
+        EXPECT_TRUE(eventually([&] {
+            const nvm::DurableDb got = rejoined.durableDb();
+            if (got.size() != want.size())
+                return false;
+            for (const auto &[k, rec] : want) {
+                const auto it = got.find(k);
+                if (it == got.end() || it->second.value != rec.value ||
+                    it->second.ts != rec.ts)
+                    return false;
+            }
+            return true;
+        }));
+        for (Key k = 0; k < cfg.numRecords; ++k) {
+            const auto it = want.find(k);
+            EXPECT_EQ(rejoined.record(k)->loadVolatileTs(),
+                      it == want.end() ? Timestamp::none() : it->second.ts)
+                << "key " << k;
+        }
+    }
 }
 
 TEST(ThreadedRecovery, RejoinedNodeParticipatesInNewWrites)

@@ -260,9 +260,9 @@ TEST(TraceIntegration, EveryObsoleteCutLaysARecordOnBothEngines)
     }
 }
 
-/** Replays every PersistDone record under DurableLog::applyTo's rule:
- *  per node and key, the first persist enters, then only a strictly
- *  newer TS_WR. */
+/** Replays every PersistDone record under the durability rule of
+ *  nvm::DurableRecord: per node and key, the first persist enters, then
+ *  only a strictly newer TS_WR. */
 struct PersistReplay : RecordSink
 {
     explicit PersistReplay(int nodes) : durable(nodes) {}
@@ -275,9 +275,9 @@ struct PersistReplay : RecordSink
         const auto key = static_cast<kv::Key>(rec.a0);
         const auto ts =
             kv::Timestamp::unpack(static_cast<std::uint64_t>(rec.a1));
-        auto [it, inserted] = durable[rec.node].try_emplace(key, ts);
-        if (!inserted && ts > it->second)
-            it->second = ts;
+        kv::Timestamp &durable_ts = durable[rec.node][key];
+        if (nvm::DurableRecord::supersedes(ts, durable_ts))
+            durable_ts = ts;
     }
 
     std::vector<std::map<kv::Key, kv::Timestamp>> durable;

@@ -33,12 +33,14 @@
  * latency table (see docs/observability.md).
  *
  * --audit attaches the online protocol auditors (obs/audit.hh) and
- * prints a violation report; --audit-fatal additionally exits 1 when
- * any invariant is breached, for CI smoke runs. --trace-categories
- * restricts which event categories the ring retains (auditors see the
- * full stream regardless). The ring is kept only for --trace-out, so
- * without it --trace-capacity and --trace-categories are checked but
- * change nothing.
+ * prints a violation report: a summary line on stdout (on stderr under
+ * --csv, so that stdout holds only CSV lines) and each violation on
+ * stderr; --audit-fatal additionally exits 1 when any invariant is
+ * breached, for CI smoke runs. --trace-categories restricts which event
+ * categories the ring retains (auditors see the full stream
+ * regardless). The ring is kept only for --trace-out, so without it
+ * --trace-capacity and --trace-categories are checked but change
+ * nothing.
  *
  * An unknown flag or a bad flag value (out of range, malformed, an
  * unknown name, or none where one is needed: `--trace-out=`) exits 2
@@ -142,7 +144,10 @@ usage(const char *prog)
         "          [--audit] [--audit-fatal] [--help]\n"
         "limits: --nodes 2..64; timestamps hold node ids up to %d and "
         "%lld writes\n"
-        "        per key in one run (a TS_WR version past that panics)\n",
+        "        per key in one run (a TS_WR version past that panics)\n"
+        "output: under --csv, stdout holds only CSV lines; the --audit "
+        "summary\n"
+        "        goes to stderr\n",
         prog, static_cast<int>(kv::Timestamp::maxNode),
         static_cast<long long>(kv::Timestamp::maxVersion));
 }
@@ -304,12 +309,14 @@ main(int argc, char **argv)
 
     int exit_code = 0;
     if (want_audit) {
-        std::printf("protocol audit: %llu violations over %llu writes "
-                    "(%s)\n",
-                    static_cast<unsigned long long>(
-                        audit.violationCount()),
-                    static_cast<unsigned long long>(audit.opsAudited()),
-                    audit.clean() ? "clean" : "VIOLATED");
+        // Under --csv, stdout holds only the header and the row.
+        std::fprintf(want_csv ? stderr : stdout,
+                     "protocol audit: %llu violations over %llu writes "
+                     "(%s)\n",
+                     static_cast<unsigned long long>(
+                         audit.violationCount()),
+                     static_cast<unsigned long long>(audit.opsAudited()),
+                     audit.clean() ? "clean" : "VIOLATED");
         if (!audit.clean()) {
             std::fprintf(stderr, "%s", audit.report().c_str());
             if (audit_fatal)
