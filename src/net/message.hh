@@ -15,6 +15,7 @@
 #ifndef MINOS_NET_MESSAGE_HH
 #define MINOS_NET_MESSAGE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -47,6 +48,28 @@ enum class MsgType : std::uint8_t
 
 /** Human-readable message-type name. */
 std::string_view msgTypeName(MsgType type);
+
+/** The four kinds of message a receiver handles: the INV family, the
+ *  ACK flavors, the VAL flavors and [PERSIST]sc. */
+enum class MsgFamily : std::uint8_t
+{
+    Inv,
+    Ack,
+    Val,
+    PersistSc,
+};
+
+/** The family of @p type. */
+constexpr MsgFamily
+familyOf(MsgType type)
+{
+    using F = MsgFamily;
+    // In MsgType order.
+    constexpr F families[] = {F::Inv, F::Ack, F::Ack, F::Ack, F::Val,
+                              F::Val, F::Val, F::Inv, F::Ack, F::Ack,
+                              F::Val, F::Val, F::PersistSc};
+    return families[static_cast<std::size_t>(type)];
+}
 
 /** True for the INV family (messages that carry the record data). */
 constexpr bool
@@ -114,6 +137,37 @@ txnOf(const Message &m)
         return kv::WriteId::ofScope(m.scope);
     return kv::WriteId::of(m.key, m.tsWr);
 }
+
+/** @{
+ * Build the template of a message @p src sends to every follower (its
+ * dst is set per copy). Only the INV family carries the record: an INV
+ * takes the record's @p record_bytes over a control message's size, a
+ * VAL or a [PERSIST]sc the control size.
+ */
+inline Message
+makeInv(MsgType type, kv::NodeId src, kv::Key key, kv::Value value,
+        kv::Timestamp ts, ScopeId scope, std::uint32_t record_bytes)
+{
+    return {.type = type, .src = src, .key = key, .tsWr = ts,
+            .value = value, .scope = scope,
+            .sizeBytes = record_bytes + controlMsgBytes};
+}
+
+inline Message
+makeVal(MsgType type, kv::NodeId src, kv::Key key, kv::Timestamp ts,
+        ScopeId scope)
+{
+    return {.type = type, .src = src, .key = key, .tsWr = ts,
+            .scope = scope, .sizeBytes = controlMsgBytes};
+}
+
+inline Message
+makePersistSc(kv::NodeId src, ScopeId scope)
+{
+    return {.type = MsgType::PERSIST_SC, .src = src, .scope = scope,
+            .sizeBytes = controlMsgBytes};
+}
+/** @} */
 
 /** Build a control-message response template (src/dst swapped). */
 Message makeResponse(const Message &req, MsgType type);

@@ -238,7 +238,6 @@ ThreadedNode::broadcastToLive(Message tmpl)
         if (!(targets & nodeBit(static_cast<NodeId>(d))))
             continue;
         Message m = tmpl;
-        m.src = id_;
         m.dst = static_cast<NodeId>(d);
         cluster_.fabric().send(m);
     }
@@ -248,19 +247,6 @@ void
 ThreadedNode::respond(const Message &req, MsgType type)
 {
     cluster_.fabric().send(net::makeResponse(req, type));
-}
-
-void
-ThreadedNode::sendVal(MsgType type, Key key, const Timestamp &ts,
-                      ScopeId scope)
-{
-    Message val;
-    val.type = type;
-    val.key = key;
-    val.tsWr = ts;
-    val.scope = scope;
-    val.sizeBytes = net::controlMsgBytes;
-    broadcastToLive(val);
 }
 
 // ---------------------------------------------------------------------
@@ -327,7 +313,8 @@ ThreadedNode::runStep(CoordinatorStep s, AtomicRecord &rec,
     else if (s == CoordinatorStep::ReleaseRdLock)
         releaseRdLockIfOwner(rec, txn.ts);
     else if (s == CoordinatorStep::SendVal || s == CoordinatorStep::SendValP)
-        sendVal(simproto::valOf(cfg_.model, s), txn.key, txn.ts, txn.scope);
+        broadcastToLive(net::makeVal(simproto::valOf(cfg_.model, s), id_,
+                                     txn.key, txn.ts, txn.scope));
 }
 
 void
@@ -348,7 +335,7 @@ ThreadedNode::finishTail(const TxnPtr &txn)
     const std::uint64_t acked = (g.acksC ? txn->ackCMask.load() : ~0ull) &
                                 (g.acksP ? txn->ackPMask.load() : ~0ull);
     if ((followerMask() & ~acked) ||
-        (g.localPersist && !txn->localPersistDone.load()) ||
+        (g.localPersist && !txn->localPersisted.load()) ||
         !txn->tail.compare_exchange_strong(s, nullptr))
         return;
     AtomicRecord &rec = at(txn->key);
@@ -389,13 +376,8 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
     }
 
     // Lines 11-13: INVs to the followers, LLC update, release WRLock.
-    Message inv;
-    inv.type = invType(cfg_.model);
-    inv.key = key;
-    inv.tsWr = ts;
-    inv.value = value;
-    inv.scope = scope;
-    inv.sizeBytes = cfg_.recordBytes + net::controlMsgBytes;
+    const Message inv = net::makeInv(invType(cfg_.model), id_, key, value,
+                                     ts, scope, cfg_.recordBytes);
     TxnPtr txn = registerTxn(inv);
     broadcastToLive(inv);
     rec.value.store(value, std::memory_order_release);
@@ -408,7 +390,7 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
     for (; *s != CoordinatorStep::Return; ++s) {
         if (*s == CoordinatorStep::Persist) {
             persist(key, value, ts);
-            txn->localPersistDone.store(true);
+            txn->localPersisted.store(true);
         } else if (*s == CoordinatorStep::PersistLater) {
             enqueuePersist(PersistJob{key, value, ts, scope,
                                       coordinatorSteps_.awaitsLocalPersist()});
@@ -418,7 +400,7 @@ ThreadedNode::write(Key key, Value value, ScopeId scope)
             waitAcks(acks_p ? "ACK_Ps" : "consistency ACKs",
                      [&] { return mask.load(std::memory_order_acquire); });
             while (coordinatorSteps_.gateOf(s).localPersist &&
-                   !txn->localPersistDone.load())
+                   !txn->localPersisted.load())
                 std::this_thread::yield();
         } else {
             runStep(*s, rec, *txn);
@@ -459,10 +441,7 @@ ThreadedNode::persistScope(ScopeId scope)
 {
     if (!isScopeModel(cfg_.model))
         return;
-    Message m;
-    m.type = MsgType::PERSIST_SC;
-    m.scope = scope;
-    m.sizeBytes = net::controlMsgBytes;
+    const Message m = net::makePersistSc(id_, scope);
     TxnPtr txn = registerTxn(m);
     broadcastToLive(m);
 
@@ -471,7 +450,8 @@ ThreadedNode::persistScope(ScopeId scope)
     waitAcks("[ACK_P]sc", [&] {
         return txn->ackPMask.load(std::memory_order_acquire);
     });
-    sendVal(MsgType::VAL_P_SC, 0, Timestamp::none(), scope);
+    broadcastToLive(
+        net::makeVal(MsgType::VAL_P_SC, id_, 0, Timestamp::none(), scope));
     unregisterTxn(kv::WriteId::ofScope(scope));
 }
 
@@ -502,26 +482,17 @@ ThreadedNode::handleEnvelope(runtime::Envelope env)
         return;
     }
     const Message &msg = std::get<Message>(env);
-    switch (msg.type) {
-      case MsgType::INV:
-      case MsgType::INV_SC:
+    switch (net::familyOf(msg.type)) {
+      case net::MsgFamily::Inv:
         onInv(msg);
         break;
-      case MsgType::ACK:
-      case MsgType::ACK_C:
-      case MsgType::ACK_P:
-      case MsgType::ACK_C_SC:
-      case MsgType::ACK_P_SC:
+      case net::MsgFamily::Ack:
         onAck(msg);
         break;
-      case MsgType::VAL:
-      case MsgType::VAL_C:
-      case MsgType::VAL_P:
-      case MsgType::VAL_C_SC:
-      case MsgType::VAL_P_SC:
+      case net::MsgFamily::Val:
         onVal(msg);
         break;
-      case MsgType::PERSIST_SC:
+      case net::MsgFamily::PersistSc:
         onPersistSc(msg);
         break;
     }
@@ -689,7 +660,7 @@ ThreadedNode::persisterLoop()
             }
             if (job.awaited) {
                 if (TxnPtr txn = findTxn(kv::WriteId::of(job.key, job.ts))) {
-                    txn->localPersistDone.store(true);
+                    txn->localPersisted.store(true);
                     finishTail(txn);
                 }
             }

@@ -129,7 +129,7 @@ class ThreadedNode
         /** Consistency ACKs in (the combined ACK for Synch). */
         std::atomic<std::uint64_t> ackCMask{0};
         std::atomic<std::uint64_t> ackPMask{0};
-        std::atomic<bool> localPersistDone{false};
+        std::atomic<bool> localPersisted{false};
         /** The steps after Return, once write() has answered; null
          *  before that and once a thread has claimed them. */
         std::atomic<const simproto::CoordinatorStep *> tail{nullptr};
@@ -194,9 +194,6 @@ class ThreadedNode
     // ---- messaging ----
     void broadcastToLive(net::Message tmpl);
     void respond(const net::Message &req, net::MsgType type);
-    /** Send a VAL of @p type to every live follower. */
-    void sendVal(net::MsgType type, kv::Key key, const kv::Timestamp &ts,
-                 net::ScopeId scope);
 
     // ---- coordinator bookkeeping ----
     /** Register the transaction @p m opens, under net::txnOf(m). */

@@ -13,6 +13,8 @@
  *
  * Awaitables:
  *  - `co_await delay(ticks)` suspends for a simulated duration.
+ *  - `co_await detach(value)` answers a Task's caller with value and
+ *    runs the rest of the Task as if spawned at that point.
  *  - `co_await cond.until(pred)` suspends until a notification finds
  *    `pred()` true; `co_await cond.wait()` until the next notification.
  *
@@ -209,6 +211,8 @@ struct TaskFinalAwaiter
 struct TaskPromiseBase : PromiseBase
 {
     std::coroutine_handle<> continuation;
+    /** The caller has its answer; the rest runs detached. */
+    bool detached = false;
 
     std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -292,13 +296,101 @@ class Task
         return handle_;
     }
 
-    T await_resume() { return handle_.promise().result(); }
+    T
+    await_resume()
+    {
+        // A detached frame belongs to the Process that runs its rest.
+        if (handle_.promise().detached)
+            return std::exchange(handle_, {}).promise().result();
+        return handle_.promise().result();
+    }
 
   private:
     explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
 
     std::coroutine_handle<promise_type> handle_;
 };
+
+namespace detail {
+
+/** Resumes a detached Task from a Process of its own, and owns its
+ *  frame: freed when the Process ends or is reclaimed at teardown. */
+struct DetachedFrame
+{
+    std::coroutine_handle<> frame;
+    TaskPromiseBase *promise;
+
+    DetachedFrame(std::coroutine_handle<> f, TaskPromiseBase *p)
+        : frame(f), promise(p)
+    {
+    }
+    DetachedFrame(DetachedFrame &&o) noexcept
+        : frame(std::exchange(o.frame, {})), promise(o.promise)
+    {
+    }
+    ~DetachedFrame()
+    {
+        if (frame)
+            frame.destroy();
+    }
+
+    bool await_ready() const noexcept { return false; }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> parent) noexcept
+    {
+        promise->continuation = parent;
+        return frame;
+    }
+
+    void await_resume() const noexcept {}
+};
+
+inline Process
+runDetached(DetachedFrame frame)
+{
+    co_await frame;
+}
+
+/** Awaiter of detach(). */
+template <typename T>
+struct DetachAwaiter
+{
+    T value;
+
+    bool await_ready() const noexcept { return false; }
+
+    template <typename P>
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<P> h)
+    {
+        static_assert(std::is_base_of_v<TaskPromiseBase, P>);
+        P &p = h.promise();
+        p.return_value(std::move(value));
+        p.detached = true;
+        const std::coroutine_handle<> caller =
+            std::exchange(p.continuation, {});
+        p.sim->spawn(runDetached(DetachedFrame(h, &p)));
+        return caller ? caller : std::noop_coroutine();
+    }
+
+    void await_resume() const noexcept {}
+};
+
+} // namespace detail
+
+/**
+ * Answer the caller awaiting this Task with @p value now, and run the
+ * rest of the Task detached: it resumes in a same-tick event, exactly
+ * as a Process spawned at this point would. Detach at most once; the
+ * value of the Task's final co_return goes nowhere.
+ */
+template <typename T>
+detail::DetachAwaiter<T>
+detach(T value)
+{
+    return {std::move(value)};
+}
 
 /** Awaitable that suspends the current coroutine for @p ticks. */
 struct DelayAwaiter

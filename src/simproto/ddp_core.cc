@@ -14,7 +14,7 @@ DdpCore::DdpCore(sim::Simulator &sim, const ClusterConfig &cfg,
                  PersistModel model, kv::NodeId id)
     : sim_(sim), cfg_(cfg), model_(model), id_(id),
       store_(cfg.numRecords), hostCores_(sim, cfg.hostCores),
-      progress_(sim),
+      progress_(sim), rx_(sim),
       appliedSteps_(appliedSchedule(model, cfg.mutations.ackBeforePersist,
                                     cfg.mutations.duplicateAck)),
       obsoleteSteps_(obsoleteSchedule(model)),
@@ -26,11 +26,33 @@ DdpCore::DdpCore(sim::Simulator &sim, const ClusterConfig &cfg,
 {
 }
 
-sim::Task<void>
-DdpCore::handleObsolete(Key key, Timestamp observed)
+sim::Task<OpStats>
+DdpCore::cutObsoleteWrite(Tick t0, Record &rec, Key key, Timestamp ts,
+                          Timestamp observed)
 {
-    return walkObsolete(key, observed,
-                        [](MsgType) { return std::suspend_never{}; });
+    OpStats st;
+    st.obsolete = true;
+    countObsolete(&NodeCounters::writesObsoleteCut, key, ts);
+    // handleObsolete(): the obsolete-INV spins on the newer write,
+    // without their ACKs.
+    co_await walkObsolete(key, observed,
+                          [](MsgType) { return std::suspend_never{}; });
+    // If the (already complete) newer write released the RDLock before
+    // our snatch, we may be a stale owner; release so reads are not
+    // blocked forever.
+    releaseRdLockIfOwner(rec, key, ts);
+    co_return finishOp(st, t0, obs::OpType::Write,
+                       static_cast<std::int64_t>(key),
+                       static_cast<std::int64_t>(ts.pack()));
+}
+
+sim::Task<void>
+DdpCore::beginPersistScope(net::ScopeId scope)
+{
+    traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpBegin,
+               static_cast<std::int64_t>(scope), 0,
+               obs::opAux(obs::OpType::PersistSc, false));
+    co_await hostCores_.compute(cfg_.clientReqNs);
 }
 
 sim::Task<OpStats>
@@ -61,14 +83,8 @@ Message
 DdpCore::makeInv(Key key, kv::Value value, Timestamp ts,
                  net::ScopeId scope)
 {
-    Message m;
-    m.type = invType(model_);
-    m.src = id_;
-    m.key = key;
-    m.tsWr = ts;
-    m.value = value;
-    m.scope = scope;
-    m.sizeBytes = cfg_.recordBytes + net::controlMsgBytes;
+    Message m = net::makeInv(invType(model_), id_, key, value, ts, scope,
+                             cfg_.recordBytes);
     counters_.invsSent += static_cast<std::uint64_t>(cfg_.followers());
     traceEvent(obs::Category::Message, obs::EventKind::InvFanout,
                static_cast<std::int64_t>(key),
@@ -84,13 +100,7 @@ DdpCore::makeInv(Key key, kv::Value value, Timestamp ts,
 Message
 DdpCore::makeVal(MsgType type, Key key, Timestamp ts, net::ScopeId scope)
 {
-    Message m;
-    m.type = type;
-    m.src = id_;
-    m.key = key;
-    m.tsWr = ts;
-    m.scope = scope;
-    m.sizeBytes = net::controlMsgBytes;
+    Message m = net::makeVal(type, id_, key, ts, scope);
     counters_.valsSent += static_cast<std::uint64_t>(cfg_.followers());
     const kv::WriteId txn = net::txnOf(m);
     traceEvent(obs::Category::Message, obs::EventKind::ValSent,

@@ -55,6 +55,9 @@ struct WriteTxn : AckTally
     Tick tGateAck = 0;    ///< arrival of the last gating ACK
     Tick handleNsSum = 0; ///< follower handling time of the timed ACKs
     int handleCnt = 0;
+    /** The coordinator's own persist of the update is done (MINOS-O:
+     *  its dFIFO enqueue, or its launch for the weak models). */
+    bool localPersisted = false;
 
     void
     addHandle(Tick handle_ns)
@@ -91,6 +94,10 @@ class DdpCore
     /** Local client-read: stalls only while the RDLock is taken. */
     sim::Task<OpStats> clientRead(kv::Key key);
 
+    /** Deliver a message into the receive queue of the node's protocol
+     *  processor: the host for MINOS-B, the SmartNIC for MINOS-O. */
+    void deliver(net::Message msg) { rx_.send(std::move(msg)); }
+
     /** @{ Introspection for tests and invariant checks. */
     const kv::Record &record(kv::Key key) const { return store_.at(key); }
     /** The node's durable state; log().size() counts its persists, as
@@ -112,6 +119,22 @@ class DdpCore
   protected:
     DdpCore(sim::Simulator &sim, const ClusterConfig &cfg,
             PersistModel model, kv::NodeId id);
+
+    /**
+     * Start the receive loop of @p engine's protocol processor: each
+     * message delivered is handled in a process of its own, which pays
+     * @p dispatch_ns on @p cores and then runs the engine's handler of
+     * its family (onInv, onAck, onVal, onPersistSc), given the time the
+     * message entered the receive queue.
+     */
+    template <typename Engine>
+    void
+    startDispatcher(sim::CorePool &cores, Tick dispatch_ns)
+    {
+        rxCores_ = &cores;
+        rxDispatchNs_ = dispatch_ns;
+        sim_.spawn(dispatcher<Engine>());
+    }
 
     /** Lay one flight-recorder event at the current simulated time. */
     void
@@ -167,6 +190,35 @@ class DdpCore
         return st;
     }
 
+    /** The client-write prologue, after the engine's clientReqNs compute:
+     *  count the write, draw its TS_WR from @p rec and lay its
+     *  ClientOpBegin record. */
+    kv::Timestamp
+    beginWrite(kv::Key key, const kv::Record &rec)
+    {
+        ++counters_.writesCoordinated;
+        const kv::Timestamp ts = store_.makeWriteTs(key, rec, id_);
+        traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpBegin,
+                   static_cast<std::int64_t>(key),
+                   static_cast<std::int64_t>(ts.pack()),
+                   obs::opAux(obs::OpType::Write, false));
+        return ts;
+    }
+
+    /**
+     * Cut the client-write (@p key, @p ts) begun at @p t0, found obsolete
+     * under the newer write @p observed (Fig. 2 lines 14-16, 20-21):
+     * count and trace it, spin as handleObsolete() does, release the
+     * RDLock if a stale snatch left it ours, and answer the client.
+     */
+    sim::Task<OpStats> cutObsoleteWrite(Tick t0, kv::Record &rec,
+                                        kv::Key key, kv::Timestamp ts,
+                                        kv::Timestamp observed);
+
+    /** The [PERSIST]sc prologue: lay its ClientOpBegin record and pay
+     *  the client request. */
+    sim::Task<void> beginPersistScope(net::ScopeId scope);
+
     /** Snatch RDLock: take it unless a younger write holds it. */
     void
     snatchRdLock(kv::Record &rec, const kv::Timestamp &ts)
@@ -219,14 +271,6 @@ class DdpCore
             raiseGlbDurable(rec, val.key, val.tsWr);
     }
 
-    /**
-     * handleObsolete(): the spins of the obsolete-INV steps on the newer
-     * write @p observed, without their ACKs: ConsistencySpin (until
-     * glb_volatileTS reaches it) then, for Synch/Strict/REnf,
-     * PersistencySpin (glb_durableTS).
-     */
-    sim::Task<void> handleObsolete(kv::Key key, kv::Timestamp observed);
-
     /** The coordinator's persistency-gate threshold (one short under
      *  the dropOnePersistAck test mutation). */
     int
@@ -259,6 +303,13 @@ class DdpCore
         return (!g.acksC || consistencyGate(t)) &&
                (!g.acksP || persistencyGate(t)) &&
                (!g.localPersist || localPersisted);
+    }
+
+    /** Coordinator gate @p g holds over @p txn. */
+    bool
+    gateHolds(const CoordinatorGate &g, const WriteTxn &txn) const
+    {
+        return gateHolds(g, txn, txn.localPersisted);
     }
 
     /** Run coordinator step @p s if it is a glb raise or the RDLock
@@ -314,6 +365,21 @@ class DdpCore
     }
     /** @} */
 
+    /**
+     * Make an update of @p scope durable in the background: @p persist()
+     * returns the engine's awaitable persist (MINOS-B's host persist,
+     * MINOS-O's dFIFO enqueue). The update counts among the scope's
+     * unpersisted ones until it completes; then @p done() runs.
+     */
+    template <typename Persist, typename Done>
+    void
+    persistInBackground(net::ScopeId scope, Persist persist, Done done)
+    {
+        beginScopedPersist(scope);
+        sim_.spawn(backgroundPersist(scope, std::move(persist),
+                                     std::move(done)));
+    }
+
     /** Await every update of @p scope being persisted locally. */
     auto
     scopeFlushed(net::ScopeId scope)
@@ -346,7 +412,8 @@ class DdpCore
      * Walk the obsolete-INV steps on the newer write @p observed: each
      * spin waits on the record of @p key, each ACK step calls
      * @p ack(type), which returns an awaitable. Fig. 2's follower
-     * (ackObsoleteInv) and coordinator (handleObsolete) share it.
+     * (ackObsoleteInv) and coordinator (cutObsoleteWrite, whose
+     * handleObsolete() is these spins without the ACKs) share it.
      */
     template <typename Ack>
     sim::Task<void>
@@ -374,6 +441,8 @@ class DdpCore
     sim::CorePool hostCores_;
     sim::Condition progress_;
     NodeCounters counters_;
+    /** The protocol processor's receive queue (deliver()). */
+    sim::Mailbox<net::Message> rx_;
 
     /** Follower steps after applying an INV, per model and mutation. */
     const FollowerSchedule appliedSteps_;
@@ -390,6 +459,56 @@ class DdpCore
     std::vector<std::pair<net::ScopeId, int>> scopeUnpersisted_;
 
   private:
+    /** The cores and per-message cost of the receive loop. */
+    sim::CorePool *rxCores_ = nullptr;
+    Tick rxDispatchNs_ = 0;
+
+    template <typename Engine>
+    sim::Process
+    dispatcher()
+    {
+        for (;;) {
+            net::Message m = co_await rx_.recv();
+            sim_.spawn(handle<Engine>(std::move(m)));
+        }
+    }
+
+    template <typename Engine>
+    sim::Process
+    handle(net::Message msg)
+    {
+        // Handling time starts when the message sits in the receive
+        // queue (paper §IV's communication/computation boundary).
+        const Tick t_rx = sim_.now();
+        co_await rxCores_->compute(rxDispatchNs_);
+        auto &engine = static_cast<Engine &>(*this);
+        switch (net::familyOf(msg.type)) {
+          case net::MsgFamily::Inv:
+            co_await engine.onInv(msg, t_rx);
+            break;
+          case net::MsgFamily::Ack:
+            ++counters_.acksReceived;
+            co_await engine.onAck(msg, t_rx);
+            break;
+          case net::MsgFamily::Val:
+            ++counters_.valsReceived;
+            co_await engine.onVal(msg);
+            break;
+          case net::MsgFamily::PersistSc:
+            co_await engine.onPersistSc(msg, t_rx);
+            break;
+        }
+    }
+
+    template <typename Persist, typename Done>
+    sim::Process
+    backgroundPersist(net::ScopeId scope, Persist persist, Done done)
+    {
+        co_await persist();
+        endScopedPersist(scope);
+        done();
+    }
+
     std::vector<std::pair<net::ScopeId, int>>::iterator
     findScope(net::ScopeId scope)
     {

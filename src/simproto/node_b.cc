@@ -18,9 +18,9 @@ using net::ScopeId;
 NodeB::NodeB(sim::Simulator &sim, ClusterB &cluster,
              const ClusterConfig &cfg, PersistModel model, NodeId id)
     : DdpCore(sim, cfg, model, id), cluster_(cluster),
-      nvm_(cfg.persistNsPerKb), rx_(sim), wrLocks_(cfg.numRecords)
+      nvm_(cfg.persistNsPerKb), wrLocks_(cfg.numRecords)
 {
-    sim_.spawn(dispatcher());
+    startDispatcher<NodeB>(hostCores_, cfg_.dispatchNs);
 }
 
 // ---------------------------------------------------------------------
@@ -70,28 +70,19 @@ NodeB::persistToNvm(Key key, Value value, Timestamp ts)
 }
 
 void
-NodeB::persistInBackground(Key key, Value value, Timestamp ts,
-                           ScopeId scope)
+NodeB::persistLater(Key key, Value value, Timestamp ts, ScopeId scope)
 {
-    beginScopedPersist(scope);
-    struct Launcher
-    {
-        static sim::Process
-        run(NodeB *self, Key key, Value value, Timestamp ts,
-            ScopeId scope)
-        {
-            co_await self->persistToNvm(key, value, ts);
-            self->endScopedPersist(scope);
-            // The REnf coordinator's background tail gates on the local
-            // persist completing.
-            auto txn = self->pending_.find(kv::WriteId::of(key, ts));
-            if (txn && ts.node == self->id_) {
-                txn->localPersistDone = true;
-                self->progress_.notifyAll();
+    persistInBackground(
+        scope, [=, this] { return persistToNvm(key, value, ts); },
+        [=, this] {
+            // The REnf coordinator's steps after Return gate on the
+            // local persist completing.
+            auto txn = pending_.find(kv::WriteId::of(key, ts));
+            if (txn && ts.node == id_) {
+                txn->localPersisted = true;
+                progress_.notifyAll();
             }
-        }
-    };
-    sim_.spawn(Launcher::run(this, key, value, ts, scope));
+        });
 }
 
 // ---------------------------------------------------------------------
@@ -108,12 +99,6 @@ NodeB::sendResponse(const Message &req, MsgType type, Tick handle_ns)
     cluster_.unicast(makeAck(req, type, handle_ns));
 }
 
-void
-NodeB::deliver(Message msg)
-{
-    rx_.send(std::move(msg));
-}
-
 // ---------------------------------------------------------------------
 // Client-write (Coordinator, Fig. 2 left / Fig. 3 deltas)
 // ---------------------------------------------------------------------
@@ -121,17 +106,10 @@ NodeB::deliver(Message msg)
 sim::Task<OpStats>
 NodeB::clientWrite(Key key, Value value, ScopeId scope)
 {
-    OpStats st;
     Tick t0 = sim_.now();
-    ++counters_.writesCoordinated;
     co_await hostCores_.compute(cfg_.clientReqNs);
-
     Record &rec = store_.at(key);
-    Timestamp ts = store_.makeWriteTs(key, rec, id_);
-    traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpBegin,
-               static_cast<std::int64_t>(key),
-               static_cast<std::int64_t>(ts.pack()),
-               obs::opAux(obs::OpType::Write, false));
+    Timestamp ts = beginWrite(key, rec);
 
     // Line 8: Snatch RDLock (one CAS).
     Tick t_lock0 = sim_.now();
@@ -142,21 +120,12 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
     co_await grabWrLock(key);
     Tick t_lock1 = sim_.now();
 
-    // Line 10: final timestamp check under the WRLock.
+    // Line 10: final timestamp check under the WRLock. Lines 15-16:
+    // release the WRLock first, then handleObsolete.
     if (kv::isObsolete(rec, ts)) {
-        st.obsolete = true;
-        countObsolete(&NodeCounters::writesObsoleteCut, key, ts);
-        Timestamp observed = rec.volatileTs;
-        // Lines 15-16: release WRLock first, then handleObsolete.
         releaseWrLock(key);
-        co_await handleObsolete(key, observed);
-        // Lines 20-21 apply on this path too: if the (already complete)
-        // newer write released the RDLock before our snatch, we may be a
-        // stale owner; release so reads are not blocked forever.
-        releaseRdLockIfOwner(rec, key, ts);
-        co_return finishOp(st, t0, obs::OpType::Write,
-                           static_cast<std::int64_t>(key),
-                           static_cast<std::int64_t>(ts.pack()));
+        co_return co_await cutObsoleteWrite(t0, rec, key, ts,
+                                            rec.volatileTs);
     }
 
     auto txn = pending_.insert(kv::WriteId::of(key, ts));
@@ -183,18 +152,22 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
     // Line 13: release WRLock.
     releaseWrLock(key);
 
-    // Lines 18-22 / Fig. 3 steps d-f: the model's coordinator schedule
-    // up to the client's answer; the steps after it run in a tail.
+    // Lines 18-22 / Fig. 3 steps d-f: the model's coordinator schedule.
+    // Return answers the client; the steps after it run detached.
+    OpStats st;
     Tick t_gate = 0;
-    const CoordinatorStep *s = coordinatorSteps_.begin();
-    for (; *s != CoordinatorStep::Return; ++s) {
+    for (const CoordinatorStep *s = coordinatorSteps_.begin();
+         s != coordinatorSteps_.end(); ++s) {
         if (*s == CoordinatorStep::Persist) {
             co_await persistToNvm(key, value, ts);
-            txn->localPersistDone = true;
+            txn->localPersisted = true;
         } else if (*s == CoordinatorStep::PersistLater) {
-            persistInBackground(key, value, ts, scope);
+            persistLater(key, value, ts, scope);
         } else if (CoordinatorSchedule::isAwait(*s)) {
-            co_await awaitGate(*txn, s);
+            co_await progress_.until(
+                [this, &t = *txn, gate = coordinatorSteps_.gateOf(s)] {
+                    return gateHolds(gate, t);
+                });
             if (*s == CoordinatorStep::AwaitAcksC)
                 t_gate = sim_.now();
         } else if (*s == CoordinatorStep::SendVal ||
@@ -202,57 +175,30 @@ NodeB::clientWrite(Key key, Value value, ScopeId scope)
             co_await hostCores_.compute(cfg_.hostSendNs *
                                         cfg_.followers());
             cluster_.multicast(makeVal(valOf(model_, *s), key, ts, scope));
-        } else {
-            runCoordinatorStep(*s, rec, key, ts);
-        }
-    }
-    // Retire the txn when no tail needs it; our hold keeps its timing
-    // fields for the comm/comp split.
-    if (s + 1 != coordinatorSteps_.end())
-        sim_.spawn(coordinatorTail(key, ts, scope, s + 1));
-    else
-        pending_.erase(kv::WriteId::of(key, ts));
-
-    // Spans for the gather/completion phases; every timestamp was taken
-    // at an await point the protocol already had, so recording them
-    // never moves simulated time.
-    if (cfg_.trace || cfg_.phases) {
-        auto token = static_cast<std::int64_t>(ts.pack());
-        if (txn->tGateAck >= txn->tFirstSend && txn->handleCnt > 0)
-            obs::recordSpan(cfg_.trace, cfg_.phases,
-                            obs::Phase::AckGather, txn->tFirstSend,
-                            txn->tGateAck, id_, token);
-        obs::recordSpan(cfg_.trace, cfg_.phases, obs::Phase::Val,
-                        t_gate, sim_.now(), id_, token);
-    }
-
-    co_return finishOp(st, t0, obs::OpType::Write,
-                       static_cast<std::int64_t>(key),
-                       static_cast<std::int64_t>(ts.pack()), &*txn);
-}
-
-sim::Process
-NodeB::coordinatorTail(Key key, Timestamp ts, ScopeId scope,
-                       const CoordinatorStep *s)
-{
-    Record &rec = store_.at(key);
-    auto txn = pending_.find(kv::WriteId::of(key, ts));
-    MINOS_ASSERT(txn, "coordinator tail without pending txn");
-    // Every persist step precedes Return, so a tail only waits, raises,
-    // releases and sends.
-    for (; s != coordinatorSteps_.end(); ++s) {
-        if (CoordinatorSchedule::isAwait(*s)) {
-            co_await awaitGate(*txn, s);
-        } else if (*s == CoordinatorStep::SendVal ||
-                   *s == CoordinatorStep::SendValP) {
-            co_await hostCores_.compute(cfg_.hostSendNs *
-                                        cfg_.followers());
-            cluster_.multicast(makeVal(valOf(model_, *s), key, ts, scope));
+        } else if (*s == CoordinatorStep::Return) {
+            // Spans for the gather/completion phases; every timestamp
+            // was taken at an await point the protocol already had, so
+            // recording them never moves simulated time.
+            if (cfg_.trace || cfg_.phases) {
+                auto token = static_cast<std::int64_t>(ts.pack());
+                if (txn->tGateAck >= txn->tFirstSend && txn->handleCnt > 0)
+                    obs::recordSpan(cfg_.trace, cfg_.phases,
+                                    obs::Phase::AckGather, txn->tFirstSend,
+                                    txn->tGateAck, id_, token);
+                obs::recordSpan(cfg_.trace, cfg_.phases, obs::Phase::Val,
+                                t_gate, sim_.now(), id_, token);
+            }
+            st = finishOp(st, t0, obs::OpType::Write,
+                          static_cast<std::int64_t>(key),
+                          static_cast<std::int64_t>(ts.pack()), &*txn);
+            if (s + 1 != coordinatorSteps_.end())
+                co_await sim::detach(st);
         } else {
             runCoordinatorStep(*s, rec, key, ts);
         }
     }
     pending_.erase(kv::WriteId::of(key, ts));
+    co_return st;
 }
 
 // ---------------------------------------------------------------------
@@ -262,26 +208,16 @@ NodeB::coordinatorTail(Key key, Timestamp ts, ScopeId scope,
 sim::Task<OpStats>
 NodeB::persistScope(ScopeId scope)
 {
-    OpStats st;
     Tick t0 = sim_.now();
     if (!isScopeModel(model_))
-        co_return st;
-
-    traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpBegin,
-               static_cast<std::int64_t>(scope), 0,
-               obs::opAux(obs::OpType::PersistSc, false));
-    co_await hostCores_.compute(cfg_.clientReqNs);
+        co_return OpStats{};
+    co_await beginPersistScope(scope);
     auto txn = pending_.insert(kv::WriteId::ofScope(scope));
     MINOS_ASSERT(txn, "duplicate [PERSIST]sc for scope ", scope);
 
     // Send [PERSIST]sc to all followers.
     co_await hostCores_.compute(cfg_.hostSendNs * cfg_.followers());
-    Message m;
-    m.type = MsgType::PERSIST_SC;
-    m.src = id_;
-    m.scope = scope;
-    m.sizeBytes = net::controlMsgBytes;
-    cluster_.multicast(m);
+    cluster_.multicast(net::makePersistSc(id_, scope));
 
     // Complete persisting all local WRs inside the scope, then the
     // [PERSIST]sc marker itself.
@@ -296,7 +232,7 @@ NodeB::persistScope(ScopeId scope)
         makeVal(MsgType::VAL_P_SC, 0, Timestamp::none(), scope));
     pending_.erase(kv::WriteId::ofScope(scope));
 
-    co_return finishOp(st, t0, obs::OpType::PersistSc,
+    co_return finishOp(OpStats{}, t0, obs::OpType::PersistSc,
                        static_cast<std::int64_t>(scope), 0);
 }
 
@@ -304,53 +240,10 @@ NodeB::persistScope(ScopeId scope)
 // Receive side
 // ---------------------------------------------------------------------
 
-sim::Process
-NodeB::dispatcher()
-{
-    for (;;) {
-        Message m = co_await rx_.recv();
-        sim_.spawn(handleMessage(std::move(m)));
-    }
-}
-
-sim::Process
-NodeB::handleMessage(Message msg)
-{
-    // Handling time starts when the message sits in the host receive
-    // queue (paper SIV's communication/computation boundary).
-    Tick t_rx = sim_.now();
-    co_await hostCores_.compute(cfg_.dispatchNs);
-    switch (msg.type) {
-      case MsgType::INV:
-      case MsgType::INV_SC:
-        ++counters_.invsReceived;
-        co_await onInv(msg, t_rx);
-        break;
-      case MsgType::ACK:
-      case MsgType::ACK_C:
-      case MsgType::ACK_P:
-      case MsgType::ACK_C_SC:
-      case MsgType::ACK_P_SC:
-        ++counters_.acksReceived;
-        co_await onAck(msg, t_rx);
-        break;
-      case MsgType::VAL:
-      case MsgType::VAL_C:
-      case MsgType::VAL_P:
-      case MsgType::VAL_C_SC:
-      case MsgType::VAL_P_SC:
-        ++counters_.valsReceived;
-        co_await onVal(msg);
-        break;
-      case MsgType::PERSIST_SC:
-        co_await onPersistSc(msg, t_rx);
-        break;
-    }
-}
-
 sim::Task<void>
 NodeB::onInv(Message msg, Tick t_handle0)
 {
+    ++counters_.invsReceived;
     Record &rec = store_.at(msg.key);
 
     // Lines 27-30 cut an INV that is already obsolete short; otherwise
@@ -400,7 +293,7 @@ NodeB::onInv(Message msg, Tick t_handle0)
             co_await persistToNvm(msg.key, msg.value, msg.tsWr);
             break;
           case FollowerStep::PersistLater:
-            persistInBackground(msg.key, msg.value, msg.tsWr, msg.scope);
+            persistLater(msg.key, msg.value, msg.tsWr, msg.scope);
             break;
           default:
             break;

@@ -14,7 +14,8 @@
  *  4. walk the model's coordinator schedule (models.hh): persist to
  *     the NVM log, wait for the ACK gates, raise glb_volatileTS /
  *     glb_durableTS, release the RDLock if still owner, send the VALs
- *     and answer the client; steps after the answer run in a tail.
+ *     and answer the client; the walk goes on, detached, past the
+ *     answer.
  *
  * The Follower checks obsoleteness, mirrors steps 2-4 and acknowledges
  * (the DdpCore schedules); its RDLock is released by the VAL. The
@@ -48,9 +49,6 @@ class NodeB : public DdpCore
     /** Coordinator side of the [PERSIST]sc transaction (<Lin,Scope>). */
     sim::Task<OpStats> persistScope(net::ScopeId scope);
 
-    /** Deliver a message into this node's host receive queue. */
-    void deliver(net::Message msg);
-
     /** Coordinator transactions not yet recycled (tests). */
     std::size_t pendingTxns() const { return pending_.live(); }
 
@@ -58,12 +56,7 @@ class NodeB : public DdpCore
     bool wrLockHeld(kv::Key key) const { return wrLocks_.at(key); }
 
   private:
-    /** Coordinator-side bookkeeping for one outstanding client-write,
-     *  or a [PERSIST]sc (which counts its ACK_P_SCs as acksP). */
-    struct PendingTxn : WriteTxn
-    {
-        bool localPersistDone = false; ///< coordinator's own persist
-    };
+    friend class DdpCore;
 
     /** Spin-grab @p key's WRLock (local-write mutual exclusion). */
     sim::Task<void> grabWrLock(kv::Key key);
@@ -73,9 +66,9 @@ class NodeB : public DdpCore
     sim::Task<void> persistToNvm(kv::Key key, kv::Value value,
                                  kv::Timestamp ts);
 
-    /** Launch a background persist (weak models / coordinator REnf). */
-    void persistInBackground(kv::Key key, kv::Value value,
-                             kv::Timestamp ts, net::ScopeId scope);
+    /** Persist in the background (weak models / coordinator REnf). */
+    void persistLater(kv::Key key, kv::Value value, kv::Timestamp ts,
+                      net::ScopeId scope);
 
     // ---- messaging ----
 
@@ -83,33 +76,15 @@ class NodeB : public DdpCore
     sim::Task<void> sendResponse(const net::Message &req,
                                  net::MsgType type, Tick handle_ns);
 
-    // ---- receive-side handlers ----
+    // ---- receive-side handlers (DdpCore's receive loop) ----
 
-    sim::Process dispatcher();
-    sim::Process handleMessage(net::Message msg);
     sim::Task<void> onInv(net::Message msg, Tick t_handle0);
     sim::Task<void> onAck(net::Message msg, Tick t_rx);
     sim::Task<void> onVal(net::Message msg);
     sim::Task<void> onPersistSc(net::Message msg, Tick t_handle0);
 
-    /** The coordinator steps from @p s on, after the client's answer. */
-    sim::Process coordinatorTail(kv::Key key, kv::Timestamp ts,
-                                 net::ScopeId scope,
-                                 const CoordinatorStep *s);
-
-    /** Await the gate of coordinator step @p at over @p txn. */
-    auto
-    awaitGate(PendingTxn &txn, const CoordinatorStep *at)
-    {
-        return progress_.until(
-            [this, &txn, gate = coordinatorSteps_.gateOf(at)] {
-                return gateHolds(gate, txn, txn.localPersistDone);
-            });
-    }
-
     ClusterB &cluster_;
     nvm::NvmModel nvm_;
-    sim::Mailbox<net::Message> rx_;
 
     /**
      * WRLock per key (paper Fig. 1(a)), one bit each: the lock is
@@ -117,8 +92,9 @@ class NodeB : public DdpCore
      */
     std::vector<bool> wrLocks_;
 
-    /** Writes and [PERSIST]sc transactions in flight, by net::txnOf. */
-    TxnSlab<PendingTxn> pending_;
+    /** Writes and [PERSIST]sc transactions in flight, by net::txnOf (a
+     *  [PERSIST]sc counts its ACK_P_SCs as acksP). */
+    TxnSlab<WriteTxn> pending_;
 };
 
 } // namespace minos::simproto

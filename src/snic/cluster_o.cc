@@ -17,7 +17,7 @@ void
 ClusterO::toSnic(NodeId id, Tick at, const Message &msg)
 {
     NodeO *snic = &node(id);
-    sim_.schedule(at, [snic, msg] { snic->deliverToSnic(msg); });
+    sim_.schedule(at, [snic, msg] { snic->deliver(msg); });
 }
 
 void

@@ -25,12 +25,12 @@ using simproto::valOf;
 NodeO::NodeO(sim::Simulator &sim, ClusterO &cluster,
              const ClusterConfig &cfg, PersistModel model, NodeId id)
     : DdpCore(sim, cfg, model, id), cluster_(cluster),
-      snicCores_(sim, cfg.snicCores), snicRx_(sim),
+      snicCores_(sim, cfg.snicCores),
       vfifo_(sim, cfg, store_, cluster.vfifoDma(id), progress_, id),
       dfifo_(sim, cfg, store_, cluster.dfifoDma(id), progress_, id),
       valTail_(valTailOf(coordinatorSteps_))
 {
-    sim_.spawn(snicDispatcher());
+    startDispatcher<NodeO>(snicCores_, cfg_.snicDispatchNs);
 }
 
 // ---------------------------------------------------------------------
@@ -40,17 +40,10 @@ NodeO::NodeO(sim::Simulator &sim, ClusterO &cluster,
 sim::Task<OpStats>
 NodeO::clientWrite(Key key, Value value, ScopeId scope)
 {
-    OpStats st;
     Tick t0 = sim_.now();
-    ++counters_.writesCoordinated;
     co_await hostCores_.compute(cfg_.clientReqNs);
-
     Record &rec = store_.at(key);
-    Timestamp ts = store_.makeWriteTs(key, rec, id_);
-    traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpBegin,
-               static_cast<std::int64_t>(key),
-               static_cast<std::int64_t>(ts.pack()),
-               obs::opAux(obs::OpType::Write, false));
+    Timestamp ts = beginWrite(key, rec);
 
     // Snatch RDLock on the coherent metadata (Fig. 8 line 8).
     Tick t_lock0 = sim_.now();
@@ -59,16 +52,9 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
     Tick t_lock1 = sim_.now();
 
     // Fig. 8 line 9: obsoleteness check (no WRLock in MINOS-O).
-    if (kv::isObsolete(rec, ts)) {
-        st.obsolete = true;
-        countObsolete(&simproto::NodeCounters::writesObsoleteCut, key, ts);
-        Timestamp observed = rec.volatileTs;
-        co_await handleObsolete(key, observed);
-        releaseRdLockIfOwner(rec, key, ts);
-        co_return finishOp(st, t0, obs::OpType::Write,
-                           static_cast<std::int64_t>(key),
-                           static_cast<std::int64_t>(ts.pack()));
-    }
+    if (kv::isObsolete(rec, ts))
+        co_return co_await cutObsoleteWrite(t0, rec, key, ts,
+                                            rec.volatileTs);
 
     // Register the transaction, then send the (batched) INV.
     TxnHold txn = pending_.insert(kv::WriteId::of(key, ts));
@@ -92,7 +78,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
     co_await progress_.until(txn->waitKey, [&] {
         return batching ? txn->hostDone
                         : gateHolds(returnGate_, txn->host,
-                                    txn->dfifoEnqueued);
+                                    txn->localPersisted);
     });
     txn->tGateAck = sim_.now();
     co_await hostCores_.compute(cfg_.bookkeepNs);
@@ -112,7 +98,7 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
                         txn->tGateAck, sim_.now(), id_, token);
     }
 
-    co_return finishOp(st, t0, obs::OpType::Write,
+    co_return finishOp(OpStats{}, t0, obs::OpType::Write,
                        static_cast<std::int64_t>(key),
                        static_cast<std::int64_t>(ts.pack()), &*txn);
 }
@@ -120,24 +106,15 @@ NodeO::clientWrite(Key key, Value value, ScopeId scope)
 sim::Task<OpStats>
 NodeO::persistScope(ScopeId scope)
 {
-    OpStats st;
     Tick t0 = sim_.now();
     if (!isScopeModel(model_))
-        co_return st;
-
-    traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpBegin,
-               static_cast<std::int64_t>(scope), 0,
-               obs::opAux(obs::OpType::PersistSc, false));
-    co_await hostCores_.compute(cfg_.clientReqNs);
+        co_return OpStats{};
+    co_await beginPersistScope(scope);
     TxnHold txn = pending_.insert(kv::WriteId::ofScope(scope));
     MINOS_ASSERT(txn, "duplicate [PERSIST]sc for scope ", scope);
 
     co_await hostCores_.compute(cfg_.hostSendNs);
-    Message m;
-    m.type = MsgType::PERSIST_SC;
-    m.src = id_;
-    m.scope = scope;
-    m.sizeBytes = net::controlMsgBytes;
+    Message m = net::makePersistSc(id_, scope);
     m.destMask = 1; // marks "from host" for the local SNIC
     cluster_.hostSendControl(id_, m);
 
@@ -145,7 +122,7 @@ NodeO::persistScope(ScopeId scope)
     co_await hostCores_.compute(cfg_.bookkeepNs);
     pending_.erase(kv::WriteId::ofScope(scope));
 
-    co_return finishOp(st, t0, obs::OpType::PersistSc,
+    co_return finishOp(OpStats{}, t0, obs::OpType::PersistSc,
                        static_cast<std::int64_t>(scope), 0);
 }
 
@@ -153,57 +130,13 @@ NodeO::persistScope(ScopeId scope)
 // SNIC engine: dispatch
 // ---------------------------------------------------------------------
 
-void
-NodeO::deliverToSnic(Message msg)
+sim::Task<void>
+NodeO::onInv(Message msg, Tick t_rx)
 {
-    snicRx_.send(std::move(msg));
-}
-
-sim::Process
-NodeO::snicDispatcher()
-{
-    for (;;) {
-        Message m = co_await snicRx_.recv();
-        sim_.spawn(snicHandle(std::move(m)));
-    }
-}
-
-sim::Process
-NodeO::snicHandle(Message msg)
-{
-    // Handling time starts at SNIC receive-queue deposit.
-    Tick t_rx = sim_.now();
-    co_await snicCores_.compute(cfg_.snicDispatchNs);
-    switch (msg.type) {
-      case MsgType::INV:
-      case MsgType::INV_SC:
-        if (msg.destMask != 0) {
-            co_await snicOnCoordinatorInv(msg);
-        } else {
-            ++counters_.invsReceived;
-            co_await snicOnFollowerInv(msg, t_rx);
-        }
-        break;
-      case MsgType::ACK:
-      case MsgType::ACK_C:
-      case MsgType::ACK_P:
-      case MsgType::ACK_C_SC:
-      case MsgType::ACK_P_SC:
-        ++counters_.acksReceived;
-        co_await snicOnAck(msg);
-        break;
-      case MsgType::VAL:
-      case MsgType::VAL_C:
-      case MsgType::VAL_P:
-      case MsgType::VAL_C_SC:
-      case MsgType::VAL_P_SC:
-        ++counters_.valsReceived;
-        co_await snicOnVal(msg);
-        break;
-      case MsgType::PERSIST_SC:
-        co_await snicOnPersistSc(msg, t_rx);
-        break;
-    }
+    // An INV from the local host (its destination mask set) is this
+    // node's own write; any other comes from a coordinator.
+    return msg.destMask != 0 ? onCoordinatorInv(std::move(msg))
+                             : onFollowerInv(std::move(msg), t_rx);
 }
 
 // ---------------------------------------------------------------------
@@ -226,14 +159,13 @@ NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
         co_await dfifo_.enqueue(msg.key, msg.value, msg.tsWr,
                                 cfg_.recordBytes);
         ++counters_.persists;
-        txn->dfifoEnqueued = true;
+        txn->localPersisted = true;
         txn->waitKey.fire();
         txn->acksKey.fire();
         progress_.notifyAll();
     } else {
-        dfifoInBackground(msg.key, msg.value, msg.tsWr, msg.scope,
-                          cfg_.recordBytes);
-        txn->dfifoEnqueued = true; // durability tracked via scope map
+        persistLater(msg.key, msg.value, msg.tsWr, msg.scope);
+        txn->localPersisted = true; // durability tracked per scope
     }
     // The gates that raise glb_durableTS include the local durable
     // enqueue; the last ACK may already have arrived.
@@ -241,7 +173,7 @@ NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
 }
 
 sim::Task<void>
-NodeO::snicOnCoordinatorInv(Message msg)
+NodeO::onCoordinatorInv(Message msg)
 {
     TxnHold txn = pending_.find(kv::WriteId::of(msg.key, msg.tsWr));
     MINOS_ASSERT(txn, "coordinator INV without a registered transaction");
@@ -277,7 +209,7 @@ NodeO::snicOnCoordinatorInv(Message msg)
 }
 
 sim::Task<void>
-NodeO::snicOnAck(Message msg)
+NodeO::onAck(Message msg, Tick)
 {
     co_await snicCores_.compute(cfg_.bookkeepNs);
     // Recorded before the pending-table lookups so stray ACKs (for
@@ -317,8 +249,7 @@ NodeO::runGates(Key key, Timestamp ts, ScopeId scope, const TxnHold &txn)
     // order and once: its at-gate steps now, the rest in the VAL tail.
     Record &rec = store_.at(key);
     while (txn->gate != coordinatorSteps_.end() &&
-           gateHolds(coordinatorSteps_.gateOf(txn->gate), *txn,
-                     txn->dfifoEnqueued)) {
+           gateHolds(coordinatorSteps_.gateOf(txn->gate), *txn)) {
         const CoordinatorStep *g = txn->gate;
         txn->gate = coordinatorSteps_.segmentEnd(g);
         for (const CoordinatorStep *s = g + 1; s != txn->gate; ++s) {
@@ -360,7 +291,7 @@ NodeO::snicCompleteWrite(Key key, Timestamp ts, ScopeId scope,
         } else if (CoordinatorSchedule::isAwait(*s)) {
             const CoordinatorGate gate = coordinatorSteps_.gateOf(s);
             co_await progress_.until(txn->acksKey, [&] {
-                return gateHolds(gate, *txn, txn->dfifoEnqueued);
+                return gateHolds(gate, *txn);
             });
         }
     }
@@ -416,8 +347,9 @@ NodeO::sendAck(const Message &inv, MsgType type, Tick handle_ns)
 }
 
 sim::Task<void>
-NodeO::snicOnFollowerInv(Message msg, Tick t_handle0)
+NodeO::onFollowerInv(Message msg, Tick t_handle0)
 {
+    ++counters_.invsReceived;
     Record &rec = store_.at(msg.key);
 
     // An INV that is already obsolete is cut short at once; otherwise
@@ -467,8 +399,7 @@ NodeO::snicOnFollowerInv(Message msg, Tick t_handle0)
             ++counters_.persists;
             break;
           case FollowerStep::PersistLater:
-            dfifoInBackground(msg.key, msg.value, msg.tsWr, msg.scope,
-                              cfg_.recordBytes);
+            persistLater(msg.key, msg.value, msg.tsWr, msg.scope);
             break;
           default:
             break;
@@ -477,7 +408,7 @@ NodeO::snicOnFollowerInv(Message msg, Tick t_handle0)
 }
 
 sim::Task<void>
-NodeO::snicOnVal(Message msg)
+NodeO::onVal(Message msg)
 {
     co_await snicCores_.compute(cfg_.bookkeepNs);
     Record &rec = store_.at(msg.key);
@@ -517,7 +448,7 @@ NodeO::snicOnVal(Message msg)
 }
 
 sim::Task<void>
-NodeO::snicOnPersistSc(Message msg, Tick t_handle0)
+NodeO::onPersistSc(Message msg, Tick t_handle0)
 {
     if (msg.destMask != 0) {
         // Coordinator SNIC: broadcast to followers, flush local scope.
@@ -527,7 +458,7 @@ NodeO::snicOnPersistSc(Message msg, Tick t_handle0)
         co_await scopeFlushed(msg.scope);
         // Persist the [PERSIST]sc marker itself (small dFIFO entry).
         co_await dfifo_.enqueueMarker(net::controlMsgBytes);
-        // ACKs collected in snicOnAck; nothing else to do here.
+        // ACKs collected in onAck; nothing else to do here.
         co_return;
     }
 
@@ -544,22 +475,12 @@ NodeO::snicOnPersistSc(Message msg, Tick t_handle0)
 }
 
 void
-NodeO::dfifoInBackground(Key key, Value value, Timestamp ts,
-                         ScopeId scope, std::uint32_t bytes)
+NodeO::persistLater(Key key, Value value, Timestamp ts, ScopeId scope)
 {
-    beginScopedPersist(scope);
-    struct Launcher
-    {
-        static sim::Process
-        run(NodeO *self, Key key, Value value, Timestamp ts,
-            ScopeId scope, std::uint32_t bytes)
-        {
-            co_await self->dfifo_.enqueue(key, value, ts, bytes);
-            ++self->counters_.persists;
-            self->endScopedPersist(scope);
-        }
-    };
-    sim_.spawn(Launcher::run(this, key, value, ts, scope, bytes));
+    persistInBackground(
+        scope,
+        [=, this] { return dfifo_.enqueue(key, value, ts, cfg_.recordBytes); },
+        [this] { ++counters_.persists; });
 }
 
 } // namespace minos::snic

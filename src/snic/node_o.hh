@@ -54,9 +54,6 @@ class NodeO : public simproto::DdpCore
     /** Host side of the [PERSIST]sc transaction (Fig. 7(e)). */
     sim::Task<OpStats> persistScope(net::ScopeId scope);
 
-    /** Deliver a network message into this node's SmartNIC. */
-    void deliverToSnic(net::Message msg);
-
     /** @{
      * NodeO's split of the coordinator schedule: the glb raises and
      * Return (the host notification) run at their gate; from
@@ -90,6 +87,8 @@ class NodeO : public simproto::DdpCore
     /** @} */
 
   private:
+    friend class simproto::DdpCore;
+
     /**
      * Per-transaction bookkeeping, shared by host and SNIC engines: a
      * write's, or a [PERSIST]sc's (its ACK tally, hostDone and
@@ -107,7 +106,6 @@ class NodeO : public simproto::DdpCore
         bool invProcessed = false; ///< SNIC already did the enqueues
         std::uint64_t vfifoId = noEntry;
         bool vfifoAssigned = false;
-        bool dfifoEnqueued = false;
         bool releasedByValC = false; ///< follower: VAL_C processed
         /// Coordinator: the next Await of the schedule whose segment
         /// has not run (its end once all have).
@@ -125,16 +123,13 @@ class NodeO : public simproto::DdpCore
 
     using TxnHold = simproto::TxnSlab<PendingTxn>::Hold;
 
-    // ---- SNIC engine ----
-    sim::Process snicDispatcher();
-    sim::Process snicHandle(net::Message msg);
-    sim::Task<void> snicOnCoordinatorInv(net::Message msg);
-    sim::Task<void> snicOnFollowerInv(net::Message msg,
-                                      Tick t_handle0);
-    sim::Task<void> snicOnAck(net::Message msg);
-    sim::Task<void> snicOnVal(net::Message msg);
-    sim::Task<void> snicOnPersistSc(net::Message msg,
-                                    Tick t_handle0);
+    // ---- SNIC engine (DdpCore's receive loop) ----
+    sim::Task<void> onInv(net::Message msg, Tick t_rx);
+    sim::Task<void> onCoordinatorInv(net::Message msg);
+    sim::Task<void> onFollowerInv(net::Message msg, Tick t_handle0);
+    sim::Task<void> onAck(net::Message msg, Tick t_rx);
+    sim::Task<void> onVal(net::Message msg);
+    sim::Task<void> onPersistSc(net::Message msg, Tick t_handle0);
 
     /**
      * Coordinator SNIC VAL tail: after the vFIFO drain, walk the
@@ -168,13 +163,11 @@ class NodeO : public simproto::DdpCore
                  Tick handle_ns);
 
     /** Background dFIFO enqueue for weak models (Event/Scope). */
-    void dfifoInBackground(kv::Key key, kv::Value value,
-                           kv::Timestamp ts, net::ScopeId scope,
-                           std::uint32_t bytes);
+    void persistLater(kv::Key key, kv::Value value, kv::Timestamp ts,
+                      net::ScopeId scope);
 
     ClusterO &cluster_;
     sim::CorePool snicCores_;
-    sim::Mailbox<net::Message> snicRx_;
 
     VFifo vfifo_;
     DFifo dfifo_;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "net/message.hh"
 
 using namespace minos::net;
@@ -48,6 +51,50 @@ TEST(Message, ScopedFamily)
     EXPECT_FALSE(isScoped(MsgType::INV));
     EXPECT_FALSE(isScoped(MsgType::ACK_C));
     EXPECT_FALSE(isScoped(MsgType::VAL_P));
+}
+
+TEST(Message, FamiliesPartitionTableI)
+{
+    for (int t = 0; t <= static_cast<int>(MsgType::PERSIST_SC); ++t) {
+        const auto type = static_cast<MsgType>(t);
+        const std::string_view name = msgTypeName(type);
+        const MsgFamily f = familyOf(type);
+        SCOPED_TRACE(std::string(name));
+        EXPECT_EQ(f == MsgFamily::Inv, carriesData(type));
+        EXPECT_EQ(f == MsgFamily::Ack, name.find("ACK") != name.npos);
+        EXPECT_EQ(f == MsgFamily::Val, name.find("VAL") != name.npos);
+        EXPECT_EQ(f == MsgFamily::PersistSc, type == MsgType::PERSIST_SC);
+    }
+}
+
+TEST(Message, BuildersSizeDataAndControl)
+{
+    const Message inv =
+        makeInv(MsgType::INV_SC, 2, 77, 123, Timestamp{5, 2}, 9, 1024);
+    EXPECT_EQ(inv.type, MsgType::INV_SC);
+    EXPECT_EQ(inv.src, 2);
+    EXPECT_EQ(inv.dst, -1);
+    EXPECT_EQ(inv.key, 77u);
+    EXPECT_EQ(inv.value, 123u);
+    EXPECT_EQ(inv.tsWr, (Timestamp{5, 2}));
+    EXPECT_EQ(inv.scope, 9u);
+    EXPECT_EQ(inv.sizeBytes, 1024 + controlMsgBytes);
+
+    const Message val =
+        makeVal(MsgType::VAL_C, 1, 77, Timestamp{5, 2}, 0);
+    EXPECT_EQ(val.type, MsgType::VAL_C);
+    EXPECT_EQ(val.src, 1);
+    EXPECT_EQ(val.key, 77u);
+    EXPECT_EQ(val.value, 0u);
+    EXPECT_EQ(val.sizeBytes, controlMsgBytes);
+
+    const Message p = makePersistSc(3, 40);
+    EXPECT_EQ(p.type, MsgType::PERSIST_SC);
+    EXPECT_EQ(p.src, 3);
+    EXPECT_EQ(p.scope, 40u);
+    EXPECT_TRUE(p.tsWr.isNone());
+    EXPECT_EQ(p.sizeBytes, controlMsgBytes);
+    EXPECT_EQ(txnOf(p), minos::kv::WriteId::ofScope(40));
 }
 
 TEST(Message, MakeResponseSwapsEndpoints)

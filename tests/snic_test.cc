@@ -308,7 +308,7 @@ TEST(ScopeO, PersistScopeRetiresItsTransaction)
     late.dst = 0;
     late.scope = sc;
     late.sizeBytes = net::controlMsgBytes;
-    coord.deliverToSnic(late);
+    coord.deliver(late);
     sim.run();
     EXPECT_EQ(coord.counters().acksReceived, before.acksReceived + 1);
     EXPECT_EQ(coord.pendingTxns(), 0u);
