@@ -185,7 +185,8 @@ renderRecord(const Record &rec)
            << " raised key=" << rec.a0 << " ts=" << tsArg(rec.a1);
         break;
       case EventKind::ScopeMark:
-        os << "scope mark scope=" << (rec.a0 >> 32)
+        os << "scope mark scope="
+           << (static_cast<std::uint64_t>(rec.a0) >> 32)
            << " key=" << (rec.a0 & 0xffffffff)
            << " ts=" << tsArg(rec.a1);
         break;

@@ -9,6 +9,22 @@
 
 namespace minos::simproto {
 
+ScopeIds::ScopeIds(kv::NodeId node) : node_(node)
+{
+    MINOS_ASSERT(node >= 0 && node < (1 << (32 - seqBits)),
+                 "scope ids need a node id below 64, got ", node);
+}
+
+net::ScopeId
+ScopeIds::next()
+{
+    if (seq_ == maxPerNode)
+        MINOS_PANIC("node ", node_, " opened more than ", maxPerNode,
+                    " scopes: its scope ids are exhausted");
+    return static_cast<net::ScopeId>(
+        (static_cast<std::uint64_t>(node_) << seqBits) | ++seq_);
+}
+
 namespace {
 
 /** Shared run state mutated by the (single-threaded) sim workers. */
@@ -20,18 +36,11 @@ struct RunState
 
 sim::Process
 worker(sim::Simulator *sim, DdpCluster *cluster, RunState *state,
-       kv::NodeId node, int worker_idx, std::vector<workload::Op> ops,
+       kv::NodeId node, ScopeIds *scopes, std::vector<workload::Op> ops,
        int scope_size, sim::WaitGroup *wg)
 {
     const bool scoped = cluster->model() == PersistModel::Scope;
-    // Scope ids must be globally unique: compose node/worker/sequence.
-    net::ScopeId scope_seq = 0;
-    auto make_scope = [&] {
-        return (static_cast<net::ScopeId>(node) << 24) |
-               (static_cast<net::ScopeId>(worker_idx) << 16) |
-               ++scope_seq;
-    };
-    net::ScopeId scope = scoped ? make_scope() : 0;
+    net::ScopeId scope = scoped ? scopes->next() : 0;
     int writes_in_scope = 0;
 
     for (const auto &op : ops) {
@@ -56,7 +65,7 @@ worker(sim::Simulator *sim, DdpCluster *cluster, RunState *state,
             if (scoped && ++writes_in_scope >= scope_size) {
                 OpStats ps = co_await cluster->persistScope(node, scope);
                 state->result.persistLat.add(ps.latencyNs);
-                scope = make_scope();
+                scope = scopes->next();
                 writes_in_scope = 0;
             }
         }
@@ -94,6 +103,9 @@ runWorkload(sim::Simulator &sim, DdpCluster &cluster,
 
     const auto per_node = driver_cfg.requestsPerNode;
     const auto n_workers = static_cast<std::uint64_t>(workers);
+    std::vector<ScopeIds> scopes;
+    for (int n = 0; n < cluster.numNodes(); ++n)
+        scopes.emplace_back(static_cast<kv::NodeId>(n));
     for (int n = 0; n < cluster.numNodes(); ++n) {
         // Deal the node's stream round-robin to its workers as it is
         // generated.
@@ -108,7 +120,7 @@ runWorkload(sim::Simulator &sim, DdpCluster &cluster,
         for (int w = 0; w < workers; ++w) {
             wg.add();
             sim.spawn(worker(&sim, &cluster, &state,
-                             static_cast<kv::NodeId>(n), w,
+                             static_cast<kv::NodeId>(n), &scopes[n],
                              std::move(shares[static_cast<std::size_t>(
                                  w)]),
                              driver_cfg.scopeSize, &wg));
@@ -157,8 +169,8 @@ namespace {
 sim::Process
 microWorker(sim::Simulator *sim, DdpCluster *cluster,
             MicroserviceResult *result, const workload::FunctionSpec spec,
-            kv::NodeId node, int worker_idx, int invocations,
-            std::uint64_t num_records, std::uint64_t seed,
+            kv::NodeId node, int worker_idx, ScopeIds *scopes,
+            int invocations, std::uint64_t num_records, std::uint64_t seed,
             sim::WaitGroup *wg)
 {
     Rng rng(seed * 0x2545F4914F6CDD1Dull + node * 131 + worker_idx);
@@ -167,19 +179,13 @@ microWorker(sim::Simulator *sim, DdpCluster *cluster,
         (static_cast<std::uint64_t>(node) << 40) |
         (static_cast<std::uint64_t>(worker_idx) << 32);
     const bool scoped = cluster->model() == PersistModel::Scope;
-    net::ScopeId scope_seq = 0;
 
     for (int i = 0; i < invocations; ++i) {
         Tick t0 = sim->now();
         // Client -> service round trip(s) over the datacenter network.
         co_await sim::delay(spec.serviceRtts * spec.rttNs);
         auto ops = workload::invocationOps(spec, keys, rng, next_value);
-        net::ScopeId scope = 0;
-        if (scoped) {
-            scope = (static_cast<net::ScopeId>(node) << 20) |
-                    (static_cast<net::ScopeId>(worker_idx) << 16) |
-                    ++scope_seq;
-        }
+        const net::ScopeId scope = scoped ? scopes->next() : 0;
         for (const auto &op : ops) {
             if (op.type == workload::OpType::Write)
                 co_await cluster->clientWrite(node, op.key, op.value,
@@ -203,11 +209,14 @@ runMicroservice(sim::Simulator &sim, DdpCluster &cluster,
 {
     MicroserviceResult result;
     sim::WaitGroup wg(sim);
+    std::vector<ScopeIds> scopes;
+    for (int n = 0; n < cluster.numNodes(); ++n)
+        scopes.emplace_back(static_cast<kv::NodeId>(n));
     for (int n = 0; n < cluster.numNodes(); ++n) {
         for (int w = 0; w < mcfg.workersPerNode; ++w) {
             wg.add();
             sim.spawn(microWorker(&sim, &cluster, &result, spec,
-                                  static_cast<kv::NodeId>(n), w,
+                                  static_cast<kv::NodeId>(n), w, &scopes[n],
                                   mcfg.invocationsPerNode,
                                   mcfg.numRecords, mcfg.seed, &wg));
         }

@@ -23,6 +23,29 @@
 
 namespace minos::simproto {
 
+/**
+ * The scope ids one node hands its workers under <Lin, Scope>: a 6-bit
+ * node over a 26-bit sequence from 1 that the node's workers share, so
+ * no two scopes of a run share an id, whatever the worker count.
+ */
+class ScopeIds
+{
+  public:
+    static constexpr int seqBits = 26;
+    /** The most scopes one node can open. */
+    static constexpr std::uint64_t maxPerNode =
+        (std::uint64_t{1} << seqBits) - 1;
+
+    explicit ScopeIds(kv::NodeId node);
+
+    /** The node's next scope id; panics past maxPerNode. */
+    net::ScopeId next();
+
+  private:
+    kv::NodeId node_;
+    std::uint64_t seq_ = 0;
+};
+
 /** Driver parameters. */
 struct DriverConfig
 {
@@ -38,6 +61,16 @@ struct DriverConfig
      *  (LatencySeries::keepOrder), for tests that compare two runs
      *  sample by sample. */
     bool keepSampleOrder = false;
+
+    /** The most scopes one node opens in a <Lin, Scope> run with
+     *  @p workers per node: one per worker, plus one per scopeSize
+     *  writes. */
+    std::uint64_t
+    scopesPerNode(int workers) const
+    {
+        return static_cast<std::uint64_t>(workers) +
+               requestsPerNode / static_cast<std::uint64_t>(scopeSize);
+    }
 };
 
 /** Aggregated measurement of one run. */

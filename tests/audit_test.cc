@@ -102,6 +102,7 @@ struct RunOpts
      *  the ClusterConfig default. */
     Tick persistNsPerKb = 0;
     int workersPerNode = 2;
+    int scopeSize = 10;
     double writeFraction = 0.8;
     int numNodes = 3;
     std::uint64_t numRecords = 16;
@@ -134,6 +135,7 @@ runAudited(bool offload, PersistModel model, const RunOpts &opts = {})
     DriverConfig &dc = spec.dc;
     dc.requestsPerNode = opts.requestsPerNode;
     dc.workersPerNode = opts.workersPerNode;
+    dc.scopeSize = opts.scopeSize;
     dc.ycsb.numRecords = cfg.numRecords;
     dc.ycsb.writeFraction = opts.writeFraction;
     dc.ycsb.seed = opts.seed;
@@ -190,6 +192,25 @@ TEST_P(AuditModelTest, HealthyBaselineEngineAuditsClean)
         << run.audit.report();
     EXPECT_GT(run.audit.opsAudited(), 0u);
     EXPECT_GT(run.result.writes, 0u);
+}
+
+TEST(AuditScopeIds, ThreeHundredWorkersPerNodeAuditClean)
+{
+    // Worker w + 256 once took worker w's scope ids, and a worker's
+    // 65 536th scope another worker's first: a [PERSIST]sc collided.
+    RunOpts opts;
+    opts.workersPerNode = 300;
+    opts.requestsPerNode = 6000;
+    opts.scopeSize = 2;
+    opts.writeFraction = 1;
+    opts.numRecords = 1000;
+    for (bool offload : {false, true}) {
+        AuditRun run = runAudited(offload, PersistModel::Scope, opts);
+        EXPECT_TRUE(run.audit.clean())
+            << describe(offload, PersistModel::Scope) << "\n"
+            << run.audit.report();
+        EXPECT_EQ(run.result.writes, 3u * 6000u);
+    }
 }
 
 TEST_P(AuditModelTest, HealthyOffloadEngineAuditsClean)

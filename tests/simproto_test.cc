@@ -469,6 +469,25 @@ TEST_P(ModelTest, SeededRunsAreDeterministic)
     EXPECT_TRUE(a == b);
 }
 
+TEST(Driver, ScopeIdsPackANodeOverItsSequence)
+{
+    ScopeIds first(0);
+    EXPECT_EQ(first.next(), 1u);
+    EXPECT_EQ(first.next(), 2u);
+    ScopeIds last(63);
+    for (std::uint64_t i = 1; i < ScopeIds::maxPerNode; ++i)
+        last.next();
+    // The last id of the last node fills all 32 bits.
+    EXPECT_EQ(last.next(), 0xffffffffu);
+    EXPECT_DEATH(last.next(), "scope ids are exhausted");
+    EXPECT_DEATH(ScopeIds{64}, "node id below 64");
+
+    DriverConfig dc;
+    dc.requestsPerNode = 100;
+    dc.scopeSize = 3;
+    EXPECT_EQ(dc.scopesPerNode(4), 4u + 33u);
+}
+
 TEST(Driver, ZeroWorkersMeansOnePerHostCore)
 {
     // DriverConfig::workersPerNode = 0 runs one worker per host core,

@@ -286,16 +286,11 @@ struct PersistReplay : RecordSink
 /** One client of the durable-state test: mostly writes to a few keys,
  *  closing a scope every five writes under <Lin, Scope>. */
 sim::Process
-durableClient(DdpCluster *cluster, kv::NodeId node, int worker, int ops,
-              std::uint64_t records)
+durableClient(DdpCluster *cluster, kv::NodeId node, int worker,
+              ScopeIds *scopes, int ops, std::uint64_t records)
 {
     const bool scoped = cluster->model() == PersistModel::Scope;
-    net::ScopeId seq = 0;
-    auto next_scope = [&] {
-        return (static_cast<net::ScopeId>(node) << 24) |
-               (static_cast<net::ScopeId>(worker) << 16) | ++seq;
-    };
-    net::ScopeId scope = scoped ? next_scope() : 0;
+    net::ScopeId scope = scoped ? scopes->next() : 0;
     std::uint64_t x = 0x9E3779B97F4A7C15ull * (node * 7 + worker + 1);
     int in_scope = 0;
     for (int i = 0; i < ops; ++i) {
@@ -308,7 +303,7 @@ durableClient(DdpCluster *cluster, kv::NodeId node, int worker, int ops,
         co_await cluster->clientWrite(node, key, x, scope);
         if (scoped && ++in_scope == 5) {
             co_await cluster->persistScope(node, scope);
-            scope = next_scope();
+            scope = scopes->next();
             in_scope = 0;
         }
     }
@@ -345,12 +340,15 @@ TEST_P(DurableStateTest, DurableDbMatchesPersistReplayMidRun)
     cfg.numRecords = 24;
     cfg.trace = &recorder;
 
+    std::vector<ScopeIds> scopes;
+    for (int n = 0; n < nodes; ++n)
+        scopes.emplace_back(static_cast<kv::NodeId>(n));
     auto run = [&](auto &cluster) {
         for (int n = 0; n < nodes; ++n)
             for (int w = 0; w < 3; ++w)
                 sim.spawn(durableClient(&cluster,
                                         static_cast<kv::NodeId>(n), w,
-                                        150, cfg.numRecords));
+                                        &scopes[n], 150, cfg.numRecords));
         std::size_t checks = 0, lagging_seen = 0;
         auto check = [&] {
             ++checks;

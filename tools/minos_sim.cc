@@ -45,8 +45,9 @@
  * An unknown flag or a bad flag value (out of range, malformed, an
  * unknown name, or none where one is needed: `--trace-out=`) exits 2
  * with a message, and so do --csv-header with other flags but not
- * --csv, and an output file that cannot be opened for writing (both
- * files are opened before the run).
+ * --csv, an output file that cannot be opened for writing (both
+ * files are opened before the run), and a <Lin, Scope> run that would
+ * open more scopes per node than its scope ids hold (2^26 - 1).
  *
  * A run allows 8 388 607 writes per key (the 24-bit TS_WR version
  * field; a version past that panics) and node ids up to 127.
@@ -201,6 +202,13 @@ main(int argc, char **argv)
         static_cast<int>(flags.getInt("workers", 0, 0, 4096));
     dc.scopeSize =
         static_cast<int>(flags.getInt("scope-size", 10, 1, maxCount));
+    const std::uint64_t scopes = dc.scopesPerNode(
+        dc.workersPerNode > 0 ? dc.workersPerNode : cfg.hostCores);
+    if (spec.model == PersistModel::Scope && scopes > ScopeIds::maxPerNode)
+        flags.badFlag("--requests over --scope-size opens " +
+                      std::to_string(scopes) +
+                      " scopes per node; scope ids hold " +
+                      std::to_string(ScopeIds::maxPerNode));
     if (flags.has("ycsb")) {
         // Named YCSB core workload (A/B/C/F) overrides the mix flags.
         const std::string preset = flags.getString("ycsb");
