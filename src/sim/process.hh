@@ -306,50 +306,20 @@ class Task
     }
 
   private:
+    template <typename>
+    friend struct DetachAwaiter;
+
     explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
 
     std::coroutine_handle<promise_type> handle_;
 };
 
-namespace detail {
-
-/** Resumes a detached Task from a Process of its own, and owns its
- *  frame: freed when the Process ends or is reclaimed at teardown. */
-struct DetachedFrame
+/** The Process that runs a detached Task's rest and owns its frame. */
+template <typename T>
+Process
+runDetached(Task<T> rest)
 {
-    std::coroutine_handle<> frame;
-    TaskPromiseBase *promise;
-
-    DetachedFrame(std::coroutine_handle<> f, TaskPromiseBase *p)
-        : frame(f), promise(p)
-    {
-    }
-    DetachedFrame(DetachedFrame &&o) noexcept
-        : frame(std::exchange(o.frame, {})), promise(o.promise)
-    {
-    }
-    ~DetachedFrame()
-    {
-        if (frame)
-            frame.destroy();
-    }
-
-    bool await_ready() const noexcept { return false; }
-
-    std::coroutine_handle<>
-    await_suspend(std::coroutine_handle<> parent) noexcept
-    {
-        promise->continuation = parent;
-        return frame;
-    }
-
-    void await_resume() const noexcept {}
-};
-
-inline Process
-runDetached(DetachedFrame frame)
-{
-    co_await frame;
+    co_await rest;
 }
 
 /** Awaiter of detach(). */
@@ -357,6 +327,7 @@ template <typename T>
 struct DetachAwaiter
 {
     T value;
+    detail::TaskPromiseBase *promise = nullptr;
 
     bool await_ready() const noexcept { return false; }
 
@@ -364,20 +335,19 @@ struct DetachAwaiter
     std::coroutine_handle<>
     await_suspend(std::coroutine_handle<P> h)
     {
-        static_assert(std::is_base_of_v<TaskPromiseBase, P>);
-        P &p = h.promise();
-        p.return_value(std::move(value));
-        p.detached = true;
+        static_assert(std::is_same_v<P, typename Task<T>::promise_type>);
+        promise = &h.promise();
+        h.promise().return_value(std::move(value));
+        promise->detached = true; // the caller's Task lets go of it
         const std::coroutine_handle<> caller =
-            std::exchange(p.continuation, {});
-        p.sim->spawn(runDetached(DetachedFrame(h, &p)));
+            std::exchange(promise->continuation, {});
+        promise->sim->spawn(runDetached(Task<T>(h)));
         return caller ? caller : std::noop_coroutine();
     }
 
-    void await_resume() const noexcept {}
+    // Resumed by runDetached, whose Task owns the frame from here on.
+    void await_resume() const noexcept { promise->detached = false; }
 };
-
-} // namespace detail
 
 /**
  * Answer the caller awaiting this Task with @p value now, and run the
@@ -386,7 +356,7 @@ struct DetachAwaiter
  * value of the Task's final co_return goes nowhere.
  */
 template <typename T>
-detail::DetachAwaiter<T>
+DetachAwaiter<T>
 detach(T value)
 {
     return {std::move(value)};

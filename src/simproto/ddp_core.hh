@@ -120,13 +120,9 @@ class DdpCore
     DdpCore(sim::Simulator &sim, const ClusterConfig &cfg,
             PersistModel model, kv::NodeId id);
 
-    /**
-     * Start the receive loop of @p engine's protocol processor: each
-     * message delivered is handled in a process of its own, which pays
-     * @p dispatch_ns on @p cores and then runs the engine's handler of
-     * its family (onInv, onAck, onVal, onPersistSc), given the time the
-     * message entered the receive queue.
-     */
+    /** Start the receive loop of the Engine's protocol processor: each
+     *  message delivered pays @p dispatch_ns on @p cores, then goes to
+     *  the Engine's handler of its family, in a process of its own. */
     template <typename Engine>
     void
     startDispatcher(sim::CorePool &cores, Tick dispatch_ns)
@@ -188,6 +184,23 @@ class DdpCore
         traceEvent(obs::Category::Protocol, obs::EventKind::ClientOpEnd,
                    a0, a1, obs::opAux(type, st.obsolete));
         return st;
+    }
+
+    /**
+     * Count the ACK @p ack in its transaction's tally, found in
+     * @p pending by net::txnOf. Its AckReceived record comes first, so
+     * the auditors see a stray ACK (its transaction retired) too.
+     * Returns the transaction, or none for a stray ACK.
+     */
+    template <typename Txns>
+    auto
+    tallyAck(Txns &pending, const net::Message &ack)
+    {
+        traceAck(obs::EventKind::AckReceived, ack, ack.type, ack.src);
+        auto txn = pending.find(net::txnOf(ack));
+        if (txn && txn->add(ack.type) == AckTally::notAck)
+            MINOS_PANIC("unexpected ACK type ", net::msgTypeName(ack.type));
+        return txn;
     }
 
     /** The client-write prologue, after the engine's clientReqNs compute:
@@ -365,12 +378,9 @@ class DdpCore
     }
     /** @} */
 
-    /**
-     * Make an update of @p scope durable in the background: @p persist()
-     * returns the engine's awaitable persist (MINOS-B's host persist,
-     * MINOS-O's dFIFO enqueue). The update counts among the scope's
-     * unpersisted ones until it completes; then @p done() runs.
-     */
+    /** Persist an update of @p scope in the background: await the
+     *  engine's @p persist(), counted among the scope's unpersisted
+     *  updates until it completes, then run @p done(). */
     template <typename Persist, typename Done>
     void
     persistInBackground(net::ScopeId scope, Persist persist, Done done)

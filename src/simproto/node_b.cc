@@ -305,14 +305,9 @@ sim::Task<void>
 NodeB::onAck(Message msg, Tick t_rx)
 {
     co_await hostCores_.compute(cfg_.bookkeepNs);
-    // Recorded before the pending-table lookups so stray ACKs (for
-    // already-retired transactions) are still visible to the auditors.
-    traceAck(obs::EventKind::AckReceived, msg, msg.type, msg.src);
-    auto txn = pending_.find(net::txnOf(msg));
+    auto txn = tallyAck(pending_, msg);
     if (!txn)
-        co_return; // stray ACK for a completed transaction
-    if (txn->add(msg.type) == AckTally::notAck)
-        MINOS_PANIC("unexpected ACK type ", net::msgTypeName(msg.type));
+        co_return;
     // The ACK family that gates the client response for this model
     // times the communication window, which ends when the ACK reaches
     // the host receive queue (paper SIV), not when this handler runs.

@@ -212,14 +212,9 @@ sim::Task<void>
 NodeO::onAck(Message msg, Tick)
 {
     co_await snicCores_.compute(cfg_.bookkeepNs);
-    // Recorded before the pending-table lookups so stray ACKs (for
-    // already-retired transactions) are still visible to the auditors.
-    traceAck(obs::EventKind::AckReceived, msg, msg.type, msg.src);
-    TxnHold txn = pending_.find(net::txnOf(msg));
+    TxnHold txn = tallyAck(pending_, msg);
     if (!txn)
-        co_return; // stray ACK
-    if (txn->add(msg.type) == simproto::AckTally::notAck)
-        MINOS_PANIC("unexpected ACK type ", net::msgTypeName(msg.type));
+        co_return;
     if (msg.type == MsgType::ACK_P_SC) {
         // Every [ACK_P]sc in: answer the host and close the
         // [PERSIST]sc with [VAL_P]sc.
