@@ -528,7 +528,7 @@ forEachSuccessor(const Ctx &ctx, const State &s, Emit &&emit)
     }
 
     // --- [PERSIST]sc transaction (<Lin, Scope>) ---
-    if (isScopeModel(ctx.cfg.model) && ctx.cfg.scopePersist) {
+    if (isScopeModel(ctx.cfg.model)) {
         const int pc = 0; // persist coordinator: node 0
         bool all_done = true;
         for (int i = 0; i < ctx.W; ++i)
@@ -622,7 +622,7 @@ isFinal(const Ctx &ctx, const State &s)
                 return false;
         }
     }
-    if (isScopeModel(ctx.cfg.model) && ctx.cfg.scopePersist) {
+    if (isScopeModel(ctx.cfg.model)) {
         if (s.ppc != 2)
             return false;
         for (int n = 1; n < ctx.N; ++n) {
@@ -820,7 +820,7 @@ checkInvariants(const Ctx &ctx, const State &s,
 
     // Scope: a completed [PERSIST]sc implies every scoped write's
     // durability is covered by every node's log frontier.
-    if (isScopeModel(model) && ctx.cfg.scopePersist && s.ppc == 2) {
+    if (isScopeModel(model) && s.ppc == 2) {
         for (int i = 0; i < ctx.W; ++i) {
             if (s.ver[i] < 0)
                 continue;

@@ -61,14 +61,11 @@ inline constexpr int maxWrites = 3;
 struct CheckConfig
 {
     int numNodes = 3;
+    /** Under <Lin, Scope> the writes share one scope, and its
+     *  [PERSIST]sc transaction runs after all of them complete. */
     PersistModel model = PersistModel::Synch;
     /** Coordinator of each modeled write (size = number of writes). */
     std::vector<int> writers = {0, 1};
-    /**
-     * Model the [PERSIST]sc transaction after all writes complete
-     * (<Lin, Scope> only; all writes share one scope).
-     */
-    bool scopePersist = true;
 
     /** @{ Deliberate bugs used to validate the checker itself. */
     bool bugSkipConsistencySpin = false;

@@ -1,26 +1,6 @@
 #include "logging.hh"
 
-#include <atomic>
-
-namespace minos {
-
-namespace {
-std::atomic<bool> verboseFlag{true};
-} // namespace
-
-void
-setVerbose(bool verbose)
-{
-    verboseFlag.store(verbose, std::memory_order_relaxed);
-}
-
-bool
-verbose()
-{
-    return verboseFlag.load(std::memory_order_relaxed);
-}
-
-namespace detail {
+namespace minos::detail {
 
 void
 panicImpl(const char *file, int line, const std::string &msg)
@@ -42,13 +22,4 @@ warnImpl(const std::string &msg)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-informImpl(const std::string &msg)
-{
-    if (verbose())
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-} // namespace detail
-
-} // namespace minos
+} // namespace minos::detail

@@ -8,7 +8,6 @@
  *   - fatal():  the user asked for something impossible (bad config);
  *               exits with status 1.
  *   - warn():   something is degraded but the run can continue.
- *   - inform(): status messages with no negative connotation.
  */
 
 #ifndef MINOS_COMMON_LOGGING_HH
@@ -39,13 +38,8 @@ concat(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
-
-/** Set to false to silence inform() output (benchmarks do this). */
-void setVerbose(bool verbose);
-bool verbose();
 
 } // namespace minos
 
@@ -62,10 +56,6 @@ bool verbose();
 /** Non-fatal warning. */
 #define MINOS_WARN(...) \
     ::minos::detail::warnImpl(::minos::detail::concat(__VA_ARGS__))
-
-/** Informational message, suppressed when verbosity is off. */
-#define MINOS_INFORM(...) \
-    ::minos::detail::informImpl(::minos::detail::concat(__VA_ARGS__))
 
 /** Panic unless the given internal invariant holds. */
 #define MINOS_ASSERT(cond, ...) \

@@ -444,7 +444,6 @@ TEST(Checker, ScopePersistCoversAllWrites)
     cfg.model = PersistModel::Scope;
     cfg.numNodes = 3;
     cfg.writers = {0, 1};
-    cfg.scopePersist = true;
     CheckResult res = checkModel(cfg);
     EXPECT_TRUE(res.ok()) << report(res);
     EXPECT_GT(res.finalStates, 0u);

@@ -6,7 +6,7 @@
  * Usage:
  *   minos_check_tool [--model=synch|strict|renf|event|scope]
  *                    [--nodes=N] [--writers=0,1,...]
- *                    [--no-scope-persist] [--max-states=N]
+ *                    [--max-states=N]
  *                    [--bug=release-early|ack-before-persist|skip-spin]
  *
  * Exit status: 0 when the whole space was explored without a
@@ -69,14 +69,13 @@ main(int argc, char **argv)
 {
     Flags flags(argc, argv);
     auto unknown = flags.unknownFlags({"model", "nodes", "writers",
-                                       "no-scope-persist", "max-states",
-                                       "bug", "help"});
+                                       "max-states", "bug", "help"});
     if (!unknown.empty() || flags.has("help")) {
         for (const auto &f : unknown)
             std::fprintf(stderr, "unknown flag --%s\n", f.c_str());
         std::printf("usage: %s [--model=M] [--nodes=N] "
-                    "[--writers=0,1] [--no-scope-persist] "
-                    "[--max-states=N] [--bug=...]\n",
+                    "[--writers=0,1] [--max-states=N] "
+                    "[--bug=...]\n",
                     argv[0]);
         return unknown.empty() ? 0 : 2;
     }
@@ -87,7 +86,6 @@ main(int argc, char **argv)
         static_cast<int>(flags.getInt("nodes", 3, 2, maxNodes));
     cfg.writers = parseWriters(flags, flags.getString("writers", "0,1"),
                                cfg.numNodes);
-    cfg.scopePersist = !flags.getBool("no-scope-persist");
     cfg.maxStates = static_cast<std::size_t>(
         flags.getInt("max-states", 4000000, 1,
                      std::numeric_limits<std::uint32_t>::max() - 1LL));
