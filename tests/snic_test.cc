@@ -255,6 +255,28 @@ TEST(Fifo, UnlimitedFifoNotSlowerThanTiny)
     EXPECT_LE(unlimited, tiny * 1.05);
 }
 
+TEST(Fifo, EventDurabilityLagIsSetByTheDfifoBandwidth)
+{
+    // Write-only <Lin,Event> offers ~5.3 M writes/s, and every node
+    // persists all of them. A 5-entry dFIFO holds each entry for its
+    // 1 295 ns write, so it admits at most ~3.86 M/s: the backlog of
+    // keys awaiting their persist grows with the run. Unlimited, it
+    // stays at a few keys (DESIGN.md §5e).
+    auto lag_peaks = [](int dfifo_entries) {
+        RunSpec spec{.engine = Engine::O, .model = PersistModel::Event};
+        spec.cfg.dfifoEntries = dfifo_entries;
+        spec.dc.requestsPerNode = 2000;
+        spec.dc.ycsb.writeFraction = 1;
+        return run(spec).durableLagPeak;
+    };
+    for (std::size_t peak : lag_peaks(5)) {
+        EXPECT_GE(peak, 1313u);
+        EXPECT_LE(peak, 1357u);
+    }
+    for (std::size_t peak : lag_peaks(0))
+        EXPECT_EQ(peak, 4u);
+}
+
 TEST(ScopeO, PersistScopeFlushesScope)
 {
     sim::Simulator sim;
