@@ -9,14 +9,18 @@
  * with its durable state and TS_WR guard (replica_store.hh), the host
  * cores, the progress Condition, the counters and the per-scope
  * unpersisted counts — and defines each primitive over it once:
- * RDLock snatch/release, the glb raises, handleObsolete, the local client read, the
+ * RDLock snatch/release, the glb raises, the local client read, the
  * walk of the follower's obsolete-INV steps and the coordinator's
  * write bookkeeping. The per-model step tables themselves live in
  * models.hh.
- * Both walk the coordinator schedule of models.hh with the gate and
- * step helpers here. The engines keep only what really differs:
- * MINOS-B its WRLock and host persist; MINOS-O its SNIC engine,
- * vFIFO/dFIFO and PCIe host ACK mirror.
+ * It is also the shell around them: the protocol processor's receive
+ * queue and loop, which hands each message to the engine's handler of
+ * its family; the client-write prologue and the obsolete-write cut;
+ * the [PERSIST]sc prologue; the ACK tally step; and the scoped
+ * background persist. Both engines walk the coordinator schedule of
+ * models.hh with the gate and step helpers here. The engines keep only
+ * what really differs: MINOS-B its WRLock and host persist; MINOS-O
+ * its SNIC engine, vFIFO/dFIFO and PCIe host ACK mirror.
  *
  * The ACK tally and the gate arithmetic come from check/predicates.hh:
  * the audit ledger counts ACKs with the same AckTally, and the model
