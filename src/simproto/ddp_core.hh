@@ -355,41 +355,21 @@ class DdpCore
                          Tick handle_ns);
     /** @} */
 
-    /** @{ One scoped update starts / finishes persisting (<Lin,Scope>
-     *  tracks them per scope for [PERSIST]sc). */
-    void
-    beginScopedPersist(net::ScopeId scope)
-    {
-        if (!isScopeModel(model_))
-            return;
-        if (const auto it = findScope(scope); it != scopeUnpersisted_.end())
-            ++it->second;
-        else
-            scopeUnpersisted_.emplace_back(scope, 1);
-    }
-
-    void
-    endScopedPersist(net::ScopeId scope)
-    {
-        if (!isScopeModel(model_))
-            return;
-        const auto it = findScope(scope);
-        if (--it->second == 0) {
-            *it = scopeUnpersisted_.back();
-            scopeUnpersisted_.pop_back();
-            progress_.notifyAll();
-        }
-    }
-    /** @} */
-
     /** Persist an update of @p scope in the background: await the
      *  engine's @p persist(), counted among the scope's unpersisted
-     *  updates until it completes, then run @p done(). */
+     *  updates (<Lin,Scope>, for [PERSIST]sc) until it completes, then
+     *  run @p done(). */
     template <typename Persist, typename Done>
     void
     persistInBackground(net::ScopeId scope, Persist persist, Done done)
     {
-        beginScopedPersist(scope);
+        if (isScopeModel(model_)) {
+            if (const auto it = findScope(scope);
+                it != scopeUnpersisted_.end())
+                ++it->second;
+            else
+                scopeUnpersisted_.emplace_back(scope, 1);
+        }
         sim_.spawn(backgroundPersist(scope, std::move(persist),
                                      std::move(done)));
     }
@@ -519,7 +499,14 @@ class DdpCore
     backgroundPersist(net::ScopeId scope, Persist persist, Done done)
     {
         co_await persist();
-        endScopedPersist(scope);
+        if (isScopeModel(model_)) {
+            const auto it = findScope(scope);
+            if (--it->second == 0) {
+                *it = scopeUnpersisted_.back();
+                scopeUnpersisted_.pop_back();
+                progress_.notifyAll();
+            }
+        }
         done();
     }
 
