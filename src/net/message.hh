@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string_view>
 
 #include "common/units.hh"
@@ -68,6 +69,8 @@ familyOf(MsgType type)
     constexpr F families[] = {F::Inv, F::Ack, F::Ack, F::Ack, F::Val,
                               F::Val, F::Val, F::Inv, F::Ack, F::Ack,
                               F::Val, F::Val, F::PersistSc};
+    static_assert(std::size(families) ==
+                  static_cast<std::size_t>(MsgType::PERSIST_SC) + 1);
     return families[static_cast<std::size_t>(type)];
 }
 
