@@ -9,7 +9,7 @@
  *    at teardown.
  *  - Task<T>: an awaitable subroutine. `co_await someTask()` transfers
  *    control into the subroutine and resumes the caller when it finishes,
- *    so protocol helpers (e.g. handleObsolete) compose naturally.
+ *    so protocol helpers (e.g. cutObsoleteWrite) compose naturally.
  *
  * Awaitables:
  *  - `co_await delay(ticks)` suspends for a simulated duration.
