@@ -499,15 +499,25 @@ class DdpCore
     backgroundPersist(net::ScopeId scope, Persist persist, Done done)
     {
         co_await persist();
-        if (isScopeModel(model_)) {
-            const auto it = findScope(scope);
-            if (--it->second == 0) {
-                *it = scopeUnpersisted_.back();
-                scopeUnpersisted_.pop_back();
-                progress_.notifyAll();
-            }
-        }
+        scopedPersistDone(scope);
         done();
+    }
+
+    /** One update of @p scope finished persisting (<Lin,Scope>). Kept
+     *  out of backgroundPersist's body: that body's locals live in its
+     *  coroutine frame, which every backed-up persist holds, and this
+     *  iterator once moved the frame up a FramePool size class. */
+    void
+    scopedPersistDone(net::ScopeId scope)
+    {
+        if (!isScopeModel(model_))
+            return;
+        const auto it = findScope(scope);
+        if (--it->second == 0) {
+            *it = scopeUnpersisted_.back();
+            scopeUnpersisted_.pop_back();
+            progress_.notifyAll();
+        }
     }
 
     std::vector<std::pair<net::ScopeId, int>>::iterator

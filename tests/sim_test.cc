@@ -1495,6 +1495,52 @@ TEST(AllocGate, OffloadScopeRunStaysUnderItsBound)
               scopeAllocBound);
 }
 
+namespace {
+
+/** Peak heap bytes above the start of one write-only <Lin,Event> run on
+ *  MINOS-O, and the keys backed up behind the dFIFOs at their peaks,
+ *  summed over the nodes. */
+std::pair<std::int64_t, std::size_t>
+eventBacklogPeak(int dfifoEntries)
+{
+    simproto::RunSpec spec{.engine = simproto::Engine::O,
+                           .model = simproto::PersistModel::Event};
+    spec.cfg.dfifoEntries = dfifoEntries;
+    spec.dc.requestsPerNode = 2000;
+    spec.dc.ycsb.writeFraction = 1;
+    const std::int64_t before = test::liveBytes();
+    test::resetPeakBytes();
+    const simproto::RunReport report = simproto::run(spec);
+    std::size_t backlog = 0;
+    for (std::size_t lag : report.durableLagPeak)
+        backlog += lag;
+    return {test::peakBytes() - before, backlog};
+}
+
+} // namespace
+
+TEST(MemoryGate, BackedUpPersistHoldsAtMostItsTwoFrames)
+{
+    // Fifo.EventDurabilityLagIsSetByTheDfifoBandwidth's run: write-only
+    // <Lin,Event> backs persists up behind a 5-entry dFIFO, ~1 300 keys
+    // per node at the peak; unlimited, a few. Each backed-up persist
+    // holds two coroutine frames (its backgroundPersist Process and its
+    // DFifo::enqueue Task), so the peak heap grows with the backlog. A
+    // frame that grows past a FramePool size class adds 64 B per
+    // persist: peak bytes per backed-up key read 775 here, and 892 when
+    // backgroundPersist's body held its scope bookkeeping inline.
+    if (!FramePool::enabled)
+        GTEST_SKIP() << "frame pool is off under AddressSanitizer";
+    const auto [peakFree, lagFree] = eventBacklogPeak(0);
+    const auto [peak, lag] = eventBacklogPeak(5);
+    ASSERT_GT(lag, 100 * lagFree);
+    const double perKey = static_cast<double>(peak - peakFree) /
+                          static_cast<double>(lag - lagFree);
+    EXPECT_LE(perKey, 832.0) << peak << " B at the peak against " << peakFree
+                           << " unlimited; " << lag << " against "
+                           << lagFree << " keys backed up";
+}
+
 TEST(Link, UncontendedTransferIsLatencyPlusSerialization)
 {
     Simulator sim;
