@@ -1,5 +1,6 @@
 #include "obs/audit.hh"
 
+#include <array>
 #include <bit>
 #include <sstream>
 #include <utility>
@@ -170,10 +171,14 @@ OpTable::cleanState(const kv::WriteId &id, std::uint64_t cuts) const
     return st;
 }
 
-OpTable::Entry &
-OpTable::addEntry(std::uint32_t slot)
+std::uint32_t
+OpTable::addEntry(const kv::WriteId &id, std::uint32_t h)
 {
-    Head &h = heads_[slot];
+    bool added = false;
+    const std::uint32_t slot = slots_.insert(id, added);
+    if (added)
+        heads_.emplace_back();
+    Head &head = heads_[slot];
     std::uint32_t at;
     if (freeEntries_.empty()) {
         at = static_cast<std::uint32_t>(entries_.size());
@@ -186,16 +191,21 @@ OpTable::addEntry(std::uint32_t slot)
         fullPeak_ = fullOps_;
     Entry &e = entries_[at];
     e = Entry{};
-    if (h.isStub()) {
-        e.op = cleanState(slots_.id(slot), h.entryOrCuts);
-        e.trace.total = h.stubTotal;
-        e.trace.recycled = h.stubRecycled;
+    e.id = id;
+    e.slot = slot;
+    if (head.isStub()) {
+        e.op = cleanState(id, head.entryOrCuts);
+        e.trace.total = head.stubTotal;
+        e.trace.recycled = head.stubRecycled;
         e.admitted = true;
         e.stage = Stage::Recycled;
     }
-    h = Head{};
-    h.entryOrCuts = at;
-    return e;
+    head = Head{};
+    head.entryOrCuts = at;
+    live_.insert(
+        h, [](std::uint32_t) { return false; }, [at] { return at; },
+        added);
+    return at;
 }
 
 OpLedger::Applied
@@ -205,23 +215,28 @@ OpTable::apply(const Record &rec)
     ap.keyed = opIdOf(rec, ap.id);
     if (!ap.keyed)
         return ap;
-    bool added = false;
-    ap.slot = slots_.insert(ap.id, added);
-    if (added)
-        heads_.emplace_back();
-    const Head &h = heads_[ap.slot];
-    Entry &e = h.isEntry() ? entries_[h.entryOrCuts] : addEntry(ap.slot);
+    Memo &m = memo_[memoCell(ap.id)];
+    if (!(m.id == ap.id)) {
+        const std::uint32_t h = ap.id.hash();
+        std::uint32_t at = live_.find(
+            h, [&](std::uint32_t x) { return entries_[x].id == ap.id; });
+        if (at == SlotIndex::none)
+            at = addEntry(ap.id, h);
+        m = {ap.id, &entries_[at], at};
+    }
+    applied_ = m.at;
+    Entry &e = *m.entry;
+    const std::uint32_t at = m.at;
 
     if (rec.kind == EventKind::ClientOpBegin) {
         if (opType(rec.aux) == OpType::Write) {
             if (!e.admitted) {
                 // Admission order is slot order: a write indexed
                 // before later ones moves to the next slot.
-                if (ap.slot + 1 != slots_.slots()) {
-                    Head &left = heads_[ap.slot];
-                    ap.slot = slots_.moveToEnd(ap.id);
-                    heads_.emplace_back().entryOrCuts =
-                        std::exchange(left.entryOrCuts, Head::noEntry);
+                if (e.slot + 1 != slots_.slots()) {
+                    heads_[e.slot].entryOrCuts = Head::noEntry;
+                    e.slot = slots_.moveToEnd(ap.id);
+                    heads_.emplace_back().entryOrCuts = at;
                 }
                 e.admitted = true;
                 ap.newOp = true;
@@ -233,9 +248,10 @@ OpTable::apply(const Record &rec)
         ap.op = &e.op;
         ap.duplicateAck = e.op.fold(rec);
     }
+    ap.slot = e.slot;
 
     if (e.stage == Stage::Recycled)
-        quiesce(ap.slot);
+        quiesce(at);
     arena_.append(e.trace, ap.id, rec);
     return ap;
 }
@@ -243,39 +259,43 @@ OpTable::apply(const Record &rec)
 void
 OpTable::settle(const OpLedger::Applied &ap)
 {
-    if (ap.op && quiescent(*ap.op))
-        quiesce(ap.slot);
+    if (ap.op && entries_[applied_].stage == Stage::Live &&
+        quiescent(*ap.op))
+        quiesce(applied_);
 }
 
 void
-OpTable::quiesce(std::uint32_t slot)
+OpTable::quiesce(std::uint32_t at)
 {
-    Entry &e = entries_[heads_[slot].entryOrCuts];
+    Entry &e = entries_[at];
     if (e.stage == Stage::Windowed)
         return;
     e.stage = Stage::Windowed;
     if (window_.size() < recycleWindow) {
-        window_.push_back(slot);
+        window_.push_back(at);
         return;
     }
     retire(window_[windowNext_]);
-    window_[windowNext_] = slot;
+    window_[windowNext_] = at;
     windowNext_ = (windowNext_ + 1) % recycleWindow;
 }
 
 void
-OpTable::retire(std::uint32_t slot)
+OpTable::retire(std::uint32_t at)
 {
-    Head &h = heads_[slot];
-    Entry &e = entries_[h.entryOrCuts];
+    Entry &e = entries_[at];
     arena_.release(e.trace);
     e.stage = Stage::Recycled;
     const std::uint64_t cuts = e.op.obsoleteNodes;
     if (!e.admitted || e.trace.total > 0xffff || (cuts >> 32) != 0 ||
-        !(e.op == cleanState(slots_.id(slot), cuts)))
+        !(e.op == cleanState(e.id, cuts)))
         return;
-    freeEntries_.push_back(h.entryOrCuts);
+    live_.erase(e.id.hash(), [at](std::uint32_t x) { return x == at; });
+    if (Memo &m = memo_[memoCell(e.id)]; m.at == at)
+        m = Memo{};
+    freeEntries_.push_back(at);
     --fullOps_;
+    Head &h = heads_[e.slot];
     h.stubTotal = static_cast<std::uint16_t>(e.trace.total);
     h.stubRecycled = static_cast<std::uint16_t>(e.trace.recycled);
     h.entryOrCuts = static_cast<std::uint32_t>(cuts);
@@ -412,6 +432,11 @@ ConsistencyAuditor::gateReached(const OpLedger::OpState &st) const
     return check::consistencyAcksComplete(cfg().model, st, needed());
 }
 
+const KindSet ConsistencyAuditor::kinds =
+    kindSet({EventKind::ClientOpBegin, EventKind::GlbRaised,
+             EventKind::ValSent, EventKind::RdLockReleased,
+             EventKind::ClientOpEnd});
+
 void
 ConsistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
 {
@@ -425,7 +450,7 @@ ConsistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
       case EventKind::GlbRaised:
         // Cond. 2c: glb_volatileTS must not pass a write until all of
         // its consistency ACKs are in.
-        if (rec.aux == 0 && !gateReached(st))
+        if (rec.aux == 0 && !gateReached(st)) [[unlikely]]
             violate("C1-glb-volatile-before-acks", rec.when, ap.id,
                     "glb_volatileTS raised at node " +
                         std::to_string(rec.node) + " with " +
@@ -436,7 +461,7 @@ ConsistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
 
       case EventKind::ValSent: {
         if (simproto::valEffect(valType(rec.aux)).raisesGlbVolatile &&
-            !gateReached(st))
+            !gateReached(st)) [[unlikely]]
             violate("C2-val-before-acks", rec.when, ap.id,
                     "consistency VAL sent with " +
                         std::to_string(st.acks + st.acksC) + "/" +
@@ -449,7 +474,7 @@ ConsistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         // A write's RDLock may only drop after its gate, or on a
         // replica that cut the write as obsolete.
         if (!gateReached(st) && !hasNode(st.obsoleteNodes, rec.node) &&
-            !st.endedObsolete)
+            !st.endedObsolete) [[unlikely]]
             violate("C3-rdlock-released-early", rec.when, ap.id,
                     "RDLock released at node " +
                         std::to_string(rec.node) +
@@ -461,7 +486,8 @@ ConsistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
       case EventKind::ClientOpEnd:
         // Cond. 2b flip side: a validated read may only observe writes
         // whose consistency ACKs are all in.
-        if (opType(rec.aux) == OpType::Read && !gateReached(st))
+        if (opType(rec.aux) == OpType::Read &&
+            !gateReached(st)) [[unlikely]]
             violate("C4-read-before-validation", rec.when, ap.id,
                     "read at node " + std::to_string(rec.node) +
                         " observed a write with " +
@@ -515,13 +541,19 @@ PersistencyAuditor::checkScopeAck(const Record &rec)
         else
             st = ownOp(id = marked_.id(slot));
         if (st && st->fanout &&
-            !hasNode(st->persistNodes | st->obsoleteNodes, sender))
+            !hasNode(st->persistNodes | st->obsoleteNodes,
+                     sender)) [[unlikely]]
             violate("P4-scope-ack-before-flush", rec.when, id,
                     "[ACK_P]sc from node " + std::to_string(sender) +
                         " for scope " + std::to_string(rec.a0) +
                         " with an in-scope write not yet durable there");
     });
 }
+
+const KindSet PersistencyAuditor::kinds =
+    kindSet({EventKind::ScopeMark, EventKind::AckSent,
+             EventKind::ClientOpBegin, EventKind::ValSent,
+             EventKind::GlbRaised, EventKind::ClientOpEnd});
 
 void
 PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
@@ -558,7 +590,8 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         std::int32_t sender = ackSender(rec.aux);
         if ((type == net::MsgType::ACK_P || type == net::MsgType::ACK) &&
             sender >= 0 &&
-            !hasNode(st.persistNodes | st.obsoleteNodes, sender))
+            !hasNode(st.persistNodes | st.obsoleteNodes,
+                     sender)) [[unlikely]]
             violate("P1-ack-before-persist", rec.when, ap.id,
                     "persistency ACK sent by node " +
                         std::to_string(sender) +
@@ -570,7 +603,7 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         // Cond. 3b: no persistency validation (VAL, VAL_P) before all
         // ACK_Ps.
         if (simproto::valEffect(valType(rec.aux)).raisesGlbDurable &&
-            !persistGateReached(st))
+            !persistGateReached(st)) [[unlikely]]
             violate("P2-val-before-persist-acks", rec.when, ap.id,
                     "persistency VAL sent with " +
                         std::to_string(st.acks + st.acksP) + "/" +
@@ -583,7 +616,7 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         // Cond. 3b: glb_durableTS must not pass a write until all of
         // its persistency ACKs are in. Event/Scope never raise it per
         // write, so any such raise there is a violation too.
-        if (rec.aux == 1 && !persistGateReached(st))
+        if (rec.aux == 1 && !persistGateReached(st)) [[unlikely]]
             violate("P6-glb-durable-before-acks", rec.when, ap.id,
                     "glb_durableTS raised at node " +
                         std::to_string(rec.node) + " with " +
@@ -598,7 +631,7 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         // "no read returns before the record is durable everywhere").
         if (opType(rec.aux) == OpType::Read &&
             check::readImpliesDurableEverywhere(cfg().model) &&
-            !persistGateReached(st))
+            !persistGateReached(st)) [[unlikely]]
             violate("P3-read-before-durable", rec.when, ap.id,
                     "read at node " + std::to_string(rec.node) +
                         " observed a write with " +
@@ -648,6 +681,10 @@ AckConservationAuditor::AckConservationAuditor(
 {
 }
 
+const KindSet AckConservationAuditor::kinds =
+    kindSet({EventKind::AckReceived, EventKind::ClientOpBegin,
+             EventKind::ClientOpEnd});
+
 void
 AckConservationAuditor::check(const Record &rec,
                               const OpLedger::Applied &ap)
@@ -657,7 +694,7 @@ AckConservationAuditor::check(const Record &rec,
         std::int32_t sender = ackSender(rec.aux);
         ScopeAcks &sa = scopeAcks_[static_cast<std::uint64_t>(rec.a0)];
         if (sender >= 0) {
-            if (hasNode(sa.senders, sender))
+            if (hasNode(sa.senders, sender)) [[unlikely]]
                 violateRaw("A2-duplicate-scope-ack", rec.when,
                            "duplicate [ACK_P]sc from node " +
                                std::to_string(sender) + " for scope " +
@@ -682,12 +719,12 @@ AckConservationAuditor::check(const Record &rec,
     if (rec.kind != EventKind::AckReceived)
         return;
 
-    if (!ap.op || !ap.op->fanout) {
+    if (!ap.op || !ap.op->fanout) [[unlikely]] {
         violate("A1-orphan-ack", rec.when, ap.id,
                 "ACK received for a write that never fanned out");
         return;
     }
-    if (ap.duplicateAck)
+    if (ap.duplicateAck) [[unlikely]]
         violate("A2-duplicate-ack", rec.when, ap.id,
                 "duplicate ACK (same family and sender) from node " +
                     std::to_string(ackSender(rec.aux)));
@@ -761,6 +798,9 @@ FifoWatchdog::renderHistory(const NodeState &st) const
     return os.str();
 }
 
+const KindSet FifoWatchdog::kinds =
+    kindSet({EventKind::FifoDepth, EventKind::VfifoSkipped});
+
 void
 FifoWatchdog::check(const Record &rec, const OpLedger::Applied &)
 {
@@ -781,7 +821,7 @@ FifoWatchdog::check(const Record &rec, const OpLedger::Applied &)
     if (rec.kind == EventKind::VfifoSkipped) {
         // Drains walk the vFIFO in enqueue order, so skipped entry ids
         // are strictly increasing per node.
-        if (rec.a0 <= st.lastSkipId)
+        if (rec.a0 <= st.lastSkipId) [[unlikely]]
             violateRaw("F3-skip-order", rec.when,
                        "vFIFO skipped entry " + std::to_string(rec.a0) +
                            " after entry " +
@@ -798,7 +838,7 @@ FifoWatchdog::check(const Record &rec, const OpLedger::Applied &)
     const char *name = (fifo == 0) ? "vFIFO" : "dFIFO";
     // Samples are taken just after each push, so depth is at least one
     // and, with a bound configured, never beyond it.
-    if (depth < 1 || (cap > 0 && depth > cap))
+    if (depth < 1 || (cap > 0 && depth > cap)) [[unlikely]]
         violateRaw("F1-depth-out-of-bounds", rec.when,
                    std::string(name) + " depth " +
                        std::to_string(depth) + " outside [1, " +
@@ -806,7 +846,7 @@ FifoWatchdog::check(const Record &rec, const OpLedger::Applied &)
                        "] at node " + std::to_string(rec.node),
                    renderHistory(st));
     std::int64_t last = st.lastDepth[fifo];
-    if (last >= 0 && depth > last + 1)
+    if (last >= 0 && depth > last + 1) [[unlikely]]
         violateRaw("F2-depth-jump", rec.when,
                    std::string(name) + " depth jumped " +
                        std::to_string(last) + " -> " +
@@ -820,6 +860,41 @@ FifoWatchdog::check(const Record &rec, const OpLedger::Applied &)
 // ---------------------------------------------------------------------
 // AuditBundle
 // ---------------------------------------------------------------------
+
+namespace {
+
+/** Where AuditBundle::onRecord sends a record, by its kind. */
+enum Route : std::uint8_t
+{
+    toTable = 1,
+    toConsistency = 2,
+    toPersistency = 4,
+    toAcks = 8,
+    toFifo = 16,
+};
+
+constexpr std::size_t numKinds = 8 * sizeof(KindSet);
+
+/** The route of every kind, from opKeyedKinds and each auditor's
+ *  declared kinds. */
+constexpr std::array<std::uint8_t, numKinds> routes = [] {
+    std::array<std::uint8_t, numKinds> r{};
+    for (std::size_t k = 0; k < numKinds; ++k) {
+        const auto kind = static_cast<EventKind>(k);
+        const auto to = [kind](KindSet set, Route route) {
+            return inKinds(set, kind) ? route : 0;
+        };
+        r[k] = static_cast<std::uint8_t>(
+            to(opKeyedKinds, toTable) |
+            to(ConsistencyAuditor::kinds, toConsistency) |
+            to(PersistencyAuditor::kinds, toPersistency) |
+            to(AckConservationAuditor::kinds, toAcks) |
+            to(FifoWatchdog::kinds, toFifo));
+    }
+    return r;
+}();
+
+} // namespace
 
 AuditBundle::AuditBundle()
     : table_(&cfg_), consistency_(&cfg_, nullptr, &table_),
@@ -857,13 +932,21 @@ AuditBundle::detach()
 void
 AuditBundle::onRecord(const Record &rec)
 {
+    const std::uint8_t route = routes[static_cast<std::size_t>(rec.kind)];
+    if (!(route & toTable)) {
+        if (route & toFifo)
+            fifo_.check(rec, {});
+        return;
+    }
     // Indexed before the rules run, so a violation's rendered trace
     // includes the triggering event.
     const OpLedger::Applied ap = table_.apply(rec);
-    consistency_.check(rec, ap);
-    persistency_.check(rec, ap);
-    acks_.check(rec, ap);
-    fifo_.check(rec, ap);
+    if (route & toConsistency)
+        consistency_.check(rec, ap);
+    if (route & toPersistency)
+        persistency_.check(rec, ap);
+    if (route & toAcks)
+        acks_.check(rec, ap);
     table_.settle(ap);
 }
 

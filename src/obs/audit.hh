@@ -139,9 +139,20 @@ class OpLedger
 
 /**
  * The AuditBundle's one op table: a write's ledger state and its trace
- * header sit in one entry under one OpSlots slot, so a keyed record
- * costs one probe. apply() folds a record as OpLedger::apply does and
- * indexes it as OpTraceIndex::add does.
+ * header sit in one entry under one OpSlots slot. apply() folds a
+ * record as OpLedger::apply does and indexes it as OpTraceIndex::add
+ * does.
+ *
+ * Every write has a slot, in admission order, but only the writes that
+ * hold a full entry (about a thousand at a time on a healthy run) are
+ * found per record: a second index, over the entries alone, maps a
+ * write straight to its entry. The entry holds the write's id and
+ * slot, and is two cache lines: the state the rules read, then the id,
+ * trace header and stage. A 64-cell memo of the writes found last sits
+ * in front of that index. So a keyed record costs one probe of the
+ * memo (or, on a miss, of the small index), the entry's two lines, and
+ * its trace chunk. Only the first record of a write, or a late one for
+ * a stub, probes the slots of every write.
  *
  * Traces are kept in a recycle window: settle() marks a write
  * quiescent once nothing more is owed for it, and its records go back
@@ -173,8 +184,8 @@ class OpTable
     /** Fold @p rec into its write's state and index it. */
     OpLedger::Applied apply(const Record &rec);
 
-    /** After the rules ran on @p ap: a write with nothing more owed
-     *  enters the recycle window (once). */
+    /** After the rules ran on @p ap, the last record applied: a write
+     *  with nothing more owed enters the recycle window (once). */
     void settle(const OpLedger::Applied &ap);
 
     /** State of the admitted write @p id, or null; a stub's state is
@@ -233,14 +244,17 @@ class OpTable
         Recycled, ///< records returned to the arena
     };
 
-    /** A write's full state. */
-    struct Entry
+    /** A write's full state: the rules' line, then the table's. */
+    struct alignas(64) Entry
     {
         OpLedger::OpState op;
+        kv::WriteId id;
         OpTrace trace;
+        std::uint32_t slot = OpSlots::none;
         bool admitted = false; ///< a ClientOpBegin opened its state
         Stage stage = Stage::Live;
     };
+    static_assert(sizeof(Entry) == 128, "an entry is two cache lines");
 
     /** Per slot: the write's entry, or its stub. */
     struct Head
@@ -257,13 +271,14 @@ class OpTable
         bool isEntry() const { return !isStub() && entryOrCuts != noEntry; }
     };
 
-    /** Give @p slot, new or a stub, an entry (a stub's rebuilt). */
-    Entry &addEntry(std::uint32_t slot);
-    /** Enter the write in @p slot in the recycle window. */
-    void quiesce(std::uint32_t slot);
-    /** Recycle the records of the write in @p slot; compact it if
+    /** The entry of @p id, a write with none yet, new or a stub (its
+     *  state rebuilt); @p h is its hash. */
+    std::uint32_t addEntry(const kv::WriteId &id, std::uint32_t h);
+    /** Enter the write of entry @p at in the recycle window. */
+    void quiesce(std::uint32_t at);
+    /** Recycle the records of the write of entry @p at; compact it if
      *  clean. */
-    void retire(std::uint32_t slot);
+    void retire(std::uint32_t at);
     /** The state of a clean write @p id that the nodes in @p cuts cut
      *  as obsolete. */
     OpLedger::OpState cleanState(const kv::WriteId &id,
@@ -271,15 +286,39 @@ class OpTable
     bool quiescent(const OpLedger::OpState &st) const;
     std::uint64_t allNodes() const;
 
+    /** One memo cell: a write that holds entry @p at, or empty. */
+    struct Memo
+    {
+        kv::WriteId id; ///< {0, 0} when empty: no write has TS 0
+        Entry *entry = nullptr;
+        std::uint32_t at = 0;
+    };
+    static constexpr std::size_t memoCells = 64;
+
+    /** The memo cell of @p id. */
+    static std::size_t
+    memoCell(const kv::WriteId &id)
+    {
+        return static_cast<std::size_t>(
+            ((id.key ^ id.ts) * 0x9E3779B97F4A7C15ull) >> 58);
+    }
+    static_assert(memoCells == 64, "memoCell() keeps the top 6 bits");
+
     const AuditConfig *cfg_;
     OpSlots slots_;
     ChunkedArray<Head> heads_; ///< by slot
     ChunkedArray<Entry> entries_;
+    /** Write -> entry, for the writes that hold one. */
+    SlotIndex live_;
+    /** The writes found last, by memoCell(): a record's write is
+     *  usually one of the few written to just before. */
+    std::array<Memo, memoCells> memo_{};
     std::vector<std::uint32_t> freeEntries_;
+    std::uint32_t applied_ = 0; ///< entry of apply()'s last keyed record
     std::uint64_t fullOps_ = 0;
     std::uint64_t fullPeak_ = 0;
     TraceArena arena_;
-    /** Ring of the last recycleWindow quiescent writes' slots, oldest
+    /** Ring of the last recycleWindow quiescent writes' entries, oldest
      *  at windowNext_. */
     std::vector<std::uint32_t> window_;
     std::size_t windowNext_ = 0;
@@ -382,11 +421,14 @@ class ScopeChains
  * Base class: rule set + violation reporting + metrics publication.
  *
  * An auditor's rules run as check(rec, applied), after the record has
- * been folded into the state the auditor reads. AuditBundle folds each
- * record once into its shared OpTable and calls check() on every
- * auditor; onRecord() is the standalone path, for an auditor used as a
- * sink of its own: it folds into the auditor's private ledger, then
- * checks, and renders traces from a caller's OpTraceIndex.
+ * been folded into the state the auditor reads. Each auditor declares,
+ * as its static `kinds`, the record kinds its rules read: check() does
+ * nothing on any other kind. AuditBundle folds each record once into
+ * its shared OpTable and calls check() on the auditors whose kinds hold
+ * the record's; onRecord() is the standalone path, for an auditor used
+ * as a sink of its own: it folds every record into the auditor's
+ * private ledger, then checks, and renders traces from a caller's
+ * OpTraceIndex.
  */
 class Auditor : public RecordSink
 {
@@ -477,6 +519,9 @@ class Auditor : public RecordSink
 class ConsistencyAuditor : public Auditor
 {
   public:
+    /** The kinds check() reads (audit.cc, beside the rules). */
+    static const KindSet kinds;
+
     ConsistencyAuditor(const AuditConfig *cfg, const OpTraceIndex *index,
                        const OpTable *shared = nullptr);
     void check(const Record &rec, const OpLedger::Applied &ap) override;
@@ -489,6 +534,9 @@ class ConsistencyAuditor : public Auditor
 class PersistencyAuditor : public Auditor
 {
   public:
+    /** The kinds check() reads (audit.cc, beside the rules). */
+    static const KindSet kinds;
+
     PersistencyAuditor(const AuditConfig *cfg, const OpTraceIndex *index,
                        const OpTable *shared = nullptr);
     void check(const Record &rec, const OpLedger::Applied &ap) override;
@@ -510,6 +558,9 @@ class PersistencyAuditor : public Auditor
 class AckConservationAuditor : public Auditor
 {
   public:
+    /** The kinds check() reads (audit.cc, beside the rules). */
+    static const KindSet kinds;
+
     AckConservationAuditor(const AuditConfig *cfg,
                            const OpTraceIndex *index,
                            const OpTable *shared = nullptr);
@@ -530,6 +581,9 @@ class AckConservationAuditor : public Auditor
 class FifoWatchdog : public Auditor
 {
   public:
+    /** The kinds check() reads (audit.cc, beside the rules). */
+    static const KindSet kinds;
+
     FifoWatchdog(const AuditConfig *cfg, const OpTraceIndex *index);
     /** Standalone path: the rules read no ledger, so none is folded. */
     void onRecord(const Record &rec) override;
@@ -555,8 +609,10 @@ class FifoWatchdog : public Auditor
 /**
  * The default audit harness: one OpTable and all four auditors behind a
  * single RecordSink, attachable to a FlightRecorder in one call. Each
- * record is folded into the table and indexed in one probe, then every
- * auditor's rules check it. Engines wire this
+ * record is routed once, by its kind: a kind opIdOf() can key is folded
+ * into the table and indexed, then the auditors whose declared kinds
+ * hold it check it. A kind that no rule reads and no write owns (phase
+ * spans, vFIFO enqueues) costs the route alone. Engines wire this
  * up from ClusterConfig::audit (the cluster fills in the AuditConfig
  * from its own topology/model, so callers just default-construct a
  * bundle).

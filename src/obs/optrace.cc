@@ -6,49 +6,6 @@
 
 namespace minos::obs {
 
-bool
-opIdOf(const Record &rec, kv::WriteId &out)
-{
-    auto key = static_cast<kv::Key>(rec.a0);
-    switch (rec.kind) {
-      case EventKind::InvFanout:
-      case EventKind::InvApplied:
-      case EventKind::InvObsolete:
-      case EventKind::RdLockReleased:
-      case EventKind::SnicBroadcastInv:
-      case EventKind::PersistDone:
-      case EventKind::GlbRaised:
-        break;
-      case EventKind::AckReceived:
-      case EventKind::AckSent:
-        if (ackType(rec.aux) == net::MsgType::ACK_P_SC)
-            return false;
-        break;
-      case EventKind::ValSent:
-        if (valType(rec.aux) == net::MsgType::VAL_P_SC)
-            return false;
-        break;
-      case EventKind::ClientOpBegin:
-      case EventKind::ClientOpEnd:
-        // Writes (and reads that observed a version) join the written
-        // op's timeline; [PERSIST]sc and unresolved reads have no TS.
-        if (opType(rec.aux) == OpType::PersistSc)
-            return false;
-        break;
-      case EventKind::ScopeMark: // a0 = (scope << 32) | key
-        key &= 0xffffffff;
-        break;
-      case EventKind::FollowerEnqueued:
-      case EventKind::VfifoSkipped:
-      case EventKind::FifoDepth:
-      case EventKind::SpanBegin:
-      case EventKind::SpanEnd:
-        return false;
-    }
-    out = {key, static_cast<std::uint64_t>(rec.a1)};
-    return rec.a1 != 0;
-}
-
 // ---------------------------------------------------------------------
 // TraceArena
 // ---------------------------------------------------------------------

@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 #include "common/slot_index.hh"
@@ -31,6 +32,24 @@
 
 namespace minos::obs {
 
+/** A set of record kinds: bit k for EventKind k. */
+using KindSet = std::uint32_t;
+
+constexpr KindSet
+kindSet(std::initializer_list<EventKind> kinds)
+{
+    KindSet set = 0;
+    for (EventKind k : kinds)
+        set |= KindSet{1} << static_cast<unsigned>(k);
+    return set;
+}
+
+constexpr bool
+inKinds(KindSet set, EventKind kind)
+{
+    return ((set >> static_cast<unsigned>(kind)) & 1) != 0;
+}
+
 /**
  * Map a record to the write it belongs to: the one record-to-write
  * mapping of the op traces and the audit ledgers. Returns false for
@@ -38,7 +57,55 @@ namespace minos::obs {
  * txn token lacks the key — scope-level messages, [PERSIST]sc and ops
  * that carry no TS).
  */
-bool opIdOf(const Record &rec, kv::WriteId &out);
+inline bool
+opIdOf(const Record &rec, kv::WriteId &out)
+{
+    auto key = static_cast<kv::Key>(rec.a0);
+    switch (rec.kind) {
+      case EventKind::InvFanout:
+      case EventKind::InvApplied:
+      case EventKind::InvObsolete:
+      case EventKind::RdLockReleased:
+      case EventKind::SnicBroadcastInv:
+      case EventKind::PersistDone:
+      case EventKind::GlbRaised:
+        break;
+      case EventKind::AckReceived:
+      case EventKind::AckSent:
+        if (ackType(rec.aux) == net::MsgType::ACK_P_SC)
+            return false;
+        break;
+      case EventKind::ValSent:
+        if (valType(rec.aux) == net::MsgType::VAL_P_SC)
+            return false;
+        break;
+      case EventKind::ClientOpBegin:
+      case EventKind::ClientOpEnd:
+        // Writes (and reads that observed a version) join the written
+        // op's timeline; [PERSIST]sc and unresolved reads have no TS.
+        if (opType(rec.aux) == OpType::PersistSc)
+            return false;
+        break;
+      case EventKind::ScopeMark: // a0 = (scope << 32) | key
+        key &= 0xffffffff;
+        break;
+      case EventKind::FollowerEnqueued:
+      case EventKind::VfifoSkipped:
+      case EventKind::FifoDepth:
+      case EventKind::SpanBegin:
+      case EventKind::SpanEnd:
+        return false;
+    }
+    out = {key, static_cast<std::uint64_t>(rec.a1)};
+    return rec.a1 != 0;
+}
+
+/** The kinds opIdOf() can map to a write; it returns false for every
+ *  other kind. */
+inline constexpr KindSet opKeyedKinds =
+    ~kindSet({EventKind::FollowerEnqueued, EventKind::VfifoSkipped,
+              EventKind::FifoDepth, EventKind::SpanBegin,
+              EventKind::SpanEnd});
 
 /**
  * Map from a write to a dense slot number over the shared SlotIndex:

@@ -21,7 +21,9 @@
  * that <Lin, Scope>'s P4 finds every write marked into a scope (stubs
  * and moved slots included), that a kept trace record renders exactly
  * as the record it was packed from, and that the write -> slot table
- * (OpSlots) keeps every write's slot as it grows.
+ * (OpSlots) keeps every write's slot as it grows. Each auditor ignores
+ * the record kinds it does not declare (the bundle routes by them), and
+ * AuditBundle::report's text is pinned.
  */
 
 #include <gtest/gtest.h>
@@ -154,6 +156,18 @@ tripped(const AuditBundle &audit, const std::string &prefix)
             if (v.rule.rfind(prefix, 0) == 0)
                 return true;
     return false;
+}
+
+/** Violations as (rule, time, detail), for comparing two audits whose
+ *  rendered traces differ by what was recycled. */
+std::vector<std::string>
+verdicts(const Auditor &a)
+{
+    std::vector<std::string> out;
+    for (const AuditViolation &v : a.violations())
+        out.push_back(v.rule + " @" + std::to_string(v.when) + " " +
+                      v.detail);
+    return out;
 }
 
 /** Every stored violation must carry a rendered causal excerpt. */
@@ -363,6 +377,34 @@ TEST(AuditSensitivity, UncappedVfifoTripsFifoWatchdog)
     expectTraces(run.audit);
 }
 
+TEST(AuditReport, RendersRuleDetailAndCausalTrace)
+{
+    // The report a failing audit prints: one line per violation, rule
+    // and detail, then the write's causal trace; past the cap, a count.
+    RunOpts opts;
+    opts.mutations.releaseRdLockEarly = true;
+    opts.numNodes = 2;
+    opts.workersPerNode = 1;
+    opts.requestsPerNode = 2;
+    opts.writeFraction = 1;
+    AuditRun run = runAudited(/*offload=*/false, PersistModel::Synch, opts);
+    ASSERT_EQ(run.audit.violationCount(), 4u);
+    EXPECT_EQ(run.audit.report(2),
+              "[consistency] C3-rdlock-released-early at 1184ns: RDLock "
+              "released at node 0 before the consistency gate (0/1 ACKs)\n"
+              "op key=6 ts=<0,0> causal trace (3 events):\n"
+              "  600ns [protocol] node 0: write begin key=6 ts=<0,0>\n"
+              "  934ns [message] node 0: INV fan-out key=6 ts=<0,0>\n"
+              "  1184ns [lock] node 0: RDLock released key=6 owner=<0,0>\n"
+              "[consistency] C3-rdlock-released-early at 1184ns: RDLock "
+              "released at node 1 before the consistency gate (0/1 ACKs)\n"
+              "op key=4 ts=<1,0> causal trace (3 events):\n"
+              "  600ns [protocol] node 1: write begin key=4 ts=<1,0>\n"
+              "  934ns [message] node 1: INV fan-out key=4 ts=<1,0>\n"
+              "  1184ns [lock] node 1: RDLock released key=4 owner=<1,0>\n"
+              "... (2 more violations)\n");
+}
+
 // ---------------------------------------------------------------------
 // 3. Non-perturbation: auditors observe, they never feed back.
 // ---------------------------------------------------------------------
@@ -447,11 +489,13 @@ TEST(AuditLedger, ScopeMarkReachesItsWritesEntry)
 TEST(AuditLedger, BundleMatchesStandaloneAuditors)
 {
     // The bundle folds each record once into its op table, which
-    // compacts clean writes as they leave the recycle window; each
-    // auditor on its own folds into a private ledger that keeps every
-    // write whole. Replaying a run's stream through the four standalone
-    // auditors must reach the same verdicts: same count, same stored
-    // rule ids in the same order, same units audited.
+    // compacts clean writes as they leave the recycle window, and routes
+    // each record only to the auditors that declare its kind; each
+    // auditor on its own folds every record into a private ledger that
+    // keeps every write whole. Replaying a run's stream through the four
+    // standalone auditors must reach the same verdicts: same count, and
+    // the same stored violations (rule, time and detail) in the same
+    // order, same units audited.
     struct Case
     {
         const char *name;
@@ -490,13 +534,6 @@ TEST(AuditLedger, BundleMatchesStandaloneAuditors)
     m.writeFraction = 1.0;
     cases.push_back({"ignoreFifoCap", PersistModel::Synch, m});
 
-    const auto ruleIds = [](const Auditor &a) {
-        std::vector<std::string> ids;
-        for (const AuditViolation &v : a.violations())
-            ids.push_back(v.rule);
-        return ids;
-    };
-
     std::size_t cutStubs = 0;
     for (bool offload : {false, true}) {
         for (Case &c : cases) {
@@ -523,7 +560,7 @@ TEST(AuditLedger, BundleMatchesStandaloneAuditors)
                 EXPECT_STREQ(bundled[i]->name(), alone[i]->name());
                 EXPECT_EQ(bundled[i]->violationCount(),
                           alone[i]->violationCount());
-                EXPECT_EQ(ruleIds(*bundled[i]), ruleIds(*alone[i]));
+                EXPECT_EQ(verdicts(*bundled[i]), verdicts(*alone[i]));
                 EXPECT_EQ(bundled[i]->opsAudited(),
                           alone[i]->opsAudited());
             }
@@ -543,6 +580,107 @@ TEST(AuditLedger, BundleMatchesStandaloneAuditors)
     // The contended mutant runs compacted writes that a follower cut
     // as obsolete.
     EXPECT_GT(cutStubs, 0u);
+}
+
+namespace {
+
+/** A record of @p kind for write @p id, from node 1, with an aux that
+ *  trips the rules that read the kind: an ACK_P sent before its
+ *  persist (P1) and an ACK_C for a write never fanned out (A1), a VAL
+ *  and glb raises before any ACK (C1, C2, P2, P6), an early RDLock
+ *  release (C3), a read of an unvalidated write (C4), an empty FIFO
+ *  (F1) and a skip out of order (F3). */
+Record
+trippingRecord(EventKind kind, const kv::WriteId &id)
+{
+    Record rec{100, static_cast<std::int64_t>(id.key),
+               static_cast<std::int64_t>(id.ts), 1, Category::Protocol,
+               kind, 0};
+    switch (kind) {
+      case EventKind::AckSent:
+        rec.aux = ackAux(net::MsgType::ACK_P, 1);
+        break;
+      case EventKind::AckReceived:
+        rec.aux = ackAux(net::MsgType::ACK_C, 1);
+        break;
+      case EventKind::ValSent:
+        rec.aux = valAux(net::MsgType::VAL);
+        break;
+      case EventKind::GlbRaised:
+        rec.aux = 1; // durable; a volatile raise trips C1 just the same
+        break;
+      case EventKind::ClientOpEnd:
+        rec.aux = opAux(OpType::Read, false);
+        break;
+      case EventKind::ClientOpBegin:
+        rec.aux = opAux(OpType::Write, false);
+        rec.a1 += 1 << kv::Timestamp::nodeBits; // a write of its own
+        break;
+      case EventKind::FifoDepth:
+        rec.a0 = 0;
+        rec.a1 = 0;
+        break;
+      case EventKind::VfifoSkipped:
+        rec.a0 = -5;
+        break;
+      default:
+        break;
+    }
+    return rec;
+}
+
+} // namespace
+
+TEST(AuditRouting, AuditorsIgnoreKindsTheyDoNotDeclare)
+{
+    // The bundle routes a record only to the auditors whose declared
+    // kinds hold it. So each auditor, fed a record of every kind outside
+    // its kinds, keeps its violations and its units audited; a fresh one
+    // fed the same records of its own kinds reports. Node 0 has begun
+    // one write, with no ACK in: every gate is still closed.
+    for (PersistModel model : {PersistModel::Synch, PersistModel::Strict}) {
+        SCOPED_TRACE(modelName(model));
+        StandaloneAudit alone({3, model, 4, 4});
+        const kv::WriteId id = kv::WriteId::of(7, kv::Timestamp{1, 0});
+        const Record begin{10,
+                           static_cast<std::int64_t>(id.key),
+                           static_cast<std::int64_t>(id.ts),
+                           0,
+                           Category::Protocol,
+                           EventKind::ClientOpBegin,
+                           opAux(OpType::Write, false)};
+        const std::vector<Auditor *> auditors = alone.auditors();
+        const KindSet declared[] = {
+            ConsistencyAuditor::kinds, PersistencyAuditor::kinds,
+            AckConservationAuditor::kinds, FifoWatchdog::kinds};
+        for (std::size_t i = 0; i < auditors.size(); ++i) {
+            Auditor &a = *auditors[i];
+            SCOPED_TRACE(a.name());
+            alone.index.onRecord(begin);
+            a.onRecord(begin);
+            const std::vector<std::string> before = verdicts(a);
+            const std::uint64_t count = a.violationCount();
+            const std::uint64_t units = a.opsAudited();
+            for (unsigned k = 0; k <= unsigned(EventKind::AckSent); ++k) {
+                const auto kind = static_cast<EventKind>(k);
+                if (!inKinds(declared[i], kind))
+                    a.onRecord(trippingRecord(kind, id));
+            }
+            EXPECT_EQ(a.violationCount(), count);
+            EXPECT_EQ(verdicts(a), before);
+            EXPECT_EQ(a.opsAudited(), units);
+
+            StandaloneAudit fresh(alone.cfg);
+            Auditor &b = *fresh.auditors()[i];
+            b.onRecord(begin);
+            for (unsigned k = 0; k <= unsigned(EventKind::AckSent); ++k) {
+                const auto kind = static_cast<EventKind>(k);
+                if (inKinds(declared[i], kind))
+                    b.onRecord(trippingRecord(kind, id));
+            }
+            EXPECT_GT(b.violationCount(), 0u);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -661,18 +799,6 @@ struct SynchPair
         audit.finish();
     }
 };
-
-/** Violations as (rule, time, detail), for comparing two audits whose
- *  rendered traces differ by what was recycled. */
-std::vector<std::string>
-verdicts(const Auditor &a)
-{
-    std::vector<std::string> out;
-    for (const AuditViolation &v : a.violations())
-        out.push_back(v.rule + " @" + std::to_string(v.when) + " " +
-                      v.detail);
-    return out;
-}
 
 /** The bundle's and the standalone auditors' verdicts agree. */
 void

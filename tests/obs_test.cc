@@ -254,6 +254,22 @@ TEST(FlightRecorder, CategoryFiltering)
     EXPECT_EQ(rec.recorded(), 1u);
 }
 
+TEST(FlightRecorder, CategoryNamesRoundTrip)
+{
+    // minos-sim --trace-categories parses these names.
+    for (int i = 0; i < numCategories; ++i) {
+        const auto cat = static_cast<Category>(i);
+        Category parsed = Category::Protocol;
+        ASSERT_TRUE(categoryFromName(categoryName(cat), parsed))
+            << categoryName(cat);
+        EXPECT_EQ(parsed, cat);
+    }
+    Category untouched = Category::Lock;
+    for (const char *bad : {"bogus", "", "Lock", "fifo,lock", " fifo"})
+        EXPECT_FALSE(categoryFromName(bad, untouched)) << bad;
+    EXPECT_EQ(untouched, Category::Lock);
+}
+
 TEST(FlightRecorder, ClearResets)
 {
     FlightRecorder rec(8);
