@@ -26,44 +26,43 @@ hasNode(std::uint64_t mask, std::int32_t node)
     return (mask & nodeBit(node)) != 0;
 }
 
-} // namespace
-
-// ---------------------------------------------------------------------
-// OpLedger
-// ---------------------------------------------------------------------
-
-bool
-OpLedger::OpState::fold(const Record &rec)
+/**
+ * Fold @p rec, a record of the write @p st other than its ClientOpBegin,
+ * of kind @p kind (opIdOf() says why apart); true when it is an ACK
+ * whose (family, sender) repeats.
+ */
+[[gnu::always_inline]] inline bool
+fold(OpLedger::OpState &st, EventKind kind, const Record &rec)
 {
-    switch (rec.kind) {
+    switch (kind) {
       case EventKind::ClientOpEnd:
         if (opType(rec.aux) == OpType::Write) {
-            returned = true;
-            endedObsolete = opObsolete(rec.aux);
+            st.returned = true;
+            st.endedObsolete = opObsolete(rec.aux);
         }
         break;
 
       case EventKind::InvFanout:
       case EventKind::SnicBroadcastInv:
-        fanout = true;
+        st.fanout = true;
         break;
 
       case EventKind::InvObsolete:
-        obsoleteNodes |= nodeBit(rec.node);
+        st.obsoleteNodes |= nodeBit(rec.node);
         break;
 
       case EventKind::PersistDone:
-        persistNodes |= nodeBit(rec.node);
+        st.persistNodes |= nodeBit(rec.node);
         break;
 
       case EventKind::AckReceived: {
         // [ACK_P]sc never gets here: it is not op-keyed (opIdOf).
-        const check::AckTally::Family family = add(ackType(rec.aux));
+        const check::AckTally::Family family = st.add(ackType(rec.aux));
         if (family == check::AckTally::notAck)
             break;
         const std::uint64_t bit = nodeBit(ackSender(rec.aux));
-        const bool duplicate = (seenAck[family] & bit) != 0;
-        seenAck[family] |= bit;
+        const bool duplicate = (st.seenAck[family] & bit) != 0;
+        st.seenAck[family] |= bit;
         return duplicate;
       }
 
@@ -74,6 +73,19 @@ OpLedger::OpState::fold(const Record &rec)
     }
     return false;
 }
+
+/** The kinds fold() changes a write's state on: only a record of one
+ *  of these can make a write quiescent. */
+constexpr KindSet foldedKinds =
+    kindSet({EventKind::ClientOpEnd, EventKind::InvFanout,
+             EventKind::SnicBroadcastInv, EventKind::InvObsolete,
+             EventKind::PersistDone, EventKind::AckReceived});
+
+} // namespace
+
+// ---------------------------------------------------------------------
+// OpLedger
+// ---------------------------------------------------------------------
 
 OpLedger::Applied
 OpLedger::apply(const Record &rec)
@@ -96,7 +108,7 @@ OpLedger::apply(const Record &rec)
     if (ap.slot == OpSlots::none)
         return ap;
     ap.op = &ops_[ap.slot];
-    ap.duplicateAck = ap.op->fold(rec);
+    ap.duplicateAck = fold(*ap.op, rec.kind, rec);
     return ap;
 }
 
@@ -114,6 +126,7 @@ OpLedger::find(const kv::WriteId &id) const
 OpTable::OpTable(const AuditConfig *cfg)
     : cfg_(cfg), arena_(maxEventsPerOp)
 {
+    memo_.fill(Head::noEntry);
 }
 
 std::uint64_t
@@ -179,13 +192,12 @@ OpTable::addEntry(const kv::WriteId &id, std::uint32_t h)
     if (added)
         heads_.emplace_back();
     Head &head = heads_[slot];
-    std::uint32_t at;
-    if (freeEntries_.empty()) {
+    std::uint32_t at = freeEntry_;
+    if (at == Head::noEntry) {
         at = static_cast<std::uint32_t>(entries_.size());
         entries_.emplace_back();
     } else {
-        at = freeEntries_.back();
-        freeEntries_.pop_back();
+        freeEntry_ = entries_[at].slot;
     }
     if (++fullOps_ > fullPeak_)
         fullPeak_ = fullOps_;
@@ -208,27 +220,32 @@ OpTable::addEntry(const kv::WriteId &id, std::uint32_t h)
     return at;
 }
 
-OpLedger::Applied
-OpTable::apply(const Record &rec)
+std::uint32_t
+OpTable::locate(const kv::WriteId &id)
+{
+    const std::uint32_t h = id.hash();
+    std::uint32_t at =
+        live_.find(h, [&](std::uint32_t x) { return entries_[x].id == id; });
+    if (at == SlotIndex::none)
+        at = addEntry(id, h);
+    return at;
+}
+
+[[gnu::always_inline]] inline OpLedger::Applied
+OpTable::apply(EventKind kind, const Record &rec)
 {
     OpLedger::Applied ap;
-    ap.keyed = opIdOf(rec, ap.id);
+    ap.keyed = opIdOf(kind, rec, ap.id);
     if (!ap.keyed)
         return ap;
-    Memo &m = memo_[memoCell(ap.id)];
-    if (!(m.id == ap.id)) {
-        const std::uint32_t h = ap.id.hash();
-        std::uint32_t at = live_.find(
-            h, [&](std::uint32_t x) { return entries_[x].id == ap.id; });
-        if (at == SlotIndex::none)
-            at = addEntry(ap.id, h);
-        m = {ap.id, &entries_[at], at};
-    }
-    applied_ = m.at;
-    Entry &e = *m.entry;
-    const std::uint32_t at = m.at;
+    std::uint32_t &m = memo_[memoCell(ap.id)];
+    if (m == Head::noEntry || !(entries_[m].id == ap.id))
+        m = locate(ap.id);
+    const std::uint32_t at = m;
+    applied_ = at;
+    Entry &e = entries_[at];
 
-    if (rec.kind == EventKind::ClientOpBegin) {
+    if (kind == EventKind::ClientOpBegin) {
         if (opType(rec.aux) == OpType::Write) {
             if (!e.admitted) {
                 // Admission order is slot order: a write indexed
@@ -246,7 +263,7 @@ OpTable::apply(const Record &rec)
         }
     } else if (e.admitted) {
         ap.op = &e.op;
-        ap.duplicateAck = e.op.fold(rec);
+        ap.duplicateAck = fold(e.op, kind, rec);
     }
     ap.slot = e.slot;
 
@@ -256,7 +273,7 @@ OpTable::apply(const Record &rec)
     return ap;
 }
 
-void
+[[gnu::always_inline]] inline void
 OpTable::settle(const OpLedger::Applied &ap)
 {
     if (ap.op && entries_[applied_].stage == Stage::Live &&
@@ -291,11 +308,11 @@ OpTable::retire(std::uint32_t at)
         !(e.op == cleanState(e.id, cuts)))
         return;
     live_.erase(e.id.hash(), [at](std::uint32_t x) { return x == at; });
-    if (Memo &m = memo_[memoCell(e.id)]; m.at == at)
-        m = Memo{};
-    freeEntries_.push_back(at);
-    --fullOps_;
+    if (std::uint32_t &m = memo_[memoCell(e.id)]; m == at)
+        m = Head::noEntry;
     Head &h = heads_[e.slot];
+    e.slot = std::exchange(freeEntry_, at);
+    --fullOps_;
     h.stubTotal = static_cast<std::uint16_t>(e.trace.total);
     h.stubRecycled = static_cast<std::uint16_t>(e.trace.recycled);
     h.entryOrCuts = static_cast<std::uint32_t>(cuts);
@@ -316,7 +333,9 @@ OpTable::find(const kv::WriteId &id, OpLedger::OpState &scratch) const
     return e.admitted ? &e.op : nullptr;
 }
 
-const OpLedger::OpState *
+// Cold: P4 reads it once per [ACK_P]sc and marked write, off the
+// per-record path.
+[[gnu::cold]] const OpLedger::OpState *
 OpTable::scopedOp(std::uint32_t slot, kv::WriteId &id) const
 {
     id = slots_.id(slot);
@@ -384,7 +403,8 @@ Auditor::onRecord(const Record &rec)
     check(rec, own_.apply(rec));
 }
 
-void
+// Cold: a violation is the rare path, laid out apart from the rules.
+[[gnu::cold]] void
 Auditor::violate(const char *rule, Tick when, const kv::WriteId &id,
                  std::string detail)
 {
@@ -440,13 +460,20 @@ const KindSet ConsistencyAuditor::kinds =
 void
 ConsistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
 {
+    rules(rec.kind, rec, ap);
+}
+
+[[gnu::always_inline]] inline void
+ConsistencyAuditor::rules(EventKind kind, const Record &rec,
+                          const OpLedger::Applied &ap)
+{
     if (ap.newOp)
         ++opsAudited_;
     if (!ap.op)
         return;
     const OpLedger::OpState &st = *ap.op;
 
-    switch (rec.kind) {
+    switch (kind) {
       case EventKind::GlbRaised:
         // Cond. 2c: glb_volatileTS must not pass a write until all of
         // its consistency ACKs are in.
@@ -558,7 +585,14 @@ const KindSet PersistencyAuditor::kinds =
 void
 PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
 {
-    if (rec.kind == EventKind::ScopeMark && ap.keyed) {
+    rules(rec.kind, rec, ap);
+}
+
+[[gnu::always_inline]] inline void
+PersistencyAuditor::rules(EventKind kind, const Record &rec,
+                          const OpLedger::Applied &ap)
+{
+    if (kind == EventKind::ScopeMark && ap.keyed) {
         // opIdOf names the marked write; one without a TS_WR is no
         // write any rule could find.
         bool added = false;
@@ -567,7 +601,7 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
                                        32),
             shared() ? ap.slot : marked_.insert(ap.id, added));
     }
-    if (rec.kind == EventKind::AckSent &&
+    if (kind == EventKind::AckSent &&
         ackType(rec.aux) == net::MsgType::ACK_P_SC) {
         checkScopeAck(rec);
         return;
@@ -579,7 +613,7 @@ PersistencyAuditor::check(const Record &rec, const OpLedger::Applied &ap)
         return;
     const OpLedger::OpState &st = *ap.op;
 
-    switch (rec.kind) {
+    switch (kind) {
       case EventKind::AckSent: {
         // Cond. 3a: an ACK carrying persistency (ACK_P, or Synch's
         // combined ACK) certifies durability at its sender, so the
@@ -689,7 +723,14 @@ void
 AckConservationAuditor::check(const Record &rec,
                               const OpLedger::Applied &ap)
 {
-    if (rec.kind == EventKind::AckReceived &&
+    rules(rec.kind, rec, ap);
+}
+
+[[gnu::always_inline]] inline void
+AckConservationAuditor::rules(EventKind kind, const Record &rec,
+                              const OpLedger::Applied &ap)
+{
+    if (kind == EventKind::AckReceived &&
         ackType(rec.aux) == net::MsgType::ACK_P_SC) {
         std::int32_t sender = ackSender(rec.aux);
         ScopeAcks &sa = scopeAcks_[static_cast<std::uint64_t>(rec.a0)];
@@ -708,7 +749,7 @@ AckConservationAuditor::check(const Record &rec,
     if (ap.newOp)
         ++opsAudited_;
 
-    if (rec.kind == EventKind::ClientOpEnd &&
+    if (kind == EventKind::ClientOpEnd &&
         opType(rec.aux) == OpType::PersistSc) {
         ScopeAcks &sa = scopeAcks_[static_cast<std::uint64_t>(rec.a0)];
         sa.completed = true;
@@ -716,7 +757,7 @@ AckConservationAuditor::check(const Record &rec,
         return;
     }
 
-    if (rec.kind != EventKind::AckReceived)
+    if (kind != EventKind::AckReceived)
         return;
 
     if (!ap.op || !ap.op->fanout) [[unlikely]] {
@@ -781,7 +822,7 @@ FifoWatchdog::FifoWatchdog(const AuditConfig *cfg,
 void
 FifoWatchdog::onRecord(const Record &rec)
 {
-    check(rec, {});
+    rules(rec.kind, rec);
 }
 
 std::string
@@ -804,8 +845,13 @@ const KindSet FifoWatchdog::kinds =
 void
 FifoWatchdog::check(const Record &rec, const OpLedger::Applied &)
 {
-    if (rec.kind != EventKind::FifoDepth &&
-        rec.kind != EventKind::VfifoSkipped)
+    rules(rec.kind, rec);
+}
+
+[[gnu::always_inline]] inline void
+FifoWatchdog::rules(EventKind kind, const Record &rec)
+{
+    if (kind != EventKind::FifoDepth && kind != EventKind::VfifoSkipped)
         return;
 
     MINOS_ASSERT(rec.node >= 0, "FIFO record without a node");
@@ -818,7 +864,7 @@ FifoWatchdog::check(const Record &rec, const OpLedger::Applied &)
     if (st.historyLen < historyPerNode)
         ++st.historyLen;
 
-    if (rec.kind == EventKind::VfifoSkipped) {
+    if (kind == EventKind::VfifoSkipped) {
         // Drains walk the vFIFO in enqueue order, so skipped entry ids
         // are strictly increasing per node.
         if (rec.a0 <= st.lastSkipId) [[unlikely]]
@@ -873,26 +919,21 @@ enum Route : std::uint8_t
     toFifo = 16,
 };
 
-constexpr std::size_t numKinds = 8 * sizeof(KindSet);
-
-/** The route of every kind, from opKeyedKinds and each auditor's
- *  declared kinds. */
-constexpr std::array<std::uint8_t, numKinds> routes = [] {
-    std::array<std::uint8_t, numKinds> r{};
-    for (std::size_t k = 0; k < numKinds; ++k) {
-        const auto kind = static_cast<EventKind>(k);
-        const auto to = [kind](KindSet set, Route route) {
-            return inKinds(set, kind) ? route : 0;
-        };
-        r[k] = static_cast<std::uint8_t>(
-            to(opKeyedKinds, toTable) |
-            to(ConsistencyAuditor::kinds, toConsistency) |
-            to(PersistencyAuditor::kinds, toPersistency) |
-            to(AckConservationAuditor::kinds, toAcks) |
-            to(FifoWatchdog::kinds, toFifo));
-    }
-    return r;
-}();
+/** The route of @p kind, from opKeyedKinds and each auditor's declared
+ *  kinds. */
+constexpr std::uint8_t
+routeOf(EventKind kind)
+{
+    const auto to = [kind](KindSet set, Route route) {
+        return inKinds(set, kind) ? route : 0;
+    };
+    return static_cast<std::uint8_t>(
+        to(opKeyedKinds, toTable) |
+        to(ConsistencyAuditor::kinds, toConsistency) |
+        to(PersistencyAuditor::kinds, toPersistency) |
+        to(AckConservationAuditor::kinds, toAcks) |
+        to(FifoWatchdog::kinds, toFifo));
+}
 
 } // namespace
 
@@ -929,25 +970,69 @@ AuditBundle::detach()
     attached_ = nullptr;
 }
 
+template <EventKind K>
+void
+AuditBundle::route(const Record &rec)
+{
+    constexpr std::uint8_t to = routeOf(K);
+    if constexpr ((to & toFifo) != 0)
+        fifo_.rules(K, rec);
+    if constexpr ((to & toTable) != 0) {
+        // Indexed before the rules run, so a violation's rendered trace
+        // includes the triggering event.
+        const OpLedger::Applied ap = table_.apply(K, rec);
+        if constexpr ((to & toConsistency) != 0)
+            consistency_.rules(K, rec, ap);
+        if constexpr ((to & toPersistency) != 0)
+            persistency_.rules(K, rec, ap);
+        if constexpr ((to & toAcks) != 0)
+            acks_.rules(K, rec, ap);
+        if constexpr (inKinds(foldedKinds, K))
+            table_.settle(ap);
+    }
+}
+
 void
 AuditBundle::onRecord(const Record &rec)
 {
-    const std::uint8_t route = routes[static_cast<std::size_t>(rec.kind)];
-    if (!(route & toTable)) {
-        if (route & toFifo)
-            fifo_.check(rec, {});
-        return;
+    switch (rec.kind) {
+      case EventKind::InvFanout:
+        return route<EventKind::InvFanout>(rec);
+      case EventKind::InvApplied:
+        return route<EventKind::InvApplied>(rec);
+      case EventKind::InvObsolete:
+        return route<EventKind::InvObsolete>(rec);
+      case EventKind::RdLockReleased:
+        return route<EventKind::RdLockReleased>(rec);
+      case EventKind::SnicBroadcastInv:
+        return route<EventKind::SnicBroadcastInv>(rec);
+      case EventKind::FollowerEnqueued:
+        return route<EventKind::FollowerEnqueued>(rec);
+      case EventKind::VfifoSkipped:
+        return route<EventKind::VfifoSkipped>(rec);
+      case EventKind::FifoDepth:
+        return route<EventKind::FifoDepth>(rec);
+      case EventKind::SpanBegin:
+        return route<EventKind::SpanBegin>(rec);
+      case EventKind::SpanEnd:
+        return route<EventKind::SpanEnd>(rec);
+      case EventKind::AckReceived:
+        return route<EventKind::AckReceived>(rec);
+      case EventKind::PersistDone:
+        return route<EventKind::PersistDone>(rec);
+      case EventKind::ValSent:
+        return route<EventKind::ValSent>(rec);
+      case EventKind::ClientOpBegin:
+        return route<EventKind::ClientOpBegin>(rec);
+      case EventKind::ClientOpEnd:
+        return route<EventKind::ClientOpEnd>(rec);
+      case EventKind::GlbRaised:
+        return route<EventKind::GlbRaised>(rec);
+      case EventKind::ScopeMark:
+        return route<EventKind::ScopeMark>(rec);
+      case EventKind::AckSent:
+        return route<EventKind::AckSent>(rec);
     }
-    // Indexed before the rules run, so a violation's rendered trace
-    // includes the triggering event.
-    const OpLedger::Applied ap = table_.apply(rec);
-    if (route & toConsistency)
-        consistency_.check(rec, ap);
-    if (route & toPersistency)
-        persistency_.check(rec, ap);
-    if (route & toAcks)
-        acks_.check(rec, ap);
-    table_.settle(ap);
 }
 
 void

@@ -99,11 +99,6 @@ class OpLedger
         std::uint64_t seenAck[numFamilies] = {};
 
         bool operator==(const OpState &) const = default;
-
-        /** Fold @p rec, a record of this write other than its
-         *  ClientOpBegin; true when it is an ACK whose (family,
-         *  sender) repeats. */
-        bool fold(const Record &rec);
     };
 
     struct Applied
@@ -147,11 +142,12 @@ class OpLedger
  * hold a full entry (about a thousand at a time on a healthy run) are
  * found per record: a second index, over the entries alone, maps a
  * write straight to its entry. The entry holds the write's id and
- * slot, and is two cache lines: the state the rules read, then the id,
- * trace header and stage. A 64-cell memo of the writes found last sits
- * in front of that index. So a keyed record costs one probe of the
- * memo (or, on a miss, of the small index), the entry's two lines, and
- * its trace chunk. Only the first record of a write, or a late one for
+ * slot: the state the rules read, then the id, trace header and stage,
+ * 120 bytes. A memo of the entries found last, 256 cells
+ * of 4 bytes, sits in front of that index: a cell hits when its entry
+ * holds the record's write. So a keyed record costs one memo cell (or,
+ * on a miss, a probe of the small index), the entry, and its trace
+ * chunk. Only the first record of a write, or a late one for
  * a stub, probes the slots of every write.
  *
  * Traces are kept in a recycle window: settle() marks a write
@@ -180,13 +176,6 @@ class OpTable
     static constexpr std::size_t maxEventsPerOp = 48;
 
     explicit OpTable(const AuditConfig *cfg);
-
-    /** Fold @p rec into its write's state and index it. */
-    OpLedger::Applied apply(const Record &rec);
-
-    /** After the rules ran on @p ap, the last record applied: a write
-     *  with nothing more owed enters the recycle window (once). */
-    void settle(const OpLedger::Applied &ap);
 
     /** State of the admitted write @p id, or null; a stub's state is
      *  rebuilt into @p scratch. */
@@ -237,6 +226,18 @@ class OpTable
     std::uint64_t fullPeak() const { return fullPeak_; }
 
   private:
+    /** The bundle's routes (audit.cc) are the one caller of apply()
+     *  and settle(). */
+    friend class AuditBundle;
+
+    /** Fold @p rec, of kind @p kind, into its write's state and index
+     *  it. */
+    inline OpLedger::Applied apply(EventKind kind, const Record &rec);
+
+    /** After the rules ran on @p ap, the last record applied: a write
+     *  with nothing more owed enters the recycle window (once). */
+    inline void settle(const OpLedger::Applied &ap);
+
     enum class Stage : std::uint8_t
     {
         Live,     ///< not yet quiescent
@@ -244,17 +245,17 @@ class OpTable
         Recycled, ///< records returned to the arena
     };
 
-    /** A write's full state: the rules' line, then the table's. */
-    struct alignas(64) Entry
+    /** A write's full state: what the rules read, then the table's. */
+    struct Entry
     {
         OpLedger::OpState op;
         kv::WriteId id;
         OpTrace trace;
+        /** The write's slot; in a free entry, the next free one. */
         std::uint32_t slot = OpSlots::none;
         bool admitted = false; ///< a ClientOpBegin opened its state
         Stage stage = Stage::Live;
     };
-    static_assert(sizeof(Entry) == 128, "an entry is two cache lines");
 
     /** Per slot: the write's entry, or its stub. */
     struct Head
@@ -271,6 +272,20 @@ class OpTable
         bool isEntry() const { return !isStub() && entryOrCuts != noEntry; }
     };
 
+    static constexpr std::size_t memoCells = 256;
+
+    /** The memo cell of @p id. */
+    static std::size_t
+    memoCell(const kv::WriteId &id)
+    {
+        return static_cast<std::size_t>(
+            ((id.key ^ id.ts) * 0x9E3779B97F4A7C15ull) >> 56);
+    }
+    static_assert(memoCells == 256, "memoCell() keeps the top 8 bits");
+
+    /** The entry of @p id, which the memo does not hold: found in the
+     *  index of entries, or added. */
+    std::uint32_t locate(const kv::WriteId &id);
     /** The entry of @p id, a write with none yet, new or a stub (its
      *  state rebuilt); @p h is its hash. */
     std::uint32_t addEntry(const kv::WriteId &id, std::uint32_t h);
@@ -286,34 +301,18 @@ class OpTable
     bool quiescent(const OpLedger::OpState &st) const;
     std::uint64_t allNodes() const;
 
-    /** One memo cell: a write that holds entry @p at, or empty. */
-    struct Memo
-    {
-        kv::WriteId id; ///< {0, 0} when empty: no write has TS 0
-        Entry *entry = nullptr;
-        std::uint32_t at = 0;
-    };
-    static constexpr std::size_t memoCells = 64;
-
-    /** The memo cell of @p id. */
-    static std::size_t
-    memoCell(const kv::WriteId &id)
-    {
-        return static_cast<std::size_t>(
-            ((id.key ^ id.ts) * 0x9E3779B97F4A7C15ull) >> 58);
-    }
-    static_assert(memoCells == 64, "memoCell() keeps the top 6 bits");
-
     const AuditConfig *cfg_;
     OpSlots slots_;
     ChunkedArray<Head> heads_; ///< by slot
     ChunkedArray<Entry> entries_;
     /** Write -> entry, for the writes that hold one. */
     SlotIndex live_;
-    /** The writes found last, by memoCell(): a record's write is
-     *  usually one of the few written to just before. */
-    std::array<Memo, memoCells> memo_{};
-    std::vector<std::uint32_t> freeEntries_;
+    /** The entries found last, by their writes' memoCell(), or
+     *  Head::noEntry: a record's write is usually one of the few
+     *  written to just before. */
+    std::array<std::uint32_t, memoCells> memo_;
+    /** Free entries, a stack linked through Entry::slot. */
+    std::uint32_t freeEntry_ = Head::noEntry;
     std::uint32_t applied_ = 0; ///< entry of apply()'s last keyed record
     std::uint64_t fullOps_ = 0;
     std::uint64_t fullPeak_ = 0;
@@ -527,6 +526,12 @@ class ConsistencyAuditor : public Auditor
     void check(const Record &rec, const OpLedger::Applied &ap) override;
 
   private:
+    friend class AuditBundle;
+    /** check() on @p rec, of kind @p kind: AuditBundle's route of a
+     *  kind passes it as a constant, so the other kinds' rules fold
+     *  away. */
+    inline void rules(EventKind kind, const Record &rec,
+                      const OpLedger::Applied &ap);
     bool gateReached(const OpLedger::OpState &st) const;
 };
 
@@ -543,6 +548,12 @@ class PersistencyAuditor : public Auditor
     void finish() override;
 
   private:
+    friend class AuditBundle;
+    /** check() on @p rec, of kind @p kind: AuditBundle's route of a
+     *  kind passes it as a constant, so the other kinds' rules fold
+     *  away. */
+    inline void rules(EventKind kind, const Record &rec,
+                      const OpLedger::Applied &ap);
     /** Every persistency ACK of the write is in and its coordinator
      *  has persisted it (P2, P3 and P6 gate on this). */
     bool persistGateReached(const OpLedger::OpState &st) const;
@@ -568,6 +579,12 @@ class AckConservationAuditor : public Auditor
     void finish() override;
 
   private:
+    friend class AuditBundle;
+    /** check() on @p rec, of kind @p kind: AuditBundle's route of a
+     *  kind passes it as a constant, so the other kinds' rules fold
+     *  away. */
+    inline void rules(EventKind kind, const Record &rec,
+                      const OpLedger::Applied &ap);
     struct ScopeAcks
     {
         std::uint64_t senders = 0;
@@ -590,6 +607,11 @@ class FifoWatchdog : public Auditor
     void check(const Record &rec, const OpLedger::Applied &ap) override;
 
   private:
+    friend class AuditBundle;
+    /** check() on @p rec, of kind @p kind: AuditBundle's route of a
+     *  kind passes it as a constant, so the other kinds' rules fold
+     *  away. */
+    inline void rules(EventKind kind, const Record &rec);
     /** Last few FIFO records per node, rendered into violations. */
     static constexpr std::size_t historyPerNode = 8;
 
@@ -659,6 +681,10 @@ class AuditBundle : public RecordSink
     std::vector<const Auditor *> auditors() const;
 
   private:
+    /** What onRecord() does with a record of kind @p K. */
+    template <EventKind K>
+    void route(const Record &rec);
+
     AuditConfig cfg_;
     OpTable table_;
     ConsistencyAuditor consistency_;

@@ -29,26 +29,10 @@ TraceArena::allocChunk()
     return c;
 }
 
-TraceArena::Entry
-TraceArena::Entry::of(const kv::WriteId &id, const Record &rec)
+void
+TraceArena::Entry::unpackable(const Record &rec)
 {
-    const auto a0 = static_cast<std::uint64_t>(rec.a0);
-    const auto kind = static_cast<unsigned>(rec.kind);
-    const auto category = static_cast<unsigned>(rec.category);
-    MINOS_ASSERT(static_cast<std::uint64_t>(rec.a1) == id.ts &&
-                     static_cast<std::uint32_t>(a0) ==
-                         static_cast<std::uint32_t>(id.key) &&
-                     rec.node >= -128 && rec.node <= 127 && kind < 32 &&
-                     category < 8,
-                 "record does not pack under its write: ",
-                 renderRecord(rec));
-    Entry e;
-    e.when = rec.when;
-    e.a0High = static_cast<std::uint32_t>(a0 >> 32);
-    e.aux = rec.aux;
-    e.node = static_cast<std::int8_t>(rec.node);
-    e.kindCategory = static_cast<std::uint8_t>(kind | category << 5);
-    return e;
+    MINOS_PANIC("record does not pack under its write: ", renderRecord(rec));
 }
 
 Record
@@ -64,27 +48,6 @@ TraceArena::Entry::record(const kv::WriteId &id) const
     rec.kind = static_cast<EventKind>(kindCategory & 31);
     rec.aux = aux;
     return rec;
-}
-
-void
-TraceArena::append(OpTrace &t, const kv::WriteId &id, const Record &rec)
-{
-    ++t.total;
-    if (t.kept == maxEventsPerOp_)
-        return;
-    const std::size_t at = t.kept % chunkRecords;
-    if (at == 0) {
-        const std::uint32_t c = allocChunk();
-        if (t.tail == OpTrace::noChunk)
-            t.head = c;
-        else
-            chunks_[t.tail].next = c;
-        t.tail = c;
-    }
-    chunks_[t.tail].entries[at] = Entry::of(id, rec);
-    ++t.kept;
-    if (++records_ > recordsPeak_)
-        recordsPeak_ = records_;
 }
 
 void

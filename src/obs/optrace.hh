@@ -56,12 +56,15 @@ inKinds(KindSet set, EventKind kind)
  * records with no per-op identity (FIFO samples, phase spans — their
  * txn token lacks the key — scope-level messages, [PERSIST]sc and ops
  * that carry no TS).
+ *
+ * @p kind is @p rec's kind, passed apart so that a caller that knows it
+ * at compile time (AuditBundle's per-kind routes) folds the switch.
  */
 inline bool
-opIdOf(const Record &rec, kv::WriteId &out)
+opIdOf(EventKind kind, const Record &rec, kv::WriteId &out)
 {
     auto key = static_cast<kv::Key>(rec.a0);
-    switch (rec.kind) {
+    switch (kind) {
       case EventKind::InvFanout:
       case EventKind::InvApplied:
       case EventKind::InvObsolete:
@@ -98,6 +101,12 @@ opIdOf(const Record &rec, kv::WriteId &out)
     }
     out = {key, static_cast<std::uint64_t>(rec.a1)};
     return rec.a1 != 0;
+}
+
+inline bool
+opIdOf(const Record &rec, kv::WriteId &out)
+{
+    return opIdOf(rec.kind, rec, out);
 }
 
 /** The kinds opIdOf() can map to a write; it returns false for every
@@ -191,7 +200,8 @@ class TraceArena
 
     /** Count @p rec, a record of the write @p id (opIdOf), in @p t,
      *  and keep it while @p t has room. */
-    void append(OpTrace &t, const kv::WriteId &id, const Record &rec);
+    inline void append(OpTrace &t, const kv::WriteId &id,
+                       const Record &rec);
 
     /** Give @p t's kept records back, counting them as recycled. */
     void release(OpTrace &t);
@@ -217,13 +227,18 @@ class TraceArena
 
         static Entry of(const kv::WriteId &id, const Record &rec);
         Record record(const kv::WriteId &id) const;
+        /** Panic: @p rec does not pack under the write it is filed
+         *  by. */
+        [[noreturn, gnu::cold]] static void unpackable(const Record &rec);
     };
     static_assert(sizeof(Entry) == 16, "a kept record is 16 bytes");
 
+    /** The link first: a chunk taken off the free list is written in
+     *  the line its link was read from. */
     struct Chunk
     {
-        std::array<Entry, chunkRecords> entries;
         std::uint32_t next = OpTrace::noChunk;
+        std::array<Entry, chunkRecords> entries;
     };
 
     std::uint32_t allocChunk();
@@ -234,6 +249,47 @@ class TraceArena
     std::uint64_t records_ = 0;
     std::uint64_t recordsPeak_ = 0;
 };
+
+inline TraceArena::Entry
+TraceArena::Entry::of(const kv::WriteId &id, const Record &rec)
+{
+    const auto a0 = static_cast<std::uint64_t>(rec.a0);
+    const auto kind = static_cast<unsigned>(rec.kind);
+    const auto category = static_cast<unsigned>(rec.category);
+    if (static_cast<std::uint64_t>(rec.a1) != id.ts ||
+        static_cast<std::uint32_t>(a0) != static_cast<std::uint32_t>(id.key) ||
+        rec.node < -128 || rec.node > 127 || kind >= 32 || category >= 8)
+        [[unlikely]]
+        unpackable(rec);
+    Entry e;
+    e.when = rec.when;
+    e.a0High = static_cast<std::uint32_t>(a0 >> 32);
+    e.aux = rec.aux;
+    e.node = static_cast<std::int8_t>(rec.node);
+    e.kindCategory = static_cast<std::uint8_t>(kind | category << 5);
+    return e;
+}
+
+void
+TraceArena::append(OpTrace &t, const kv::WriteId &id, const Record &rec)
+{
+    ++t.total;
+    if (t.kept == maxEventsPerOp_)
+        return;
+    const std::size_t at = t.kept % chunkRecords;
+    if (at == 0) {
+        const std::uint32_t c = allocChunk();
+        if (t.tail == OpTrace::noChunk)
+            t.head = c;
+        else
+            chunks_[t.tail].next = c;
+        t.tail = c;
+    }
+    chunks_[t.tail].entries[at] = Entry::of(id, rec);
+    ++t.kept;
+    if (++records_ > recordsPeak_)
+        recordsPeak_ = records_;
+}
 
 /**
  * RecordSink that groups protocol records by operation and renders
