@@ -944,6 +944,8 @@ AuditBundle::AuditBundle()
 {
 }
 
+AuditBundle::~AuditBundle() = default;
+
 void
 AuditBundle::configure(const AuditConfig &cfg)
 {

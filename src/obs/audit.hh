@@ -643,6 +643,13 @@ class AuditBundle : public RecordSink
 {
   public:
     AuditBundle();
+    /** Out of line, so that an includer does not carry its own copy of
+     *  the members' destructors. */
+    ~AuditBundle() override;
+    /** The move the class had before it declared a destructor. The
+     *  auditors point into the bundle, so only an elided move (of a
+     *  returned local) is safe. */
+    AuditBundle(AuditBundle &&) = default;
 
     /** Set the cluster facts; must precede the first recorded event. */
     void configure(const AuditConfig &cfg);
