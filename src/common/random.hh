@@ -69,9 +69,6 @@ class KeyDistribution
 
     /** Draw the next key. */
     virtual std::uint64_t next(Rng &rng) = 0;
-
-    /** Number of distinct keys this distribution can produce. */
-    virtual std::uint64_t numKeys() const = 0;
 };
 
 /** Uniform keys over [0, numKeys). */
@@ -81,7 +78,6 @@ class UniformKeys : public KeyDistribution
     explicit UniformKeys(std::uint64_t num_keys);
 
     std::uint64_t next(Rng &rng) override;
-    std::uint64_t numKeys() const override { return numKeys_; }
 
   private:
     std::uint64_t numKeys_;
@@ -100,7 +96,6 @@ class ZipfianKeys : public KeyDistribution
     ZipfianKeys(std::uint64_t num_keys, double theta = 0.99);
 
     std::uint64_t next(Rng &rng) override;
-    std::uint64_t numKeys() const override { return numKeys_; }
 
     /** Raw (unscrambled) zipfian rank; rank 0 is the hottest. */
     std::uint64_t nextRank(Rng &rng);

@@ -6,7 +6,8 @@
  * The paper has no real persistent-memory device either; it emulates NVM
  * with exactly this latency model, so this substitution is faithful by
  * construction. Fig. 14 sweeps the per-KB latency from 100 ns (Optane
- * cache line) to 100 us (SSD block).
+ * cache line) to 100 us (SSD block). The SmartNIC FIFOs (Table III) are
+ * timed by the same rule with their own per-KB write latency.
  */
 
 #ifndef MINOS_NVM_MODEL_HH
@@ -18,30 +19,17 @@
 
 namespace minos::nvm {
 
-/** Timing model for persisting data to the emulated durable medium. */
-class NvmModel
+/** Latency to write @p bytes to a medium that takes @p ns_per_kb per
+ *  KB, scaled linearly, minimum 1 tick. */
+inline Tick
+persistLatency(Tick ns_per_kb, std::uint64_t bytes)
 {
-  public:
-    /** @param ns_per_kb nanoseconds to persist 1 KB (default Table II). */
-    explicit NvmModel(Tick ns_per_kb = 1295) : nsPerKb_(ns_per_kb) {}
-
-    /** Latency to persist @p bytes, scaled linearly, minimum 1 tick. */
-    Tick
-    persistLatency(std::uint64_t bytes) const
-    {
-        if (bytes == 0)
-            return 0;
-        Tick t = static_cast<Tick>(
-            (static_cast<double>(bytes) / 1024.0) *
-            static_cast<double>(nsPerKb_));
-        return t > 0 ? t : 1;
-    }
-
-    Tick nsPerKb() const { return nsPerKb_; }
-
-  private:
-    Tick nsPerKb_;
-};
+    if (bytes == 0)
+        return 0;
+    Tick t = static_cast<Tick>((static_cast<double>(bytes) / 1024.0) *
+                               static_cast<double>(ns_per_kb));
+    return t > 0 ? t : 1;
+}
 
 } // namespace minos::nvm
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "nvm/model.hh"
 
 namespace minos::proto {
 
@@ -38,7 +39,6 @@ ThreadedNode::ThreadedNode(ThreadedCluster &cluster,
       coordinatorSteps_(simproto::coordinatorSchedule(cfg.model, false)),
       store_(cfg.numRecords),
       durable_(cfg.numRecords),
-      nvm_(cfg.persistNsPerKb),
       live_((std::uint64_t{1} << cfg.numNodes) - 1)
 {
 }
@@ -140,8 +140,8 @@ ThreadedNode::releaseWrLock(AtomicRecord &rec)
 void
 ThreadedNode::spinPersistLatency(std::uint32_t bytes) const
 {
-    auto until = Clock::now() +
-                 std::chrono::nanoseconds(nvm_.persistLatency(bytes));
+    const Tick lat = nvm::persistLatency(cfg_.persistNsPerKb, bytes);
+    auto until = Clock::now() + std::chrono::nanoseconds(lat);
     while (Clock::now() < until) {
         // Emulated NVM write (paper Table II): busy-wait the medium's
         // latency, like the paper's emulation on CloudLab.

@@ -44,7 +44,6 @@
 #include "kv/record.hh"
 #include "net/message.hh"
 #include "nvm/log.hh"
-#include "nvm/model.hh"
 #include "recovery/ctrl.hh"
 #include "runtime/fabric.hh"
 #include "simproto/models.hh"
@@ -240,7 +239,6 @@ class ThreadedNode
     /** The durable (value, TS) of every record, indexed by key. */
     mutable std::mutex durableMutex_;
     std::vector<nvm::DurableRecord> durable_;
-    nvm::NvmModel nvm_;
 
     std::atomic<std::uint64_t> live_;
     std::atomic<bool> running_{false};

@@ -39,7 +39,7 @@ struct NodeCounters
     std::uint64_t writesObsoleteCut = 0; ///< coordinator-side cuts
     std::uint64_t invsObsolete = 0;      ///< follower-side cuts
     std::uint64_t rdLockSnatches = 0;    ///< owner actually changed
-    std::uint64_t persists = 0;          ///< updates persisted
+    std::uint64_t persists = 0; ///< updates persisted (durable state's)
 
     /** Element-wise accumulation (cluster aggregation). */
     NodeCounters &operator+=(const NodeCounters &o);

@@ -107,8 +107,15 @@ class DdpCore
     /** The node's durable state; log().size() counts its persists, as
      *  the length of a raw NVM log would. */
     const nvm::DurableState &log() const { return store_.durable(); }
-    /** Protocol activity counters. */
-    const NodeCounters &counters() const { return counters_; }
+    /** Protocol activity counters; persists is the durable state's
+     *  count. */
+    NodeCounters
+    counters() const
+    {
+        NodeCounters c = counters_;
+        c.persists = log().size();
+        return c;
+    }
     /** Scopes with scoped updates still persisting on this node. */
     std::size_t scopesPersisting() const
     {

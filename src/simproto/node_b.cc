@@ -2,6 +2,7 @@
 
 #include "simproto/cluster_b.hh"
 
+#include "nvm/model.hh"
 #include "obs/phase.hh"
 
 namespace minos::simproto {
@@ -18,7 +19,7 @@ using net::ScopeId;
 NodeB::NodeB(sim::Simulator &sim, ClusterB &cluster,
              const ClusterConfig &cfg, PersistModel model, NodeId id)
     : DdpCore(sim, cfg, model, id), cluster_(cluster),
-      nvm_(cfg.persistNsPerKb), wrLocks_(cfg.numRecords)
+      wrLocks_(cfg.numRecords)
 {
     startDispatcher<NodeB>(hostCores_, cfg_.dispatchNs);
 }
@@ -55,12 +56,11 @@ NodeB::persistToNvm(Key key, Value value, Timestamp ts)
     // waits for the medium off-core; the event-driven runtime serves
     // other work meanwhile.
     Tick t0 = sim_.now();
-    Tick lat = nvm_.persistLatency(cfg_.recordBytes);
+    Tick lat = nvm::persistLatency(cfg_.persistNsPerKb, cfg_.recordBytes);
     Tick issue = std::min<Tick>(lat, 200);
     co_await hostCores_.compute(issue);
     co_await sim::delay(lat - issue);
     store_.persist(key, value, ts);
-    ++counters_.persists;
     traceEvent(obs::Category::Protocol, obs::EventKind::PersistDone,
                static_cast<std::int64_t>(key),
                static_cast<std::int64_t>(ts.pack()));
@@ -222,7 +222,8 @@ NodeB::persistScope(ScopeId scope)
     // Complete persisting all local WRs inside the scope, then the
     // [PERSIST]sc marker itself.
     co_await scopeFlushed(scope);
-    co_await hostCores_.compute(nvm_.persistLatency(net::controlMsgBytes));
+    co_await hostCores_.compute(
+        nvm::persistLatency(cfg_.persistNsPerKb, net::controlMsgBytes));
 
     // Spin for all [ACK_P]sc, then send [VAL_P]sc.
     co_await progress_.until(
@@ -337,7 +338,8 @@ NodeB::onPersistSc(Message msg, Tick t_handle0)
     // scope-flush wait, certifying durability the node does not have.
     if (!cfg_.mutations.ackBeforePersist)
         co_await scopeFlushed(msg.scope);
-    co_await hostCores_.compute(nvm_.persistLatency(net::controlMsgBytes));
+    co_await hostCores_.compute(
+        nvm::persistLatency(cfg_.persistNsPerKb, net::controlMsgBytes));
     co_await sendResponse(msg, MsgType::ACK_P_SC, sim_.now() - t_handle0);
 }
 

@@ -27,7 +27,6 @@
 
 #include <vector>
 
-#include "nvm/model.hh"
 #include "simproto/ddp_core.hh"
 #include "simproto/txn_slab.hh"
 
@@ -84,7 +83,6 @@ class NodeB : public DdpCore
     sim::Task<void> onPersistSc(net::Message msg, Tick t_handle0);
 
     ClusterB &cluster_;
-    nvm::NvmModel nvm_;
 
     /**
      * WRLock per key (paper Fig. 1(a)), one bit each: the lock is

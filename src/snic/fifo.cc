@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "nvm/model.hh"
 #include "obs/phase.hh"
 
 namespace minos::snic {
@@ -10,21 +11,6 @@ namespace minos::snic {
 using kv::Key;
 using kv::Timestamp;
 using kv::Value;
-
-namespace {
-
-/** Scale a per-1KB FIFO write latency to the record size. */
-Tick
-scaledFifoLatency(Tick ns_per_kb, std::uint32_t bytes)
-{
-    if (bytes == 0)
-        return 0;
-    Tick t = static_cast<Tick>(static_cast<double>(ns_per_kb) *
-                               static_cast<double>(bytes) / 1024.0);
-    return t > 0 ? t : 1;
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // SlotQueue
@@ -125,7 +111,7 @@ VFifo::enqueue(Key key, Value value, Timestamp ts)
     if (capped)
         co_await slots_.claim();
     co_await sim::delay(
-        scaledFifoLatency(cfg_.vfifoWriteNs, cfg_.recordBytes));
+        nvm::persistLatency(cfg_.vfifoWriteNs, cfg_.recordBytes));
     std::uint64_t id = nextId_++;
     queue_.push_back(Entry{id, key, value, ts});
     peak_ = std::max(peak_, queue_.size());
@@ -135,12 +121,6 @@ VFifo::enqueue(Key key, Value value, Timestamp ts)
                            static_cast<std::int64_t>(queue_.size()));
     slots_.fill(capped); // wakes the drain loop
     co_return id;
-}
-
-sim::Task<void>
-VFifo::waitDrained(std::uint64_t id)
-{
-    co_await progress_.until([&] { return isDrained(id); });
 }
 
 sim::Process
@@ -215,7 +195,20 @@ DFifo::enqueue(Key key, Value value, Timestamp ts,
     // The MINOS-O persist phase is the durable enqueue; instrumenting
     // it here covers the coordinator, follower, and background paths.
     Tick t0 = sim_.now();
-    co_await enqueueMarker(size_bytes);
+    // Slot reservation mirrors the vFIFO: claim before the write
+    // latency so concurrent enqueuers cannot overshoot the cap.
+    co_await slots_.claim();
+    co_await sim::delay(nvm::persistLatency(cfg_.dfifoWriteNs, size_bytes));
+    queue_.push_back(size_bytes);
+    peak_ = std::max(peak_, queue_.size());
+    if (cfg_.trace)
+        cfg_.trace->record(sim_.now(), obs::Category::Fifo,
+                           obs::EventKind::FifoDepth, node_, /*a0=*/1,
+                           static_cast<std::int64_t>(queue_.size()));
+    slots_.fill();
+    progress_.notifyAll();
+    if (ts.isNone())
+        co_return; // a marker: no data update
     // Durability point: the update now lives in the SNIC's NVM.
     store_.persist(key, value, ts);
     if (cfg_.trace)
@@ -226,24 +219,6 @@ DFifo::enqueue(Key key, Value value, Timestamp ts,
     obs::recordSpan(cfg_.trace, cfg_.phases, obs::Phase::Persist, t0,
                     sim_.now(), node_,
                     static_cast<std::int64_t>(ts.pack()));
-    progress_.notifyAll();
-}
-
-sim::Task<void>
-DFifo::enqueueMarker(std::uint32_t size_bytes)
-{
-    // Slot reservation mirrors the vFIFO: claim before the write
-    // latency so concurrent enqueuers cannot overshoot the cap.
-    co_await slots_.claim();
-    co_await sim::delay(
-        scaledFifoLatency(cfg_.dfifoWriteNs, size_bytes));
-    queue_.push_back(size_bytes);
-    peak_ = std::max(peak_, queue_.size());
-    if (cfg_.trace)
-        cfg_.trace->record(sim_.now(), obs::Category::Fifo,
-                           obs::EventKind::FifoDepth, node_, /*a0=*/1,
-                           static_cast<std::int64_t>(queue_.size()));
-    slots_.fill();
     progress_.notifyAll();
 }
 

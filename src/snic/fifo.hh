@@ -205,18 +205,16 @@ class VFifo
                                      kv::Timestamp ts);
 
     /** Suspend until entry @p id has drained (applied or skipped). */
-    sim::Task<void> waitDrained(std::uint64_t id);
-
-    bool
-    isDrained(std::uint64_t id) const
+    auto
+    waitDrained(std::uint64_t id)
     {
-        return id == noEntry || id < drainedThrough_;
+        return progress_.until([this, id] { return isDrained(id); });
     }
+
+    bool isDrained(std::uint64_t id) const { return id < drainedThrough_; }
 
     /** Entries skipped at drain because they were obsolete. */
     std::uint64_t skippedObsolete() const { return skipped_; }
-
-    std::size_t occupancy() const { return queue_.size(); }
 
     /** Deepest the queue has ever been (explains Fig. 13). */
     std::size_t peakOccupancy() const { return peak_; }
@@ -264,7 +262,8 @@ class DFifo
     /**
      * Atomically enqueue (and thereby persist) one update of
      * @p size_bytes. Suspends while the FIFO is full. The update enters
-     * the node's durable state here — this is the durability point.
+     * the node's durable state here — this is the durability point. A
+     * none @p ts enqueues a marker, which skips it.
      */
     sim::Task<void> enqueue(kv::Key key, kv::Value value,
                             kv::Timestamp ts, std::uint32_t size_bytes);
@@ -273,9 +272,11 @@ class DFifo
      * Persist a protocol marker (e.g. the [PERSIST]sc record) without
      * adding a data update to the durable state.
      */
-    sim::Task<void> enqueueMarker(std::uint32_t size_bytes);
-
-    std::size_t occupancy() const { return queue_.size(); }
+    sim::Task<void>
+    enqueueMarker(std::uint32_t size_bytes)
+    {
+        return enqueue(0, 0, kv::Timestamp::none(), size_bytes);
+    }
 
     /** Deepest the queue has ever been (explains Fig. 13). */
     std::size_t peakOccupancy() const { return peak_; }

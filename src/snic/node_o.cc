@@ -152,13 +152,11 @@ NodeO::snicEnqueueUpdate(Message msg, TxnHold txn)
     // background.
     txn->vfifoId = co_await vfifo_.enqueue(msg.key, msg.value,
                                            msg.tsWr);
-    txn->vfifoAssigned = true;
     txn->waitKey.fire();
     progress_.notifyAll();
     if (coordinatorSteps_.awaitsLocalPersist()) {
         co_await dfifo_.enqueue(msg.key, msg.value, msg.tsWr,
                                 cfg_.recordBytes);
-        ++counters_.persists;
         txn->localPersisted = true;
         txn->waitKey.fire();
         txn->acksKey.fire();
@@ -269,7 +267,7 @@ NodeO::snicCompleteWrite(Key key, Timestamp ts, ScopeId scope,
     // tail: release the RDLock if still owner and broadcast the VALs,
     // waiting at each gate on the way; retire the transaction.
     co_await progress_.until(txn->waitKey,
-                             [&] { return txn->vfifoAssigned; });
+                             [&] { return txn->vfifoId != noEntry; });
     co_await vfifo_.waitDrained(txn->vfifoId);
 
     Record &rec = store_.at(key);
@@ -376,7 +374,6 @@ NodeO::onFollowerInv(Message msg, Tick t_handle0)
     // Fig. 8 lines 34-35 + Fig. 7 per-model ACK points.
     txn->vfifoId = co_await vfifo_.enqueue(msg.key, msg.value,
                                            msg.tsWr);
-    txn->vfifoAssigned = true;
     txn->waitKey.fire();
     traceEvent(obs::Category::Fifo, obs::EventKind::FollowerEnqueued,
                static_cast<std::int64_t>(msg.key),
@@ -391,7 +388,6 @@ NodeO::onFollowerInv(Message msg, Tick t_handle0)
           case FollowerStep::Persist:
             co_await dfifo_.enqueue(msg.key, msg.value, msg.tsWr,
                                     cfg_.recordBytes);
-            ++counters_.persists;
             break;
           case FollowerStep::PersistLater:
             persistLater(msg.key, msg.value, msg.tsWr, msg.scope);
@@ -426,8 +422,11 @@ NodeO::onVal(Message msg)
     }
 
     // Fig. 8 lines 39-42: wait for the drain, then release the RDLock.
-    co_await progress_.until(txn->waitKey,
-                             [&] { return txn->vfifoAssigned; });
+    // The entry exists: this node sent its consistency ACK only after
+    // the enqueue, and the coordinator sends this VAL only after every
+    // consistency ACK is in.
+    MINOS_ASSERT(txn->vfifoId != noEntry, "node ", id_, ": VAL for key ",
+                 msg.key, " before its INV's vFIFO enqueue");
     co_await vfifo_.waitDrained(txn->vfifoId);
     co_await snicCores_.compute(cfg_.snicSyncNs + cfg_.coherenceNs);
     releaseRdLockIfOwner(rec, msg.key, msg.tsWr);
@@ -475,7 +474,7 @@ NodeO::persistLater(Key key, Value value, Timestamp ts, ScopeId scope)
     persistInBackground(
         scope,
         [=, this] { return dfifo_.enqueue(key, value, ts, cfg_.recordBytes); },
-        [this] { ++counters_.persists; });
+        [] {});
 }
 
 } // namespace minos::snic

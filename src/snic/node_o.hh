@@ -104,8 +104,7 @@ class NodeO : public simproto::DdpCore
         simproto::AckTally host;
         bool hostDone = false;   ///< client gate reached at the host
         bool invProcessed = false; ///< SNIC already did the enqueues
-        std::uint64_t vfifoId = noEntry;
-        bool vfifoAssigned = false;
+        std::uint64_t vfifoId = noEntry; ///< set by the vFIFO enqueue
         bool releasedByValC = false; ///< follower: VAL_C processed
         /// Coordinator: the next Await of the schedule whose segment
         /// has not run (its end once all have).
@@ -113,7 +112,7 @@ class NodeO : public simproto::DdpCore
         /**
          * Keys of the progress_ waits that read only this transaction;
          * whoever changes a field they read fires the key at once.
-         * waitKey: the host gate, vfifoAssigned and releasedByValC.
+         * waitKey: the host gate, vfifoId and releasedByValC.
          * acksKey: Strict's VAL_P gate, which reads the ACK tally (kept
          * apart so that ACKs do not re-test the other waits).
          */

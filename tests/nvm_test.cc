@@ -14,6 +14,7 @@
 #include "nvm/durable_state.hh"
 #include "nvm/log.hh"
 #include "nvm/model.hh"
+#include "simproto/config.hh"
 
 using namespace minos;
 using namespace minos::nvm;
@@ -21,26 +22,25 @@ using minos::kv::Timestamp;
 
 TEST(NvmModel, DefaultTableIIValue)
 {
-    NvmModel nvm;
-    EXPECT_EQ(nvm.nsPerKb(), 1295);
-    EXPECT_EQ(nvm.persistLatency(1024), 1295);
+    const Tick nsPerKb = simproto::ClusterConfig{}.persistNsPerKb;
+    EXPECT_EQ(nsPerKb, 1295);
+    EXPECT_EQ(persistLatency(nsPerKb, 1024), 1295);
 }
 
 TEST(NvmModel, ScalesLinearly)
 {
-    NvmModel nvm(1000);
-    EXPECT_EQ(nvm.persistLatency(2048), 2000);
-    EXPECT_EQ(nvm.persistLatency(512), 500);
-    EXPECT_EQ(nvm.persistLatency(0), 0);
+    EXPECT_EQ(persistLatency(1000, 2048), 2000);
+    EXPECT_EQ(persistLatency(1000, 512), 500);
+    EXPECT_EQ(persistLatency(1000, 0), 0);
     // Tiny persists still cost at least one tick.
-    EXPECT_GE(nvm.persistLatency(1), 1);
+    EXPECT_GE(persistLatency(1000, 1), 1);
 }
 
 TEST(NvmModel, SweepValuesFromFig14)
 {
     // Fig. 14 sweeps 100ns .. 100us per KB.
-    EXPECT_EQ(NvmModel(100).persistLatency(1024), 100);
-    EXPECT_EQ(NvmModel(100'000).persistLatency(1024), 100'000);
+    EXPECT_EQ(persistLatency(100, 1024), 100);
+    EXPECT_EQ(persistLatency(100'000, 1024), 100'000);
 }
 
 namespace {

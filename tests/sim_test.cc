@@ -1527,7 +1527,8 @@ TEST(MemoryGate, BackedUpPersistHoldsAtMostItsTwoFrames)
     // holds two coroutine frames (its backgroundPersist Process and its
     // DFifo::enqueue Task), so the peak heap grows with the backlog. A
     // frame that grows past a FramePool size class adds 64 B per
-    // persist: peak bytes per backed-up key read 775 here, and 892 when
+    // persist: peak bytes per backed-up key read 640 here, 775 when
+    // DFifo::enqueue awaited a nested marker coroutine, and 892 when
     // backgroundPersist's body held its scope bookkeeping inline.
     if (!FramePool::enabled)
         GTEST_SKIP() << "frame pool is off under AddressSanitizer";
@@ -1536,7 +1537,7 @@ TEST(MemoryGate, BackedUpPersistHoldsAtMostItsTwoFrames)
     ASSERT_GT(lag, 100 * lagFree);
     const double perKey = static_cast<double>(peak - peakFree) /
                           static_cast<double>(lag - lagFree);
-    EXPECT_LE(perKey, 832.0) << peak << " B at the peak against " << peakFree
+    EXPECT_LE(perKey, 704.0) << peak << " B at the peak against " << peakFree
                            << " unlimited; " << lag << " against "
                            << lagFree << " keys backed up";
 }
@@ -2247,8 +2248,7 @@ TEST(GoldenRun, SsdPersistsMatchPinnedResults)
     // fixed Table III latency, so its run equals the default Synch pin.
     simproto::ClusterConfig cfg;
     cfg.persistNsPerKb = 100000;
-    ASSERT_GT(nvm::NvmModel(cfg.persistNsPerKb).persistLatency(
-                  cfg.recordBytes),
+    ASSERT_GT(nvm::persistLatency(cfg.persistNsPerKb, cfg.recordBytes),
               Simulator::wheelSpan);
     GoldenHashes b = goldenHash<simproto::ClusterB>(
         simproto::PersistModel::Synch, simproto::OffloadOptions::minosB(),

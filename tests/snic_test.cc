@@ -337,6 +337,33 @@ TEST(ScopeO, PersistScopeRetiresItsTransaction)
     EXPECT_EQ(coord.counters().valsSent, before.valsSent);
 }
 
+TEST(NodeODeathTest, ValBeforeItsInvEnqueuePanics)
+{
+    // A follower acknowledges an INV only after its vFIFO enqueue, and
+    // the coordinator sends the VAL only after every consistency ACK,
+    // so a VAL never finds its INV's enqueue unfinished. Deliver one
+    // inside the INV's vFIFO write latency (465 ns for 1 KB) anyway.
+    auto run = [] {
+        sim::Simulator sim;
+        ClusterO cluster(sim, smallConfig(), PersistModel::Synch);
+        NodeO &follower = cluster.node(1);
+        net::Message inv;
+        inv.type = net::MsgType::INV;
+        inv.src = 0;
+        inv.dst = 1;
+        inv.key = 3;
+        inv.tsWr = Timestamp{1, 0};
+        inv.value = 30;
+        net::Message val = inv;
+        val.type = net::MsgType::VAL;
+        val.sizeBytes = net::controlMsgBytes;
+        sim.schedule(0, [&] { follower.deliver(inv); });
+        sim.schedule(300, [&] { follower.deliver(val); });
+        sim.run();
+    };
+    EXPECT_DEATH(run(), "before its INV's vFIFO enqueue");
+}
+
 namespace {
 
 /** Determinism fingerprint of a seeded MINOS-O run. */
