@@ -646,9 +646,9 @@ class AuditBundle : public RecordSink
     /** Out of line, so that an includer does not carry its own copy of
      *  the members' destructors. */
     ~AuditBundle() override;
-    /** The move the class had before it declared a destructor. The
-     *  auditors point into the bundle, so only an elided move (of a
-     *  returned local) is safe. */
+    /** A declared destructor hides the implicit move, which returning
+     *  a bundle by value needs. The auditors point into the bundle, so
+     *  only an elided move (of a returned local) is safe. */
     AuditBundle(AuditBundle &&) = default;
 
     /** Set the cluster facts; must precede the first recorded event. */
